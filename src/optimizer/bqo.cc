@@ -37,10 +37,8 @@ std::map<int, int> DepthsFromFact(const JoinGraph& graph,
     for (int u : frontier) {
       for (int v : members) {
         if (depth.count(v)) continue;
-        if (!graph
-                 .EdgesBetweenSets(units[static_cast<size_t>(u)].rels,
-                                   units[static_cast<size_t>(v)].rels)
-                 .empty()) {
+        if (graph.Adjacent(units[static_cast<size_t>(u)].rels,
+                           units[static_cast<size_t>(v)].rels)) {
           depth[v] = depth[u] + 1;
           next.push_back(v);
         }
@@ -69,10 +67,8 @@ std::vector<int> AwayFirstOrder(const JoinGraph& graph,
     std::vector<int> neighbors;
     for (int v : group) {
       if (visited[static_cast<size_t>(v)]) continue;
-      if (!graph
-               .EdgesBetweenSets(units[static_cast<size_t>(u)].rels,
-                                 units[static_cast<size_t>(v)].rels)
-               .empty()) {
+      if (graph.Adjacent(units[static_cast<size_t>(u)].rels,
+                         units[static_cast<size_t>(v)].rels)) {
         neighbors.push_back(v);
       }
     }
@@ -165,10 +161,8 @@ Plan OptimizeSnowflakeUnits(const JoinGraph& graph,
     Group g;
     g.unit_idxs = std::move(idxs);
     for (int u : g.unit_idxs) {
-      if (!graph
-               .EdgesBetweenSets(units[static_cast<size_t>(u)].rels,
-                                 fact_unit.rels)
-               .empty()) {
+      if (graph.Adjacent(units[static_cast<size_t>(u)].rels,
+                         fact_unit.rels)) {
         g.fact_adjacent.push_back(u);
       }
     }

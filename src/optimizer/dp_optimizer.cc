@@ -145,7 +145,7 @@ std::unique_ptr<PlanNode> BushyDp(const JoinGraph& graph,
       auto it1 = table.find(s1);
       auto it2 = table.find(s2);
       if (it1 == table.end() || it2 == table.end()) continue;
-      if (graph.EdgesBetweenSets(s1, s2).empty()) continue;
+      if (!graph.Adjacent(s1, s2)) continue;
       const double cost =
           it1->second.cost + it2->second.cost + est->Card(set);
       if (cost < best.cost) {

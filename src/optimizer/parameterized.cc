@@ -1,6 +1,7 @@
 #include "src/optimizer/parameterized.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -43,6 +44,7 @@ bool StableAt(const JoinGraph& graph, int rel, double sel,
 ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
                                         StatsCatalog* stats,
                                         const OptimizerOptions& options) {
+  const auto start = std::chrono::steady_clock::now();
   ParameterizedPlan out;
   out.optimized = OptimizeQuery(graph, stats, options);
   out.constants = graph.ConstantTable();
@@ -107,6 +109,9 @@ ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
       }
     }
   }
+  out.optimize_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count();
   return out;
 }
 

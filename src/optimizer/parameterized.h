@@ -46,6 +46,10 @@ struct SelectivityBand {
 /// indexed by relation, except estimated_lambda (by filter id).
 struct ParameterizedPlan {
   OptimizedQuery optimized;
+  /// Wall time of the whole OptimizeParameterized call: the base
+  /// OptimizeQuery (optimized.optimize_ns) plus every band probe — what a
+  /// plan-cache miss costs and a hit saves.
+  int64_t optimize_ns = 0;
   /// Constant slot table the plan was optimized under (one vector per
   /// relation — which selectivity estimate depends on which slots).
   std::vector<std::vector<Value>> constants;

@@ -35,9 +35,9 @@ std::vector<int> FindFactUnits(const JoinGraph& graph,
     if (unit.optimized) continue;
     bool referenced = false;
     for (int v : active) {
-      if (v == u) continue;
-      for (int eid : graph.EdgesBetweenSets(
-               unit.rels, units[static_cast<size_t>(v)].rels)) {
+      const RelSet other = units[static_cast<size_t>(v)].rels;
+      if (v == u || !graph.Adjacent(unit.rels, other)) continue;
+      for (int eid : graph.EdgesBetweenSets(unit.rels, other)) {
         if (UnitSideUnique(graph, unit, eid)) {
           referenced = true;
           break;
@@ -65,8 +65,9 @@ std::vector<int> ExpandSnowflake(const JoinGraph& graph,
       if (cand.optimized) continue;  // composites are never dimensions
       bool reachable = false;
       for (int m : members) {
-        for (int eid : graph.EdgesBetweenSets(
-                 units[static_cast<size_t>(m)].rels, cand.rels)) {
+        const RelSet member = units[static_cast<size_t>(m)].rels;
+        if (!graph.Adjacent(member, cand.rels)) continue;
+        for (int eid : graph.EdgesBetweenSets(member, cand.rels)) {
           if (UnitSideUnique(graph, cand, eid)) {
             reachable = true;
             break;
@@ -101,11 +102,8 @@ std::vector<std::vector<int>> GroupBranches(const JoinGraph& graph,
     for (size_t i = 0; i < group.size(); ++i) {
       for (int v : dims) {
         if (used[static_cast<size_t>(v)]) continue;
-        if (!graph
-                 .EdgesBetweenSets(
-                     units[static_cast<size_t>(group[i])].rels,
-                     units[static_cast<size_t>(v)].rels)
-                 .empty()) {
+        if (graph.Adjacent(units[static_cast<size_t>(group[i])].rels,
+                           units[static_cast<size_t>(v)].rels)) {
           group.push_back(v);
           used[static_cast<size_t>(v)] = true;
         }

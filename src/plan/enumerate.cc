@@ -22,7 +22,7 @@ void EnumerateRec(const JoinGraph& graph, std::vector<int>* order,
     if (RelSetContains(used, rel)) continue;
     // The next relation must join something already in the prefix
     // (no cross products). The first relation is unconstrained.
-    if (!order->empty() && graph.EdgesBetween(used, rel).empty()) continue;
+    if (!order->empty() && !graph.Adjacent(used, RelBit(rel))) continue;
     order->push_back(rel);
     EnumerateRec(graph, order, used | RelBit(rel), limit, out, count,
                  collect);

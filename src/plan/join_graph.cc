@@ -1,9 +1,21 @@
 #include "src/plan/join_graph.h"
 
+#include <algorithm>
+#include <atomic>
+
 #include "src/common/string_util.h"
 #include "src/plan/predicate_shape.h"
 
 namespace bqo {
+
+namespace {
+
+uint64_t NextStructureId() {
+  static std::atomic<uint64_t> next{1};
+  return next.fetch_add(1, std::memory_order_relaxed);
+}
+
+}  // namespace
 
 int JoinGraph::AddRelation(std::string alias, std::string table_name,
                            const Table* table, ExprPtr predicate) {
@@ -20,6 +32,9 @@ int JoinGraph::AddRelation(std::string alias, std::string table_name,
   }
   relations_.push_back(std::move(ref));
   incident_.emplace_back();
+  adjacent_.push_back(0);
+  rel_columns_.emplace_back();
+  structure_id_ = NextStructureId();
   return num_relations() - 1;
 }
 
@@ -32,8 +47,34 @@ int JoinGraph::AddEdge(JoinEdge edge) {
   const int id = num_edges();
   incident_[static_cast<size_t>(edge.left)].push_back(id);
   incident_[static_cast<size_t>(edge.right)].push_back(id);
+  adjacent_[static_cast<size_t>(edge.left)] |= RelBit(edge.right);
+  adjacent_[static_cast<size_t>(edge.right)] |= RelBit(edge.left);
+  auto number = [this](int rel, const std::vector<std::string>& names) {
+    std::vector<int> ids;
+    ids.reserve(names.size());
+    for (const std::string& name : names) {
+      int cid = ColumnId(rel, name);
+      if (cid < 0) {
+        cid = num_columns();
+        columns_.push_back(BoundColumn{rel, name});
+        rel_columns_[static_cast<size_t>(rel)].push_back(cid);
+      }
+      ids.push_back(cid);
+    }
+    return ids;
+  };
+  edge.left_col_ids = number(edge.left, edge.left_cols);
+  edge.right_col_ids = number(edge.right, edge.right_cols);
   edges_.push_back(std::move(edge));
+  structure_id_ = NextStructureId();
   return id;
+}
+
+int JoinGraph::ColumnId(int rel, std::string_view name) const {
+  for (int cid : rel_columns_[static_cast<size_t>(rel)]) {
+    if (columns_[static_cast<size_t>(cid)].column == name) return cid;
+  }
+  return -1;
 }
 
 void JoinGraph::DeriveUniqueness(const Catalog& catalog) {
@@ -51,38 +92,27 @@ void JoinGraph::DeriveUniqueness(const Catalog& catalog) {
   }
 }
 
-std::vector<int> JoinGraph::EdgesBetween(RelSet set, int rel) const {
-  std::vector<int> out;
-  for (int eid : incident_[static_cast<size_t>(rel)]) {
-    const JoinEdge& e = edges_[static_cast<size_t>(eid)];
-    const int other = e.Other(rel);
-    if (RelSetContains(set, other)) out.push_back(eid);
-  }
-  return out;
-}
-
 std::vector<int> JoinGraph::EdgesBetweenSets(RelSet a, RelSet b) const {
+  a &= AllRels();
+  b &= AllRels();
+  // Every such edge has an endpoint on the smaller side, so scanning its
+  // incident edges suffices: joining a dimension to a composite touches
+  // one or two edges, not all of them.
+  const RelSet small = RelSetCount(a) <= RelSetCount(b) ? a : b;
   std::vector<int> out;
-  for (int i = 0; i < num_edges(); ++i) {
-    const JoinEdge& e = edges_[static_cast<size_t>(i)];
-    const bool la = RelSetContains(a, e.left);
-    const bool ra = RelSetContains(a, e.right);
-    const bool lb = RelSetContains(b, e.left);
-    const bool rb = RelSetContains(b, e.right);
-    if ((la && rb) || (ra && lb)) out.push_back(i);
-  }
-  return out;
-}
-
-RelSet JoinGraph::Neighbors(RelSet set) const {
-  RelSet out = 0;
-  for (int r = 0; r < num_relations(); ++r) {
-    if (!RelSetContains(set, r)) continue;
+  ForEachRel(small, [&](int r) {
     for (int eid : incident_[static_cast<size_t>(r)]) {
-      out |= RelBit(edges_[static_cast<size_t>(eid)].Other(r));
+      const JoinEdge& e = edges_[static_cast<size_t>(eid)];
+      if ((RelSetContains(a, e.left) && RelSetContains(b, e.right)) ||
+          (RelSetContains(a, e.right) && RelSetContains(b, e.left))) {
+        out.push_back(eid);
+      }
     }
-  }
-  return out & ~set;
+  });
+  // Ascending and once each (an edge inside `small` is seen twice).
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
+  return out;
 }
 
 bool JoinGraph::IsConnected(RelSet set) const {

@@ -9,6 +9,14 @@
 //
 // Relations are indexed 0..n-1; subsets are uint64_t bitmasks (queries are
 // capped at 64 relations; the CUSTOMER-like generator stays below this).
+//
+// Every (relation, join column) pair that some edge joins on gets a dense
+// *join-column id* 0..K-1, assigned once in AddEdge in order of first
+// appearance, and each edge stores the ids of its column pairs. The
+// numbering is structural: it depends only on the AddEdge sequence, so
+// graph copies and shape-equal graphs (same ShapeSignature) number their
+// columns identically. The cost model indexes flat per-node arrays by it
+// (src/stats/estimated_cost.h).
 #pragma once
 
 #include <cstdint>
@@ -28,6 +36,12 @@ inline bool RelSetContains(RelSet set, int rel) {
   return (set & RelBit(rel)) != 0;
 }
 inline int RelSetCount(RelSet set) { return __builtin_popcountll(set); }
+
+/// \brief Call `fn(rel)` for every relation in `set`, ascending.
+template <typename Fn>
+inline void ForEachRel(RelSet set, Fn&& fn) {
+  for (; set != 0; set &= set - 1) fn(__builtin_ctzll(set));
+}
 
 /// \brief A relation occurrence in a query.
 struct RelationRef {
@@ -51,10 +65,22 @@ struct JoinEdge {
   std::vector<std::string> right_cols;
   bool left_unique = false;
   bool right_unique = false;
+  /// Join-column ids of left_cols/right_cols (index-aligned); assigned by
+  /// JoinGraph::AddEdge, whatever the caller put here is overwritten.
+  std::vector<int> left_col_ids;
+  std::vector<int> right_col_ids;
 
-  /// \brief The other endpoint of this edge.
-  int Other(int rel) const { return rel == left ? right : left; }
   bool Touches(int rel) const { return left == rel || right == rel; }
+};
+
+/// \brief A column bound to a specific relation occurrence of the query.
+struct BoundColumn {
+  int rel = -1;
+  std::string column;
+
+  bool operator==(const BoundColumn& o) const {
+    return rel == o.rel && column == o.column;
+  }
 };
 
 /// \brief The join graph of one query.
@@ -66,7 +92,8 @@ class JoinGraph {
                   const Table* table, ExprPtr predicate);
 
   /// \brief Add an equi-join edge; uniqueness flags may be set directly or
-  /// derived from a catalog via DeriveUniqueness().
+  /// derived from a catalog via DeriveUniqueness(). Numbers the edge's
+  /// columns (see the module comment).
   int AddEdge(JoinEdge edge);
 
   /// \brief Set left_unique/right_unique on every edge from catalog key
@@ -89,15 +116,36 @@ class JoinGraph {
     return incident_[static_cast<size_t>(rel)];
   }
 
-  /// \brief Edge ids with exactly one endpoint in `set` and the other being
-  /// `rel` (the edges a join of `set` with `rel` would apply).
-  std::vector<int> EdgesBetween(RelSet set, int rel) const;
-
-  /// \brief Edge ids with one endpoint in `a` and the other in `b`.
+  /// \brief Edge ids with one endpoint in `a` and the other in `b`,
+  /// ascending.
   std::vector<int> EdgesBetweenSets(RelSet a, RelSet b) const;
 
+  /// \brief True iff some edge has one endpoint in `a` and the other in
+  /// `b` (== !EdgesBetweenSets(a, b).empty(), without building the list).
+  bool Adjacent(RelSet a, RelSet b) const { return (Reach(a) & b) != 0; }
+
   /// \brief Relations adjacent to any member of `set`, excluding `set`.
-  RelSet Neighbors(RelSet set) const;
+  RelSet Neighbors(RelSet set) const { return Reach(set) & ~set; }
+
+  /// \brief Number of join columns (ids are 0..num_columns()-1).
+  int num_columns() const { return static_cast<int>(columns_.size()); }
+  /// \brief The join column with id `id`.
+  const BoundColumn& column(int id) const {
+    return columns_[static_cast<size_t>(id)];
+  }
+  /// \brief Join-column ids of relation `rel`, ascending.
+  const std::vector<int>& RelationColumns(int rel) const {
+    return rel_columns_[static_cast<size_t>(rel)];
+  }
+  /// \brief Id of `rel`'s join column `name`, or -1 if no edge joins on it.
+  int ColumnId(int rel, std::string_view name) const;
+
+  /// \brief Process-unique id of this graph's relation/column structure:
+  /// fresh after every AddRelation/AddEdge, shared by copies (whose
+  /// columns number identically). Lets per-structure memos (the cost
+  /// model's base distinct counts) tell graphs apart without comparing
+  /// names.
+  uint64_t structure_id() const { return structure_id_; }
 
   /// \brief True if the relations in `set` form a connected subgraph.
   bool IsConnected(RelSet set) const;
@@ -128,9 +176,22 @@ class JoinGraph {
   std::string ToString() const;
 
  private:
+  /// Relations adjacent to any member of `set` (members included when
+  /// they neighbour each other).
+  RelSet Reach(RelSet set) const {
+    RelSet out = 0;
+    ForEachRel(set & AllRels(),
+               [&](int r) { out |= adjacent_[static_cast<size_t>(r)]; });
+    return out;
+  }
+
   std::vector<RelationRef> relations_;
   std::vector<JoinEdge> edges_;
   std::vector<std::vector<int>> incident_;
+  std::vector<RelSet> adjacent_;  ///< per relation: its neighbours
+  std::vector<BoundColumn> columns_;  ///< by join-column id
+  std::vector<std::vector<int>> rel_columns_;
+  uint64_t structure_id_ = 0;
 };
 
 }  // namespace bqo

@@ -188,13 +188,11 @@ std::unique_ptr<PlanNode> MakeJoin(const JoinGraph& graph,
                                    std::unique_ptr<PlanNode> build,
                                    std::unique_ptr<PlanNode> probe) {
   BQO_CHECK(build != nullptr && probe != nullptr);
-  std::vector<int> edges =
-      graph.EdgesBetweenSets(build->rel_set, probe->rel_set);
-  if (edges.empty()) return nullptr;
+  if (!graph.Adjacent(build->rel_set, probe->rel_set)) return nullptr;
   auto node = std::make_unique<PlanNode>();
   node->kind = PlanNode::Kind::kJoin;
   node->rel_set = build->rel_set | probe->rel_set;
-  node->edge_ids = std::move(edges);
+  node->edge_ids = graph.EdgesBetweenSets(build->rel_set, probe->rel_set);
   node->build = std::move(build);
   node->probe = std::move(probe);
   return node;
@@ -223,7 +221,7 @@ bool IsValidRightDeepOrder(const JoinGraph& graph,
   if (order.empty()) return false;
   RelSet set = RelBit(order[0]);
   for (size_t i = 1; i < order.size(); ++i) {
-    if (graph.EdgesBetween(set, order[i]).empty()) return false;
+    if (!graph.Adjacent(set, RelBit(order[i]))) return false;
     set |= RelBit(order[i]);
   }
   return true;

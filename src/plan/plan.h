@@ -21,22 +21,16 @@
 
 namespace bqo {
 
-/// \brief A column bound to a specific relation occurrence of the query.
-struct BoundColumn {
-  int rel = -1;
-  std::string column;
-
-  bool operator==(const BoundColumn& o) const {
-    return rel == o.rel && column == o.column;
-  }
-};
-
 /// \brief A bitvector filter instance placed in a plan by Algorithm 1.
 struct PlanFilter {
   int id = -1;
   int source_join = -1;  ///< plan-node id of the hash join that builds it
   std::vector<BoundColumn> build_cols;  ///< key columns on the build side
   std::vector<BoundColumn> probe_cols;  ///< matching probe-side columns
+  /// Join-column ids (JoinGraph::column) of build_cols/probe_cols,
+  /// index-aligned — what the cost model reads instead of the names.
+  std::vector<int> build_col_ids;
+  std::vector<int> probe_col_ids;
   int applied_at = -1;   ///< plan-node id whose output it filters
   /// Estimated fraction of tuples it eliminates at the application site
   /// (lambda in Section 6.3); filled by the cost model, used for pruning.
@@ -58,7 +52,8 @@ struct PlanNode {
   int relation = -1;      ///< kLeaf: index into the join graph
   std::unique_ptr<PlanNode> build;  ///< kJoin
   std::unique_ptr<PlanNode> probe;  ///< kJoin
-  std::vector<int> edge_ids;        ///< kJoin: graph edges applied here
+  std::vector<int> edge_ids;        ///< kJoin: graph edges applied here,
+                                    ///< ascending (MakeJoin)
   RelSet rel_set = 0;     ///< relations under this subtree
 
   /// Filter ids (into Plan::filters) applied on top of this node's output.

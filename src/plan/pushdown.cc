@@ -1,7 +1,5 @@
 #include "src/plan/pushdown.h"
 
-#include <algorithm>
-
 namespace bqo {
 
 namespace {
@@ -12,10 +10,9 @@ PlanFilter MakeFilterFor(const Plan& plan, const PlanNode& join) {
   const JoinGraph& graph = *plan.graph;
   PlanFilter f;
   f.source_join = join.id;
-  // Deterministic column order: by edge id, then declared column order.
-  std::vector<int> edge_ids = join.edge_ids;
-  std::sort(edge_ids.begin(), edge_ids.end());
-  for (int eid : edge_ids) {
+  // Deterministic column order: by edge id (edge_ids is ascending), then
+  // declared column order.
+  for (int eid : join.edge_ids) {
     const JoinEdge& e = graph.edge(eid);
     const bool left_in_build = RelSetContains(join.build->rel_set, e.left);
     for (size_t i = 0; i < e.left_cols.size(); ++i) {
@@ -24,9 +21,13 @@ PlanFilter MakeFilterFor(const Plan& plan, const PlanNode& join) {
       if (left_in_build) {
         f.build_cols.push_back(l);
         f.probe_cols.push_back(r);
+        f.build_col_ids.push_back(e.left_col_ids[i]);
+        f.probe_col_ids.push_back(e.right_col_ids[i]);
       } else {
         f.build_cols.push_back(r);
         f.probe_cols.push_back(l);
+        f.build_col_ids.push_back(e.right_col_ids[i]);
+        f.probe_col_ids.push_back(e.left_col_ids[i]);
       }
     }
   }

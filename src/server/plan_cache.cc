@@ -139,7 +139,7 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   entry->plan.graph = &entry->graph;  // re-bind to the stable copy
   entry->estimated_cost = optimized.optimized.estimated_cost;
   entry->pruned_filters = optimized.optimized.pruned_filters;
-  entry->optimize_ns = optimized.optimized.optimize_ns;
+  entry->optimize_ns = optimized.optimize_ns;
   entry->constants = std::move(optimized.constants);
   entry->optimize_sel = std::move(optimized.optimize_sel);
   entry->bands = std::move(optimized.bands);

@@ -362,7 +362,7 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
           ParameterizedPlan optimized =
               OptimizeParameterized(graph, &stats_, options_.optimizer);
           optimize_span.End();
-          result.optimize_ns = optimized.optimized.optimize_ns;
+          result.optimize_ns = optimized.optimize_ns;
           entry = cache_.Insert(signature, planned_version, graph,
                                 std::move(optimized));
           feedback_entry = entry;

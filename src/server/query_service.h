@@ -168,7 +168,10 @@ struct QueryResult {
   Status status;
   QueryMetrics metrics;
   double estimated_cost = 0;
-  int64_t optimize_ns = 0;  ///< 0 on a plan-cache hit (nothing optimized)
+  /// Optimization wall time: the whole OptimizeParameterized call (band
+  /// probes included) on a plan-cache miss, OptimizeQuery with the cache
+  /// off, 0 on a hit (nothing optimized).
+  int64_t optimize_ns = 0;
   int num_joins = 0;
   int pruned_filters = 0;
   bool used_bitvectors = false;

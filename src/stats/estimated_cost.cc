@@ -5,6 +5,15 @@
 
 namespace bqo {
 
+namespace {
+
+/// A distinct count capped by the node cardinality.
+inline double Cap(double d, double card) {
+  return std::max(1.0, std::min(d, std::max(card, 1.0)));
+}
+
+}  // namespace
+
 void AttachStatistics(JoinGraph* graph) {
   for (int r = 0; r < graph->num_relations(); ++r) {
     AttachRelationStatistics(graph, r);
@@ -20,10 +29,9 @@ void AttachRelationStatistics(JoinGraph* graph, int rel) {
       EvaluatePredicate(*ref.table, ref.predicate).size());
 }
 
-double EstimatedCoutModel::BaseDistinct(const Plan& plan,
-                                        const BoundColumn& col) const {
-  const RelationRef& rel = plan.graph->relation(col.rel);
-  double d = stats_->Distinct(rel.table_name, col.column);
+double EstimatedCoutModel::BaseDistinct(const RelationRef& rel,
+                                        int cid) const {
+  double d = raw_distinct_[static_cast<size_t>(cid)];
   if (d <= 0) d = rel.base_rows;
   if (d <= 0) return 1.0;
   // Yao's formula: selecting `filtered` of `base` rows from a column with d
@@ -40,147 +48,160 @@ double EstimatedCoutModel::BaseDistinct(const Plan& plan,
                   std::min({d, reduced, std::max(rel.filtered_rows, 1.0)}));
 }
 
-double EstimatedCoutModel::CompositeDistinct(
-    const NodeEst& est, const std::vector<BoundColumn>& cols) {
+namespace {
+
+/// Composite-key distinct of columns `ids` at a node with cardinality
+/// `card`, row `row` and relation set `rels`: the product of per-column
+/// distincts (absent columns count as `card`) capped by the cardinality.
+double CompositeDistinct(const JoinGraph& graph, const double* row,
+                         double card, RelSet rels,
+                         const std::vector<int>& ids) {
   double d = 1.0;
-  for (const BoundColumn& c : cols) {
-    auto it = est.distinct.find({c.rel, c.column});
-    d *= (it == est.distinct.end()) ? std::max(est.card, 1.0) : it->second;
+  for (int cid : ids) {
+    d *= RelSetContains(rels, graph.column(cid).rel)
+             ? row[cid]
+             : std::max(card, 1.0);
   }
-  return std::max(1.0, std::min(d, std::max(est.card, 1.0)));
+  return Cap(d, card);
 }
 
+/// Cap every present distinct of a node by its cardinality.
+void CapRow(const JoinGraph& graph, RelSet rels, double card, double* row) {
+  ForEachRel(rels, [&](int r) {
+    for (int cid : graph.RelationColumns(r)) row[cid] = Cap(row[cid], card);
+  });
+}
+
+}  // namespace
+
 void EstimatedCoutModel::ApplyFilters(const Plan& plan, const PlanNode& node,
-                                      NodeEst* est,
-                                      std::vector<FilterEst>* filter_est,
+                                      double* card, double* row,
                                       CoutBreakdown* out) {
+  const JoinGraph& graph = *plan.graph;
   for (int fid : node.applied_filters) {
     const PlanFilter& f = plan.filters[static_cast<size_t>(fid)];
     if (f.pruned) continue;
-    const FilterEst& fe = (*filter_est)[static_cast<size_t>(fid)];
-    BQO_CHECK_MSG(fe.key_distinct > 0,
+    const double key_distinct =
+        filter_key_distinct_[static_cast<size_t>(fid)];
+    BQO_CHECK_MSG(key_distinct > 0,
                   "filter source estimated after its application site");
-    const double target_d = CompositeDistinct(*est, f.probe_cols);
-    const double rho = std::min(1.0, fe.key_distinct / target_d);
+    const double target_d =
+        CompositeDistinct(graph, row, *card, node.rel_set, f.probe_col_ids);
+    const double rho = std::min(1.0, key_distinct / target_d);
     const double rho_eff = rho + (1.0 - rho) * fp_rate_;
     out->filter_lambda[static_cast<size_t>(fid)] = 1.0 - rho_eff;
-    est->card *= rho_eff;
-    for (const BoundColumn& c : f.probe_cols) {
-      auto it = est->distinct.find({c.rel, c.column});
-      if (it != est->distinct.end()) {
-        it->second = std::max(1.0, std::min(it->second, fe.key_distinct));
+    *card *= rho_eff;
+    for (int cid : f.probe_col_ids) {
+      if (RelSetContains(node.rel_set, graph.column(cid).rel)) {
+        row[cid] = std::max(1.0, std::min(row[cid], key_distinct));
       }
     }
     // Every distinct count is capped by the (reduced) cardinality.
-    for (auto& [_, d] : est->distinct) {
-      d = std::max(1.0, std::min(d, std::max(est->card, 1.0)));
-    }
+    CapRow(graph, node.rel_set, *card, row);
   }
 }
 
-EstimatedCoutModel::NodeEst EstimatedCoutModel::EvalNode(
-    const Plan& plan, const PlanNode& node,
-    std::vector<FilterEst>* filter_est, CoutBreakdown* out) {
-  NodeEst est;
+double EstimatedCoutModel::EvalNode(const Plan& plan, const PlanNode& node,
+                                    CoutBreakdown* out) {
+  const JoinGraph& graph = *plan.graph;
+  double* row = Row(node.id);
+  double card;
   if (node.kind == PlanNode::Kind::kLeaf) {
-    const RelationRef& rel = plan.graph->relation(node.relation);
-    est.card = rel.filtered_rows;
+    const RelationRef& rel = graph.relation(node.relation);
+    card = rel.filtered_rows;
     // Seed distinct counts for every join column of this relation.
-    for (const JoinEdge& e : plan.graph->edges()) {
-      if (e.left == node.relation) {
-        for (const auto& c : e.left_cols) {
-          BoundColumn bc{node.relation, c};
-          est.distinct[{bc.rel, bc.column}] = BaseDistinct(plan, bc);
-        }
+    for (int cid : graph.RelationColumns(node.relation)) {
+      row[cid] = Cap(BaseDistinct(rel, cid), card);
+    }
+  } else {
+    // Execution order: build first, then register the created filter's
+    // source estimate, then the probe subtree (which may apply that
+    // filter).
+    const PlanNode& build = *node.build;
+    const PlanNode& probe = *node.probe;
+    const double b_card = EvalNode(plan, build, out);
+    const double* b_row = Row(build.id);
+    if (node.created_filter >= 0) {
+      const PlanFilter& f =
+          plan.filters[static_cast<size_t>(node.created_filter)];
+      filter_key_distinct_[static_cast<size_t>(node.created_filter)] =
+          CompositeDistinct(graph, b_row, b_card, build.rel_set,
+                            f.build_col_ids);
+    }
+    const double p_card = EvalNode(plan, probe, out);
+    const double* p_row = Row(probe.id);
+
+    // Classic containment formula per applied edge.
+    card = b_card * p_card;
+    for (int eid : node.edge_ids) {
+      const JoinEdge& e = graph.edge(eid);
+      const bool left_in_build = RelSetContains(build.rel_set, e.left);
+      const std::vector<int>& b_ids =
+          left_in_build ? e.left_col_ids : e.right_col_ids;
+      const std::vector<int>& p_ids =
+          left_in_build ? e.right_col_ids : e.left_col_ids;
+      const double d_b =
+          CompositeDistinct(graph, b_row, b_card, build.rel_set, b_ids);
+      const double d_p =
+          CompositeDistinct(graph, p_row, p_card, probe.rel_set, p_ids);
+      card /= std::max(d_b, d_p);
+    }
+
+    // Merge the children's distincts (their relation sets are disjoint);
+    // join columns take the min of the two sides.
+    ForEachRel(build.rel_set, [&](int r) {
+      for (int cid : graph.RelationColumns(r)) row[cid] = b_row[cid];
+    });
+    ForEachRel(probe.rel_set, [&](int r) {
+      for (int cid : graph.RelationColumns(r)) row[cid] = p_row[cid];
+    });
+    for (int eid : node.edge_ids) {
+      const JoinEdge& e = graph.edge(eid);
+      if (!RelSetContains(node.rel_set, e.left) ||
+          !RelSetContains(node.rel_set, e.right)) {
+        continue;
       }
-      if (e.right == node.relation) {
-        for (const auto& c : e.right_cols) {
-          BoundColumn bc{node.relation, c};
-          est.distinct[{bc.rel, bc.column}] = BaseDistinct(plan, bc);
-        }
-      }
-    }
-    for (auto& [_, d] : est.distinct) {
-      d = std::max(1.0, std::min(d, std::max(est.card, 1.0)));
-    }
-    out->node_prefilter[static_cast<size_t>(node.id)] = est.card;
-    ApplyFilters(plan, node, &est, filter_est, out);
-    out->node_output[static_cast<size_t>(node.id)] = est.card;
-    out->total += est.card;
-    return est;
-  }
-
-  // Execution order: build first, then register the created filter's source
-  // estimate, then the probe subtree (which may apply that filter).
-  NodeEst b = EvalNode(plan, *node.build, filter_est, out);
-  if (node.created_filter >= 0) {
-    const PlanFilter& f =
-        plan.filters[static_cast<size_t>(node.created_filter)];
-    FilterEst fe;
-    fe.source_card = b.card;
-    fe.key_distinct = CompositeDistinct(b, f.build_cols);
-    (*filter_est)[static_cast<size_t>(node.created_filter)] = fe;
-  }
-  NodeEst p = EvalNode(plan, *node.probe, filter_est, out);
-
-  // Classic containment formula per applied edge.
-  est.card = b.card * p.card;
-  for (int eid : node.edge_ids) {
-    const JoinEdge& e = plan.graph->edge(eid);
-    const bool left_in_build = RelSetContains(node.build->rel_set, e.left);
-    std::vector<BoundColumn> bcols, pcols;
-    for (size_t i = 0; i < e.left_cols.size(); ++i) {
-      BoundColumn l{e.left, e.left_cols[i]};
-      BoundColumn r{e.right, e.right_cols[i]};
-      bcols.push_back(left_in_build ? l : r);
-      pcols.push_back(left_in_build ? r : l);
-    }
-    const double d_b = CompositeDistinct(b, bcols);
-    const double d_p = CompositeDistinct(p, pcols);
-    est.card /= std::max(d_b, d_p);
-  }
-
-  // Merge distinct maps; join columns take the min of the two sides.
-  est.distinct = b.distinct;
-  for (const auto& [k, d] : p.distinct) {
-    auto it = est.distinct.find(k);
-    if (it == est.distinct.end()) {
-      est.distinct[k] = d;
-    } else {
-      it->second = std::min(it->second, d);
-    }
-  }
-  for (int eid : node.edge_ids) {
-    const JoinEdge& e = plan.graph->edge(eid);
-    for (size_t i = 0; i < e.left_cols.size(); ++i) {
-      auto li = est.distinct.find({e.left, e.left_cols[i]});
-      auto ri = est.distinct.find({e.right, e.right_cols[i]});
-      if (li != est.distinct.end() && ri != est.distinct.end()) {
-        const double m = std::min(li->second, ri->second);
-        li->second = m;
-        ri->second = m;
+      for (size_t i = 0; i < e.left_col_ids.size(); ++i) {
+        double& l = row[e.left_col_ids[i]];
+        double& r = row[e.right_col_ids[i]];
+        const double m = std::min(l, r);
+        l = m;
+        r = m;
       }
     }
-  }
-  for (auto& [_, d] : est.distinct) {
-    d = std::max(1.0, std::min(d, std::max(est.card, 1.0)));
+    CapRow(graph, node.rel_set, card, row);
   }
 
-  out->node_prefilter[static_cast<size_t>(node.id)] = est.card;
-  ApplyFilters(plan, node, &est, filter_est, out);
-  out->node_output[static_cast<size_t>(node.id)] = est.card;
-  out->total += est.card;
-  return est;
+  out->node_prefilter[static_cast<size_t>(node.id)] = card;
+  ApplyFilters(plan, node, &card, row, out);
+  out->node_output[static_cast<size_t>(node.id)] = card;
+  out->total += card;
+  return card;
 }
 
 CoutBreakdown EstimatedCoutModel::Compute(const Plan& plan) {
   BQO_CHECK(plan.root != nullptr && !plan.nodes.empty());
+  const JoinGraph& graph = *plan.graph;
+  if (graph.structure_id() != memo_structure_) {
+    memo_structure_ = graph.structure_id();
+    raw_distinct_.clear();
+    for (int cid = 0; cid < graph.num_columns(); ++cid) {
+      const BoundColumn& col = graph.column(cid);
+      raw_distinct_.push_back(stats_->Distinct(
+          graph.relation(col.rel).table_name, col.column));
+    }
+  }
+  num_cols_ = static_cast<size_t>(graph.num_columns());
+  if (dist_.size() < plan.nodes.size() * num_cols_) {
+    dist_.resize(plan.nodes.size() * num_cols_);
+  }
+  filter_key_distinct_.assign(plan.filters.size(), 0.0);
+
   CoutBreakdown out;
   out.node_output.assign(plan.nodes.size(), 0.0);
   out.node_prefilter.assign(plan.nodes.size(), 0.0);
   out.filter_lambda.assign(plan.filters.size(), 0.0);
-  std::vector<FilterEst> filter_est(plan.filters.size());
-  EvalNode(plan, *plan.root, &filter_est, &out);
+  EvalNode(plan, *plan.root, &out);
   return out;
 }
 

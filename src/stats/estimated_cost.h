@@ -11,11 +11,36 @@
 //    per-column distinct counts propagated through joins and filters
 //    (so a join after a fully reducing filter is not double-counted),
 //  * optional false-positive leakage: retention' = rho + (1 - rho) * fp.
+//
+// Layout. The optimizers cost thousands of candidate plans per query, so
+// the per-node state is flat: one row of a (plan nodes x K) matrix of
+// doubles, K = the graph's join-column count (JoinGraph::column ids), kept
+// by the model and reused across Compute calls. Edges and filters carry
+// column ids, so the per-node path touches no string, map, lock, or
+// allocation once the matrix has grown to the largest plan seen.
+//
+// Presence rule. A node's row holds a distinct count for column c iff c's
+// relation is in the node's rel_set; other entries are stale and never
+// read. (A leaf seeds every join column of its relation; a join inherits
+// its children's columns.) A lookup of an absent column falls back to the
+// node cardinality.
+//
+// Base distinct counts. The raw per-column count (StatsCatalog::Distinct)
+// is resolved once per graph structure (JoinGraph::structure_id) and
+// memoized for the model's lifetime, so the catalog's mutex is not taken
+// per candidate. The Yao reduction under the local predicate depends on
+// filtered_rows, which probe re-optimizations vary, so it is recomputed at
+// every leaf of every Compute.
+//
+// Bit parity. Every estimate is bit-identical to the original map-based
+// evaluation: the same operations run in the same order (per-edge column
+// minima applied sequentially in edge order, the cardinality cap after the
+// merge and after each filter). tests/test_estimated_cost.cc keeps that
+// evaluation as an oracle and pins exact CoutBreakdown equality.
 #pragma once
 
-#include <map>
-#include <string>
-#include <utility>
+#include <cstdint>
+#include <vector>
 
 #include "src/plan/cout.h"
 #include "src/stats/table_stats.h"
@@ -32,6 +57,9 @@ void AttachStatistics(JoinGraph* graph);
 /// of re-evaluating every predicate of the query (src/server/plan_cache.h).
 void AttachRelationStatistics(JoinGraph* graph, int rel);
 
+/// Not thread-safe: Compute reuses per-model scratch, so each thread
+/// costs with its own model (models are cheap; the optimizer makes one per
+/// OptimizeQuery).
 class EstimatedCoutModel : public CoutModel {
  public:
   /// \param stats     statistics provider (not owned)
@@ -43,33 +71,34 @@ class EstimatedCoutModel : public CoutModel {
   CoutBreakdown Compute(const Plan& plan) override;
 
  private:
-  struct NodeEst {
-    double card = 0;
-    /// Estimated distinct count per bound column of interest.
-    std::map<std::pair<int, std::string>, double> distinct;
-  };
+  /// Evaluates `node`'s subtree into its matrix row; returns its output
+  /// cardinality.
+  double EvalNode(const Plan& plan, const PlanNode& node, CoutBreakdown* out);
 
-  /// Per-filter estimated source state (card + composite key distinct).
-  struct FilterEst {
-    double source_card = 0;
-    double key_distinct = 0;
-  };
+  /// Apply `node`'s filters to its cardinality and row.
+  void ApplyFilters(const Plan& plan, const PlanNode& node, double* card,
+                    double* row, CoutBreakdown* out);
 
-  NodeEst EvalNode(const Plan& plan, const PlanNode& node,
-                   std::vector<FilterEst>* filter_est, CoutBreakdown* out);
+  /// Base distinct count of join column `cid` of relation `rel`: the
+  /// memoized raw count, Yao-reduced under the local predicate.
+  double BaseDistinct(const RelationRef& rel, int cid) const;
 
-  double BaseDistinct(const Plan& plan, const BoundColumn& col) const;
-
-  /// Composite-key distinct of `cols` in a node estimate: the product of
-  /// per-column distincts capped by the node cardinality.
-  static double CompositeDistinct(
-      const NodeEst& est, const std::vector<BoundColumn>& cols);
-
-  void ApplyFilters(const Plan& plan, const PlanNode& node, NodeEst* est,
-                    std::vector<FilterEst>* filter_est, CoutBreakdown* out);
+  double* Row(int node_id) {
+    return dist_.data() + static_cast<size_t>(node_id) * num_cols_;
+  }
 
   StatsCatalog* stats_;
   double fp_rate_;
+
+  // Raw distinct counts of the graph structure `memo_structure_`.
+  uint64_t memo_structure_ = 0;
+  std::vector<double> raw_distinct_;  ///< by column id; <= 0 = unknown
+
+  // Per-Compute scratch, reused across calls.
+  size_t num_cols_ = 0;
+  std::vector<double> dist_;  ///< nodes x num_cols_ distinct counts
+  /// By filter id: composite key distinct of the filter's source.
+  std::vector<double> filter_key_distinct_;
 };
 
 }  // namespace bqo

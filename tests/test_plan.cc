@@ -1,8 +1,11 @@
 // Unit tests for src/plan: join graphs, plan trees, enumeration.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <tuple>
 
+#include "src/common/rng.h"
 #include "src/plan/enumerate.h"
 #include "src/plan/plan.h"
 #include "test_util.h"
@@ -59,9 +62,167 @@ TEST(JoinGraph, ConnectivityAndNeighbors) {
 
 TEST(JoinGraph, EdgesBetween) {
   JoinGraph g = StarGraph(3);
-  EXPECT_EQ(g.EdgesBetween(RelBit(0), 2).size(), 1u);
-  EXPECT_TRUE(g.EdgesBetween(RelBit(1), 2).empty());  // dims not adjacent
+  EXPECT_EQ(g.EdgesBetweenSets(RelBit(0), RelBit(2)).size(), 1u);
+  EXPECT_TRUE(g.EdgesBetweenSets(RelBit(1), RelBit(2)).empty());  // dims
+  EXPECT_FALSE(g.Adjacent(RelBit(1), RelBit(2)));  // not adjacent
   EXPECT_EQ(g.EdgesBetweenSets(0b0001, 0b1110).size(), 3u);
+}
+
+// ---- Join-column numbering and adjacency ----
+
+/// Random analytical graph: 2..12 relations, 1..3-column edges whose column
+/// names come from a small per-relation pool (so columns are shared by
+/// several edges), repeated endpoint pairs allowed.
+JoinGraph RandomGraph(Rng* rng) {
+  auto below = [rng](int k) {
+    return static_cast<int>(rng->Uniform(static_cast<uint64_t>(k)));
+  };
+  JoinGraph g;
+  const int n = 2 + below(11);
+  for (int r = 0; r < n; ++r) {
+    g.AddRelation("r" + std::to_string(r), "t", nullptr, nullptr);
+  }
+  const char* pool[] = {"a", "b", "c", "d"};
+  const int edges = n - 1 + below(n);
+  for (int i = 0; i < edges; ++i) {
+    JoinEdge e;
+    // First n-1 edges keep the graph connected; the rest are random.
+    e.left = i < n - 1 ? below(i + 1) : below(n);
+    e.right = i < n - 1 ? i + 1 : below(n);
+    if (e.left == e.right) e.right = (e.right + 1) % n;
+    const int width = 1 + below(3);
+    for (int c = 0; c < width; ++c) {
+      e.left_cols.push_back(pool[below(4)]);
+      e.right_cols.push_back(pool[below(4)]);
+    }
+    g.AddEdge(std::move(e));
+  }
+  return g;
+}
+
+/// Numbering invariants: every edge's ids name its own (relation, column)
+/// pairs, ids are dense and one per distinct pair, and RelationColumns /
+/// ColumnId agree with them.
+void ExpectNumbering(const JoinGraph& g) {
+  std::map<std::pair<int, std::string>, int> seen;
+  for (const JoinEdge& e : g.edges()) {
+    ASSERT_EQ(e.left_col_ids.size(), e.left_cols.size());
+    ASSERT_EQ(e.right_col_ids.size(), e.right_cols.size());
+    for (size_t i = 0; i < e.left_cols.size(); ++i) {
+      for (auto [rel, name, id] :
+           {std::tuple{e.left, e.left_cols[i], e.left_col_ids[i]},
+            std::tuple{e.right, e.right_cols[i], e.right_col_ids[i]}}) {
+        ASSERT_GE(id, 0);
+        ASSERT_LT(id, g.num_columns());
+        EXPECT_EQ(g.column(id).rel, rel);
+        EXPECT_EQ(g.column(id).column, name);
+        EXPECT_EQ(g.ColumnId(rel, name), id);
+        auto [it, inserted] = seen.emplace(std::pair{rel, name}, id);
+        EXPECT_EQ(it->second, id) << "one id per (relation, column)";
+      }
+    }
+  }
+  EXPECT_EQ(static_cast<int>(seen.size()), g.num_columns()) << "dense ids";
+  for (int r = 0; r < g.num_relations(); ++r) {
+    std::vector<int> want;
+    for (int id = 0; id < g.num_columns(); ++id) {
+      if (g.column(id).rel == r) want.push_back(id);
+    }
+    EXPECT_EQ(g.RelationColumns(r), want);
+    EXPECT_EQ(g.ColumnId(r, "never-joined"), -1);
+  }
+}
+
+/// Adjacent / EdgesBetweenSets / Neighbors against a brute-force edge scan
+/// on random relation sets (overlapping ones included).
+void ExpectAdjacency(const JoinGraph& g, Rng* rng) {
+  for (int trial = 0; trial < 200; ++trial) {
+    const RelSet a = rng->Next() & g.AllRels();
+    const RelSet b = rng->Next() & g.AllRels();
+    std::vector<int> want;
+    RelSet neighbors = 0;
+    for (int eid = 0; eid < g.num_edges(); ++eid) {
+      const JoinEdge& e = g.edge(eid);
+      if ((RelSetContains(a, e.left) && RelSetContains(b, e.right)) ||
+          (RelSetContains(a, e.right) && RelSetContains(b, e.left))) {
+        want.push_back(eid);
+      }
+      if (RelSetContains(a, e.left)) neighbors |= RelBit(e.right);
+      if (RelSetContains(a, e.right)) neighbors |= RelBit(e.left);
+    }
+    EXPECT_EQ(g.EdgesBetweenSets(a, b), want);
+    EXPECT_EQ(g.Adjacent(a, b), !want.empty());
+    EXPECT_EQ(g.Adjacent(b, a), !want.empty());
+    EXPECT_EQ(g.Neighbors(a), neighbors & ~a);
+  }
+}
+
+TEST(JoinGraphStructure, RandomGraphsNumberColumnsAndAdjacency) {
+  Rng rng(20200614);
+  for (int round = 0; round < 50; ++round) {
+    const JoinGraph g = RandomGraph(&rng);
+    ExpectNumbering(g);
+    ExpectAdjacency(g, &rng);
+  }
+}
+
+TEST(JoinGraphStructure, MultiColumnAndSharedColumns) {
+  JoinGraph g;
+  for (int r = 0; r < 3; ++r) {
+    g.AddRelation("r" + std::to_string(r), "t", nullptr, nullptr);
+  }
+  JoinEdge two;  // r0.(x, y) = r1.(x, z)
+  two.left = 0;
+  two.right = 1;
+  two.left_cols = {"x", "y"};
+  two.right_cols = {"x", "z"};
+  g.AddEdge(two);
+  JoinEdge shared;  // r2.x = r0.x: r0.x is shared with the first edge
+  shared.left = 2;
+  shared.right = 0;
+  shared.left_cols = {"x"};
+  shared.right_cols = {"x"};
+  g.AddEdge(shared);
+  ExpectNumbering(g);
+  EXPECT_EQ(g.num_columns(), 5);  // r0.x r0.y r1.x r1.z r2.x
+  EXPECT_EQ(g.edge(0).left_col_ids, (std::vector<int>{0, 1}));
+  EXPECT_EQ(g.edge(0).right_col_ids, (std::vector<int>{2, 3}));
+  EXPECT_EQ(g.edge(1).left_col_ids, (std::vector<int>{4}));
+  EXPECT_EQ(g.edge(1).right_col_ids, (std::vector<int>{0}));
+  EXPECT_EQ(g.RelationColumns(0), (std::vector<int>{0, 1}));
+  EXPECT_TRUE(g.Adjacent(RelBit(2), RelBit(0)));
+  EXPECT_FALSE(g.Adjacent(RelBit(2), RelBit(1)));
+}
+
+TEST(JoinGraphStructure, CopiesShareNumberingUntilTheyGrow) {
+  Rng rng(7);
+  const JoinGraph original = RandomGraph(&rng);
+  JoinGraph copy = original;
+  EXPECT_EQ(copy.structure_id(), original.structure_id());
+  ASSERT_EQ(copy.num_columns(), original.num_columns());
+  for (int eid = 0; eid < original.num_edges(); ++eid) {
+    EXPECT_EQ(copy.edge(eid).left_col_ids, original.edge(eid).left_col_ids);
+    EXPECT_EQ(copy.edge(eid).right_col_ids, original.edge(eid).right_col_ids);
+  }
+  // Statistics are not structure.
+  copy.relation(0).filtered_rows = 42;
+  EXPECT_EQ(copy.structure_id(), original.structure_id());
+
+  const int before = original.num_columns();
+  JoinEdge extra;  // one known column, one new
+  extra.left = 0;
+  extra.right = 1;
+  extra.left_cols = {original.column(original.RelationColumns(0)[0]).column};
+  extra.right_cols = {"fresh"};
+  copy.AddEdge(extra);
+  EXPECT_NE(copy.structure_id(), original.structure_id());
+  EXPECT_EQ(copy.num_columns(), before + 1);
+  EXPECT_EQ(original.num_columns(), before);
+  EXPECT_EQ(copy.edge(copy.num_edges() - 1).left_col_ids[0],
+            original.RelationColumns(0)[0]);
+  ExpectNumbering(copy);
+  ExpectNumbering(original);
+  ExpectAdjacency(copy, &rng);
 }
 
 TEST(JoinGraph, DeriveUniquenessFromCatalog) {

@@ -385,6 +385,47 @@ TEST(QueryService, PlanCacheHitExecutesIdentically) {
   EXPECT_EQ(stats.entries, 1);
 }
 
+/// A predicated miss pays OptimizeQuery plus the band-probe
+/// re-optimizations, and optimize_ns (QueryResult and CachedPlan) reports
+/// all of it: at least the inner OptimizeQuery's time, at most the
+/// enclosing optimize span. Each bound compares nested reads of one steady
+/// clock, so the test is deterministic.
+TEST(QueryService, MissReportsWholeParameterizedOptimization) {
+  auto db = MakeStarDb(2, 10000, 200, {0.4, 0.5}, 55, /*zipf=*/0.5);
+  const QuerySpec spec = SpecVariants(*db, "d0_id")[0];
+  QueryServiceOptions options;  // plan cache and traces on
+  ASSERT_GT(options.optimizer.band_probe_steps, 0);
+
+  // What the miss path runs and caches.
+  auto graph = BuildJoinGraph(db->catalog, spec);
+  ASSERT_TRUE(graph.ok());
+  StatsCatalog stats(&db->catalog);
+  ParameterizedPlan direct =
+      OptimizeParameterized(graph.value(), &stats, options.optimizer);
+  ASSERT_FALSE(direct.constants[1].empty()) << "d0 carries a predicate";
+  const int64_t inner_ns = direct.optimized.optimize_ns;
+  ASSERT_GT(inner_ns, 0);
+  EXPECT_GE(direct.optimize_ns, inner_ns);
+  PlanCache cache(4);
+  const auto entry = cache.Insert(
+      PlanCache::ShapeSignature(graph.value(), options.optimizer),
+      db->catalog.version(), graph.value(), std::move(direct));
+  EXPECT_GE(entry->optimize_ns, inner_ns);
+
+  QueryService service(&db->catalog, options);
+  const QueryResult miss = service.Execute(spec);
+  ASSERT_TRUE(miss.status.ok());
+  ASSERT_FALSE(miss.plan_cache_hit);
+  ASSERT_NE(miss.trace, nullptr);
+  int64_t span_ns = -1;
+  for (const TraceSpan& s : miss.trace->spans()) {
+    if (s.kind == SpanKind::kOptimize) span_ns = s.wall_ns;
+  }
+  ASSERT_GE(span_ns, 0);
+  EXPECT_GT(miss.optimize_ns, 0);
+  EXPECT_LE(miss.optimize_ns, span_ns);
+}
+
 TEST(QueryService, PlanCacheLruEvictionAndCounters) {
   auto db = MakeStarDb(2, 8000, 200, {0.4, 0.5}, 77, /*zipf=*/0.5);
   QueryServiceOptions options;
