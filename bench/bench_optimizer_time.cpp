@@ -6,9 +6,12 @@
 // After the per-mode table, one JSON line per workload times what a cold
 // serving request pays under the shipped defaults: OptimizeQuery, and
 // OptimizeParameterized (OptimizeQuery plus the selectivity-band probe
-// re-optimizations a plan-cache miss runs):
+// re-optimizations a plan-cache miss runs), plus the probe session's
+// counts — band probes per query and the share of Algorithm 2 candidates
+// re-costed from the session's memo instead of built:
 //   {"bench":"optimizer_time","workload":...,"scale":...,"queries":...,
-//    "relations_avg":...,"optimize_us_p50":...,"parameterize_us_p50":...}
+//    "relations_avg":...,"optimize_us_p50":...,"parameterize_us_p50":...,
+//    "probes_avg":...,"candidate_reuse_share":...}
 #include <algorithm>
 #include <chrono>
 
@@ -69,7 +72,7 @@ int main() {
     // Shipped defaults, statistics already warm from the table above.
     const OptimizerOptions defaults;
     std::vector<int64_t> optimize_ns, parameterize_ns;
-    int64_t relations = 0;
+    int64_t relations = 0, probes = 0, reused = 0, built = 0;
     for (const QuerySpec& spec : w.queries) {
       auto graph = BuildJoinGraph(*w.catalog, spec);
       BQO_CHECK(graph.ok());
@@ -78,17 +81,24 @@ int main() {
       OptimizeQuery(graph.value(), &stats, defaults);
       optimize_ns.push_back(Since(start));
       start = std::chrono::steady_clock::now();
-      OptimizeParameterized(graph.value(), &stats, defaults);
+      const ParameterizedPlan p =
+          OptimizeParameterized(graph.value(), &stats, defaults);
       parameterize_ns.push_back(Since(start));
+      probes += p.probes;
+      reused += p.reused_candidates;
+      built += p.built_candidates;
     }
+    const double queries = static_cast<double>(w.queries.size());
     json.push_back(StringFormat(
         "{\"bench\":\"optimizer_time\",\"workload\":\"%s\",\"scale\":%g,"
         "\"queries\":%zu,\"relations_avg\":%.1f,\"optimize_us_p50\":%.1f,"
-        "\"parameterize_us_p50\":%.1f}",
+        "\"parameterize_us_p50\":%.1f,\"probes_avg\":%.1f,"
+        "\"candidate_reuse_share\":%.3f}",
         w.name.c_str(), scale * 0.2, w.queries.size(),
-        static_cast<double>(relations) /
-            static_cast<double>(w.queries.size()),
-        P50Us(optimize_ns), P50Us(parameterize_ns)));
+        static_cast<double>(relations) / queries, P50Us(optimize_ns),
+        P50Us(parameterize_ns), static_cast<double>(probes) / queries,
+        static_cast<double>(reused) /
+            static_cast<double>(std::max<int64_t>(reused + built, 1))));
   }
   std::printf(
       "\nPaper: with the transformation rule, optimization time drops to "

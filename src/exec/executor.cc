@@ -62,8 +62,9 @@ std::unique_ptr<PhysicalOperator> CompileNode(
       const PlanFilter& f = plan.filters[static_cast<size_t>(fid)];
       ResolvedFilter rf;
       rf.filter_id = fid;
-      BQO_CHECK_LE(f.probe_cols.size(), size_t{8});
-      for (const BoundColumn& c : f.probe_cols) {
+      BQO_CHECK_LE(f.probe_col_ids.size(), size_t{8});
+      for (int cid : f.probe_col_ids) {
+        const BoundColumn& c = graph.column(cid);
         BQO_CHECK_EQ(c.rel, node.relation);
         const int idx = rel.table->ColumnIndex(c.column);
         BQO_CHECK_MSG(idx >= 0, "filter probe column missing from table");
@@ -92,7 +93,7 @@ std::unique_ptr<PhysicalOperator> CompileNode(
     if (!FilterActive(plan, fid, options)) continue;
     active_residuals.push_back(fid);
     const PlanFilter& f = plan.filters[static_cast<size_t>(fid)];
-    for (const BoundColumn& c : f.probe_cols) self_required.push_back(c);
+    for (int cid : f.probe_col_ids) self_required.push_back(graph.column(cid));
   }
   OutputSchema out_schema(self_required);
 
@@ -149,9 +150,9 @@ std::unique_ptr<PhysicalOperator> CompileNode(
     const PlanFilter& f = plan.filters[static_cast<size_t>(fid)];
     ResolvedFilter rf;
     rf.filter_id = fid;
-    BQO_CHECK_LE(f.probe_cols.size(), size_t{8});
-    for (const BoundColumn& c : f.probe_cols) {
-      const int pos = out_schema.PositionOf(c);
+    BQO_CHECK_LE(f.probe_col_ids.size(), size_t{8});
+    for (int cid : f.probe_col_ids) {
+      const int pos = out_schema.PositionOf(graph.column(cid));
       BQO_CHECK(pos >= 0);
       rf.key_positions.push_back(pos);
     }

@@ -3,11 +3,45 @@
 #include <algorithm>
 #include <functional>
 #include <limits>
-#include <map>
 
+#include "src/common/hash.h"
 #include "src/plan/pushdown.h"
 
 namespace bqo {
+
+size_t CandidateMemo::KeyHash::operator()(const CandidateKey& key) const {
+  return static_cast<size_t>(
+      HashBytes(key.data(), key.size() * sizeof(int)));
+}
+
+void CandidateMemo::BeginProbe() {
+  probing_ = true;
+  previous_ = std::move(current_);
+  current_.clear();
+}
+
+Plan* CandidateMemo::Find(const CandidateKey& key) {
+  for (Generation* gen : {&base_, &current_}) {
+    auto it = gen->find(key);
+    if (it != gen->end()) {
+      ++hits_;
+      return it->second.get();
+    }
+  }
+  auto node = previous_.extract(key);
+  if (node.empty()) return nullptr;
+  // Reused by this probe: it survives the next BeginProbe.
+  ++hits_;
+  return current_.insert(std::move(node)).position->second.get();
+}
+
+Plan* CandidateMemo::Insert(const CandidateKey& key, Plan plan) {
+  ++misses_;
+  Generation& gen = probing_ ? current_ : base_;
+  auto& slot = gen[key];
+  slot = std::make_unique<Plan>(std::move(plan));
+  return slot.get();
+}
 
 namespace {
 
@@ -19,27 +53,42 @@ struct Group {
   double retention = 1.0;         ///< est. fraction of fact rows kept
 };
 
+/// One step of a candidate, bottom to top: the unit joined to the chain
+/// built so far, on the build side (`unit_builds`) or the probe side. The
+/// bottom step's side is unused.
+struct Step {
+  int unit = -1;
+  bool unit_builds = true;
+};
+
+// CandidateKey tokens besides relation indices (which are >= 0).
+constexpr int kOpen = -1;
+constexpr int kClose = -2;
+constexpr int kUnitBuilds = -3;
+constexpr int kUnitProbes = -4;
+
 double UnitBaseCard(const JoinGraph& graph, const PlanUnit& unit) {
   if (!unit.IsSingleRelation()) return unit.est_card;
   return std::max(graph.relation(unit.SingleRelation()).base_rows, 1.0);
 }
 
-/// BFS depth of each member unit from the fact (used to orient DFS away
-/// from the fact when enumerating within-branch start positions).
-std::map<int, int> DepthsFromFact(const JoinGraph& graph,
-                                  const std::vector<PlanUnit>& units,
-                                  const std::vector<int>& members, int fact) {
-  std::map<int, int> depth;
-  depth[fact] = 0;
+/// BFS depth of each member unit from the fact, indexed by unit (-1 for
+/// non-members); used to orient DFS away from the fact when enumerating
+/// within-branch start positions.
+std::vector<int> DepthsFromFact(const JoinGraph& graph,
+                                const std::vector<PlanUnit>& units,
+                                const std::vector<int>& members, int fact) {
+  std::vector<int> depth(units.size(), -1);
+  depth[static_cast<size_t>(fact)] = 0;
   std::vector<int> frontier = {fact};
   while (!frontier.empty()) {
     std::vector<int> next;
     for (int u : frontier) {
       for (int v : members) {
-        if (depth.count(v)) continue;
+        if (depth[static_cast<size_t>(v)] >= 0) continue;
         if (graph.Adjacent(units[static_cast<size_t>(u)].rels,
                            units[static_cast<size_t>(v)].rels)) {
-          depth[v] = depth[u] + 1;
+          depth[static_cast<size_t>(v)] = depth[static_cast<size_t>(u)] + 1;
           next.push_back(v);
         }
       }
@@ -56,10 +105,9 @@ std::map<int, int> DepthsFromFact(const JoinGraph& graph,
 std::vector<int> AwayFirstOrder(const JoinGraph& graph,
                                 const std::vector<PlanUnit>& units,
                                 const std::vector<int>& group, int start,
-                                const std::map<int, int>& depth) {
+                                const std::vector<int>& depth) {
   std::vector<int> order;
   std::vector<bool> visited(units.size(), false);
-  std::vector<int> stack = {start};
   // Recursive DFS with neighbor ordering by descending depth.
   std::function<void(int)> visit = [&](int u) {
     visited[static_cast<size_t>(u)] = true;
@@ -73,7 +121,7 @@ std::vector<int> AwayFirstOrder(const JoinGraph& graph,
       }
     }
     std::sort(neighbors.begin(), neighbors.end(), [&](int a, int b) {
-      return depth.at(a) > depth.at(b);
+      return depth[static_cast<size_t>(a)] > depth[static_cast<size_t>(b)];
     });
     for (int v : neighbors) {
       if (!visited[static_cast<size_t>(v)]) visit(v);
@@ -87,60 +135,84 @@ std::vector<int> AwayFirstOrder(const JoinGraph& graph,
 /// canonical partially-ordered placement used when the group sits above the
 /// fact in the probe chain.
 std::vector<int> FactOutwardOrder(const Group& group,
-                                  const std::map<int, int>& depth) {
+                                  const std::vector<int>& depth) {
   std::vector<int> order = group.unit_idxs;
   std::sort(order.begin(), order.end(), [&](int a, int b) {
-    if (depth.at(a) != depth.at(b)) return depth.at(a) < depth.at(b);
+    const int da = depth[static_cast<size_t>(a)];
+    const int db = depth[static_cast<size_t>(b)];
+    if (da != db) return da < db;
     return a < b;
   });
   return order;
 }
 
-/// JoinBranches (Algorithm 2 lines 9-16): extend `probe` with every unit of
-/// every group in order; a unit larger than the fact flips to the probe side
-/// (the P3 rule, lines 12-13).
-std::unique_ptr<PlanNode> JoinGroups(
-    const JoinGraph& graph, const std::vector<PlanUnit>& units,
-    const std::vector<Group>& groups, const std::map<int, int>& depth,
-    double fact_card, std::unique_ptr<PlanNode> probe) {
-  for (const Group& g : groups) {
-    for (int u : FactOutwardOrder(g, depth)) {
-      const PlanUnit& unit = units[static_cast<size_t>(u)];
-      std::unique_ptr<PlanNode> joined;
-      if (unit.est_card > fact_card) {
-        joined = MakeJoin(graph, std::move(probe),
-                          ClonePlanNode(*unit.fragment));
-      } else {
-        joined = MakeJoin(graph, ClonePlanNode(*unit.fragment),
-                          std::move(probe));
-      }
-      BQO_CHECK_MSG(joined != nullptr,
-                    "JoinGroups produced a cross product");
-      probe = std::move(joined);
+/// JoinBranches (Algorithm 2 lines 9-16): extend the chain with every unit
+/// of every group but `skip`, in order; a unit larger than the fact flips
+/// to the probe side (the P3 rule, lines 12-13).
+void JoinGroups(const std::vector<PlanUnit>& units,
+                const std::vector<Group>& groups, size_t skip,
+                const std::vector<int>& depth, double fact_card,
+                std::vector<Step>* steps) {
+  for (size_t gi = 0; gi < groups.size(); ++gi) {
+    if (gi == skip) continue;
+    for (int u : FactOutwardOrder(groups[gi], depth)) {
+      steps->push_back(
+          Step{u, !(units[static_cast<size_t>(u)].est_card > fact_card)});
     }
   }
-  return probe;
 }
 
-double CostCandidate(const JoinGraph& graph, std::unique_ptr<PlanNode> root,
-                     CoutModel* model, Plan* out) {
+void AppendUnitKey(const PlanUnit& unit, CandidateKey* key) {
+  if (unit.IsSingleRelation()) {
+    key->push_back(unit.SingleRelation());
+    return;
+  }
+  key->push_back(kOpen);
+  key->insert(key->end(), unit.key.begin(), unit.key.end());
+  key->push_back(kClose);
+}
+
+void KeyOf(const std::vector<PlanUnit>& units, const std::vector<Step>& steps,
+           CandidateKey* key) {
+  key->clear();
+  for (size_t i = 0; i < steps.size(); ++i) {
+    if (i > 0) {
+      key->push_back(steps[i].unit_builds ? kUnitBuilds : kUnitProbes);
+    }
+    AppendUnitKey(units[static_cast<size_t>(steps[i].unit)], key);
+  }
+}
+
+/// Build, renumber and push down the candidate `steps` describes.
+Plan BuildCandidate(const JoinGraph& graph, const std::vector<PlanUnit>& units,
+                    const std::vector<Step>& steps) {
+  std::unique_ptr<PlanNode> chain =
+      ClonePlanNode(*units[static_cast<size_t>(steps[0].unit)].fragment);
+  for (size_t i = 1; i < steps.size(); ++i) {
+    auto unit =
+        ClonePlanNode(*units[static_cast<size_t>(steps[i].unit)].fragment);
+    chain = steps[i].unit_builds
+                ? MakeJoin(graph, std::move(unit), std::move(chain))
+                : MakeJoin(graph, std::move(chain), std::move(unit));
+    BQO_CHECK_MSG(chain != nullptr, "candidate step is a cross product");
+  }
   Plan plan;
   plan.graph = &graph;
-  plan.root = std::move(root);
+  plan.root = std::move(chain);
   plan.Renumber();
   PushDownBitvectors(&plan);
-  const double cost = model->Cout(plan);
-  *out = std::move(plan);
-  return cost;
+  return plan;
 }
 
 }  // namespace
 
-Plan OptimizeSnowflakeUnits(const JoinGraph& graph,
-                            const std::vector<PlanUnit>& units,
-                            const std::vector<int>& members, int fact,
-                            CoutModel* model, double* best_cost) {
+SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
+                                       const std::vector<PlanUnit>& units,
+                                       const std::vector<int>& members,
+                                       int fact, CoutModel* model,
+                                       CandidateMemo* memo) {
   BQO_CHECK(!members.empty());
+  BQO_CHECK(memo != nullptr);
   const PlanUnit& fact_unit = units[static_cast<size_t>(fact)];
 
   if (members.size() == 1) {
@@ -148,12 +220,14 @@ Plan OptimizeSnowflakeUnits(const JoinGraph& graph,
     plan.graph = &graph;
     plan.root = ClonePlanNode(*fact_unit.fragment);
     plan.Renumber();
-    if (best_cost != nullptr) *best_cost = model->Cout(plan);
-    return plan;
+    SnowflakeChoice choice;
+    choice.root_card = model->Compute(plan).node_output[0];
+    choice.fragment = std::move(plan.root);
+    choice.key = fact_unit.key;
+    return choice;
   }
 
-  const std::map<int, int> depth =
-      DepthsFromFact(graph, units, members, fact);
+  const std::vector<int> depth = DepthsFromFact(graph, units, members, fact);
 
   // ---- SortBranches (Algorithm 2 lines 17-34) ----
   std::vector<Group> groups;
@@ -202,18 +276,34 @@ Plan OptimizeSnowflakeUnits(const JoinGraph& graph,
     return a.unit_idxs < b.unit_idxs;
   });
 
-  // ---- Candidate 0: fact right-most (lines 1-2) ----
-  Plan best_plan;
+  // Every candidate is described by its steps and keyed from them; the
+  // memo builds only unseen keys, and only the winner is copied out.
+  std::vector<Step> steps;
+  CandidateKey key;
+  const Plan* best_plan = nullptr;
+  CandidateKey best_key;
   double best = std::numeric_limits<double>::infinity();
-  {
-    Plan plan;
-    best = CostCandidate(
-        graph,
-        JoinGroups(graph, units, groups, depth, fact_unit.est_card,
-                   ClonePlanNode(*fact_unit.fragment)),
-        model, &plan);
-    best_plan = std::move(plan);
-  }
+  double best_card = 0;
+  auto consider = [&]() {
+    KeyOf(units, steps, &key);
+    Plan* plan = memo->Find(key);
+    if (plan == nullptr) {
+      plan = memo->Insert(key, BuildCandidate(graph, units, steps));
+    }
+    plan->graph = &graph;
+    const CoutBreakdown b = model->Compute(*plan);
+    if (b.total < best) {
+      best = b.total;
+      best_card = b.node_output[0];
+      best_plan = plan;
+      best_key = key;
+    }
+  };
+
+  // ---- Candidate 0: fact right-most (lines 1-2) ----
+  steps.push_back(Step{fact, true});
+  JoinGroups(units, groups, groups.size(), depth, fact_unit.est_card, &steps);
+  consider();
 
   // ---- Branch-first candidates (lines 3-7): for every group and every
   // start position within it, join that group below the fact. ----
@@ -222,46 +312,36 @@ Plan OptimizeSnowflakeUnits(const JoinGraph& graph,
       const std::vector<int> order =
           AwayFirstOrder(graph, units, groups[gi].unit_idxs, start, depth);
       if (order.size() != groups[gi].unit_idxs.size()) continue;
-      std::unique_ptr<PlanNode> probe =
-          ClonePlanNode(*units[static_cast<size_t>(order[0])].fragment);
+      steps.clear();
+      RelSet chain = units[static_cast<size_t>(order[0])].rels;
+      steps.push_back(Step{order[0], true});
       bool valid = true;
-      for (size_t i = 1; i < order.size(); ++i) {
-        auto joined = MakeJoin(
-            graph,
-            ClonePlanNode(*units[static_cast<size_t>(order[i])].fragment),
-            std::move(probe));
-        if (joined == nullptr) {
-          valid = false;
-          break;
-        }
-        probe = std::move(joined);
+      for (size_t i = 1; i < order.size() && valid; ++i) {
+        const RelSet rels = units[static_cast<size_t>(order[i])].rels;
+        valid = graph.Adjacent(rels, chain);
+        chain |= rels;
+        steps.push_back(Step{order[i], true});
       }
-      if (!valid) continue;
       // Fact joins on top of the branch (as the build side: Lemma 5's
       // T(Rk, R0, ...) shape), then the remaining groups.
-      auto with_fact = MakeJoin(graph, ClonePlanNode(*fact_unit.fragment),
-                                std::move(probe));
-      if (with_fact == nullptr) continue;
-      std::vector<Group> rest;
-      for (size_t go = 0; go < groups.size(); ++go) {
-        if (go != gi) rest.push_back(groups[go]);
-      }
-      auto root = JoinGroups(graph, units, rest, depth, fact_unit.est_card,
-                             std::move(with_fact));
-      Plan plan;
-      const double cost = CostCandidate(graph, std::move(root), model, &plan);
-      if (cost < best) {
-        best = cost;
-        best_plan = std::move(plan);
-      }
+      if (!valid || !graph.Adjacent(fact_unit.rels, chain)) continue;
+      steps.push_back(Step{fact, true});
+      JoinGroups(units, groups, gi, depth, fact_unit.est_card, &steps);
+      consider();
     }
   }
 
-  if (best_cost != nullptr) *best_cost = best;
-  return best_plan;
+  SnowflakeChoice choice;
+  choice.fragment = ClonePlanNode(*best_plan->root);
+  choice.key = std::move(best_key);
+  choice.root_card = best_card;
+  return choice;
 }
 
-Plan OptimizeBqo(const JoinGraph& graph, CoutModel* model) {
+Plan OptimizeBqo(const JoinGraph& graph, CoutModel* model,
+                 CandidateMemo* memo) {
+  CandidateMemo private_memo;
+  if (memo == nullptr) memo = &private_memo;
   std::vector<PlanUnit> units = MakeLeafUnits(graph);
   std::vector<int> active;
   for (size_t i = 0; i < units.size(); ++i) {
@@ -312,19 +392,16 @@ Plan OptimizeBqo(const JoinGraph& graph, CoutModel* model) {
       }
     }
 
-    double cost = 0;
-    Plan sub = OptimizeSnowflakeUnits(graph, units, members, fact, model,
-                                      &cost);
+    SnowflakeChoice sub =
+        OptimizeSnowflakeUnits(graph, units, members, fact, model, memo);
 
     // Collapse the members into one optimized composite unit.
     PlanUnit composite;
-    composite.rels = sub.root->rel_set;
+    composite.rels = sub.fragment->rel_set;
     composite.optimized = true;
-    {
-      const CoutBreakdown b = model->Compute(sub);
-      composite.est_card = b.node_output[0];  // root output estimate
-    }
-    composite.fragment = std::move(sub.root);
+    composite.est_card = sub.root_card;
+    composite.key = std::move(sub.key);
+    composite.fragment = std::move(sub.fragment);
 
     std::vector<int> next_active;
     for (int u : active) {

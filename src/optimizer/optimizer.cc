@@ -31,13 +31,10 @@ const char* OptimizerModeName(OptimizerMode mode) {
 namespace {
 
 Plan ExhaustiveBitvectorAware(const JoinGraph& graph, CoutModel* model,
-                              size_t limit, bool* fell_back) {
-  const size_t count = CountRightDeepOrders(graph, limit + 1);
-  if (count > limit) {
-    *fell_back = true;
-    return OptimizeBqo(graph, model);
+                              CandidateMemo* memo, size_t limit) {
+  if (CountRightDeepOrders(graph, limit + 1) > limit) {
+    return OptimizeBqo(graph, model, memo);
   }
-  *fell_back = false;
   Plan best;
   double best_cost = std::numeric_limits<double>::infinity();
   for (const auto& order : EnumerateRightDeepOrders(graph)) {
@@ -54,66 +51,83 @@ Plan ExhaustiveBitvectorAware(const JoinGraph& graph, CoutModel* model,
 
 }  // namespace
 
-OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
-                             const OptimizerOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-
-  EstimatedCoutModel blind_model(stats, /*fp_rate=*/0.0);
-  EstimatedCoutModel aware_model(stats, options.filter_fp_rate);
-
-  OptimizedQuery result;
+Plan OrderJoins(const JoinGraph& graph, OptimizerSession* session) {
+  const OptimizerOptions& options = session->options;
+  EstimatedCoutModel* aware_model = &session->aware_model;
   DpOptions dp;
   dp.max_dp_relations = options.max_dp_relations;
 
+  Plan plan;
   switch (options.mode) {
     case OptimizerMode::kBaselinePostProcess:
     case OptimizerMode::kNoBitvectors: {
       // Join order chosen blind to filters; Algorithm 1 as post-processing.
-      result.plan = OptimizeDpBaseline(graph, &blind_model, dp);
+      plan = OptimizeDpBaseline(graph, &session->blind_model, dp);
       break;
     }
     case OptimizerMode::kBqoShallow: {
-      result.plan = OptimizeBqo(graph, &aware_model);
+      plan = OptimizeBqo(graph, aware_model, &session->memo);
       break;
     }
     case OptimizerMode::kAlternativePlan: {
-      Plan baseline = OptimizeDpBaseline(graph, &blind_model, dp);
+      Plan baseline = OptimizeDpBaseline(graph, &session->blind_model, dp);
       PushDownBitvectors(&baseline);
-      const double baseline_cost = aware_model.Cout(baseline);
-      Plan bqo = OptimizeBqo(graph, &aware_model);
+      const double baseline_cost = aware_model->Cout(baseline);
+      Plan bqo = OptimizeBqo(graph, aware_model, &session->memo);
       PushDownBitvectors(&bqo);
-      const double bqo_cost = aware_model.Cout(bqo);
-      result.plan =
-          bqo_cost <= baseline_cost ? std::move(bqo) : std::move(baseline);
+      const double bqo_cost = aware_model->Cout(bqo);
+      plan = bqo_cost <= baseline_cost ? std::move(bqo) : std::move(baseline);
       break;
     }
     case OptimizerMode::kExhaustive: {
-      bool fell_back = false;
-      result.plan = ExhaustiveBitvectorAware(
-          graph, &aware_model, options.exhaustive_limit, &fell_back);
+      plan = ExhaustiveBitvectorAware(graph, aware_model, &session->memo,
+                                      options.exhaustive_limit);
       break;
     }
   }
 
   if (options.mode == OptimizerMode::kNoBitvectors) {
-    ClearBitvectors(&result.plan);
+    ClearBitvectors(&plan);
   } else {
-    PushDownBitvectors(&result.plan);
-    if (options.lambda_thresh >= 0) {
-      result.pruned_filters = PruneIneffectiveFilters(
-          &result.plan, &aware_model, options.lambda_thresh);
-    }
+    PushDownBitvectors(&plan);
+  }
+  return plan;
+}
+
+int PruneFilters(Plan* plan, OptimizerSession* session) {
+  const OptimizerOptions& options = session->options;
+  if (options.mode == OptimizerMode::kNoBitvectors ||
+      options.lambda_thresh < 0) {
+    return 0;
+  }
+  return PruneIneffectiveFilters(plan, &session->aware_model,
+                                 options.lambda_thresh);
+}
+
+OptimizedQuery OptimizeQuery(const JoinGraph& graph,
+                             OptimizerSession* session) {
+  const auto start = std::chrono::steady_clock::now();
+  OptimizedQuery result;
+  result.plan = OrderJoins(graph, session);
+  result.pruned_filters = PruneFilters(&result.plan, session);
+  if (session->options.mode != OptimizerMode::kNoBitvectors) {
     // With the menu of survivors settled, pick each filter's
     // implementation (annotation only; see FilterMenuOptions).
-    SelectFilterImplementations(&result.plan, &aware_model,
-                                options.filter_menu);
+    SelectFilterImplementations(&result.plan, &session->aware_model,
+                                session->options.filter_menu);
   }
-  result.estimated_cost = aware_model.Cout(result.plan);
+  result.estimated_cost = session->aware_model.Cout(result.plan);
   result.optimize_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
           .count();
   return result;
+}
+
+OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
+                             const OptimizerOptions& options) {
+  OptimizerSession session(stats, options);
+  return OptimizeQuery(graph, &session);
 }
 
 }  // namespace bqo

@@ -5,8 +5,10 @@
 
 #include <string>
 
+#include "src/optimizer/bqo.h"
 #include "src/optimizer/cost_model.h"
 #include "src/plan/cout.h"
+#include "src/stats/estimated_cost.h"
 #include "src/stats/table_stats.h"
 
 namespace bqo {
@@ -78,10 +80,40 @@ struct OptimizedQuery {
   int64_t optimize_ns = 0;
 };
 
+/// \brief What consecutive optimizer runs over one graph and its
+/// cardinality-only variants share (src/optimizer/parameterized.h): the
+/// cost models, whose base-distinct memo and scratch are filled once, and
+/// Algorithm 2's candidate memo (bqo.h). Runs over graphs of another
+/// structure need a session of their own. Not thread-safe.
+struct OptimizerSession {
+  OptimizerSession(StatsCatalog* stats, const OptimizerOptions& opts)
+      : options(opts),
+        blind_model(stats, /*fp_rate=*/0.0),
+        aware_model(stats, opts.filter_fp_rate) {}
+
+  OptimizerOptions options;
+  EstimatedCoutModel blind_model;  ///< costs baseline (filter-blind) orders
+  EstimatedCoutModel aware_model;  ///< bitvector-aware
+  CandidateMemo memo;
+};
+
 /// \brief Optimize `graph` under `options`. The result plan is fully
 /// annotated (Algorithm 1 push-down done, ineffective filters pruned) and
-/// ready for ExecutePlan.
+/// ready for ExecutePlan. Runs in a fresh OptimizerSession.
 OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
                              const OptimizerOptions& options = {});
+
+/// \brief OptimizeQuery within `session`: OrderJoins, PruneFilters, then
+/// each surviving filter's implementation and the final estimated cost.
+OptimizedQuery OptimizeQuery(const JoinGraph& graph,
+                             OptimizerSession* session);
+
+/// \brief The join order session->options.mode picks, with Algorithm 1's
+/// filters pushed down (cleared under kNoBitvectors) and none pruned yet.
+Plan OrderJoins(const JoinGraph& graph, OptimizerSession* session);
+
+/// \brief Cost-based pruning of OrderJoins' filters (a no-op when
+/// lambda_thresh < 0 or under kNoBitvectors); returns the number pruned.
+int PruneFilters(Plan* plan, OptimizerSession* session);
 
 }  // namespace bqo

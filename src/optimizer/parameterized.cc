@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/common/string_util.h"
-#include "src/stats/estimated_cost.h"
 
 namespace bqo {
 
@@ -27,39 +26,50 @@ std::string PlanChoiceKey(const Plan& plan) {
   return key;
 }
 
-/// True if re-optimizing with relation `rel` scaled to `sel` keeps the
-/// choice `chosen`.
-bool StableAt(const JoinGraph& graph, int rel, double sel,
-              StatsCatalog* stats, const OptimizerOptions& options,
-              const std::string& chosen) {
-  JoinGraph probe = graph;
-  RelationRef& r = probe.relation(rel);
-  r.filtered_rows =
-      std::clamp(sel * r.base_rows, 0.0, std::max(r.base_rows, 0.0));
-  return PlanChoiceKey(OptimizeQuery(probe, stats, options).plan) == chosen;
-}
-
 }  // namespace
 
 ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
                                         StatsCatalog* stats,
                                         const OptimizerOptions& options) {
   const auto start = std::chrono::steady_clock::now();
+  OptimizerSession session(stats, options);
   ParameterizedPlan out;
-  out.optimized = OptimizeQuery(graph, stats, options);
+  out.optimized = OptimizeQuery(graph, &session);
   out.constants = graph.ConstantTable();
 
   // Estimated lambda per filter from the bitvector-aware model, not from
   // PlanFilter::estimated_lambda — the latter is only filled when pruning
   // runs, and the drift reference must exist either way.
-  EstimatedCoutModel aware_model(stats, options.filter_fp_rate);
-  const CoutBreakdown breakdown = aware_model.Compute(out.optimized.plan);
-  out.estimated_lambda = breakdown.filter_lambda;
+  out.estimated_lambda =
+      session.aware_model.Compute(out.optimized.plan).filter_lambda;
 
   out.optimize_sel.resize(static_cast<size_t>(graph.num_relations()), 1.0);
   out.bands.resize(static_cast<size_t>(graph.num_relations()));
   const double band = options.reopt_sel_band;
+  const std::string chosen_order = out.optimized.plan.Signature();
   const std::string chosen = PlanChoiceKey(out.optimized.plan);
+
+  // True if re-optimizing with relation `r` at `rows` filtered rows keeps
+  // the choice `chosen`. A probe computes only what PlanChoiceKey reads:
+  // the join order first (most flips already differ there), the pruned
+  // menu only when it matches.
+  JoinGraph probe = graph;
+  auto stable_at = [&](int r, double rows) {
+    ++out.probes;
+    RelationRef& rel = probe.relation(r);
+    const double saved = rel.filtered_rows;
+    rel.filtered_rows = rows;
+    session.memo.BeginProbe();
+    Plan plan = OrderJoins(probe, &session);
+    bool stable = plan.Signature() == chosen_order;
+    if (stable) {
+      PruneFilters(&plan, &session);
+      stable = PlanChoiceKey(plan) == chosen;
+    }
+    rel.filtered_rows = saved;
+    return stable;
+  };
+
   for (int r = 0; r < graph.num_relations(); ++r) {
     const RelationRef& rel = graph.relation(r);
     const double base = std::max(rel.base_rows, 1.0);
@@ -84,18 +94,29 @@ ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
     // decides between a narrow band and no slack at all.
     const int steps = options.band_probe_steps;
     for (int dir = -1; dir <= 1; dir += 2) {
+      // A probe whose clamped cardinality equals the previous one's in
+      // this direction (both past the upper clamp) repeats its verdict.
+      double prev_rows = -1.0;
+      bool prev_stable = false;
+      auto stable_at_sel = [&](double probe_sel) {
+        const double rows = std::clamp(probe_sel * rel.base_rows, 0.0,
+                                       std::max(rel.base_rows, 0.0));
+        if (rows != prev_rows) {
+          prev_rows = rows;
+          prev_stable = stable_at(r, rows);
+        }
+        return prev_stable;
+      };
       double last_stable = 1.0;
       bool flipped = false;
       for (int s = 1; s <= steps; ++s) {
         const double factor =
             std::pow(band, static_cast<double>(dir) * s / steps);
-        if (!StableAt(graph, r, sel * factor, stats, options, chosen)) {
+        if (!stable_at_sel(sel * factor)) {
           flipped = true;
           if (s == 1) {
             const double mid = std::sqrt(factor);
-            if (StableAt(graph, r, sel * mid, stats, options, chosen)) {
-              last_stable = mid;
-            }
+            if (stable_at_sel(sel * mid)) last_stable = mid;
           }
           break;
         }
@@ -109,6 +130,8 @@ ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
       }
     }
   }
+  out.reused_candidates = session.memo.hits();
+  out.built_candidates = session.memo.misses();
   out.optimize_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                         std::chrono::steady_clock::now() - start)
                         .count();

@@ -18,6 +18,23 @@
 //    steps of OptimizerOptions::reopt_sel_band (scaling that relation's
 //    filtered_rows and re-optimizing); the edge is the last stable step.
 //
+// One call is one **probe session** (OptimizerSession, optimizer.h): the
+// base run and every probe share one aware and one blind cost model (the
+// raw-distinct memo is filled once), one copy of the graph (each probe sets
+// one relation's filtered_rows and restores it), and Algorithm 2's
+// candidate memo (bqo.h). A probe derives each candidate's structural key
+// from integers, re-costs a remembered plan on a hit, and builds and pushes
+// down only unseen candidates. The memo has two generations: the base
+// run's candidates live for the whole call, and each probe's replace the
+// probe before's, so it holds about twice the base run's candidate count.
+// A probe also computes only what its verdict reads: it compares the join
+// order before pruning and prunes only on a match, skips the filter menu
+// and the final cost, and repeats the previous probe's verdict when the
+// clamped cardinality did not move. Every cost comes from the same Compute
+// on a structurally identical plan, so bands, plans, lambdas and costs are
+// bit-identical to re-optimizing each probe from scratch
+// (tests/test_plan_shape_cache.cc, ProbeSessionParity).
+//
 // The serving layer (src/server/plan_cache.h) then re-binds new constants
 // into the cached shape, re-estimates only the moved relations, and serves
 // the cached join order iff every moved selectivity lands inside its band
@@ -60,12 +77,20 @@ struct ParameterizedPlan {
   /// Estimated elimination fraction per filter id at optimize time — the
   /// reference the feedback EWMA drifts against (pruned filters: 0).
   std::vector<double> estimated_lambda;
+  /// Band probes re-optimized (verdicts repeated for an unmoved clamped
+  /// cardinality are not counted).
+  int64_t probes = 0;
+  /// Algorithm 2 candidates the session re-costed from its memo / built,
+  /// base run and probes together. Deterministic for a given graph.
+  int64_t reused_candidates = 0;
+  int64_t built_candidates = 0;
 };
 
 /// \brief Optimize `graph` (which must have statistics attached) and
 /// derive the reuse annotations. Costs the base OptimizeQuery plus up to
 /// `band_probe_steps`+1 probe re-optimizations per direction per
-/// predicated relation — paid on cache misses only.
+/// predicated relation, all in one probe session — paid on cache misses
+/// only.
 ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
                                         StatsCatalog* stats,
                                         const OptimizerOptions& options);

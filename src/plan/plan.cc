@@ -154,12 +154,12 @@ std::string Plan::ToString() const {
   ToStringRec(*root, *this, 0, &out);
   for (const PlanFilter& f : filters) {
     std::vector<std::string> build_parts, probe_parts;
-    for (const auto& c : f.build_cols) {
-      build_parts.push_back(graph->relation(c.rel).alias + "." + c.column);
-    }
-    for (const auto& c : f.probe_cols) {
-      probe_parts.push_back(graph->relation(c.rel).alias + "." + c.column);
-    }
+    auto name = [&](int cid) {
+      const BoundColumn& c = graph->column(cid);
+      return graph->relation(c.rel).alias + "." + c.column;
+    };
+    for (int cid : f.build_col_ids) build_parts.push_back(name(cid));
+    for (int cid : f.probe_col_ids) probe_parts.push_back(name(cid));
     out += StringFormat(
         "BV#%d: built at HJ#%d from (%s), probes (%s), applied at node %d%s\n",
         f.id, f.source_join, JoinStrings(build_parts, ", ").c_str(),

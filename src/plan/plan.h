@@ -25,10 +25,8 @@ namespace bqo {
 struct PlanFilter {
   int id = -1;
   int source_join = -1;  ///< plan-node id of the hash join that builds it
-  std::vector<BoundColumn> build_cols;  ///< key columns on the build side
-  std::vector<BoundColumn> probe_cols;  ///< matching probe-side columns
-  /// Join-column ids (JoinGraph::column) of build_cols/probe_cols,
-  /// index-aligned — what the cost model reads instead of the names.
+  /// Key columns as join-column ids (JoinGraph::column): the build-side
+  /// columns and, index-aligned, the probe-side columns they match.
   std::vector<int> build_col_ids;
   std::vector<int> probe_col_ids;
   int applied_at = -1;   ///< plan-node id whose output it filters

@@ -15,21 +15,14 @@ PlanFilter MakeFilterFor(const Plan& plan, const PlanNode& join) {
   for (int eid : join.edge_ids) {
     const JoinEdge& e = graph.edge(eid);
     const bool left_in_build = RelSetContains(join.build->rel_set, e.left);
-    for (size_t i = 0; i < e.left_cols.size(); ++i) {
-      BoundColumn l{e.left, e.left_cols[i]};
-      BoundColumn r{e.right, e.right_cols[i]};
-      if (left_in_build) {
-        f.build_cols.push_back(l);
-        f.probe_cols.push_back(r);
-        f.build_col_ids.push_back(e.left_col_ids[i]);
-        f.probe_col_ids.push_back(e.right_col_ids[i]);
-      } else {
-        f.build_cols.push_back(r);
-        f.probe_cols.push_back(l);
-        f.build_col_ids.push_back(e.right_col_ids[i]);
-        f.probe_col_ids.push_back(e.left_col_ids[i]);
-      }
-    }
+    const std::vector<int>& build_ids =
+        left_in_build ? e.left_col_ids : e.right_col_ids;
+    const std::vector<int>& probe_ids =
+        left_in_build ? e.right_col_ids : e.left_col_ids;
+    f.build_col_ids.insert(f.build_col_ids.end(), build_ids.begin(),
+                           build_ids.end());
+    f.probe_col_ids.insert(f.probe_col_ids.end(), probe_ids.begin(),
+                           probe_ids.end());
   }
   return f;
 }
@@ -57,7 +50,8 @@ void PushDownRec(Plan* plan, PlanNode* node, std::vector<int> incoming) {
   // child whose output contains all of its probe columns; otherwise it is
   // residual and applied on top of this join.
   for (int fid : incoming) {
-    const RelSet need = FilterProbeRels(plan->filters[static_cast<size_t>(fid)]);
+    const RelSet need = FilterProbeRels(
+        *plan->graph, plan->filters[static_cast<size_t>(fid)]);
     if ((need & ~node->build->rel_set) == 0) {
       to_build.push_back(fid);
     } else if ((need & ~node->probe->rel_set) == 0) {
@@ -74,9 +68,9 @@ void PushDownRec(Plan* plan, PlanNode* node, std::vector<int> incoming) {
 
 }  // namespace
 
-RelSet FilterProbeRels(const PlanFilter& filter) {
+RelSet FilterProbeRels(const JoinGraph& graph, const PlanFilter& filter) {
   RelSet set = 0;
-  for (const BoundColumn& c : filter.probe_cols) set |= RelBit(c.rel);
+  for (int cid : filter.probe_col_ids) set |= RelBit(graph.column(cid).rel);
   return set;
 }
 
@@ -92,6 +86,7 @@ void PushDownBitvectors(Plan* plan) {
   BQO_CHECK(plan != nullptr && plan->root != nullptr);
   plan->Renumber();
   ClearBitvectors(plan);
+  plan->filters.reserve(plan->nodes.size() / 2);  // one per join
   PushDownRec(plan, plan->root.get(), {});
 }
 

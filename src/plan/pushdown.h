@@ -25,6 +25,6 @@ void PushDownBitvectors(Plan* plan);
 void ClearBitvectors(Plan* plan);
 
 /// \brief The set of relations referenced by a filter's probe columns.
-RelSet FilterProbeRels(const PlanFilter& filter);
+RelSet FilterProbeRels(const JoinGraph& graph, const PlanFilter& filter);
 
 }  // namespace bqo

@@ -79,6 +79,14 @@ class MapCoutOracle : public CoutModel {
                     std::min({d, reduced, std::max(rel.filtered_rows, 1.0)}));
   }
 
+  /// A filter's key columns by name (PlanFilter keeps only their ids).
+  static std::vector<BoundColumn> Cols(const JoinGraph& graph,
+                                       const std::vector<int>& col_ids) {
+    std::vector<BoundColumn> cols;
+    for (int cid : col_ids) cols.push_back(graph.column(cid));
+    return cols;
+  }
+
   static double CompositeDistinct(const NodeEst& est,
                                   const std::vector<BoundColumn>& cols) {
     double d = 1.0;
@@ -97,12 +105,13 @@ class MapCoutOracle : public CoutModel {
       const FilterEst& fe = (*filter_est)[static_cast<size_t>(fid)];
       BQO_CHECK_MSG(fe.key_distinct > 0,
                     "filter source estimated after its application site");
-      const double target_d = CompositeDistinct(*est, f.probe_cols);
+      const double target_d =
+          CompositeDistinct(*est, Cols(*plan.graph, f.probe_col_ids));
       const double rho = std::min(1.0, fe.key_distinct / target_d);
       const double rho_eff = rho + (1.0 - rho) * fp_rate_;
       out->filter_lambda[static_cast<size_t>(fid)] = 1.0 - rho_eff;
       est->card *= rho_eff;
-      for (const BoundColumn& c : f.probe_cols) {
+      for (const BoundColumn& c : Cols(*plan.graph, f.probe_col_ids)) {
         auto it = est->distinct.find({c.rel, c.column});
         if (it != est->distinct.end()) {
           it->second = std::max(1.0, std::min(it->second, fe.key_distinct));
@@ -150,7 +159,7 @@ class MapCoutOracle : public CoutModel {
           plan.filters[static_cast<size_t>(node.created_filter)];
       FilterEst fe;
       fe.source_card = b.card;
-      fe.key_distinct = CompositeDistinct(b, f.build_cols);
+      fe.key_distinct = CompositeDistinct(b, Cols(*plan.graph, f.build_col_ids));
       (*filter_est)[static_cast<size_t>(node.created_filter)] = fe;
     }
     NodeEst p = EvalNode(plan, *node.probe, filter_est, out);

@@ -25,12 +25,24 @@
 //    snowflake / sort-merge plans.
 //  * A templated workload (same shape, jittered literals) achieves a
 //    shape-hit rate >= 0.9 with zero in-band re-optimizations.
+//  * Probe-session parity: OptimizeParameterized's shared models, probe
+//    graph and candidate memo change nothing it returns. Bands,
+//    selectivities, lambdas, the plan with its filters, cost and pruned
+//    count are bit-identical to the verbatim pre-session implementation
+//    (a fresh OptimizeQuery on a graph copy per probe) over every lite
+//    workload query and the multi-fact galaxy under every mode, and the
+//    memo does hit on CUSTOMER.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
+#include "src/common/string_util.h"
 #include "src/exec/executor.h"
 #include "src/optimizer/parameterized.h"
 #include "src/plan/predicate_shape.h"
@@ -38,6 +50,8 @@
 #include "src/server/query_service.h"
 #include "src/server/worker_pool.h"
 #include "src/stats/estimated_cost.h"
+#include "src/workload/datagen.h"
+#include "src/workload/workload.h"
 #include "test_util.h"
 
 namespace bqo {
@@ -497,6 +511,283 @@ TEST(PlanShapeCacheE2E, ZeroSlotQueriesAreExactHits) {
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.rebinds, 0);
   EXPECT_EQ(s.reoptimizations, 0);
+}
+
+// ---- Probe-session parity ----
+
+namespace oracle {
+
+// OptimizeParameterized as it was before probe sessions, kept verbatim:
+// every probe is a fresh OptimizeQuery on its own copy of the graph.
+
+std::string PlanChoiceKey(const Plan& plan) {
+  std::string key = plan.Signature();
+  for (const PlanFilter& f : plan.filters) {
+    if (!f.pruned) {
+      key += StringFormat(";%d@%d", f.source_join, f.applied_at);
+    }
+  }
+  return key;
+}
+
+bool StableAt(const JoinGraph& graph, int rel, double sel,
+              StatsCatalog* stats, const OptimizerOptions& options,
+              const std::string& chosen) {
+  JoinGraph probe = graph;
+  RelationRef& r = probe.relation(rel);
+  r.filtered_rows =
+      std::clamp(sel * r.base_rows, 0.0, std::max(r.base_rows, 0.0));
+  return PlanChoiceKey(OptimizeQuery(probe, stats, options).plan) == chosen;
+}
+
+ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
+                                        StatsCatalog* stats,
+                                        const OptimizerOptions& options) {
+  ParameterizedPlan out;
+  out.optimized = OptimizeQuery(graph, stats, options);
+  out.constants = graph.ConstantTable();
+
+  EstimatedCoutModel aware_model(stats, options.filter_fp_rate);
+  const CoutBreakdown breakdown = aware_model.Compute(out.optimized.plan);
+  out.estimated_lambda = breakdown.filter_lambda;
+
+  out.optimize_sel.resize(static_cast<size_t>(graph.num_relations()), 1.0);
+  out.bands.resize(static_cast<size_t>(graph.num_relations()));
+  const double band = options.reopt_sel_band;
+  const std::string chosen = PlanChoiceKey(out.optimized.plan);
+  for (int r = 0; r < graph.num_relations(); ++r) {
+    const RelationRef& rel = graph.relation(r);
+    const double base = std::max(rel.base_rows, 1.0);
+    const double sel = std::clamp(rel.filtered_rows / base, 0.0, 1.0);
+    out.optimize_sel[static_cast<size_t>(r)] = sel;
+    SelectivityBand& b = out.bands[static_cast<size_t>(r)];
+    if (out.constants[static_cast<size_t>(r)].empty()) {
+      continue;  // slotless: shape-equal queries cannot move this relation
+    }
+    if (band <= 1.0) {
+      // Banded reuse disabled: any moved constant re-optimizes.
+      b.lo = b.hi = sel;
+      continue;
+    }
+    b.lo = sel / band;
+    b.hi = std::min(1.0, sel * band);
+    if (options.band_probe_steps <= 0) continue;
+
+    const int steps = options.band_probe_steps;
+    for (int dir = -1; dir <= 1; dir += 2) {
+      double last_stable = 1.0;
+      bool flipped = false;
+      for (int s = 1; s <= steps; ++s) {
+        const double factor =
+            std::pow(band, static_cast<double>(dir) * s / steps);
+        if (!StableAt(graph, r, sel * factor, stats, options, chosen)) {
+          flipped = true;
+          if (s == 1) {
+            const double mid = std::sqrt(factor);
+            if (StableAt(graph, r, sel * mid, stats, options, chosen)) {
+              last_stable = mid;
+            }
+          }
+          break;
+        }
+        last_stable = factor;
+      }
+      if (!flipped) continue;  // stable through the whole band: keep edge
+      if (dir < 0) {
+        b.lo = sel * last_stable;
+      } else {
+        b.hi = std::min(1.0, sel * last_stable);
+      }
+    }
+  }
+  return out;
+}
+
+}  // namespace oracle
+
+uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
+
+std::vector<uint64_t> Bits(const std::vector<double>& values) {
+  std::vector<uint64_t> bits;
+  for (double v : values) bits.push_back(Bits(v));
+  return bits;
+}
+
+void ExpectSameParameterized(const ParameterizedPlan& want,
+                             const ParameterizedPlan& got,
+                             const std::string& label) {
+  ASSERT_EQ(want.bands.size(), got.bands.size()) << label;
+  for (size_t r = 0; r < want.bands.size(); ++r) {
+    EXPECT_EQ(Bits(want.bands[r].lo), Bits(got.bands[r].lo))
+        << label << " relation " << r;
+    EXPECT_EQ(Bits(want.bands[r].hi), Bits(got.bands[r].hi))
+        << label << " relation " << r;
+  }
+  EXPECT_EQ(Bits(want.optimize_sel), Bits(got.optimize_sel)) << label;
+  EXPECT_EQ(Bits(want.estimated_lambda), Bits(got.estimated_lambda))
+      << label;
+  EXPECT_EQ(want.constants, got.constants) << label;
+
+  const Plan& wp = want.optimized.plan;
+  const Plan& gp = got.optimized.plan;
+  EXPECT_EQ(wp.graph, gp.graph) << label;
+  EXPECT_EQ(wp.ToString(), gp.ToString()) << label;
+  ASSERT_EQ(wp.filters.size(), gp.filters.size()) << label;
+  for (size_t i = 0; i < wp.filters.size(); ++i) {
+    const PlanFilter& a = wp.filters[i];
+    const PlanFilter& b = gp.filters[i];
+    EXPECT_EQ(a.id, b.id) << label << " filter " << i;
+    EXPECT_EQ(a.source_join, b.source_join) << label << " filter " << i;
+    EXPECT_EQ(a.applied_at, b.applied_at) << label << " filter " << i;
+    EXPECT_EQ(a.build_col_ids, b.build_col_ids) << label << " filter " << i;
+    EXPECT_EQ(a.probe_col_ids, b.probe_col_ids) << label << " filter " << i;
+    EXPECT_EQ(Bits(a.estimated_lambda), Bits(b.estimated_lambda))
+        << label << " filter " << i;
+    EXPECT_EQ(a.pruned, b.pruned) << label << " filter " << i;
+    EXPECT_EQ(a.chosen_kind, b.chosen_kind) << label << " filter " << i;
+  }
+  EXPECT_EQ(Bits(want.optimized.estimated_cost),
+            Bits(got.optimized.estimated_cost))
+      << label;
+  EXPECT_EQ(want.optimized.pruned_filters, got.optimized.pruned_filters)
+      << label;
+}
+
+struct SessionCounts {
+  int64_t probes = 0;
+  int64_t reused = 0;
+  int64_t built = 0;
+};
+
+/// Parity of every query of `w` under `options`; returns the summed
+/// session counts.
+SessionCounts CheckWorkloadParity(const Workload& w,
+                                  const OptimizerOptions& options) {
+  StatsCatalog stats(w.catalog.get());
+  SessionCounts counts;
+  for (const QuerySpec& spec : w.queries) {
+    auto graph = BuildJoinGraph(*w.catalog, spec);
+    BQO_CHECK(graph.ok());
+    const ParameterizedPlan want =
+        oracle::OptimizeParameterized(graph.value(), &stats, options);
+    const ParameterizedPlan got =
+        OptimizeParameterized(graph.value(), &stats, options);
+    ExpectSameParameterized(want, got, w.name + " " + spec.name);
+    counts.probes += got.probes;
+    counts.reused += got.reused_candidates;
+    counts.built += got.built_candidates;
+  }
+  return counts;
+}
+
+TEST(ProbeSessionParity, JobLite) {
+  const SessionCounts c = CheckWorkloadParity(MakeJobLite(0.04), {});
+  EXPECT_GT(c.probes, 0);
+}
+
+TEST(ProbeSessionParity, TpcdsLite) {
+  const SessionCounts c = CheckWorkloadParity(MakeTpcdsLite(0.04), {});
+  EXPECT_GT(c.probes, 0);
+}
+
+/// CUSTOMER's 25-relation snowflakes are where the probes are: the memo
+/// must actually serve candidates there, and the counts must not depend
+/// on anything but the graph.
+TEST(ProbeSessionParity, CustomerLiteAndMemoHits) {
+  const Workload w = MakeCustomerLite(0.04);
+  const SessionCounts c = CheckWorkloadParity(w, {});
+  EXPECT_GT(c.probes, 0);
+  EXPECT_GT(c.reused, 0);
+  EXPECT_GT(c.built, 0);
+
+  StatsCatalog stats(w.catalog.get());
+  auto graph = BuildJoinGraph(*w.catalog, w.queries.front());
+  ASSERT_TRUE(graph.ok());
+  const ParameterizedPlan first =
+      OptimizeParameterized(graph.value(), &stats, {});
+  const ParameterizedPlan again =
+      OptimizeParameterized(graph.value(), &stats, {});
+  EXPECT_GT(first.reused_candidates, 0);
+  EXPECT_EQ(first.probes, again.probes);
+  EXPECT_EQ(first.reused_candidates, again.reused_candidates);
+  EXPECT_EQ(first.built_candidates, again.built_candidates);
+}
+
+/// Two facts sharing a dimension (examples/multi_fact_galaxy.cpp, smaller):
+/// Algorithm 3 collapses the shipments snowflake into a composite before
+/// the final round, so candidate keys nest a composite's key — which can
+/// differ from probe to probe. Swept over every optimizer mode, with and
+/// without pruning, and over probe step counts.
+TEST(ProbeSessionParity, MultiFactGalaxyAcrossModes) {
+  Catalog catalog;
+  Rng rng(99);
+  for (const char* d : {"customer", "product", "carrier", "region"}) {
+    TableGenSpec spec;
+    spec.name = d;
+    spec.rows = d == std::string("customer") ? 1000 : 160;
+    GenerateTable(&catalog, spec, &rng);
+  }
+  TableGenSpec orders;
+  orders.name = "orders";
+  orders.rows = 30000;
+  orders.with_pk = false;
+  orders.with_label = false;
+  orders.fks = {FkSpec{"customer_fk", "customer", "customer_id", 0.5, 0.0},
+                FkSpec{"product_fk", "product", "product_id", 0.8, 0.0}};
+  GenerateTable(&catalog, orders, &rng);
+  TableGenSpec shipments;
+  shipments.name = "shipments";
+  shipments.rows = 24000;
+  shipments.with_pk = false;
+  shipments.with_label = false;
+  shipments.fks = {FkSpec{"customer_fk", "customer", "customer_id", 0.5, 0.0},
+                   FkSpec{"carrier_fk", "carrier", "carrier_id", 0.0, 0.0},
+                   FkSpec{"region_fk", "region", "region_id", 0.3, 0.0}};
+  GenerateTable(&catalog, shipments, &rng);
+
+  QuerySpec query;
+  query.name = "galaxy";
+  query.relations = {{"orders", "orders", nullptr},
+                     {"shipments", "shipments", nullptr},
+                     {"customer", "customer", Lt("attr0", 80)},
+                     {"product", "product", LikeContains("label", "pro")},
+                     {"carrier", "carrier", nullptr},
+                     {"region", "region", Lt("attr0", 200)}};
+  query.joins = {{"orders", "customer_fk", "customer", "customer_id"},
+                 {"shipments", "customer_fk", "customer", "customer_id"},
+                 {"orders", "product_fk", "product", "product_id"},
+                 {"shipments", "carrier_fk", "carrier", "carrier_id"},
+                 {"shipments", "region_fk", "region", "region_id"}};
+  auto graph = BuildJoinGraph(catalog, query);
+  ASSERT_TRUE(graph.ok());
+  StatsCatalog stats(&catalog);
+
+  int64_t reused = 0;
+  for (OptimizerMode mode :
+       {OptimizerMode::kBaselinePostProcess, OptimizerMode::kNoBitvectors,
+        OptimizerMode::kBqoShallow, OptimizerMode::kAlternativePlan,
+        OptimizerMode::kExhaustive}) {
+    for (double lambda_thresh : {0.05, -1.0}) {
+      for (int steps : {1, 2, 3}) {
+        OptimizerOptions options;
+        options.mode = mode;
+        options.lambda_thresh = lambda_thresh;
+        options.band_probe_steps = steps;
+        const ParameterizedPlan want =
+            oracle::OptimizeParameterized(graph.value(), &stats, options);
+        const ParameterizedPlan got =
+            OptimizeParameterized(graph.value(), &stats, options);
+        ExpectSameParameterized(
+            want, got,
+            StringFormat("%s lambda=%g steps=%d", OptimizerModeName(mode),
+                         lambda_thresh, steps));
+        if (mode == OptimizerMode::kBqoShallow) {
+          reused += got.reused_candidates;
+        }
+      }
+    }
+  }
+  EXPECT_GT(reused, 0);
 }
 
 }  // namespace

@@ -57,19 +57,19 @@ TEST(PushDown, Figure1Placement) {
 
   // HJ1 builds from D on two edges -> composite filter over A and C columns.
   const PlanFilter& f_d = plan.filters[static_cast<size_t>(hj1->created_filter)];
-  EXPECT_EQ(f_d.probe_cols.size(), 2u);
-  EXPECT_EQ(FilterProbeRels(f_d), RelBit(0) | RelBit(2));
+  EXPECT_EQ(f_d.probe_col_ids.size(), 2u);
+  EXPECT_EQ(FilterProbeRels(g, f_d), RelBit(0) | RelBit(2));
   // It cannot pass HJ2 (columns split across C and HJ3) -> residual at HJ2.
   EXPECT_EQ(f_d.applied_at, hj2->id);
 
   // HJ2 builds from C, keyed on B.c_fk -> descends through HJ3 into leaf B.
   const PlanFilter& f_c = plan.filters[static_cast<size_t>(hj2->created_filter)];
-  EXPECT_EQ(FilterProbeRels(f_c), RelBit(1));
+  EXPECT_EQ(FilterProbeRels(g, f_c), RelBit(1));
   EXPECT_EQ(f_c.applied_at, leaf_b->id);
 
   // HJ3 builds from B, keyed on A.b_fk -> leaf A.
   const PlanFilter& f_b = plan.filters[static_cast<size_t>(hj3->created_filter)];
-  EXPECT_EQ(FilterProbeRels(f_b), RelBit(0));
+  EXPECT_EQ(FilterProbeRels(g, f_b), RelBit(0));
   EXPECT_EQ(f_b.applied_at, leaf_a->id);
 }
 
@@ -121,7 +121,7 @@ TEST(PushDown, StarFactSecondFilterFlowsToDim) {
   ASSERT_NE(deepest, nullptr);
   const PlanFilter& f =
       plan.filters[static_cast<size_t>(deepest->created_filter)];
-  EXPECT_EQ(FilterProbeRels(f), RelBit(1));
+  EXPECT_EQ(FilterProbeRels(g, f), RelBit(1));
   EXPECT_EQ(f.applied_at, deepest->probe->id);
   // Filters from d2/d3 land on the fact leaf.
   const PlanNode* fact_leaf = nullptr;
@@ -155,8 +155,8 @@ TEST(PushDown, ChainFiltersDescendOneLevel) {
   Plan plan = BuildRightDeepPlan(g, {0, 1, 2, 3});
   PushDownBitvectors(&plan);
   for (const PlanFilter& f : plan.filters) {
-    ASSERT_EQ(f.probe_cols.size(), 1u);
-    const int target_rel = f.probe_cols[0].rel;
+    ASSERT_EQ(f.probe_col_ids.size(), 1u);
+    const int target_rel = g.column(f.probe_col_ids[0]).rel;
     const PlanNode* applied = plan.nodes[static_cast<size_t>(f.applied_at)];
     EXPECT_TRUE(applied->IsLeaf());
     EXPECT_EQ(applied->relation, target_rel);
