@@ -20,7 +20,8 @@
 // After the scaling sweep, a **templated phase** replays the query set
 // with per-request jittered predicate literals (the same shapes, moved
 // constants) and reports the plan-shape cache's outcome counters —
-// shape_hits / rebinds / reoptimizations / drift_invalidations — as a
+// shape_hits / rebinds / verifications / reoptimizations /
+// drift_invalidations — as a
 // "templated_queries" JSON line; BQO_TEMPLATE_ROUNDS scales its sweep
 // count (the CI cache-stress smoke raises it under TSan).
 //
@@ -162,10 +163,11 @@ QuerySpec JitterSpecConstants(const QuerySpec& spec, int variant) {
 
 /// Serving steady state under templated traffic: one service, every query
 /// arriving repeatedly with jittered literals. Emits the shape-cache
-/// outcome counters — under an in-band jitter the sweep should be almost
+/// outcome counters — under a small jitter the sweep should be almost
 /// all shape hits (exact + rebinds) with few re-optimizations; this is
 /// also the CI cache-stress smoke's TSan workout (concurrent re-binds,
-/// entry replacement, and EWMA feedback on shared entries).
+/// verified points added to shared entries, entry replacement, and EWMA
+/// feedback on shared entries).
 void RunTemplatedPhase(const Workload& workload, size_t limit, int rounds,
                        int clients, int hw_threads, int pool_threads) {
   QueryServiceOptions options;
@@ -203,15 +205,16 @@ void RunTemplatedPhase(const Workload& workload, size_t limit, int rounds,
       "\"clients\":%d,\"pool_threads\":%d,\"hardware_concurrency\":%d,"
       "\"queries\":%zu,\"wall_ms\":%.2f,\"qps\":%.1f,"
       "\"plan_cache_hit_rate\":%.3f,\"shape_hit_rate\":%.3f,"
-      "\"shape_hits\":%lld,\"rebinds\":%lld,\"reoptimizations\":%lld,"
-      "\"drift_invalidations\":%lld,\"simd_tier\":\"%s\","
-      "\"valid\":%s}\n",
+      "\"shape_hits\":%lld,\"rebinds\":%lld,\"verifications\":%lld,"
+      "\"reoptimizations\":%lld,\"drift_invalidations\":%lld,"
+      "\"simd_tier\":\"%s\",\"valid\":%s}\n",
       workload.name.c_str(), clients, pool_threads, hw_threads, total,
       static_cast<double>(wall_ns) / 1e6,
       static_cast<double>(total) / (static_cast<double>(wall_ns) / 1e9),
       cache.HitRate(), cache.ShapeHitRate(),
       static_cast<long long>(cache.shape_hits),
       static_cast<long long>(cache.rebinds),
+      static_cast<long long>(cache.verifications),
       static_cast<long long>(cache.reoptimizations),
       static_cast<long long>(cache.drift_invalidations),
       SimdTierName(ActiveSimdTier()), clients <= hw_threads ? "true" : "false");

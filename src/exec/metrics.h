@@ -166,8 +166,13 @@ struct PlanCacheStats {
   /// Hits that re-bound moved constants into a private plan instance
   /// (hits - rebinds = exact-constant hits, the degenerate case).
   int64_t rebinds = 0;
-  /// Shape hits escalated to full re-optimization (moved selectivity out
-  /// of the validity band, or the entry was marked stale by drift).
+  /// Shape hits whose re-bound selectivities left the entry's verified
+  /// intervals and so ran one OrderJoins + PruneFilters to check the
+  /// cached choice: a match is also a rebind, a mismatch a
+  /// reoptimization.
+  int64_t verifications = 0;
+  /// Shape hits escalated to re-optimization (a verification picked
+  /// another plan, or the entry was marked stale by drift).
   int64_t reoptimizations = 0;
   /// Entries marked stale because the observed-lambda EWMA drifted past
   /// the margin (each forces one re-optimization on its next lookup).

@@ -4,44 +4,9 @@
 #include <functional>
 #include <limits>
 
-#include "src/common/hash.h"
 #include "src/plan/pushdown.h"
 
 namespace bqo {
-
-size_t CandidateMemo::KeyHash::operator()(const CandidateKey& key) const {
-  return static_cast<size_t>(
-      HashBytes(key.data(), key.size() * sizeof(int)));
-}
-
-void CandidateMemo::BeginProbe() {
-  probing_ = true;
-  previous_ = std::move(current_);
-  current_.clear();
-}
-
-Plan* CandidateMemo::Find(const CandidateKey& key) {
-  for (Generation* gen : {&base_, &current_}) {
-    auto it = gen->find(key);
-    if (it != gen->end()) {
-      ++hits_;
-      return it->second.get();
-    }
-  }
-  auto node = previous_.extract(key);
-  if (node.empty()) return nullptr;
-  // Reused by this probe: it survives the next BeginProbe.
-  ++hits_;
-  return current_.insert(std::move(node)).position->second.get();
-}
-
-Plan* CandidateMemo::Insert(const CandidateKey& key, Plan plan) {
-  ++misses_;
-  Generation& gen = probing_ ? current_ : base_;
-  auto& slot = gen[key];
-  slot = std::make_unique<Plan>(std::move(plan));
-  return slot.get();
-}
 
 namespace {
 
@@ -60,12 +25,6 @@ struct Step {
   int unit = -1;
   bool unit_builds = true;
 };
-
-// CandidateKey tokens besides relation indices (which are >= 0).
-constexpr int kOpen = -1;
-constexpr int kClose = -2;
-constexpr int kUnitBuilds = -3;
-constexpr int kUnitProbes = -4;
 
 double UnitBaseCard(const JoinGraph& graph, const PlanUnit& unit) {
   if (!unit.IsSingleRelation()) return unit.est_card;
@@ -162,27 +121,6 @@ void JoinGroups(const std::vector<PlanUnit>& units,
   }
 }
 
-void AppendUnitKey(const PlanUnit& unit, CandidateKey* key) {
-  if (unit.IsSingleRelation()) {
-    key->push_back(unit.SingleRelation());
-    return;
-  }
-  key->push_back(kOpen);
-  key->insert(key->end(), unit.key.begin(), unit.key.end());
-  key->push_back(kClose);
-}
-
-void KeyOf(const std::vector<PlanUnit>& units, const std::vector<Step>& steps,
-           CandidateKey* key) {
-  key->clear();
-  for (size_t i = 0; i < steps.size(); ++i) {
-    if (i > 0) {
-      key->push_back(steps[i].unit_builds ? kUnitBuilds : kUnitProbes);
-    }
-    AppendUnitKey(units[static_cast<size_t>(steps[i].unit)], key);
-  }
-}
-
 /// Build, renumber and push down the candidate `steps` describes.
 Plan BuildCandidate(const JoinGraph& graph, const std::vector<PlanUnit>& units,
                     const std::vector<Step>& steps) {
@@ -209,10 +147,8 @@ Plan BuildCandidate(const JoinGraph& graph, const std::vector<PlanUnit>& units,
 SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
                                        const std::vector<PlanUnit>& units,
                                        const std::vector<int>& members,
-                                       int fact, CoutModel* model,
-                                       CandidateMemo* memo) {
+                                       int fact, CoutModel* model) {
   BQO_CHECK(!members.empty());
-  BQO_CHECK(memo != nullptr);
   const PlanUnit& fact_unit = units[static_cast<size_t>(fact)];
 
   if (members.size() == 1) {
@@ -223,7 +159,6 @@ SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
     SnowflakeChoice choice;
     choice.root_card = model->Compute(plan).node_output[0];
     choice.fragment = std::move(plan.root);
-    choice.key = fact_unit.key;
     return choice;
   }
 
@@ -276,27 +211,19 @@ SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
     return a.unit_idxs < b.unit_idxs;
   });
 
-  // Every candidate is described by its steps and keyed from them; the
-  // memo builds only unseen keys, and only the winner is copied out.
+  // Every candidate is described by its steps, built from them, costed,
+  // and kept only while it is the cheapest so far.
   std::vector<Step> steps;
-  CandidateKey key;
-  const Plan* best_plan = nullptr;
-  CandidateKey best_key;
+  Plan best_plan;
   double best = std::numeric_limits<double>::infinity();
   double best_card = 0;
   auto consider = [&]() {
-    KeyOf(units, steps, &key);
-    Plan* plan = memo->Find(key);
-    if (plan == nullptr) {
-      plan = memo->Insert(key, BuildCandidate(graph, units, steps));
-    }
-    plan->graph = &graph;
-    const CoutBreakdown b = model->Compute(*plan);
+    Plan plan = BuildCandidate(graph, units, steps);
+    const CoutBreakdown b = model->Compute(plan);
     if (b.total < best) {
       best = b.total;
       best_card = b.node_output[0];
-      best_plan = plan;
-      best_key = key;
+      best_plan = std::move(plan);
     }
   };
 
@@ -332,16 +259,12 @@ SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
   }
 
   SnowflakeChoice choice;
-  choice.fragment = ClonePlanNode(*best_plan->root);
-  choice.key = std::move(best_key);
+  choice.fragment = std::move(best_plan.root);
   choice.root_card = best_card;
   return choice;
 }
 
-Plan OptimizeBqo(const JoinGraph& graph, CoutModel* model,
-                 CandidateMemo* memo) {
-  CandidateMemo private_memo;
-  if (memo == nullptr) memo = &private_memo;
+Plan OptimizeBqo(const JoinGraph& graph, CoutModel* model) {
   std::vector<PlanUnit> units = MakeLeafUnits(graph);
   std::vector<int> active;
   for (size_t i = 0; i < units.size(); ++i) {
@@ -393,14 +316,13 @@ Plan OptimizeBqo(const JoinGraph& graph, CoutModel* model,
     }
 
     SnowflakeChoice sub =
-        OptimizeSnowflakeUnits(graph, units, members, fact, model, memo);
+        OptimizeSnowflakeUnits(graph, units, members, fact, model);
 
     // Collapse the members into one optimized composite unit.
     PlanUnit composite;
     composite.rels = sub.fragment->rel_set;
     composite.optimized = true;
     composite.est_card = sub.root_card;
-    composite.key = std::move(sub.key);
     composite.fragment = std::move(sub.fragment);
 
     std::vector<int> next_active;

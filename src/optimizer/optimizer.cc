@@ -31,9 +31,9 @@ const char* OptimizerModeName(OptimizerMode mode) {
 namespace {
 
 Plan ExhaustiveBitvectorAware(const JoinGraph& graph, CoutModel* model,
-                              CandidateMemo* memo, size_t limit) {
+                              size_t limit) {
   if (CountRightDeepOrders(graph, limit + 1) > limit) {
-    return OptimizeBqo(graph, model, memo);
+    return OptimizeBqo(graph, model);
   }
   Plan best;
   double best_cost = std::numeric_limits<double>::infinity();
@@ -51,37 +51,41 @@ Plan ExhaustiveBitvectorAware(const JoinGraph& graph, CoutModel* model,
 
 }  // namespace
 
-Plan OrderJoins(const JoinGraph& graph, OptimizerSession* session) {
-  const OptimizerOptions& options = session->options;
-  EstimatedCoutModel* aware_model = &session->aware_model;
+Plan OrderJoins(const JoinGraph& graph, const OptimizerOptions& options,
+                EstimatedCoutModel* model) {
   DpOptions dp;
   dp.max_dp_relations = options.max_dp_relations;
+  // Filter-blind costing for the baseline orders (fp_rate is moot: no
+  // filters are placed while they are enumerated).
+  auto baseline = [&] {
+    EstimatedCoutModel blind(model->stats(), /*fp_rate=*/0.0);
+    return OptimizeDpBaseline(graph, &blind, dp);
+  };
 
   Plan plan;
   switch (options.mode) {
     case OptimizerMode::kBaselinePostProcess:
     case OptimizerMode::kNoBitvectors: {
       // Join order chosen blind to filters; Algorithm 1 as post-processing.
-      plan = OptimizeDpBaseline(graph, &session->blind_model, dp);
+      plan = baseline();
       break;
     }
     case OptimizerMode::kBqoShallow: {
-      plan = OptimizeBqo(graph, aware_model, &session->memo);
+      plan = OptimizeBqo(graph, model);
       break;
     }
     case OptimizerMode::kAlternativePlan: {
-      Plan baseline = OptimizeDpBaseline(graph, &session->blind_model, dp);
-      PushDownBitvectors(&baseline);
-      const double baseline_cost = aware_model->Cout(baseline);
-      Plan bqo = OptimizeBqo(graph, aware_model, &session->memo);
+      Plan blind_plan = baseline();
+      PushDownBitvectors(&blind_plan);
+      const double baseline_cost = model->Cout(blind_plan);
+      Plan bqo = OptimizeBqo(graph, model);
       PushDownBitvectors(&bqo);
-      const double bqo_cost = aware_model->Cout(bqo);
-      plan = bqo_cost <= baseline_cost ? std::move(bqo) : std::move(baseline);
+      const double bqo_cost = model->Cout(bqo);
+      plan = bqo_cost <= baseline_cost ? std::move(bqo) : std::move(blind_plan);
       break;
     }
     case OptimizerMode::kExhaustive: {
-      plan = ExhaustiveBitvectorAware(graph, aware_model, &session->memo,
-                                      options.exhaustive_limit);
+      plan = ExhaustiveBitvectorAware(graph, model, options.exhaustive_limit);
       break;
     }
   }
@@ -94,40 +98,43 @@ Plan OrderJoins(const JoinGraph& graph, OptimizerSession* session) {
   return plan;
 }
 
-int PruneFilters(Plan* plan, OptimizerSession* session) {
-  const OptimizerOptions& options = session->options;
+int PruneFilters(Plan* plan, const OptimizerOptions& options,
+                 EstimatedCoutModel* model) {
   if (options.mode == OptimizerMode::kNoBitvectors ||
       options.lambda_thresh < 0) {
     return 0;
   }
-  return PruneIneffectiveFilters(plan, &session->aware_model,
-                                 options.lambda_thresh);
+  return PruneIneffectiveFilters(plan, model, options.lambda_thresh);
 }
 
-OptimizedQuery OptimizeQuery(const JoinGraph& graph,
-                             OptimizerSession* session) {
-  const auto start = std::chrono::steady_clock::now();
+OptimizedQuery FinishOptimization(Plan plan, int pruned_filters,
+                                  const OptimizerOptions& options,
+                                  EstimatedCoutModel* model) {
   OptimizedQuery result;
-  result.plan = OrderJoins(graph, session);
-  result.pruned_filters = PruneFilters(&result.plan, session);
-  if (session->options.mode != OptimizerMode::kNoBitvectors) {
+  result.plan = std::move(plan);
+  result.pruned_filters = pruned_filters;
+  if (options.mode != OptimizerMode::kNoBitvectors) {
     // With the menu of survivors settled, pick each filter's
     // implementation (annotation only; see FilterMenuOptions).
-    SelectFilterImplementations(&result.plan, &session->aware_model,
-                                session->options.filter_menu);
+    SelectFilterImplementations(&result.plan, model, options.filter_menu);
   }
-  result.estimated_cost = session->aware_model.Cout(result.plan);
-  result.optimize_ns =
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count();
+  result.estimated_cost = model->Cout(result.plan);
   return result;
 }
 
 OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
                              const OptimizerOptions& options) {
-  OptimizerSession session(stats, options);
-  return OptimizeQuery(graph, &session);
+  const auto start = std::chrono::steady_clock::now();
+  EstimatedCoutModel model(stats, options.filter_fp_rate);
+  Plan plan = OrderJoins(graph, options, &model);
+  const int pruned = PruneFilters(&plan, options, &model);
+  OptimizedQuery result =
+      FinishOptimization(std::move(plan), pruned, options, &model);
+  result.optimize_ns =
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count();
+  return result;
 }
 
 }  // namespace bqo

@@ -50,24 +50,6 @@ struct OptimizerOptions {
   /// Bloom — whose probe-cost/FPR trade minimizes its cost
   /// (PlanFilter::chosen_kind). Part of the plan's cache identity.
   FilterMenuOptions filter_menu;
-
-  // ---- Parameterized-plan validity band (src/optimizer/parameterized.h;
-  // not part of the plan's cache identity — they bound reuse, they don't
-  // change the plan optimization produces) ----
-
-  /// Widest selectivity band for re-bound plan reuse: a cached join order
-  /// is served while each re-bound relation's selectivity stays within
-  /// this factor (up or down) of its optimize-time value — tightened per
-  /// relation by probe re-optimizations (below). <= 1 disables banded
-  /// reuse: any moved constant escalates to full re-optimization.
-  /// Env overlay: BQO_SEL_BAND (ApplyServingEnvOverrides).
-  double reopt_sel_band = 4.0;
-  /// Probe re-optimizations per direction per predicated relation when
-  /// deriving the band: selectivity is scaled to geometric steps of
-  /// reopt_sel_band and the optimizer re-run; the band edge is the last
-  /// step at which the chosen join order and unpruned filter menu were
-  /// unchanged. 0 = skip probing and trust reopt_sel_band as-is.
-  int band_probe_steps = 2;
 };
 
 struct OptimizedQuery {
@@ -80,40 +62,30 @@ struct OptimizedQuery {
   int64_t optimize_ns = 0;
 };
 
-/// \brief What consecutive optimizer runs over one graph and its
-/// cardinality-only variants share (src/optimizer/parameterized.h): the
-/// cost models, whose base-distinct memo and scratch are filled once, and
-/// Algorithm 2's candidate memo (bqo.h). Runs over graphs of another
-/// structure need a session of their own. Not thread-safe.
-struct OptimizerSession {
-  OptimizerSession(StatsCatalog* stats, const OptimizerOptions& opts)
-      : options(opts),
-        blind_model(stats, /*fp_rate=*/0.0),
-        aware_model(stats, opts.filter_fp_rate) {}
-
-  OptimizerOptions options;
-  EstimatedCoutModel blind_model;  ///< costs baseline (filter-blind) orders
-  EstimatedCoutModel aware_model;  ///< bitvector-aware
-  CandidateMemo memo;
-};
-
 /// \brief Optimize `graph` under `options`. The result plan is fully
 /// annotated (Algorithm 1 push-down done, ineffective filters pruned) and
-/// ready for ExecutePlan. Runs in a fresh OptimizerSession.
+/// ready for ExecutePlan: OrderJoins, PruneFilters, then
+/// FinishOptimization, all costed with one bitvector-aware model.
 OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
                              const OptimizerOptions& options = {});
 
-/// \brief OptimizeQuery within `session`: OrderJoins, PruneFilters, then
-/// each surviving filter's implementation and the final estimated cost.
-OptimizedQuery OptimizeQuery(const JoinGraph& graph,
-                             OptimizerSession* session);
-
-/// \brief The join order session->options.mode picks, with Algorithm 1's
-/// filters pushed down (cleared under kNoBitvectors) and none pruned yet.
-Plan OrderJoins(const JoinGraph& graph, OptimizerSession* session);
+/// \brief The join order options.mode picks, with Algorithm 1's filters
+/// pushed down (cleared under kNoBitvectors) and none pruned yet. `model`
+/// is the bitvector-aware model (its StatsCatalog also backs the blind
+/// model the baseline modes order with).
+Plan OrderJoins(const JoinGraph& graph, const OptimizerOptions& options,
+                EstimatedCoutModel* model);
 
 /// \brief Cost-based pruning of OrderJoins' filters (a no-op when
 /// lambda_thresh < 0 or under kNoBitvectors); returns the number pruned.
-int PruneFilters(Plan* plan, OptimizerSession* session);
+int PruneFilters(Plan* plan, const OptimizerOptions& options,
+                 EstimatedCoutModel* model);
+
+/// \brief What OptimizeQuery runs after PruneFilters: each surviving
+/// filter's implementation (FilterMenuOptions) and the final estimated
+/// cost. optimize_ns is left 0 for the caller to stamp.
+OptimizedQuery FinishOptimization(Plan plan, int pruned_filters,
+                                  const OptimizerOptions& options,
+                                  EstimatedCoutModel* model);
 
 }  // namespace bqo

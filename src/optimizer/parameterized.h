@@ -3,96 +3,79 @@
 // A serving workload sends the same query *template* with varying literals.
 // Re-running the optimizer per instance wastes the paper's Section 6.5
 // overhead; blindly reusing the first instance's plan risks serving a join
-// order chosen for very different selectivities. The paper's robustness
-// observation — the bitvector-aware plan stays (near-)optimal while the
-// estimated filter lambdas stay near their optimize-time values — gives
-// the reuse rule implemented here:
+// order chosen for very different selectivities. The reuse rule here is
+// verification on demand:
 //
-//  * OptimizeParameterized records, next to the optimized plan, the
-//    constant slot table it was bound under, each relation's optimize-time
-//    selectivity, and every filter's estimated lambda.
-//  * For each relation whose predicate has constant slots it derives a
-//    **validity band**: the selectivity range within which re-running the
-//    optimizer still picks the same join order and the same unpruned
-//    filter menu. The band is found by probe re-optimizations at geometric
-//    steps of OptimizerOptions::reopt_sel_band (scaling that relation's
-//    filtered_rows and re-optimizing); the edge is the last stable step.
-//
-// One call is one **probe session** (OptimizerSession, optimizer.h): the
-// base run and every probe share one aware and one blind cost model (the
-// raw-distinct memo is filled once), one copy of the graph (each probe sets
-// one relation's filtered_rows and restores it), and Algorithm 2's
-// candidate memo (bqo.h). A probe derives each candidate's structural key
-// from integers, re-costs a remembered plan on a hit, and builds and pushes
-// down only unseen candidates. The memo has two generations: the base
-// run's candidates live for the whole call, and each probe's replace the
-// probe before's, so it holds about twice the base run's candidate count.
-// A probe also computes only what its verdict reads: it compares the join
-// order before pruning and prunes only on a match, skips the filter menu
-// and the final cost, and repeats the previous probe's verdict when the
-// clamped cardinality did not move. Every cost comes from the same Compute
-// on a structurally identical plan, so bands, plans, lambdas and costs are
-// bit-identical to re-optimizing each probe from scratch
-// (tests/test_plan_shape_cache.cc, ProbeSessionParity).
-//
-// The serving layer (src/server/plan_cache.h) then re-binds new constants
-// into the cached shape, re-estimates only the moved relations, and serves
-// the cached join order iff every moved selectivity lands inside its band
-// — escalating to full re-optimization otherwise.
+//  * OptimizeParameterized is one OptimizeQuery plus annotations: the
+//    constant slot table the plan was bound under, every filter's
+//    estimated lambda (the drift reference of src/server/plan_cache.h),
+//    and the optimize-time selectivity (filtered_rows / base_rows) of
+//    every relation — the first point of the plan's **verified region**,
+//    the selectivity vectors at which it is known to be the optimizer's
+//    choice.
+//  * The plan cache grows the region only by checking a moved point: one
+//    OrderJoins + PruneFilters on the rebound graph, compared with the
+//    cached plan by PlanChoiceKey. Nothing is probed up front, so a plan
+//    that is never reused costs exactly one optimization.
+//  * The region is a set of points, not a box or per-relation bands: the
+//    choice is not convex in selectivity. Along one relation the shipped
+//    optimizer can pick plan X, then Y, then X again as the selectivity
+//    grows (JOB-lite q014), and a point verified with two relations moved
+//    spans a box with a corner where another plan wins (CUSTOMER-lite
+//    q065); tests/test_plan_shape_cache.cc, LazyBandParity, pins both.
+//  * When the check picks another plan, FinishParameterized completes that
+//    run into the replacement entry, bit-identical to OptimizeParameterized
+//    on the same graph, so the join order is never searched twice.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "src/optimizer/optimizer.h"
 
 namespace bqo {
 
-/// \brief Selectivity range [lo, hi] (filtered_rows / base_rows) within
-/// which a cached plan's join order and filter menu remain the optimizer's
-/// choice for one relation. Slotless relations get the degenerate full
-/// band [0, 1] — their selectivity cannot move without a shape change.
-struct SelectivityBand {
-  double lo = 0.0;
-  double hi = 1.0;
-
-  bool Contains(double sel) const { return sel >= lo && sel <= hi; }
-};
-
 /// \brief An optimized plan plus the slot/selectivity annotations the
-/// plan-shape cache needs to re-bind and validity-check it. All vectors
-/// indexed by relation, except estimated_lambda (by filter id).
+/// plan-shape cache needs to re-bind and verify it. Vectors are indexed by
+/// relation, except estimated_lambda (by filter id).
 struct ParameterizedPlan {
   OptimizedQuery optimized;
-  /// Wall time of the whole OptimizeParameterized call: the base
-  /// OptimizeQuery (optimized.optimize_ns) plus every band probe — what a
+  /// Wall time of the whole call that produced this plan — what a
   /// plan-cache miss costs and a hit saves.
   int64_t optimize_ns = 0;
   /// Constant slot table the plan was optimized under (one vector per
   /// relation — which selectivity estimate depends on which slots).
   std::vector<std::vector<Value>> constants;
-  /// Optimize-time selectivity per relation (filtered_rows / base_rows).
+  /// Optimize-time selectivity per relation (RelationSelectivity): the
+  /// first verified point (see the module comment).
   std::vector<double> optimize_sel;
-  /// Validity band per relation (see module comment).
-  std::vector<SelectivityBand> bands;
   /// Estimated elimination fraction per filter id at optimize time — the
   /// reference the feedback EWMA drifts against (pruned filters: 0).
   std::vector<double> estimated_lambda;
-  /// Band probes re-optimized (verdicts repeated for an unmoved clamped
-  /// cardinality are not counted).
-  int64_t probes = 0;
-  /// Algorithm 2 candidates the session re-costed from its memo / built,
-  /// base run and probes together. Deterministic for a given graph.
-  int64_t reused_candidates = 0;
-  int64_t built_candidates = 0;
 };
 
-/// \brief Optimize `graph` (which must have statistics attached) and
-/// derive the reuse annotations. Costs the base OptimizeQuery plus up to
-/// `band_probe_steps`+1 probe re-optimizations per direction per
-/// predicated relation, all in one probe session — paid on cache misses
-/// only.
+/// \brief Selectivity (filtered_rows / base_rows, clamped to [0, 1]) of
+/// relation `r` of `graph` — a coordinate of a verified point.
+double RelationSelectivity(const JoinGraph& graph, int r);
+
+/// \brief Structural identity of an optimization outcome: the join tree
+/// over relation indices (aliases excluded) plus the unpruned filter menu
+/// (source join and application site). Two runs over graphs of one shape
+/// with equal keys made the same choice.
+std::string PlanChoiceKey(const Plan& plan);
+
+/// \brief OptimizeQuery on `graph` (which must have statistics attached)
+/// plus the reuse annotations.
 ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
                                         StatsCatalog* stats,
                                         const OptimizerOptions& options);
+
+/// \brief Complete a plan that OrderJoins + PruneFilters produced on
+/// `*plan.graph` (pruning `pruned_filters` filters) and annotate it: the
+/// result equals OptimizeParameterized on that graph, bit for bit.
+/// optimize_ns covers this call only.
+ParameterizedPlan FinishParameterized(Plan plan, int pruned_filters,
+                                      StatsCatalog* stats,
+                                      const OptimizerOptions& options);
 
 }  // namespace bqo

@@ -12,7 +12,6 @@ std::vector<PlanUnit> MakeLeafUnits(const JoinGraph& graph) {
     unit.rels = RelBit(r);
     unit.fragment = MakeLeaf(graph, r);
     unit.est_card = std::max(graph.relation(r).filtered_rows, 1.0);
-    unit.key = {r};
     units.push_back(std::move(unit));
   }
   return units;

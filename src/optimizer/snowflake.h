@@ -23,9 +23,6 @@ struct PlanUnit {
   std::unique_ptr<PlanNode> fragment;
   double est_card = 0;   ///< estimated output cardinality (local filters only)
   bool optimized = false;  ///< composite produced by a previous round
-  /// Structural identity of `fragment` (CandidateKey in bqo.h): {relation}
-  /// for a leaf unit, the winning candidate's key for a composite.
-  std::vector<int> key;
 
   bool IsSingleRelation() const { return RelSetCount(rels) == 1; }
   int SingleRelation() const { return __builtin_ctzll(rels); }

@@ -1,6 +1,7 @@
 #include "src/server/plan_cache.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -9,8 +10,24 @@
 
 namespace bqo {
 
-PlanCache::PlanCache(PlanCacheOptions options)
-    : options_(options), capacity_(std::max<size_t>(1, options.capacity)) {}
+PlanCache::PlanCache(PlanCacheOptions options, MetricsRegistry* registry)
+    : options_(options), capacity_(std::max<size_t>(1, options.capacity)) {
+  if (registry == nullptr) {
+    own_registry_ = std::make_unique<MetricsRegistry>();
+    registry = own_registry_.get();
+  }
+  hits_ = registry->GetCounter("bqo_plan_cache_hits");
+  misses_ = registry->GetCounter("bqo_plan_cache_misses");
+  evictions_ = registry->GetCounter("bqo_plan_cache_evictions");
+  invalidations_ = registry->GetCounter("bqo_plan_cache_invalidations");
+  shape_hits_ = registry->GetCounter("bqo_plan_cache_shape_hits");
+  rebinds_ = registry->GetCounter("bqo_plan_cache_rebinds");
+  verifications_ = registry->GetCounter("bqo_plan_cache_verifications");
+  reoptimizations_ = registry->GetCounter("bqo_plan_cache_reoptimizations");
+  drift_invalidations_ =
+      registry->GetCounter("bqo_plan_cache_drift_invalidations");
+  entries_gauge_ = registry->GetGauge("bqo_plan_cache_entries");
+}
 
 PlanCache::PlanCache(size_t capacity)
     : PlanCache([capacity] {
@@ -22,8 +39,7 @@ PlanCache::PlanCache(size_t capacity)
 std::string PlanCache::ShapeSignature(const JoinGraph& graph,
                                       const OptimizerOptions& options) {
   // Optimizer knobs first — they change the produced plan, so they are
-  // part of the identity of the cached artifact. The band/drift knobs are
-  // deliberately absent: they bound reuse, not the plan itself.
+  // part of the identity of the cached artifact.
   std::string sig = StringFormat(
       "mode=%s;lambda=%.9g;fp=%.9g;dp=%d;exh=%zu;"
       "menu=%d;mbits=%.9g;mcf=%.9g/%.9g;mcp=%.9g",
@@ -41,6 +57,8 @@ std::string PlanCache::ShapeSignature(const JoinGraph& graph,
 PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
                                            int64_t catalog_version,
                                            const JoinGraph& query_graph,
+                                           StatsCatalog* stats,
+                                           const OptimizerOptions& options,
                                            QueryTrace* trace) {
   LookupOutcome out;
   {
@@ -51,21 +69,20 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
     }
     auto it = entries_.find(shape_signature);
     if (it == entries_.end()) {
-      ++stats_.misses;
+      misses_->Increment();
       return out;  // kMiss
     }
-    ++stats_.shape_hits;
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);  // bump to MRU
     out.entry = it->second.entry;
   }
+  shape_hits_->Increment();
   const CachedPlan& entry = *out.entry;
 
-  // The classification below runs outside mu_: entries are immutable but
-  // for the feedback block, and re-estimation evaluates predicates over
-  // base tables — far too heavy for the cache lock.
+  // The classification below runs outside mu_: re-estimation evaluates
+  // predicates over base tables and a verification orders joins — far too
+  // heavy for the cache lock.
   auto refuse = [&] {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.reoptimizations;
+    reoptimizations_->Increment();
     out.kind = LookupOutcome::Kind::kReoptimize;
     return out;
   };
@@ -84,46 +101,79 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
   if (moved.empty()) {
     // Exact-constant hit — the degenerate (zero moved slots) case: serve
     // the shared entry itself, as the pre-shape cache did.
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.hits;
+    hits_->Increment();
     out.kind = LookupOutcome::Kind::kServed;
     out.instance = out.entry;
     return out;
   }
 
-  // Re-bind: private instance with the cached join order, the query's
-  // predicates, and fresh selectivities for the moved relations only.
+  // Re-bind: private instance with the query's predicates and fresh
+  // selectivities for the moved relations only.
   ScopedSpan rebind_span(trace, SpanKind::kRebind, "rebind");
   auto inst = std::make_shared<CachedPlan>();
   inst->graph = entry.graph;  // optimize-time constants + statistics
+  std::vector<double> sel;  // by position in `moved`
   for (int r : moved) {
-    RelationRef& rel = inst->graph.relation(r);
-    rel.predicate = query_graph.relation(r).predicate;
+    inst->graph.relation(r).predicate = query_graph.relation(r).predicate;
     AttachRelationStatistics(&inst->graph, r);  // only the moved slots
-    const double base = std::max(rel.base_rows, 1.0);
-    const double sel = std::clamp(rel.filtered_rows / base, 0.0, 1.0);
-    if (!entry.bands[static_cast<size_t>(r)].Contains(sel)) {
-      // Out of the validity band: the cached join order is not known to
-      // be the optimizer's choice at this selectivity. Escalate.
-      return refuse();
-    }
+    sel.push_back(RelationSelectivity(inst->graph, r));
   }
   // Aliases are naming, not semantics (excluded from the shape), but the
   // served instance should carry the query's names in labels and metrics.
   for (int r = 0; r < inst->graph.num_relations(); ++r) {
     inst->graph.relation(r).alias = query_graph.relation(r).alias;
   }
+
+  // The query's point: the entry's selectivities, moved relations
+  // replaced.
+  std::vector<double> point = entry.optimize_sel;
+  for (size_t i = 0; i < moved.size(); ++i) {
+    point[static_cast<size_t>(moved[i])] = sel[i];
+  }
+  bool verified;
+  {
+    std::lock_guard<std::mutex> lock(entry.verify_mu);
+    verified = std::find(entry.verified.begin(), entry.verified.end(),
+                         point) != entry.verified.end();
+  }
+  if (!verified) {
+    // Outside the verified region: is the cached plan still the choice
+    // at this point?
+    ScopedSpan verify_span(trace, SpanKind::kOptimize, "verify");
+    const auto start = std::chrono::steady_clock::now();
+    EstimatedCoutModel model(stats, options.filter_fp_rate);
+    Plan plan = OrderJoins(inst->graph, options, &model);
+    const int pruned = PruneFilters(&plan, options, &model);
+    verifications_->Increment();
+    if (PlanChoiceKey(plan) != entry.choice_key) {
+      inst->plan = std::move(plan);
+      inst->pruned_filters = pruned;
+      inst->optimize_ns =
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - start)
+              .count();
+      out.reordered = std::move(inst);
+      return refuse();
+    }
+    std::lock_guard<std::mutex> lock(entry.verify_mu);
+    std::vector<std::vector<double>>& points = entry.verified;
+    if (std::find(points.begin(), points.end(), point) == points.end()) {
+      // Concurrent lookups may verify one point twice; keep it once.
+      if (points.size() >= CachedPlan::kMaxVerifiedPoints) {
+        points.erase(points.begin() + 1);  // keep the optimize point
+      }
+      points.push_back(std::move(point));
+    }
+  }
+
   inst->plan = entry.plan.Clone();
   inst->plan.graph = &inst->graph;
   inst->estimated_cost = entry.estimated_cost;
   inst->pruned_filters = entry.pruned_filters;
   inst->optimize_ns = entry.optimize_ns;
 
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.hits;
-    ++stats_.rebinds;
-  }
+  hits_->Increment();
+  rebinds_->Increment();
   out.kind = LookupOutcome::Kind::kServed;
   out.instance = std::move(inst);
   out.rebound = true;
@@ -142,7 +192,8 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   entry->optimize_ns = optimized.optimize_ns;
   entry->constants = std::move(optimized.constants);
   entry->optimize_sel = std::move(optimized.optimize_sel);
-  entry->bands = std::move(optimized.bands);
+  entry->choice_key = PlanChoiceKey(entry->plan);
+  entry->verified = {entry->optimize_sel};
   entry->estimated_lambda = std::move(optimized.estimated_lambda);
   entry->lambda_ewma.assign(entry->estimated_lambda.size(), -1.0);
 
@@ -153,7 +204,7 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   }
   auto it = entries_.find(shape_signature);
   if (it != entries_.end()) {
-    // Replace: the re-optimization escalation swaps the stale/out-of-band
+    // Replace: the re-optimization escalation swaps the stale or refused
     // entry for the fresh one. (A concurrent double-optimize lands here
     // too; both entries are fresh and equivalent, so last-wins is fine.)
     it->second.entry = entry;
@@ -163,10 +214,11 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   while (entries_.size() >= capacity_) {
     entries_.erase(lru_.back());
     lru_.pop_back();
-    ++stats_.evictions;
+    evictions_->Increment();
   }
   lru_.push_front(shape_signature);
   entries_.emplace(shape_signature, Slot{entry, lru_.begin()});
+  entries_gauge_->Set(static_cast<int64_t>(entries_.size()));
   return entry;
 }
 
@@ -195,15 +247,15 @@ void PlanCache::RecordObservedLambdas(
   // exchange, not store: drift_invalidations counts entries marked, not
   // post-stale executions that drift again.
   if (drifted && !entry->stale.exchange(true)) {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.drift_invalidations;
+    drift_invalidations_->Increment();
   }
 }
 
 void PlanCache::InvalidateLocked() {
   entries_.clear();
   lru_.clear();
-  ++stats_.invalidations;
+  entries_gauge_->Set(0);
+  invalidations_->Increment();
 }
 
 void PlanCache::Invalidate() {
@@ -212,9 +264,17 @@ void PlanCache::Invalidate() {
 }
 
 PlanCacheStats PlanCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  PlanCacheStats out = stats_;
-  out.entries = static_cast<int64_t>(entries_.size());
+  PlanCacheStats out;
+  out.hits = hits_->Value();
+  out.misses = misses_->Value();
+  out.evictions = evictions_->Value();
+  out.invalidations = invalidations_->Value();
+  out.entries = entries_gauge_->Value();
+  out.shape_hits = shape_hits_->Value();
+  out.rebinds = rebinds_->Value();
+  out.verifications = verifications_->Value();
+  out.reoptimizations = reoptimizations_->Value();
+  out.drift_invalidations = drift_invalidations_->Value();
   return out;
 }
 

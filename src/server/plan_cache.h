@@ -19,20 +19,28 @@
 // caps). A query whose predicates have no constant slots degenerates to
 // the old exact-match cache: its lookups always compare equal.
 //
-// == Lookup = match + re-bind + validity check ==
+// == Lookup = match + re-bind + verify on demand ==
 //
 // Lookup matches on shape, then compares the query's constant slot table
 // against the entry's. Identical constants: the entry itself is served
 // (zero-copy, the degenerate exact hit). Moved constants: the entry's
 // graph is copied, the query's predicates installed, and **only the moved
 // relations'** selectivities re-estimated (AttachRelationStatistics —
-// exact single-table cardinalities); if every moved selectivity lands
-// inside the entry's validity band (derived by probe re-optimizations,
-// src/optimizer/parameterized.h) and the entry is not stale, a private
-// executable instance with the cached join order is served (`rebinds`).
-// Out-of-band, stale, or mismatched slots escalate: the caller must run
-// OptimizeParameterized and Insert, which *replaces* the entry
-// (`reoptimizations`).
+// exact single-table cardinalities). Then:
+//
+//  * the query's selectivity vector is a point of the entry's verified
+//    region (src/optimizer/parameterized.h): a private executable instance
+//    with the cached join order is served (`rebinds`);
+//  * otherwise one OrderJoins + PruneFilters runs on the rebound graph
+//    (`verifications`) and its PlanChoiceKey is compared with the entry's.
+//    A match is served as a rebind and adds the point to the region; a
+//    mismatch escalates (`reoptimizations`) carrying the run's plan, which
+//    the caller finishes with FinishParameterized and Insert — no second
+//    join-order search.
+//
+// A stale entry or mismatched slot table escalates without a run; the
+// caller then runs OptimizeParameterized. Insert *replaces* the entry
+// either way.
 //
 // == Feedback ==
 //
@@ -53,8 +61,9 @@
 // executing, and executing a cached plan is read-only (CompilePlan/
 // ExecutePlan build fresh operator trees and a fresh FilterRuntime per
 // execution), so any number of clients may run the same entry at once.
-// The only mutable entry state is the feedback block (EWMA + stale flag),
-// guarded by its own mutex / atomic.
+// The mutable entry state is the feedback block (EWMA + stale flag) and
+// the verified region, each guarded by its own mutex (the stale flag is an
+// atomic).
 //
 // == Invalidation ==
 //
@@ -62,8 +71,14 @@
 // bump it via Catalog::BumpVersion). A lookup under a newer version
 // flushes the cache — cached plans bind Table pointers and
 // statistics-derived join orders, either of which the change may have
-// invalidated. Counters are reported as PlanCacheStats (src/exec/
-// metrics.h).
+// invalidated.
+//
+// == Counters ==
+//
+// Every outcome is counted where it happens, as a registry counter
+// (bqo_plan_cache_<field>, src/obs/metrics_registry.h; entries is a
+// gauge), so exports are monotonic and rate() works. stats() reads them
+// back as PlanCacheStats (src/exec/metrics.h).
 #pragma once
 
 #include <atomic>
@@ -76,14 +91,15 @@
 #include <vector>
 
 #include "src/exec/metrics.h"
+#include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
 #include "src/optimizer/parameterized.h"
 
 namespace bqo {
 
 /// \brief One cached (or privately rebound) plan: the optimized plan, the
-/// owned graph copy it is bound to, the slot/band annotations reuse keys
-/// on, and the optimize-time measurements a hit amortizes.
+/// owned graph copy it is bound to, the slot/selectivity annotations reuse
+/// keys on, and the optimize-time measurements a hit amortizes.
 struct CachedPlan {
   JoinGraph graph;  ///< owned copy; plan.graph points at this member
   Plan plan;
@@ -96,10 +112,21 @@ struct CachedPlan {
   // ---- Reuse annotations (src/optimizer/parameterized.h) ----
   std::vector<std::vector<Value>> constants;  ///< optimize-time slot table
   std::vector<double> optimize_sel;           ///< per relation
-  std::vector<SelectivityBand> bands;         ///< per relation
+  std::string choice_key;                     ///< PlanChoiceKey(plan)
   std::vector<double> estimated_lambda;       ///< per filter id
 
-  // ---- Feedback block: the only mutable state of a shared entry ----
+  // ---- Verified region: grown by matched verifications ----
+  /// Bounds an entry's memory under literals that never repeat. Dropping
+  /// a point costs one verification when it returns, never a wrong plan.
+  static constexpr size_t kMaxVerifiedPoints = 16;
+  /// Selectivity vectors (one value per relation) at which `plan` is the
+  /// optimizer's choice: optimize_sel first, then the most recently
+  /// verified points, oldest dropped first past kMaxVerifiedPoints.
+  /// Guarded by verify_mu.
+  mutable std::vector<std::vector<double>> verified;
+  mutable std::mutex verify_mu;
+
+  // ---- Feedback block ----
   /// Observed-lambda EWMA per filter id (< 0 = no samples yet); guarded
   /// by feedback_mu.
   mutable std::vector<double> lambda_ewma;
@@ -122,7 +149,10 @@ struct PlanCacheOptions {
 
 class PlanCache {
  public:
-  explicit PlanCache(PlanCacheOptions options);
+  /// \brief Counters register in `registry` (borrowed; must outlive the
+  /// cache), or in a registry of the cache's own when null.
+  explicit PlanCache(PlanCacheOptions options,
+                     MetricsRegistry* registry = nullptr);
   /// \brief Convenience: default drift knobs with this LRU capacity.
   explicit PlanCache(size_t capacity);
 
@@ -131,8 +161,9 @@ class PlanCache {
     enum class Kind {
       kMiss,        ///< shape absent: optimize + Insert
       kServed,      ///< `instance` is executable (exact or rebound)
-      kReoptimize,  ///< shape present but reuse refused: optimize + Insert
-                    ///< (which replaces the entry)
+      kReoptimize,  ///< shape present but reuse refused: optimize (or
+                    ///< finish `reordered`) + Insert, which replaces the
+                    ///< entry
     };
     Kind kind = Kind::kMiss;
     /// kServed: the plan to execute — the cache entry itself on an
@@ -143,6 +174,11 @@ class PlanCache {
     std::shared_ptr<const CachedPlan> entry;
     /// kServed: true when >= 1 constant slot moved and was re-bound.
     bool rebound = false;
+    /// kReoptimize after a verification that picked another plan: the
+    /// query's rebound graph with that run's plan (ordered and pruned;
+    /// pruned_filters set, optimize_ns = the run's wall time). Finish it
+    /// with FinishParameterized and Insert its graph. Null otherwise.
+    std::shared_ptr<CachedPlan> reordered;
   };
 
   /// \brief Shape lookup + constant re-bind for `query_graph` (bound
@@ -150,14 +186,18 @@ class PlanCache {
   /// moved relations are re-estimated, against the entry's recorded
   /// values). `catalog_version` is the current Catalog::version(); if it
   /// differs from the version the cache last saw, every entry is flushed
-  /// first (counted as one invalidation) and the lookup misses. `trace`
-  /// (optional) records the re-bind work as a span (src/obs/trace.h).
+  /// first (counted as one invalidation) and the lookup misses. A
+  /// verification costs with `stats` under `options` (those the signature
+  /// was made with). `trace` (optional) records the re-bind work as a
+  /// span, a verification as an optimize span inside it (src/obs/trace.h).
   LookupOutcome Lookup(const std::string& shape_signature,
                        int64_t catalog_version, const JoinGraph& query_graph,
+                       StatsCatalog* stats, const OptimizerOptions& options,
                        QueryTrace* trace = nullptr);
 
   /// \brief Insert the result of optimizing `graph` under
-  /// `shape_signature`, copying the graph so the entry outlives the
+  /// `shape_signature` (OptimizeParameterized, or FinishParameterized of
+  /// a refused verification), copying the graph so the entry outlives the
   /// caller's; returns the entry (also handed to concurrent clients on
   /// later hits). Replaces an existing entry under the same signature —
   /// the re-optimization escalation path — and evicts the
@@ -199,7 +239,18 @@ class PlanCache {
   std::unordered_map<std::string, Slot> entries_;
   std::list<std::string> lru_;  ///< front = most recently used
   int64_t seen_catalog_version_ = -1;
-  PlanCacheStats stats_;
+
+  std::unique_ptr<MetricsRegistry> own_registry_;  ///< when none was given
+  Counter* hits_;
+  Counter* misses_;
+  Counter* evictions_;
+  Counter* invalidations_;
+  Counter* shape_hits_;
+  Counter* rebinds_;
+  Counter* verifications_;
+  Counter* reoptimizations_;
+  Counter* drift_invalidations_;
+  Gauge* entries_gauge_;  ///< set under mu_ whenever entries_ changes
 };
 
 }  // namespace bqo

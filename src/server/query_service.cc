@@ -26,11 +26,6 @@ QueryServiceOptions ApplyServingEnvOverrides(QueryServiceOptions options) {
     const long long cap = std::atoll(c);
     if (cap > 0) options.plan_cache_capacity = static_cast<size_t>(cap);
   }
-  if (const char* b = std::getenv("BQO_SEL_BAND")) {
-    // <= 1 is meaningful: banded reuse off, any moved constant
-    // re-optimizes.
-    options.optimizer.reopt_sel_band = std::atof(b);
-  }
   if (const char* m = std::getenv("BQO_DRIFT_MARGIN")) {
     // <= 0 is meaningful: the drift feedback loop is disabled.
     options.lambda_drift_margin = std::atof(m);
@@ -74,7 +69,7 @@ QueryService::QueryService(const Catalog* catalog, QueryServiceOptions options)
     : catalog_(catalog),
       options_(std::move(options)),
       stats_(catalog),
-      cache_(CacheOptionsFrom(options_)) {
+      cache_(CacheOptionsFrom(options_), &registry_) {
   if (options_.use_build_cache) {
     BuildCacheOptions bc;
     bc.max_bytes = options_.build_cache_mb << 20;
@@ -103,15 +98,6 @@ void QueryService::RegisterMetrics() {
       registry_.GetCounter("bqo_serving_slow_queries_total");
   query_latency_ms_ = registry_.GetHistogram("bqo_query_latency_ms");
   admission_wait_ms_ = registry_.GetHistogram("bqo_admission_wait_ms");
-  static const char* kPlanCacheNames[9] = {
-      "bqo_plan_cache_hits",          "bqo_plan_cache_misses",
-      "bqo_plan_cache_evictions",     "bqo_plan_cache_invalidations",
-      "bqo_plan_cache_entries",       "bqo_plan_cache_shape_hits",
-      "bqo_plan_cache_rebinds",       "bqo_plan_cache_reoptimizations",
-      "bqo_plan_cache_drift_invalidations"};
-  for (int i = 0; i < 9; ++i) {
-    plan_cache_gauges_[i] = registry_.GetGauge(kPlanCacheNames[i]);
-  }
   static const char* kBuildCacheNames[8] = {
       "bqo_build_cache_lookups",   "bqo_build_cache_hits",
       "bqo_build_cache_misses",    "bqo_build_cache_single_flight_waits",
@@ -345,8 +331,9 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
         // lookup) — re-reading here would stamp a stale plan with the new
         // version and serve it forever.
         ScopedSpan lookup_span(trace, SpanKind::kPlanCacheLookup, "lookup");
-        PlanCache::LookupOutcome looked =
-            cache_.Lookup(signature, planned_version, graph, trace);
+        PlanCache::LookupOutcome looked = cache_.Lookup(
+            signature, planned_version, graph, &stats_, options_.optimizer,
+            trace);
         lookup_span.End();
         if (looked.kind == PlanCache::LookupOutcome::Kind::kServed) {
           result.plan_cache_hit = true;
@@ -354,16 +341,28 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
           entry = std::move(looked.instance);
           feedback_entry = std::move(looked.entry);
         } else {
-          // Miss — or an escalation (out-of-band re-bound selectivity, or
-          // an entry gone stale under lambda drift), where Insert
-          // replaces the refused entry.
+          // Miss — or an escalation (a verification that picked another
+          // plan, or an entry gone stale under lambda drift), where Insert
+          // replaces the refused entry. A refused verification already
+          // ordered and pruned the query's plan: only finish it.
           ScopedSpan optimize_span(trace, SpanKind::kOptimize, "optimize");
-          AttachStatistics(&graph);
-          ParameterizedPlan optimized =
-              OptimizeParameterized(graph, &stats_, options_.optimizer);
+          ParameterizedPlan optimized;
+          const JoinGraph* optimized_graph = &graph;
+          if (looked.reordered != nullptr) {
+            CachedPlan& reordered = *looked.reordered;
+            optimized = FinishParameterized(std::move(reordered.plan),
+                                            reordered.pruned_filters,
+                                            &stats_, options_.optimizer);
+            optimized.optimize_ns += reordered.optimize_ns;
+            optimized_graph = &reordered.graph;
+          } else {
+            AttachStatistics(&graph);
+            optimized =
+                OptimizeParameterized(graph, &stats_, options_.optimizer);
+          }
           optimize_span.End();
           result.optimize_ns = optimized.optimize_ns;
-          entry = cache_.Insert(signature, planned_version, graph,
+          entry = cache_.Insert(signature, planned_version, *optimized_graph,
                                 std::move(optimized));
           feedback_entry = entry;
         }
@@ -482,15 +481,10 @@ void QueryService::FinishQuery(
 }
 
 std::string QueryService::DumpMetrics(MetricsFormat format) const {
-  // Mirror the component-owned counters into gauges, then render one
-  // snapshot. Each metric reads atomically (or under its component's own
-  // mutex), so a mid-run dump never sees a torn value.
-  const PlanCacheStats pc = cache_.stats();
-  const int64_t pc_values[9] = {
-      pc.hits,       pc.misses,  pc.evictions,
-      pc.invalidations, pc.entries, pc.shape_hits,
-      pc.rebinds,    pc.reoptimizations, pc.drift_invalidations};
-  for (int i = 0; i < 9; ++i) plan_cache_gauges_[i]->Set(pc_values[i]);
+  // Mirror the build cache's and admission's state into gauges, then
+  // render one snapshot (the plan cache counts into the registry itself).
+  // Each metric reads atomically (or under its component's own mutex), so
+  // a mid-run dump never sees a torn value.
   const BuildCacheStats bc = build_cache_stats();
   const int64_t bc_values[8] = {
       bc.lookups,   bc.hits,          bc.misses, bc.single_flight_waits,

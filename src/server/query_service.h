@@ -21,13 +21,15 @@
 //     *shape* signature (literals as slots, src/plan/predicate_shape.h).
 //     A shape hit re-binds the query's constants into the cached plan,
 //     re-estimating only the relations whose slots moved, and serves the
-//     cached join order while those selectivities stay inside the entry's
-//     validity band (src/optimizer/parameterized.h) — skipping the
-//     optimizer entirely (amortizing the paper's Section 6.5 overhead). A
-//     miss — or an escalation (selectivity out of band, or the entry
-//     marked stale by observed-lambda drift) — attaches full statistics
-//     and runs OptimizeParameterized against the shared thread-safe
-//     StatsCatalog, caching (or replacing) the entry. After an OK
+//     cached join order at points where it is verified to be the
+//     optimizer's choice (src/optimizer/parameterized.h) — skipping the
+//     optimizer entirely (amortizing the paper's Section 6.5 overhead); an
+//     unverified point costs one join ordering to check. A miss attaches
+//     full statistics and runs OptimizeParameterized against the shared
+//     thread-safe StatsCatalog, caching the entry; an escalation (a check
+//     that picked another plan, or an entry marked stale by
+//     observed-lambda drift) finishes the check's plan (or re-optimizes)
+//     and replaces the entry. After an OK
 //     execution the observed per-filter lambdas feed back into the entry
 //     (PlanCache::RecordObservedLambdas).
 //  3. **Executes** — ExecutePlan on the caller's thread under the query's
@@ -151,10 +153,10 @@ struct QueryServiceOptions {
 };
 
 /// \brief Overlay the serving env knobs (BQO_DEADLINE_MS,
-/// BQO_ADMISSION_QUEUE, BQO_PLAN_CACHE_CAP, BQO_SEL_BAND,
-/// BQO_DRIFT_MARGIN, BQO_EWMA_ALPHA, BQO_TRACE, BQO_SLOW_QUERY_MS) onto
-/// `options` — how bench binaries plumb them in; the library itself never
-/// reads the environment.
+/// BQO_ADMISSION_QUEUE, BQO_PLAN_CACHE_CAP, BQO_DRIFT_MARGIN,
+/// BQO_EWMA_ALPHA, BQO_TRACE, BQO_SLOW_QUERY_MS) onto `options` — how
+/// bench binaries plumb them in; the library itself never reads the
+/// environment.
 QueryServiceOptions ApplyServingEnvOverrides(QueryServiceOptions options);
 
 /// \brief One served query's outcome (the concurrent analogue of
@@ -168,9 +170,10 @@ struct QueryResult {
   Status status;
   QueryMetrics metrics;
   double estimated_cost = 0;
-  /// Optimization wall time: the whole OptimizeParameterized call (band
-  /// probes included) on a plan-cache miss, OptimizeQuery with the cache
-  /// off, 0 on a hit (nothing optimized).
+  /// Optimization wall time: the whole OptimizeParameterized call on a
+  /// plan-cache miss (on an escalated verification, the verification plus
+  /// FinishParameterized), OptimizeQuery with the cache off, 0 on a hit
+  /// (a matched verification counts as a hit: nothing was optimized).
   int64_t optimize_ns = 0;
   int num_joins = 0;
   int pruned_filters = 0;
@@ -234,10 +237,10 @@ class QueryService {
   ServingStats serving_stats() const;
 
   enum class MetricsFormat { kJsonLines, kPrometheus };
-  /// \brief Export every engine metric: the serving outcome counters and
-  /// latency histograms live in the registry; plan-cache, build-cache, and
-  /// admission levels are mirrored into gauges at dump time, then one
-  /// snapshot renders in the requested format. Safe to call from a monitor
+  /// \brief Export every engine metric: the serving outcome counters,
+  /// latency histograms and plan-cache counters live in the registry;
+  /// build-cache and admission levels are mirrored into gauges at dump
+  /// time, then one snapshot renders in the requested format. Safe to call from a monitor
   /// thread while queries run.
   std::string DumpMetrics(MetricsFormat format = MetricsFormat::kJsonLines)
       const;
@@ -268,6 +271,13 @@ class QueryService {
   int max_concurrent_ = 1;
   int workers_per_query_ = 1;
 
+  /// Engine metrics (src/obs/metrics_registry.h). The serving outcome
+  /// tallies live here as atomic counters — RecordOutcome is lock-free and
+  /// serving_stats() reads are exact per field — and so do the plan
+  /// cache's (declared first: cache_ registers into it). Pointers below
+  /// are cached at construction (stable for the registry's lifetime).
+  MetricsRegistry registry_;
+
   StatsCatalog stats_;
   PlanCache cache_;
   /// Cross-query build-side cache; null when options_.use_build_cache is
@@ -284,11 +294,6 @@ class QueryService {
   int peak_ = 0;
   int waiting_ = 0;  ///< queued for admission (the shed bound's subject)
 
-  /// Engine metrics (src/obs/metrics_registry.h). The serving outcome
-  /// tallies live here as atomic counters — RecordOutcome is lock-free and
-  /// serving_stats() reads are exact per field. Pointers below are cached
-  /// at construction (stable for the registry's lifetime).
-  MetricsRegistry registry_;
   Counter* served_total_ = nullptr;
   Counter* shed_total_ = nullptr;
   Counter* timed_out_total_ = nullptr;
@@ -298,7 +303,6 @@ class QueryService {
   Histogram* query_latency_ms_ = nullptr;
   Histogram* admission_wait_ms_ = nullptr;
   /// Dump-time mirrors of component-owned counters (name -> gauge).
-  Gauge* plan_cache_gauges_[9] = {};
   Gauge* build_cache_gauges_[8] = {};
   Gauge* admission_gauges_[3] = {};
 };

@@ -70,6 +70,8 @@ class EstimatedCoutModel : public CoutModel {
 
   CoutBreakdown Compute(const Plan& plan) override;
 
+  StatsCatalog* stats() const { return stats_; }
+
  private:
   /// Evaluates `node`'s subtree into its matrix row; returns its output
   /// cardinality.

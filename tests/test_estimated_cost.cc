@@ -558,7 +558,8 @@ TEST(EstimatorParity, LiteWorkloadPlansAndPartialPlans) {
 }
 
 /// One model costing plans over different graphs of one catalog in turn
-/// — a copy whose selectivities moved (as band probes do) and graphs whose
+/// — a copy whose selectivities moved (as a plan-cache verification's
+/// rebound graph does) and graphs whose
 /// join columns number differently — must never serve one graph's
 /// memoized base distincts to another.
 TEST(EstimatorParity, ModelReusedAcrossGraphs) {

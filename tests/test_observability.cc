@@ -459,8 +459,8 @@ TEST(Observability, SlowQueryLogAndMetricsDump) {
             std::string::npos)
       << json;
   EXPECT_NE(json.find("bqo_serving_slow_queries_total"), std::string::npos);
-  EXPECT_NE(json.find("\"metric\":\"bqo_plan_cache_hits\",\"type\":\"gauge\","
-                      "\"value\":1"),
+  EXPECT_NE(json.find("\"metric\":\"bqo_plan_cache_hits\",\"type\":"
+                      "\"counter\",\"value\":1"),
             std::string::npos)
       << json;
   EXPECT_NE(json.find("bqo_query_latency_ms"), std::string::npos);

@@ -1,44 +1,51 @@
 // Plan-shape cache correctness: the predicate structure/constant split,
-// the JoinGraph shape signature, the parameterized optimizer's validity
-// bands, and the PlanCache's match + re-bind + escalate protocol. Pins:
+// the JoinGraph shape signature, the parameterized optimizer's verified
+// intervals, and the PlanCache's match + re-bind + verify protocol. Pins:
 //
 //  * Shape split is lossless: PredicateShape ignores literals but nothing
 //    else; RebindPredicateConstants(structure, constants) reproduces a
 //    predicate with the same shape and exactly those constants.
 //  * ShapeSignature equality across literal changes, inequality across
 //    structural changes (predicate family, relation/join count).
-//  * OptimizeParameterized: every predicated relation's validity band
-//    contains its optimize-time selectivity; slotless relations keep the
-//    full [0,1] band (their selectivity cannot move without a shape
-//    change).
+//  * OptimizeParameterized: the verified region starts as exactly the
+//    optimize-time selectivity vector, and Insert seeds the entry with it.
 //  * PlanCache protocol: exact-constant lookups serve the shared entry
 //    (the zero-slot degenerate case IS the old exact-match cache); moved
-//    constants inside the band serve a private rebound instance; out of
-//    band or stale escalates to kReoptimize and Insert replaces the entry.
-//    Counters land each lookup in exactly one of hits / misses /
-//    reoptimizations.
+//    constants at an unverified point run one verification, which serves a
+//    private rebound instance and adds the point on a match, and escalates
+//    to kReoptimize carrying its plan on a mismatch; a point already
+//    verified is served without another run, a point between verified
+//    ones is not (the choice is not convex); stale escalates and
+//    Insert replaces the entry. Counters land each lookup in exactly one
+//    of hits / misses / reoptimizations. Four threads rebinding one entry
+//    at once leave it consistent (run under TSan in CI).
 //  * Drift feedback: observed lambda far from the estimate marks the
 //    entry stale exactly once and pins exactly one re-optimization.
 //  * End-to-end parity: a shape hit that re-binds constants produces
 //    checksums and merged filter stats identical to a cold optimize of
 //    the same literals — swept over pool sizes {1,2,4} and star /
 //    snowflake / sort-merge plans.
+//  * A verification that picks another plan is finished into the
+//    replacement entry and answers like a cold optimize.
 //  * A templated workload (same shape, jittered literals) achieves a
-//    shape-hit rate >= 0.9 with zero in-band re-optimizations.
-//  * Probe-session parity: OptimizeParameterized's shared models, probe
-//    graph and candidate memo change nothing it returns. Bands,
-//    selectivities, lambdas, the plan with its filters, cost and pruned
-//    count are bit-identical to the verbatim pre-session implementation
-//    (a fresh OptimizeQuery on a graph copy per probe) over every lite
-//    workload query and the multi-fact galaxy under every mode, and the
-//    memo does hit on CUSTOMER.
+//    shape-hit rate >= 0.9 with zero re-optimizations.
+//  * Lazy-band parity: over every lite workload query and the multi-fact
+//    galaxy (under every mode), jittered constant sequences moving one
+//    relation or several together never get a served rebind whose
+//    PlanChoiceKey differs from a fresh OptimizeQuery at that point —
+//    points served from the verified region included — and every
+//    replacement entry
+//    built from a refused verification equals a cold
+//    OptimizeParameterized bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -154,55 +161,47 @@ TEST(JoinGraphShape, SignatureIgnoresLiteralsNotStructure) {
   ASSERT_TRUE(graph4.ok());
   EXPECT_NE(graph.value().ShapeSignature(), graph4.value().ShapeSignature());
 
-  // Optimizer knobs are part of the cache key (they change the plan), but
-  // the band/drift knobs are not (they bound reuse, not the plan).
+  // Optimizer knobs are part of the cache key (they change the plan).
   OptimizerOptions opt;
   OptimizerOptions pruned = opt;
   pruned.lambda_thresh = 0.5;
   EXPECT_NE(PlanCache::ShapeSignature(graph.value(), opt),
             PlanCache::ShapeSignature(graph.value(), pruned));
-  OptimizerOptions banded = opt;
-  banded.reopt_sel_band = 2.0;
-  EXPECT_EQ(PlanCache::ShapeSignature(graph.value(), opt),
-            PlanCache::ShapeSignature(graph.value(), banded));
 }
 
-// ---- Parameterized optimization: validity bands ----
+// ---- Parameterized optimization: the verified region ----
 
-TEST(OptimizeParameterized, BandsCoverOptimizePointAndSlotlessStaysFull) {
+TEST(OptimizeParameterized, VerifiedRegionStartsAtOptimizePoint) {
   auto db = MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 1177);
   auto graph = db->Graph();
   ASSERT_TRUE(graph.ok());
   StatsCatalog stats(&db->catalog);
   OptimizerOptions opt;
 
-  const ParameterizedPlan p =
-      OptimizeParameterized(graph.value(), &stats, opt);
+  ParameterizedPlan p = OptimizeParameterized(graph.value(), &stats, opt);
   const int n = graph.value().num_relations();
-  ASSERT_EQ(static_cast<int>(p.bands.size()), n);
   ASSERT_EQ(static_cast<int>(p.optimize_sel.size()), n);
   ASSERT_EQ(static_cast<int>(p.constants.size()), n);
   ASSERT_FALSE(p.estimated_lambda.empty());
 
+  int predicated = 0;
   for (int r = 0; r < n; ++r) {
-    EXPECT_TRUE(p.bands[static_cast<size_t>(r)].Contains(
-        p.optimize_sel[static_cast<size_t>(r)]))
-        << "relation " << r;
-    if (p.constants[static_cast<size_t>(r)].empty()) {
-      // Slotless: selectivity cannot move without a shape change.
-      EXPECT_EQ(p.bands[static_cast<size_t>(r)].lo, 0.0) << r;
-      EXPECT_EQ(p.bands[static_cast<size_t>(r)].hi, 1.0) << r;
-    } else {
-      // Probing never widens past the configured factor.
-      const double sel = p.optimize_sel[static_cast<size_t>(r)];
-      EXPECT_GE(p.bands[static_cast<size_t>(r)].lo,
-                sel / opt.reopt_sel_band - 1e-12)
-          << r;
-      EXPECT_LE(p.bands[static_cast<size_t>(r)].hi,
-                sel * opt.reopt_sel_band + 1e-12)
-          << r;
-    }
+    predicated += !p.constants[static_cast<size_t>(r)].empty();
+    EXPECT_EQ(p.optimize_sel[static_cast<size_t>(r)],
+              RelationSelectivity(graph.value(), r))
+        << r;
   }
+  EXPECT_EQ(predicated, 3);
+  EXPECT_EQ(RelationSelectivity(graph.value(), 0), 1.0) << "unfiltered fact";
+
+  // Nothing is probed up front: the cached entry's region is that point.
+  const std::vector<double> optimize_sel = p.optimize_sel;
+  PlanCache cache(2);
+  const auto entry = cache.Insert(
+      PlanCache::ShapeSignature(graph.value(), opt), db->catalog.version(),
+      graph.value(), std::move(p));
+  std::lock_guard<std::mutex> lock(entry->verify_mu);
+  EXPECT_EQ(entry->verified, std::vector<std::vector<double>>{optimize_sel});
 }
 
 // ---- PlanCache protocol ----
@@ -236,7 +235,7 @@ struct CacheHarness {
         BuildJoinGraph(db->catalog, spec, /*attach_statistics=*/false);
     BQO_CHECK(graph.ok());
     return cache.Lookup(Sig(graph.value()), db->catalog.version(),
-                        graph.value());
+                        graph.value(), &stats, opt);
   }
 };
 
@@ -265,8 +264,8 @@ TEST(PlanCacheShape, ExactConstantsServeTheSharedEntry) {
 
 TEST(PlanCacheShape, MovedConstantsInBandRebindPrivately) {
   // Well-separated dimension selectivities {0.3, 0.6, 0.15}: a small nudge
-  // of one literal cannot flip the join order, so the probe-derived band
-  // stays comfortably wide around the optimize point.
+  // of one literal cannot flip the join order, so the verification the
+  // move triggers confirms the cached choice.
   CacheHarness h(MakeStarDb(3, 12000, 300, {0.3, 0.6, 0.15}, 991));
   const auto entry = h.OptimizeAndInsert(h.db->spec);
 
@@ -278,6 +277,7 @@ TEST(PlanCacheShape, MovedConstantsInBandRebindPrivately) {
   ASSERT_NE(outcome.instance, nullptr);
   EXPECT_NE(outcome.instance.get(), entry.get());  // private instance
   EXPECT_EQ(outcome.entry.get(), entry.get());     // feedback target
+  EXPECT_EQ(outcome.reordered, nullptr);
 
   // The instance owns its graph, carries the query's literal, and its
   // plan points at the owned copy; the join order is the cached one.
@@ -287,26 +287,123 @@ TEST(PlanCacheShape, MovedConstantsInBandRebindPrivately) {
             CollectPredicateConstants(moved.relations[2].predicate));
   EXPECT_EQ(inst.plan.Signature(), entry->plan.Signature());
 
+  // The matched verification added the new point to the region: the
+  // optimize point with relation 2's selectivity moved.
+  std::vector<double> point = entry->optimize_sel;
+  point[2] = RelationSelectivity(inst.graph, 2);
+  {
+    std::lock_guard<std::mutex> lock(entry->verify_mu);
+    ASSERT_EQ(entry->verified.size(), 2u);
+    EXPECT_EQ(entry->verified[0], entry->optimize_sel);
+    EXPECT_EQ(entry->verified[1], point);
+  }
+
   const PlanCacheStats s = h.cache.stats();
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.rebinds, 1);
+  EXPECT_EQ(s.verifications, 1);
   EXPECT_EQ(s.reoptimizations, 0);
+}
+
+/// A second lookup at a verified point is served without another
+/// verification — for one moved relation and for two moved together. A
+/// point between verified ones is verified: the region is its points.
+TEST(PlanCacheShape, VerifiedPointIsNotReverified) {
+  CacheHarness h(MakeStarDb(3, 12000, 300, {0.3, 0.6, 0.15}, 991));
+  h.OptimizeAndInsert(h.db->spec);
+  QuerySpec both = WithBound(*h.db, 2, 640);
+  both.relations[1].predicate = Lt("attr0", 280);
+
+  int64_t verifications = 0;
+  for (const QuerySpec& spec :
+       {WithBound(*h.db, 2, 640), both, WithBound(*h.db, 2, 620)}) {
+    const auto first = h.Lookup(spec);
+    ASSERT_EQ(first.kind, PlanCache::LookupOutcome::Kind::kServed);
+    EXPECT_EQ(h.cache.stats().verifications, ++verifications);
+    const auto again = h.Lookup(spec);
+    ASSERT_EQ(again.kind, PlanCache::LookupOutcome::Kind::kServed);
+    EXPECT_TRUE(again.rebound);
+    EXPECT_EQ(h.cache.stats().verifications, verifications);
+  }
+  const PlanCacheStats s = h.cache.stats();
+  EXPECT_EQ(s.verifications, 3);
+  EXPECT_EQ(s.rebinds, 6);
+  EXPECT_EQ(s.reoptimizations, 0);
+}
+
+/// Four threads rebind one entry at distinct points at once: every lookup
+/// is served, and the entry's region ends up holding every point once (the
+/// region is written only under verify_mu; CI runs this under TSan).
+TEST(PlanCacheShape, ConcurrentRebindsWidenOneEntry) {
+  CacheHarness h(MakeStarDb(3, 12000, 300, {0.3, 0.6, 0.15}, 991));
+  const auto entry = h.OptimizeAndInsert(h.db->spec);
+  const std::vector<int64_t> bounds = {580, 610, 630, 650};
+  constexpr int kRounds = 8;
+
+  std::vector<int> served(bounds.size(), 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < bounds.size(); ++t) {
+    threads.emplace_back([&, t] {
+      const QuerySpec spec = WithBound(*h.db, 2, bounds[t]);
+      for (int i = 0; i < kRounds; ++i) {
+        const auto outcome = h.Lookup(spec);
+        if (outcome.kind == PlanCache::LookupOutcome::Kind::kServed &&
+            outcome.entry == entry) {
+          ++served[t];
+        }
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (size_t t = 0; t < bounds.size(); ++t) {
+    EXPECT_EQ(served[t], kRounds) << "bound " << bounds[t];
+    auto graph = BuildJoinGraph(h.db->catalog, WithBound(*h.db, 2, bounds[t]));
+    ASSERT_TRUE(graph.ok());
+    std::vector<double> point = entry->optimize_sel;
+    point[2] = RelationSelectivity(graph.value(), 2);
+    std::lock_guard<std::mutex> lock(entry->verify_mu);
+    EXPECT_EQ(std::count(entry->verified.begin(), entry->verified.end(),
+                         point),
+              1)
+        << "bound " << bounds[t];
+  }
+  const PlanCacheStats s = h.cache.stats();
+  EXPECT_EQ(s.hits, static_cast<int64_t>(bounds.size()) * kRounds);
+  EXPECT_EQ(s.rebinds, s.hits);
+  EXPECT_EQ(s.reoptimizations, 0);
+  EXPECT_GE(s.verifications, 1);
+  EXPECT_LE(s.verifications, s.hits);
 }
 
 TEST(PlanCacheShape, OutOfBandEscalatesAndInsertReplaces) {
   CacheHarness h(MakeStarDb(2, 8000, 200, {0.4, 0.5}, 77));
-  h.OptimizeAndInsert(h.db->spec);
+  const auto first = h.OptimizeAndInsert(h.db->spec);
 
-  // Bound 400 -> 1: selectivity collapses to ~0.001, far below any band
-  // around 0.4 (the widest possible band floor is 0.4 / reopt_sel_band).
+  // Bound 400 -> 1: selectivity collapses to ~0.001, and the verification
+  // at that point picks another plan.
   const QuerySpec collapsed = WithBound(*h.db, 1, 1);
   const auto refused = h.Lookup(collapsed);
-  EXPECT_EQ(refused.kind, PlanCache::LookupOutcome::Kind::kReoptimize);
+  ASSERT_EQ(refused.kind, PlanCache::LookupOutcome::Kind::kReoptimize);
   EXPECT_EQ(refused.instance, nullptr);
+  ASSERT_NE(refused.reordered, nullptr);
 
-  // The escalation path re-optimizes and Insert replaces the entry — the
-  // shape's slot now belongs to the new literals.
-  h.OptimizeAndInsert(collapsed);
+  // The escalation path finishes the verification's plan and Insert
+  // replaces the entry — the shape's slot now belongs to the new literals,
+  // and the entry equals a cold optimize of them.
+  CachedPlan& reordered = *refused.reordered;
+  ParameterizedPlan finished = FinishParameterized(
+      std::move(reordered.plan), reordered.pruned_filters, &h.stats, h.opt);
+  auto graph = BuildJoinGraph(h.db->catalog, collapsed);
+  ASSERT_TRUE(graph.ok());
+  const ParameterizedPlan cold =
+      OptimizeParameterized(graph.value(), &h.stats, h.opt);
+  EXPECT_NE(PlanChoiceKey(cold.optimized.plan), first->choice_key);
+  EXPECT_EQ(finished.optimized.plan.ToString(),
+            cold.optimized.plan.ToString());
+  EXPECT_EQ(finished.optimized.estimated_cost, cold.optimized.estimated_cost);
+  h.cache.Insert(h.Sig(reordered.graph), h.db->catalog.version(),
+                 reordered.graph, std::move(finished));
   EXPECT_EQ(h.cache.stats().entries, 1);
   const auto now_exact = h.Lookup(collapsed);
   EXPECT_EQ(now_exact.kind, PlanCache::LookupOutcome::Kind::kServed);
@@ -314,6 +411,7 @@ TEST(PlanCacheShape, OutOfBandEscalatesAndInsertReplaces) {
 
   const PlanCacheStats s = h.cache.stats();
   EXPECT_EQ(s.reoptimizations, 1);
+  EXPECT_EQ(s.verifications, 1);
   EXPECT_EQ(s.shape_hits, 2);
   EXPECT_EQ(s.hits, 1);
   EXPECT_EQ(s.misses, 0);
@@ -374,7 +472,7 @@ struct TemplateUnderTest {
   std::unique_ptr<TestDb> db;
   size_t jitter_relation;    ///< relation whose literal the template moves
   int64_t warm_bound;        ///< literal the cache is warmed with
-  int64_t hit_bound;         ///< in-band moved literal served as a rebind
+  int64_t hit_bound;         ///< moved literal served as a rebind
   QueryServiceOptions options;
 };
 
@@ -453,10 +551,11 @@ TEST(PlanShapeCacheE2E, RebindMatchesColdOptimizeAcrossPoolSizes) {
   }
 }
 
-/// Templated traffic — one shape, literals jittering inside the band —
-/// must be served almost entirely from the cache: shape-hit rate >= 0.9
-/// and zero re-optimizations, with every answer equal to a cold optimize
-/// of the same literals.
+/// Templated traffic — one shape, literals jittering where the cached plan
+/// stays the optimizer's choice — must be served almost entirely from the
+/// cache: shape-hit rate >= 0.9 and zero re-optimizations, no point
+/// verified twice, and every answer equal to a cold optimize of the same
+/// literals.
 TEST(PlanShapeCacheE2E, TemplatedWorkloadShapeHitRate) {
   GlobalPoolGuard guard;
   WorkerPool::ResetGlobal(2);
@@ -467,7 +566,9 @@ TEST(PlanShapeCacheE2E, TemplatedWorkloadShapeHitRate) {
   const std::vector<int64_t> bounds = {600, 620, 580, 640, 600,
                                        610, 590, 630, 600, 620};
   int64_t rounds = 0;
+  int64_t lap_one_verifications = 0;
   for (int lap = 0; lap < 2; ++lap) {
+    if (lap == 1) lap_one_verifications = service.cache_stats().verifications;
     for (int64_t bound : bounds) {
       const QuerySpec spec = WithBound(*db, 2, bound);
       const QueryResult served = service.Execute(spec);
@@ -485,10 +586,66 @@ TEST(PlanShapeCacheE2E, TemplatedWorkloadShapeHitRate) {
   const PlanCacheStats s = service.cache_stats();
   EXPECT_EQ(s.hits + s.misses + s.reoptimizations, rounds);
   EXPECT_EQ(s.misses, 1);              // only the very first template
-  EXPECT_EQ(s.reoptimizations, 0);     // every jitter stayed in band
+  EXPECT_EQ(s.reoptimizations, 0);     // every verification matched
+  EXPECT_GT(lap_one_verifications, 0);
+  EXPECT_EQ(s.verifications, lap_one_verifications);  // lap 2: all verified
   EXPECT_GT(s.rebinds, 0);
   EXPECT_GE(s.ShapeHitRate(), 0.9);
   EXPECT_GE(s.HitRate(), 0.9);
+}
+
+/// A verification that picks another plan escalates, and the service
+/// finishes that run's plan into the replacement entry: the answer equals
+/// a cold optimize's, optimize_ns covers the verification and the finish,
+/// and the trace shows the verification inside the rebind span.
+TEST(PlanShapeCacheE2E, RefusedVerificationServesColdEquivalent) {
+  GlobalPoolGuard guard;
+  WorkerPool::ResetGlobal(2);
+  auto db = MakeStarDb(2, 8000, 200, {0.4, 0.5}, 77, /*zipf=*/0.0);
+  QueryServiceOptions options;
+  // Drift feedback off: the ~0.001-selective filter's observed lambda may
+  // stray from its estimate, and a stale entry would hide the exact hit.
+  options.lambda_drift_margin = 0;
+  const QuerySpec collapsed = WithBound(*db, 1, 1);
+
+  QueryService cold(&db->catalog, options);
+  const QueryResult baseline = cold.Execute(collapsed);
+  ASSERT_TRUE(baseline.status.ok());
+
+  QueryService service(&db->catalog, options);
+  ASSERT_TRUE(service.Execute(db->spec).status.ok());
+  const QueryResult escalated = service.Execute(collapsed);
+  ASSERT_TRUE(escalated.status.ok());
+  EXPECT_FALSE(escalated.plan_cache_hit);
+  EXPECT_GT(escalated.optimize_ns, 0);
+  EXPECT_EQ(escalated.estimated_cost, baseline.estimated_cost);
+  EXPECT_EQ(escalated.pruned_filters, baseline.pruned_filters);
+  ExpectMetricsEqual(baseline.metrics, escalated.metrics, "escalated");
+
+  ASSERT_NE(escalated.trace, nullptr);
+  const std::vector<TraceSpan> spans = escalated.trace->spans();
+  int verify = -1, optimize = -1;
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (spans[i].kind != SpanKind::kOptimize) continue;
+    (spans[i].name == "verify" ? verify : optimize) = static_cast<int>(i);
+  }
+  ASSERT_GE(verify, 0);
+  ASSERT_GE(optimize, 0);
+  EXPECT_EQ(spans[static_cast<size_t>(spans[static_cast<size_t>(verify)]
+                                          .parent)]
+                .kind,
+            SpanKind::kRebind);
+
+  // The replacement entry serves the new literals as an exact hit.
+  const QueryResult again = service.Execute(collapsed);
+  ASSERT_TRUE(again.status.ok());
+  EXPECT_TRUE(again.plan_cache_hit);
+  EXPECT_FALSE(again.plan_rebound);
+  const PlanCacheStats s = service.cache_stats();
+  EXPECT_EQ(s.verifications, 1);
+  EXPECT_EQ(s.reoptimizations, 1);
+  EXPECT_EQ(s.misses, 1);
+  EXPECT_EQ(s.hits, 1);
 }
 
 /// Queries without constant slots degenerate to the exact-match cache:
@@ -513,97 +670,7 @@ TEST(PlanShapeCacheE2E, ZeroSlotQueriesAreExactHits) {
   EXPECT_EQ(s.reoptimizations, 0);
 }
 
-// ---- Probe-session parity ----
-
-namespace oracle {
-
-// OptimizeParameterized as it was before probe sessions, kept verbatim:
-// every probe is a fresh OptimizeQuery on its own copy of the graph.
-
-std::string PlanChoiceKey(const Plan& plan) {
-  std::string key = plan.Signature();
-  for (const PlanFilter& f : plan.filters) {
-    if (!f.pruned) {
-      key += StringFormat(";%d@%d", f.source_join, f.applied_at);
-    }
-  }
-  return key;
-}
-
-bool StableAt(const JoinGraph& graph, int rel, double sel,
-              StatsCatalog* stats, const OptimizerOptions& options,
-              const std::string& chosen) {
-  JoinGraph probe = graph;
-  RelationRef& r = probe.relation(rel);
-  r.filtered_rows =
-      std::clamp(sel * r.base_rows, 0.0, std::max(r.base_rows, 0.0));
-  return PlanChoiceKey(OptimizeQuery(probe, stats, options).plan) == chosen;
-}
-
-ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
-                                        StatsCatalog* stats,
-                                        const OptimizerOptions& options) {
-  ParameterizedPlan out;
-  out.optimized = OptimizeQuery(graph, stats, options);
-  out.constants = graph.ConstantTable();
-
-  EstimatedCoutModel aware_model(stats, options.filter_fp_rate);
-  const CoutBreakdown breakdown = aware_model.Compute(out.optimized.plan);
-  out.estimated_lambda = breakdown.filter_lambda;
-
-  out.optimize_sel.resize(static_cast<size_t>(graph.num_relations()), 1.0);
-  out.bands.resize(static_cast<size_t>(graph.num_relations()));
-  const double band = options.reopt_sel_band;
-  const std::string chosen = PlanChoiceKey(out.optimized.plan);
-  for (int r = 0; r < graph.num_relations(); ++r) {
-    const RelationRef& rel = graph.relation(r);
-    const double base = std::max(rel.base_rows, 1.0);
-    const double sel = std::clamp(rel.filtered_rows / base, 0.0, 1.0);
-    out.optimize_sel[static_cast<size_t>(r)] = sel;
-    SelectivityBand& b = out.bands[static_cast<size_t>(r)];
-    if (out.constants[static_cast<size_t>(r)].empty()) {
-      continue;  // slotless: shape-equal queries cannot move this relation
-    }
-    if (band <= 1.0) {
-      // Banded reuse disabled: any moved constant re-optimizes.
-      b.lo = b.hi = sel;
-      continue;
-    }
-    b.lo = sel / band;
-    b.hi = std::min(1.0, sel * band);
-    if (options.band_probe_steps <= 0) continue;
-
-    const int steps = options.band_probe_steps;
-    for (int dir = -1; dir <= 1; dir += 2) {
-      double last_stable = 1.0;
-      bool flipped = false;
-      for (int s = 1; s <= steps; ++s) {
-        const double factor =
-            std::pow(band, static_cast<double>(dir) * s / steps);
-        if (!StableAt(graph, r, sel * factor, stats, options, chosen)) {
-          flipped = true;
-          if (s == 1) {
-            const double mid = std::sqrt(factor);
-            if (StableAt(graph, r, sel * mid, stats, options, chosen)) {
-              last_stable = mid;
-            }
-          }
-          break;
-        }
-        last_stable = factor;
-      }
-      if (!flipped) continue;  // stable through the whole band: keep edge
-      if (dir < 0) {
-        b.lo = sel * last_stable;
-      } else {
-        b.hi = std::min(1.0, sel * last_stable);
-      }
-    }
-  }
-  return out;
-}
-
-}  // namespace oracle
+// ---- Lazy-band parity ----
 
 uint64_t Bits(double v) { return std::bit_cast<uint64_t>(v); }
 
@@ -613,16 +680,11 @@ std::vector<uint64_t> Bits(const std::vector<double>& values) {
   return bits;
 }
 
+/// `want` (a cold OptimizeParameterized) and `got` (a refused
+/// verification's plan, finished) must agree bit for bit.
 void ExpectSameParameterized(const ParameterizedPlan& want,
                              const ParameterizedPlan& got,
                              const std::string& label) {
-  ASSERT_EQ(want.bands.size(), got.bands.size()) << label;
-  for (size_t r = 0; r < want.bands.size(); ++r) {
-    EXPECT_EQ(Bits(want.bands[r].lo), Bits(got.bands[r].lo))
-        << label << " relation " << r;
-    EXPECT_EQ(Bits(want.bands[r].hi), Bits(got.bands[r].hi))
-        << label << " relation " << r;
-  }
   EXPECT_EQ(Bits(want.optimize_sel), Bits(got.optimize_sel)) << label;
   EXPECT_EQ(Bits(want.estimated_lambda), Bits(got.estimated_lambda))
       << label;
@@ -630,7 +692,6 @@ void ExpectSameParameterized(const ParameterizedPlan& want,
 
   const Plan& wp = want.optimized.plan;
   const Plan& gp = got.optimized.plan;
-  EXPECT_EQ(wp.graph, gp.graph) << label;
   EXPECT_EQ(wp.ToString(), gp.ToString()) << label;
   ASSERT_EQ(wp.filters.size(), gp.filters.size()) << label;
   for (size_t i = 0; i < wp.filters.size(); ++i) {
@@ -653,72 +714,150 @@ void ExpectSameParameterized(const ParameterizedPlan& want,
       << label;
 }
 
-struct SessionCounts {
-  int64_t probes = 0;
-  int64_t reused = 0;
-  int64_t built = 0;
+/// `base` with every int constant of the predicates of `relations` moved
+/// by a seeded factor in [-max_rel, +max_rel] (a constant too small to
+/// move stays put). The shape is unchanged.
+QuerySpec Jitter(const QuerySpec& base, const std::vector<size_t>& relations,
+                 Rng* rng, double max_rel) {
+  QuerySpec spec = base;
+  for (size_t r : relations) {
+    QueryRelation& rel = spec.relations[r];
+    std::vector<Value> constants = CollectPredicateConstants(rel.predicate);
+    for (Value& c : constants) {
+      if (c.type() != DataType::kInt64) continue;
+      const double u = 2.0 * rng->NextDouble() - 1.0;
+      const int64_t v = c.AsInt64();
+      c = Value(static_cast<int64_t>(
+          v + std::llround(static_cast<double>(v) * u * max_rel)));
+    }
+    rel.predicate = RebindPredicateConstants(rel.predicate, constants);
+  }
+  return spec;
+}
+
+/// What one parity run saw, summed over queries.
+struct LazyCounts {
+  int64_t lookups = 0;
+  int64_t served_from_region = 0;  ///< rebinds at an already verified point
+  int64_t served_after_check = 0;  ///< rebinds after a matched verification
+  int64_t replacements = 0;       ///< entries built from refused runs
 };
 
-/// Parity of every query of `w` under `options`; returns the summed
-/// session counts.
-SessionCounts CheckWorkloadParity(const Workload& w,
-                                  const OptimizerOptions& options) {
-  StatsCatalog stats(w.catalog.get());
-  SessionCounts counts;
-  for (const QuerySpec& spec : w.queries) {
-    auto graph = BuildJoinGraph(*w.catalog, spec);
+/// Serves `sequence` (variants of one query shape) through a PlanCache the
+/// way QueryService does, checking every outcome against a fresh
+/// optimization of the same literals.
+void ServeSequence(const Catalog& catalog, StatsCatalog* stats,
+                   const OptimizerOptions& options,
+                   const std::vector<QuerySpec>& sequence,
+                   const std::string& label, LazyCounts* counts) {
+  PlanCache cache(4);
+  const int64_t version = catalog.version();
+  for (size_t i = 0; i < sequence.size(); ++i) {
+    const std::string what = label + " #" + std::to_string(i);
+    auto graph = BuildJoinGraph(catalog, sequence[i]);
     BQO_CHECK(graph.ok());
-    const ParameterizedPlan want =
-        oracle::OptimizeParameterized(graph.value(), &stats, options);
-    const ParameterizedPlan got =
-        OptimizeParameterized(graph.value(), &stats, options);
-    ExpectSameParameterized(want, got, w.name + " " + spec.name);
-    counts.probes += got.probes;
-    counts.reused += got.reused_candidates;
-    counts.built += got.built_candidates;
+    const std::string sig = PlanCache::ShapeSignature(graph.value(), options);
+    auto deferred =
+        BuildJoinGraph(catalog, sequence[i], /*attach_statistics=*/false);
+    BQO_CHECK(deferred.ok());
+    const int64_t verifications_before = cache.stats().verifications;
+    PlanCache::LookupOutcome looked =
+        cache.Lookup(sig, version, deferred.value(), stats, options);
+    ++counts->lookups;
+    if (looked.kind == PlanCache::LookupOutcome::Kind::kServed) {
+      const OptimizedQuery fresh =
+          OptimizeQuery(graph.value(), stats, options);
+      EXPECT_EQ(PlanChoiceKey(looked.instance->plan),
+                PlanChoiceKey(fresh.plan))
+          << what << (looked.rebound ? " (rebound)" : " (exact)");
+      if (looked.rebound) {
+        const bool checked =
+            cache.stats().verifications != verifications_before;
+        ++(checked ? counts->served_after_check : counts->served_from_region);
+      }
+      continue;
+    }
+    ParameterizedPlan cold =
+        OptimizeParameterized(graph.value(), stats, options);
+    if (looked.reordered == nullptr) {
+      cache.Insert(sig, version, graph.value(), std::move(cold));
+      continue;
+    }
+    CachedPlan& reordered = *looked.reordered;
+    ParameterizedPlan finished =
+        FinishParameterized(std::move(reordered.plan),
+                            reordered.pruned_filters, stats, options);
+    ExpectSameParameterized(cold, finished, what + " (replacement)");
+    cache.Insert(sig, version, reordered.graph, std::move(finished));
+    ++counts->replacements;
+  }
+}
+
+/// Each predicated query of `w` against two jittered sequences: one
+/// moving a single relation at a time, one moving all of them together.
+/// Each draws from a small pool of variants, so points repeat and the
+/// entry is replaced under some of them.
+LazyCounts CheckWorkloadParity(const Workload& w,
+                               const OptimizerOptions& options) {
+  StatsCatalog stats(w.catalog.get());
+  LazyCounts counts;
+  Rng rng(4242);
+  for (const QuerySpec& spec : w.queries) {
+    std::vector<size_t> predicated;
+    for (size_t r = 0; r < spec.relations.size(); ++r) {
+      if (!CollectPredicateConstants(spec.relations[r].predicate).empty()) {
+        predicated.push_back(r);
+      }
+    }
+    if (predicated.empty()) continue;
+
+    std::vector<QuerySpec> pool_one, pool_all;
+    for (int v = 0; v < 4; ++v) {
+      const size_t r = predicated[rng.Uniform(predicated.size())];
+      pool_one.push_back(Jitter(spec, {r}, &rng, 0.3));
+      pool_all.push_back(Jitter(spec, predicated, &rng, 0.3));
+    }
+    for (const auto* pool : {&pool_one, &pool_all}) {
+      std::vector<QuerySpec> sequence = {spec};
+      for (int i = 0; i < 8; ++i) {
+        sequence.push_back((*pool)[rng.Uniform(pool->size())]);
+      }
+      ServeSequence(*w.catalog, &stats, options, sequence,
+                    w.name + " " + spec.name +
+                        (pool == &pool_one ? " one" : " all"),
+                    &counts);
+    }
   }
   return counts;
 }
 
-TEST(ProbeSessionParity, JobLite) {
-  const SessionCounts c = CheckWorkloadParity(MakeJobLite(0.04), {});
-  EXPECT_GT(c.probes, 0);
+void ExpectExercised(const LazyCounts& c) {
+  EXPECT_GT(c.served_from_region, 0);
+  EXPECT_GT(c.served_after_check, 0);
 }
 
-TEST(ProbeSessionParity, TpcdsLite) {
-  const SessionCounts c = CheckWorkloadParity(MakeTpcdsLite(0.04), {});
-  EXPECT_GT(c.probes, 0);
+TEST(LazyBandParity, JobLite) {
+  const LazyCounts c = CheckWorkloadParity(MakeJobLite(0.04), {});
+  ExpectExercised(c);
+  EXPECT_GT(c.replacements, 0);
 }
 
-/// CUSTOMER's 25-relation snowflakes are where the probes are: the memo
-/// must actually serve candidates there, and the counts must not depend
-/// on anything but the graph.
-TEST(ProbeSessionParity, CustomerLiteAndMemoHits) {
-  const Workload w = MakeCustomerLite(0.04);
-  const SessionCounts c = CheckWorkloadParity(w, {});
-  EXPECT_GT(c.probes, 0);
-  EXPECT_GT(c.reused, 0);
-  EXPECT_GT(c.built, 0);
+TEST(LazyBandParity, TpcdsLite) {
+  const LazyCounts c = CheckWorkloadParity(MakeTpcdsLite(0.04), {});
+  ExpectExercised(c);
+  EXPECT_GT(c.replacements, 0);
+}
 
-  StatsCatalog stats(w.catalog.get());
-  auto graph = BuildJoinGraph(*w.catalog, w.queries.front());
-  ASSERT_TRUE(graph.ok());
-  const ParameterizedPlan first =
-      OptimizeParameterized(graph.value(), &stats, {});
-  const ParameterizedPlan again =
-      OptimizeParameterized(graph.value(), &stats, {});
-  EXPECT_GT(first.reused_candidates, 0);
-  EXPECT_EQ(first.probes, again.probes);
-  EXPECT_EQ(first.reused_candidates, again.reused_candidates);
-  EXPECT_EQ(first.built_candidates, again.built_candidates);
+TEST(LazyBandParity, CustomerLite) {
+  const LazyCounts c = CheckWorkloadParity(MakeCustomerLite(0.04), {});
+  ExpectExercised(c);
 }
 
 /// Two facts sharing a dimension (examples/multi_fact_galaxy.cpp, smaller):
 /// Algorithm 3 collapses the shipments snowflake into a composite before
-/// the final round, so candidate keys nest a composite's key — which can
-/// differ from probe to probe. Swept over every optimizer mode, with and
-/// without pruning, and over probe step counts.
-TEST(ProbeSessionParity, MultiFactGalaxyAcrossModes) {
+/// the final round. Swept over every optimizer mode, with and without
+/// pruning, and over the moved dimension's whole selectivity range.
+TEST(LazyBandParity, MultiFactGalaxyAcrossModes) {
   Catalog catalog;
   Rng rng(99);
   for (const char* d : {"customer", "product", "carrier", "region"}) {
@@ -758,36 +897,47 @@ TEST(ProbeSessionParity, MultiFactGalaxyAcrossModes) {
                  {"orders", "product_fk", "product", "product_id"},
                  {"shipments", "carrier_fk", "carrier", "carrier_id"},
                  {"shipments", "region_fk", "region", "region_id"}};
-  auto graph = BuildJoinGraph(catalog, query);
-  ASSERT_TRUE(graph.ok());
   StatsCatalog stats(&catalog);
 
-  int64_t reused = 0;
+  // The customer and region bounds first jitter near the optimize point,
+  // then walk their ranges one at a time, then together; everything runs
+  // twice, so every point is also revisited.
+  std::vector<QuerySpec> sequence = {query};
+  auto with = [&](int64_t customer, int64_t region) {
+    QuerySpec spec = query;
+    spec.relations[2].predicate = Lt("attr0", customer);
+    spec.relations[5].predicate = Lt("attr0", region);
+    return spec;
+  };
+  for (int lap = 0; lap < 2; ++lap) {
+    for (int64_t c : {76, 84}) {
+      for (int64_t r : {190, 200, 210}) sequence.push_back(with(c, r));
+    }
+    for (int64_t c : {60, 120, 300, 700, 20, 950}) {
+      sequence.push_back(with(c, 200));
+    }
+    for (int64_t r : {100, 400, 800, 10, 990}) sequence.push_back(with(80, r));
+    for (int64_t c : {60, 300, 950}) {
+      for (int64_t r : {100, 800, 10}) sequence.push_back(with(c, r));
+    }
+  }
+
+  LazyCounts counts;
   for (OptimizerMode mode :
        {OptimizerMode::kBaselinePostProcess, OptimizerMode::kNoBitvectors,
         OptimizerMode::kBqoShallow, OptimizerMode::kAlternativePlan,
         OptimizerMode::kExhaustive}) {
     for (double lambda_thresh : {0.05, -1.0}) {
-      for (int steps : {1, 2, 3}) {
-        OptimizerOptions options;
-        options.mode = mode;
-        options.lambda_thresh = lambda_thresh;
-        options.band_probe_steps = steps;
-        const ParameterizedPlan want =
-            oracle::OptimizeParameterized(graph.value(), &stats, options);
-        const ParameterizedPlan got =
-            OptimizeParameterized(graph.value(), &stats, options);
-        ExpectSameParameterized(
-            want, got,
-            StringFormat("%s lambda=%g steps=%d", OptimizerModeName(mode),
-                         lambda_thresh, steps));
-        if (mode == OptimizerMode::kBqoShallow) {
-          reused += got.reused_candidates;
-        }
-      }
+      OptimizerOptions options;
+      options.mode = mode;
+      options.lambda_thresh = lambda_thresh;
+      ServeSequence(catalog, &stats, options, sequence,
+                    StringFormat("%s lambda=%g", OptimizerModeName(mode),
+                                 lambda_thresh),
+                    &counts);
     }
   }
-  EXPECT_GT(reused, 0);
+  ExpectExercised(counts);
 }
 
 }  // namespace

@@ -385,16 +385,15 @@ TEST(QueryService, PlanCacheHitExecutesIdentically) {
   EXPECT_EQ(stats.entries, 1);
 }
 
-/// A predicated miss pays OptimizeQuery plus the band-probe
-/// re-optimizations, and optimize_ns (QueryResult and CachedPlan) reports
-/// all of it: at least the inner OptimizeQuery's time, at most the
-/// enclosing optimize span. Each bound compares nested reads of one steady
-/// clock, so the test is deterministic.
+/// A predicated miss pays OptimizeQuery plus the reuse annotations, and
+/// optimize_ns (QueryResult and CachedPlan) reports all of it: at least
+/// the inner OptimizeQuery's time, at most the enclosing optimize span.
+/// Each bound compares nested reads of one steady clock, so the test is
+/// deterministic.
 TEST(QueryService, MissReportsWholeParameterizedOptimization) {
   auto db = MakeStarDb(2, 10000, 200, {0.4, 0.5}, 55, /*zipf=*/0.5);
   const QuerySpec spec = SpecVariants(*db, "d0_id")[0];
   QueryServiceOptions options;  // plan cache and traces on
-  ASSERT_GT(options.optimizer.band_probe_steps, 0);
 
   // What the miss path runs and caches.
   auto graph = BuildJoinGraph(db->catalog, spec);
