@@ -165,9 +165,9 @@ QuerySpec JitterSpecConstants(const QuerySpec& spec, int variant) {
 /// arriving repeatedly with jittered literals. Emits the shape-cache
 /// outcome counters — under a small jitter the sweep should be almost
 /// all shape hits (exact + rebinds) with few re-optimizations; this is
-/// also the CI cache-stress smoke's TSan workout (concurrent re-binds,
-/// verified points added to shared entries, entry replacement, and EWMA
-/// feedback on shared entries).
+/// also the CI cache-stress smoke's TSan workout (concurrent re-binds and
+/// verifications, entry replacement, and EWMA feedback on shared
+/// entries).
 void RunTemplatedPhase(const Workload& workload, size_t limit, int rounds,
                        int clients, int hw_threads, int pool_threads) {
   QueryServiceOptions options;

@@ -166,10 +166,9 @@ struct PlanCacheStats {
   /// Hits that re-bound moved constants into a private plan instance
   /// (hits - rebinds = exact-constant hits, the degenerate case).
   int64_t rebinds = 0;
-  /// Shape hits whose re-bound selectivities left the entry's verified
-  /// intervals and so ran one OrderJoins + PruneFilters to check the
-  /// cached choice: a match is also a rebind, a mismatch a
-  /// reoptimization.
+  /// Shape hits with moved constants, each of which ran one OrderJoins +
+  /// PruneFilters on the rebound graph to check the cached choice: a
+  /// match is also a rebind, a mismatch a reoptimization.
   int64_t verifications = 0;
   /// Shape hits escalated to re-optimization (a verification picked
   /// another plan, or the entry was marked stale by drift).

@@ -20,6 +20,8 @@ const char* SpanKindName(SpanKind kind) {
       return "rebind";
     case SpanKind::kOptimize:
       return "optimize";
+    case SpanKind::kVerify:
+      return "verify";
     case SpanKind::kExecute:
       return "execute";
     case SpanKind::kBuildAcquire:

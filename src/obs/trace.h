@@ -34,6 +34,7 @@ enum class SpanKind : uint8_t {
   kPlanCacheLookup,
   kRebind,        ///< constant re-bind inside a shape hit
   kOptimize,      ///< full (re-)optimization on a miss/escalation
+  kVerify,        ///< plan-cache check of a rebind (inside kRebind)
   kExecute,       ///< ExecutePlan Open..Close
   kBuildAcquire,  ///< BuildCache GetOrBuild (wait-or-build, hash joins)
   kBuild,         ///< build-side construction (drain + filter + bucketize)

@@ -1,18 +1,11 @@
 #include "src/optimizer/parameterized.h"
 
-#include <algorithm>
 #include <chrono>
 #include <utility>
 
 namespace bqo {
 
 namespace {
-
-int64_t NsSince(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 void AppendTree(const PlanNode& node, std::string* key) {
   if (node.kind == PlanNode::Kind::kLeaf) {
@@ -26,30 +19,7 @@ void AppendTree(const PlanNode& node, std::string* key) {
   *key += ')';
 }
 
-/// The reuse annotations of `optimized`, a plan of `graph`; `model` is
-/// the bitvector-aware model it was costed with.
-ParameterizedPlan Annotate(const JoinGraph& graph, OptimizedQuery optimized,
-                           EstimatedCoutModel* model) {
-  ParameterizedPlan out;
-  // Estimated lambda per filter from the bitvector-aware model, not from
-  // PlanFilter::estimated_lambda — the latter is only filled when pruning
-  // runs, and the drift reference must exist either way.
-  out.estimated_lambda = model->Compute(optimized.plan).filter_lambda;
-  out.optimized = std::move(optimized);
-  out.constants = graph.ConstantTable();
-  for (int r = 0; r < graph.num_relations(); ++r) {
-    out.optimize_sel.push_back(RelationSelectivity(graph, r));
-  }
-  return out;
-}
-
 }  // namespace
-
-double RelationSelectivity(const JoinGraph& graph, int r) {
-  const RelationRef& rel = graph.relation(r);
-  return std::clamp(rel.filtered_rows / std::max(rel.base_rows, 1.0), 0.0,
-                    1.0);
-}
 
 std::string PlanChoiceKey(const Plan& plan) {
   std::string key;
@@ -68,24 +38,25 @@ ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
                                         StatsCatalog* stats,
                                         const OptimizerOptions& options) {
   const auto start = std::chrono::steady_clock::now();
+  const auto ns_since_start = [&start] {
+    return std::chrono::duration_cast<std::chrono::nanoseconds>(
+               std::chrono::steady_clock::now() - start)
+        .count();
+  };
+  // OptimizeQuery's steps, spelled out so the annotation below costs with
+  // the same model.
   EstimatedCoutModel model(stats, options.filter_fp_rate);
-  ParameterizedPlan out =
-      Annotate(graph, OptimizeQuery(graph, stats, options), &model);
-  out.optimize_ns = NsSince(start);
-  return out;
-}
-
-ParameterizedPlan FinishParameterized(Plan plan, int pruned_filters,
-                                      StatsCatalog* stats,
-                                      const OptimizerOptions& options) {
-  const auto start = std::chrono::steady_clock::now();
-  const JoinGraph& graph = *plan.graph;
-  EstimatedCoutModel model(stats, options.filter_fp_rate);
-  OptimizedQuery optimized =
-      FinishOptimization(std::move(plan), pruned_filters, options, &model);
-  optimized.optimize_ns = NsSince(start);
-  ParameterizedPlan out = Annotate(graph, std::move(optimized), &model);
-  out.optimize_ns = NsSince(start);
+  Plan plan = OrderJoins(graph, options, &model);
+  const int pruned = PruneFilters(&plan, options, &model);
+  ParameterizedPlan out;
+  out.optimized = FinishOptimization(std::move(plan), pruned, options, &model);
+  out.optimized.optimize_ns = ns_since_start();
+  // Estimated lambda per filter from the bitvector-aware model, not from
+  // PlanFilter::estimated_lambda — the latter is only filled when pruning
+  // runs, and the drift reference must exist either way.
+  out.estimated_lambda = model.Compute(out.optimized.plan).filter_lambda;
+  out.constants = graph.ConstantTable();
+  out.optimize_ns = ns_since_start();
   return out;
 }
 

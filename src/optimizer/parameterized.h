@@ -6,26 +6,21 @@
 // order chosen for very different selectivities. The reuse rule here is
 // verification on demand:
 //
-//  * OptimizeParameterized is one OptimizeQuery plus annotations: the
-//    constant slot table the plan was bound under, every filter's
-//    estimated lambda (the drift reference of src/server/plan_cache.h),
-//    and the optimize-time selectivity (filtered_rows / base_rows) of
-//    every relation — the first point of the plan's **verified region**,
-//    the selectivity vectors at which it is known to be the optimizer's
-//    choice.
-//  * The plan cache grows the region only by checking a moved point: one
+//  * OptimizeParameterized is one optimization (OrderJoins, PruneFilters,
+//    FinishOptimization on one bitvector-aware model) plus annotations:
+//    the constant slot table the plan was bound under and every filter's
+//    estimated lambda (the drift reference of src/server/plan_cache.h).
+//    Nothing is probed up front, so a plan that is never reused costs
+//    exactly one optimization.
+//  * The plan cache checks every rebind whose constants moved: one
 //    OrderJoins + PruneFilters on the rebound graph, compared with the
-//    cached plan by PlanChoiceKey. Nothing is probed up front, so a plan
-//    that is never reused costs exactly one optimization.
-//  * The region is a set of points, not a box or per-relation bands: the
-//    choice is not convex in selectivity. Along one relation the shipped
-//    optimizer can pick plan X, then Y, then X again as the selectivity
-//    grows (JOB-lite q014), and a point verified with two relations moved
-//    spans a box with a corner where another plan wins (CUSTOMER-lite
-//    q065); tests/test_plan_shape_cache.cc, LazyBandParity, pins both.
-//  * When the check picks another plan, FinishParameterized completes that
-//    run into the replacement entry, bit-identical to OptimizeParameterized
-//    on the same graph, so the join order is never searched twice.
+//    cached plan by PlanChoiceKey. A refused check re-runs
+//    OptimizeParameterized on the query's graph.
+//  * No verified region is remembered. The choice is not convex in
+//    selectivity — along one relation the shipped optimizer can pick plan
+//    X, then Y, then X again as the selectivity grows (JOB-lite q014) — so
+//    only exact points could be reused, and a repeated point saves one
+//    verification (~30 us on TPC-DS-lite) of a multi-millisecond request.
 #pragma once
 
 #include <string>
@@ -35,9 +30,8 @@
 
 namespace bqo {
 
-/// \brief An optimized plan plus the slot/selectivity annotations the
-/// plan-shape cache needs to re-bind and verify it. Vectors are indexed by
-/// relation, except estimated_lambda (by filter id).
+/// \brief An optimized plan plus the annotations the plan-shape cache
+/// needs to re-bind it and track its drift.
 struct ParameterizedPlan {
   OptimizedQuery optimized;
   /// Wall time of the whole call that produced this plan — what a
@@ -46,17 +40,10 @@ struct ParameterizedPlan {
   /// Constant slot table the plan was optimized under (one vector per
   /// relation — which selectivity estimate depends on which slots).
   std::vector<std::vector<Value>> constants;
-  /// Optimize-time selectivity per relation (RelationSelectivity): the
-  /// first verified point (see the module comment).
-  std::vector<double> optimize_sel;
   /// Estimated elimination fraction per filter id at optimize time — the
   /// reference the feedback EWMA drifts against (pruned filters: 0).
   std::vector<double> estimated_lambda;
 };
-
-/// \brief Selectivity (filtered_rows / base_rows, clamped to [0, 1]) of
-/// relation `r` of `graph` — a coordinate of a verified point.
-double RelationSelectivity(const JoinGraph& graph, int r);
 
 /// \brief Structural identity of an optimization outcome: the join tree
 /// over relation indices (aliases excluded) plus the unpruned filter menu
@@ -69,13 +56,5 @@ std::string PlanChoiceKey(const Plan& plan);
 ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
                                         StatsCatalog* stats,
                                         const OptimizerOptions& options);
-
-/// \brief Complete a plan that OrderJoins + PruneFilters produced on
-/// `*plan.graph` (pruning `pruned_filters` filters) and annotate it: the
-/// result equals OptimizeParameterized on that graph, bit for bit.
-/// optimize_ns covers this call only.
-ParameterizedPlan FinishParameterized(Plan plan, int pruned_filters,
-                                      StatsCatalog* stats,
-                                      const OptimizerOptions& options);
 
 }  // namespace bqo

@@ -1,7 +1,6 @@
 #include "src/server/plan_cache.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -108,15 +107,13 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
   }
 
   // Re-bind: private instance with the query's predicates and fresh
-  // selectivities for the moved relations only.
+  // statistics for the moved relations only.
   ScopedSpan rebind_span(trace, SpanKind::kRebind, "rebind");
   auto inst = std::make_shared<CachedPlan>();
   inst->graph = entry.graph;  // optimize-time constants + statistics
-  std::vector<double> sel;  // by position in `moved`
   for (int r : moved) {
     inst->graph.relation(r).predicate = query_graph.relation(r).predicate;
     AttachRelationStatistics(&inst->graph, r);  // only the moved slots
-    sel.push_back(RelationSelectivity(inst->graph, r));
   }
   // Aliases are naming, not semantics (excluded from the shape), but the
   // served instance should carry the query's names in labels and metrics.
@@ -124,46 +121,14 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
     inst->graph.relation(r).alias = query_graph.relation(r).alias;
   }
 
-  // The query's point: the entry's selectivities, moved relations
-  // replaced.
-  std::vector<double> point = entry.optimize_sel;
-  for (size_t i = 0; i < moved.size(); ++i) {
-    point[static_cast<size_t>(moved[i])] = sel[i];
-  }
-  bool verified;
   {
-    std::lock_guard<std::mutex> lock(entry.verify_mu);
-    verified = std::find(entry.verified.begin(), entry.verified.end(),
-                         point) != entry.verified.end();
-  }
-  if (!verified) {
-    // Outside the verified region: is the cached plan still the choice
-    // at this point?
-    ScopedSpan verify_span(trace, SpanKind::kOptimize, "verify");
-    const auto start = std::chrono::steady_clock::now();
+    // Is the cached plan still the optimizer's choice at this point?
+    ScopedSpan verify_span(trace, SpanKind::kVerify, "verify");
     EstimatedCoutModel model(stats, options.filter_fp_rate);
     Plan plan = OrderJoins(inst->graph, options, &model);
-    const int pruned = PruneFilters(&plan, options, &model);
+    PruneFilters(&plan, options, &model);
     verifications_->Increment();
-    if (PlanChoiceKey(plan) != entry.choice_key) {
-      inst->plan = std::move(plan);
-      inst->pruned_filters = pruned;
-      inst->optimize_ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      out.reordered = std::move(inst);
-      return refuse();
-    }
-    std::lock_guard<std::mutex> lock(entry.verify_mu);
-    std::vector<std::vector<double>>& points = entry.verified;
-    if (std::find(points.begin(), points.end(), point) == points.end()) {
-      // Concurrent lookups may verify one point twice; keep it once.
-      if (points.size() >= CachedPlan::kMaxVerifiedPoints) {
-        points.erase(points.begin() + 1);  // keep the optimize point
-      }
-      points.push_back(std::move(point));
-    }
+    if (PlanChoiceKey(plan) != entry.choice_key) return refuse();
   }
 
   inst->plan = entry.plan.Clone();
@@ -191,9 +156,7 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   entry->pruned_filters = optimized.optimized.pruned_filters;
   entry->optimize_ns = optimized.optimize_ns;
   entry->constants = std::move(optimized.constants);
-  entry->optimize_sel = std::move(optimized.optimize_sel);
   entry->choice_key = PlanChoiceKey(entry->plan);
-  entry->verified = {entry->optimize_sel};
   entry->estimated_lambda = std::move(optimized.estimated_lambda);
   entry->lambda_ewma.assign(entry->estimated_lambda.size(), -1.0);
 

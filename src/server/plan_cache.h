@@ -26,21 +26,16 @@
 // (zero-copy, the degenerate exact hit). Moved constants: the entry's
 // graph is copied, the query's predicates installed, and **only the moved
 // relations'** selectivities re-estimated (AttachRelationStatistics —
-// exact single-table cardinalities). Then:
+// exact single-table cardinalities). Then one OrderJoins + PruneFilters
+// runs on the rebound graph (`verifications`) and its PlanChoiceKey is
+// compared with the entry's: a match serves a private executable instance
+// with the cached join order (`rebinds`); a mismatch escalates
+// (`reoptimizations`). No verified point is remembered — see
+// src/optimizer/parameterized.h for why.
 //
-//  * the query's selectivity vector is a point of the entry's verified
-//    region (src/optimizer/parameterized.h): a private executable instance
-//    with the cached join order is served (`rebinds`);
-//  * otherwise one OrderJoins + PruneFilters runs on the rebound graph
-//    (`verifications`) and its PlanChoiceKey is compared with the entry's.
-//    A match is served as a rebind and adds the point to the region; a
-//    mismatch escalates (`reoptimizations`) carrying the run's plan, which
-//    the caller finishes with FinishParameterized and Insert — no second
-//    join-order search.
-//
-// A stale entry or mismatched slot table escalates without a run; the
-// caller then runs OptimizeParameterized. Insert *replaces* the entry
-// either way.
+// A stale entry or mismatched slot table escalates without a
+// verification. On any escalation the caller runs OptimizeParameterized
+// and Insert *replaces* the entry.
 //
 // == Feedback ==
 //
@@ -61,9 +56,8 @@
 // executing, and executing a cached plan is read-only (CompilePlan/
 // ExecutePlan build fresh operator trees and a fresh FilterRuntime per
 // execution), so any number of clients may run the same entry at once.
-// The mutable entry state is the feedback block (EWMA + stale flag) and
-// the verified region, each guarded by its own mutex (the stale flag is an
-// atomic).
+// The only mutable entry state is the feedback block (EWMA under its
+// mutex, the stale flag an atomic).
 //
 // == Invalidation ==
 //
@@ -98,8 +92,8 @@
 namespace bqo {
 
 /// \brief One cached (or privately rebound) plan: the optimized plan, the
-/// owned graph copy it is bound to, the slot/selectivity annotations reuse
-/// keys on, and the optimize-time measurements a hit amortizes.
+/// owned graph copy it is bound to, the annotations reuse keys on, and the
+/// optimize-time measurements a hit amortizes.
 struct CachedPlan {
   JoinGraph graph;  ///< owned copy; plan.graph points at this member
   Plan plan;
@@ -111,20 +105,8 @@ struct CachedPlan {
 
   // ---- Reuse annotations (src/optimizer/parameterized.h) ----
   std::vector<std::vector<Value>> constants;  ///< optimize-time slot table
-  std::vector<double> optimize_sel;           ///< per relation
   std::string choice_key;                     ///< PlanChoiceKey(plan)
   std::vector<double> estimated_lambda;       ///< per filter id
-
-  // ---- Verified region: grown by matched verifications ----
-  /// Bounds an entry's memory under literals that never repeat. Dropping
-  /// a point costs one verification when it returns, never a wrong plan.
-  static constexpr size_t kMaxVerifiedPoints = 16;
-  /// Selectivity vectors (one value per relation) at which `plan` is the
-  /// optimizer's choice: optimize_sel first, then the most recently
-  /// verified points, oldest dropped first past kMaxVerifiedPoints.
-  /// Guarded by verify_mu.
-  mutable std::vector<std::vector<double>> verified;
-  mutable std::mutex verify_mu;
 
   // ---- Feedback block ----
   /// Observed-lambda EWMA per filter id (< 0 = no samples yet); guarded
@@ -161,9 +143,8 @@ class PlanCache {
     enum class Kind {
       kMiss,        ///< shape absent: optimize + Insert
       kServed,      ///< `instance` is executable (exact or rebound)
-      kReoptimize,  ///< shape present but reuse refused: optimize (or
-                    ///< finish `reordered`) + Insert, which replaces the
-                    ///< entry
+      kReoptimize,  ///< shape present but reuse refused: optimize +
+                    ///< Insert, which replaces the entry
     };
     Kind kind = Kind::kMiss;
     /// kServed: the plan to execute — the cache entry itself on an
@@ -174,11 +155,6 @@ class PlanCache {
     std::shared_ptr<const CachedPlan> entry;
     /// kServed: true when >= 1 constant slot moved and was re-bound.
     bool rebound = false;
-    /// kReoptimize after a verification that picked another plan: the
-    /// query's rebound graph with that run's plan (ordered and pruned;
-    /// pruned_filters set, optimize_ns = the run's wall time). Finish it
-    /// with FinishParameterized and Insert its graph. Null otherwise.
-    std::shared_ptr<CachedPlan> reordered;
   };
 
   /// \brief Shape lookup + constant re-bind for `query_graph` (bound
@@ -189,15 +165,15 @@ class PlanCache {
   /// first (counted as one invalidation) and the lookup misses. A
   /// verification costs with `stats` under `options` (those the signature
   /// was made with). `trace` (optional) records the re-bind work as a
-  /// span, a verification as an optimize span inside it (src/obs/trace.h).
+  /// span, with the verification as a verify span inside it
+  /// (src/obs/trace.h).
   LookupOutcome Lookup(const std::string& shape_signature,
                        int64_t catalog_version, const JoinGraph& query_graph,
                        StatsCatalog* stats, const OptimizerOptions& options,
                        QueryTrace* trace = nullptr);
 
   /// \brief Insert the result of optimizing `graph` under
-  /// `shape_signature` (OptimizeParameterized, or FinishParameterized of
-  /// a refused verification), copying the graph so the entry outlives the
+  /// `shape_signature` (OptimizeParameterized), copying the graph so the entry outlives the
   /// caller's; returns the entry (also handed to concurrent clients on
   /// later hits). Replaces an existing entry under the same signature —
   /// the re-optimization escalation path — and evicts the

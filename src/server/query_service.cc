@@ -343,26 +343,14 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
         } else {
           // Miss — or an escalation (a verification that picked another
           // plan, or an entry gone stale under lambda drift), where Insert
-          // replaces the refused entry. A refused verification already
-          // ordered and pruned the query's plan: only finish it.
+          // replaces the refused entry.
           ScopedSpan optimize_span(trace, SpanKind::kOptimize, "optimize");
-          ParameterizedPlan optimized;
-          const JoinGraph* optimized_graph = &graph;
-          if (looked.reordered != nullptr) {
-            CachedPlan& reordered = *looked.reordered;
-            optimized = FinishParameterized(std::move(reordered.plan),
-                                            reordered.pruned_filters,
-                                            &stats_, options_.optimizer);
-            optimized.optimize_ns += reordered.optimize_ns;
-            optimized_graph = &reordered.graph;
-          } else {
-            AttachStatistics(&graph);
-            optimized =
-                OptimizeParameterized(graph, &stats_, options_.optimizer);
-          }
+          AttachStatistics(&graph);
+          ParameterizedPlan optimized =
+              OptimizeParameterized(graph, &stats_, options_.optimizer);
           optimize_span.End();
           result.optimize_ns = optimized.optimize_ns;
-          entry = cache_.Insert(signature, planned_version, *optimized_graph,
+          entry = cache_.Insert(signature, planned_version, graph,
                                 std::move(optimized));
           feedback_entry = entry;
         }

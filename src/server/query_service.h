@@ -21,15 +21,14 @@
 //     *shape* signature (literals as slots, src/plan/predicate_shape.h).
 //     A shape hit re-binds the query's constants into the cached plan,
 //     re-estimating only the relations whose slots moved, and serves the
-//     cached join order at points where it is verified to be the
-//     optimizer's choice (src/optimizer/parameterized.h) — skipping the
-//     optimizer entirely (amortizing the paper's Section 6.5 overhead); an
-//     unverified point costs one join ordering to check. A miss attaches
-//     full statistics and runs OptimizeParameterized against the shared
-//     thread-safe StatsCatalog, caching the entry; an escalation (a check
-//     that picked another plan, or an entry marked stale by
-//     observed-lambda drift) finishes the check's plan (or re-optimizes)
-//     and replaces the entry. After an OK
+//     cached join order once one join ordering on the rebound graph
+//     confirms it is still the optimizer's choice
+//     (src/optimizer/parameterized.h) — skipping the rest of the
+//     optimizer (amortizing the paper's Section 6.5 overhead). A miss — or
+//     an escalation (a check that picked another plan, or an entry marked
+//     stale by observed-lambda drift) — attaches full statistics and runs
+//     OptimizeParameterized against the shared thread-safe StatsCatalog,
+//     caching (or replacing) the entry. After an OK
 //     execution the observed per-filter lambdas feed back into the entry
 //     (PlanCache::RecordObservedLambdas).
 //  3. **Executes** — ExecutePlan on the caller's thread under the query's
@@ -171,9 +170,9 @@ struct QueryResult {
   QueryMetrics metrics;
   double estimated_cost = 0;
   /// Optimization wall time: the whole OptimizeParameterized call on a
-  /// plan-cache miss (on an escalated verification, the verification plus
-  /// FinishParameterized), OptimizeQuery with the cache off, 0 on a hit
-  /// (a matched verification counts as a hit: nothing was optimized).
+  /// plan-cache miss or escalation, OptimizeQuery with the cache off, 0 on
+  /// a hit (a matched verification counts as a hit: nothing was
+  /// optimized).
   int64_t optimize_ns = 0;
   int num_joins = 0;
   int pruned_filters = 0;
@@ -240,8 +239,8 @@ class QueryService {
   /// \brief Export every engine metric: the serving outcome counters,
   /// latency histograms and plan-cache counters live in the registry;
   /// build-cache and admission levels are mirrored into gauges at dump
-  /// time, then one snapshot renders in the requested format. Safe to call from a monitor
-  /// thread while queries run.
+  /// time, then one snapshot renders in the requested format. Safe to call
+  /// from a monitor thread while queries run.
   std::string DumpMetrics(MetricsFormat format = MetricsFormat::kJsonLines)
       const;
   /// \brief This service's metric registry (per-instance, so concurrently

@@ -385,9 +385,9 @@ TEST(QueryService, PlanCacheHitExecutesIdentically) {
   EXPECT_EQ(stats.entries, 1);
 }
 
-/// A predicated miss pays OptimizeQuery plus the reuse annotations, and
+/// A predicated miss pays one optimization plus the reuse annotations, and
 /// optimize_ns (QueryResult and CachedPlan) reports all of it: at least
-/// the inner OptimizeQuery's time, at most the enclosing optimize span.
+/// the inner optimization's time, at most the enclosing optimize span.
 /// Each bound compares nested reads of one steady clock, so the test is
 /// deterministic.
 TEST(QueryService, MissReportsWholeParameterizedOptimization) {
