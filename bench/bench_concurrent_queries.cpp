@@ -55,7 +55,7 @@
 // used, default 24), BQO_ROUNDS (measured sweeps, default 3),
 // BQO_MAX_CLIENTS (default 8), plus the engine knobs BQO_THREADS (per-query
 // workers, default 1 here — serving scales across queries, not inside
-// them), BQO_POOL_THREADS, BQO_MORSEL_ROWS, BQO_QUEUE_BATCHES. The serving
+// them), BQO_POOL_THREADS, BQO_MORSEL_ROWS. The serving
 // knobs BQO_DEADLINE_MS / BQO_ADMISSION_QUEUE overlay the overload phase's
 // service (ApplyServingEnvOverrides), and BQO_FAULT_SITES / BQO_FAULT_EVERY
 // arm the fault injector for the **overload phase only** (the CI

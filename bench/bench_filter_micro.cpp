@@ -50,7 +50,7 @@ void BM_FilterInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FilterInsert)
-    ->ArgsProduct({{0, 1, 2, 3}, {1 << 10, 1 << 16, 1 << 20}})
+    ->ArgsProduct({{0, 1, 3}, {1 << 10, 1 << 16, 1 << 20}})
     ->ArgNames({"kind", "n"});
 
 void BM_FilterProbeHit(benchmark::State& state) {
@@ -69,7 +69,7 @@ void BM_FilterProbeHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FilterProbeHit)
-    ->ArgsProduct({{0, 1, 2, 3}, {1 << 16, 1 << 20}})
+    ->ArgsProduct({{0, 1, 3}, {1 << 16, 1 << 20}})
     ->ArgNames({"kind", "n"});
 
 void BM_FilterProbeMiss(benchmark::State& state) {
@@ -89,7 +89,7 @@ void BM_FilterProbeMiss(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FilterProbeMiss)
-    ->ArgsProduct({{0, 1, 2, 3}, {1 << 16, 1 << 20}})
+    ->ArgsProduct({{0, 1, 3}, {1 << 16, 1 << 20}})
     ->ArgNames({"kind", "n"});
 
 /// Batched probe over kBatchSize-strides with an identity selection vector:
@@ -118,7 +118,7 @@ void BM_FilterProbeBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatchSize);
 }
 BENCHMARK(BM_FilterProbeBatch)
-    ->ArgsProduct({{0, 1, 2, 3}, {1 << 16, 1 << 20}, {0, 1}})
+    ->ArgsProduct({{0, 1, 3}, {1 << 16, 1 << 20}, {0, 1}})
     ->ArgNames({"kind", "n", "hits"});
 
 void BM_CompositeHash(benchmark::State& state) {
@@ -196,14 +196,13 @@ void EmitScalarVsBatchedJson() {
     const auto hit_probes = MakeKeys(kProbes, 1);  // prefix of `keys`
     const auto miss_probes = MakeKeys(kProbes, 2);
     for (FilterKind kind :
-         {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo,
-          FilterKind::kBlockedBloom}) {
+         {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
       FilterConfig config;
       config.kind = kind;
       auto filter = CreateFilter(config, build_keys);
       for (uint64_t k : keys) filter->Insert(k);
       // Measured FPR on the disjoint miss stream: every pass is a false
-      // positive (the empirical point the optimizer's per-kind FPR curves
+      // positive (the empirical point EstimatedFilterFpr's per-kind curves
       // are checked against).
       int64_t false_pos = 0;
       for (uint64_t h : miss_probes) false_pos += filter->MayContain(h) ? 1 : 0;

@@ -1,10 +1,12 @@
 // Morsel-parallel scan-stage throughput: the wall time to drain one
-// filter-probing scan (hash -> MayContainBatch -> gather) at 1..N worker
-// threads, through the same ScanOperator/ExchangeOperator shapes ExecutePlan
+// filter-probing scan (hash -> MayContainBatch -> gather) into a grouped
+// aggregate at 1..N worker threads, through the same
+// ScanOperator/ExchangeOperator/AggregateOperator shapes ExecutePlan
 // compiles. Prints one machine-readable JSON line per (filter kind, thread
 // count) for the BENCH_*.json trajectory, and verifies on every run that the
-// result checksum and the merged filter stats are identical across thread
-// counts — the speedup must be free of semantic drift.
+// result checksum, group count, and merged filter and scan stats are
+// identical across thread counts — the speedup must be free of semantic
+// drift.
 //
 // Knobs: BQO_SCAN_ROWS (default 4M), BQO_MAX_THREADS (default: hardware
 // concurrency, at least 4 so the scaling shape is visible even on small
@@ -19,6 +21,7 @@
 #include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/simd.h"
+#include "src/exec/aggregate.h"
 #include "src/exec/exchange.h"
 #include "src/exec/scan.h"
 #include "src/workload/datagen.h"
@@ -48,8 +51,9 @@ int MaxThreadsFromEnv() {
 
 struct DrainResult {
   int64_t wall_ns = 0;
-  uint64_t checksum = 0;  ///< order-independent row checksum
-  int64_t rows_out = 0;
+  uint64_t checksum = 0;  ///< AggregateOperator::ResultChecksum
+  int64_t groups = 0;
+  int64_t rows_out = 0;  ///< scan output rows (filter survivors)
   int64_t probed = 0;
   int64_t passed = 0;
 };
@@ -74,35 +78,39 @@ DrainResult DrainOnce(const Table* table, FilterKind kind, int threads) {
   rf.filter_id = 0;
   rf.key_positions.push_back(table->ColumnIndex("d_fk"));
   OutputSchema schema({BoundColumn{0, "d_fk"}, BoundColumn{0, "measure"}});
+  // SUM(measure) GROUP BY d_fk: the fold runs inside the exchange workers
+  // when threads > 1, and its checksum is merge-order independent.
+  AggSpec agg;
+  agg.kind = AggKind::kSum;
+  agg.sum_column = BoundColumn{0, "measure"};
+  agg.has_group_by = true;
+  agg.group_column = BoundColumn{0, "d_fk"};
   auto scan = std::make_unique<ScanOperator>(
       table, nullptr, schema, std::vector<ResolvedFilter>{rf}, &runtime,
       "scan t");
-  std::unique_ptr<PhysicalOperator> op;
+  const ScanOperator* scan_raw = scan.get();
+  std::unique_ptr<PhysicalOperator> child = std::move(scan);
   if (threads > 1) {
     ExecConfig exec;
     exec.threads = threads;
-    op = std::make_unique<ExchangeOperator>(std::move(scan), exec, "xchg t");
-  } else {
-    op = std::move(scan);
+    child = std::make_unique<ExchangeOperator>(std::move(child), exec, agg,
+                                               "xchg t");
   }
+  AggregateOperator root(std::move(child), agg);
 
   DrainResult result;
   const auto start = std::chrono::steady_clock::now();
-  op->Open();
+  root.Open();
   Batch batch;
-  while (op->Next(&batch)) {
-    for (int r = 0; r < batch.num_rows; ++r) {
-      // Commutative checksum: batch arrival order differs across threads.
-      result.checksum +=
-          Mix64(static_cast<uint64_t>(batch.col(0)[r]) * 31 +
-                static_cast<uint64_t>(batch.col(1)[r]));
-    }
-    result.rows_out += batch.num_rows;
+  while (root.Next(&batch)) {
   }
-  op->Close();
+  root.Close();
   result.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::steady_clock::now() - start)
                        .count();
+  result.checksum = root.ResultChecksum();
+  result.groups = root.NumGroups();
+  result.rows_out = scan_raw->stats().rows_out;
   result.probed = runtime.stats[0].probed;
   result.passed = runtime.stats[0].passed;
   return result;
@@ -141,8 +149,7 @@ int main() {
 
   constexpr int kReps = 3;  // min-of-k, warm cache
   for (FilterKind kind :
-       {FilterKind::kBloom, FilterKind::kBlockedBloom, FilterKind::kExact,
-        FilterKind::kCuckoo}) {
+       {FilterKind::kBloom, FilterKind::kBlockedBloom, FilterKind::kExact}) {
     DrainResult base;
     double base_ns = 0;
     for (int threads = 1; threads <= max_threads; threads *= 2) {
@@ -156,6 +163,7 @@ int main() {
         base = best;
         base_ns = static_cast<double>(best.wall_ns);
       } else if (best.checksum != base.checksum ||
+                 best.groups != base.groups ||
                  best.rows_out != base.rows_out ||
                  best.probed != base.probed || best.passed != base.passed) {
         std::fprintf(stderr,

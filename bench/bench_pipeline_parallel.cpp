@@ -152,8 +152,7 @@ int main() {
 
   constexpr int kReps = 3;  // min-of-k, warm cache
   for (FilterKind kind :
-       {FilterKind::kBloom, FilterKind::kBlockedBloom, FilterKind::kExact,
-        FilterKind::kCuckoo}) {
+       {FilterKind::kBloom, FilterKind::kBlockedBloom, FilterKind::kExact}) {
     for (const bool grouped : {false, true}) {
       RunResult base;
       double base_ns = 0;

@@ -10,9 +10,9 @@
 //   kWorkerTask       — entry of a pool worker task (exchange drains,
 //                       canonical build drains); the generic "a worker
 //                       died" case.
-//   kExchangePush     — an exchange worker about to hand off a produced
-//                       batch (raw-mode queue push / pre-agg fold); fails
-//                       with the bounded queue and sibling producers live.
+//   kExchangePush     — an exchange worker about to fold a produced batch
+//                       into its partial aggregate; fails with sibling
+//                       workers live.
 //   kFilterFill       — inside FillFilterParallel, mid bitvector build;
 //                       fails between a join's table drain and its filter
 //                       publication.

@@ -64,13 +64,12 @@ void AggregateOperator::Open() {
   checksum_ = 0;
   emitted_ = false;
 
-  auto* preagg = dynamic_cast<ExchangeOperator*>(child_.get());
-  if (preagg != nullptr && preagg->pre_aggregating()) {
+  if (auto* exchange = dynamic_cast<ExchangeOperator*>(child_.get())) {
     // Pipeline-parallel sink: the exchange workers already folded their
     // probe-chain output thread-locally; merge the partials. MergeFrom is
     // exact for any partition and merge order (aggregate.h), so the merged
     // state equals the single-threaded fold bit-for-bit.
-    for (PartialAggState& partial : preagg->DrainPartials()) {
+    for (PartialAggState& partial : exchange->DrainPartials()) {
       state_.MergeFrom(std::move(partial));
     }
   } else {

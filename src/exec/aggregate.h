@@ -20,10 +20,10 @@
 //    breaker such as a sort-merge join at the plan root) it folds its
 //    child's batches into one PartialAggState itself. Pipeline-parallel,
 //    the executor compiles the fold *into* the ExchangeOperator below it
-//    (exchange.h pre-aggregating drain): each exchange worker folds its
-//    probe-chain output thread-locally, and the sink merges the per-worker
-//    partials instead of consuming raw batches — no serial consume loop,
-//    no raw-batch queue traffic above the top probe chain.
+//    (exchange.h): each exchange worker folds its probe-chain output
+//    thread-locally, and the sink merges the per-worker partials — no
+//    serial consume loop and no raw batches crossing threads above the top
+//    probe chain.
 //
 // == Checksum merge-order independence ==
 //
@@ -91,7 +91,7 @@ class AggregateOperator final : public PhysicalOperator {
   AggregateOperator(std::unique_ptr<PhysicalOperator> child, AggSpec spec);
 
   /// Open() consumes the whole input: either by folding the child's batches
-  /// itself, or — when the child is a pre-aggregating ExchangeOperator —
+  /// itself, or — when the child is an ExchangeOperator —
   /// by merging the per-worker partials the exchange drained in parallel.
   void Open() override;
   bool Next(Batch* out) override;

@@ -8,7 +8,8 @@
 namespace bqo {
 
 ExchangeOperator::ExchangeOperator(std::unique_ptr<PhysicalOperator> child,
-                                   ExecConfig config, std::string label)
+                                   ExecConfig config, const AggSpec& agg,
+                                   std::string label)
     : child_(std::move(child)), config_(config) {
   schema_ = child_->output_schema();
   stats_.type = OperatorType::kExchange;
@@ -17,17 +18,12 @@ ExchangeOperator::ExchangeOperator(std::unique_ptr<PhysicalOperator> child,
   BQO_CHECK_MSG(pipe_.parallel(),
                 "exchange child must be a parallelizable pipeline");
   BQO_CHECK_GT(config_.ResolvedThreads(), 1);
+  fold_ = AggFold::Resolve(agg, child_->output_schema());
 }
 
 ExchangeOperator::~ExchangeOperator() {
   // Defensive: never leak running workers if Close() was skipped.
   Shutdown();
-}
-
-void ExchangeOperator::EnablePreAggregation(const AggSpec& spec) {
-  BQO_CHECK_MSG(tasks_ == nullptr, "EnablePreAggregation before Open");
-  fold_ = AggFold::Resolve(spec, child_->output_schema());
-  preagg_ = true;
 }
 
 void ExchangeOperator::Open() {
@@ -40,28 +36,10 @@ void ExchangeOperator::Open() {
 
   const int num_workers = config_.ResolvedThreads();
   stats_.parallel_workers = num_workers;
-  capacity_ = static_cast<size_t>(config_.ResolvedQueueBatches());
   abort_ = false;
-  active_producers_ = num_workers;
-  ready_.clear();
-  recycled_.clear();
-  partials_.assign(preagg_ ? static_cast<size_t>(num_workers) : 0,
-                   PartialAggState{});
-
+  partials_.assign(static_cast<size_t>(num_workers), PartialAggState{});
   workers_.assign(static_cast<size_t>(num_workers), PipelineWorkerState{});
   for (auto& ws : workers_) InitPipelineWorker(pipe_, &ws);
-
-  // Raw mode parks threads on the queue CVs, so a cancel must broadcast
-  // them awake; register the listener before any worker can park. Called
-  // here (not under mu_) per the ordering contract in query_context.h.
-  QueryContext* ctx = query_context();
-  if (!preagg_ && ctx != nullptr && cancel_listener_id_ < 0) {
-    cancel_listener_id_ = ctx->AddCancelListener([this] {
-      std::lock_guard<std::mutex> lock(mu_);
-      can_push_.notify_all();
-      can_pop_.notify_all();
-    });
-  }
 
   tasks_ = std::make_unique<WorkerPool::TaskGroup>(&WorkerPool::Global());
   for (int i = 0; i < num_workers; ++i) {
@@ -71,126 +49,46 @@ void ExchangeOperator::Open() {
 
 void ExchangeOperator::WorkerMain(int worker_index) {
   PipelineWorkerState& ws = workers_[static_cast<size_t>(worker_index)];
-  PartialAggState* partial =
-      preagg_ ? &partials_[static_cast<size_t>(worker_index)] : nullptr;
+  PartialAggState& partial = partials_[static_cast<size_t>(worker_index)];
   QueryContext* ctx = query_context();
   Batch batch;
-  for (;;) {
-    {
-      // Per-batch abort point for both modes: Shutdown() on an early
-      // teardown (Close without a drain, destructor) must not have to wait
-      // for the whole scan to run dry.
-      std::lock_guard<std::mutex> lock(mu_);
-      if (abort_) break;
-      if (!preagg_ && !recycled_.empty()) {
-        batch = std::move(recycled_.back());
-        recycled_.pop_back();
-      }
-    }
-    // Per-batch query cancellation point, checked outside mu_ because a
-    // deadline expiry cancels here and Cancel runs our listener, which
-    // locks mu_. The scan's stride checks make the pipeline run dry too;
-    // this just exits a beat sooner.
-    if (CtxShouldStop(ctx)) break;
+  // Per-batch stop points: an early teardown (abort_) or a cancelled query.
+  // The scan's stride checks make the pipeline run dry on cancellation too;
+  // this just exits a beat sooner.
+  while (!abort_.load(std::memory_order_relaxed) && !CtxShouldStop(ctx)) {
     const int64_t start = ThreadCpuNanos();
     const bool produced = PipelineParallelNext(pipe_, &batch, &ws);
-    // Fault hook at the hand-off point (fold or queue push): a fired fault
-    // cancels the whole query first-error-wins, exactly as a real fold/push
-    // failure would surface. Checked outside mu_ (Cancel runs listeners).
     if (produced) {
+      // Fault hook at the fold: a fired fault cancels the whole query
+      // first-error-wins, exactly as a real fold failure would surface.
       Status fault =
           FaultInjector::Global().Check(FaultInjector::Site::kExchangePush);
       if (!fault.ok() && ctx != nullptr) ctx->Cancel(std::move(fault));
       if (CtxShouldStop(ctx)) break;
-    }
-    if (produced && partial != nullptr) {
-      // Pre-aggregating drain: fold thread-locally, reuse the batch
-      // storage, never touch the queue. busy_ns below covers the fold too
-      // (the whole per-worker pipeline including its sink stage).
-      fold_.Fold(batch, partial);
+      fold_.Fold(batch, &partial);
       batch.num_rows = 0;
     }
-    // Whole-pipeline worker time accumulates on the source scan's counter,
-    // measured on the per-thread CPU clock so co-running queries on a
-    // shared pool don't inflate it (see metrics.h).
+    // Whole-pipeline worker time, fold included, accumulates on the source
+    // scan's counter, measured on the per-thread CPU clock so co-running
+    // queries on a shared pool don't inflate it (see metrics.h).
     ws.scan.busy_ns += ThreadCpuNanos() - start;
     if (!produced) break;
-    if (partial != nullptr) continue;
-
-    std::unique_lock<std::mutex> lock(mu_);
-    can_push_.wait(lock, [this, ctx] {
-      return ready_.size() < capacity_ || abort_ ||
-             (ctx != nullptr && ctx->IsCancelled());
-    });
-    if (abort_ || (ctx != nullptr && ctx->IsCancelled())) break;
-    ready_.push_back(std::move(batch));
-    batch = Batch();
-    can_pop_.notify_one();
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (--active_producers_ == 0) can_pop_.notify_all();
 }
 
-bool ExchangeOperator::Next(Batch* out) {
-  TimerGuard timer(&stats_);
-  BQO_CHECK_MSG(!preagg_, "pre-aggregating exchange has no batch output; "
-                          "use DrainPartials()");
-  QueryContext* ctx = query_context();
-  std::unique_lock<std::mutex> lock(mu_);
-  // Manual wait loop rather than the predicate overload: when a deadline is
-  // armed the consumer parks only until it, and the expiry check must run
-  // with mu_ released — ShouldStop() self-cancels on expiry and Cancel runs
-  // our listener, which locks mu_. A cancel while parked wakes us via that
-  // listener; abort_ covers Shutdown-while-parked the same way.
-  const auto done = [this, ctx] {
-    return !ready_.empty() || active_producers_ == 0 || abort_ ||
-           (ctx != nullptr && ctx->IsCancelled());
-  };
-  while (!done()) {
-    if (ctx != nullptr && ctx->has_deadline()) {
-      if (can_pop_.wait_until(lock, ctx->deadline()) ==
-          std::cv_status::timeout) {
-        lock.unlock();
-        ctx->ShouldStop();  // expiry -> Cancel(kDeadlineExceeded)
-        lock.lock();
-      }
-    } else {
-      can_pop_.wait(lock);
-    }
-  }
-  // A cancelled query surfaces exhaustion even if batches remain queued:
-  // its results are void, and the producers are unwinding already.
-  if (ctx != nullptr && ctx->IsCancelled()) {
-    lock.unlock();
-    out->Reset(schema_.size());
-    return false;
-  }
-  if (ready_.empty()) {
-    lock.unlock();
-    out->Reset(schema_.size());
-    return false;
-  }
-  Batch produced = std::move(ready_.front());
-  ready_.pop_front();
-  // Swap storage so the consumed batch's allocation goes back to a worker.
-  std::swap(*out, produced);
-  recycled_.push_back(std::move(produced));
-  can_push_.notify_one();
-  lock.unlock();
-
-  stats_.rows_prefilter += out->num_rows;  // pass-through: in == out
-  stats_.rows_out += out->num_rows;
-  return true;
+bool ExchangeOperator::Next(Batch* /*out*/) {
+  BQO_CHECK_MSG(false, "exchange has no batch output; use DrainPartials()");
+  return false;
 }
 
 std::vector<PartialAggState> ExchangeOperator::DrainPartials() {
   TimerGuard timer(&stats_);
-  BQO_CHECK_MSG(preagg_, "DrainPartials requires pre-aggregation mode");
-  // Pre-aggregating workers never block on the queue, so they run to scan
-  // exhaustion on their own: await them without raising abort_ (which could
-  // stop a worker between morsels and lose folded rows). Wait() runs
-  // still-queued worker tasks on this thread if the pool is busy, so the
-  // drain always progresses (worker_pool.h on helping).
+  BQO_CHECK_MSG(tasks_ != nullptr, "DrainPartials once per Open");
+  // Workers run to scan exhaustion on their own: await them without
+  // raising abort_ (which could stop a worker between morsels and lose
+  // folded rows). Wait() runs still-queued worker tasks on this thread if
+  // the pool is busy, so the drain always progresses (worker_pool.h on
+  // helping).
   tasks_->Wait();
   tasks_.reset();
   for (auto& ws : workers_) MergePipelineWorkerStats(pipe_, &ws);
@@ -200,8 +98,8 @@ std::vector<PartialAggState> ExchangeOperator::DrainPartials() {
   partials_.clear();
   for (const PartialAggState& p : out) {
     // Per-worker agg counters, merged exactly once (metrics.h). The input
-    // rows the fold consumed are this operator's throughput: report them
-    // as rows in == rows out, like the raw mode's pass-through Next().
+    // rows the fold consumed are this operator's throughput: reported as
+    // rows in == rows out.
     stats_.agg_rows_folded += p.rows_folded;
     stats_.agg_partial_groups += static_cast<int64_t>(p.groups.size());
     stats_.rows_prefilter += p.rows_folded;
@@ -212,29 +110,13 @@ std::vector<PartialAggState> ExchangeOperator::DrainPartials() {
 
 void ExchangeOperator::Shutdown() {
   if (tasks_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    abort_ = true;
-    // Both sides: producers parked on a full queue AND a consumer parked in
-    // Next() (e.g. another thread tearing the query down while the
-    // consumer waits on a quiet scan) must observe abort_ promptly.
-    can_push_.notify_all();
-    can_pop_.notify_all();
-  }
+  abort_ = true;
   // Queued-but-unstarted worker tasks run (here, inline, or on the pool),
   // observe abort_, and exit immediately.
   tasks_->Wait();
   tasks_.reset();
-  // Outside mu_: Remove blocks until an in-flight callback (which locks
-  // mu_) finishes, so holding mu_ here would deadlock.
-  if (cancel_listener_id_ >= 0) {
-    query_context()->RemoveCancelListener(cancel_listener_id_);
-    cancel_listener_id_ = -1;
-  }
   for (auto& ws : workers_) MergePipelineWorkerStats(pipe_, &ws);
   workers_.clear();
-  ready_.clear();
-  recycled_.clear();
   partials_.clear();
 }
 

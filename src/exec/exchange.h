@@ -1,35 +1,24 @@
-// ExchangeOperator: morsel-parallel pipeline draining behind a Volcano
-// facade.
+// ExchangeOperator: morsel-parallel pipeline drain that folds the plan's
+// final aggregate wide.
 //
 // The wrapped child is any parallelizable probe pipeline (pipeline.h): a
 // bare scan, or a scan -> probe -> ... -> probe chain of hash joins. Open()
 // first opens the child — which runs every hash-join build below, itself
 // wide — then submits N worker tasks to the shared WorkerPool
 // (src/server/worker_pool.h; no per-query thread construction) that pull
-// scan morsels off the shared cursor and stream them through the whole
-// probe chain thread-locally. What the workers do with the produced batches
-// depends on the drain mode:
-//
-//  * Raw mode (the default): workers push batches into a bounded queue;
-//    Next() pops them for the single-threaded consumer above. Batch order
-//    in the queue is nondeterministic, but the consumers above (aggregate,
-//    result checksum) are order-independent, so query results are identical
-//    to threads=1.
-//  * Pre-aggregating mode (EnablePreAggregation, compiled in by the
-//    executor when the exchange's consumer is the final aggregate): each
-//    worker folds its batches straight into a thread-local PartialAggState
-//    (aggregate.h) — the queue is bypassed entirely and the batches are
-//    recycled worker-locally, so no raw intermediate rows cross threads
-//    above the top probe chain. The aggregate sink then calls
-//    DrainPartials(), which joins the workers and hands back the per-worker
-//    partials for the exact merge (MergeFrom commutes; see aggregate.h).
-//    Next() must not be called in this mode.
+// scan morsels off the shared cursor, stream them through the whole probe
+// chain thread-locally, and fold the produced batches straight into a
+// thread-local PartialAggState (aggregate.h). No raw rows cross threads
+// above the top probe chain. The aggregate sink then calls DrainPartials(),
+// which joins the workers and hands back the per-worker partials for the
+// exact merge (MergeFrom commutes; see aggregate.h). There is no batch
+// output: Next() CHECK-fails.
 //
 // Parallelism therefore stops at the plan's final breaker, not at the
 // leaves: the executor compiles exactly one exchange, directly below the
 // aggregate, when the topmost pipeline is parallelizable (executor.cc) —
-// and in pre-aggregating mode the "breaker" work itself (the fold) runs
-// wide too, leaving only the group-map merge serial.
+// and the "breaker" work itself (the fold) runs wide too, leaving only the
+// group-map merge serial.
 //
 // Stats discipline: workers accumulate FilterStats/OperatorStats deltas in
 // their private PipelineWorkerState (scan scratch + per-join ProbeStates);
@@ -37,23 +26,19 @@
 // shared counters exactly once, so the merged probed/passed counts — at the
 // scan's pushed-down filters and at every join's residual filters — equal
 // the single-threaded run's (the observed-lambda numbers of Section 6.3
-// stay exact under parallelism). In pre-aggregating mode the per-worker
-// agg counters (rows folded, partial group counts) merge into this
-// operator's agg_rows_folded / agg_partial_groups the same way (metrics.h).
+// stay exact under parallelism). The per-worker agg counters (rows folded,
+// partial group counts) merge into this operator's agg_rows_folded /
+// agg_partial_groups the same way (metrics.h).
 //
 // Cancellation (query_context.h): workers poll the query's context at every
-// morsel claim and stride, so a cancelled drain runs dry in bounded time in
-// both modes. Raw mode additionally wires the context into both queue waits
-// — a consumer parked in Next() and producers parked on a full queue are
-// woken promptly by a cancel listener (and Next() waits against the query
-// deadline when one is armed), so a cancelled or deadline-expired query
-// never sits parked on the exchange while its workers unwind.
+// batch, and the scan polls it at every morsel claim and stride, so a
+// cancelled drain runs dry in bounded time. Nothing parks on the exchange:
+// the only waiter is DrainPartials()/Close() in TaskGroup::Wait, which
+// helps run the workers' tasks itself.
 #pragma once
 
-#include <condition_variable>
-#include <deque>
+#include <atomic>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "src/exec/aggregate.h"
@@ -67,27 +52,20 @@ class ExchangeOperator final : public PhysicalOperator {
  public:
   /// `child` must decompose into a parallelizable pipeline
   /// (BuildProbePipeline(child).parallel()) and `config` must resolve to
-  /// more than one thread.
+  /// more than one thread. `agg` is resolved against the child schema
+  /// (CHECKs on missing columns); it is the fold every worker runs.
   ExchangeOperator(std::unique_ptr<PhysicalOperator> child, ExecConfig config,
-                   std::string label);
+                   const AggSpec& agg, std::string label);
   ~ExchangeOperator() override;
 
-  /// \brief Switch to the pre-aggregating drain: workers fold their output
-  /// into thread-local partials instead of queueing raw batches. Resolves
-  /// `spec` against the child schema (CHECKs on missing columns). Must be
-  /// called before Open(); the consumer must use DrainPartials(), not
-  /// Next().
-  void EnablePreAggregation(const AggSpec& spec);
-  bool pre_aggregating() const { return preagg_; }
-
   void Open() override;
+  /// No batch output; consumers call DrainPartials().
   bool Next(Batch* out) override;
   void Close() override;
 
-  /// \brief Pre-aggregating mode only: wait for every worker to exhaust the
-  /// scan cursor, merge their pipeline stats (exactly once), and return the
-  /// per-worker partial aggregates for the sink to merge. Call once per
-  /// Open().
+  /// \brief Wait for every worker to exhaust the scan cursor, merge their
+  /// pipeline stats (exactly once), and return the per-worker partial
+  /// aggregates for the sink to merge. Call once per Open().
   std::vector<PartialAggState> DrainPartials();
 
   std::vector<PhysicalOperator*> children() override {
@@ -105,33 +83,17 @@ class ExchangeOperator final : public PhysicalOperator {
   std::unique_ptr<PhysicalOperator> child_;
   Pipeline pipe_;  ///< decomposition of child_ (source + probe stages)
   ExecConfig config_;
-
-  bool preagg_ = false;
-  AggFold fold_;  ///< pre-aggregating mode: the shared fold kernel
-  std::vector<PartialAggState> partials_;  ///< one per worker
+  AggFold fold_;  ///< the shared fold kernel
 
   /// One WorkerMain task per logical worker, submitted to the shared
   /// WorkerPool (no per-query thread construction); non-null while draining.
   std::unique_ptr<WorkerPool::TaskGroup> tasks_;
   std::vector<PipelineWorkerState> workers_;
-
-  // Bounded MPSC queue (raw mode only). `ready_` holds produced batches;
-  // `recycled_` holds consumed batches whose flat storage workers reuse, so
-  // steady-state operation allocates nothing.
-  std::mutex mu_;
-  std::condition_variable can_push_;  ///< signaled when ready_ drains/aborts
-  std::condition_variable can_pop_;   ///< signaled on push / last producer
-  std::deque<Batch> ready_;
-  std::vector<Batch> recycled_;
-  size_t capacity_ = 0;
-  int active_producers_ = 0;
-  bool abort_ = false;
-  /// Cancel-listener registration (raw mode): on Cancel() the listener
-  /// locks mu_ and broadcasts both CVs so a parked consumer (Next) and
-  /// parked producers wake promptly instead of waiting out a full queue or
-  /// an idle scan. -1 when not registered. See query_context.h for the
-  /// lock-ordering contract (ctx mutex -> mu_; never the reverse).
-  int64_t cancel_listener_id_ = -1;
+  std::vector<PartialAggState> partials_;  ///< one per worker
+  /// Set by Shutdown() on an early teardown (Close without a drain, the
+  /// destructor) so workers stop at the next batch instead of running the
+  /// scan dry.
+  std::atomic<bool> abort_{false};
 };
 
 }  // namespace bqo

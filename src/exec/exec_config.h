@@ -6,11 +6,12 @@
 // morsels claimed off an atomic cursor; each worker runs the full
 // hash -> MayContainBatch -> gather -> join-probe chain thread-locally.
 // Hash-join builds drain their build pipeline with N workers reassembled
-// in canonical order, and the topmost probe chain feeds the aggregate
-// through a bounded queue (src/exec/exchange.h). Bitvector filters and
-// join tables are read-only once built, so probing needs no locks; the
-// mutable counters (FilterStats, OperatorStats) are accumulated per worker
-// and merged once so observed-selectivity numbers stay exact (metrics.h).
+// in canonical order, and the topmost probe chain's workers fold straight
+// into thread-local partial aggregates that the aggregate merges
+// (src/exec/exchange.h). Bitvector filters and join tables are read-only
+// once built, so probing needs no locks; the mutable counters
+// (FilterStats, OperatorStats) are accumulated per worker and merged once
+// so observed-selectivity numbers stay exact (metrics.h).
 //
 // Two distinct knobs control parallelism (see src/server/worker_pool.h and
 // docs/ARCHITECTURE.md "Serving layer"):
@@ -43,10 +44,6 @@ struct ExecConfig {
   /// within a few morsels of each other at the tail.
   int morsel_rows = 16384;
 
-  /// Bounded-queue depth (in batches) between the exchange's pipeline
-  /// workers and the consuming aggregate. 0 = 2 batches per worker.
-  int queue_batches = 0;
-
   /// OS worker threads in the process-wide WorkerPool. 0 = one per
   /// hardware thread. NOTE: the global pool is sized once, on first use,
   /// from the *environment* (WorkerPool::Global reads
@@ -62,11 +59,6 @@ struct ExecConfig {
     return n < 1 ? 1 : n;
   }
 
-  int ResolvedQueueBatches() const {
-    const int n = queue_batches > 0 ? queue_batches : 2 * ResolvedThreads();
-    return n < 2 ? 2 : n;
-  }
-
   int ResolvedPoolThreads() const {
     int n = pool_threads;
     if (n == 0) n = static_cast<int>(std::thread::hardware_concurrency());
@@ -75,7 +67,7 @@ struct ExecConfig {
 };
 
 /// \brief ExecConfig from the environment (BQO_THREADS, BQO_MORSEL_ROWS,
-/// BQO_QUEUE_BATCHES, BQO_POOL_THREADS) — how the workload runner, the
+/// BQO_POOL_THREADS) — how the workload runner, the
 /// bench binaries, and WorkerPool::Global plumb the knobs in. The knob
 /// table lives in README.md's quickstart section.
 inline ExecConfig ExecConfigFromEnv() {
@@ -87,10 +79,6 @@ inline ExecConfig ExecConfigFromEnv() {
   if (const char* m = std::getenv("BQO_MORSEL_ROWS")) {
     const int rows = std::atoi(m);
     if (rows > 0) config.morsel_rows = rows;
-  }
-  if (const char* q = std::getenv("BQO_QUEUE_BATCHES")) {
-    const int batches = std::atoi(q);
-    if (batches > 0) config.queue_batches = batches;
   }
   if (const char* p = std::getenv("BQO_POOL_THREADS")) {
     const int n = std::atoi(p);

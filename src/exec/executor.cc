@@ -137,14 +137,6 @@ std::unique_ptr<PhysicalOperator> CompileNode(
   if (node.created_filter >= 0 &&
       FilterActive(plan, node.created_filter, options)) {
     config.creates_filter_id = node.created_filter;
-    // Honor the optimizer's per-filter implementation pick (filter menu,
-    // cost_model.h) when the caller opted in; otherwise every filter uses
-    // the uniform configured kind, keeping pinned FilterStats unchanged.
-    const int chosen =
-        plan.filters[static_cast<size_t>(node.created_filter)].chosen_kind;
-    if (options.filter_config.use_plan_kinds && chosen >= 0) {
-      config.filter_config.kind = static_cast<FilterKind>(chosen);
-    }
   }
   for (int fid : active_residuals) {
     const PlanFilter& f = plan.filters[static_cast<size_t>(fid)];
@@ -239,18 +231,16 @@ std::unique_ptr<AggregateOperator> CompilePlan(
   // Pipeline-parallel execution: one exchange directly below the aggregate
   // drains the topmost probe pipeline (scan -> probe -> ... -> probe) with
   // N workers; hash-join builds below parallelize inside their own Open().
-  // The aggregate is compiled *into* the exchange (pre-aggregating drain):
-  // each worker folds its probe-chain output into a thread-local partial
-  // and the aggregate sink merges the partials instead of consuming raw
-  // batches, so no serial stage or cross-thread batch queue remains above
-  // the top probe chain. threads == 1 compiles the exact single-threaded
-  // plan, bit-for-bit.
+  // The aggregate is compiled *into* the exchange: each worker folds its
+  // probe-chain output into a thread-local partial and the aggregate sink
+  // merges the partials, so no serial stage or cross-thread batch traffic
+  // remains above the top probe chain. threads == 1 compiles the exact
+  // single-threaded plan, bit-for-bit.
   if (options.exec.ResolvedThreads() > 1 &&
       BuildProbePipeline(root.get()).parallel()) {
     auto exchange = std::make_unique<ExchangeOperator>(
-        std::move(root), options.exec, "xchg pipeline");
+        std::move(root), options.exec, options.agg, "xchg pipeline");
     exchange->stats().plan_node_id = plan.root->id;
-    exchange->EnablePreAggregation(options.agg);
     root = std::move(exchange);
   }
   return std::make_unique<AggregateOperator>(std::move(root), options.agg);

@@ -18,10 +18,10 @@
 //  * The topmost probe chain (scan -> probe -> ... -> probe) runs wide
 //    behind a single ExchangeOperator compiled directly below the
 //    aggregate — parallelism stops at the final breaker, not at the leaves.
-//  * The final aggregate is compiled *into* that exchange (pre-aggregating
-//    drain, exchange.h): each worker folds its probe-chain output into a
-//    thread-local PartialAggState and the AggregateOperator sink merges the
-//    per-worker partials — no serial consume loop and no raw-batch queue
+//  * The final aggregate is compiled *into* that exchange (exchange.h):
+//    each worker folds its probe-chain output into a thread-local
+//    PartialAggState and the AggregateOperator sink merges the per-worker
+//    partials — no serial consume loop and no raw batches crossing threads
 //    above the top probe chain.
 //
 // The recursive Open() order still realizes Algorithm 1's filter-dependency

@@ -60,11 +60,10 @@ struct OperatorStats {
   /// is immune to co-running queries on the shared WorkerPool.
   int64_t worker_cpu_ns = 0;
 
-  // == Aggregation counters (kAggregate, and kExchange in pre-aggregating
-  // mode) ==
+  // == Aggregation counters (kAggregate and kExchange) ==
   //
   // Per-worker accumulation, merged once (same discipline as FilterStats
-  // below): each pre-aggregating exchange worker counts the rows it folds
+  // below): each exchange worker counts the rows it folds
   // into its thread-local PartialAggState; DrainPartials() sums them into
   // the exchange's counters after joining the workers, and the aggregate
   // sink records the merged totals. agg_rows_folded is therefore exactly
@@ -72,7 +71,7 @@ struct OperatorStats {
 
   /// Input rows folded into (partial) aggregate state at this operator.
   int64_t agg_rows_folded = 0;
-  /// Pre-aggregating exchange only: sum of per-worker partial group-map
+  /// Exchange only: sum of per-worker partial group-map
   /// sizes before the sink merge. >= the final NumGroups() whenever a group
   /// key was seen by more than one worker; the gap measures how much
   /// duplicate-group merge work the sink did.

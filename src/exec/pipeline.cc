@@ -196,22 +196,18 @@ void FillFilterParallel(BitvectorFilter* filter, const FilterConfig& config,
                         const uint64_t* hashes, int64_t n,
                         const ExecConfig& exec, QueryContext* ctx) {
   const int workers = exec.ResolvedThreads();
-  // Cuckoo contents depend on insert order (displacement history): a
-  // partitioned build would be sound but not bit-identical to threads=1,
-  // perturbing downstream passed counts. Canonical sequential fill keeps
-  // every counter thread-count-invariant. Small builds also fill
-  // sequentially — the task submission + partial allocation isn't worth it.
-  if (workers <= 1 || config.kind == FilterKind::kCuckoo ||
-      n < kMinParallelFilterKeys) {
+  // Small builds fill sequentially: the task submission + partial
+  // allocation isn't worth it.
+  if (workers <= 1 || n < kMinParallelFilterKeys) {
     FillRange(filter, hashes, 0, n, ctx);
     return;
   }
 
-  // Exact/Bloom inserts commute (set union / bitwise OR), so per-worker
+  // Every kind's inserts commute (set union / bitwise OR), so per-worker
   // partials over contiguous partitions merge into bits identical to the
   // sequential build, and MergeFrom reproduces the sequential NumInserted
-  // (exactly for Exact by set semantics, exactly for Bloom via the insert
-  // journals replayed against the merged prefix).
+  // (exactly for Exact by set semantics, exactly for both Bloom kinds via
+  // the insert journals replayed against the merged prefix).
   std::vector<std::unique_ptr<BitvectorFilter>> partials(
       static_cast<size_t>(workers));
   WorkerPool::TaskGroup group(&WorkerPool::Global());

@@ -16,26 +16,22 @@
 // re-entrant ProbeState per join on the chain) and pull scan morsels off the
 // shared cursor, running hash -> MayContainBatch -> gather -> probe -> probe
 // entirely thread-locally; the bitvector filters and join tables are
-// read-only by the time any pipeline runs. Three draining modes:
+// read-only by the time any pipeline runs. Two draining modes:
 //
 //  * Free-running (PipelineParallelNext): batches may span morsels; used by
-//    ExchangeOperator above the topmost probe chain, where the consumer (the
-//    aggregate) is order-independent.
-//  * Pre-aggregating (ExchangeOperator::EnablePreAggregation): free-running,
-//    but each worker folds its output batches into a thread-local
-//    PartialAggState (aggregate.h) instead of queueing them; the aggregate
-//    sink merges the partials. This is how the executor runs the plan's
-//    final aggregate wide — the fold commutes, so the merged group map,
-//    total, and checksum equal the single-threaded fold exactly.
+//    ExchangeOperator above the topmost probe chain, whose workers fold
+//    their output batches into thread-local PartialAggStates (aggregate.h)
+//    that the aggregate sink merges. This is how the executor runs the
+//    plan's final aggregate wide — the fold commutes, so the merged group
+//    map, total, and checksum equal the single-threaded fold exactly.
 //  * Canonical (DrainPipelineParallel): workers claim one morsel at a time
 //    and the per-morsel output chunks are reassembled in morsel order, which
 //    equals the single-threaded row order exactly (scan rows stream in
 //    selection order and every probe stage is order-preserving). Hash-join
-//    builds and sort-merge materializations use this, so the hash table —
-//    and every insert-order-sensitive structure built from it, like a cuckoo
-//    filter — is byte-identical at every thread count.
+//    builds and sort-merge materializations use this, so the hash table is
+//    byte-identical at every thread count.
 //
-// Stats discipline (the PR 2 invariant, engine-wide): workers accumulate
+// Stats discipline (engine-wide): workers accumulate
 // FilterStats/OperatorStats deltas in their private states; the drain owner
 // merges them exactly once after joining the workers, so merged
 // probed/passed (and ObservedLambda) equal the single-threaded counts.
@@ -102,10 +98,7 @@ std::vector<int64_t> DrainPipelineParallel(const Pipeline& pipe,
 /// build per-partition partials (Bloom partials sized like `filter` so the
 /// geometries match, with insert tracking enabled) and fold them in
 /// partition order through BitvectorFilter::MergeFrom, reproducing the
-/// sequential bits and NumInserted exactly for Exact and Bloom. Cuckoo
-/// filters are filled sequentially regardless of thread count: their
-/// contents are insert-order-dependent, and a merged build would perturb
-/// downstream passed counts relative to threads=1.
+/// sequential bits and NumInserted exactly for every kind.
 ///
 /// `ctx` (optional) makes the fill cancellable: inserts poll it every few
 /// thousand keys and a fired kFilterFill fault cancels it (first-error-

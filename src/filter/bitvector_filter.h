@@ -6,7 +6,8 @@
 // produced by HashComposite(), so multi-column join keys (e.g. the filter
 // built from A ⋈ C in the paper's Figure 1) are handled uniformly.
 //
-// Four implementations:
+// Three implementations, one per FilterConfig::kind (the executor applies
+// the configured kind uniformly to every filter it creates):
 //  * ExactFilter       — a hash set; zero false positives. Realizes the
 //                        paper's "no false positives" assumption used in
 //                        Theorems 4.1/5.1, and is what the
@@ -17,10 +18,12 @@
 //  * BlockedBloomFilter — register-blocked Bloom (one 256-bit sector per
 //                        key, all k bits tested in one AVX2 mask op; see
 //                        blocked_bloom_filter.h). Cheaper per probe, higher
-//                        FPR at equal bits — the optimizer's filter menu
-//                        trades the two per the paper's cost model.
-//  * CuckooFilter      — 4-way bucketized fingerprint filter [15]; supports
-//                        a space/accuracy trade-off ablation.
+//                        FPR at equal bits.
+//
+// Every kind's inserts commute (set union / bitwise OR), so per-worker
+// partials merged in partition order reproduce the sequential filter's
+// membership and NumInserted exactly (MergeFrom; FillFilterParallel in
+// src/exec/pipeline.h).
 #pragma once
 
 #include <cstdint>
@@ -31,7 +34,6 @@ namespace bqo {
 enum class FilterKind : uint8_t {
   kExact = 0,
   kBloom = 1,
-  kCuckoo = 2,
   kBlockedBloom = 3,
 };
 
@@ -61,8 +63,8 @@ class BitvectorFilter {
   ///
   /// Default: the scalar loop. Overrides overlap cache misses instead of
   /// serializing them: Bloom and Exact interleave (prefetch the line of key
-  /// j+D while testing key j), Cuckoo runs chunked passes (prefetch primary
-  /// buckets, resolve, prefetch only the alt buckets that are still needed).
+  /// j+D while testing key j); the blocked Bloom tests a sector per key in
+  /// one SIMD mask op.
   virtual int MayContainBatch(const uint64_t* hashes, uint16_t* sel,
                               int num_sel) const {
     int out = 0;
@@ -82,10 +84,9 @@ class BitvectorFilter {
   /// this (see FillFilterParallel in pipeline.h). NumInserted stays a
   /// logical-key count after the merge: duplicate keys across partitions
   /// must not be double counted where the implementation can detect them —
-  /// ExactFilter unions exactly, BloomFilter reproduces the sequential
-  /// new-bit count from the partials' insert journals (EnableInsertTracking),
-  /// and CuckooFilter replays fingerprints through its duplicate-detecting
-  /// insert path, propagating an operand's overflow freeze.
+  /// ExactFilter unions exactly, and both Bloom kinds reproduce the
+  /// sequential new-bit count from the partials' insert journals
+  /// (EnableInsertTracking).
   virtual void MergeFrom(const BitvectorFilter& other) = 0;
 
   /// \brief True iff this implementation can never return a false positive.
@@ -100,8 +101,7 @@ class BitvectorFilter {
   /// \brief Number of keys logically added: Insert calls that changed what
   /// the filter can reject. Uniform across implementations — duplicate
   /// inserts never count (ExactFilter detects them exactly; Bloom counts an
-  /// insert iff it set a new bit; cuckoo iff the (fingerprint, bucket) pair
-  /// was new), and inserts into an overflowed cuckoo don't count either.
+  /// insert iff it set a new bit).
   /// This is the n that FP-rate formulas and the cost model divide by.
   virtual int64_t NumInserted() const = 0;
 
@@ -115,13 +115,6 @@ struct FilterConfig {
   /// (8 => ~2% FP, 10 => ~1% FP for the classical kind; the blocked kind
   /// runs higher at equal bits — see BlockedBloomFilter::TheoreticalFpRate).
   double bloom_bits_per_key = 10.0;
-  /// Cuckoo: fingerprint bits (12 => ~0.1% FP at 95% load).
-  int cuckoo_fingerprint_bits = 12;
-  /// When true, the executor honors the per-filter kind the optimizer's
-  /// filter menu picked (PlanFilter::chosen_kind) instead of applying
-  /// `kind` uniformly. Off by default: plan-kind selection is an opt-in so
-  /// existing pinned FilterStats stay byte-identical.
-  bool use_plan_kinds = false;
 };
 
 /// \brief Create a filter sized for ~`expected_keys` insertions.

@@ -8,9 +8,9 @@
 // double-hashed probes), this kind buys a cheaper per-probe cost at a
 // measurably higher false-positive rate for the same space: all k bits live
 // in a 256-bit sector, so sector-level load variance compounds the blocking
-// penalty. The optimizer's filter menu (cost_model.h) encodes both curves
-// and trades them per the paper's model; the classical kind stays available
-// as the parity oracle and the better-FPR choice.
+// penalty. EstimatedFilterFpr (cost_model.h) models both curves for
+// EXPLAIN ANALYZE; the classical kind stays the default, the parity oracle
+// and the better-FPR choice.
 #pragma once
 
 #include <cstdint>

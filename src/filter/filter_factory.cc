@@ -1,7 +1,6 @@
 #include "src/filter/bitvector_filter.h"
 #include "src/filter/blocked_bloom_filter.h"
 #include "src/filter/bloom_filter.h"
-#include "src/filter/cuckoo_filter.h"
 #include "src/filter/exact_filter.h"
 
 namespace bqo {
@@ -12,8 +11,6 @@ const char* FilterKindName(FilterKind kind) {
       return "exact";
     case FilterKind::kBloom:
       return "bloom";
-    case FilterKind::kCuckoo:
-      return "cuckoo";
     case FilterKind::kBlockedBloom:
       return "blocked";
   }
@@ -28,9 +25,6 @@ std::unique_ptr<BitvectorFilter> CreateFilter(const FilterConfig& config,
     case FilterKind::kBloom:
       return std::make_unique<BloomFilter>(expected_keys,
                                            config.bloom_bits_per_key);
-    case FilterKind::kCuckoo:
-      return std::make_unique<CuckooFilter>(expected_keys,
-                                            config.cuckoo_fingerprint_bits);
     case FilterKind::kBlockedBloom:
       return std::make_unique<BlockedBloomFilter>(expected_keys,
                                                   config.bloom_bits_per_key);

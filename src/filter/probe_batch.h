@@ -5,8 +5,8 @@
 // clobbered because at most j entries have been written back).
 //
 // Used by the Bloom and Exact filters, whose probes touch one location per
-// key; the Cuckoo filter needs a two-location resolve and has its own
-// chunked scheme (see cuckoo_filter.cc).
+// key; the blocked Bloom filter has its own tier-dispatched kernel
+// (BlockedBloomProbeBatch in filter_kernels.h).
 #pragma once
 
 #include <cstdint>

@@ -64,13 +64,6 @@ void WalkNode(const Plan& plan, const PlanNode& node, int depth,
   }
 }
 
-FilterKind EffectiveKind(const PlanFilter& f, const FilterConfig& config) {
-  if (config.use_plan_kinds && f.chosen_kind >= 0) {
-    return static_cast<FilterKind>(f.chosen_kind);
-  }
-  return config.kind;
-}
-
 }  // namespace
 
 ExplainReport BuildExplainReport(const Plan& plan,
@@ -106,12 +99,11 @@ ExplainReport BuildExplainReport(const Plan& plan,
       report.filters.push_back(std::move(row));
       continue;
     }
-    const FilterKind kind = EffectiveKind(f, filter_config);
     row.created = true;
-    row.kind = FilterKindName(kind);
+    row.kind = FilterKindName(filter_config.kind);
     row.observed_lambda = fs->ObservedLambda();
-    row.modeled_fpr =
-        EstimatedFilterFpr(kind, filter_config.bloom_bits_per_key);
+    row.modeled_fpr = EstimatedFilterFpr(filter_config.kind,
+                                         filter_config.bloom_bits_per_key);
     row.inserted = fs->inserted;
     row.probed = fs->probed;
     row.passed = fs->passed;

@@ -42,8 +42,6 @@ std::string BuildSideSignature(const PhysicalOperator& build_child,
     sig += FilterKindName(filter_config.kind);
     sig += ':';
     sig += std::to_string(filter_config.bloom_bits_per_key);
-    sig += ':';
-    sig += std::to_string(filter_config.cuckoo_fingerprint_bits);
   } else {
     sig += "|filter=none";
   }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <vector>
 
 #include "src/filter/filter_kernels.h"
 
@@ -48,11 +47,6 @@ double EstimatedFilterFpr(FilterKind kind, double bits_per_key) {
       const double k = std::clamp(std::lround(b * 0.6931), 1L, 4L);
       return std::pow(1.0 - std::exp(-k / b), k);
     }
-    case FilterKind::kCuckoo:
-      // 4-way buckets, two candidate buckets: ~ 8 / 2^fingerprint_bits at
-      // the default 12 fingerprint bits (not on the Bloom menu; listed for
-      // completeness).
-      return 8.0 / 4096.0;
     case FilterKind::kBlockedBloom: {
       // Mirror BlockedBloomFilter::TheoreticalFpRate at design load: keys
       // land in 256-bit sectors (mean occupancy 256/b keys), j resident
@@ -83,63 +77,6 @@ double EstimatedFilterFpr(FilterKind kind, double bits_per_key) {
     }
   }
   return 0.0;
-}
-
-int SelectFilterImplementations(Plan* plan, CoutModel* model,
-                                const FilterMenuOptions& menu) {
-  BQO_CHECK(plan != nullptr);
-  if (!menu.enabled || plan->filters.empty()) return 0;
-  const CoutBreakdown breakdown = model->Compute(*plan);
-
-  // Parent index, to count the join probes a leaked tuple survives: from
-  // the application site up to the creating join, where the hash-table
-  // probe finally rejects it.
-  std::vector<int> parent(plan->nodes.size(), -1);
-  for (const PlanNode* node : plan->nodes) {
-    if (node->IsLeaf()) continue;
-    parent[static_cast<size_t>(node->build->id)] = node->id;
-    parent[static_cast<size_t>(node->probe->id)] = node->id;
-  }
-
-  const double fpr_classical =
-      EstimatedFilterFpr(FilterKind::kBloom, menu.bits_per_key);
-  const double fpr_blocked =
-      EstimatedFilterFpr(FilterKind::kBlockedBloom, menu.bits_per_key);
-
-  int blocked_picks = 0;
-  for (PlanFilter& f : plan->filters) {
-    if (f.pruned) {
-      f.chosen_kind = -1;
-      continue;
-    }
-    const double probes =
-        breakdown.node_prefilter[static_cast<size_t>(f.applied_at)];
-    const double lambda = breakdown.filter_lambda[static_cast<size_t>(f.id)];
-    // Leak depth D: join operators between the application site (exclusive)
-    // and the creating join (inclusive). At least 1 — the source join's own
-    // probe is always paid.
-    int depth = 0;
-    for (int nid = parent[static_cast<size_t>(f.applied_at)]; nid >= 0;
-         nid = parent[static_cast<size_t>(nid)]) {
-      ++depth;
-      if (nid == f.source_join) break;
-    }
-    if (depth == 0) depth = 1;
-
-    const double leak_weight =
-        probes * lambda * static_cast<double>(depth) * menu.hash_probe_ns;
-    const double cost_classical =
-        probes * menu.classical_probe_ns + leak_weight * fpr_classical;
-    const double cost_blocked =
-        probes * menu.blocked_probe_ns + leak_weight * fpr_blocked;
-    if (cost_blocked < cost_classical) {
-      f.chosen_kind = static_cast<int>(FilterKind::kBlockedBloom);
-      ++blocked_picks;
-    } else {
-      f.chosen_kind = static_cast<int>(FilterKind::kBloom);
-    }
-  }
-  return blocked_picks;
 }
 
 }  // namespace bqo

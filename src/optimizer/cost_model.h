@@ -29,53 +29,12 @@ int PruneIneffectiveFilters(Plan* plan, CoutModel* model,
 /// per-tuple filter-check and hash-probe costs (Section 6.3's formula).
 double LambdaThreshold(double filter_check_ns, double hash_probe_ns);
 
-// ---------------------------------------------------------------------------
-// Filter-implementation menu (Section 6.3 extended to a per-filter choice).
-// Two Bloom kinds are on the menu with opposite strengths: the classical
-// cache-line-blocked filter (serial double-hashed probes, better FPR) and
-// the register-blocked SIMD filter (one 256-bit mask op per probe, higher
-// FPR at equal bits — see blocked_bloom_filter.h). For each unpruned filter
-// the model compares
-//
-//   cost(kind) = probes * Cf_kind  +  probes * lambda * fpr_kind * D * Cp
-//
-// probe cost versus leaked-tuple cost: a false positive is a tuple the
-// filter should have eliminated (probes * lambda of them arrive) that
-// instead rides through every join between the application site and the
-// creating join — D hash probes at Cp each — before the source join's table
-// rejects it. High probe volume and shallow application favor the blocked
-// kind (cheap Cf dominates); tight space budgets and deep application favor
-// the classical kind (the blocked FPR penalty compounds D times).
-// ---------------------------------------------------------------------------
-
-struct FilterMenuOptions {
-  /// Annotate each unpruned PlanFilter with its chosen kind. Annotation
-  /// only — execution honors it iff FilterConfig::use_plan_kinds is set.
-  bool enabled = true;
-  /// Space budget both curves are evaluated at (matches
-  /// FilterConfig::bloom_bits_per_key at execution time).
-  double bits_per_key = 10.0;
-  /// Measured per-probe costs, ns (Cf per kind and the downstream
-  /// hash-probe Cp), refreshable from bench_filter_micro's
-  /// filter_probe_1M lines (the Figure 7 methodology).
-  double classical_probe_ns = 4.0;
-  double blocked_probe_ns = 1.5;
-  double hash_probe_ns = 20.0;
-};
-
 /// \brief Model false-positive rate of `kind` at design load (n = m /
 /// bits_per_key). Classical Bloom: (1 - e^{-k/b})^k with the
 /// implementation's k clamp. Blocked Bloom: the Poisson sector-occupancy
 /// mixture of BlockedBloomFilter::TheoreticalFpRate — measurably above the
-/// classical curve at equal bits, which is exactly the trade the menu
-/// prices. Exact: 0.
+/// classical curve at equal bits at tight-to-moderate budgets. Exact: 0.
+/// EXPLAIN ANALYZE reports it as each created filter's modeled FPR.
 double EstimatedFilterFpr(FilterKind kind, double bits_per_key);
-
-/// \brief Annotate every unpruned filter in `plan` with the menu kind that
-/// minimizes cost(kind) above (PlanFilter::chosen_kind); pruned filters get
-/// -1. Probe volume, lambda, and leak depth D come from `model` and the
-/// plan shape. Returns the number of filters that chose the blocked kind.
-int SelectFilterImplementations(Plan* plan, CoutModel* model,
-                                const FilterMenuOptions& menu = {});
 
 }  // namespace bqo

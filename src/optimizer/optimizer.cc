@@ -108,16 +108,10 @@ int PruneFilters(Plan* plan, const OptimizerOptions& options,
 }
 
 OptimizedQuery FinishOptimization(Plan plan, int pruned_filters,
-                                  const OptimizerOptions& options,
                                   EstimatedCoutModel* model) {
   OptimizedQuery result;
   result.plan = std::move(plan);
   result.pruned_filters = pruned_filters;
-  if (options.mode != OptimizerMode::kNoBitvectors) {
-    // With the menu of survivors settled, pick each filter's
-    // implementation (annotation only; see FilterMenuOptions).
-    SelectFilterImplementations(&result.plan, model, options.filter_menu);
-  }
   result.estimated_cost = model->Cout(result.plan);
   return result;
 }
@@ -129,7 +123,7 @@ OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
   Plan plan = OrderJoins(graph, options, &model);
   const int pruned = PruneFilters(&plan, options, &model);
   OptimizedQuery result =
-      FinishOptimization(std::move(plan), pruned, options, &model);
+      FinishOptimization(std::move(plan), pruned, &model);
   result.optimize_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)

@@ -45,11 +45,6 @@ struct OptimizerOptions {
   int max_dp_relations = 14;
   /// Plan-count cap for kExhaustive.
   size_t exhaustive_limit = 50000;
-  /// Filter-implementation menu (cost_model.h): after pruning, every
-  /// surviving filter is annotated with the kind — classical or blocked
-  /// Bloom — whose probe-cost/FPR trade minimizes its cost
-  /// (PlanFilter::chosen_kind). Part of the plan's cache identity.
-  FilterMenuOptions filter_menu;
 };
 
 struct OptimizedQuery {
@@ -81,11 +76,9 @@ Plan OrderJoins(const JoinGraph& graph, const OptimizerOptions& options,
 int PruneFilters(Plan* plan, const OptimizerOptions& options,
                  EstimatedCoutModel* model);
 
-/// \brief What OptimizeQuery runs after PruneFilters: each surviving
-/// filter's implementation (FilterMenuOptions) and the final estimated
-/// cost. optimize_ns is left 0 for the caller to stamp.
+/// \brief What OptimizeQuery runs after PruneFilters: the final estimated
+/// cost of the pruned plan. optimize_ns is left 0 for the caller to stamp.
 OptimizedQuery FinishOptimization(Plan plan, int pruned_filters,
-                                  const OptimizerOptions& options,
                                   EstimatedCoutModel* model);
 
 }  // namespace bqo

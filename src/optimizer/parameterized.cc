@@ -49,7 +49,7 @@ ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
   Plan plan = OrderJoins(graph, options, &model);
   const int pruned = PruneFilters(&plan, options, &model);
   ParameterizedPlan out;
-  out.optimized = FinishOptimization(std::move(plan), pruned, options, &model);
+  out.optimized = FinishOptimization(std::move(plan), pruned, &model);
   out.optimized.optimize_ns = ns_since_start();
   // Estimated lambda per filter from the bitvector-aware model, not from
   // PlanFilter::estimated_lambda — the latter is only filled when pruning

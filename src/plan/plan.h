@@ -34,12 +34,6 @@ struct PlanFilter {
   /// (lambda in Section 6.3); filled by the cost model, used for pruning.
   double estimated_lambda = 0.0;
   bool pruned = false;   ///< dropped by cost-based filtering (Section 6.3)
-  /// Implementation picked from the optimizer's filter menu
-  /// (SelectFilterImplementations in cost_model.h): a FilterKind value, or
-  /// -1 when unset/pruned. Annotation only — the executor applies it iff
-  /// FilterConfig::use_plan_kinds is set (int, not FilterKind, so plan.h
-  /// stays independent of the filter layer).
-  int chosen_kind = -1;
 };
 
 struct PlanNode {

@@ -5,7 +5,22 @@
 
 namespace bqo {
 
-BuildCache::BuildCache(BuildCacheOptions options) : options_(options) {}
+BuildCache::BuildCache(BuildCacheOptions options, MetricsRegistry* registry)
+    : options_(options) {
+  if (registry == nullptr) {
+    own_registry_ = std::make_unique<MetricsRegistry>();
+    registry = own_registry_.get();
+  }
+  lookups_ = registry->GetCounter("bqo_build_cache_lookups");
+  hits_ = registry->GetCounter("bqo_build_cache_hits");
+  misses_ = registry->GetCounter("bqo_build_cache_misses");
+  single_flight_waits_ =
+      registry->GetCounter("bqo_build_cache_single_flight_waits");
+  evictions_ = registry->GetCounter("bqo_build_cache_evictions");
+  invalidations_ = registry->GetCounter("bqo_build_cache_invalidations");
+  entries_gauge_ = registry->GetGauge("bqo_build_cache_entries");
+  bytes_gauge_ = registry->GetGauge("bqo_build_cache_bytes");
+}
 
 std::shared_ptr<const JoinBuildSide> BuildCache::GetOrBuild(
     const std::string& signature, int64_t version, QueryContext* ctx,
@@ -16,7 +31,7 @@ std::shared_ptr<const JoinBuildSide> BuildCache::GetOrBuild(
   bool counted_wait = false;
 
   std::unique_lock<std::mutex> lock(mu_);
-  ++stats_.lookups;
+  lookups_->Increment();
   if (version > seen_version_) {
     // The catalog moved on: resident builds bind the old snapshot's table
     // contents and must not serve newer plans. Executing queries keep
@@ -26,7 +41,7 @@ std::shared_ptr<const JoinBuildSide> BuildCache::GetOrBuild(
   } else if (version < seen_version_) {
     // A straggler still executing under an older snapshot: build privately
     // — it may neither share the newer entries nor publish a stale one.
-    ++stats_.misses;
+    misses_->Increment();
     lock.unlock();
     return builder();
   }
@@ -34,7 +49,7 @@ std::shared_ptr<const JoinBuildSide> BuildCache::GetOrBuild(
   for (;;) {
     auto it = entries_.find(signature);
     if (it != entries_.end()) {
-      ++stats_.hits;
+      hits_->Increment();
       lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
       return it->second.side;
     }
@@ -45,7 +60,7 @@ std::shared_ptr<const JoinBuildSide> BuildCache::GetOrBuild(
     // ---- Waiter: park behind the leader and share its outcome ----
     if (!counted_wait) {
       counted_wait = true;
-      ++stats_.single_flight_waits;
+      single_flight_waits_->Increment();
     }
     std::shared_ptr<Flight> flight = fit->second;
     while (!flight->done && !flight->abandoned) {
@@ -56,7 +71,7 @@ std::shared_ptr<const JoinBuildSide> BuildCache::GetOrBuild(
       const bool stop = CtxShouldStop(ctx);
       lock.lock();
       if (stop) {
-        ++stats_.misses;  // left without a result
+        misses_->Increment();  // left without a result
         return nullptr;
       }
       if (flight->done || flight->abandoned) break;
@@ -64,14 +79,14 @@ std::shared_ptr<const JoinBuildSide> BuildCache::GetOrBuild(
     }
     if (flight->done) {
       if (flight->result != nullptr) {
-        ++stats_.hits;
+        hits_->Increment();
         return flight->result;
       }
       // Fail-all: the construction itself failed (not the leader's
       // personal cancellation), so the error applies to every query that
       // needed this build. Cancel outside the cache lock.
       const Status failure = flight->status;
-      ++stats_.misses;
+      misses_->Increment();
       lock.unlock();
       if (ctx != nullptr) ctx->Cancel(failure);
       return nullptr;
@@ -83,7 +98,7 @@ std::shared_ptr<const JoinBuildSide> BuildCache::GetOrBuild(
   // ---- Leader: construct outside the lock ----
   auto flight = std::make_shared<Flight>();
   flights_[flight_key] = flight;
-  ++stats_.misses;  // this query pays the construction (or its failure)
+  misses_->Increment();  // this query pays the construction (or its failure)
   lock.unlock();
 
   std::shared_ptr<const JoinBuildSide> side = builder();
@@ -112,9 +127,9 @@ std::shared_ptr<const JoinBuildSide> BuildCache::GetOrBuild(
     if (version == seen_version_ && options_.max_bytes > 0) {
       lru_.push_front(signature);
       entries_[signature] = Slot{side, lru_.begin()};
-      stats_.bytes += side->SizeBytes();
-      ++stats_.entries;
+      bytes_ += side->SizeBytes();
       EvictLocked();
+      SetLevelGaugesLocked();
     }
   } else if (handoff) {
     flight->abandoned = true;
@@ -132,16 +147,29 @@ void BuildCache::Invalidate() {
 }
 
 BuildCacheStats BuildCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  BuildCacheStats out;
+  out.lookups = lookups_->Value();
+  out.hits = hits_->Value();
+  out.misses = misses_->Value();
+  out.single_flight_waits = single_flight_waits_->Value();
+  out.evictions = evictions_->Value();
+  out.invalidations = invalidations_->Value();
+  out.entries = entries_gauge_->Value();
+  out.bytes = bytes_gauge_->Value();
+  return out;
 }
 
 void BuildCache::InvalidateLocked() {
   entries_.clear();
   lru_.clear();
-  stats_.entries = 0;
-  stats_.bytes = 0;
-  ++stats_.invalidations;
+  bytes_ = 0;
+  SetLevelGaugesLocked();
+  invalidations_->Increment();
+}
+
+void BuildCache::SetLevelGaugesLocked() {
+  entries_gauge_->Set(static_cast<int64_t>(entries_.size()));
+  bytes_gauge_->Set(bytes_);
 }
 
 void BuildCache::EvictLocked() {
@@ -150,13 +178,12 @@ void BuildCache::EvictLocked() {
   // beyond the cache's own) are skipped — the bound may be transiently
   // exceeded, but an in-use build is never dropped from the map.
   auto it = lru_.end();
-  while (stats_.bytes > options_.max_bytes && it != lru_.begin()) {
+  while (bytes_ > options_.max_bytes && it != lru_.begin()) {
     --it;
     auto sit = entries_.find(*it);
     if (sit->second.side.use_count() > 1) continue;  // in use: keep
-    stats_.bytes -= sit->second.side->SizeBytes();
-    --stats_.entries;
-    ++stats_.evictions;
+    bytes_ -= sit->second.side->SizeBytes();
+    evictions_->Increment();
     entries_.erase(sit);
     it = lru_.erase(it);
   }

@@ -46,8 +46,13 @@
 // (one invalidation), and an older in-flight build neither joins a newer
 // flight nor publishes into the newer cache.
 //
-// Counters are reported as BuildCacheStats (src/exec/metrics.h); see the
-// invariants documented there.
+// == Counters ==
+//
+// Every outcome is counted where it happens, as a registry counter
+// (bqo_build_cache_<field>, src/obs/metrics_registry.h; entries and bytes
+// are gauges, set wherever they change), so exports are monotonic and
+// rate() works. stats() reads them back as BuildCacheStats
+// (src/exec/metrics.h; see the invariants documented there).
 #pragma once
 
 #include <condition_variable>
@@ -62,6 +67,7 @@
 #include "src/exec/build_side.h"
 #include "src/exec/metrics.h"
 #include "src/exec/query_context.h"
+#include "src/obs/metrics_registry.h"
 
 namespace bqo {
 
@@ -80,7 +86,10 @@ class BuildCache {
   /// be published.
   using Builder = std::function<std::shared_ptr<const JoinBuildSide>()>;
 
-  explicit BuildCache(BuildCacheOptions options);
+  /// \brief Counters register in `registry` (borrowed; must outlive the
+  /// cache), or in a registry of the cache's own when null.
+  explicit BuildCache(BuildCacheOptions options,
+                      MetricsRegistry* registry = nullptr);
 
   /// \brief Single-flight lookup-or-build (see the header comment).
   /// `version` is the catalog version the query planned under; `ctx` may
@@ -120,6 +129,8 @@ class BuildCache {
 
   /// Flush resident entries; caller holds mu_.
   void InvalidateLocked();
+  /// Mirror entries_/bytes_ into their gauges; caller holds mu_.
+  void SetLevelGaugesLocked();
   /// Evict LRU entries past the memory bound, skipping in-use ones;
   /// caller holds mu_.
   void EvictLocked();
@@ -130,7 +141,17 @@ class BuildCache {
   std::list<std::string> lru_;  ///< front = most recently used
   std::unordered_map<std::string, std::shared_ptr<Flight>> flights_;
   int64_t seen_version_ = -1;
-  BuildCacheStats stats_;
+  int64_t bytes_ = 0;  ///< resident entries' SizeBytes, under mu_
+
+  std::unique_ptr<MetricsRegistry> own_registry_;  ///< when none was given
+  Counter* lookups_;
+  Counter* hits_;
+  Counter* misses_;
+  Counter* single_flight_waits_;
+  Counter* evictions_;
+  Counter* invalidations_;
+  Gauge* entries_gauge_;
+  Gauge* bytes_gauge_;
 };
 
 }  // namespace bqo

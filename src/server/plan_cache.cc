@@ -40,15 +40,10 @@ std::string PlanCache::ShapeSignature(const JoinGraph& graph,
   // Optimizer knobs first — they change the produced plan, so they are
   // part of the identity of the cached artifact.
   std::string sig = StringFormat(
-      "mode=%s;lambda=%.9g;fp=%.9g;dp=%d;exh=%zu;"
-      "menu=%d;mbits=%.9g;mcf=%.9g/%.9g;mcp=%.9g",
+      "mode=%s;lambda=%.9g;fp=%.9g;dp=%d;exh=%zu;",
       OptimizerModeName(options.mode), options.lambda_thresh,
       options.filter_fp_rate, options.max_dp_relations,
-      options.exhaustive_limit, options.filter_menu.enabled ? 1 : 0,
-      options.filter_menu.bits_per_key,
-      options.filter_menu.classical_probe_ns,
-      options.filter_menu.blocked_probe_ns,
-      options.filter_menu.hash_probe_ns);
+      options.exhaustive_limit);
   sig += graph.ShapeSignature();
   return sig;
 }

@@ -73,7 +73,7 @@ QueryService::QueryService(const Catalog* catalog, QueryServiceOptions options)
   if (options_.use_build_cache) {
     BuildCacheOptions bc;
     bc.max_bytes = options_.build_cache_mb << 20;
-    build_cache_ = std::make_unique<BuildCache>(bc);
+    build_cache_ = std::make_unique<BuildCache>(bc, &registry_);
   }
   const int pool = WorkerPool::Global().num_threads();
   max_concurrent_ = options_.max_concurrent_queries > 0
@@ -98,14 +98,6 @@ void QueryService::RegisterMetrics() {
       registry_.GetCounter("bqo_serving_slow_queries_total");
   query_latency_ms_ = registry_.GetHistogram("bqo_query_latency_ms");
   admission_wait_ms_ = registry_.GetHistogram("bqo_admission_wait_ms");
-  static const char* kBuildCacheNames[8] = {
-      "bqo_build_cache_lookups",   "bqo_build_cache_hits",
-      "bqo_build_cache_misses",    "bqo_build_cache_single_flight_waits",
-      "bqo_build_cache_evictions", "bqo_build_cache_invalidations",
-      "bqo_build_cache_entries",   "bqo_build_cache_bytes"};
-  for (int i = 0; i < 8; ++i) {
-    build_cache_gauges_[i] = registry_.GetGauge(kBuildCacheNames[i]);
-  }
   static const char* kAdmissionNames[3] = {"bqo_admission_active",
                                            "bqo_admission_waiting",
                                            "bqo_admission_peak"};
@@ -469,15 +461,9 @@ void QueryService::FinishQuery(
 }
 
 std::string QueryService::DumpMetrics(MetricsFormat format) const {
-  // Mirror the build cache's and admission's state into gauges, then
-  // render one snapshot (the plan cache counts into the registry itself).
-  // Each metric reads atomically (or under its component's own mutex), so
-  // a mid-run dump never sees a torn value.
-  const BuildCacheStats bc = build_cache_stats();
-  const int64_t bc_values[8] = {
-      bc.lookups,   bc.hits,          bc.misses, bc.single_flight_waits,
-      bc.evictions, bc.invalidations, bc.entries, bc.bytes};
-  for (int i = 0; i < 8; ++i) build_cache_gauges_[i]->Set(bc_values[i]);
+  // Mirror admission's state into gauges, then render one snapshot (the
+  // plan and build caches count into the registry themselves). Each metric
+  // reads atomically, so a mid-run dump never sees a torn value.
   {
     std::lock_guard<std::mutex> lock(admit_mu_);
     admission_gauges_[0]->Set(active_);

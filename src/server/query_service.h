@@ -237,10 +237,10 @@ class QueryService {
 
   enum class MetricsFormat { kJsonLines, kPrometheus };
   /// \brief Export every engine metric: the serving outcome counters,
-  /// latency histograms and plan-cache counters live in the registry;
-  /// build-cache and admission levels are mirrored into gauges at dump
-  /// time, then one snapshot renders in the requested format. Safe to call
-  /// from a monitor thread while queries run.
+  /// latency histograms and plan- and build-cache counters live in the
+  /// registry; admission levels are mirrored into gauges at dump time,
+  /// then one snapshot renders in the requested format. Safe to call from
+  /// a monitor thread while queries run.
   std::string DumpMetrics(MetricsFormat format = MetricsFormat::kJsonLines)
       const;
   /// \brief This service's metric registry (per-instance, so concurrently
@@ -272,8 +272,8 @@ class QueryService {
 
   /// Engine metrics (src/obs/metrics_registry.h). The serving outcome
   /// tallies live here as atomic counters — RecordOutcome is lock-free and
-  /// serving_stats() reads are exact per field — and so do the plan
-  /// cache's (declared first: cache_ registers into it). Pointers below
+  /// serving_stats() reads are exact per field — and so do the plan and
+  /// build caches' (declared first: both register into it). Pointers below
   /// are cached at construction (stable for the registry's lifetime).
   MetricsRegistry registry_;
 
@@ -301,8 +301,7 @@ class QueryService {
   Counter* slow_queries_total_ = nullptr;
   Histogram* query_latency_ms_ = nullptr;
   Histogram* admission_wait_ms_ = nullptr;
-  /// Dump-time mirrors of component-owned counters (name -> gauge).
-  Gauge* build_cache_gauges_[8] = {};
+  /// Dump-time mirrors of admission's state (name -> gauge).
   Gauge* admission_gauges_[3] = {};
 };
 

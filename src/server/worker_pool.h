@@ -33,17 +33,9 @@
 //
 //  * No deadlock and no priority inversion for group-awaited drains: a
 //    query whose tasks are stuck behind other queries' tasks in the queue
-//    executes them on its own client thread — so for every drain that ends
-//    in Wait() (build drains, filter fills, pre-aggregating exchanges,
-//    i.e. everything the executor compiles) an admitted query always has
-//    at least one thread (its own) making progress. The one surface
-//    without this floor is a *raw-mode* exchange (test/bench-only; never
-//    compiled by the executor), whose consumer parks in Next() rather
-//    than Wait() — its producers still complete (all tasks are finite),
-//    but may serialize behind co-running queries' tasks first. That parked
-//    consumer is woken promptly on abort, cancel, or deadline expiry
-//    (exchange.h registers a cancel listener with the query's context), so
-//    even the raw-mode surface unwinds in bounded time when its query dies.
+//    executes them on its own client thread — so for every drain (build
+//    drains, filter fills, exchanges: each ends in Wait()) an admitted
+//    query always has at least one thread (its own) making progress.
 //  * A pool of size 1 still runs every multi-worker drain correctly (the
 //    driver helps), which is what single-hardware-thread CI containers do.
 //

@@ -126,7 +126,7 @@ TEST_P(BatchProbeParityTest, BatchedProbeHasNoFalseNegatives) {
 INSTANTIATE_TEST_SUITE_P(AllKinds, BatchProbeParityTest,
                          ::testing::Values(FilterKind::kExact,
                                            FilterKind::kBloom,
-                                           FilterKind::kCuckoo),
+                                           FilterKind::kBlockedBloom),
                          [](const auto& info) {
                            return FilterKindName(info.param);
                          });
@@ -190,7 +190,7 @@ TEST(BatchExecParity, ChecksumInvariantAcrossFilterKinds) {
     const QueryMetrics base = ExecutePlan(plan, off);
 
     for (FilterKind kind :
-         {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+         {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
       ExecutionOptions options;
       options.filter_config.kind = kind;
       const QueryMetrics m = ExecutePlan(plan, options);

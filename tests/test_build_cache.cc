@@ -15,12 +15,16 @@
 //    is handed to its caller but never published.
 //  * Eviction — the LRU walk respects the memory bound but never drops an
 //    entry another query still holds.
+//  * Registry — every outcome lands in a counter of the registry the cache
+//    was given (monotonic, so exports support rate()), and entries/bytes
+//    are gauges that follow residency.
 //
 // Run under -DBQO_SANITIZE=thread in CI (the build-cache-stress job).
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -448,6 +452,106 @@ TEST(BuildCache, CancelledWaiterLeavesWithoutAResult) {
   EXPECT_EQ(s.hits, 0);
   EXPECT_EQ(s.entries, 1);
   ExpectAccountingInvariant(s);
+}
+
+/// The cache's metrics, by name, as the registry exports them.
+std::map<std::string, MetricSnapshot> BuildCacheMetrics(
+    const MetricsRegistry& registry) {
+  std::map<std::string, MetricSnapshot> out;
+  for (MetricSnapshot& m : registry.Snapshot()) {
+    if (m.name.rfind("bqo_build_cache_", 0) == 0) out[m.name] = std::move(m);
+  }
+  return out;
+}
+
+TEST(BuildCache, CountsIntoTheGivenRegistry) {
+  MetricsRegistry registry;
+  BuildCache cache(BuildCacheOptions{/*max_bytes=*/64 << 20}, &registry);
+  QueryContext ctx;
+
+  auto a = cache.GetOrBuild("sig-a", 1, &ctx, [] { return MakeSide(100); });
+  ASSERT_NE(a, nullptr);
+  ASSERT_EQ(cache.GetOrBuild("sig-a", 1, &ctx, [] { return MakeSide(1); }),
+            a);
+
+  std::map<std::string, MetricSnapshot> m = BuildCacheMetrics(registry);
+  ASSERT_EQ(m.size(), 8u);
+  for (const char* name :
+       {"bqo_build_cache_lookups", "bqo_build_cache_hits",
+        "bqo_build_cache_misses", "bqo_build_cache_single_flight_waits",
+        "bqo_build_cache_evictions", "bqo_build_cache_invalidations"}) {
+    EXPECT_EQ(m[name].kind, MetricSnapshot::Kind::kCounter) << name;
+  }
+  EXPECT_EQ(m["bqo_build_cache_entries"].kind, MetricSnapshot::Kind::kGauge);
+  EXPECT_EQ(m["bqo_build_cache_bytes"].kind, MetricSnapshot::Kind::kGauge);
+  EXPECT_EQ(m["bqo_build_cache_lookups"].value, 2);
+  EXPECT_EQ(m["bqo_build_cache_hits"].value, 1);
+  EXPECT_EQ(m["bqo_build_cache_misses"].value, 1);
+  EXPECT_EQ(m["bqo_build_cache_single_flight_waits"].value, 0);
+  EXPECT_EQ(m["bqo_build_cache_entries"].value, 1);
+  EXPECT_EQ(m["bqo_build_cache_bytes"].value, a->SizeBytes());
+
+  cache.Invalidate();
+  m = BuildCacheMetrics(registry);
+  EXPECT_EQ(m["bqo_build_cache_invalidations"].value, 1);
+  EXPECT_EQ(m["bqo_build_cache_entries"].value, 0);
+  EXPECT_EQ(m["bqo_build_cache_bytes"].value, 0);
+
+  // stats() reads the same numbers back.
+  const BuildCacheStats s = cache.stats();
+  EXPECT_EQ(s.lookups, m["bqo_build_cache_lookups"].value);
+  EXPECT_EQ(s.hits, m["bqo_build_cache_hits"].value);
+  EXPECT_EQ(s.misses, m["bqo_build_cache_misses"].value);
+  EXPECT_EQ(s.invalidations, m["bqo_build_cache_invalidations"].value);
+  EXPECT_EQ(s.entries, 0);
+  EXPECT_EQ(s.bytes, 0);
+}
+
+TEST(BuildCache, CountersNeverDecreaseWhileGaugesFollowResidency) {
+  MetricsRegistry registry;
+  // Bound fits roughly one side, so every new signature evicts the last.
+  BuildCache cache(BuildCacheOptions{/*max_bytes=*/10000}, &registry);
+  QueryContext ctx;
+
+  std::map<std::string, MetricSnapshot> prev = BuildCacheMetrics(registry);
+  auto expect_monotonic = [&](const std::string& step) {
+    const std::map<std::string, MetricSnapshot> now =
+        BuildCacheMetrics(registry);
+    for (const auto& [name, snap] : now) {
+      if (snap.kind != MetricSnapshot::Kind::kCounter) continue;
+      EXPECT_GE(snap.value, prev[name].value) << name << " after " << step;
+    }
+    const BuildCacheStats s = cache.stats();
+    EXPECT_EQ(now.at("bqo_build_cache_entries").value, s.entries) << step;
+    EXPECT_EQ(now.at("bqo_build_cache_bytes").value, s.bytes) << step;
+    prev = now;
+  };
+
+  for (int i = 0; i < 4; ++i) {
+    const std::string sig = "sig-" + std::to_string(i);
+    // Results are dropped at once, so nothing is held and eviction runs.
+    ASSERT_NE(cache.GetOrBuild(sig, 1, &ctx, [i] { return MakeSide(1000, i); }),
+              nullptr);
+    expect_monotonic("insert " + sig);
+  }
+  EXPECT_GE(prev["bqo_build_cache_evictions"].value, 3);
+  EXPECT_EQ(prev["bqo_build_cache_entries"].value, 1);
+
+  // A newer catalog version flushes the resident entry (one invalidation):
+  // the gauges drop, the counters keep their totals.
+  ASSERT_NE(cache.GetOrBuild("sig-new", 2, &ctx, [] { return MakeSide(10); }),
+            nullptr);
+  expect_monotonic("version bump");
+  EXPECT_EQ(prev["bqo_build_cache_invalidations"].value, 1);
+  EXPECT_EQ(prev["bqo_build_cache_lookups"].value, 5);
+  EXPECT_EQ(prev["bqo_build_cache_misses"].value, 5);
+  EXPECT_EQ(prev["bqo_build_cache_entries"].value, 1);
+
+  cache.Invalidate();
+  expect_monotonic("invalidate");
+  EXPECT_EQ(prev["bqo_build_cache_invalidations"].value, 2);
+  EXPECT_EQ(prev["bqo_build_cache_entries"].value, 0);
+  EXPECT_EQ(prev["bqo_build_cache_bytes"].value, 0);
 }
 
 }  // namespace

@@ -12,9 +12,11 @@
 //    without crashing, and the very next clean run on the same pool
 //    reproduces the threads==1 baseline exactly — a failed query never
 //    poisons the WorkerPool or its neighbors.
-//  * Raw-mode exchange wakeup: a consumer parked in Next() on a starved
-//    pool is woken promptly by Cancel and by deadline expiry — while the
-//    pool is still pinned — instead of sleeping until producers finish.
+//  * Pre-aggregating exchange on a pinned pool: with the pool's only
+//    worker busy, DrainPartials runs the queued worker tasks inline and
+//    folds every row; a cancel or an expired deadline stops the drain
+//    before any morsel is claimed; Close without a drain aborts the
+//    queued workers without failing the query.
 //  * Serving-layer overload: bounded admission queue sheds with
 //    kResourceExhausted, admission waits are bounded by the service
 //    timeout and by the query deadline, a cancelled waiter wakes promptly,
@@ -30,12 +32,15 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/fault_injector.h"
+#include "src/exec/aggregate.h"
 #include "src/exec/exchange.h"
 #include "src/exec/executor.h"
 #include "src/exec/query_context.h"
+#include "src/exec/scan.h"
 #include "src/plan/pushdown.h"
 #include "src/server/query_service.h"
 #include "src/server/worker_pool.h"
@@ -322,14 +327,15 @@ TEST(MidDrainCancellation, ExpiredDeadlineStopsExecution) {
   EXPECT_TRUE(ctx.status().IsDeadlineExceeded());
 }
 
-// ---- Raw-mode exchange: parked consumer wakes on cancel/deadline ----
+// ---- Pre-aggregating exchange: drains on a pinned pool ----
 
-/// Harness: a raw-mode exchange on a pool of 1 whose only worker is pinned
-/// by a blocker task, so the exchange's producer tasks stay queued and a
-/// consumer calling Next() parks on an empty queue. The consumer must be
-/// woken by the query's cancellation — while the pool is still pinned —
-/// not by producer completion.
-class RawExchangeWakeupTest : public ::testing::Test {
+/// Harness: an exchange folding SUM(measure) GROUP BY d0_fk over a bare
+/// scan of the fact table, on a pool of 1 whose only worker is pinned by a
+/// blocker task. The worker tasks Open() queues can then only run inline,
+/// on the thread that waits for them (TaskGroup::Wait helps). Nothing
+/// parks on the exchange: DrainPartials and Close are its only waiters,
+/// and each must finish without the pool.
+class PinnedPoolExchangeTest : public ::testing::Test {
  protected:
   void SetUp() override {
     WorkerPool::ResetGlobal(1);
@@ -342,13 +348,19 @@ class RawExchangeWakeupTest : public ::testing::Test {
     auto scan = std::make_unique<ScanOperator>(
         fact_, nullptr, schema, std::vector<ResolvedFilter>{}, &runtime_,
         "scan f");
+    scan_ = scan.get();
+    AggSpec agg;
+    agg.kind = AggKind::kSum;
+    agg.sum_column = BoundColumn{0, "measure"};
+    agg.has_group_by = true;
+    agg.group_column = BoundColumn{0, "d0_fk"};
     ExecConfig config;
     config.threads = 2;
     config.morsel_rows = 1024;
     exchange_ = std::make_unique<ExchangeOperator>(std::move(scan), config,
-                                                   "xchg f");
+                                                   agg, "xchg f");
 
-    // Pin the pool's single worker BEFORE Open queues producer tasks.
+    // Pin the pool's single worker BEFORE Open queues the worker tasks.
     blocker_ = std::make_unique<WorkerPool::TaskGroup>(&WorkerPool::Global());
     std::promise<void> occupied;
     released_ = std::make_shared<std::promise<void>>();
@@ -358,69 +370,99 @@ class RawExchangeWakeupTest : public ::testing::Test {
       release_future.wait();
     });
     occupied.get_future().wait();
-
-    exchange_->Open();
   }
 
   void TearDown() override {
-    released_->set_value();  // unpin; Close's Shutdown reaps the producers
+    released_->set_value();
     // Destruction order matters: the TaskGroup and the exchange must die
     // before ResetGlobal destroys the pool they point into (~TaskGroup
     // Waits on the pool's mutex).
     blocker_.reset();
-    exchange_->Close();
+    if (!closed_) exchange_->Close();
     exchange_.reset();
     WorkerPool::ResetGlobal(0);
+  }
+
+  void CloseExchange() {
+    exchange_->Close();
+    closed_ = true;
+  }
+
+  static int64_t RowsFolded(const std::vector<PartialAggState>& partials) {
+    int64_t rows = 0;
+    for (const PartialAggState& p : partials) rows += p.rows_folded;
+    return rows;
   }
 
   std::unique_ptr<TestDb> db_;
   const Table* fact_ = nullptr;
   QueryContext ctx_;
   FilterRuntime runtime_;
+  ScanOperator* scan_ = nullptr;  ///< owned by exchange_
   std::unique_ptr<ExchangeOperator> exchange_;
   std::unique_ptr<WorkerPool::TaskGroup> blocker_;
   std::shared_ptr<std::promise<void>> released_;
+  bool closed_ = false;
 };
 
-TEST_F(RawExchangeWakeupTest, CancelWakesParkedConsumer) {
-  std::promise<bool> consumer_done;
-  std::thread consumer([this, &consumer_done] {
-    Batch batch;
-    consumer_done.set_value(exchange_->Next(&batch));
-  });
+TEST_F(PinnedPoolExchangeTest, DrainFoldsEveryRowWithoutThePool) {
+  exchange_->Open();
+  std::vector<PartialAggState> partials = exchange_->DrainPartials();
+  ASSERT_EQ(partials.size(), 2u);
+  EXPECT_EQ(RowsFolded(partials), fact_->num_rows());
 
-  // Let the consumer park (no producer can run: the pool is pinned), then
-  // cancel. Without the cancel listener + cancelled-aware predicate the
-  // consumer would sleep until the blocker releases — i.e. forever here.
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // The merged partials are the grouped sum over the whole table.
+  const Column& key = fact_->column(fact_->ColumnIndex("d0_fk"));
+  const Column& measure = fact_->column(fact_->ColumnIndex("measure"));
+  std::unordered_map<int64_t, int64_t> expected;
+  for (int64_t r = 0; r < fact_->num_rows(); ++r) {
+    expected[key.GetInt64(r)] += measure.GetInt64(r);
+  }
+  PartialAggState merged = std::move(partials[0]);
+  merged.MergeFrom(std::move(partials[1]));
+  EXPECT_EQ(merged.groups, expected);
+
+  EXPECT_EQ(exchange_->stats().agg_rows_folded, fact_->num_rows());
+  EXPECT_EQ(scan_->stats().rows_prefilter, fact_->num_rows());
+  EXPECT_TRUE(ctx_.status().ok());
+}
+
+TEST_F(PinnedPoolExchangeTest, CancelBeforeDrainFoldsNothing) {
+  exchange_->Open();
   ctx_.Cancel(Status::Cancelled("client went away"));
-
-  auto done = consumer_done.get_future();
-  ASSERT_EQ(done.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready)
-      << "consumer stayed parked after Cancel";
-  EXPECT_FALSE(done.get());  // a cancelled query's Next reports exhaustion
-  consumer.join();
+  const std::vector<PartialAggState> partials = exchange_->DrainPartials();
+  // Every worker sees the cancel at its first stop point, before claiming
+  // a morsel: the drain returns without scanning.
+  EXPECT_EQ(RowsFolded(partials), 0);
+  for (const PartialAggState& p : partials) EXPECT_TRUE(p.groups.empty());
+  EXPECT_EQ(exchange_->stats().agg_rows_folded, 0);
+  EXPECT_EQ(scan_->stats().rows_prefilter, 0);
   EXPECT_TRUE(ctx_.status().IsCancelled());
 }
 
-TEST_F(RawExchangeWakeupTest, DeadlineWakesParkedConsumer) {
-  ctx_.SetDeadlineAfterMs(50);
-  std::promise<bool> consumer_done;
-  std::thread consumer([this, &consumer_done] {
-    Batch batch;
-    consumer_done.set_value(exchange_->Next(&batch));
-  });
-
-  // Nobody cancels explicitly: the parked consumer itself must notice the
-  // deadline (deadline-aware wait), self-cancel, and return.
-  auto done = consumer_done.get_future();
-  ASSERT_EQ(done.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready)
-      << "consumer stayed parked past its deadline";
-  EXPECT_FALSE(done.get());
-  consumer.join();
+TEST_F(PinnedPoolExchangeTest, ExpiredDeadlineSelfCancelsTheDrain) {
+  ctx_.SetDeadline(std::chrono::steady_clock::now() -
+                   std::chrono::milliseconds(1));
+  exchange_->Open();
+  // Nobody cancels explicitly: the first worker to poll the context
+  // notices the deadline and cancels the query.
+  const std::vector<PartialAggState> partials = exchange_->DrainPartials();
+  EXPECT_EQ(RowsFolded(partials), 0);
+  EXPECT_EQ(scan_->stats().rows_prefilter, 0);
+  EXPECT_TRUE(ctx_.IsCancelled());
   EXPECT_TRUE(ctx_.status().IsDeadlineExceeded());
+}
+
+TEST_F(PinnedPoolExchangeTest, CloseWithoutDrainAbortsQueuedWorkers) {
+  exchange_->Open();
+  // An early teardown: Close runs the still-queued workers inline, each
+  // sees the abort flag first and exits without scanning.
+  CloseExchange();
+  EXPECT_EQ(scan_->stats().rows_prefilter, 0);
+  EXPECT_EQ(exchange_->stats().agg_rows_folded, 0);
+  // Aborting the exchange is not a query failure.
+  EXPECT_FALSE(ctx_.IsCancelled());
+  EXPECT_TRUE(ctx_.status().ok());
 }
 
 // ---- QueryService: deadlines, shedding, bounded waits, fault recovery ----

@@ -78,7 +78,7 @@ TEST_F(ExecStarTest, FiltersDoNotChangeResults) {
   Plan plan = BuildRightDeepPlan(*graph_, {0, 1, 2, 3});
   PushDownBitvectors(&plan);
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     ExecutionOptions options;
     options.filter_config.kind = kind;
     const QueryMetrics m = ExecutePlan(plan, options);

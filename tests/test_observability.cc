@@ -10,7 +10,9 @@
 //    spans closed as truncated, final status recorded — and lands in
 //    exactly one outcome counter.
 //  * The registry's hot path is exact under concurrency (no torn or lost
-//    counts), and both export formats are well-formed.
+//    counts), and both export formats are well-formed. The build cache
+//    exports its outcomes as counters and its residency as gauges, and a
+//    service without one exports none of its metrics.
 //
 // Runs under -DBQO_SANITIZE=thread in CI (the obs-smoke job).
 #include <gtest/gtest.h>
@@ -27,6 +29,7 @@
 #include "src/obs/explain.h"
 #include "src/obs/metrics_registry.h"
 #include "src/obs/trace.h"
+#include "src/optimizer/cost_model.h"
 #include "src/server/query_service.h"
 #include "src/server/worker_pool.h"
 #include "test_util.h"
@@ -393,6 +396,42 @@ TEST(Observability, ExplainAnalyzeReportsEstimatesActualsAndFilterFpr) {
       << "span tree rides along when tracing is on";
 }
 
+/// Every created filter is reported as the kind the execution options
+/// configure, with that kind's modeled FPR at the configured budget; an
+/// exact filter models and measures no false positives.
+TEST(Observability, ExplainReportsTheConfiguredKindForEveryFilter) {
+  GlobalPoolGuard guard;
+  WorkerPool::ResetGlobal(2);
+  auto db = MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 1177, /*zipf=*/0.5);
+  for (FilterKind kind :
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+    QueryServiceOptions options = StarServiceOptions();
+    options.execution.filter_config.kind = kind;
+    QueryService service(&db->catalog, options);
+    const QueryResult r = service.Execute(db->spec);
+    ASSERT_TRUE(r.status.ok()) << FilterKindName(kind);
+    ASSERT_NE(r.explain, nullptr);
+
+    const double modeled = EstimatedFilterFpr(
+        kind, options.execution.filter_config.bloom_bits_per_key);
+    int created = 0;
+    for (const FilterExplainRow& f : r.explain->filters) {
+      if (!f.created) {
+        EXPECT_EQ(f.kind, "pruned");
+        continue;
+      }
+      ++created;
+      EXPECT_EQ(f.kind, FilterKindName(kind));
+      EXPECT_EQ(f.modeled_fpr, modeled) << FilterKindName(kind);
+      if (kind == FilterKind::kExact && f.has_measured_fpr) {
+        EXPECT_EQ(f.measured_fpr, 0.0) << "filter " << f.filter_id;
+      }
+    }
+    EXPECT_GT(created, 0) << FilterKindName(kind);
+    if (kind == FilterKind::kExact) EXPECT_EQ(modeled, 0.0);
+  }
+}
+
 TEST(Observability, FaultStruckQueryYieldsTruncatedTraceAndOneFailure) {
   GlobalPoolGuard guard;
   FaultGuard fault_guard;
@@ -476,6 +515,68 @@ TEST(Observability, SlowQueryLogAndMetricsDump) {
             std::string::npos);
   EXPECT_NE(prom.find("bqo_build_cache_lookups"), std::string::npos);
   EXPECT_NE(prom.find("bqo_admission_peak"), std::string::npos);
+}
+
+/// The build cache's outcome counters export as counters (monotonic, so
+/// rate() works) and its residency as gauges, with the values stats()
+/// reads back.
+TEST(Observability, BuildCacheMetricsExportAsCountersAndGauges) {
+  GlobalPoolGuard guard;
+  WorkerPool::ResetGlobal(2);
+  auto db = MakeStarDb(2, 12000, 250, {0.4, 0.25}, 433, /*zipf=*/0.5);
+  QueryService service(&db->catalog, StarServiceOptions());
+  ASSERT_TRUE(service.Execute(db->spec).status.ok());
+  ASSERT_TRUE(service.Execute(db->spec).status.ok());
+
+  const BuildCacheStats s = service.build_cache_stats();
+  ASSERT_GT(s.lookups, 0);
+  EXPECT_GT(s.hits, 0) << "the second run shares the first run's builds";
+  const std::string json = service.DumpMetrics();
+  const std::vector<std::tuple<std::string, const char*, int64_t>> expected =
+      {{"lookups", "counter", s.lookups},
+       {"hits", "counter", s.hits},
+       {"misses", "counter", s.misses},
+       {"single_flight_waits", "counter", s.single_flight_waits},
+       {"evictions", "counter", s.evictions},
+       {"invalidations", "counter", s.invalidations},
+       {"entries", "gauge", s.entries},
+       {"bytes", "gauge", s.bytes}};
+  const std::string prom =
+      service.DumpMetrics(QueryService::MetricsFormat::kPrometheus);
+  for (const auto& [field, type, value] : expected) {
+    const std::string name = "bqo_build_cache_" + field;
+    EXPECT_NE(json.find("\"metric\":\"" + name + "\",\"type\":\"" + type +
+                        "\",\"value\":" + std::to_string(value) + "}"),
+              std::string::npos)
+        << name << "\n" << json;
+    EXPECT_NE(prom.find("# TYPE " + name + " " + type), std::string::npos)
+        << name;
+  }
+}
+
+TEST(Observability, DisabledBuildCacheExportsNoBuildCacheMetrics) {
+  GlobalPoolGuard guard;
+  WorkerPool::ResetGlobal(2);
+  auto db = MakeStarDb(2, 12000, 250, {0.4, 0.25}, 433, /*zipf=*/0.5);
+  QueryServiceOptions options = StarServiceOptions();
+  options.use_build_cache = false;
+  QueryService service(&db->catalog, options);
+  ASSERT_TRUE(service.Execute(db->spec).status.ok());
+  ASSERT_TRUE(service.Execute(db->spec).status.ok());
+
+  const BuildCacheStats s = service.build_cache_stats();
+  EXPECT_EQ(s.lookups, 0);
+  EXPECT_EQ(s.entries, 0);
+  const std::string json = service.DumpMetrics();
+  EXPECT_EQ(json.find("bqo_build_cache_"), std::string::npos) << json;
+  EXPECT_EQ(service.DumpMetrics(QueryService::MetricsFormat::kPrometheus)
+                .find("bqo_build_cache_"),
+            std::string::npos);
+  // The rest of the serving metrics are unaffected.
+  EXPECT_NE(json.find("\"metric\":\"bqo_plan_cache_hits\",\"type\":"
+                      "\"counter\",\"value\":1"),
+            std::string::npos)
+      << json;
 }
 
 TEST(Observability, TracingOffProducesNoTraceButServingStatsStillCount) {

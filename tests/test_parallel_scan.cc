@@ -1,23 +1,22 @@
-// Morsel-parallel scan correctness: for every filter kind (including an
-// overflowed cuckoo), a scan drained by N exchange workers must produce the
-// same result multiset and the same merged FilterStats/OperatorStats as the
-// single-threaded scan — parallelism is pure performance (and the per-worker
-// accumulate + merge-at-Close discipline keeps the counters exact; see
-// metrics.h). Run under -DBQO_SANITIZE=thread in CI to pin race-freedom.
+// Morsel-parallel scan correctness: for every filter kind, and at the
+// saturated and empty edges, a scan drained by N exchange workers (each
+// folding into a thread-local partial aggregate) must produce the same
+// grouped aggregate and the same merged FilterStats/OperatorStats as the
+// single-threaded scan — parallelism is pure performance (and the
+// per-worker accumulate + merge-once discipline keeps the counters exact;
+// see metrics.h). Run under -DBQO_SANITIZE=thread in CI to pin
+// race-freedom.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
 #include "src/common/hash.h"
 #include "src/common/rng.h"
+#include "src/exec/aggregate.h"
 #include "src/exec/exchange.h"
 #include "src/exec/executor.h"
 #include "src/exec/scan.h"
-#include "src/filter/bloom_filter.h"
-#include "src/filter/cuckoo_filter.h"
-#include "src/filter/exact_filter.h"
 #include "src/plan/pushdown.h"
 #include "test_util.h"
 
@@ -27,15 +26,17 @@ namespace {
 using ::bqo::testing::MakeStarDb;
 
 struct ManualScanResult {
-  std::vector<std::vector<int64_t>> rows;  ///< sorted lexicographically
+  uint64_t checksum = 0;  ///< AggregateOperator::ResultChecksum
+  int64_t groups = 0;
   FilterStats filter_stats;
   int64_t rows_prefilter = 0;
   int64_t rows_out = 0;
 };
 
-/// Drain `table` through a ScanOperator probing `filter` on `key_column`,
-/// behind an exchange when threads > 1. Exercises exactly the compile shape
-/// ExecutePlan uses for leaves.
+/// Drain `table` through a ScanOperator probing `filter` on `key_column`
+/// into SUM(measure) GROUP BY `key_column`, with the scan behind an
+/// exchange when threads > 1 — the compile shape ExecutePlan uses for a
+/// single-relation plan.
 ManualScanResult RunManualScan(const Table* table,
                                std::unique_ptr<BitvectorFilter> filter,
                                const std::string& key_column, int threads) {
@@ -50,30 +51,34 @@ ManualScanResult RunManualScan(const Table* table,
   rf.key_positions.push_back(table->ColumnIndex(key_column));
   OutputSchema schema({BoundColumn{0, key_column}, BoundColumn{0, "measure"}});
 
+  AggSpec agg;
+  agg.kind = AggKind::kSum;
+  agg.sum_column = BoundColumn{0, "measure"};
+  agg.has_group_by = true;
+  agg.group_column = BoundColumn{0, key_column};
+
   auto scan = std::make_unique<ScanOperator>(
       table, nullptr, schema, std::vector<ResolvedFilter>{rf}, &runtime,
       "scan t");
   ScanOperator* scan_raw = scan.get();
-  std::unique_ptr<PhysicalOperator> op;
+  std::unique_ptr<PhysicalOperator> child = std::move(scan);
   if (threads > 1) {
     ExecConfig config;
     config.threads = threads;
     config.morsel_rows = 4096;  // several morsels per worker at test sizes
-    op = std::make_unique<ExchangeOperator>(std::move(scan), config, "xchg t");
-  } else {
-    op = std::move(scan);
+    child = std::make_unique<ExchangeOperator>(std::move(child), config, agg,
+                                               "xchg t");
   }
+  AggregateOperator root(std::move(child), agg);
 
-  ManualScanResult result;
-  op->Open();
+  root.Open();
   Batch batch;
-  while (op->Next(&batch)) {
-    for (int r = 0; r < batch.num_rows; ++r) {
-      result.rows.push_back({batch.col(0)[r], batch.col(1)[r]});
-    }
+  while (root.Next(&batch)) {
   }
-  op->Close();
-  std::sort(result.rows.begin(), result.rows.end());
+  root.Close();
+  ManualScanResult result;
+  result.checksum = root.ResultChecksum();
+  result.groups = root.NumGroups();
   result.filter_stats = runtime.stats[0];
   result.rows_prefilter = scan_raw->stats().rows_prefilter;
   result.rows_out = scan_raw->stats().rows_out;
@@ -99,30 +104,24 @@ class ParallelScanTest : public ::testing::Test {
     return filter;
   }
 
-  /// A cuckoo filter driven into overflowed_ (it then admits everything).
-  std::unique_ptr<BitvectorFilter> MakeOverflowedCuckoo() {
-    auto filter = std::make_unique<CuckooFilter>(16, 8);
-    Rng rng(17);
-    for (int i = 0; i < 5000; ++i) filter->Insert(rng.Next());
-    BQO_CHECK(filter->overflowed());
-    return filter;
-  }
-
   std::unique_ptr<testing::TestDb> db_;
   const Table* fact_ = nullptr;
 };
 
 TEST_F(ParallelScanTest, ThreadedScanMatchesSingleThreadAllKinds) {
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     const ManualScanResult base =
         RunManualScan(fact_, MakeHalfDomainFilter(kind), "d0_fk", 1);
+    ASSERT_GT(base.groups, 0) << FilterKindName(kind);
     ASSERT_GT(base.rows_out, 0) << FilterKindName(kind);
     ASSERT_LT(base.rows_out, base.rows_prefilter) << FilterKindName(kind);
     for (int threads : {2, 4}) {
       const ManualScanResult par =
           RunManualScan(fact_, MakeHalfDomainFilter(kind), "d0_fk", threads);
-      EXPECT_EQ(par.rows, base.rows)
+      EXPECT_EQ(par.checksum, base.checksum)
+          << FilterKindName(kind) << " threads=" << threads;
+      EXPECT_EQ(par.groups, base.groups)
           << FilterKindName(kind) << " threads=" << threads;
       // Merged stats must equal the single-threaded counts exactly (the
       // probe/pass sets are partition-invariant; only probe_batches may
@@ -135,17 +134,58 @@ TEST_F(ParallelScanTest, ThreadedScanMatchesSingleThreadAllKinds) {
   }
 }
 
-TEST_F(ParallelScanTest, OverflowedCuckooPassesEverythingUnderThreads) {
-  const ManualScanResult base =
-      RunManualScan(fact_, MakeOverflowedCuckoo(), "d0_fk", 1);
-  // Overflowed filter admits everything: output == full selection.
-  EXPECT_EQ(base.rows_out, fact_->num_rows());
-  EXPECT_EQ(base.filter_stats.passed, base.filter_stats.probed);
-  const ManualScanResult par =
-      RunManualScan(fact_, MakeOverflowedCuckoo(), "d0_fk", 4);
-  EXPECT_EQ(par.rows, base.rows);
-  EXPECT_EQ(par.filter_stats.probed, base.filter_stats.probed);
-  EXPECT_EQ(par.filter_stats.passed, base.filter_stats.passed);
+/// A Bloom filter of either kind driven to saturation (a single block,
+/// every bit set) admits every probe; the threaded drain must still count
+/// each probe exactly once and fold every row.
+TEST_F(ParallelScanTest, SaturatedBloomPassesEverythingUnderThreads) {
+  for (FilterKind kind : {FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+    auto make_saturated = [kind] {
+      FilterConfig config;
+      config.kind = kind;
+      auto filter = CreateFilter(config, 1);
+      Rng rng(17);
+      for (int i = 0; i < 5000; ++i) filter->Insert(rng.Next());
+      return filter;
+    };
+    {
+      auto probe = make_saturated();
+      Rng rng(18);
+      for (int i = 0; i < 1000; ++i) {
+        ASSERT_TRUE(probe->MayContain(rng.Next())) << FilterKindName(kind);
+      }
+    }
+    const ManualScanResult base =
+        RunManualScan(fact_, make_saturated(), "d0_fk", 1);
+    EXPECT_EQ(base.rows_out, fact_->num_rows()) << FilterKindName(kind);
+    EXPECT_EQ(base.filter_stats.probed, fact_->num_rows());
+    EXPECT_EQ(base.filter_stats.passed, base.filter_stats.probed);
+    const ManualScanResult par =
+        RunManualScan(fact_, make_saturated(), "d0_fk", 4);
+    EXPECT_EQ(par.checksum, base.checksum) << FilterKindName(kind);
+    EXPECT_EQ(par.groups, base.groups) << FilterKindName(kind);
+    EXPECT_EQ(par.filter_stats.probed, base.filter_stats.probed);
+    EXPECT_EQ(par.filter_stats.passed, base.filter_stats.passed);
+    EXPECT_EQ(par.rows_out, base.rows_out);
+  }
+}
+
+/// The opposite edge: a filter with nothing inserted rejects every probe,
+/// so no worker folds a row, yet every probe is still counted.
+TEST_F(ParallelScanTest, EmptyFilterRejectsEverythingUnderThreads) {
+  for (FilterKind kind :
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+    FilterConfig config;
+    config.kind = kind;
+    for (int threads : {1, 4}) {
+      const ManualScanResult r =
+          RunManualScan(fact_, CreateFilter(config, 250), "d0_fk", threads);
+      EXPECT_EQ(r.groups, 0) << FilterKindName(kind) << " threads=" << threads;
+      EXPECT_EQ(r.rows_out, 0) << FilterKindName(kind);
+      EXPECT_EQ(r.rows_prefilter, fact_->num_rows()) << FilterKindName(kind);
+      EXPECT_EQ(r.filter_stats.probed, fact_->num_rows());
+      EXPECT_EQ(r.filter_stats.passed, 0);
+    }
+  }
 }
 
 /// End-to-end: ExecutePlan with exec.threads in {1, 4} must agree on result
@@ -159,7 +199,7 @@ TEST(ParallelExecTest, PlanResultsAndFilterStatsMatchSingleThread) {
   PushDownBitvectors(&plan);
 
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     ExecutionOptions single;
     single.filter_config.kind = kind;
     single.agg.kind = AggKind::kSum;

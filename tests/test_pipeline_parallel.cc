@@ -78,7 +78,7 @@ TEST(PipelineParallel, StarSweepAllKindsMatchesSingleThread) {
   PushDownBitvectors(&plan);
 
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     ExecutionOptions options;
     options.filter_config.kind = kind;
     options.agg.kind = AggKind::kSum;
@@ -111,7 +111,7 @@ TEST(PipelineParallel, SnowflakeSweepMatchesSingleThread) {
   PushDownBitvectors(&plan);
 
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     ExecutionOptions options;
     options.filter_config.kind = kind;
     const QueryMetrics base = ExecutePlan(plan, options);
@@ -157,7 +157,7 @@ TEST(PipelineParallel, BushyBuildPipelinesMatchSingleThread) {
   ASSERT_TRUE(plan.Validate());
   PushDownBitvectors(&plan);
 
-  for (FilterKind kind : {FilterKind::kBloom, FilterKind::kCuckoo}) {
+  for (FilterKind kind : {FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     ExecutionOptions options;
     options.filter_config.kind = kind;
     const QueryMetrics base = ExecutePlan(plan, options);
@@ -304,7 +304,7 @@ TEST(PipelineParallel, FillFilterParallelMatchesSequential) {
   }
 
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     FilterConfig config;
     config.kind = kind;
     auto sequential = CreateFilter(config, kKeys);
@@ -395,7 +395,7 @@ TEST(PipelineParallelAgg, StarGroupedAndUngroupedParity) {
   PushDownBitvectors(&plan);
 
   for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kCuckoo}) {
+       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
     ExecutionOptions grouped = GroupedSumOptions(kind);
     {
       ExecutionOptions check = grouped;
@@ -542,7 +542,6 @@ TEST(PipelineParallelAgg, PreAggShapeAndCounters) {
     auto agg = CompilePlan(plan, options, &runtime);
     auto* exchange = dynamic_cast<ExchangeOperator*>(agg->children()[0]);
     ASSERT_NE(exchange, nullptr);
-    EXPECT_TRUE(exchange->pre_aggregating());
   }
 
   options.exec.threads = 1;

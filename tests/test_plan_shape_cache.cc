@@ -662,7 +662,6 @@ void ExpectSamePlan(const OptimizedQuery& want, const CachedPlan& got,
     EXPECT_EQ(Bits(a.estimated_lambda), Bits(b.estimated_lambda))
         << label << " filter " << i;
     EXPECT_EQ(a.pruned, b.pruned) << label << " filter " << i;
-    EXPECT_EQ(a.chosen_kind, b.chosen_kind) << label << " filter " << i;
   }
   EXPECT_EQ(Bits(want.estimated_cost), Bits(got.estimated_cost)) << label;
   EXPECT_EQ(want.pruned_filters, got.pruned_filters) << label;

@@ -12,9 +12,8 @@
 //    probe, and MergeFrom over tracked partials reproduces the sequential
 //    filter's membership and NumInserted under both tiers.
 //  * The blocked FPR model curve: measured FPR tracks TheoreticalFpRate
-//    and sits above the classical filter's at equal bits (the trade the
-//    optimizer's menu prices), and the menu picks blocked when probe
-//    volume dominates vs classical when FPR leakage dominates.
+//    and sits above the classical filter's at equal bits (the curve
+//    EstimatedFilterFpr encodes for EXPLAIN ANALYZE).
 //  * E2E: star / snowflake / sort-merge plans over pools {1,2,4} and both
 //    tiers produce byte-identical checksums and merged FilterStats.
 //
@@ -36,7 +35,6 @@
 #include "src/filter/filter_kernels.h"
 #include "src/optimizer/cost_model.h"
 #include "src/plan/pushdown.h"
-#include "src/stats/estimated_cost.h"
 #include "test_util.h"
 
 namespace bqo {
@@ -234,9 +232,9 @@ TEST(BlockedBloom, MeasuredFprTracksModelAndExceedsClassical) {
   const double classical_rate =
       static_cast<double>(classical_fp) / static_cast<double>(kProbes);
 
-  // The measured rate must track the encoded curve (the cost model's
-  // input) within a loose multiplicative band, and the blocked kind must
-  // actually pay the higher-FPR cost the menu charges it for.
+  // The measured rate must track the encoded curve within a loose
+  // multiplicative band, and the blocked kind must actually pay the
+  // higher FPR the model charges it.
   EXPECT_GT(blocked_rate, 0.0);
   EXPECT_LT(blocked_rate, 2.0 * blocked.TheoreticalFpRate());
   EXPECT_GT(blocked_rate, 0.5 * blocked.TheoreticalFpRate());
@@ -257,96 +255,6 @@ TEST(BlockedBloom, MeasuredFprTracksModelAndExceedsClassical) {
             2.0 * EstimatedFilterFpr(FilterKind::kBloom, 4.0));
   EXPECT_LT(EstimatedFilterFpr(FilterKind::kBlockedBloom, 16.0),
             EstimatedFilterFpr(FilterKind::kBloom, 16.0));
-}
-
-// -------------------------------------------------------------------------
-// Optimizer pin: the menu picks blocked when probe volume dominates and
-// classical when FPR leakage dominates.
-// -------------------------------------------------------------------------
-
-TEST(FilterMenu, ProbeVolumeDominatedPlanPicksBlocked) {
-  // Star: every filter probes the full 50k-row fact scan, and at the
-  // default 10 bits/key the FPR gap between the kinds is ~0.1% — far too
-  // small for even the depth-3 filter's leak penalty to overcome the
-  // 2.5ns/probe advantage. All picks must be blocked.
-  auto db = MakeStarDb(3, 50000, 500, {0.2, 0.5, 0.4}, 21);
-  auto graph = db->Graph();
-  ASSERT_TRUE(graph.ok());
-  JoinGraph g = graph.value();
-  AttachStatistics(&g);
-  Plan plan = BuildRightDeepPlan(g, {0, 1, 2, 3});
-  PushDownBitvectors(&plan);
-  ASSERT_FALSE(plan.filters.empty());
-
-  StatsCatalog stats(&db->catalog);
-  EstimatedCoutModel model(&stats);
-  FilterMenuOptions menu;  // defaults: 10 bits/key
-  const int blocked_picks = SelectFilterImplementations(&plan, &model, menu);
-
-  EXPECT_EQ(blocked_picks, static_cast<int>(plan.filters.size()));
-  for (const PlanFilter& f : plan.filters) {
-    EXPECT_EQ(f.chosen_kind, static_cast<int>(FilterKind::kBlockedBloom))
-        << "filter " << f.id;
-  }
-}
-
-TEST(FilterMenu, FprDominatedPlanPicksClassical) {
-  // Star where the filters push down to the fact scan: the filter created
-  // by the TOP dimension join applies three join probes below its creating
-  // join, so every false positive it leaks survives three hash-table
-  // probes before dying. At a tight space budget (4 bits/key, FPR gap
-  // ~0.18) with a barely-selective top dimension (sel 0.9 → high lambda),
-  // that leak penalty dwarfs the 2.5ns/probe advantage — the deep filter
-  // must stay classical. The bottom dimension's filter (depth 1, sel 0.1 →
-  // low lambda) leaks almost nothing and must still pick blocked: the menu
-  // discriminates per filter inside one plan.
-  auto db = MakeStarDb(3, 50000, 500, {0.9, 0.1, 0.4}, 33);
-  auto graph = db->Graph();
-  ASSERT_TRUE(graph.ok());
-  JoinGraph g = graph.value();
-  AttachStatistics(&g);
-  Plan plan = BuildRightDeepPlan(g, {0, 1, 2, 3});
-  PushDownBitvectors(&plan);
-  ASSERT_FALSE(plan.filters.empty());
-
-  StatsCatalog stats(&db->catalog);
-  EstimatedCoutModel model(&stats);
-  FilterMenuOptions menu;
-  menu.bits_per_key = 4.0;
-  SelectFilterImplementations(&plan, &model, menu);
-
-  std::vector<int> parent(plan.nodes.size(), -1);
-  for (const PlanNode* node : plan.nodes) {
-    if (node->IsLeaf()) continue;
-    parent[static_cast<size_t>(node->build->id)] = node->id;
-    parent[static_cast<size_t>(node->probe->id)] = node->id;
-  }
-  int deepest = -1, deepest_depth = 0;
-  int shallowest = -1, shallowest_depth = 1 << 20;
-  for (const PlanFilter& f : plan.filters) {
-    if (f.pruned) continue;
-    int depth = 0;
-    for (int nid = parent[static_cast<size_t>(f.applied_at)]; nid >= 0;
-         nid = parent[static_cast<size_t>(nid)]) {
-      ++depth;
-      if (nid == f.source_join) break;
-    }
-    if (depth > deepest_depth) {
-      deepest_depth = depth;
-      deepest = f.id;
-    }
-    if (depth < shallowest_depth) {
-      shallowest_depth = depth;
-      shallowest = f.id;
-    }
-  }
-  ASSERT_GE(deepest, 0);
-  ASSERT_GE(deepest_depth, 3) << "fixture should produce a deep filter";
-  EXPECT_EQ(plan.filters[static_cast<size_t>(deepest)].chosen_kind,
-            static_cast<int>(FilterKind::kBloom));
-  ASSERT_EQ(shallowest_depth, 1);
-  EXPECT_EQ(plan.filters[static_cast<size_t>(shallowest)].chosen_kind,
-            static_cast<int>(FilterKind::kBlockedBloom));
 }
 
 // -------------------------------------------------------------------------
