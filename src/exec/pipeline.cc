@@ -5,7 +5,7 @@
 
 #include "src/common/fault_injector.h"
 #include "src/common/thread_clock.h"
-#include "src/filter/bloom_filter.h"
+#include "src/filter/bitvector_filter.h"
 #include "src/server/worker_pool.h"
 
 namespace bqo {
@@ -224,12 +224,7 @@ void FillFilterParallel(BitvectorFilter* filter, const FilterConfig& config,
       const bool bloom_like = config.kind == FilterKind::kBloom ||
                               config.kind == FilterKind::kBlockedBloom;
       auto partial = CreateFilter(config, bloom_like ? n : end - begin);
-      if (config.kind == FilterKind::kBloom) {
-        static_cast<BloomFilter*>(partial.get())->EnableInsertTracking();
-      } else if (config.kind == FilterKind::kBlockedBloom) {
-        static_cast<BlockedBloomFilter*>(partial.get())
-            ->EnableInsertTracking();
-      }
+      partial->EnableInsertTracking();
       FillRange(partial.get(), hashes, begin, end, ctx);
       partials[static_cast<size_t>(w)] = std::move(partial);
     });

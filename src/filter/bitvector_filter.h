@@ -6,19 +6,19 @@
 // produced by HashComposite(), so multi-column join keys (e.g. the filter
 // built from A ⋈ C in the paper's Figure 1) are handled uniformly.
 //
-// Three implementations, one per FilterConfig::kind (the executor applies
-// the configured kind uniformly to every filter it creates):
-//  * ExactFilter       — a hash set; zero false positives. Realizes the
-//                        paper's "no false positives" assumption used in
-//                        Theorems 4.1/5.1, and is what the
-//                        theorem-validation tests run with.
-//  * BloomFilter       — classical cache-line-blocked Bloom filter with
-//                        serial double-hashed probes; the production
-//                        default and parity oracle, mirroring [7, 24].
-//  * BlockedBloomFilter — register-blocked Bloom (one 256-bit sector per
-//                        key, all k bits tested in one AVX2 mask op; see
-//                        blocked_bloom_filter.h). Cheaper per probe, higher
-//                        FPR at equal bits.
+// Three kinds, one per FilterConfig::kind (the executor applies the
+// configured kind uniformly to every filter it creates):
+//  * ExactFilter (kExact) — a hash set; zero false positives. Realizes the
+//    paper's "no false positives" assumption used in Theorems 4.1/5.1, and
+//    is what the theorem-validation tests run with.
+//  * BloomFilter<DoubleHashPattern> (kBloom) — classical cache-line-blocked
+//    Bloom filter with serial double-hashed probes; the production default
+//    and parity oracle, mirroring [7, 24].
+//  * BloomFilter<SectorPattern> (kBlockedBloom) — register-blocked Bloom
+//    (one 256-bit sector per key, all k bits tested in one AVX2 mask op).
+//    Cheaper per probe, higher FPR at equal bits.
+// Both Bloom kinds are one class template (bloom_filter.h); only the bit
+// pattern a key sets within its 64-byte block differs.
 //
 // Every kind's inserts commute (set union / bitwise OR), so per-worker
 // partials merged in partition order reproduce the sequential filter's
@@ -83,11 +83,17 @@ class BitvectorFilter {
   /// contiguous partition of the build keys and combine the partials through
   /// this (see FillFilterParallel in pipeline.h). NumInserted stays a
   /// logical-key count after the merge: duplicate keys across partitions
-  /// must not be double counted where the implementation can detect them —
-  /// ExactFilter unions exactly, and both Bloom kinds reproduce the
-  /// sequential new-bit count from the partials' insert journals
-  /// (EnableInsertTracking).
+  /// must not be double counted — ExactFilter unions exactly, and the Bloom
+  /// kinds reproduce the sequential new-bit count from the partial's insert
+  /// journal, so a Bloom `other` must have been built with
+  /// EnableInsertTracking().
   virtual void MergeFrom(const BitvectorFilter& other) = 0;
+
+  /// \brief Make this filter a valid MergeFrom source: record what
+  /// MergeFrom needs to reproduce the sequential NumInserted. Call before
+  /// the first Insert. A no-op for kinds whose merge needs nothing extra
+  /// (ExactFilter's set union).
+  virtual void EnableInsertTracking() {}
 
   /// \brief True iff this implementation can never return a false positive.
   virtual bool exact() const = 0;
@@ -113,7 +119,7 @@ struct FilterConfig {
   FilterKind kind = FilterKind::kBloom;
   /// Bloom (classical and blocked): bits per inserted key
   /// (8 => ~2% FP, 10 => ~1% FP for the classical kind; the blocked kind
-  /// runs higher at equal bits — see BlockedBloomFilter::TheoreticalFpRate).
+  /// runs higher at equal bits — see SectorPattern::Fpr).
   double bloom_bits_per_key = 10.0;
 };
 

@@ -1,5 +1,4 @@
 #include "src/filter/bitvector_filter.h"
-#include "src/filter/blocked_bloom_filter.h"
 #include "src/filter/bloom_filter.h"
 #include "src/filter/exact_filter.h"
 
@@ -23,11 +22,11 @@ std::unique_ptr<BitvectorFilter> CreateFilter(const FilterConfig& config,
     case FilterKind::kExact:
       return std::make_unique<ExactFilter>(expected_keys);
     case FilterKind::kBloom:
-      return std::make_unique<BloomFilter>(expected_keys,
-                                           config.bloom_bits_per_key);
+      return std::make_unique<BloomFilter<DoubleHashPattern>>(
+          expected_keys, config.bloom_bits_per_key);
     case FilterKind::kBlockedBloom:
-      return std::make_unique<BlockedBloomFilter>(expected_keys,
-                                                  config.bloom_bits_per_key);
+      return std::make_unique<BloomFilter<SectorPattern>>(
+          expected_keys, config.bloom_bits_per_key);
   }
   return nullptr;
 }

@@ -161,11 +161,9 @@ __attribute__((target("avx2"))) inline __m256i SectorMask(uint64_t hash) {
 }
 
 __attribute__((target("avx2"))) uint8_t BlockedInsertAvx2(
-    blocked_bloom::BloomBlock* blocks, uint64_t block_mask, uint64_t hash) {
-  blocked_bloom::BloomBlock& b =
-      blocks[blocked_bloom::BlockIndex(hash, block_mask)];
+    blocked_bloom::BloomBlock& block, uint64_t hash) {
   __m256i* sector = reinterpret_cast<__m256i*>(
-      b.words + blocked_bloom::SectorBase(hash));
+      block.words + blocked_bloom::SectorBase(hash));
   const __m256i mask = SectorMask(hash);
   const __m256i old = _mm256_load_si256(sector);
   _mm256_store_si256(sector, _mm256_or_si256(old, mask));
@@ -232,15 +230,13 @@ void HashCompositeBatchKernel(const int64_t* const* cols, size_t num_cols,
   HashCompositeBatch(cols, num_cols, n, out, seed);
 }
 
-uint8_t BlockedBloomInsert(blocked_bloom::BloomBlock* blocks,
-                           uint64_t block_mask, uint64_t hash) {
+uint8_t BlockedBloomInsert(blocked_bloom::BloomBlock& block, uint64_t hash) {
 #if BQO_X86
   if (ActiveSimdTier() == SimdTier::kAvx2) {
-    return BlockedInsertAvx2(blocks, block_mask, hash);
+    return BlockedInsertAvx2(block, hash);
   }
 #endif
-  return blocked_bloom::ScalarInsertBlock(
-      blocks[blocked_bloom::BlockIndex(hash, block_mask)], hash);
+  return blocked_bloom::ScalarInsertBlock(block, hash);
 }
 
 int BlockedBloomProbeBatch(const blocked_bloom::BloomBlock* blocks,

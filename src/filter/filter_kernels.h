@@ -11,11 +11,12 @@
 // tier-invariant by construction; tests/test_simd_kernels.cc pins that on
 // adversarial lengths and end-to-end plans.
 //
-// Alignment contract: blocked-Bloom storage is an array of 64-byte
-// `BloomBlock`s allocated 64-byte aligned (alignas on the struct plus the
-// aligned-operator-new the vector uses for over-aligned types), so each
-// 32-byte sector can be read with aligned AVX2 loads. ASan/UBSan CI runs the
-// parity suite so a misaligned sector load fails loudly, not slowly.
+// Alignment contract: BloomFilter<SectorPattern> stores its blocks as a
+// std::vector of 64-byte `BloomBlock`s, allocated 64-byte aligned (alignas on
+// the struct plus the aligned-operator-new the vector uses for over-aligned
+// types), so each 32-byte sector can be read with aligned AVX2 loads.
+// ASan/UBSan CI runs the parity suite so a misaligned sector load fails
+// loudly, not slowly.
 #pragma once
 
 #include <cstddef>
@@ -46,13 +47,14 @@ void HashCompositeBatchKernel(const int64_t* const* cols, size_t num_cols,
                               int n, uint64_t* out, uint64_t seed = 0);
 
 // ---------------------------------------------------------------------------
-// Register-blocked Bloom primitives (the kernel under BlockedBloomFilter,
-// src/filter/blocked_bloom_filter.h). Layout follows the
-// Impala/boost-fast_multiblock32 design: a 64-byte block of 16 uint32 words,
-// split into two 32-byte sectors of 8 words. A key picks its block from the
-// hash's HIGH bits, a sector from bit 63, and exactly one bit in each of the
-// sector's 8 words (k = 8) from the LOW 32 bits multiplied by 8 odd salts —
-// so a probe is one cache line touched and, on AVX2, ONE 256-bit mask test.
+// Register-blocked Bloom primitives (the kernels under SectorPattern, the
+// kBlockedBloom bit pattern of BloomFilter, src/filter/bloom_filter.h).
+// Layout follows the Impala/boost-fast_multiblock32 design: a 64-byte block
+// of 16 uint32 words, split into two 32-byte sectors of 8 words. A key picks
+// its block from the hash's HIGH bits, a sector from bit 63, and exactly one
+// bit in each of the sector's 8 words (k = 8) from the LOW 32 bits
+// multiplied by 8 odd salts — so a probe is one cache line touched and, on
+// AVX2, ONE 256-bit mask test.
 // ---------------------------------------------------------------------------
 
 namespace blocked_bloom {
@@ -90,12 +92,18 @@ inline uint32_t WordMask(uint64_t hash, int w) {
   return 1u << ((h32 * kSalt[w]) >> 27);
 }
 
-/// \brief Scalar reference probe of one block; the AVX2 tier must agree on
-/// every (block contents, hash) pair. Exposed for tests and journal replay.
-inline bool ScalarProbeBlock(const BloomBlock& block, uint64_t hash) {
+/// \brief Scalar reference probe of one block: true iff every word-bit of
+/// `hash` flagged in `probe_mask` is set (all 8 by default, the membership
+/// test; journal replay passes an insert's new-probes mask). The AVX2 tier
+/// must agree on every (block contents, hash) pair.
+inline bool ScalarProbeBlock(const BloomBlock& block, uint64_t hash,
+                             uint8_t probe_mask = 0xff) {
   const int base = SectorBase(hash);
   for (int w = 0; w < kWordsPerSector; ++w) {
-    if ((block.words[base + w] & WordMask(hash, w)) == 0) return false;
+    if ((block.words[base + w] & WordMask(hash, w)) == 0 &&
+        (probe_mask & (1u << w)) != 0) {
+      return false;
+    }
   }
   return true;
 }
@@ -117,11 +125,10 @@ inline uint8_t ScalarInsertBlock(BloomBlock& block, uint64_t hash) {
 
 }  // namespace blocked_bloom
 
-/// \brief Dispatched single-key insert into a blocked-Bloom block array.
-/// Returns the new-probes mask (see ScalarInsertBlock). On AVX2 the k bits
-/// are built and OR-ed in with one 256-bit mask op.
-uint8_t BlockedBloomInsert(blocked_bloom::BloomBlock* blocks,
-                           uint64_t block_mask, uint64_t hash);
+/// \brief Dispatched single-key insert into the key's block (see
+/// BlockIndex). Returns the new-probes mask (see ScalarInsertBlock). On AVX2
+/// the k bits are built and OR-ed in with one 256-bit mask op.
+uint8_t BlockedBloomInsert(blocked_bloom::BloomBlock& block, uint64_t hash);
 
 /// \brief Dispatched batched probe over a selection vector (the
 /// MayContainBatch contract of bitvector_filter.h: survivors compacted to

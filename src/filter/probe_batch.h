@@ -4,8 +4,9 @@
 // indices in place (writes trail reads, and the j+kDist lookahead is never
 // clobbered because at most j entries have been written back).
 //
-// Used by the Bloom and Exact filters, whose probes touch one location per
-// key; the blocked Bloom filter has its own tier-dispatched kernel
+// Used by the Exact filter, the classical Bloom pattern (DoubleHashPattern)
+// and the scalar tier of the sector pattern's kernel, whose probes touch
+// one location per key; the sector pattern's AVX2 tier has its own loop
 // (BlockedBloomProbeBatch in filter_kernels.h).
 #pragma once
 

@@ -11,13 +11,13 @@ BuildCache::BuildCache(BuildCacheOptions options, MetricsRegistry* registry)
     own_registry_ = std::make_unique<MetricsRegistry>();
     registry = own_registry_.get();
   }
-  lookups_ = registry->GetCounter("bqo_build_cache_lookups");
-  hits_ = registry->GetCounter("bqo_build_cache_hits");
-  misses_ = registry->GetCounter("bqo_build_cache_misses");
+  lookups_ = registry->GetCounter("bqo_build_cache_lookups_total");
+  hits_ = registry->GetCounter("bqo_build_cache_hits_total");
+  misses_ = registry->GetCounter("bqo_build_cache_misses_total");
   single_flight_waits_ =
-      registry->GetCounter("bqo_build_cache_single_flight_waits");
-  evictions_ = registry->GetCounter("bqo_build_cache_evictions");
-  invalidations_ = registry->GetCounter("bqo_build_cache_invalidations");
+      registry->GetCounter("bqo_build_cache_single_flight_waits_total");
+  evictions_ = registry->GetCounter("bqo_build_cache_evictions_total");
+  invalidations_ = registry->GetCounter("bqo_build_cache_invalidations_total");
   entries_gauge_ = registry->GetGauge("bqo_build_cache_entries");
   bytes_gauge_ = registry->GetGauge("bqo_build_cache_bytes");
 }

@@ -49,10 +49,10 @@
 // == Counters ==
 //
 // Every outcome is counted where it happens, as a registry counter
-// (bqo_build_cache_<field>, src/obs/metrics_registry.h; entries and bytes
-// are gauges, set wherever they change), so exports are monotonic and
-// rate() works. stats() reads them back as BuildCacheStats
-// (src/exec/metrics.h; see the invariants documented there).
+// (bqo_build_cache_<field>_total, src/obs/metrics_registry.h; entries and
+// bytes are gauges without the suffix, set wherever they change), so
+// exports are monotonic and rate() works. stats() reads them back as
+// BuildCacheStats (src/exec/metrics.h; see the invariants documented there).
 #pragma once
 
 #include <condition_variable>

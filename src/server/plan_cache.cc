@@ -15,16 +15,17 @@ PlanCache::PlanCache(PlanCacheOptions options, MetricsRegistry* registry)
     own_registry_ = std::make_unique<MetricsRegistry>();
     registry = own_registry_.get();
   }
-  hits_ = registry->GetCounter("bqo_plan_cache_hits");
-  misses_ = registry->GetCounter("bqo_plan_cache_misses");
-  evictions_ = registry->GetCounter("bqo_plan_cache_evictions");
-  invalidations_ = registry->GetCounter("bqo_plan_cache_invalidations");
-  shape_hits_ = registry->GetCounter("bqo_plan_cache_shape_hits");
-  rebinds_ = registry->GetCounter("bqo_plan_cache_rebinds");
-  verifications_ = registry->GetCounter("bqo_plan_cache_verifications");
-  reoptimizations_ = registry->GetCounter("bqo_plan_cache_reoptimizations");
+  hits_ = registry->GetCounter("bqo_plan_cache_hits_total");
+  misses_ = registry->GetCounter("bqo_plan_cache_misses_total");
+  evictions_ = registry->GetCounter("bqo_plan_cache_evictions_total");
+  invalidations_ = registry->GetCounter("bqo_plan_cache_invalidations_total");
+  shape_hits_ = registry->GetCounter("bqo_plan_cache_shape_hits_total");
+  rebinds_ = registry->GetCounter("bqo_plan_cache_rebinds_total");
+  verifications_ = registry->GetCounter("bqo_plan_cache_verifications_total");
+  reoptimizations_ =
+      registry->GetCounter("bqo_plan_cache_reoptimizations_total");
   drift_invalidations_ =
-      registry->GetCounter("bqo_plan_cache_drift_invalidations");
+      registry->GetCounter("bqo_plan_cache_drift_invalidations_total");
   entries_gauge_ = registry->GetGauge("bqo_plan_cache_entries");
 }
 

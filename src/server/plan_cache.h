@@ -70,9 +70,9 @@
 // == Counters ==
 //
 // Every outcome is counted where it happens, as a registry counter
-// (bqo_plan_cache_<field>, src/obs/metrics_registry.h; entries is a
-// gauge), so exports are monotonic and rate() works. stats() reads them
-// back as PlanCacheStats (src/exec/metrics.h).
+// (bqo_plan_cache_<field>_total, src/obs/metrics_registry.h; entries is a
+// gauge, bqo_plan_cache_entries), so exports are monotonic and rate()
+// works. stats() reads them back as PlanCacheStats (src/exec/metrics.h).
 #pragma once
 
 #include <atomic>

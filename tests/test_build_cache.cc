@@ -477,32 +477,34 @@ TEST(BuildCache, CountsIntoTheGivenRegistry) {
   std::map<std::string, MetricSnapshot> m = BuildCacheMetrics(registry);
   ASSERT_EQ(m.size(), 8u);
   for (const char* name :
-       {"bqo_build_cache_lookups", "bqo_build_cache_hits",
-        "bqo_build_cache_misses", "bqo_build_cache_single_flight_waits",
-        "bqo_build_cache_evictions", "bqo_build_cache_invalidations"}) {
+       {"bqo_build_cache_lookups_total", "bqo_build_cache_hits_total",
+        "bqo_build_cache_misses_total",
+        "bqo_build_cache_single_flight_waits_total",
+        "bqo_build_cache_evictions_total",
+        "bqo_build_cache_invalidations_total"}) {
     EXPECT_EQ(m[name].kind, MetricSnapshot::Kind::kCounter) << name;
   }
   EXPECT_EQ(m["bqo_build_cache_entries"].kind, MetricSnapshot::Kind::kGauge);
   EXPECT_EQ(m["bqo_build_cache_bytes"].kind, MetricSnapshot::Kind::kGauge);
-  EXPECT_EQ(m["bqo_build_cache_lookups"].value, 2);
-  EXPECT_EQ(m["bqo_build_cache_hits"].value, 1);
-  EXPECT_EQ(m["bqo_build_cache_misses"].value, 1);
-  EXPECT_EQ(m["bqo_build_cache_single_flight_waits"].value, 0);
+  EXPECT_EQ(m["bqo_build_cache_lookups_total"].value, 2);
+  EXPECT_EQ(m["bqo_build_cache_hits_total"].value, 1);
+  EXPECT_EQ(m["bqo_build_cache_misses_total"].value, 1);
+  EXPECT_EQ(m["bqo_build_cache_single_flight_waits_total"].value, 0);
   EXPECT_EQ(m["bqo_build_cache_entries"].value, 1);
   EXPECT_EQ(m["bqo_build_cache_bytes"].value, a->SizeBytes());
 
   cache.Invalidate();
   m = BuildCacheMetrics(registry);
-  EXPECT_EQ(m["bqo_build_cache_invalidations"].value, 1);
+  EXPECT_EQ(m["bqo_build_cache_invalidations_total"].value, 1);
   EXPECT_EQ(m["bqo_build_cache_entries"].value, 0);
   EXPECT_EQ(m["bqo_build_cache_bytes"].value, 0);
 
   // stats() reads the same numbers back.
   const BuildCacheStats s = cache.stats();
-  EXPECT_EQ(s.lookups, m["bqo_build_cache_lookups"].value);
-  EXPECT_EQ(s.hits, m["bqo_build_cache_hits"].value);
-  EXPECT_EQ(s.misses, m["bqo_build_cache_misses"].value);
-  EXPECT_EQ(s.invalidations, m["bqo_build_cache_invalidations"].value);
+  EXPECT_EQ(s.lookups, m["bqo_build_cache_lookups_total"].value);
+  EXPECT_EQ(s.hits, m["bqo_build_cache_hits_total"].value);
+  EXPECT_EQ(s.misses, m["bqo_build_cache_misses_total"].value);
+  EXPECT_EQ(s.invalidations, m["bqo_build_cache_invalidations_total"].value);
   EXPECT_EQ(s.entries, 0);
   EXPECT_EQ(s.bytes, 0);
 }
@@ -534,7 +536,7 @@ TEST(BuildCache, CountersNeverDecreaseWhileGaugesFollowResidency) {
               nullptr);
     expect_monotonic("insert " + sig);
   }
-  EXPECT_GE(prev["bqo_build_cache_evictions"].value, 3);
+  EXPECT_GE(prev["bqo_build_cache_evictions_total"].value, 3);
   EXPECT_EQ(prev["bqo_build_cache_entries"].value, 1);
 
   // A newer catalog version flushes the resident entry (one invalidation):
@@ -542,14 +544,14 @@ TEST(BuildCache, CountersNeverDecreaseWhileGaugesFollowResidency) {
   ASSERT_NE(cache.GetOrBuild("sig-new", 2, &ctx, [] { return MakeSide(10); }),
             nullptr);
   expect_monotonic("version bump");
-  EXPECT_EQ(prev["bqo_build_cache_invalidations"].value, 1);
-  EXPECT_EQ(prev["bqo_build_cache_lookups"].value, 5);
-  EXPECT_EQ(prev["bqo_build_cache_misses"].value, 5);
+  EXPECT_EQ(prev["bqo_build_cache_invalidations_total"].value, 1);
+  EXPECT_EQ(prev["bqo_build_cache_lookups_total"].value, 5);
+  EXPECT_EQ(prev["bqo_build_cache_misses_total"].value, 5);
   EXPECT_EQ(prev["bqo_build_cache_entries"].value, 1);
 
   cache.Invalidate();
   expect_monotonic("invalidate");
-  EXPECT_EQ(prev["bqo_build_cache_invalidations"].value, 2);
+  EXPECT_EQ(prev["bqo_build_cache_invalidations_total"].value, 2);
   EXPECT_EQ(prev["bqo_build_cache_entries"].value, 0);
   EXPECT_EQ(prev["bqo_build_cache_bytes"].value, 0);
 }

@@ -6,13 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <unordered_set>
 
 #include "src/common/rng.h"
 #include "src/filter/bitvector_filter.h"
-#include "src/filter/blocked_bloom_filter.h"
 #include "src/filter/bloom_filter.h"
 #include "src/filter/exact_filter.h"
+#include "src/optimizer/cost_model.h"
 
 namespace bqo {
 namespace {
@@ -113,9 +114,23 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.n);
     });
 
-TEST(BloomFilter, FpRateWithinTwiceTheory) {
+/// The properties every Bloom bit pattern must have, run once per pattern.
+template <typename Pattern>
+class BloomPatternTest : public ::testing::Test {};
+
+struct PatternName {
+  template <typename Pattern>
+  static std::string GetName(int) {
+    return FilterKindName(Pattern::kKind);
+  }
+};
+
+using BloomPatterns = ::testing::Types<DoubleHashPattern, SectorPattern>;
+TYPED_TEST_SUITE(BloomPatternTest, BloomPatterns, PatternName);
+
+TYPED_TEST(BloomPatternTest, FpRateWithinTwiceTheory) {
   const int64_t n = 50000;
-  BloomFilter filter(n, 10.0);
+  BloomFilter<TypeParam> filter(n, 10.0);
   Rng rng(9);
   std::unordered_set<uint64_t> inserted;
   for (int64_t i = 0; i < n; ++i) {
@@ -130,14 +145,15 @@ TEST(BloomFilter, FpRateWithinTwiceTheory) {
     if (inserted.count(h) == 0 && filter.MayContain(h)) ++fp;
   }
   const double observed = static_cast<double>(fp) / probes;
-  // Blocked Bloom pays a modest FP penalty vs the unblocked formula; the
-  // theory value at 10 bits/key is ~0.9%, so stay under 2x + slack.
+  // Blocking costs a modest FP penalty vs each pattern's model; the model
+  // value at ~10 bits/key is about 1% for both patterns, so stay under 2x +
+  // slack.
   EXPECT_LT(observed, 2.0 * filter.TheoreticalFpRate() + 0.005);
   // And it should actually filter: well under 5%.
   EXPECT_LT(observed, 0.05);
 }
 
-TEST(BloomFilter, MoreBitsFewerFalsePositives) {
+TYPED_TEST(BloomPatternTest, MoreBitsFewerFalsePositives) {
   const int64_t n = 20000;
   Rng rng(11);
   std::vector<uint64_t> keys, probes;
@@ -146,7 +162,7 @@ TEST(BloomFilter, MoreBitsFewerFalsePositives) {
   double rates[2];
   const double bits[2] = {4.0, 12.0};
   for (int b = 0; b < 2; ++b) {
-    BloomFilter filter(n, bits[b]);
+    BloomFilter<TypeParam> filter(n, bits[b]);
     for (uint64_t k : keys) filter.Insert(k);
     int fp = 0;
     for (uint64_t p : probes) {
@@ -160,7 +176,7 @@ TEST(BloomFilter, MoreBitsFewerFalsePositives) {
 TEST(BloomFilter, HashCountClampedToAtLeastOne) {
   // bits_per_key = 1.0 rounds 0.693 up to k = 1; the clamp guarantees k >= 1
   // so the filter always sets at least one bit and can reject something.
-  BloomFilter low(10000, 1.0);
+  BloomFilter<DoubleHashPattern> low(10000, 1.0);
   EXPECT_EQ(low.num_probes(), 1);
   Rng rng(23);
   for (int i = 0; i < 10000; ++i) low.Insert(rng.Next());
@@ -170,7 +186,7 @@ TEST(BloomFilter, HashCountClampedToAtLeastOne) {
   }
   EXPECT_GT(rejected, 0);  // k = 0 would admit everything
   // And the CPU-side cap: 10 bits/key rounds to 7 probes, clamped to 4.
-  BloomFilter high(10000, 10.0);
+  BloomFilter<DoubleHashPattern> high(10000, 10.0);
   EXPECT_EQ(high.num_probes(), 4);
 }
 
@@ -184,6 +200,31 @@ TEST(FilterFactory, CreatesRequestedKinds) {
     EXPECT_EQ(f->kind(), kind);
     EXPECT_EQ(f->exact(), kind == FilterKind::kExact);
   }
+}
+
+/// EXPLAIN ANALYZE's modeled FPR is each pattern's FPR model at design
+/// load. The values are pinned bit for bit, so any change to either model
+/// shows here.
+TEST(FprModel, DesignLoadValuesArePinned) {
+  struct Pin {
+    double bits;
+    double classical;
+    double sector;
+  };
+  const Pin pins[] = {
+      {1.0, 0.63212055882855767, 0.99732034048370599},
+      {4.0, 0.14689159766038104, 0.32576436650770724},
+      {10.0, 0.011813270906619364, 0.01264845153548716},
+      {16.0, 0.0023940561975645614, 0.0013155734026977144},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(EstimatedFilterFpr(FilterKind::kBloom, pin.bits), pin.classical)
+        << "bits=" << pin.bits;
+    EXPECT_EQ(EstimatedFilterFpr(FilterKind::kBlockedBloom, pin.bits),
+              pin.sector)
+        << "bits=" << pin.bits;
+  }
+  EXPECT_EQ(EstimatedFilterFpr(FilterKind::kExact, 10.0), 0.0);
 }
 
 // ---- MergeFrom: partitioned parallel builds fold partials into one filter.
@@ -220,7 +261,7 @@ TEST(ExactFilterMerge, SetUnionWithOverlapAndZeroHash) {
 /// in behavior and count: same geometry partials ORed in partition order.
 /// Run undersized (1.5 bits/key) so probe bits overlap heavily across keys
 /// — the regime where naive count summing diverges.
-TEST(BloomFilterMerge, TrackedMergeMatchesSequentialBuild) {
+TYPED_TEST(BloomPatternTest, TrackedMergeMatchesSequentialBuild) {
   Rng rng(999);
   constexpr int kKeys = 3000;
   std::vector<uint64_t> keys;
@@ -228,13 +269,13 @@ TEST(BloomFilterMerge, TrackedMergeMatchesSequentialBuild) {
   // Duplicates across partition boundaries, too.
   for (int i = 0; i < 300; ++i) keys.push_back(keys[static_cast<size_t>(i)]);
 
-  BloomFilter sequential(kKeys, 1.5);
+  BloomFilter<TypeParam> sequential(kKeys, 1.5);
   for (uint64_t k : keys) sequential.Insert(k);
 
-  BloomFilter merged(kKeys, 1.5);
+  BloomFilter<TypeParam> merged(kKeys, 1.5);
   const size_t part = keys.size() / 3 + 1;
   for (size_t begin = 0; begin < keys.size(); begin += part) {
-    BloomFilter partial(kKeys, 1.5);  // same geometry by construction
+    BloomFilter<TypeParam> partial(kKeys, 1.5);  // same geometry
     partial.EnableInsertTracking();
     const size_t end = std::min(keys.size(), begin + part);
     for (size_t i = begin; i < end; ++i) partial.Insert(keys[i]);
@@ -271,11 +312,7 @@ class FilterMergeTest : public ::testing::TestWithParam<FilterKind> {
   /// whole build's geometry and journal their inserts.
   std::unique_ptr<BitvectorFilter> MakePartial(int64_t build_keys) const {
     auto partial = CreateFilter(Config(), build_keys);
-    if (GetParam() == FilterKind::kBloom) {
-      static_cast<BloomFilter*>(partial.get())->EnableInsertTracking();
-    } else if (GetParam() == FilterKind::kBlockedBloom) {
-      static_cast<BlockedBloomFilter*>(partial.get())->EnableInsertTracking();
-    }
+    partial->EnableInsertTracking();
     return partial;
   }
 };

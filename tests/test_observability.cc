@@ -498,7 +498,7 @@ TEST(Observability, SlowQueryLogAndMetricsDump) {
             std::string::npos)
       << json;
   EXPECT_NE(json.find("bqo_serving_slow_queries_total"), std::string::npos);
-  EXPECT_NE(json.find("\"metric\":\"bqo_plan_cache_hits\",\"type\":"
+  EXPECT_NE(json.find("\"metric\":\"bqo_plan_cache_hits_total\",\"type\":"
                       "\"counter\",\"value\":1"),
             std::string::npos)
       << json;
@@ -513,7 +513,7 @@ TEST(Observability, SlowQueryLogAndMetricsDump) {
             std::string::npos);
   EXPECT_NE(prom.find("bqo_query_latency_ms_bucket{le=\"+Inf\"} 2"),
             std::string::npos);
-  EXPECT_NE(prom.find("bqo_build_cache_lookups"), std::string::npos);
+  EXPECT_NE(prom.find("bqo_build_cache_lookups_total"), std::string::npos);
   EXPECT_NE(prom.find("bqo_admission_peak"), std::string::npos);
 }
 
@@ -533,12 +533,12 @@ TEST(Observability, BuildCacheMetricsExportAsCountersAndGauges) {
   EXPECT_GT(s.hits, 0) << "the second run shares the first run's builds";
   const std::string json = service.DumpMetrics();
   const std::vector<std::tuple<std::string, const char*, int64_t>> expected =
-      {{"lookups", "counter", s.lookups},
-       {"hits", "counter", s.hits},
-       {"misses", "counter", s.misses},
-       {"single_flight_waits", "counter", s.single_flight_waits},
-       {"evictions", "counter", s.evictions},
-       {"invalidations", "counter", s.invalidations},
+      {{"lookups_total", "counter", s.lookups},
+       {"hits_total", "counter", s.hits},
+       {"misses_total", "counter", s.misses},
+       {"single_flight_waits_total", "counter", s.single_flight_waits},
+       {"evictions_total", "counter", s.evictions},
+       {"invalidations_total", "counter", s.invalidations},
        {"entries", "gauge", s.entries},
        {"bytes", "gauge", s.bytes}};
   const std::string prom =
@@ -573,7 +573,7 @@ TEST(Observability, DisabledBuildCacheExportsNoBuildCacheMetrics) {
                 .find("bqo_build_cache_"),
             std::string::npos);
   // The rest of the serving metrics are unaffected.
-  EXPECT_NE(json.find("\"metric\":\"bqo_plan_cache_hits\",\"type\":"
+  EXPECT_NE(json.find("\"metric\":\"bqo_plan_cache_hits_total\",\"type\":"
                       "\"counter\",\"value\":1"),
             std::string::npos)
       << json;

@@ -7,10 +7,11 @@
 //
 //  * Hash batch kernels equal the scalar reference on adversarial lengths
 //    (0, 1, lane-1, lane, lane+1, 1M) for single-column and composite keys.
-//  * BlockedBloomFilter built under one tier is bit-compatible with probes
-//    under the other (both directions), agrees with the scalar reference
-//    probe, and MergeFrom over tracked partials reproduces the sequential
-//    filter's membership and NumInserted under both tiers.
+//  * BloomFilter<SectorPattern> (the blocked kind) built under one tier is
+//    bit-compatible with probes under the other (both directions), agrees
+//    with the scalar reference probe, and MergeFrom over tracked partials
+//    reproduces the sequential filter's membership and NumInserted under
+//    both tiers.
 //  * The blocked FPR model curve: measured FPR tracks TheoreticalFpRate
 //    and sits above the classical filter's at equal bits (the curve
 //    EstimatedFilterFpr encodes for EXPLAIN ANALYZE).
@@ -30,7 +31,6 @@
 #include "src/common/hash.h"
 #include "src/common/simd.h"
 #include "src/exec/executor.h"
-#include "src/filter/blocked_bloom_filter.h"
 #include "src/filter/bloom_filter.h"
 #include "src/filter/filter_kernels.h"
 #include "src/optimizer/cost_model.h"
@@ -134,7 +134,7 @@ TEST(BlockedBloom, TierParityInsertProbeAndCrossTier) {
 
   auto build = [&](SimdTier tier) {
     ScopedSimdTier force(tier);
-    auto f = std::make_unique<BlockedBloomFilter>(kKeys, 10.0);
+    auto f = std::make_unique<BloomFilter<SectorPattern>>(kKeys, 10.0);
     for (uint64_t h : keys) f->Insert(h);
     return f;
   };
@@ -182,13 +182,13 @@ TEST(BlockedBloom, MergeFromReproducesSequentialUnderBothTiers) {
     if (tier == SimdTier::kAvx2 && !CpuSupportsAvx2()) continue;
     ScopedSimdTier force(tier);
 
-    BlockedBloomFilter sequential(static_cast<int64_t>(keys.size()), 10.0);
+    BloomFilter<SectorPattern> sequential(static_cast<int64_t>(keys.size()), 10.0);
     for (uint64_t h : keys) sequential.Insert(h);
 
-    BlockedBloomFilter merged(static_cast<int64_t>(keys.size()), 10.0);
+    BloomFilter<SectorPattern> merged(static_cast<int64_t>(keys.size()), 10.0);
     const size_t chunk = (keys.size() + 3) / 4;
     for (size_t p = 0; p < 4; ++p) {
-      BlockedBloomFilter partial(static_cast<int64_t>(keys.size()), 10.0);
+      BloomFilter<SectorPattern> partial(static_cast<int64_t>(keys.size()), 10.0);
       partial.EnableInsertTracking();
       const size_t begin = p * chunk;
       const size_t end = std::min(keys.size(), begin + chunk);
@@ -216,8 +216,8 @@ TEST(BlockedBloom, MeasuredFprTracksModelAndExceedsClassical) {
   // false positive.
   const std::vector<uint64_t> probes = KeyHashes(kProbes, 0x2222);
 
-  BlockedBloomFilter blocked(kKeys, kBits);
-  BloomFilter classical(kKeys, kBits);
+  BloomFilter<SectorPattern> blocked(kKeys, kBits);
+  BloomFilter<DoubleHashPattern> classical(kKeys, kBits);
   for (uint64_t h : keys) {
     blocked.Insert(h);
     classical.Insert(h);
@@ -242,7 +242,7 @@ TEST(BlockedBloom, MeasuredFprTracksModelAndExceedsClassical) {
 
   // The design-load curve in the cost model: blocked sits above classical
   // at tight-to-moderate budgets and degrades hard as b shrinks. At
-  // generous budgets the ordering flips — the repo's classical BloomFilter
+  // generous budgets the ordering flips — the repo's classical pattern
   // caps k at 4, so blocked's fixed k=8 eventually wins on FPR too.
   for (double b : {4.0, 6.0, 8.0, 10.0}) {
     const double fc = EstimatedFilterFpr(FilterKind::kBloom, b);
