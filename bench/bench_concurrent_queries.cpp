@@ -20,8 +20,7 @@
 // After the scaling sweep, a **templated phase** replays the query set
 // with per-request jittered predicate literals (the same shapes, moved
 // constants) and reports the plan-shape cache's outcome counters —
-// shape_hits / rebinds / verifications / reoptimizations /
-// drift_invalidations — as a
+// shape_hits / rebinds / verifications / reoptimizations — as a
 // "templated_queries" JSON line; BQO_TEMPLATE_ROUNDS scales its sweep
 // count (the CI cache-stress smoke raises it under TSan).
 //
@@ -166,8 +165,7 @@ QuerySpec JitterSpecConstants(const QuerySpec& spec, int variant) {
 /// outcome counters — under a small jitter the sweep should be almost
 /// all shape hits (exact + rebinds) with few re-optimizations; this is
 /// also the CI cache-stress smoke's TSan workout (concurrent re-binds and
-/// verifications, entry replacement, and EWMA feedback on shared
-/// entries).
+/// verifications of shared entries, and entry replacement).
 void RunTemplatedPhase(const Workload& workload, size_t limit, int rounds,
                        int clients, int hw_threads, int pool_threads) {
   QueryServiceOptions options;
@@ -206,8 +204,7 @@ void RunTemplatedPhase(const Workload& workload, size_t limit, int rounds,
       "\"queries\":%zu,\"wall_ms\":%.2f,\"qps\":%.1f,"
       "\"plan_cache_hit_rate\":%.3f,\"shape_hit_rate\":%.3f,"
       "\"shape_hits\":%lld,\"rebinds\":%lld,\"verifications\":%lld,"
-      "\"reoptimizations\":%lld,\"drift_invalidations\":%lld,"
-      "\"simd_tier\":\"%s\",\"valid\":%s}\n",
+      "\"reoptimizations\":%lld,\"simd_tier\":\"%s\",\"valid\":%s}\n",
       workload.name.c_str(), clients, pool_threads, hw_threads, total,
       static_cast<double>(wall_ns) / 1e6,
       static_cast<double>(total) / (static_cast<double>(wall_ns) / 1e9),
@@ -216,7 +213,6 @@ void RunTemplatedPhase(const Workload& workload, size_t limit, int rounds,
       static_cast<long long>(cache.rebinds),
       static_cast<long long>(cache.verifications),
       static_cast<long long>(cache.reoptimizations),
-      static_cast<long long>(cache.drift_invalidations),
       SimdTierName(ActiveSimdTier()), clients <= hw_threads ? "true" : "false");
 }
 
@@ -589,15 +585,13 @@ int main() {
         "\"hardware_concurrency\":%d,\"queries\":%lld,\"wall_ms\":%.2f,"
         "\"qps\":%.1f,\"plan_cache_hit_rate\":%.3f,\"shape_hit_rate\":%.3f,"
         "\"shape_hits\":%lld,\"rebinds\":%lld,\"reoptimizations\":%lld,"
-        "\"drift_invalidations\":%lld,\"speedup_vs_1\":%.2f,"
-        "\"simd_tier\":\"%s\",\"valid\":%s}\n",
+        "\"speedup_vs_1\":%.2f,\"simd_tier\":\"%s\",\"valid\":%s}\n",
         workload.name.c_str(), clients, pool_threads,
         service.workers_per_query(), hw_threads,
         static_cast<long long>(r.queries), wall_ms, qps, cache.HitRate(),
         cache.ShapeHitRate(), static_cast<long long>(cache.shape_hits),
         static_cast<long long>(cache.rebinds),
         static_cast<long long>(cache.reoptimizations),
-        static_cast<long long>(cache.drift_invalidations),
         qps / base_qps, SimdTierName(ActiveSimdTier()),
         clients <= hw_threads ? "true" : "false");
   }

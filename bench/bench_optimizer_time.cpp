@@ -6,10 +6,10 @@
 // After the per-mode table, one JSON line per workload times the serving
 // layer's planning work under the shipped defaults: OptimizeQuery,
 // OptimizeParameterized (what a plan-cache miss runs: OptimizeQuery plus
-// the reuse annotations), and a verification (what a rebind outside the
-// entry's verified intervals runs: one OrderJoins + PruneFilters, here at
-// a point where every predicated relation's filtered_rows moved by a
-// seeded factor in [0.8, 1.25]):
+// the constant slot table), and a verification (what every rebind with
+// moved constants runs: one OrderJoins + PruneFilters, here at a point
+// where every predicated relation's filtered_rows moved by a seeded factor
+// in [0.8, 1.25]):
 //   {"bench":"optimizer_time","workload":...,"scale":...,"queries":...,
 //    "relations_avg":...,"optimize_us_p50":...,"parameterize_us_p50":...,
 //    "verify_us_p50":...}

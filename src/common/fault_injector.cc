@@ -4,6 +4,8 @@
 #include <string>
 #include <vector>
 
+#include "src/common/string_util.h"
+
 namespace bqo {
 
 namespace {
@@ -76,10 +78,7 @@ void FaultInjector::ConfigureFromEnv() {
   const char* sites = std::getenv("BQO_FAULT_SITES");
   if (sites == nullptr || *sites == '\0') return;
   int64_t every = 1;
-  if (const char* e = std::getenv("BQO_FAULT_EVERY")) {
-    const int64_t v = std::atoll(e);
-    if (v > 0) every = v;
-  }
+  if (const auto e = EnvInt64("BQO_FAULT_EVERY"); e && *e > 0) every = *e;
   for (const std::string& name : SplitCommaList(sites)) {
     for (int i = 0; i < kNumSites; ++i) {
       const Site site = static_cast<Site>(i);

@@ -1,6 +1,8 @@
 #include "src/common/string_util.h"
 
+#include <charconv>
 #include <cstdio>
+#include <cstdlib>
 
 namespace bqo {
 
@@ -43,6 +45,20 @@ std::string FormatCount(int64_t n) {
   }
   if (n < 0) out.insert(out.begin(), '-');
   return out;
+}
+
+std::optional<int64_t> ParseInt64(std::string_view text) {
+  int64_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<int64_t> EnvInt64(const char* name) {
+  const char* value = std::getenv(name);
+  if (value == nullptr) return std::nullopt;
+  return ParseInt64(value);
 }
 
 }  // namespace bqo

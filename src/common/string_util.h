@@ -1,7 +1,10 @@
-// Small string helpers shared by plan printing and workload generation.
+// Small string helpers shared by plan printing, workload generation and
+// the environment knobs.
 #pragma once
 
 #include <cstdarg>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -21,5 +24,14 @@ std::string StringFormat(const char* fmt, ...)
 
 /// \brief Format a number with thousands separators, e.g. 1234567 -> 1,234,567.
 std::string FormatCount(int64_t n);
+
+/// \brief `text` as a base-10 integer when all of it is one: an optional
+/// '-', then digits, in range. Anything else ("", "12ms", " 5", "off")
+/// is nullopt — never a silent 0.
+std::optional<int64_t> ParseInt64(std::string_view text);
+
+/// \brief ParseInt64 of environment variable `name`; nullopt when it is
+/// unset or does not parse, so the caller keeps its default.
+std::optional<int64_t> EnvInt64(const char* name);
 
 }  // namespace bqo

@@ -26,10 +26,18 @@
 //    the engine uses across *all* concurrently running queries.
 #pragma once
 
-#include <cstdlib>
+#include <algorithm>
+#include <climits>
 #include <thread>
 
+#include "src/common/string_util.h"
+
 namespace bqo {
+
+/// Ceiling on a thread count read from the environment: a typo such as
+/// BQO_POOL_THREADS=40000 must not make WorkerPool::Global start 40000 OS
+/// threads.
+inline constexpr int kMaxEnvThreads = 256;
 
 struct ExecConfig {
   /// Pipeline worker threads. 1 = the single-threaded operator pipeline,
@@ -69,20 +77,21 @@ struct ExecConfig {
 /// \brief ExecConfig from the environment (BQO_THREADS, BQO_MORSEL_ROWS,
 /// BQO_POOL_THREADS) — how the workload runner, the
 /// bench binaries, and WorkerPool::Global plumb the knobs in. The knob
-/// table lives in README.md's quickstart section.
+/// table lives in README.md's quickstart section. A value that is not a
+/// whole integer in the knob's range keeps the default; thread counts are
+/// capped at kMaxEnvThreads.
 inline ExecConfig ExecConfigFromEnv() {
   ExecConfig config;
-  if (const char* t = std::getenv("BQO_THREADS")) {
-    config.threads = std::atoi(t);
-    if (config.threads < 0) config.threads = 1;
+  if (const auto t = EnvInt64("BQO_THREADS"); t && *t >= 0) {
+    config.threads = static_cast<int>(std::min<int64_t>(*t, kMaxEnvThreads));
   }
-  if (const char* m = std::getenv("BQO_MORSEL_ROWS")) {
-    const int rows = std::atoi(m);
-    if (rows > 0) config.morsel_rows = rows;
+  if (const auto m = EnvInt64("BQO_MORSEL_ROWS");
+      m && *m > 0 && *m <= INT_MAX) {
+    config.morsel_rows = static_cast<int>(*m);
   }
-  if (const char* p = std::getenv("BQO_POOL_THREADS")) {
-    const int n = std::atoi(p);
-    if (n > 0) config.pool_threads = n;
+  if (const auto p = EnvInt64("BQO_POOL_THREADS"); p && *p > 0) {
+    config.pool_threads =
+        static_cast<int>(std::min<int64_t>(*p, kMaxEnvThreads));
   }
   return config;
 }

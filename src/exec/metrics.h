@@ -150,7 +150,8 @@ struct QueryMetrics {
 /// bitvector-aware optimization overhead the paper's Section 6.5 measures.
 /// Since the cache keys on plan *shape*, a lookup lands in exactly one of
 /// hits (served from cache — exact or rebound), reoptimizations (shape
-/// matched but reuse was refused), or misses (shape absent).
+/// matched but the moved constants' verification refused reuse), or
+/// misses (shape absent). An exact-constant repeat is always a hit.
 struct PlanCacheStats {
   int64_t hits = 0;            ///< served from cache (exact + rebound)
   int64_t misses = 0;          ///< shape absent
@@ -169,12 +170,10 @@ struct PlanCacheStats {
   /// PruneFilters on the rebound graph to check the cached choice: a
   /// match is also a rebind, a mismatch a reoptimization.
   int64_t verifications = 0;
-  /// Shape hits escalated to re-optimization (a verification picked
-  /// another plan, or the entry was marked stale by drift).
+  /// Shape hits escalated to re-optimization because their verification
+  /// picked another plan. Entries carry no runtime feedback, so nothing
+  /// else escalates: reoptimizations == verifications - rebinds.
   int64_t reoptimizations = 0;
-  /// Entries marked stale because the observed-lambda EWMA drifted past
-  /// the margin (each forces one re-optimization on its next lookup).
-  int64_t drift_invalidations = 0;
 
   double HitRate() const {
     const int64_t lookups = hits + misses + reoptimizations;

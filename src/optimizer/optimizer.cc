@@ -107,23 +107,14 @@ int PruneFilters(Plan* plan, const OptimizerOptions& options,
   return PruneIneffectiveFilters(plan, model, options.lambda_thresh);
 }
 
-OptimizedQuery FinishOptimization(Plan plan, int pruned_filters,
-                                  EstimatedCoutModel* model) {
-  OptimizedQuery result;
-  result.plan = std::move(plan);
-  result.pruned_filters = pruned_filters;
-  result.estimated_cost = model->Cout(result.plan);
-  return result;
-}
-
 OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
                              const OptimizerOptions& options) {
   const auto start = std::chrono::steady_clock::now();
   EstimatedCoutModel model(stats, options.filter_fp_rate);
-  Plan plan = OrderJoins(graph, options, &model);
-  const int pruned = PruneFilters(&plan, options, &model);
-  OptimizedQuery result =
-      FinishOptimization(std::move(plan), pruned, &model);
+  OptimizedQuery result;
+  result.plan = OrderJoins(graph, options, &model);
+  result.pruned_filters = PruneFilters(&result.plan, options, &model);
+  result.estimated_cost = model.Cout(result.plan);
   result.optimize_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)

@@ -59,8 +59,8 @@ struct OptimizedQuery {
 
 /// \brief Optimize `graph` under `options`. The result plan is fully
 /// annotated (Algorithm 1 push-down done, ineffective filters pruned) and
-/// ready for ExecutePlan: OrderJoins, PruneFilters, then
-/// FinishOptimization, all costed with one bitvector-aware model.
+/// ready for ExecutePlan: OrderJoins, PruneFilters, then the final
+/// estimated cost, all costed with one bitvector-aware model.
 OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
                              const OptimizerOptions& options = {});
 
@@ -75,10 +75,5 @@ Plan OrderJoins(const JoinGraph& graph, const OptimizerOptions& options,
 /// lambda_thresh < 0 or under kNoBitvectors); returns the number pruned.
 int PruneFilters(Plan* plan, const OptimizerOptions& options,
                  EstimatedCoutModel* model);
-
-/// \brief What OptimizeQuery runs after PruneFilters: the final estimated
-/// cost of the pruned plan. optimize_ns is left 0 for the caller to stamp.
-OptimizedQuery FinishOptimization(Plan plan, int pruned_filters,
-                                  EstimatedCoutModel* model);
 
 }  // namespace bqo

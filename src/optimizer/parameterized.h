@@ -6,12 +6,9 @@
 // order chosen for very different selectivities. The reuse rule here is
 // verification on demand:
 //
-//  * OptimizeParameterized is one optimization (OrderJoins, PruneFilters,
-//    FinishOptimization on one bitvector-aware model) plus annotations:
-//    the constant slot table the plan was bound under and every filter's
-//    estimated lambda (the drift reference of src/server/plan_cache.h).
-//    Nothing is probed up front, so a plan that is never reused costs
-//    exactly one optimization.
+//  * OptimizeParameterized is OptimizeQuery plus the constant slot table
+//    the plan was bound under. Nothing is probed up front, so a plan that
+//    is never reused costs exactly one optimization.
 //  * The plan cache checks every rebind whose constants moved: one
 //    OrderJoins + PruneFilters on the rebound graph, compared with the
 //    cached plan by PlanChoiceKey. A refused check re-runs
@@ -30,19 +27,14 @@
 
 namespace bqo {
 
-/// \brief An optimized plan plus the annotations the plan-shape cache
-/// needs to re-bind it and track its drift.
+/// \brief An optimized plan plus the constant slot table the plan-shape
+/// cache needs to re-bind it. `optimized.optimize_ns` is what a
+/// plan-cache miss costs and a hit saves.
 struct ParameterizedPlan {
   OptimizedQuery optimized;
-  /// Wall time of the whole call that produced this plan — what a
-  /// plan-cache miss costs and a hit saves.
-  int64_t optimize_ns = 0;
   /// Constant slot table the plan was optimized under (one vector per
   /// relation — which selectivity estimate depends on which slots).
   std::vector<std::vector<Value>> constants;
-  /// Estimated elimination fraction per filter id at optimize time — the
-  /// reference the feedback EWMA drifts against (pruned filters: 0).
-  std::vector<double> estimated_lambda;
 };
 
 /// \brief Structural identity of an optimization outcome: the join tree
@@ -52,7 +44,7 @@ struct ParameterizedPlan {
 std::string PlanChoiceKey(const Plan& plan);
 
 /// \brief OptimizeQuery on `graph` (which must have statistics attached)
-/// plus the reuse annotations.
+/// plus its constant slot table.
 ParameterizedPlan OptimizeParameterized(const JoinGraph& graph,
                                         StatsCatalog* stats,
                                         const OptimizerOptions& options);

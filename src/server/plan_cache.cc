@@ -1,7 +1,6 @@
 #include "src/server/plan_cache.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "src/common/string_util.h"
@@ -9,8 +8,8 @@
 
 namespace bqo {
 
-PlanCache::PlanCache(PlanCacheOptions options, MetricsRegistry* registry)
-    : options_(options), capacity_(std::max<size_t>(1, options.capacity)) {
+PlanCache::PlanCache(size_t capacity, MetricsRegistry* registry)
+    : capacity_(std::max<size_t>(1, capacity)) {
   if (registry == nullptr) {
     own_registry_ = std::make_unique<MetricsRegistry>();
     registry = own_registry_.get();
@@ -24,17 +23,8 @@ PlanCache::PlanCache(PlanCacheOptions options, MetricsRegistry* registry)
   verifications_ = registry->GetCounter("bqo_plan_cache_verifications_total");
   reoptimizations_ =
       registry->GetCounter("bqo_plan_cache_reoptimizations_total");
-  drift_invalidations_ =
-      registry->GetCounter("bqo_plan_cache_drift_invalidations_total");
   entries_gauge_ = registry->GetGauge("bqo_plan_cache_entries");
 }
-
-PlanCache::PlanCache(size_t capacity)
-    : PlanCache([capacity] {
-        PlanCacheOptions options;
-        options.capacity = capacity;
-        return options;
-      }()) {}
 
 std::string PlanCache::ShapeSignature(const JoinGraph& graph,
                                       const OptimizerOptions& options) {
@@ -56,6 +46,7 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
                                            const OptimizerOptions& options,
                                            QueryTrace* trace) {
   LookupOutcome out;
+  std::shared_ptr<const CachedPlan> cached;
   {
     std::lock_guard<std::mutex> lock(mu_);
     if (catalog_version != seen_catalog_version_) {
@@ -68,10 +59,10 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
       return out;  // kMiss
     }
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);  // bump to MRU
-    out.entry = it->second.entry;
+    cached = it->second.entry;
   }
   shape_hits_->Increment();
-  const CachedPlan& entry = *out.entry;
+  const CachedPlan& entry = *cached;
 
   // The classification below runs outside mu_: re-estimation evaluates
   // predicates over base tables and a verification orders joins — far too
@@ -81,8 +72,6 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
     out.kind = LookupOutcome::Kind::kReoptimize;
     return out;
   };
-  if (entry.stale.load(std::memory_order_relaxed)) return refuse();
-
   const std::vector<std::vector<Value>> query_constants =
       query_graph.ConstantTable();
   if (query_constants.size() != entry.constants.size()) return refuse();
@@ -98,7 +87,7 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
     // the shared entry itself, as the pre-shape cache did.
     hits_->Increment();
     out.kind = LookupOutcome::Kind::kServed;
-    out.instance = out.entry;
+    out.instance = std::move(cached);
     return out;
   }
 
@@ -150,11 +139,9 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   entry->plan.graph = &entry->graph;  // re-bind to the stable copy
   entry->estimated_cost = optimized.optimized.estimated_cost;
   entry->pruned_filters = optimized.optimized.pruned_filters;
-  entry->optimize_ns = optimized.optimize_ns;
+  entry->optimize_ns = optimized.optimized.optimize_ns;
   entry->constants = std::move(optimized.constants);
   entry->choice_key = PlanChoiceKey(entry->plan);
-  entry->estimated_lambda = std::move(optimized.estimated_lambda);
-  entry->lambda_ewma.assign(entry->estimated_lambda.size(), -1.0);
 
   std::lock_guard<std::mutex> lock(mu_);
   if (catalog_version != seen_catalog_version_) {
@@ -163,8 +150,8 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   }
   auto it = entries_.find(shape_signature);
   if (it != entries_.end()) {
-    // Replace: the re-optimization escalation swaps the stale or refused
-    // entry for the fresh one. (A concurrent double-optimize lands here
+    // Replace: the re-optimization escalation swaps the refused entry for
+    // the fresh one. (A concurrent double-optimize lands here
     // too; both entries are fresh and equivalent, so last-wins is fine.)
     it->second.entry = entry;
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
@@ -179,35 +166,6 @@ std::shared_ptr<const CachedPlan> PlanCache::Insert(
   entries_.emplace(shape_signature, Slot{entry, lru_.begin()});
   entries_gauge_->Set(static_cast<int64_t>(entries_.size()));
   return entry;
-}
-
-void PlanCache::RecordObservedLambdas(
-    const std::shared_ptr<const CachedPlan>& entry,
-    const std::vector<FilterStats>& filters) {
-  if (entry == nullptr || options_.lambda_drift_margin <= 0) return;
-  bool drifted = false;
-  {
-    std::lock_guard<std::mutex> feedback(entry->feedback_mu);
-    for (const FilterStats& fs : filters) {
-      if (!fs.created || fs.probed <= 0 || fs.filter_id < 0) continue;
-      const size_t id = static_cast<size_t>(fs.filter_id);
-      if (id >= entry->lambda_ewma.size()) continue;
-      const double observed = fs.ObservedLambda();
-      double& ewma = entry->lambda_ewma[id];
-      ewma = ewma < 0 ? observed
-                      : (1.0 - options_.lambda_ewma_alpha) * ewma +
-                            options_.lambda_ewma_alpha * observed;
-      if (std::abs(ewma - entry->estimated_lambda[id]) >
-          options_.lambda_drift_margin) {
-        drifted = true;
-      }
-    }
-  }
-  // exchange, not store: drift_invalidations counts entries marked, not
-  // post-stale executions that drift again.
-  if (drifted && !entry->stale.exchange(true)) {
-    drift_invalidations_->Increment();
-  }
 }
 
 void PlanCache::InvalidateLocked() {
@@ -233,7 +191,6 @@ PlanCacheStats PlanCache::stats() const {
   out.rebinds = rebinds_->Value();
   out.verifications = verifications_->Value();
   out.reoptimizations = reoptimizations_->Value();
-  out.drift_invalidations = drift_invalidations_->Value();
   return out;
 }
 

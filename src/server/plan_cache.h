@@ -33,18 +33,17 @@
 // (`reoptimizations`). No verified point is remembered — see
 // src/optimizer/parameterized.h for why.
 //
-// A stale entry or mismatched slot table escalates without a
-// verification. On any escalation the caller runs OptimizeParameterized
-// and Insert *replaces* the entry.
+// A mismatched slot table escalates without a verification. On any
+// escalation the caller runs OptimizeParameterized and Insert *replaces*
+// the entry.
 //
-// == Feedback ==
+// == No runtime feedback ==
 //
-// After execution, RecordObservedLambdas folds the executed plan's
-// observed per-filter lambdas (FilterStats::ObservedLambda — exact, merged
-// once per query) into the entry as an EWMA. When the EWMA drifts further
-// than `lambda_drift_margin` from the optimize-time estimate, the entry is
-// marked stale (`drift_invalidations`) and the next shape hit
-// re-optimizes — the paper's robustness margin made runtime-live.
+// An entry is never marked stale by what its executions observe. A
+// re-optimization from the same statistics rebuilds the same plan at the
+// entry's own constants (the estimator does not read observed lambdas),
+// and at moved constants the verification above already asks the
+// optimizer. So entries are immutable from Insert until eviction.
 //
 // == Ownership and concurrent execution ==
 //
@@ -56,8 +55,6 @@
 // executing, and executing a cached plan is read-only (CompilePlan/
 // ExecutePlan build fresh operator trees and a fresh FilterRuntime per
 // execution), so any number of clients may run the same entry at once.
-// The only mutable entry state is the feedback block (EWMA under its
-// mutex, the stale flag an atomic).
 //
 // == Invalidation ==
 //
@@ -75,7 +72,6 @@
 // works. stats() reads them back as PlanCacheStats (src/exec/metrics.h).
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -93,7 +89,7 @@ namespace bqo {
 
 /// \brief One cached (or privately rebound) plan: the optimized plan, the
 /// owned graph copy it is bound to, the annotations reuse keys on, and the
-/// optimize-time measurements a hit amortizes.
+/// optimize-time measurements a hit amortizes. Immutable once built.
 struct CachedPlan {
   JoinGraph graph;  ///< owned copy; plan.graph points at this member
   Plan plan;
@@ -106,37 +102,14 @@ struct CachedPlan {
   // ---- Reuse annotations (src/optimizer/parameterized.h) ----
   std::vector<std::vector<Value>> constants;  ///< optimize-time slot table
   std::string choice_key;                     ///< PlanChoiceKey(plan)
-  std::vector<double> estimated_lambda;       ///< per filter id
-
-  // ---- Feedback block ----
-  /// Observed-lambda EWMA per filter id (< 0 = no samples yet); guarded
-  /// by feedback_mu.
-  mutable std::vector<double> lambda_ewma;
-  mutable std::mutex feedback_mu;
-  /// Set once the EWMA drifts past the margin; read lock-free at lookup.
-  mutable std::atomic<bool> stale{false};
-};
-
-struct PlanCacheOptions {
-  size_t capacity = 64;  ///< LRU capacity (>= 1)
-  /// Drift margin on observed lambda: an entry whose per-filter EWMA
-  /// leaves [estimate - margin, estimate + margin] is marked stale and
-  /// re-optimized on its next shape hit. <= 0 disables drift feedback.
-  /// Env overlay: BQO_DRIFT_MARGIN (ApplyServingEnvOverrides).
-  double lambda_drift_margin = 0.25;
-  /// EWMA smoothing factor for observed lambda (0 < alpha <= 1; higher =
-  /// reacts faster). Env overlay: BQO_EWMA_ALPHA.
-  double lambda_ewma_alpha = 0.3;
 };
 
 class PlanCache {
  public:
-  /// \brief Counters register in `registry` (borrowed; must outlive the
-  /// cache), or in a registry of the cache's own when null.
-  explicit PlanCache(PlanCacheOptions options,
-                     MetricsRegistry* registry = nullptr);
-  /// \brief Convenience: default drift knobs with this LRU capacity.
-  explicit PlanCache(size_t capacity);
+  /// \brief An LRU cache of `capacity` shapes (at least 1). Counters
+  /// register in `registry` (borrowed; must outlive the cache), or in a
+  /// registry of the cache's own when null.
+  explicit PlanCache(size_t capacity, MetricsRegistry* registry = nullptr);
 
   /// \brief Outcome of a shape lookup; see the header comment.
   struct LookupOutcome {
@@ -150,9 +123,6 @@ class PlanCache {
     /// kServed: the plan to execute — the cache entry itself on an
     /// exact-constant hit, a private rebound instance otherwise.
     std::shared_ptr<const CachedPlan> instance;
-    /// kServed/kReoptimize: the cache-resident entry (feedback target —
-    /// pass to RecordObservedLambdas after executing `instance`).
-    std::shared_ptr<const CachedPlan> entry;
     /// kServed: true when >= 1 constant slot moved and was re-bound.
     bool rebound = false;
   };
@@ -183,13 +153,6 @@ class PlanCache {
                                            const JoinGraph& graph,
                                            ParameterizedPlan optimized);
 
-  /// \brief Fold an executed query's observed per-filter lambdas into
-  /// `entry`'s EWMA; marks the entry stale (one drift_invalidation) when
-  /// any filter's EWMA drifts past the margin. Call only for queries that
-  /// completed OK — a cancelled query's partial counters are void.
-  void RecordObservedLambdas(const std::shared_ptr<const CachedPlan>& entry,
-                             const std::vector<FilterStats>& filters);
-
   /// \brief Drop every entry (counted as an invalidation).
   void Invalidate();
 
@@ -209,7 +172,6 @@ class PlanCache {
 
   void InvalidateLocked();
 
-  const PlanCacheOptions options_;
   const size_t capacity_;
   mutable std::mutex mu_;
   std::unordered_map<std::string, Slot> entries_;
@@ -225,7 +187,6 @@ class PlanCache {
   Counter* rebinds_;
   Counter* verifications_;
   Counter* reoptimizations_;
-  Counter* drift_invalidations_;
   Gauge* entries_gauge_;  ///< set under mu_ whenever entries_ changes
 };
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -14,62 +16,43 @@
 namespace bqo {
 
 QueryServiceOptions ApplyServingEnvOverrides(QueryServiceOptions options) {
-  if (const char* d = std::getenv("BQO_DEADLINE_MS")) {
-    const long long ms = std::atoll(d);
-    if (ms > 0) options.default_deadline_ms = ms;
+  // A value that does not parse as a whole integer ("off", "unbounded")
+  // keeps the default.
+  if (const auto ms = EnvInt64("BQO_DEADLINE_MS"); ms && *ms > 0) {
+    options.default_deadline_ms = *ms;
   }
-  if (const char* q = std::getenv("BQO_ADMISSION_QUEUE")) {
+  if (const auto q = EnvInt64("BQO_ADMISSION_QUEUE");
+      q && *q >= INT_MIN && *q <= INT_MAX) {
     // "0" is meaningful: no waiting at all — run-or-shed admission.
-    options.admission_queue_limit = std::atoi(q);
+    options.admission_queue_limit = static_cast<int>(*q);
   }
-  if (const char* c = std::getenv("BQO_PLAN_CACHE_CAP")) {
-    const long long cap = std::atoll(c);
-    if (cap > 0) options.plan_cache_capacity = static_cast<size_t>(cap);
-  }
-  if (const char* m = std::getenv("BQO_DRIFT_MARGIN")) {
-    // <= 0 is meaningful: the drift feedback loop is disabled.
-    options.lambda_drift_margin = std::atof(m);
-  }
-  if (const char* a = std::getenv("BQO_EWMA_ALPHA")) {
-    const double alpha = std::atof(a);
-    if (alpha > 0 && alpha <= 1) options.lambda_ewma_alpha = alpha;
+  if (const auto cap = EnvInt64("BQO_PLAN_CACHE_CAP"); cap && *cap > 0) {
+    options.plan_cache_capacity = static_cast<size_t>(*cap);
   }
   if (const char* bc = std::getenv("BQO_BUILD_CACHE")) {
     const std::string v(bc);
     if (v == "off" || v == "0") options.use_build_cache = false;
   }
-  if (const char* mb = std::getenv("BQO_BUILD_CACHE_MB")) {
-    const long long bound = std::atoll(mb);
-    if (bound > 0) options.build_cache_mb = bound;
+  if (const auto mb = EnvInt64("BQO_BUILD_CACHE_MB");
+      mb && *mb > 0 && *mb <= (INT64_MAX >> 20)) {  // MiB -> bytes fits
+    options.build_cache_mb = *mb;
   }
   if (const char* t = std::getenv("BQO_TRACE")) {
     const std::string v(t);
     if (v == "off" || v == "0") options.collect_traces = false;
   }
-  if (const char* s = std::getenv("BQO_SLOW_QUERY_MS")) {
+  if (const auto s = EnvInt64("BQO_SLOW_QUERY_MS")) {
     // 0 is meaningful: log every finished query.
-    options.slow_query_ms = std::atoll(s);
+    options.slow_query_ms = *s;
   }
   return options;
 }
-
-namespace {
-
-PlanCacheOptions CacheOptionsFrom(const QueryServiceOptions& options) {
-  PlanCacheOptions cache;
-  cache.capacity = options.plan_cache_capacity;
-  cache.lambda_drift_margin = options.lambda_drift_margin;
-  cache.lambda_ewma_alpha = options.lambda_ewma_alpha;
-  return cache;
-}
-
-}  // namespace
 
 QueryService::QueryService(const Catalog* catalog, QueryServiceOptions options)
     : catalog_(catalog),
       options_(std::move(options)),
       stats_(catalog),
-      cache_(CacheOptionsFrom(options_), &registry_) {
+      cache_(options_.plan_cache_capacity, &registry_) {
   if (options_.use_build_cache) {
     BuildCacheOptions bc;
     bc.max_bytes = options_.build_cache_mb << 20;
@@ -292,7 +275,6 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
   // the executed plan after the outcome is final.
   std::shared_ptr<const CachedPlan> entry;
   if (!ctx->ShouldStop()) {
-    std::shared_ptr<const CachedPlan> feedback_entry;
     int64_t planned_version = 0;
     {
       // Shared lock: many queries optimize concurrently; InvalidateCache
@@ -305,67 +287,42 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
       // bump can never pair a new-version build with an old-version plan
       // (or vice versa).
       planned_version = catalog_->version();
-      if (options_.use_plan_cache) {
-        // Statistics are deferred: a shape hit re-estimates only the
-        // relations whose constants moved (inside Lookup); the miss and
-        // escalation paths attach the full statistics below, before
-        // optimizing.
-        auto graph_result =
-            BuildJoinGraph(*catalog_, spec, /*attach_statistics=*/false);
-        BQO_CHECK_MSG(graph_result.ok(),
-                      ("query failed to bind: " + spec.name).c_str());
-        JoinGraph& graph = graph_result.value();
-        const std::string signature =
-            PlanCache::ShapeSignature(graph, options_.optimizer);
-        // The snapshot above also covers lookup and insert: if the catalog
-        // moves on concurrently, the insert must carry the version this
-        // plan was optimized under (the cache then drops it at the next
-        // lookup) — re-reading here would stamp a stale plan with the new
-        // version and serve it forever.
-        ScopedSpan lookup_span(trace, SpanKind::kPlanCacheLookup, "lookup");
-        PlanCache::LookupOutcome looked = cache_.Lookup(
-            signature, planned_version, graph, &stats_, options_.optimizer,
-            trace);
-        lookup_span.End();
-        if (looked.kind == PlanCache::LookupOutcome::Kind::kServed) {
-          result.plan_cache_hit = true;
-          result.plan_rebound = looked.rebound;
-          entry = std::move(looked.instance);
-          feedback_entry = std::move(looked.entry);
-        } else {
-          // Miss — or an escalation (a verification that picked another
-          // plan, or an entry gone stale under lambda drift), where Insert
-          // replaces the refused entry.
-          ScopedSpan optimize_span(trace, SpanKind::kOptimize, "optimize");
-          AttachStatistics(&graph);
-          ParameterizedPlan optimized =
-              OptimizeParameterized(graph, &stats_, options_.optimizer);
-          optimize_span.End();
-          result.optimize_ns = optimized.optimize_ns;
-          entry = cache_.Insert(signature, planned_version, graph,
-                                std::move(optimized));
-          feedback_entry = entry;
-        }
+      // Statistics are deferred: a shape hit re-estimates only the
+      // relations whose constants moved (inside Lookup); the miss and
+      // escalation paths attach the full statistics below, before
+      // optimizing.
+      auto graph_result =
+          BuildJoinGraph(*catalog_, spec, /*attach_statistics=*/false);
+      BQO_CHECK_MSG(graph_result.ok(),
+                    ("query failed to bind: " + spec.name).c_str());
+      JoinGraph& graph = graph_result.value();
+      const std::string signature =
+          PlanCache::ShapeSignature(graph, options_.optimizer);
+      // The snapshot above also covers lookup and insert: if the catalog
+      // moves on concurrently, the insert must carry the version this
+      // plan was optimized under (the cache then drops it at the next
+      // lookup) — re-reading here would stamp a stale plan with the new
+      // version and serve it forever.
+      ScopedSpan lookup_span(trace, SpanKind::kPlanCacheLookup, "lookup");
+      PlanCache::LookupOutcome looked = cache_.Lookup(
+          signature, planned_version, graph, &stats_, options_.optimizer,
+          trace);
+      lookup_span.End();
+      if (looked.kind == PlanCache::LookupOutcome::Kind::kServed) {
+        result.plan_cache_hit = true;
+        result.plan_rebound = looked.rebound;
+        entry = std::move(looked.instance);
       } else {
-        auto graph_result = BuildJoinGraph(*catalog_, spec);
-        BQO_CHECK_MSG(graph_result.ok(),
-                      ("query failed to bind: " + spec.name).c_str());
-        const JoinGraph& graph = graph_result.value();
+        // Miss — or an escalation (a verification that picked another
+        // plan), where Insert replaces the refused entry.
         ScopedSpan optimize_span(trace, SpanKind::kOptimize, "optimize");
-        OptimizedQuery optimized =
-            OptimizeQuery(graph, &stats_, options_.optimizer);
+        AttachStatistics(&graph);
+        ParameterizedPlan optimized =
+            OptimizeParameterized(graph, &stats_, options_.optimizer);
         optimize_span.End();
-        result.optimize_ns = optimized.optimize_ns;
-        // Uncached path still needs the graph to outlive this scope; reuse
-        // the cache entry layout without touching the cache.
-        auto owned = std::make_shared<CachedPlan>();
-        owned->graph = graph;
-        owned->plan = std::move(optimized.plan);
-        owned->plan.graph = &owned->graph;
-        owned->estimated_cost = optimized.estimated_cost;
-        owned->pruned_filters = optimized.pruned_filters;
-        owned->optimize_ns = optimized.optimize_ns;
-        entry = std::move(owned);
+        result.optimize_ns = optimized.optimized.optimize_ns;
+        entry = cache_.Insert(signature, planned_version, graph,
+                              std::move(optimized));
       }
     }
     result.estimated_cost = entry->estimated_cost;
@@ -380,12 +337,6 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
     result.metrics = ExecutePlan(entry->plan, exec);
     for (const FilterStats& fs : result.metrics.filters) {
       if (fs.created && fs.probed > 0) result.used_bitvectors = true;
-    }
-    // Feedback: fold the observed per-filter lambdas into the cache entry
-    // — only for complete executions; a cancelled or fault-struck query's
-    // partial counters are void by contract and must not poison the EWMA.
-    if (feedback_entry != nullptr && ctx->status().ok()) {
-      cache_.RecordObservedLambdas(feedback_entry, result.metrics.filters);
     }
   }
 

@@ -25,12 +25,11 @@
 //     confirms it is still the optimizer's choice
 //     (src/optimizer/parameterized.h) — skipping the rest of the
 //     optimizer (amortizing the paper's Section 6.5 overhead). A miss — or
-//     an escalation (a check that picked another plan, or an entry marked
-//     stale by observed-lambda drift) — attaches full statistics and runs
-//     OptimizeParameterized against the shared thread-safe StatsCatalog,
-//     caching (or replacing) the entry. After an OK
-//     execution the observed per-filter lambdas feed back into the entry
-//     (PlanCache::RecordObservedLambdas).
+//     an escalation (a check that picked another plan) — attaches full
+//     statistics and runs OptimizeParameterized against the shared
+//     thread-safe StatsCatalog, caching (or replacing) the entry. That is
+//     the one planning path: every query goes through the cache, and
+//     entries are immutable once inserted.
 //  3. **Executes** — ExecutePlan on the caller's thread under the query's
 //     QueryContext (cancellation + deadline + first-error slot,
 //     query_context.h); all pipeline parallelism inside flows through the
@@ -93,8 +92,9 @@ struct QueryServiceOptions {
   /// max_concurrent_queries (at least 1), so at full admission the pool is
   /// exactly subscribed.
   int max_workers_per_query = 0;
+  /// LRU capacity of the plan-shape cache, in shapes. Env overlay:
+  /// BQO_PLAN_CACHE_CAP.
   size_t plan_cache_capacity = 64;
-  bool use_plan_cache = true;
   /// Share completed hash-join build sides (table + bitvector filter)
   /// across queries through a BuildCache with single-flight construction
   /// (src/server/build_cache.h). Off = every query builds privately, the
@@ -104,20 +104,13 @@ struct QueryServiceOptions {
   /// (and its single-flight dedup) but makes nothing resident. Env
   /// overlay: BQO_BUILD_CACHE_MB.
   int64_t build_cache_mb = 64;
-  /// Drift margin on observed filter lambda before a cached entry is
-  /// marked stale (re-optimized on its next shape hit); <= 0 disables the
-  /// feedback loop. Env overlay: BQO_DRIFT_MARGIN.
-  double lambda_drift_margin = 0.25;
-  /// EWMA smoothing factor for the observed-lambda feedback (0 < alpha
-  /// <= 1). Env overlay: BQO_EWMA_ALPHA.
-  double lambda_ewma_alpha = 0.3;
 
   // ---- Overload resilience (all off by default: unbounded queue, no
   // deadline — the permissive pre-existing behavior) ----
 
   /// Queries allowed to *wait* for admission at once; one more is shed
   /// with kResourceExhausted instead of queueing. < 0 = unbounded.
-  /// Env overlay: BQO_ADMISSION_QUEUE (OptionsFromEnv below).
+  /// Env overlay: BQO_ADMISSION_QUEUE (ApplyServingEnvOverrides below).
   int admission_queue_limit = -1;
   /// Cap on any query's admission wait, even without a deadline; a waiter
   /// that exceeds it leaves with kDeadlineExceeded. 0 = wait forever
@@ -152,10 +145,11 @@ struct QueryServiceOptions {
 };
 
 /// \brief Overlay the serving env knobs (BQO_DEADLINE_MS,
-/// BQO_ADMISSION_QUEUE, BQO_PLAN_CACHE_CAP, BQO_DRIFT_MARGIN,
-/// BQO_EWMA_ALPHA, BQO_TRACE, BQO_SLOW_QUERY_MS) onto `options` — how
+/// BQO_ADMISSION_QUEUE, BQO_PLAN_CACHE_CAP, BQO_BUILD_CACHE,
+/// BQO_BUILD_CACHE_MB, BQO_TRACE, BQO_SLOW_QUERY_MS) onto `options` — how
 /// bench binaries plumb them in; the library itself never reads the
-/// environment.
+/// environment. A numeric knob whose value is not a whole integer
+/// (ParseInt64: "off", "unbounded", "12ms") keeps the default.
 QueryServiceOptions ApplyServingEnvOverrides(QueryServiceOptions options);
 
 /// \brief One served query's outcome (the concurrent analogue of
@@ -169,10 +163,9 @@ struct QueryResult {
   Status status;
   QueryMetrics metrics;
   double estimated_cost = 0;
-  /// Optimization wall time: the whole OptimizeParameterized call on a
-  /// plan-cache miss or escalation, OptimizeQuery with the cache off, 0 on
-  /// a hit (a matched verification counts as a hit: nothing was
-  /// optimized).
+  /// Optimization wall time on a plan-cache miss or escalation
+  /// (OptimizedQuery::optimize_ns), 0 on a hit (a matched verification
+  /// counts as a hit: nothing was optimized).
   int64_t optimize_ns = 0;
   int num_joins = 0;
   int pruned_filters = 0;

@@ -30,6 +30,7 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -37,6 +38,7 @@
 
 #include "src/common/fault_injector.h"
 #include "src/exec/aggregate.h"
+#include "src/exec/exec_config.h"
 #include "src/exec/exchange.h"
 #include "src/exec/executor.h"
 #include "src/exec/query_context.h"
@@ -686,6 +688,91 @@ TEST(QueryServiceResilience, ServingEnvOverrides) {
   ::unsetenv("BQO_ADMISSION_QUEUE");
   EXPECT_EQ(overridden.default_deadline_ms, 250);
   EXPECT_EQ(overridden.admission_queue_limit, 0);  // "0" is meaningful
+}
+
+/// Sets an environment variable for its lifetime, then restores it.
+class ScopedEnv {
+ public:
+  ScopedEnv(const char* name, const char* value) : name_(name) {
+    if (const char* old = std::getenv(name)) old_ = old;
+    ::setenv(name, value, 1);
+  }
+  ~ScopedEnv() {
+    if (old_) {
+      ::setenv(name_, old_->c_str(), 1);
+    } else {
+      ::unsetenv(name_);
+    }
+  }
+
+ private:
+  const char* name_;
+  std::optional<std::string> old_;
+};
+
+/// The README names the defaults "off" and "unbounded"; written into the
+/// environment, those words keep the default instead of parsing as 0
+/// (which would log every query, or shed whenever the house is full). So
+/// does a build-cache bound whose byte count would overflow.
+TEST(QueryServiceResilience, EnvWordsKeepDefaults) {
+  const QueryServiceOptions defaults;
+  {
+    ScopedEnv slow("BQO_SLOW_QUERY_MS", "off");
+    ScopedEnv deadline("BQO_DEADLINE_MS", "off");
+    ScopedEnv queue("BQO_ADMISSION_QUEUE", "unbounded");
+    ScopedEnv cap("BQO_PLAN_CACHE_CAP", "lots");
+    ScopedEnv mb("BQO_BUILD_CACHE_MB", "9000000000000000");  // > 2^63 B
+    const QueryServiceOptions o = ApplyServingEnvOverrides(defaults);
+    EXPECT_EQ(o.slow_query_ms, defaults.slow_query_ms);
+    EXPECT_EQ(o.default_deadline_ms, defaults.default_deadline_ms);
+    EXPECT_EQ(o.admission_queue_limit, defaults.admission_queue_limit);
+    EXPECT_EQ(o.plan_cache_capacity, defaults.plan_cache_capacity);
+    EXPECT_EQ(o.build_cache_mb, defaults.build_cache_mb);
+  }
+  {
+    ScopedEnv threads("BQO_THREADS", "four");
+    ScopedEnv rows("BQO_MORSEL_ROWS", "1e6");
+    ScopedEnv pool("BQO_POOL_THREADS", "8 ");
+    const ExecConfig config = ExecConfigFromEnv();
+    EXPECT_EQ(config.threads, ExecConfig{}.threads);
+    EXPECT_EQ(config.morsel_rows, ExecConfig{}.morsel_rows);
+    EXPECT_EQ(config.pool_threads, ExecConfig{}.pool_threads);
+  }
+}
+
+/// A typo in an env thread count is capped, never handed to the pool as
+/// is. Only the resolved numbers are read: no pool is constructed.
+TEST(QueryServiceResilience, EnvThreadCountsAreCapped) {
+  ScopedEnv threads("BQO_THREADS", "40000");
+  ScopedEnv pool("BQO_POOL_THREADS", "40000");
+  const ExecConfig config = ExecConfigFromEnv();
+  EXPECT_EQ(config.ResolvedThreads(), kMaxEnvThreads);
+  EXPECT_EQ(config.ResolvedPoolThreads(), kMaxEnvThreads);
+
+  ScopedEnv small("BQO_POOL_THREADS", "3");
+  EXPECT_EQ(ExecConfigFromEnv().ResolvedPoolThreads(), 3);
+}
+
+/// BQO_FAULT_EVERY parses whole integers only; anything else keeps the
+/// default period of 1.
+TEST(FaultInjector, EnvPeriodParsesWholeIntegersOnly) {
+  FaultGuard guard;
+  FaultInjector& fi = FaultInjector::Global();
+  ScopedEnv sites("BQO_FAULT_SITES", "worker_task");
+  const auto first_fire = [&fi](const char* every) {
+    ScopedEnv period("BQO_FAULT_EVERY", every);
+    fi.DisarmAll();
+    fi.ConfigureFromEnv();
+    int fired_at = -1;
+    for (int check = 1; check <= 10 && fired_at < 0; ++check) {
+      if (!fi.Check(FaultInjector::Site::kWorkerTask).ok()) fired_at = check;
+    }
+    fi.DisarmAll();
+    return fired_at;
+  };
+  EXPECT_EQ(first_fire("3"), 3);
+  EXPECT_EQ(first_fire("3x"), 1);
+  EXPECT_EQ(first_fire("often"), 1);
 }
 
 }  // namespace

@@ -157,5 +157,17 @@ TEST(StringUtil, JoinAndFormat) {
   EXPECT_EQ(FormatCount(999), "999");
 }
 
+TEST(StringUtil, ParseInt64AcceptsOnlyWholeIntegers) {
+  EXPECT_EQ(ParseInt64("0"), 0);
+  EXPECT_EQ(ParseInt64("250"), 250);
+  EXPECT_EQ(ParseInt64("-1"), -1);
+  EXPECT_EQ(ParseInt64("9223372036854775807"), INT64_MAX);
+  // Words and partial numbers are not a silent 0 (std::atoll's answer).
+  for (const char* bad : {"", "off", "unbounded", "12ms", " 5", "5 ", "+5",
+                          "0x10", "1e3", "-", "9223372036854775808"}) {
+    EXPECT_EQ(ParseInt64(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace bqo
