@@ -65,6 +65,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -81,10 +82,11 @@
 namespace bqo {
 namespace {
 
-int EnvInt(const char* name, int fallback) {
-  if (const char* e = std::getenv(name)) {
-    const int v = std::atoi(e);
-    if (v > 0) return v;
+/// A positive whole-integer env knob, capped at `cap`; anything else keeps
+/// `fallback` (so BQO_MAX_CLIENTS=8x does not run as 8).
+int EnvInt(const char* name, int fallback, int cap = INT_MAX) {
+  if (const auto v = EnvInt64(name); v && *v > 0) {
+    return static_cast<int>(std::min<int64_t>(*v, cap));
   }
   return fallback;
 }
@@ -531,7 +533,7 @@ void RunOverloadPhase(const Workload& workload, size_t limit, int rounds,
 int main() {
   using namespace bqo;
   const int rounds = EnvInt("BQO_ROUNDS", 3);
-  const int max_clients = EnvInt("BQO_MAX_CLIENTS", 8);
+  const int max_clients = EnvInt("BQO_MAX_CLIENTS", 8, kMaxEnvThreads);
   ExecConfig hw;
   hw.threads = 0;
   const int hw_threads = hw.ResolvedThreads();

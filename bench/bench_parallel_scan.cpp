@@ -14,7 +14,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -31,18 +30,18 @@ namespace {
 
 constexpr int64_t kKeyDomain = 100000;
 
+// Env knobs parse as whole integers only (a non-integer keeps the default);
+// the thread count is capped at kMaxEnvThreads.
 int64_t RowsFromEnv() {
-  if (const char* e = std::getenv("BQO_SCAN_ROWS")) {
-    const int64_t rows = std::atoll(e);
-    if (rows > 0) return rows;
+  if (const auto rows = EnvInt64("BQO_SCAN_ROWS"); rows && *rows > 0) {
+    return *rows;
   }
   return int64_t{4} * 1000 * 1000;
 }
 
 int MaxThreadsFromEnv() {
-  if (const char* e = std::getenv("BQO_MAX_THREADS")) {
-    const int t = std::atoi(e);
-    if (t > 0) return t;
+  if (const auto t = EnvInt64("BQO_MAX_THREADS"); t && *t > 0) {
+    return static_cast<int>(std::min<int64_t>(*t, kMaxEnvThreads));
   }
   ExecConfig hw;
   hw.threads = 0;

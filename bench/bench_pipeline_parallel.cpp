@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <vector>
 
 #include "src/common/simd.h"
@@ -36,18 +35,16 @@
 namespace bqo {
 namespace {
 
+// Env knobs parse as whole integers only (a non-integer keeps the default);
+// the thread count is capped at kMaxEnvThreads.
 int64_t EnvRows(const char* name, int64_t fallback) {
-  if (const char* e = std::getenv(name)) {
-    const int64_t rows = std::atoll(e);
-    if (rows > 0) return rows;
-  }
+  if (const auto rows = EnvInt64(name); rows && *rows > 0) return *rows;
   return fallback;
 }
 
 int MaxThreadsFromEnv() {
-  if (const char* e = std::getenv("BQO_MAX_THREADS")) {
-    const int t = std::atoi(e);
-    if (t > 0) return t;
+  if (const auto t = EnvInt64("BQO_MAX_THREADS"); t && *t > 0) {
+    return static_cast<int>(std::min<int64_t>(*t, kMaxEnvThreads));
   }
   ExecConfig hw;
   hw.threads = 0;

@@ -73,6 +73,7 @@ void AggregateOperator::Open() {
       state_.MergeFrom(std::move(partial));
     }
   } else {
+    // threads == 1: the single-threaded fold.
     Batch batch;
     while (child_->Next(&batch)) fold_.Fold(batch, &state_);
   }

@@ -16,14 +16,12 @@
 //    commutative + associative folds: any partition of the input rows
 //    into partials, merged in any order, yields the same group map and
 //    total as the single-threaded left-to-right fold.
-//  * AggregateOperator — the sink. Single-threaded (threads == 1, or a
-//    breaker such as a sort-merge join at the plan root) it folds its
-//    child's batches into one PartialAggState itself. Pipeline-parallel,
-//    the executor compiles the fold *into* the ExchangeOperator below it
-//    (exchange.h): each exchange worker folds its probe-chain output
-//    thread-locally, and the sink merges the per-worker partials — no
-//    serial consume loop and no raw batches crossing threads above the top
-//    probe chain.
+//  * AggregateOperator — the sink. At threads == 1 it folds its child's
+//    batches into one PartialAggState itself. At threads > 1 the executor
+//    compiles the fold *into* the ExchangeOperator below it (exchange.h):
+//    each exchange worker folds its probe-chain output thread-locally, and
+//    the sink merges the per-worker partials — no serial consume loop and
+//    no raw batches crossing threads above the top probe chain.
 //
 // == Checksum merge-order independence ==
 //
@@ -90,9 +88,9 @@ class AggregateOperator final : public PhysicalOperator {
  public:
   AggregateOperator(std::unique_ptr<PhysicalOperator> child, AggSpec spec);
 
-  /// Open() consumes the whole input: either by folding the child's batches
-  /// itself, or — when the child is an ExchangeOperator —
-  /// by merging the per-worker partials the exchange drained in parallel.
+  /// Open() consumes the whole input: at threads == 1 by folding the
+  /// child's batches itself; otherwise the child is an ExchangeOperator
+  /// and Open() merges the per-worker partials it drained in parallel.
   void Open() override;
   bool Next(Batch* out) override;
   void Close() override;

@@ -15,8 +15,6 @@ ExchangeOperator::ExchangeOperator(std::unique_ptr<PhysicalOperator> child,
   stats_.type = OperatorType::kExchange;
   stats_.label = std::move(label);
   pipe_ = BuildProbePipeline(child_.get());
-  BQO_CHECK_MSG(pipe_.parallel(),
-                "exchange child must be a parallelizable pipeline");
   BQO_CHECK_GT(config_.ResolvedThreads(), 1);
   fold_ = AggFold::Resolve(agg, child_->output_schema());
 }

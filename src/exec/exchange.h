@@ -1,7 +1,7 @@
 // ExchangeOperator: morsel-parallel pipeline drain that folds the plan's
 // final aggregate wide.
 //
-// The wrapped child is any parallelizable probe pipeline (pipeline.h): a
+// The wrapped child is the plan's topmost probe pipeline (pipeline.h): a
 // bare scan, or a scan -> probe -> ... -> probe chain of hash joins. Open()
 // first opens the child — which runs every hash-join build below, itself
 // wide — then submits N worker tasks to the shared WorkerPool
@@ -16,9 +16,8 @@
 //
 // Parallelism therefore stops at the plan's final breaker, not at the
 // leaves: the executor compiles exactly one exchange, directly below the
-// aggregate, when the topmost pipeline is parallelizable (executor.cc) —
-// and the "breaker" work itself (the fold) runs wide too, leaving only the
-// group-map merge serial.
+// aggregate, whenever threads > 1 (executor.cc) — and the "breaker" work
+// itself (the fold) runs wide too, leaving only the group-map merge serial.
 //
 // Stats discipline: workers accumulate FilterStats/OperatorStats deltas in
 // their private PipelineWorkerState (scan scratch + per-join ProbeStates);
@@ -50,9 +49,8 @@ namespace bqo {
 
 class ExchangeOperator final : public PhysicalOperator {
  public:
-  /// `child` must decompose into a parallelizable pipeline
-  /// (BuildProbePipeline(child).parallel()) and `config` must resolve to
-  /// more than one thread. `agg` is resolved against the child schema
+  /// `child` must decompose into a probe pipeline (BuildProbePipeline
+  /// CHECKs that) and `config` must resolve to more than one thread. `agg` is resolved against the child schema
   /// (CHECKs on missing columns); it is the fold every worker runs.
   ExchangeOperator(std::unique_ptr<PhysicalOperator> child, ExecConfig config,
                    const AggSpec& agg, std::string label);

@@ -13,17 +13,18 @@
 // (FilterStats, OperatorStats) are accumulated per worker and merged once
 // so observed-selectivity numbers stay exact (metrics.h).
 //
-// Two distinct knobs control parallelism (see src/server/worker_pool.h and
-// docs/ARCHITECTURE.md "Serving layer"):
+// Two distinct quantities control parallelism (see src/server/worker_pool.h
+// and docs/ARCHITECTURE.md "Serving layer"):
 //
 //  * `threads` — per-query logical workers: how many worker *states* a
 //    query's drains are decomposed into. Results and merged stats are
 //    invariant in it (threads == 1 compiles the exact single-threaded
 //    plan).
-//  * `pool_threads` — process-wide OS threads in the shared WorkerPool
-//    that actually run those workers' tasks, sized once at first use.
-//    Results are invariant in it too; it only caps how much of the machine
-//    the engine uses across *all* concurrently running queries.
+//  * the WorkerPool size — process-wide OS threads that actually run those
+//    workers' tasks, sized once at first use from BQO_POOL_THREADS
+//    (PoolThreadsFromEnv, worker_pool.h). Results are invariant in it too;
+//    it only caps how much of the machine the engine uses across *all*
+//    concurrently running queries.
 #pragma once
 
 #include <algorithm>
@@ -52,31 +53,15 @@ struct ExecConfig {
   /// within a few morsels of each other at the tail.
   int morsel_rows = 16384;
 
-  /// OS worker threads in the process-wide WorkerPool. 0 = one per
-  /// hardware thread. NOTE: the global pool is sized once, on first use,
-  /// from the *environment* (WorkerPool::Global reads
-  /// ExecConfigFromEnv().ResolvedPoolThreads(), i.e. BQO_POOL_THREADS) —
-  /// setting this field programmatically does not resize it; tests and
-  /// embedders that need an explicit size call WorkerPool::ResetGlobal
-  /// before the first drain.
-  int pool_threads = 0;
-
   int ResolvedThreads() const {
     int n = threads;
     if (n == 0) n = static_cast<int>(std::thread::hardware_concurrency());
     return n < 1 ? 1 : n;
   }
-
-  int ResolvedPoolThreads() const {
-    int n = pool_threads;
-    if (n == 0) n = static_cast<int>(std::thread::hardware_concurrency());
-    return n < 1 ? 1 : n;
-  }
 };
 
-/// \brief ExecConfig from the environment (BQO_THREADS, BQO_MORSEL_ROWS,
-/// BQO_POOL_THREADS) — how the workload runner, the
-/// bench binaries, and WorkerPool::Global plumb the knobs in. The knob
+/// \brief ExecConfig from the environment (BQO_THREADS, BQO_MORSEL_ROWS) —
+/// how the bench binaries and examples plumb the knobs in. The knob
 /// table lives in README.md's quickstart section. A value that is not a
 /// whole integer in the knob's range keeps the default; thread counts are
 /// capped at kMaxEnvThreads.
@@ -88,10 +73,6 @@ inline ExecConfig ExecConfigFromEnv() {
   if (const auto m = EnvInt64("BQO_MORSEL_ROWS");
       m && *m > 0 && *m <= INT_MAX) {
     config.morsel_rows = static_cast<int>(*m);
-  }
-  if (const auto p = EnvInt64("BQO_POOL_THREADS"); p && *p > 0) {
-    config.pool_threads =
-        static_cast<int>(std::min<int64_t>(*p, kMaxEnvThreads));
   }
   return config;
 }

@@ -7,7 +7,6 @@
 #include "src/common/thread_clock.h"
 #include "src/exec/exchange.h"
 #include "src/exec/hash_join.h"
-#include "src/exec/merge_join.h"
 #include "src/exec/pipeline.h"
 #include "src/exec/scan.h"
 
@@ -151,16 +150,9 @@ std::unique_ptr<PhysicalOperator> CompileNode(
     config.residual_filters.push_back(std::move(rf));
   }
 
-  std::unique_ptr<PhysicalOperator> op;
-  if (options.use_sort_merge_join) {
-    op = std::make_unique<SortMergeJoinOperator>(
-        std::move(build_op), std::move(probe_op), std::move(out_schema),
-        std::move(config), runtime, StringFormat("MJ#%d", node.id));
-  } else {
-    op = std::make_unique<HashJoinOperator>(
-        std::move(build_op), std::move(probe_op), std::move(out_schema),
-        std::move(config), runtime, StringFormat("HJ#%d", node.id));
-  }
+  auto op = std::make_unique<HashJoinOperator>(
+      std::move(build_op), std::move(probe_op), std::move(out_schema),
+      std::move(config), runtime, StringFormat("HJ#%d", node.id));
   op->stats().plan_node_id = node.id;
   return op;
 }
@@ -236,8 +228,7 @@ std::unique_ptr<AggregateOperator> CompilePlan(
   // merges the partials, so no serial stage or cross-thread batch traffic
   // remains above the top probe chain. threads == 1 compiles the exact
   // single-threaded plan, bit-for-bit.
-  if (options.exec.ResolvedThreads() > 1 &&
-      BuildProbePipeline(root.get()).parallel()) {
+  if (options.exec.ResolvedThreads() > 1) {
     auto exchange = std::make_unique<ExchangeOperator>(
         std::move(root), options.exec, options.agg, "xchg pipeline");
     exchange->stats().plan_node_id = plan.root->id;

@@ -9,7 +9,8 @@
 //
 // With exec.threads > 1 the compiled tree executes as a schedule of
 // morsel-parallel pipelines (pipeline.h) separated by its breakers (hash-
-// join builds, sort-merge materializations, the aggregate):
+// join builds and the aggregate). Every join compiles to a
+// HashJoinOperator, so every pipeline bottoms out in a scan:
 //
 //  * Each hash join's Open() drains its build-side pipeline with N workers
 //    into canonical-order partitions reassembled into the bucket-chained
@@ -53,10 +54,6 @@ struct ExecutionOptions {
   /// When false, no bitvector filters are created or probed (the paper's
   /// Appendix A / Table 4 comparison: same plan, filters ignored).
   bool use_bitvectors = true;
-  /// Compile joins as sort-merge instead of hash joins. Filter creation and
-  /// placement are unchanged (the paper's Section 2 remark that bitvector
-  /// filters adapt to merge joins); used by the join-algorithm ablation.
-  bool use_sort_merge_join = false;
   /// Final aggregate; COUNT(*) by default.
   AggSpec agg;
   /// Cooperative cancellation / deadline context (borrowed; must outlive

@@ -52,10 +52,10 @@ HashJoinOperator::HashJoinOperator(std::unique_ptr<PhysicalOperator> build,
 }
 
 void HashJoinOperator::DrainBuild(JoinBuildSide* side) {
-  const Pipeline build_pipe = BuildProbePipeline(build_.get());
   const int workers = config_.exec.ResolvedThreads();
-  if (workers > 1 && build_pipe.parallel()) {
-    side->rows = DrainPipelineParallel(build_pipe, config_.exec);
+  if (workers > 1) {
+    side->rows =
+        DrainPipelineParallel(BuildProbePipeline(build_.get()), config_.exec);
     stats_.parallel_workers = workers;
     return;
   }

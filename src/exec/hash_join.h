@@ -1,11 +1,11 @@
 // Hash join with bitvector-filter creation (Algorithm 1, lines 8-10).
 //
-// Open() is the pipeline breaker: it drains the build child — wide, when the
-// build side is a parallelizable pipeline and exec.threads > 1 (pipeline.h)
-// — into a bucket-chained hash table, creates this join's bitvector filter
-// (unless pruned/disabled), and only then opens the probe child. That order
-// realizes Algorithm 1's filter-dependency order: every pushed-down filter's
-// contents exist before the subtree it filters starts producing tuples.
+// Open() is the pipeline breaker: it drains the build child — wide when
+// exec.threads > 1 (pipeline.h) — into a bucket-chained hash table, creates
+// this join's bitvector filter (unless pruned/disabled), and only then
+// opens the probe child. That order realizes Algorithm 1's
+// filter-dependency order: every pushed-down filter's contents exist before
+// the subtree it filters starts producing tuples.
 //
 // The build result lives in an immutable JoinBuildSide (build_side.h). When
 // the runtime carries a BuildCache (src/server/build_cache.h) and this
@@ -55,8 +55,8 @@ class HashJoinOperator final : public PhysicalOperator {
     /// the join's output schema.
     std::vector<ResolvedFilter> residual_filters;
     FilterConfig filter_config;
-    /// Threading knobs for the build phase: threads > 1 drains a
-    /// parallelizable build child with that many workers (canonical-order
+    /// Threading knobs for the build phase: threads > 1 drains the build
+    /// child's pipeline with that many workers (canonical-order
     /// reassembly, see pipeline.h) and creates the bitvector filter from
     /// per-worker partials merged through BitvectorFilter::MergeFrom.
     ExecConfig exec;
@@ -134,15 +134,14 @@ class HashJoinOperator final : public PhysicalOperator {
 
  private:
   /// \brief Construct this join's build side from scratch: open/drain/close
-  /// the build child (wide when parallelizable, canonical order either
+  /// the build child (wide when threads > 1, canonical order either
   /// way), hash, create+fill the filter, bucketize, and snapshot the
   /// as-if-built stats. Doubles as the BuildCache builder closure body.
   std::shared_ptr<const JoinBuildSide> ConstructBuildSide();
   /// \brief Drain the (already opened) build child into side->rows
-  /// (row-major), wide when the build side is a parallelizable pipeline, in
-  /// canonical order either way (the parallel drain reassembles morsel
-  /// chunks, so the table is byte-identical to the single-threaded build at
-  /// any thread count).
+  /// (row-major), wide when threads > 1, in canonical order either way
+  /// (the parallel drain reassembles morsel chunks, so the table is
+  /// byte-identical to the single-threaded build at any thread count).
   void DrainBuild(JoinBuildSide* side);
   /// \brief Composite-key hash of every build row, batched.
   void HashBuildRows(const JoinBuildSide& side,

@@ -50,8 +50,8 @@ struct OperatorStats {
   /// child reports summed CPU time (see ns_inclusive).
   int64_t ns_self = 0;
   /// Worker threads that executed this operator's parallel phase: an
-  /// exchange's probe-pipeline draining, or a hash-join/sort-merge build
-  /// drain. 0 = the phase ran single-threaded.
+  /// exchange's probe-pipeline draining, or a hash-join build drain.
+  /// 0 = the phase ran single-threaded.
   int parallel_workers = 0;
   /// Summed per-task thread-CPU ns of the pool tasks that drained this
   /// operator's pipeline (source scans only; 0 on the single-threaded

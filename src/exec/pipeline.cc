@@ -84,19 +84,14 @@ Pipeline BuildProbePipeline(PhysicalOperator* op) {
   Pipeline pipe;
   std::vector<HashJoinOperator*> chain;  // top-down during the descent
   PhysicalOperator* cur = op;
-  for (;;) {
-    if (auto* scan = dynamic_cast<ScanOperator*>(cur)) {
-      pipe.source = scan;
-      break;
-    }
-    auto* hj = dynamic_cast<HashJoinOperator*>(cur);
-    if (hj == nullptr) break;  // breaker (sort-merge, ...): not parallel
+  while (auto* hj = dynamic_cast<HashJoinOperator*>(cur)) {
     chain.push_back(hj);
     cur = hj->probe_child();
   }
-  if (pipe.source != nullptr) {
-    pipe.probes.assign(chain.rbegin(), chain.rend());
-  }
+  pipe.source = dynamic_cast<ScanOperator*>(cur);
+  BQO_CHECK_MSG(pipe.source != nullptr,
+                "a probe chain must bottom out in a scan");
+  pipe.probes.assign(chain.rbegin(), chain.rend());
   return pipe;
 }
 
@@ -123,7 +118,6 @@ void MergePipelineWorkerStats(const Pipeline& pipe, PipelineWorkerState* ws) {
 
 std::vector<int64_t> DrainPipelineParallel(const Pipeline& pipe,
                                            const ExecConfig& exec) {
-  BQO_CHECK(pipe.parallel());
   const int num_workers = exec.ResolvedThreads();
   pipe.source->set_morsel_rows(static_cast<size_t>(exec.morsel_rows));
 

@@ -3,8 +3,9 @@
 // A *pipeline* is the maximal streaming chain between pipeline breakers in
 // the compiled operator tree: it starts at a morsel-parallel source (a
 // ScanOperator) and runs upward through hash-join *probe* sides until an
-// operator that must materialize its input — a hash-join build, a sort-merge
-// materialization, the final aggregate. BuildProbePipeline() performs that
+// operator that must materialize its input — a hash-join build or the final
+// aggregate. Every join is a hash join, so every pipeline bottoms out in a
+// scan and every pipeline can run wide. BuildProbePipeline() performs that
 // decomposition; walking the whole tree this way yields an ordered pipeline
 // schedule that realizes Algorithm 1's filter-dependency order by
 // construction: a join's build-side pipeline (which creates the join's
@@ -28,8 +29,8 @@
 //    and the per-morsel output chunks are reassembled in morsel order, which
 //    equals the single-threaded row order exactly (scan rows stream in
 //    selection order and every probe stage is order-preserving). Hash-join
-//    builds and sort-merge materializations use this, so the hash table is
-//    byte-identical at every thread count.
+//    builds use this, so the hash table is byte-identical at every thread
+//    count.
 //
 // Stats discipline (engine-wide): workers accumulate
 // FilterStats/OperatorStats deltas in their private states; the drain owner
@@ -49,17 +50,15 @@ namespace bqo {
 /// whose probe sides lie on it, bottom-up (probes[0] consumes source
 /// batches, probes[i+1] consumes probes[i]'s output).
 struct Pipeline {
-  /// Morsel-parallel source; null when the chain is not parallelizable
-  /// (it bottoms out in a breaker such as a sort-merge join).
+  /// Morsel-parallel source; BuildProbePipeline always sets it.
   ScanOperator* source = nullptr;
   std::vector<HashJoinOperator*> probes;
-
-  bool parallel() const { return source != nullptr; }
 };
 
 /// \brief Decompose the streaming chain rooted at `op`: descend through
-/// hash-join probe children until a scan (parallelizable) or any other
-/// operator (breaker; returns a non-parallel pipeline).
+/// hash-join probe children down to the scan. CHECK-fails on any other
+/// operator (the compiler emits only scans and hash joins below the
+/// aggregate).
 Pipeline BuildProbePipeline(PhysicalOperator* op);
 
 /// \brief Per-worker execution state for one pipeline.

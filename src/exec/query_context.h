@@ -6,7 +6,7 @@
 // none). It is threaded through the compiled operator tree via
 // FilterRuntime::context (operator.h), so every drain loop in the engine —
 // scan morsel claims, exchange worker iterations, build drains, filter
-// fills, sort-merge emission — can poll it at stride boundaries:
+// fills — can poll it at stride boundaries:
 //
 //   if (CtxShouldStop(ctx)) break;   // unwind; results are void
 //
@@ -17,7 +17,7 @@
 // check observes the flag (one relaxed atomic load on the hot path), so
 // one failing worker cancels its siblings, the drains unwind in bounded
 // time — within one stride / morsel per worker, plus any single
-// non-preemptible step such as a sort — and the originating Status
+// non-preemptible step such as hashing a build side — and the originating Status
 // (kCancelled, kDeadlineExceeded, or an injected fault) surfaces to the
 // client in QueryResult::status. A cancelled query produces garbage
 // partial aggregates; callers must treat its results as void whenever

@@ -130,6 +130,7 @@ Status QueryService::Admit(QueryContext* ctx) {
       outcome = Outcome::kShed;
     } else {
       ++waiting_;
+      SetAdmissionGauges();
       for (;;) {
         if (ctx->IsCancelled()) {
           outcome = Outcome::kCancelled;
@@ -155,6 +156,7 @@ Status QueryService::Admit(QueryContext* ctx) {
       ++active_;
       peak_ = std::max(peak_, active_);
     }
+    SetAdmissionGauges();
   }
   ctx->RemoveCancelListener(listener);  // outside admit_mu_; see above
 
@@ -180,6 +182,7 @@ void QueryService::Release() {
   {
     std::lock_guard<std::mutex> lock(admit_mu_);
     --active_;
+    SetAdmissionGauges();
   }
   // notify_all, not notify_one: with deadlines and cancellation a wake can
   // land on a waiter that is about to give up, and a lost wakeup would
@@ -411,16 +414,16 @@ void QueryService::FinishQuery(
   }
 }
 
+void QueryService::SetAdmissionGauges() {
+  admission_gauges_[0]->Set(active_);
+  admission_gauges_[1]->Set(waiting_);
+  admission_gauges_[2]->Set(peak_);
+}
+
 std::string QueryService::DumpMetrics(MetricsFormat format) const {
-  // Mirror admission's state into gauges, then render one snapshot (the
-  // plan and build caches count into the registry themselves). Each metric
-  // reads atomically, so a mid-run dump never sees a torn value.
-  {
-    std::lock_guard<std::mutex> lock(admit_mu_);
-    admission_gauges_[0]->Set(active_);
-    admission_gauges_[1]->Set(waiting_);
-    admission_gauges_[2]->Set(peak_);
-  }
+  // One snapshot of the registry: the caches and admission write their
+  // metrics where they change. Each metric reads atomically, so a mid-run
+  // dump never sees a torn value.
   const std::vector<MetricSnapshot> snapshot = registry_.Snapshot();
   return format == MetricsFormat::kPrometheus
              ? MetricsRegistry::ToPrometheusText(snapshot)

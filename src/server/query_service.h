@@ -230,9 +230,9 @@ class QueryService {
 
   enum class MetricsFormat { kJsonLines, kPrometheus };
   /// \brief Export every engine metric: the serving outcome counters,
-  /// latency histograms and plan- and build-cache counters live in the
-  /// registry; admission levels are mirrored into gauges at dump time,
-  /// then one snapshot renders in the requested format. Safe to call from
+  /// latency histograms, plan- and build-cache counters and admission
+  /// gauges all live in the registry, written where they change; one
+  /// snapshot renders in the requested format. Safe to call from
   /// a monitor thread while queries run.
   std::string DumpMetrics(MetricsFormat format = MetricsFormat::kJsonLines)
       const;
@@ -246,6 +246,8 @@ class QueryService {
   /// non-OK = the request never ran and the status says why.
   Status Admit(QueryContext* ctx);
   void Release();
+  /// Copy active_/waiting_/peak_ into their gauges; admit_mu_ held.
+  void SetAdmissionGauges();
   /// Tally `status` into the outcome counters; call exactly once per
   /// Execute(). Lock-free (one relaxed counter add).
   void RecordOutcome(const Status& status);
@@ -294,7 +296,8 @@ class QueryService {
   Counter* slow_queries_total_ = nullptr;
   Histogram* query_latency_ms_ = nullptr;
   Histogram* admission_wait_ms_ = nullptr;
-  /// Dump-time mirrors of admission's state (name -> gauge).
+  /// active_, waiting_ and peak_, written under admit_mu_ wherever they
+  /// change (SetAdmissionGauges).
   Gauge* admission_gauges_[3] = {};
 };
 

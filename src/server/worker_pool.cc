@@ -4,6 +4,7 @@
 #include <memory>
 
 #include "src/common/macros.h"
+#include "src/common/string_util.h"
 #include "src/common/thread_clock.h"
 #include "src/exec/exec_config.h"
 
@@ -19,6 +20,13 @@ std::mutex g_global_mu;
 std::unique_ptr<WorkerPool> g_global_pool;
 
 }  // namespace
+
+int PoolThreadsFromEnv() {
+  if (const auto p = EnvInt64("BQO_POOL_THREADS"); p && *p > 0) {
+    return static_cast<int>(std::min<int64_t>(*p, kMaxEnvThreads));
+  }
+  return std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+}
 
 WorkerPool::WorkerPool(int num_threads) {
   const int n = std::max(1, num_threads);
@@ -88,8 +96,7 @@ void WorkerPool::TaskGroup::Wait() {
 WorkerPool& WorkerPool::Global() {
   std::lock_guard<std::mutex> lock(g_global_mu);
   if (g_global_pool == nullptr) {
-    g_global_pool = std::make_unique<WorkerPool>(
-        ExecConfigFromEnv().ResolvedPoolThreads());
+    g_global_pool = std::make_unique<WorkerPool>(PoolThreadsFromEnv());
   }
   return *g_global_pool;
 }

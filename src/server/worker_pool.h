@@ -7,8 +7,8 @@
 // concurrent serving it oversubscribes the machine (Q queries x N workers
 // threads) and gives the OS scheduler, not the engine, control over who
 // runs. The WorkerPool replaces all of those spawn sites: a fixed set of
-// persistent workers (sized once, from ExecConfig::pool_threads /
-// BQO_POOL_THREADS) pulls tasks off one shared FIFO queue, so total engine
+// persistent workers (sized once, from BQO_POOL_THREADS; see
+// PoolThreadsFromEnv) pulls tasks off one shared FIFO queue, so total engine
 // parallelism is capped at the pool size no matter how many queries are in
 // flight.
 //
@@ -57,6 +57,12 @@
 
 namespace bqo {
 
+/// \brief OS worker threads for WorkerPool::Global: BQO_POOL_THREADS when
+/// it is a whole positive integer (capped at kMaxEnvThreads, exec_config.h),
+/// otherwise one per hardware thread; at least 1. Reads the environment
+/// only; constructs nothing.
+int PoolThreadsFromEnv();
+
 class WorkerPool {
  public:
   /// \brief Spawns `num_threads` persistent workers (clamped to >= 1).
@@ -95,8 +101,8 @@ class WorkerPool {
   };
 
   /// \brief The process-wide pool every drain site submits to. Created on
-  /// first use, sized once from ExecConfigFromEnv().ResolvedPoolThreads()
-  /// (env: BQO_POOL_THREADS; default: one worker per hardware thread).
+  /// first use, sized once from PoolThreadsFromEnv(); tests and embedders
+  /// that need an explicit size call ResetGlobal before the first drain.
   static WorkerPool& Global();
 
   /// \brief Tests/benches: replace the global pool with one of

@@ -1,11 +1,6 @@
 #include "src/workload/runner.h"
 
 #include <algorithm>
-#include <atomic>
-#include <thread>
-
-#include "src/common/string_util.h"
-#include "src/server/query_service.h"
 
 namespace bqo {
 
@@ -55,64 +50,6 @@ std::vector<QueryRun> RunWorkload(const Workload& workload,
     }
     runs.push_back(std::move(run));
   }
-  return runs;
-}
-
-std::vector<QueryRun> RunWorkloadConcurrent(const Workload& workload,
-                                            OptimizerMode mode, int clients,
-                                            const RunOptions& options) {
-  QueryServiceOptions service_options;
-  service_options.optimizer = options.optimizer;
-  service_options.optimizer.mode = mode;
-  service_options.execution = options.execution;
-  QueryService service(workload.catalog.get(), service_options);
-
-  size_t count = workload.queries.size();
-  if (options.limit > 0) count = std::min(count, options.limit);
-  std::vector<QueryRun> runs(count);
-
-  // Client threads model external traffic: each claims whole queries off a
-  // shared cursor and owns the claimed result slots, so no cross-client
-  // synchronization beyond the cursor is needed. All engine parallelism
-  // below Execute() flows through the shared WorkerPool, not these
-  // threads.
-  std::atomic<size_t> cursor{0};
-  const int num_clients = std::max(1, clients);
-  auto client = [&] {
-    for (;;) {
-      const size_t qi = cursor.fetch_add(1, std::memory_order_relaxed);
-      if (qi >= count) return;
-      const QuerySpec& spec = workload.queries[qi];
-      QueryRun run;
-      for (int rep = 0; rep < std::max(1, options.repeats); ++rep) {
-        QueryResult r = service.Execute(spec);
-        if (rep == 0 || r.metrics.cpu_ns < run.metrics.cpu_ns) {
-          run.metrics = std::move(r.metrics);
-          run.estimated_cost = r.estimated_cost;
-          run.pruned_filters = r.pruned_filters;
-          run.used_bitvectors = r.used_bitvectors;
-          run.plan_cache_hit = r.plan_cache_hit;
-          // Repeats after the first hit the plan cache; report the real
-          // optimization cost this query paid, not the hit's zero.
-          if (r.optimize_ns > 0) run.optimize_ns = r.optimize_ns;
-        } else if (r.optimize_ns > 0) {
-          run.optimize_ns = r.optimize_ns;
-        }
-        // Any repeat that executed a re-bound instance marks the run: a
-        // rebound plan may differ from the per-query optimum, so parity
-        // checks compare costs only for non-rebound runs.
-        run.plan_rebound = run.plan_rebound || r.plan_rebound;
-      }
-      run.query_name = spec.name;
-      run.mode = mode;
-      run.num_joins = spec.num_joins();
-      runs[qi] = std::move(run);
-    }
-  };
-  std::vector<std::thread> threads;
-  threads.reserve(static_cast<size_t>(num_clients));
-  for (int c = 0; c < num_clients; ++c) threads.emplace_back(client);
-  for (std::thread& t : threads) t.join();
   return runs;
 }
 

@@ -3,14 +3,12 @@
 // per-query CPU time (Figures 8 and 10, Table 4), operator tuple counts
 // (Figure 9), filter usage (Table 4), and optimization time (overhead).
 //
-// Two drivers: RunWorkload executes queries strictly one at a time (the
-// paper's measurement setup), RunWorkloadConcurrent pushes the same
-// workload through a QueryService from N client threads (the serving
-// setup — admission control, shared WorkerPool, plan cache; see
-// src/server/query_service.h). Both key per-query min-of-k repeat timing
-// on QueryMetrics::cpu_ns — the query's own task time on per-thread CPU
-// clocks — so a query's reported time is not inflated by co-running
-// queries (metrics.h).
+// RunWorkload executes queries strictly one at a time (the paper's
+// measurement setup); concurrent serving goes through QueryService
+// (src/server/query_service.h). RunWorkload keys per-query min-of-k
+// repeat timing on QueryMetrics::cpu_ns — the query's own task time on
+// per-thread CPU clocks — so a query's reported time is not inflated by
+// co-running queries (metrics.h).
 #pragma once
 
 #include <vector>
@@ -30,12 +28,6 @@ struct QueryRun {
   int num_joins = 0;
   int pruned_filters = 0;
   bool used_bitvectors = false;
-  /// Concurrent driver only: this query's plan came from the PlanCache.
-  bool plan_cache_hit = false;
-  /// Concurrent driver only: the hit re-bound moved constant slots into
-  /// the cached shape (the plan may differ from a per-query optimize —
-  /// results never do).
-  bool plan_rebound = false;
 };
 
 struct RunOptions {
@@ -59,17 +51,6 @@ struct RunOptions {
 std::vector<QueryRun> RunWorkload(const Workload& workload,
                                   OptimizerMode mode,
                                   const RunOptions& options = {});
-
-/// \brief Run the workload through a QueryService with `clients` client
-/// threads issuing queries concurrently (each query claimed off a shared
-/// cursor, repeated `options.repeats` times, min-cpu_ns kept). Results are
-/// index-aligned with workload.queries and — by the engine's parity
-/// invariants — identical in result rows/checksums and merged filter stats
-/// to RunWorkload's. Serving knobs (admission, worker share, plan cache)
-/// take the QueryService defaults derived from the WorkerPool size.
-std::vector<QueryRun> RunWorkloadConcurrent(const Workload& workload,
-                                            OptimizerMode mode, int clients,
-                                            const RunOptions& options = {});
 
 /// \brief Selectivity groups of Figure 8: queries split into terciles by
 /// the CPU time of their BASELINE runs — S(mall) = cheapest third,

@@ -8,7 +8,7 @@
 //    DisarmAll.
 //  * Mid-drain cancellation: injected faults at each engine site (worker
 //    task entry, filter fill, exchange hand-off) cancel star / snowflake /
-//    bushy / sort-merge queries mid-execution at pool sizes {1,2,4}
+//    bushy queries mid-execution at pool sizes {1,2,4}
 //    without crashing, and the very next clean run on the same pool
 //    reproduces the threads==1 baseline exactly — a failed query never
 //    poisons the WorkerPool or its neighbors.
@@ -26,6 +26,7 @@
 // parks vs. worker unwinding) are exactly what TSan is for.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
@@ -43,6 +44,7 @@
 #include "src/exec/executor.h"
 #include "src/exec/query_context.h"
 #include "src/exec/scan.h"
+#include "src/obs/metrics_registry.h"
 #include "src/plan/pushdown.h"
 #include "src/server/query_service.h"
 #include "src/server/worker_pool.h"
@@ -213,18 +215,6 @@ std::unique_ptr<PlanUnderTest> MakeBushyPlan() {
   return t;
 }
 
-std::unique_ptr<PlanUnderTest> MakeSortMergePlan() {
-  auto t = std::make_unique<PlanUnderTest>();
-  t->db = MakeStarDb(2, 12000, 250, {0.4, 0.25}, 337, /*zipf=*/0.5);
-  auto graph = t->db->Graph();
-  BQO_CHECK(graph.ok());
-  t->graph = std::move(graph.value());
-  t->plan = BuildRightDeepPlan(t->graph, {0, 1, 2});
-  PushDownBitvectors(&t->plan);
-  t->options.use_sort_merge_join = true;
-  return t;
-}
-
 void ExpectMetricsEqual(const QueryMetrics& base, const QueryMetrics& m,
                         const std::string& what) {
   EXPECT_EQ(m.result_rows, base.result_rows) << what;
@@ -240,8 +230,7 @@ void ExpectMetricsEqual(const QueryMetrics& base, const QueryMetrics& m,
   }
 }
 
-/// For every plan shape and every fault site that shape exercises, at pool
-/// sizes {1,2,4}: an armed fault cancels the query mid-drain (the status
+/// For every plan shape and every engine fault site, at pool sizes {1,2,4}: an armed fault cancels the query mid-drain (the status
 /// is the injected internal error, first-error-wins) without crashing, and
 /// the immediately following clean run on the SAME pool matches the
 /// threads==1 baseline exactly. This is the "one dead query never poisons
@@ -253,26 +242,11 @@ TEST(MidDrainCancellation, InjectedFaultsUnwindAndPoolStaysServiceable) {
   struct Shape {
     const char* name;
     std::unique_ptr<PlanUnderTest> t;
-    /// Sites this plan shape actually reaches when executed wide. A
-    /// sort-merge root compiles no exchange and fills its filters inline,
-    /// so only the build-drain worker tasks are exposed.
-    std::vector<FaultInjector::Site> sites;
   };
   std::vector<Shape> shapes;
-  shapes.push_back({"star", MakeStarPlan(),
-                    {FaultInjector::Site::kWorkerTask,
-                     FaultInjector::Site::kFilterFill,
-                     FaultInjector::Site::kExchangePush}});
-  shapes.push_back({"snowflake", MakeSnowflakePlan(),
-                    {FaultInjector::Site::kWorkerTask,
-                     FaultInjector::Site::kFilterFill,
-                     FaultInjector::Site::kExchangePush}});
-  shapes.push_back({"bushy", MakeBushyPlan(),
-                    {FaultInjector::Site::kWorkerTask,
-                     FaultInjector::Site::kFilterFill,
-                     FaultInjector::Site::kExchangePush}});
-  shapes.push_back(
-      {"sort-merge", MakeSortMergePlan(), {FaultInjector::Site::kWorkerTask}});
+  shapes.push_back({"star", MakeStarPlan()});
+  shapes.push_back({"snowflake", MakeSnowflakePlan()});
+  shapes.push_back({"bushy", MakeBushyPlan()});
 
   for (Shape& shape : shapes) {
     ExecutionOptions single = shape.t->options;
@@ -281,7 +255,9 @@ TEST(MidDrainCancellation, InjectedFaultsUnwindAndPoolStaysServiceable) {
 
     for (int pool : {1, 2, 4}) {
       WorkerPool::ResetGlobal(pool);
-      for (FaultInjector::Site site : shape.sites) {
+      for (FaultInjector::Site site : {FaultInjector::Site::kWorkerTask,
+                                       FaultInjector::Site::kFilterFill,
+                                       FaultInjector::Site::kExchangePush}) {
         const std::string what = std::string(shape.name) + " pool=" +
                                  std::to_string(pool) + " site=" +
                                  FaultInjector::SiteName(site);
@@ -546,6 +522,40 @@ TEST(QueryServiceResilience, FullAdmissionQueueShedsImmediately) {
   EXPECT_EQ(stats.Total(), 3);
 }
 
+/// Admission writes its gauges where active/waiting/peak change, so a
+/// plain registry Snapshot() — with no DumpMetrics call first — sees a
+/// query parked after admission as active.
+TEST(QueryServiceResilience, SnapshotReadsLiveAdmissionGauges) {
+  auto db = MakeServiceDb();
+  QueryServiceOptions options;
+  std::promise<void> admitted_promise;
+  std::promise<void> release_promise;
+  std::shared_future<void> release(release_promise.get_future());
+  options.post_admit_hook = [&] {
+    admitted_promise.set_value();
+    release.wait();
+  };
+  QueryService service(&db->catalog, options);
+  const auto gauge = [&service](const std::string& name) {
+    for (const MetricSnapshot& m : service.metrics_registry().Snapshot()) {
+      if (m.name == name) return m.value;
+    }
+    return int64_t{-1};
+  };
+
+  std::thread parked(
+      [&] { EXPECT_TRUE(service.Execute(db->spec).status.ok()); });
+  admitted_promise.get_future().wait();
+  EXPECT_EQ(gauge("bqo_admission_active"), 1);
+  EXPECT_EQ(gauge("bqo_admission_waiting"), 0);
+  EXPECT_EQ(gauge("bqo_admission_peak"), 1);
+
+  release_promise.set_value();
+  parked.join();
+  EXPECT_EQ(gauge("bqo_admission_active"), 0);
+  EXPECT_EQ(gauge("bqo_admission_peak"), 1);
+}
+
 TEST(QueryServiceResilience, AdmissionWaitIsBoundedByServiceTimeout) {
   auto db = MakeServiceDb();
   QueryServiceOptions options;
@@ -732,11 +742,17 @@ TEST(QueryServiceResilience, EnvWordsKeepDefaults) {
   {
     ScopedEnv threads("BQO_THREADS", "four");
     ScopedEnv rows("BQO_MORSEL_ROWS", "1e6");
-    ScopedEnv pool("BQO_POOL_THREADS", "8 ");
     const ExecConfig config = ExecConfigFromEnv();
     EXPECT_EQ(config.threads, ExecConfig{}.threads);
     EXPECT_EQ(config.morsel_rows, ExecConfig{}.morsel_rows);
-    EXPECT_EQ(config.pool_threads, ExecConfig{}.pool_threads);
+  }
+  {
+    const int hardware =
+        std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
+    ScopedEnv pool("BQO_POOL_THREADS", "8 ");
+    EXPECT_EQ(PoolThreadsFromEnv(), hardware);
+    ScopedEnv zero("BQO_POOL_THREADS", "0");
+    EXPECT_EQ(PoolThreadsFromEnv(), hardware);
   }
 }
 
@@ -745,12 +761,11 @@ TEST(QueryServiceResilience, EnvWordsKeepDefaults) {
 TEST(QueryServiceResilience, EnvThreadCountsAreCapped) {
   ScopedEnv threads("BQO_THREADS", "40000");
   ScopedEnv pool("BQO_POOL_THREADS", "40000");
-  const ExecConfig config = ExecConfigFromEnv();
-  EXPECT_EQ(config.ResolvedThreads(), kMaxEnvThreads);
-  EXPECT_EQ(config.ResolvedPoolThreads(), kMaxEnvThreads);
+  EXPECT_EQ(ExecConfigFromEnv().ResolvedThreads(), kMaxEnvThreads);
+  EXPECT_EQ(PoolThreadsFromEnv(), kMaxEnvThreads);
 
   ScopedEnv small("BQO_POOL_THREADS", "3");
-  EXPECT_EQ(ExecConfigFromEnv().ResolvedPoolThreads(), 3);
+  EXPECT_EQ(PoolThreadsFromEnv(), 3);
 }
 
 /// BQO_FAULT_EVERY parses whole integers only; anything else keeps the

@@ -1,7 +1,16 @@
 // Execution engine correctness: results must match a brute-force reference
 // join, and must be invariant to join order, filter kind, and whether
 // bitvector filters are enabled at all (filters are pure performance).
+//
+// ReferenceJoinTest pins the hash join to testing::ReferenceJoin
+// (test_util.h), an evaluator that shares no operator, filter, optimizer or
+// SIMD code with the engine, on star, chain, snowflake, skewed
+// many-to-many and empty-input data.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+#include <tuple>
 
 #include "src/exec/executor.h"
 #include "src/plan/pushdown.h"
@@ -11,36 +20,8 @@ namespace bqo {
 namespace {
 
 using ::bqo::testing::MakeChainDb;
+using ::bqo::testing::MakeSnowflakeDb;
 using ::bqo::testing::MakeStarDb;
-
-/// Brute-force reference for a star query: count fact rows whose every FK
-/// hits a dimension row passing that dimension's predicate. (Dimension PKs
-/// are 0..rows-1 = row index, a datagen invariant.)
-int64_t ReferenceStarCount(const testing::TestDb& db) {
-  const Table* fact = db.catalog.GetTable("f").value();
-  int64_t count = 0;
-  std::vector<std::vector<uint8_t>> dim_pass;
-  std::vector<int> fk_cols;
-  for (size_t i = 1; i < db.spec.relations.size(); ++i) {
-    const auto& rel = db.spec.relations[i];
-    const Table* dim = db.catalog.GetTable(rel.table).value();
-    dim_pass.push_back(EvaluateBitmap(*dim, rel.predicate));
-    fk_cols.push_back(fact->ColumnIndex(rel.table + "_fk"));
-  }
-  for (int64_t row = 0; row < fact->num_rows(); ++row) {
-    bool ok = true;
-    for (size_t d = 0; d < dim_pass.size(); ++d) {
-      const int64_t fk = fact->column(fk_cols[d]).GetInt64(row);
-      if (fk < 0 || static_cast<size_t>(fk) >= dim_pass[d].size() ||
-          !dim_pass[d][static_cast<size_t>(fk)]) {
-        ok = false;
-        break;
-      }
-    }
-    if (ok) ++count;
-  }
-  return count;
-}
 
 class ExecStarTest : public ::testing::Test {
  protected:
@@ -49,7 +30,7 @@ class ExecStarTest : public ::testing::Test {
     auto graph = db_->Graph();
     ASSERT_TRUE(graph.ok());
     graph_ = std::make_unique<JoinGraph>(std::move(graph.value()));
-    expected_ = ReferenceStarCount(*db_);
+    expected_ = testing::ReferenceJoin(*db_).count;
     ASSERT_GT(expected_, 0);  // non-degenerate fixture
   }
 
@@ -183,32 +164,42 @@ TEST_F(ExecStarTest, MetricsAreInternallyConsistent) {
   }
 }
 
-TEST(ExecManyToMany, DuplicateKeysProduceAllPairs) {
-  // Two fact-like tables joined on a skewed, non-unique column.
-  testing::TestDb db;
-  Rng rng(5);
+/// Two fact-like tables `l` and `r` of `rows` rows each, joined on their
+/// non-unique `d_fk` column (Zipf-skewed references into a `d` table of
+/// `dim_rows` rows): a many-to-many join with long duplicate chains.
+std::unique_ptr<testing::TestDb> MakeManyToManyDb(int64_t dim_rows,
+                                                  int64_t rows, double zipf,
+                                                  uint64_t seed) {
+  auto db = std::make_unique<testing::TestDb>();
+  Rng rng(seed);
   TableGenSpec dim;
   dim.name = "d";
-  dim.rows = 50;
+  dim.rows = dim_rows;
   dim.with_label = false;
-  GenerateTable(&db.catalog, dim, &rng);
-  for (const char* name : {"f1", "f2"}) {
+  GenerateTable(&db->catalog, dim, &rng);
+  for (const char* name : {"l", "r"}) {
     TableGenSpec f;
     f.name = name;
-    f.rows = 800;
+    f.rows = rows;
     f.with_pk = false;
     f.with_label = false;
-    f.fks.push_back(FkSpec{"d_fk", "d", "d_id", 0.9, 0.0});
-    GenerateTable(&db.catalog, f, &rng);
+    f.fks.push_back(FkSpec{"d_fk", "d", "d_id", zipf, 0.0});
+    GenerateTable(&db->catalog, f, &rng);
   }
-  db.spec.relations = {{"f1", "f1", nullptr}, {"f2", "f2", nullptr}};
-  db.spec.joins = {{"f1", "d_fk", "f2", "d_fk"}};
-  auto graph = db.Graph();
+  db->spec.name = "many-to-many";
+  db->spec.relations = {{"l", "l", nullptr}, {"r", "r", nullptr}};
+  db->spec.joins = {{"l", "d_fk", "r", "d_fk"}};
+  return db;
+}
+
+TEST(ExecManyToMany, DuplicateKeysProduceAllPairs) {
+  auto db = MakeManyToManyDb(50, 800, 0.9, 5);
+  auto graph = db->Graph();
   ASSERT_TRUE(graph.ok());
 
   // Reference: histogram dot-product.
-  const Table* f1 = db.catalog.GetTable("f1").value();
-  const Table* f2 = db.catalog.GetTable("f2").value();
+  const Table* f1 = db->catalog.GetTable("l").value();
+  const Table* f2 = db->catalog.GetTable("r").value();
   std::map<int64_t, int64_t> h1, h2;
   for (int64_t r = 0; r < f1->num_rows(); ++r) {
     ++h1[f1->column(f1->ColumnIndex("d_fk")).GetInt64(r)];
@@ -268,6 +259,120 @@ TEST(ExecChain, DeepChainAllOrdersAgree) {
   }
   EXPECT_EQ(executed, 16);
 }
+
+// ---- Hash join vs. the engine-independent reference join ----
+
+enum class RefShape { kStar, kChain, kSnowflake, kManyToMany, kEmptyInput };
+
+struct ReferenceCase {
+  const char* name;
+  RefShape shape;
+  uint64_t seed;
+};
+
+void PrintTo(const ReferenceCase& c, std::ostream* os) { *os << c.name; }
+
+std::unique_ptr<testing::TestDb> MakeReferenceDb(const ReferenceCase& c) {
+  switch (c.shape) {
+    case RefShape::kStar:
+      return MakeStarDb(3, 3000, 90, {0.25, 0.6, -1.0}, c.seed, 0.5);
+    case RefShape::kChain:
+      return MakeChainDb(4, 2500, 0.4, {-1, -1, -1, 0.2}, c.seed);
+    case RefShape::kSnowflake:
+      return MakeSnowflakeDb({2, 1}, 2500, 70, 0.5, {0.2, 0.5}, c.seed);
+    case RefShape::kManyToMany:
+      return MakeManyToManyDb(20, 500, 1.1, c.seed);
+    case RefShape::kEmptyInput: {
+      auto db = MakeStarDb(1, 200, 20, {0.5}, c.seed);
+      db->spec.relations[1].predicate = Lt("attr0", -1);
+      return db;
+    }
+  }
+  return nullptr;
+}
+
+struct FilterSetting {
+  const char* name;
+  bool on;
+  FilterKind kind;
+};
+
+void PrintTo(const FilterSetting& f, std::ostream* os) { *os << f.name; }
+
+class ReferenceJoinTest
+    : public ::testing::TestWithParam<std::tuple<ReferenceCase, FilterSetting>> {
+};
+
+/// The right-deep hash-join plan in relation order must total exactly what
+/// the reference join counts and sums — for each fixture and each filter
+/// setting (off, or one filter kind), single-threaded and pipeline-parallel.
+TEST_P(ReferenceJoinTest, HashJoinTotalsMatchReference) {
+  const ReferenceCase& c = std::get<0>(GetParam());
+  const FilterSetting& f = std::get<1>(GetParam());
+  auto db = MakeReferenceDb(c);
+  const testing::ReferenceResult ref = testing::ReferenceJoin(*db);
+  switch (c.shape) {
+    case RefShape::kEmptyInput:
+      ASSERT_EQ(ref.count, 0);
+      break;
+    case RefShape::kManyToMany:
+      ASSERT_GT(ref.count, 500);  // real duplication on both sides
+      break;
+    default:
+      ASSERT_GT(ref.count, 0);  // non-degenerate fixture
+  }
+
+  auto graph = db->Graph();
+  ASSERT_TRUE(graph.ok());
+  std::vector<int> order(static_cast<size_t>(graph.value().num_relations()));
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  Plan plan = BuildRightDeepPlan(graph.value(), order);
+  PushDownBitvectors(&plan);
+
+  for (int threads : {1, 4}) {
+    for (AggKind agg : {AggKind::kCountStar, AggKind::kSum}) {
+      ExecutionOptions options;
+      options.use_bitvectors = f.on;
+      options.filter_config.kind = f.kind;
+      options.exec.threads = threads;
+      options.exec.morsel_rows = 512;  // several morsels per scan
+      options.agg.kind = agg;
+      options.agg.sum_column = BoundColumn{0, "measure"};
+      FilterRuntime runtime;
+      auto root = CompilePlan(plan, options, &runtime);
+      root->Open();
+      Batch batch;
+      while (root->Next(&batch)) {
+      }
+      root->Close();
+      EXPECT_EQ(root->TotalValue(), agg == AggKind::kSum ? ref.sum : ref.count)
+          << c.name << " filters=" << f.name << " threads=" << threads
+          << (agg == AggKind::kSum ? " SUM" : " COUNT");
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Fixtures, ReferenceJoinTest,
+    ::testing::Combine(
+        ::testing::Values(ReferenceCase{"star1", RefShape::kStar, 1},
+                          ReferenceCase{"star2", RefShape::kStar, 2},
+                          ReferenceCase{"chain3", RefShape::kChain, 3},
+                          ReferenceCase{"chain4", RefShape::kChain, 4},
+                          ReferenceCase{"snowflake5", RefShape::kSnowflake, 5},
+                          ReferenceCase{"snowflake6", RefShape::kSnowflake, 6},
+                          ReferenceCase{"manyToMany", RefShape::kManyToMany, 5},
+                          ReferenceCase{"emptyInput", RefShape::kEmptyInput,
+                                        7}),
+        ::testing::Values(FilterSetting{"off", false, FilterKind::kExact},
+                          FilterSetting{"exact", true, FilterKind::kExact},
+                          FilterSetting{"bloom", true, FilterKind::kBloom},
+                          FilterSetting{"blocked", true,
+                                        FilterKind::kBlockedBloom})),
+    [](const ::testing::TestParamInfo<ReferenceJoinTest::ParamType>& info) {
+      return std::string(std::get<0>(info.param).name) + "_" +
+             std::get<1>(info.param).name;
+    });
 
 }  // namespace
 }  // namespace bqo

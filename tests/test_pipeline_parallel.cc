@@ -6,17 +6,17 @@
 //  * threads == 1 compiles the exact single-threaded plan (no exchange);
 //    threads > 1 compiles exactly one exchange, directly below the
 //    aggregate, and every hash-join build runs on N workers.
-//  * For all three filter kinds over star and snowflake shapes (sort-merge
-//    joins included), a {1,2,4} thread sweep leaves result rows/checksums,
-//    per-type tuple counts, and merged probed/passed/inserted byte-equal.
+//  * For all three filter kinds over star and snowflake shapes, a {1,2,4}
+//    thread sweep leaves result rows/checksums, per-type tuple counts, and
+//    merged probed/passed/inserted byte-equal.
 //  * FillFilterParallel reproduces the sequential filter (membership and
 //    NumInserted) from per-worker partials merged via MergeFrom.
 //  * The aggregate parity invariant: with threads > 1 the final aggregate
 //    runs as per-worker partial folds inside the pre-aggregating exchange,
 //    and the merged ResultChecksum()/NumGroups()/TotalValue() equal the
 //    threads == 1 values exactly — for grouped (kSum + GROUP BY) and
-//    ungrouped aggregates, over star, snowflake, bushy, and sort-merge
-//    plans, including empty-result and single-group edge cases.
+//    ungrouped aggregates, over star, snowflake, and bushy plans,
+//    including empty-result and single-group edge cases.
 //
 // Run under -DBQO_SANITIZE=thread in CI to pin race-freedom, and under
 // -DBQO_SANITIZE=address,undefined for memory/UB.
@@ -57,14 +57,6 @@ void ExpectRunsEqual(const QueryMetrics& base, const QueryMetrics& m,
     EXPECT_EQ(m.filters[i].inserted, base.filters[i].inserted)
         << what << " filter " << i;
   }
-}
-
-int CountOperators(const QueryMetrics& m, OperatorType type) {
-  int n = 0;
-  for (const OperatorStats& op : m.operators) {
-    if (op.type == type) ++n;
-  }
-  return n;
 }
 
 /// Full multi-join star workload: grouped SUM (a multiset-sensitive
@@ -171,36 +163,6 @@ TEST(PipelineParallel, BushyBuildPipelinesMatchSingleThread) {
       ExpectRunsEqual(base, m,
                       std::string("bushy ") + FilterKindName(kind) +
                           " threads=" + std::to_string(threads));
-    }
-  }
-}
-
-/// Sort-merge joins are breakers on both inputs; their materialization
-/// drains wide but the merge itself stays single-threaded. Results and
-/// merged stats must still be thread-count-invariant.
-TEST(PipelineParallel, SortMergeSweepMatchesSingleThread) {
-  auto db = MakeStarDb(2, 15000, 300, {0.4, 0.25}, 31, /*zipf=*/0.5);
-  auto graph = db->Graph();
-  ASSERT_TRUE(graph.ok());
-  Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2});
-  PushDownBitvectors(&plan);
-
-  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBloom}) {
-    ExecutionOptions options;
-    options.use_sort_merge_join = true;
-    options.filter_config.kind = kind;
-    const QueryMetrics base = ExecutePlan(plan, options);
-
-    for (int threads : {2, 4}) {
-      ExecutionOptions parallel = options;
-      parallel.exec.threads = threads;
-      parallel.exec.morsel_rows = 1024;
-      const QueryMetrics m = ExecutePlan(plan, parallel);
-      ExpectRunsEqual(base, m,
-                      std::string("sort-merge ") + FilterKindName(kind) +
-                          " threads=" + std::to_string(threads));
-      // No exchange: the plan's top operator is a breaker.
-      EXPECT_EQ(CountOperators(m, OperatorType::kExchange), 0);
     }
   }
 }
@@ -467,21 +429,6 @@ TEST(PipelineParallelAgg, BushyGroupedParity) {
   options.agg.has_group_by = true;
   options.agg.group_column = BoundColumn{1, "b0_1_id"};
   ExpectAggParity(plan, options, "bushy grouped");
-}
-
-/// Sort-merge root: a breaker at the top, so there is no exchange and the
-/// aggregate folds single-threaded at every thread count — the accessors
-/// must still be thread-count-invariant.
-TEST(PipelineParallelAgg, SortMergeGroupedParity) {
-  auto db = MakeStarDb(2, 15000, 300, {0.4, 0.25}, 131, /*zipf=*/0.5);
-  auto graph = db->Graph();
-  ASSERT_TRUE(graph.ok());
-  Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2});
-  PushDownBitvectors(&plan);
-
-  ExecutionOptions options = GroupedSumOptions(FilterKind::kBloom);
-  options.use_sort_merge_join = true;
-  ExpectAggParity(plan, options, "sort-merge grouped");
 }
 
 /// Empty result: a predicate nothing passes. Zero groups, zero total, zero

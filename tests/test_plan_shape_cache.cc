@@ -23,7 +23,7 @@
 //  * End-to-end parity: a shape hit that re-binds constants produces
 //    checksums and merged filter stats identical to a cold optimize of
 //    the same literals — swept over pool sizes {1,2,4} and star /
-//    snowflake / sort-merge plans.
+//    snowflake plans.
 //  * A verification that picks another plan escalates, and the
 //    replacement entry answers like a cold optimize.
 //  * A templated workload (same shape, jittered literals) achieves a
@@ -418,20 +418,12 @@ std::vector<TemplateUnderTest> MakeTemplates() {
   snowflake.warm_bound = 400;
   snowflake.hit_bound = 430;
   out.push_back(std::move(snowflake));
-
-  TemplateUnderTest merge;
-  merge.db = MakeStarDb(2, 12000, 250, {0.4, 0.25}, 337, /*zipf=*/0.0);
-  merge.jitter_relation = 1;  // d0, selectivity 0.4
-  merge.warm_bound = 400;
-  merge.hit_bound = 430;
-  merge.options.execution.use_sort_merge_join = true;
-  out.push_back(std::move(merge));
   return out;
 }
 
 /// A rebound shape hit must produce checksums and merged filter stats
 /// identical to a cold optimize of the same literals, at every pool size
-/// and over star / snowflake / sort-merge plans.
+/// and over star / snowflake plans.
 TEST(PlanShapeCacheE2E, RebindMatchesColdOptimizeAcrossPoolSizes) {
   GlobalPoolGuard guard;
   std::vector<TemplateUnderTest> templates = MakeTemplates();

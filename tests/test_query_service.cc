@@ -6,11 +6,11 @@
 //  * WorkerPool task semantics: groups complete, Wait() helps (runs the
 //    group's queued tasks on the waiting thread) so a saturated — or
 //    size-1 — pool never stalls a drain.
-//  * Pool-size invariance: ExecutePlan over star / bushy / sort-merge
-//    plans at pool sizes {1,2,4} x exec threads {1,2,4} reproduces the
-//    threads==1 results, checksums, and merged filter stats exactly.
-//  * Concurrent service parity: {2,4} clients pushing star / snowflake /
-//    sort-merge queries (grouped and ungrouped aggregates) through one
+//  * Pool-size invariance: ExecutePlan over star / bushy plans at pool
+//    sizes {1,2,4} x exec threads {1,2,4} reproduces the threads==1
+//    results, checksums, and merged filter stats exactly.
+//  * Concurrent service parity: {2,4} clients pushing star / snowflake
+//    queries (grouped and ungrouped aggregates) through one
 //    QueryService get results identical to single-query baseline runs —
 //    including each query's ResultChecksum/NumGroups and
 //    probed/passed/inserted filter stats.
@@ -19,6 +19,8 @@
 //    eviction counters, and invalidation on catalog change.
 //  * Admission control: active queries never exceed max_concurrent_queries
 //    and the per-query worker share clamps execution width.
+//  * A real lite workload served from two clients answers exactly as the
+//    sequential RunWorkload does.
 //
 // Run under -DBQO_SANITIZE=thread in CI: the concurrent-clients tests are
 // the TSan coverage for the whole serving stack.
@@ -150,18 +152,6 @@ std::unique_ptr<PlanUnderTest> MakeBushyPlan() {
   return t;
 }
 
-std::unique_ptr<PlanUnderTest> MakeSortMergePlan() {
-  auto t = std::make_unique<PlanUnderTest>();
-  t->db = MakeStarDb(2, 12000, 250, {0.4, 0.25}, 337, /*zipf=*/0.5);
-  auto graph = t->db->Graph();
-  BQO_CHECK(graph.ok());
-  t->graph = std::move(graph.value());
-  t->plan = BuildRightDeepPlan(t->graph, {0, 1, 2});
-  PushDownBitvectors(&t->plan);
-  t->options.use_sort_merge_join = true;
-  return t;
-}
-
 void ExpectMetricsEqual(const QueryMetrics& base, const QueryMetrics& m,
                         const std::string& what) {
   EXPECT_EQ(m.result_rows, base.result_rows) << what;
@@ -179,8 +169,8 @@ void ExpectMetricsEqual(const QueryMetrics& base, const QueryMetrics& m,
 }
 
 /// The pool size changes which OS threads run the drains, never the
-/// results: star, bushy, and sort-merge plans at pool {1,2,4} x threads
-/// {2,4} must match their threads==1 runs exactly.
+/// results: star and bushy plans at pool {1,2,4} x threads {2,4} must
+/// match their threads==1 runs exactly.
 TEST(WorkerPoolInvariance, PoolSizeNeverChangesResults) {
   GlobalPoolGuard guard;
   struct Shape {
@@ -190,7 +180,6 @@ TEST(WorkerPoolInvariance, PoolSizeNeverChangesResults) {
   std::vector<Shape> shapes;
   shapes.push_back({"star", MakeStarPlan()});
   shapes.push_back({"bushy", MakeBushyPlan()});
-  shapes.push_back({"sort-merge", MakeSortMergePlan()});
 
   for (Shape& shape : shapes) {
     ExecutionOptions single = shape.t->options;
@@ -344,20 +333,6 @@ TEST(QueryService, ConcurrentClientsMatchSingleQueryRuns) {
                         options, clients, /*iters=*/2,
                         "snowflake clients=" + std::to_string(clients));
   }
-}
-
-/// Sort-merge plans are breakers at the root (no exchange); served
-/// concurrently they must still match their baselines.
-TEST(QueryService, ConcurrentSortMergeMatchesSingleQueryRuns) {
-  GlobalPoolGuard guard;
-  WorkerPool::ResetGlobal(4);
-
-  auto star = MakeStarDb(2, 12000, 250, {0.4, 0.25}, 433, /*zipf=*/0.5);
-  QueryServiceOptions options;
-  options.execution.use_sort_merge_join = true;
-  options.execution.exec.threads = 2;
-  RunConcurrentParity(*star, SpecVariants(*star, "d0_id"), options,
-                      /*clients=*/2, /*iters=*/2, "sort-merge");
 }
 
 // ---- QueryService: plan cache ----
@@ -552,37 +527,49 @@ TEST(QueryService, AdmissionBoundsConcurrencyAndClampsWorkers) {
   EXPECT_EQ(service.queries_served(), 12);
 }
 
-// ---- Concurrent workload driver ----
+// ---- A real lite workload through the service ----
 
-/// RunWorkloadConcurrent must reproduce RunWorkload's per-query results on
-/// a real workload (checksums, rows, filter usage) — concurrency and the
-/// plan cache are invisible in the answers.
-TEST(RunWorkloadConcurrent, MatchesSequentialRunner) {
+/// Two client threads serving TPC-DS-lite through one QueryService must
+/// reproduce RunWorkload's per-query results (rows, checksums, filter
+/// usage) — concurrency and the plan cache are invisible in the answers.
+TEST(QueryService, TwoClientLiteWorkloadMatchesSequentialRunner) {
   const Workload workload = MakeTpcdsLite(0.04);
-  RunOptions options;
-  options.repeats = 1;
-  options.limit = 8;
-
+  RunOptions run_options;
+  run_options.repeats = 1;
+  run_options.limit = 8;
   const std::vector<QueryRun> sequential =
-      RunWorkload(workload, OptimizerMode::kBqoShallow, options);
-  const std::vector<QueryRun> concurrent = RunWorkloadConcurrent(
-      workload, OptimizerMode::kBqoShallow, /*clients=*/2, options);
+      RunWorkload(workload, OptimizerMode::kBqoShallow, run_options);
+  ASSERT_EQ(sequential.size(), run_options.limit);
 
-  ASSERT_EQ(concurrent.size(), sequential.size());
+  QueryServiceOptions options;
+  options.optimizer.mode = OptimizerMode::kBqoShallow;
+  QueryService service(workload.catalog.get(), options);
+  std::vector<QueryResult> served(sequential.size());
+  std::atomic<size_t> cursor{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.emplace_back([&] {
+      for (;;) {
+        const size_t qi = cursor.fetch_add(1);
+        if (qi >= served.size()) return;
+        served[qi] = service.Execute(workload.queries[qi]);
+      }
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
   for (size_t i = 0; i < sequential.size(); ++i) {
-    EXPECT_EQ(concurrent[i].query_name, sequential[i].query_name);
-    EXPECT_EQ(concurrent[i].metrics.result_rows,
-              sequential[i].metrics.result_rows) << i;
-    EXPECT_EQ(concurrent[i].metrics.result_checksum,
+    const QueryResult& r = served[i];
+    ASSERT_TRUE(r.status.ok()) << sequential[i].query_name;
+    EXPECT_EQ(r.metrics.result_rows, sequential[i].metrics.result_rows) << i;
+    EXPECT_EQ(r.metrics.result_checksum,
               sequential[i].metrics.result_checksum) << i;
-    // A repeat served as a re-bound shape hit may carry a plan (and cost)
-    // from the template's first literals; answers above are still exact,
-    // but plan-identity fields are only pinned for non-rebound runs.
-    if (!concurrent[i].plan_rebound) {
-      EXPECT_EQ(concurrent[i].used_bitvectors, sequential[i].used_bitvectors)
-          << i;
-      EXPECT_EQ(concurrent[i].estimated_cost, sequential[i].estimated_cost)
-          << i;
+    // A re-bound shape hit may carry the plan (and cost) of the template's
+    // first literals; its answers above are still exact, but plan-identity
+    // fields are only pinned for results that were not rebound.
+    if (!r.plan_rebound) {
+      EXPECT_EQ(r.used_bitvectors, sequential[i].used_bitvectors) << i;
+      EXPECT_EQ(r.estimated_cost, sequential[i].estimated_cost) << i;
     }
   }
 }

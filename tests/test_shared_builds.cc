@@ -7,8 +7,6 @@
 //    snowflake query variants through one service, at pool sizes {1,2,4},
 //    build each signature exactly once (misses == one cold pass's misses)
 //    and every result checksum-matches its baseline.
-//  * Sort-merge plans never consult the cache (lookups == 0) yet still
-//    reproduce baselines under the same concurrency.
 //  * Catalog BumpVersion between and during passes invalidates cached
 //    builds without breaking executing queries: results stay baseline-
 //    equal, stale entries are rebuilt, nothing is freed out from under a
@@ -158,14 +156,12 @@ void ExpectAllMatchBaselines(
   }
 }
 
-/// One query shape under shared-build test: its data, its variants, and
-/// whether its plans consult the cache at all.
+/// One query shape under shared-build test: its data and its variants.
 struct Workload {
   std::string name;
   std::unique_ptr<TestDb> db;
   std::vector<QuerySpec> specs;
   QueryServiceOptions options;
-  bool cacheable = true;  ///< false for sort-merge: no hash build sides
 };
 
 std::vector<Workload> MakeWorkloads() {
@@ -184,14 +180,6 @@ std::vector<Workload> MakeWorkloads() {
   snowflake.specs = SpecVariants(*snowflake.db, "b0_1_id");
   out.push_back(std::move(snowflake));
 
-  Workload sort_merge;
-  sort_merge.name = "sort-merge";
-  sort_merge.db = MakeStarDb(2, 12000, 250, {0.4, 0.25}, 433, /*zipf=*/0.5);
-  sort_merge.specs = SpecVariants(*sort_merge.db, "d0_id");
-  sort_merge.options.execution.use_sort_merge_join = true;
-  sort_merge.cacheable = false;
-  out.push_back(std::move(sort_merge));
-
   for (Workload& w : out) {
     w.options.execution.exec.threads = 2;
     w.options.max_concurrent_queries = 4;
@@ -203,7 +191,7 @@ std::vector<Workload> MakeWorkloads() {
 /// 8 clients x every workload x pool {1,2,4}: each build signature is
 /// constructed exactly once per service lifetime no matter how many
 /// clients race for it, and every shared result is byte-identical to its
-/// cold threads==1 baseline. Sort-merge plans never touch the cache.
+/// cold threads==1 baseline.
 TEST(SharedBuilds, EightClientsPinOneBuildPerSignature) {
   GlobalPoolGuard guard;
   constexpr int kClients = 8;
@@ -231,12 +219,7 @@ TEST(SharedBuilds, EightClientsPinOneBuildPerSignature) {
         per_pass_lookups = s.lookups;
         distinct_signatures = s.misses;
       }
-      if (w.cacheable) {
-        ASSERT_GT(distinct_signatures, 0) << what;
-      } else {
-        ASSERT_EQ(per_pass_lookups, 0)
-            << what << ": sort-merge plans must not consult the build cache";
-      }
+      ASSERT_GT(distinct_signatures, 0) << what;
 
       QueryService service(&w.db->catalog, w.options);
       const auto results = RunClients(&service, w.specs, kClients, /*iters=*/1);

@@ -15,7 +15,7 @@
 //  * The blocked FPR model curve: measured FPR tracks TheoreticalFpRate
 //    and sits above the classical filter's at equal bits (the curve
 //    EstimatedFilterFpr encodes for EXPLAIN ANALYZE).
-//  * E2E: star / snowflake / sort-merge plans over pools {1,2,4} and both
+//  * E2E: star / snowflake plans over pools {1,2,4} and both
 //    tiers produce byte-identical checksums and merged FilterStats.
 //
 // AVX2 legs skip on hosts without AVX2 (CpuSupportsAvx2) — the scalar legs
@@ -331,19 +331,6 @@ TEST(SimdE2E, SnowflakeBothBloomKindsTierAndPoolInvariant) {
     SweepTiersAndPools(plan, options,
                        std::string("snowflake/") + FilterKindName(kind));
   }
-}
-
-TEST(SimdE2E, SortMergeBlockedBloomTierAndPoolInvariant) {
-  auto db = MakeStarDb(2, 20000, 300, {0.4, 0.25}, 909);
-  auto graph = db->Graph();
-  ASSERT_TRUE(graph.ok());
-  Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2});
-  PushDownBitvectors(&plan);
-
-  ExecutionOptions options;
-  options.filter_config.kind = FilterKind::kBlockedBloom;
-  options.use_sort_merge_join = true;
-  SweepTiersAndPools(plan, options, "sortmerge/blocked");
 }
 
 }  // namespace

@@ -1,15 +1,19 @@
 // Shared fixtures: tiny synthetic star / chain / snowflake databases whose
-// exact cardinalities the theorem-validation tests can afford to enumerate.
+// exact cardinalities the theorem-validation tests can afford to enumerate,
+// and ReferenceJoin, the engine-independent answer the executor tests pin
+// hash-join results to.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
+#include "src/expr/expr.h"
 #include "src/workload/datagen.h"
 #include "src/workload/query.h"
 
@@ -21,6 +25,98 @@ struct TestDb {
 
   Result<JoinGraph> Graph() const { return BuildJoinGraph(catalog, spec); }
 };
+
+/// \brief COUNT(*) and SUM(measure of relation 0) of a query's join.
+struct ReferenceResult {
+  int64_t count = 0;
+  int64_t sum = 0;
+};
+
+/// \brief Brute-force answer of `db.spec`, independent of the engine: no
+/// operator, filter, optimizer or SIMD code. Relations join in spec order
+/// over row-id tuples. Each relation's passing rows (EvaluateBitmap of its
+/// predicate) go into one std::unordered_multimap keyed on the column of
+/// its first join condition with the relations already joined; further
+/// conditions between them are checked by value. Every relation after the
+/// first must join an earlier one (no cross products), and relation 0 must
+/// have a `measure` column.
+inline ReferenceResult ReferenceJoin(const TestDb& db) {
+  const std::vector<QueryRelation>& rels = db.spec.relations;
+  BQO_CHECK(!rels.empty());
+  std::vector<const Table*> tables;
+  for (const QueryRelation& rel : rels) {
+    tables.push_back(db.catalog.GetTable(rel.table).value());
+  }
+  const auto index_of = [&rels](const std::string& alias) {
+    size_t i = 0;
+    while (i < rels.size() && rels[i].alias != alias) ++i;
+    BQO_CHECK_MSG(i < rels.size(), "join names an unknown alias");
+    return i;
+  };
+
+  // Row-major tuples of row ids, one column per relation joined so far.
+  std::vector<int64_t> tuples;
+  const std::vector<uint8_t> first =
+      EvaluateBitmap(*tables[0], rels[0].predicate);
+  for (size_t row = 0; row < first.size(); ++row) {
+    if (first[row]) tuples.push_back(static_cast<int64_t>(row));
+  }
+  for (size_t next = 1; next < rels.size(); ++next) {
+    // Conditions between `next` and an earlier relation.
+    struct Condition {
+      size_t earlier;
+      const Column* earlier_col;
+      const Column* next_col;
+    };
+    std::vector<Condition> conds;
+    for (const QueryJoinCondition& j : db.spec.joins) {
+      const size_t l = index_of(j.left_alias);
+      const size_t r = index_of(j.right_alias);
+      if (l == next && r < next) {
+        conds.push_back({r, tables[r]->GetColumn(j.right_column).value(),
+                         tables[l]->GetColumn(j.left_column).value()});
+      } else if (r == next && l < next) {
+        conds.push_back({l, tables[l]->GetColumn(j.left_column).value(),
+                         tables[r]->GetColumn(j.right_column).value()});
+      }
+    }
+    BQO_CHECK_MSG(!conds.empty(), "reference join needs a connected order");
+
+    std::unordered_multimap<int64_t, int64_t> index;  // key -> row of `next`
+    const std::vector<uint8_t> pass =
+        EvaluateBitmap(*tables[next], rels[next].predicate);
+    for (size_t row = 0; row < pass.size(); ++row) {
+      if (!pass[row]) continue;
+      const auto r = static_cast<int64_t>(row);
+      index.emplace(conds[0].next_col->GetInt64(r), r);
+    }
+    std::vector<int64_t> joined;
+    for (size_t t = 0; t < tuples.size(); t += next) {
+      const int64_t* tuple = tuples.data() + t;
+      const auto [begin, end] = index.equal_range(
+          conds[0].earlier_col->GetInt64(tuple[conds[0].earlier]));
+      for (auto it = begin; it != end; ++it) {
+        bool match = true;
+        for (size_t c = 1; c < conds.size() && match; ++c) {
+          match = conds[c].earlier_col->GetInt64(tuple[conds[c].earlier]) ==
+                  conds[c].next_col->GetInt64(it->second);
+        }
+        if (!match) continue;
+        joined.insert(joined.end(), tuple, tuple + next);
+        joined.push_back(it->second);
+      }
+    }
+    tuples = std::move(joined);
+  }
+
+  ReferenceResult result;
+  const Column* measure = tables[0]->GetColumn("measure").value();
+  for (size_t t = 0; t < tuples.size(); t += rels.size()) {
+    ++result.count;
+    result.sum += measure->GetInt64(tuples[t]);
+  }
+  return result;
+}
 
 /// \brief Predicate `attr0 < selectivity * domain` (≈ uniform selectivity).
 inline ExprPtr SelPredicate(double selectivity, int64_t domain = 1000) {
