@@ -50,7 +50,7 @@ void BM_FilterInsert(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_FilterInsert)
-    ->ArgsProduct({{0, 1, 3}, {1 << 10, 1 << 16, 1 << 20}})
+    ->ArgsProduct({{0, 3}, {1 << 10, 1 << 16, 1 << 20}})
     ->ArgNames({"kind", "n"});
 
 void BM_FilterProbeHit(benchmark::State& state) {
@@ -69,7 +69,7 @@ void BM_FilterProbeHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FilterProbeHit)
-    ->ArgsProduct({{0, 1, 3}, {1 << 16, 1 << 20}})
+    ->ArgsProduct({{0, 3}, {1 << 16, 1 << 20}})
     ->ArgNames({"kind", "n"});
 
 void BM_FilterProbeMiss(benchmark::State& state) {
@@ -89,7 +89,7 @@ void BM_FilterProbeMiss(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FilterProbeMiss)
-    ->ArgsProduct({{0, 1, 3}, {1 << 16, 1 << 20}})
+    ->ArgsProduct({{0, 3}, {1 << 16, 1 << 20}})
     ->ArgNames({"kind", "n"});
 
 /// Batched probe over kBatchSize-strides with an identity selection vector:
@@ -118,7 +118,7 @@ void BM_FilterProbeBatch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kBatchSize);
 }
 BENCHMARK(BM_FilterProbeBatch)
-    ->ArgsProduct({{0, 1, 3}, {1 << 16, 1 << 20}, {0, 1}})
+    ->ArgsProduct({{0, 3}, {1 << 16, 1 << 20}, {0, 1}})
     ->ArgNames({"kind", "n", "hits"});
 
 void BM_CompositeHash(benchmark::State& state) {
@@ -195,8 +195,7 @@ void EmitScalarVsBatchedJson() {
     const auto keys = MakeKeys(build_keys, 1);
     const auto hit_probes = MakeKeys(kProbes, 1);  // prefix of `keys`
     const auto miss_probes = MakeKeys(kProbes, 2);
-    for (FilterKind kind :
-         {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+    for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
       FilterConfig config;
       config.kind = kind;
       auto filter = CreateFilter(config, build_keys);

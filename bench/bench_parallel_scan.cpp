@@ -147,8 +147,7 @@ int main() {
                max_threads);
 
   constexpr int kReps = 3;  // min-of-k, warm cache
-  for (FilterKind kind :
-       {FilterKind::kBloom, FilterKind::kBlockedBloom, FilterKind::kExact}) {
+  for (FilterKind kind : {FilterKind::kBlockedBloom, FilterKind::kExact}) {
     DrainResult base;
     double base_ns = 0;
     for (int threads = 1; threads <= max_threads; threads *= 2) {

@@ -148,8 +148,7 @@ int main() {
                max_threads);
 
   constexpr int kReps = 3;  // min-of-k, warm cache
-  for (FilterKind kind :
-       {FilterKind::kBloom, FilterKind::kBlockedBloom, FilterKind::kExact}) {
+  for (FilterKind kind : {FilterKind::kBlockedBloom, FilterKind::kExact}) {
     for (const bool grouped : {false, true}) {
       RunResult base;
       double base_ns = 0;

@@ -356,7 +356,6 @@ int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand) {
     }
     FilterStats& fs = ps->residual_stats[f];
     fs.probed += m;
-    fs.probe_batches += 1;
     m = FilterMayContainBatch(filter, hashes, sel, m);
     fs.passed += m;
   }
@@ -466,7 +465,6 @@ void HashJoinOperator::MergeProbeStats(ProbeState* ps) {
         config_.residual_filters[f].filter_id)];
     dst->probed += ps->residual_stats[f].probed;
     dst->passed += ps->residual_stats[f].passed;
-    dst->probe_batches += ps->residual_stats[f].probe_batches;
   }
   ps->residual_stats.clear();  // merged; a repeated Close() merges nothing
   stats_.rows_prefilter += ps->rows_prefilter;

@@ -92,19 +92,15 @@ struct OperatorStats {
 /// approximately-sampled. `inserted` is thread-count-invariant too: builds
 /// reassemble their inputs in canonical order and filter fills either run
 /// in that order or reconstruct the sequential count during MergeFrom
-/// (FillFilterParallel in pipeline.h). Only probe_batches may differ across
-/// thread counts (morsel and batch boundaries chop strides differently);
-/// the probe/pass *sets* are partition-invariant.
+/// (FillFilterParallel in pipeline.h). So every field is
+/// thread-count-invariant: morsel and batch boundaries chop strides
+/// differently, but the probe/pass *sets* are partition-invariant.
 struct FilterStats {
   int filter_id = -1;
   bool created = false;   ///< false if pruned/disabled
   int64_t inserted = 0;
   int64_t probed = 0;
   int64_t passed = 0;
-  /// Batched probe calls (MayContainBatch strides). probed/passed are
-  /// aggregated once per stride by the vectorized operators, so
-  /// probed / probe_batches is the mean live-selection width the filter saw.
-  int64_t probe_batches = 0;
   int64_t size_bytes = 0;
 
   double ObservedLambda() const {

@@ -200,7 +200,7 @@ void FillFilterParallel(BitvectorFilter* filter, const FilterConfig& config,
   // Every kind's inserts commute (set union / bitwise OR), so per-worker
   // partials over contiguous partitions merge into bits identical to the
   // sequential build, and MergeFrom reproduces the sequential NumInserted
-  // (exactly for Exact by set semantics, exactly for both Bloom kinds via
+  // (exactly for Exact by set semantics, exactly for Bloom via
   // the insert journals replayed against the merged prefix).
   std::vector<std::unique_ptr<BitvectorFilter>> partials(
       static_cast<size_t>(workers));
@@ -212,12 +212,11 @@ void FillFilterParallel(BitvectorFilter* filter, const FilterConfig& config,
       const int64_t begin = static_cast<int64_t>(w) * chunk;
       const int64_t end = std::min(n, begin + chunk);
       if (begin >= end) return;
-      // Bloom partials (classical and blocked) share the final filter's
-      // geometry (sized for the whole build) so blocks OR together; Exact
-      // partials only need their own partition's capacity.
-      const bool bloom_like = config.kind == FilterKind::kBloom ||
-                              config.kind == FilterKind::kBlockedBloom;
-      auto partial = CreateFilter(config, bloom_like ? n : end - begin);
+      // Bloom partials share the final filter's geometry (sized for the
+      // whole build) so blocks OR together; Exact partials only need their
+      // own partition's capacity.
+      auto partial = CreateFilter(
+          config, config.kind != FilterKind::kExact ? n : end - begin);
       partial->EnableInsertTracking();
       FillRange(partial.get(), hashes, begin, end, ctx);
       partials[static_cast<size_t>(w)] = std::move(partial);

@@ -120,7 +120,6 @@ void ScanOperator::ProcessStride(const uint32_t* rows, int n, uint16_t* sel,
     }
 
     fstats[f].probed += m;
-    fstats[f].probe_batches += 1;
     m = FilterMayContainBatch(af.filter, hashes, sel, m);
     fstats[f].passed += m;
   }
@@ -207,7 +206,6 @@ void ScanOperator::MergeWorkerStats(WorkerState* ws) {
     FilterStats* dst = filter_stat_slots_[f];
     dst->probed += ws->filter_stats[f].probed;
     dst->passed += ws->filter_stats[f].passed;
-    dst->probe_batches += ws->filter_stats[f].probe_batches;
   }
   ws->filter_stats.clear();  // merged; a repeated Close() merges nothing
   stats_.rows_prefilter += ws->rows_prefilter;

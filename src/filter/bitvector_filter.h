@@ -6,19 +6,14 @@
 // produced by HashComposite(), so multi-column join keys (e.g. the filter
 // built from A ⋈ C in the paper's Figure 1) are handled uniformly.
 //
-// Three kinds, one per FilterConfig::kind (the executor applies the
+// Two kinds, one per FilterConfig::kind (the executor applies the
 // configured kind uniformly to every filter it creates):
 //  * ExactFilter (kExact) — a hash set; zero false positives. Realizes the
 //    paper's "no false positives" assumption used in Theorems 4.1/5.1, and
 //    is what the theorem-validation tests run with.
-//  * BloomFilter<DoubleHashPattern> (kBloom) — classical cache-line-blocked
-//    Bloom filter with serial double-hashed probes; the production default
-//    and parity oracle, mirroring [7, 24].
-//  * BloomFilter<SectorPattern> (kBlockedBloom) — register-blocked Bloom
-//    (one 256-bit sector per key, all k bits tested in one AVX2 mask op).
-//    Cheaper per probe, higher FPR at equal bits.
-// Both Bloom kinds are one class template (bloom_filter.h); only the bit
-// pattern a key sets within its 64-byte block differs.
+//  * BloomFilter (kBlockedBloom) — register-blocked Bloom filter (one
+//    256-bit sector per key, all k bits tested in one AVX2 mask op;
+//    bloom_filter.h); the production default, in the family of [7, 24].
 //
 // Every kind's inserts commute (set union / bitwise OR), so per-worker
 // partials merged in partition order reproduce the sequential filter's
@@ -33,7 +28,6 @@ namespace bqo {
 
 enum class FilterKind : uint8_t {
   kExact = 0,
-  kBloom = 1,
   kBlockedBloom = 3,
 };
 
@@ -62,8 +56,8 @@ class BitvectorFilter {
   /// implementations only add software prefetching, never change bits.
   ///
   /// Default: the scalar loop. Overrides overlap cache misses instead of
-  /// serializing them: Bloom and Exact interleave (prefetch the line of key
-  /// j+D while testing key j); the blocked Bloom tests a sector per key in
+  /// serializing them: Exact interleaves (prefetch the bucket of key j+D
+  /// while testing key j); the Bloom filter also tests a sector per key in
   /// one SIMD mask op.
   virtual int MayContainBatch(const uint64_t* hashes, uint16_t* sel,
                               int num_sel) const {
@@ -84,7 +78,7 @@ class BitvectorFilter {
   /// this (see FillFilterParallel in pipeline.h). NumInserted stays a
   /// logical-key count after the merge: duplicate keys across partitions
   /// must not be double counted — ExactFilter unions exactly, and the Bloom
-  /// kinds reproduce the sequential new-bit count from the partial's insert
+  /// filter reproduces the sequential new-bit count from the partial's insert
   /// journal, so a Bloom `other` must have been built with
   /// EnableInsertTracking().
   virtual void MergeFrom(const BitvectorFilter& other) = 0;
@@ -116,10 +110,10 @@ class BitvectorFilter {
 };
 
 struct FilterConfig {
-  FilterKind kind = FilterKind::kBloom;
-  /// Bloom (classical and blocked): bits per inserted key
-  /// (8 => ~2% FP, 10 => ~1% FP for the classical kind; the blocked kind
-  /// runs higher at equal bits — see SectorPattern::Fpr).
+  FilterKind kind = FilterKind::kBlockedBloom;
+  /// Bloom: bits per inserted key. BloomFilter::ModelFpr gives ~1.3% FP at
+  /// 10 bits/key and ~0.13% at 16. The block count rounds up to a power of
+  /// two, so a filter usually runs below this load and measures lower.
   double bloom_bits_per_key = 10.0;
 };
 

@@ -1,22 +1,19 @@
-// Bloom filters: one class template, BloomFilter<Pattern>, over an array of
-// 64-byte (cache-line) blocks. Every key maps to exactly one block, so a
-// probe costs one cache miss — the design point of "Performance-Optimal
+// The Bloom filter: a register-blocked ("sector") Bloom filter over an
+// array of 64-byte (cache-line) blocks. Every key maps to exactly one block,
+// so a probe costs one cache miss — the design point of "Performance-Optimal
 // Filtering" [24] and what commercial engines ship for bitvector filtering.
 //
-// The template owns what both Bloom kinds share: the power-of-two block
-// array and its sizing rule, the rule that an insert counts only when it
-// sets a new bit, the insert journal and MergeFrom's replay-then-OR. A
-// bit-pattern policy decides which bits of the block a key sets (the
-// Boost.Bloom filter<T, K, Subfilter> split):
-//  * DoubleHashPattern (FilterKind::kBloom, the default and parity oracle):
-//    k in [1, 4] serially double-hashed bits anywhere in the 512-bit block.
-//  * SectorPattern (FilterKind::kBlockedBloom): one bit in each of the 8
-//    words of one 256-bit sector, tested in a single AVX2 mask op (the
-//    kernels in filter_kernels.h). Cheaper per probe, a higher FPR at
-//    tight-to-moderate budgets.
-// Each pattern also owns its FPR model, which both TheoreticalFpRate (at the
-// filter's load) and the cost model's EstimatedFilterFpr (at design load)
-// evaluate.
+// Within its block a key picks one of two 256-bit sectors and sets one bit
+// in each of the sector's 8 words (k = 8, the boost.bloom
+// fast_multiblock32 / Impala design), so a probe is one AVX2 mask test (the
+// tier-dispatched kernels in filter_kernels.h, whose scalar and AVX2 tiers
+// are bit-identical and each other's parity oracle). The space budget only
+// sets the block count.
+//
+// The class also owns the rule that an insert counts only when it sets a
+// new bit, the insert journal and MergeFrom's replay-then-OR, and the FPR
+// model that both TheoreticalFpRate (at the filter's load) and the cost
+// model's EstimatedFilterFpr (at design load) evaluate.
 #pragma once
 
 #include <cstdint>
@@ -27,79 +24,9 @@
 
 namespace bqo {
 
-/// The BitsSet mask that tests every probe of a key: the membership test.
-inline constexpr uint8_t kAllProbes = 0xff;
-
-/// Classical blocked Bloom: a key picks its block from the hash's low bits
-/// and sets k bits h1 + i*h2 (mod 512) within it.
-class DoubleHashPattern {
- public:
-  static constexpr FilterKind kKind = FilterKind::kBloom;
-  struct alignas(64) Block {
-    uint64_t words[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  };
-
-  /// k = round(0.693 * bits_per_key) clamped to [1, 4] (see bloom_filter.cc
-  /// for why).
-  explicit DoubleHashPattern(double bits_per_key);
-
-  static uint64_t BlockIndex(uint64_t hash, uint64_t block_mask) {
-    return hash & block_mask;
-  }
-  int num_probes() const { return k_; }
-
-  /// Sets the key's k bits; returns the new-probes mask (bit i set ⇔ probe
-  /// i's bit was 0 before this insert).
-  uint8_t Insert(Block& block, uint64_t hash) const;
-  /// True iff every probe of `hash` flagged in `probe_mask` is set.
-  bool BitsSet(const Block& block, uint64_t hash, uint8_t probe_mask) const;
-  int ProbeBatch(const Block* blocks, uint64_t block_mask,
-                 const uint64_t* hashes, uint16_t* sel, int num_sel) const;
-  /// (1 - e^{-k n/m})^k for `keys` = n keys in `bits` = m bits, ignoring
-  /// blocking effects.
-  double Fpr(double keys, double bits) const;
-
- private:
-  int k_;
-};
-
-/// Register-blocked Bloom (the boost.bloom fast_multiblock32 / Impala
-/// design): a key picks its block from the hash's high bits, one of the
-/// block's two 256-bit sectors, and one bit in each of the sector's 8 words,
-/// so k is fixed at 8 and the space budget only sets the block count.
-class SectorPattern {
- public:
-  static constexpr FilterKind kKind = FilterKind::kBlockedBloom;
-  using Block = blocked_bloom::BloomBlock;
-
-  explicit SectorPattern(double /*bits_per_key*/) {}
-
-  static uint64_t BlockIndex(uint64_t hash, uint64_t block_mask) {
-    return blocked_bloom::BlockIndex(hash, block_mask);
-  }
-  int num_probes() const { return blocked_bloom::kProbesPerKey; }
-
-  /// Tier-dispatched; returns the new-probes mask over the 8 sector words.
-  uint8_t Insert(Block& block, uint64_t hash) const {
-    return BlockedBloomInsert(block, hash);
-  }
-  bool BitsSet(const Block& block, uint64_t hash, uint8_t probe_mask) const {
-    return blocked_bloom::ScalarProbeBlock(block, hash, probe_mask);
-  }
-  int ProbeBatch(const Block* blocks, uint64_t block_mask,
-                 const uint64_t* hashes, uint16_t* sel, int num_sel) const {
-    return BlockedBloomProbeBatch(blocks, block_mask, hashes, sel, num_sel);
-  }
-  /// Poisson mixture over sector occupancy: keys land in one of bits/256
-  /// sectors, j resident keys leave a given word-bit set with probability
-  /// 1 - (31/32)^j, and a false positive needs all 8 word-bits set.
-  double Fpr(double keys, double bits) const;
-};
-
-template <typename Pattern>
 class BloomFilter final : public BitvectorFilter {
  public:
-  using Block = typename Pattern::Block;
+  using Block = blocked_bloom::BloomBlock;
   static_assert(sizeof(Block) == 64, "one cache line per block");
 
   /// \param expected_keys sizing hint (filter does not grow)
@@ -108,13 +35,13 @@ class BloomFilter final : public BitvectorFilter {
 
   void Insert(uint64_t hash) override;
   bool MayContain(uint64_t hash) const override {
-    return pattern_.BitsSet(blocks_[Pattern::BlockIndex(hash, block_mask_)],
-                            hash, kAllProbes);
+    return blocked_bloom::ScalarProbeBlock(
+        blocks_[blocked_bloom::BlockIndex(hash, block_mask_)], hash);
   }
   int MayContainBatch(const uint64_t* hashes, uint16_t* sel,
                       int num_sel) const override {
-    return pattern_.ProbeBatch(blocks_.data(), block_mask_, hashes, sel,
-                               num_sel);
+    return BlockedBloomProbeBatch(blocks_.data(), block_mask_, hashes, sel,
+                                  num_sel);
   }
   /// Bitwise-OR of the blocks (both filters must share the geometry; the
   /// parallel build sizes every partial for the full build side). Because
@@ -142,10 +69,14 @@ class BloomFilter final : public BitvectorFilter {
   /// distinct-key n that TheoreticalFpRate() divides by.
   int64_t NumInserted() const override { return num_inserted_; }
 
-  int num_probes() const { return pattern_.num_probes(); }
-
-  /// \brief The pattern's FPR model at the current load.
+  /// \brief ModelFpr at the current load.
   double TheoreticalFpRate() const;
+
+  /// \brief FPR model for `keys` keys in `bits` bits: a Poisson mixture over
+  /// sector occupancy. Keys land in one of bits/256 sectors, j resident keys
+  /// leave a given word-bit set with probability 1 - (31/32)^j, and a false
+  /// positive needs all 8 word-bits set.
+  static double ModelFpr(double keys, double bits);
 
  private:
   /// One journaled counting insert: the key's hash plus a bitmask over its
@@ -155,7 +86,6 @@ class BloomFilter final : public BitvectorFilter {
     uint8_t new_probes;
   };
 
-  Pattern pattern_;
   std::vector<Block> blocks_;
   uint64_t block_mask_ = 0;
   int64_t num_inserted_ = 0;
@@ -163,28 +93,20 @@ class BloomFilter final : public BitvectorFilter {
   std::vector<TrackedInsert> journal_;  ///< counting inserts, when tracking_
 };
 
-extern template class BloomFilter<DoubleHashPattern>;
-extern template class BloomFilter<SectorPattern>;
-
-/// \brief Devirtualized batch probe: the Bloom kinds are the production
-/// defaults and the per-tuple filter-check cost (Cf in Section 6.3) is the
+/// \brief Devirtualized batch probe: the Bloom filter is the production
+/// default and the per-tuple filter-check cost (Cf in Section 6.3) is the
 /// quantity Figure 7 profiles, so the hot paths (scan strides and join
-/// residual strides) avoid the virtual dispatch for them (BloomFilter is
-/// `final`, so the static_cast calls are direct; the sector pattern further
-/// lands in the tier-dispatched SIMD kernel, filter_kernels.h).
+/// residual strides) avoid the virtual dispatch for it (BloomFilter is
+/// `final`, so the static_cast call is direct and lands in the
+/// tier-dispatched SIMD kernel, filter_kernels.h).
 inline int FilterMayContainBatch(const BitvectorFilter* filter,
                                  const uint64_t* hashes, uint16_t* sel,
                                  int num_sel) {
-  switch (filter->kind()) {
-    case FilterKind::kBloom:
-      return static_cast<const BloomFilter<DoubleHashPattern>*>(filter)
-          ->MayContainBatch(hashes, sel, num_sel);
-    case FilterKind::kBlockedBloom:
-      return static_cast<const BloomFilter<SectorPattern>*>(filter)
-          ->MayContainBatch(hashes, sel, num_sel);
-    default:
-      return filter->MayContainBatch(hashes, sel, num_sel);
+  if (filter->kind() == FilterKind::kBlockedBloom) {
+    return static_cast<const BloomFilter*>(filter)->MayContainBatch(
+        hashes, sel, num_sel);
   }
+  return filter->MayContainBatch(hashes, sel, num_sel);
 }
 
 }  // namespace bqo

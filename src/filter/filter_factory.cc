@@ -8,8 +8,6 @@ const char* FilterKindName(FilterKind kind) {
   switch (kind) {
     case FilterKind::kExact:
       return "exact";
-    case FilterKind::kBloom:
-      return "bloom";
     case FilterKind::kBlockedBloom:
       return "blocked";
   }
@@ -21,12 +19,9 @@ std::unique_ptr<BitvectorFilter> CreateFilter(const FilterConfig& config,
   switch (config.kind) {
     case FilterKind::kExact:
       return std::make_unique<ExactFilter>(expected_keys);
-    case FilterKind::kBloom:
-      return std::make_unique<BloomFilter<DoubleHashPattern>>(
-          expected_keys, config.bloom_bits_per_key);
     case FilterKind::kBlockedBloom:
-      return std::make_unique<BloomFilter<SectorPattern>>(
-          expected_keys, config.bloom_bits_per_key);
+      return std::make_unique<BloomFilter>(expected_keys,
+                                           config.bloom_bits_per_key);
   }
   return nullptr;
 }

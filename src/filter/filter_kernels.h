@@ -11,7 +11,7 @@
 // tier-invariant by construction; tests/test_simd_kernels.cc pins that on
 // adversarial lengths and end-to-end plans.
 //
-// Alignment contract: BloomFilter<SectorPattern> stores its blocks as a
+// Alignment contract: BloomFilter stores its blocks as a
 // std::vector of 64-byte `BloomBlock`s, allocated 64-byte aligned (alignas on
 // the struct plus the aligned-operator-new the vector uses for over-aligned
 // types), so each 32-byte sector can be read with aligned AVX2 loads.
@@ -47,8 +47,8 @@ void HashCompositeBatchKernel(const int64_t* const* cols, size_t num_cols,
                               int n, uint64_t* out, uint64_t seed = 0);
 
 // ---------------------------------------------------------------------------
-// Register-blocked Bloom primitives (the kernels under SectorPattern, the
-// kBlockedBloom bit pattern of BloomFilter, src/filter/bloom_filter.h).
+// Register-blocked Bloom primitives (the kernels under BloomFilter,
+// src/filter/bloom_filter.h).
 // Layout follows the Impala/boost-fast_multiblock32 design: a 64-byte block
 // of 16 uint32 words, split into two 32-byte sectors of 8 words. A key picks
 // its block from the hash's HIGH bits, a sector from bit 63, and exactly one
@@ -59,8 +59,7 @@ void HashCompositeBatchKernel(const int64_t* const* cols, size_t num_cols,
 
 namespace blocked_bloom {
 
-inline constexpr int kWordsPerSector = 8;
-inline constexpr int kProbesPerKey = kWordsPerSector;  // one bit per word
+inline constexpr int kWordsPerSector = 8;  // k: one bit per word
 
 /// 64-byte cache-line block: two 8-word sectors, each probed as one AVX2
 /// register. alignas(64) also makes every sector 32-byte aligned.

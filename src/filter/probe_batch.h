@@ -4,10 +4,9 @@
 // indices in place (writes trail reads, and the j+kDist lookahead is never
 // clobbered because at most j entries have been written back).
 //
-// Used by the Exact filter, the classical Bloom pattern (DoubleHashPattern)
-// and the scalar tier of the sector pattern's kernel, whose probes touch
-// one location per key; the sector pattern's AVX2 tier has its own loop
-// (BlockedBloomProbeBatch in filter_kernels.h).
+// Used by the Exact filter and the scalar tier of the Bloom filter's probe
+// kernel, whose probes touch one location per key; the Bloom kernel's AVX2
+// tier has its own loop (BlockedBloomProbeBatch in filter_kernels.h).
 #pragma once
 
 #include <cstdint>

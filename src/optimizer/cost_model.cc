@@ -39,10 +39,8 @@ double EstimatedFilterFpr(FilterKind kind, double bits_per_key) {
   switch (kind) {
     case FilterKind::kExact:
       return 0.0;
-    case FilterKind::kBloom:
-      return DoubleHashPattern(b).Fpr(1.0, b);
     case FilterKind::kBlockedBloom:
-      return SectorPattern(b).Fpr(1.0, b);
+      return BloomFilter::ModelFpr(1.0, b);
   }
   return 0.0;
 }

@@ -30,12 +30,9 @@ int PruneIneffectiveFilters(Plan* plan, CoutModel* model,
 double LambdaThreshold(double filter_check_ns, double hash_probe_ns);
 
 /// \brief Model false-positive rate of `kind` at design load (n = m /
-/// bits_per_key): the kind's bit-pattern FPR model (bloom_filter.h), the
-/// same function BloomFilter::TheoreticalFpRate evaluates at its actual
-/// load. Classical Bloom: (1 - e^{-k/b})^k with the implementation's k
-/// clamp. Blocked Bloom: the Poisson sector-occupancy mixture — measurably
-/// above the classical curve at equal bits at tight-to-moderate budgets.
-/// Exact: 0.
+/// bits_per_key). Bloom: BloomFilter::ModelFpr (bloom_filter.h), the
+/// Poisson sector-occupancy mixture that BloomFilter::TheoreticalFpRate
+/// evaluates at its actual load. Exact: 0.
 /// EXPLAIN ANALYZE reports it as each created filter's modeled FPR.
 double EstimatedFilterFpr(FilterKind kind, double bits_per_key);
 

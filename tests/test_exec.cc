@@ -58,8 +58,7 @@ TEST_F(ExecStarTest, CountMatchesReferenceWithoutFilters) {
 TEST_F(ExecStarTest, FiltersDoNotChangeResults) {
   Plan plan = BuildRightDeepPlan(*graph_, {0, 1, 2, 3});
   PushDownBitvectors(&plan);
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     ExecutionOptions options;
     options.filter_config.kind = kind;
     const QueryMetrics m = ExecutePlan(plan, options);
@@ -120,7 +119,7 @@ TEST_F(ExecStarTest, BloomFilterLeaksOnlyFalsePositives) {
   PushDownBitvectors(&plan);
   ExecutionOptions exact_opts, bloom_opts;
   exact_opts.filter_config.kind = FilterKind::kExact;
-  bloom_opts.filter_config.kind = FilterKind::kBloom;
+  bloom_opts.filter_config.kind = FilterKind::kBlockedBloom;
   bloom_opts.filter_config.bloom_bits_per_key = 4.0;  // deliberately leaky
   const QueryMetrics exact = ExecutePlan(plan, exact_opts);
   const QueryMetrics bloom = ExecutePlan(plan, bloom_opts);
@@ -291,10 +290,14 @@ std::unique_ptr<testing::TestDb> MakeReferenceDb(const ReferenceCase& c) {
   return nullptr;
 }
 
+/// Filters off, or one filter kind at a Bloom budget. `blockedSaturated`
+/// runs the Bloom filter at its minimum budget (1 bit/key), so most
+/// non-matching probe rows pass it and the joins above must drop them.
 struct FilterSetting {
   const char* name;
   bool on;
   FilterKind kind;
+  double bits_per_key;
 };
 
 void PrintTo(const FilterSetting& f, std::ostream* os) { *os << f.name; }
@@ -334,6 +337,7 @@ TEST_P(ReferenceJoinTest, HashJoinTotalsMatchReference) {
       ExecutionOptions options;
       options.use_bitvectors = f.on;
       options.filter_config.kind = f.kind;
+      options.filter_config.bloom_bits_per_key = f.bits_per_key;
       options.exec.threads = threads;
       options.exec.morsel_rows = 512;  // several morsels per scan
       options.agg.kind = agg;
@@ -364,11 +368,12 @@ INSTANTIATE_TEST_SUITE_P(
                           ReferenceCase{"manyToMany", RefShape::kManyToMany, 5},
                           ReferenceCase{"emptyInput", RefShape::kEmptyInput,
                                         7}),
-        ::testing::Values(FilterSetting{"off", false, FilterKind::kExact},
-                          FilterSetting{"exact", true, FilterKind::kExact},
-                          FilterSetting{"bloom", true, FilterKind::kBloom},
-                          FilterSetting{"blocked", true,
-                                        FilterKind::kBlockedBloom})),
+        ::testing::Values(
+            FilterSetting{"off", false, FilterKind::kExact, 10.0},
+            FilterSetting{"exact", true, FilterKind::kExact, 10.0},
+            FilterSetting{"blocked", true, FilterKind::kBlockedBloom, 10.0},
+            FilterSetting{"blockedSaturated", true, FilterKind::kBlockedBloom,
+                          1.0})),
     [](const ::testing::TestParamInfo<ReferenceJoinTest::ParamType>& info) {
       return std::string(std::get<0>(info.param).name) + "_" +
              std::get<1>(info.param).name;

@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <unordered_set>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/filter/bitvector_filter.h"
@@ -88,8 +90,8 @@ TEST_P(FilterPropertyTest, NoFalseNegatives) {
     ASSERT_TRUE(filter->MayContain(k)) << FilterKindName(param.kind);
   }
   // NumInserted counts keys logically added. The keys are distinct random
-  // hashes, so the exact filter counts all of them; the approximate kinds
-  // may fold a small fraction (<~2%, their FP rate) into existing entries.
+  // hashes, so the exact filter counts all of them; the Bloom filter
+  // may fold a small fraction (<~2%, its FP rate) into existing entries.
   EXPECT_LE(filter->NumInserted(), param.n);
   if (param.kind == FilterKind::kExact) {
     EXPECT_EQ(filter->NumInserted(), param.n);
@@ -101,11 +103,11 @@ TEST_P(FilterPropertyTest, NoFalseNegatives) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKindsAndSizes, FilterPropertyTest,
-    ::testing::Values(FilterCase{FilterKind::kExact, 10},
+    ::testing::Values(FilterCase{FilterKind::kExact, 1},
+                      FilterCase{FilterKind::kExact, 10},
                       FilterCase{FilterKind::kExact, 10000},
-                      FilterCase{FilterKind::kBloom, 10},
-                      FilterCase{FilterKind::kBloom, 1000},
-                      FilterCase{FilterKind::kBloom, 100000},
+                      FilterCase{FilterKind::kExact, 100000},
+                      FilterCase{FilterKind::kBlockedBloom, 1},
                       FilterCase{FilterKind::kBlockedBloom, 10},
                       FilterCase{FilterKind::kBlockedBloom, 1000},
                       FilterCase{FilterKind::kBlockedBloom, 100000}),
@@ -114,23 +116,9 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.n);
     });
 
-/// The properties every Bloom bit pattern must have, run once per pattern.
-template <typename Pattern>
-class BloomPatternTest : public ::testing::Test {};
-
-struct PatternName {
-  template <typename Pattern>
-  static std::string GetName(int) {
-    return FilterKindName(Pattern::kKind);
-  }
-};
-
-using BloomPatterns = ::testing::Types<DoubleHashPattern, SectorPattern>;
-TYPED_TEST_SUITE(BloomPatternTest, BloomPatterns, PatternName);
-
-TYPED_TEST(BloomPatternTest, FpRateWithinTwiceTheory) {
+TEST(BloomFilter, FpRateWithinTwiceTheory) {
   const int64_t n = 50000;
-  BloomFilter<TypeParam> filter(n, 10.0);
+  BloomFilter filter(n, 10.0);
   Rng rng(9);
   std::unordered_set<uint64_t> inserted;
   for (int64_t i = 0; i < n; ++i) {
@@ -145,15 +133,13 @@ TYPED_TEST(BloomPatternTest, FpRateWithinTwiceTheory) {
     if (inserted.count(h) == 0 && filter.MayContain(h)) ++fp;
   }
   const double observed = static_cast<double>(fp) / probes;
-  // Blocking costs a modest FP penalty vs each pattern's model; the model
-  // value at ~10 bits/key is about 1% for both patterns, so stay under 2x +
-  // slack.
+  // The model value at ~10 bits/key is about 1%; stay under 2x + slack.
   EXPECT_LT(observed, 2.0 * filter.TheoreticalFpRate() + 0.005);
   // And it should actually filter: well under 5%.
   EXPECT_LT(observed, 0.05);
 }
 
-TYPED_TEST(BloomPatternTest, MoreBitsFewerFalsePositives) {
+TEST(BloomFilter, MoreBitsFewerFalsePositives) {
   const int64_t n = 20000;
   Rng rng(11);
   std::vector<uint64_t> keys, probes;
@@ -162,7 +148,7 @@ TYPED_TEST(BloomPatternTest, MoreBitsFewerFalsePositives) {
   double rates[2];
   const double bits[2] = {4.0, 12.0};
   for (int b = 0; b < 2; ++b) {
-    BloomFilter<TypeParam> filter(n, bits[b]);
+    BloomFilter filter(n, bits[b]);
     for (uint64_t k : keys) filter.Insert(k);
     int fp = 0;
     for (uint64_t p : probes) {
@@ -173,27 +159,91 @@ TYPED_TEST(BloomPatternTest, MoreBitsFewerFalsePositives) {
   EXPECT_GT(rates[0], rates[1] * 3);
 }
 
-TEST(BloomFilter, HashCountClampedToAtLeastOne) {
-  // bits_per_key = 1.0 rounds 0.693 up to k = 1; the clamp guarantees k >= 1
-  // so the filter always sets at least one bit and can reject something.
-  BloomFilter<DoubleHashPattern> low(10000, 1.0);
-  EXPECT_EQ(low.num_probes(), 1);
-  Rng rng(23);
-  for (int i = 0; i < 10000; ++i) low.Insert(rng.Next());
-  int rejected = 0;
-  for (int i = 0; i < 10000; ++i) {
-    if (!low.MayContain(rng.Next())) ++rejected;
+/// The sizing rule: max(n, 16) * bits_per_key bits, rounded up to a
+/// power-of-two count of 64-byte blocks. Pinned at both sides of a
+/// power-of-two boundary (52428 keys need 1023.98 blocks, 52429 need
+/// 1024.004).
+TEST(BloomFilter, SizingRoundsBlockCountUpToPowerOfTwo) {
+  struct Case {
+    int64_t keys;
+    double bits;
+    int64_t bytes;
+  };
+  const Case cases[] = {
+      {0, 10.0, 64},          {16, 1.0, 64},
+      {1000, 10.0, 32 * 64},  {52428, 10.0, 1024 * 64},
+      {52429, 10.0, 2048 * 64}, {100000, 16.0, 4096 * 64},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(BloomFilter(c.keys, c.bits).SizeBytes(), c.bytes)
+        << "keys=" << c.keys << " bits=" << c.bits;
   }
-  EXPECT_GT(rejected, 0);  // k = 0 would admit everything
-  // And the CPU-side cap: 10 bits/key rounds to 7 probes, clamped to 4.
-  BloomFilter<DoubleHashPattern> high(10000, 10.0);
-  EXPECT_EQ(high.num_probes(), 4);
+}
+
+/// The FPR model is zero for an empty filter, rises with the load and falls
+/// with the budget, and stays a probability.
+TEST(BloomFilter, ModelFprRisesWithLoadAndFallsWithBudget) {
+  constexpr double kBits = 1 << 20;
+  EXPECT_EQ(BloomFilter::ModelFpr(0.0, kBits), 0.0);
+  double prev = 0.0;
+  for (double keys : {1e3, 1e4, 5e4, 1e5, 3e5, 1e6}) {
+    const double fpr = BloomFilter::ModelFpr(keys, kBits);
+    EXPECT_GT(fpr, prev) << "keys=" << keys;
+    EXPECT_LT(fpr, 1.0) << "keys=" << keys;
+    prev = fpr;
+  }
+  prev = 1.0;
+  for (double bits_per_key : {1.0, 2.0, 4.0, 8.0, 16.0, 32.0}) {
+    const double fpr = BloomFilter::ModelFpr(1e4, 1e4 * bits_per_key);
+    EXPECT_LT(fpr, prev) << "bits=" << bits_per_key;
+    EXPECT_GT(fpr, 0.0) << "bits=" << bits_per_key;
+    prev = fpr;
+  }
+}
+
+/// TheoreticalFpRate is the model at the filter's own load: its block bits
+/// and its NumInserted (floored at one key).
+TEST(BloomFilter, TheoreticalFpRateIsTheModelAtTheFilterLoad) {
+  BloomFilter filter(4000, 8.0);
+  const double bits = static_cast<double>(filter.SizeBytes()) * 8.0;
+  EXPECT_EQ(filter.TheoreticalFpRate(), BloomFilter::ModelFpr(1.0, bits));
+  Rng rng(12);
+  double prev = filter.TheoreticalFpRate();
+  for (int round = 0; round < 4; ++round) {
+    for (int i = 0; i < 1000; ++i) filter.Insert(rng.Next());
+    const double fpr = filter.TheoreticalFpRate();
+    EXPECT_EQ(fpr, BloomFilter::ModelFpr(
+                       static_cast<double>(filter.NumInserted()), bits));
+    EXPECT_GT(fpr, prev) << "round " << round;
+    prev = fpr;
+  }
+}
+
+/// An insert counts only when it sets a new bit, so reinserting keys — in
+/// the same filter, or through a tracked partial merged after them — leaves
+/// NumInserted unchanged.
+TEST(BloomFilter, DuplicateInsertsDoNotCount) {
+  Rng rng(13);
+  std::vector<uint64_t> keys;
+  for (int i = 0; i < 2000; ++i) keys.push_back(rng.Next());
+  BloomFilter filter(2000, 10.0);
+  for (uint64_t k : keys) filter.Insert(k);
+  const int64_t count = filter.NumInserted();
+  EXPECT_GT(count, 0);
+  EXPECT_LE(count, 2000);
+  for (uint64_t k : keys) filter.Insert(k);
+  EXPECT_EQ(filter.NumInserted(), count);
+
+  BloomFilter repeat(2000, 10.0);
+  repeat.EnableInsertTracking();
+  for (uint64_t k : keys) repeat.Insert(k);
+  filter.MergeFrom(repeat);
+  EXPECT_EQ(filter.NumInserted(), count);
 }
 
 TEST(FilterFactory, CreatesRequestedKinds) {
   FilterConfig config;
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     config.kind = kind;
     auto f = CreateFilter(config, 100);
     ASSERT_NE(f, nullptr);
@@ -202,26 +252,21 @@ TEST(FilterFactory, CreatesRequestedKinds) {
   }
 }
 
-/// EXPLAIN ANALYZE's modeled FPR is each pattern's FPR model at design
-/// load. The values are pinned bit for bit, so any change to either model
-/// shows here.
+/// EXPLAIN ANALYZE's modeled FPR is the Bloom FPR model at design load.
+/// The values are pinned bit for bit, so any change to the model shows here.
 TEST(FprModel, DesignLoadValuesArePinned) {
   struct Pin {
     double bits;
-    double classical;
-    double sector;
+    double fpr;
   };
   const Pin pins[] = {
-      {1.0, 0.63212055882855767, 0.99732034048370599},
-      {4.0, 0.14689159766038104, 0.32576436650770724},
-      {10.0, 0.011813270906619364, 0.01264845153548716},
-      {16.0, 0.0023940561975645614, 0.0013155734026977144},
+      {1.0, 0.99732034048370599},
+      {4.0, 0.32576436650770724},
+      {10.0, 0.01264845153548716},
+      {16.0, 0.0013155734026977144},
   };
   for (const Pin& pin : pins) {
-    EXPECT_EQ(EstimatedFilterFpr(FilterKind::kBloom, pin.bits), pin.classical)
-        << "bits=" << pin.bits;
-    EXPECT_EQ(EstimatedFilterFpr(FilterKind::kBlockedBloom, pin.bits),
-              pin.sector)
+    EXPECT_EQ(EstimatedFilterFpr(FilterKind::kBlockedBloom, pin.bits), pin.fpr)
         << "bits=" << pin.bits;
   }
   EXPECT_EQ(EstimatedFilterFpr(FilterKind::kExact, 10.0), 0.0);
@@ -261,7 +306,7 @@ TEST(ExactFilterMerge, SetUnionWithOverlapAndZeroHash) {
 /// in behavior and count: same geometry partials ORed in partition order.
 /// Run undersized (1.5 bits/key) so probe bits overlap heavily across keys
 /// — the regime where naive count summing diverges.
-TYPED_TEST(BloomPatternTest, TrackedMergeMatchesSequentialBuild) {
+TEST(BloomFilter, TrackedMergeMatchesSequentialBuild) {
   Rng rng(999);
   constexpr int kKeys = 3000;
   std::vector<uint64_t> keys;
@@ -269,13 +314,13 @@ TYPED_TEST(BloomPatternTest, TrackedMergeMatchesSequentialBuild) {
   // Duplicates across partition boundaries, too.
   for (int i = 0; i < 300; ++i) keys.push_back(keys[static_cast<size_t>(i)]);
 
-  BloomFilter<TypeParam> sequential(kKeys, 1.5);
+  BloomFilter sequential(kKeys, 1.5);
   for (uint64_t k : keys) sequential.Insert(k);
 
-  BloomFilter<TypeParam> merged(kKeys, 1.5);
+  BloomFilter merged(kKeys, 1.5);
   const size_t part = keys.size() / 3 + 1;
   for (size_t begin = 0; begin < keys.size(); begin += part) {
-    BloomFilter<TypeParam> partial(kKeys, 1.5);  // same geometry
+    BloomFilter partial(kKeys, 1.5);  // same geometry
     partial.EnableInsertTracking();
     const size_t end = std::min(keys.size(), begin + part);
     for (size_t i = begin; i < end; ++i) partial.Insert(keys[i]);
@@ -297,18 +342,27 @@ TYPED_TEST(BloomPatternTest, TrackedMergeMatchesSequentialBuild) {
 
 // ---- MergeFrom, kind-generic: the properties FillFilterParallel needs.
 
-class FilterMergeTest : public ::testing::TestWithParam<FilterKind> {
+/// A filter configuration under test. `blocked` is undersized (2 bits/key)
+/// so the Bloom filter's bits overlap heavily across keys and partitions;
+/// `blockedDesignLoad` is the default budget the executor builds with.
+struct MergeCase {
+  const char* name;
+  FilterKind kind;
+  double bits_per_key;
+};
+
+void PrintTo(const MergeCase& c, std::ostream* os) { *os << c.name; }
+
+class FilterMergeTest : public ::testing::TestWithParam<MergeCase> {
  protected:
-  /// Undersized (2 bits/key) so the Bloom kinds' bits overlap heavily
-  /// across keys and partitions.
   FilterConfig Config() const {
     FilterConfig config;
-    config.kind = GetParam();
-    config.bloom_bits_per_key = 2.0;
+    config.kind = GetParam().kind;
+    config.bloom_bits_per_key = GetParam().bits_per_key;
     return config;
   }
 
-  /// A partial as a parallel build makes it: the Bloom kinds share the
+  /// A partial as a parallel build makes it: Bloom partials share the
   /// whole build's geometry and journal their inserts.
   std::unique_ptr<BitvectorFilter> MakePartial(int64_t build_keys) const {
     auto partial = CreateFilter(Config(), build_keys);
@@ -390,10 +444,13 @@ TEST_P(FilterMergeTest, EmptyOperandIsAMergeIdentity) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, FilterMergeTest,
-    ::testing::Values(FilterKind::kExact, FilterKind::kBloom,
-                      FilterKind::kBlockedBloom),
-    [](const ::testing::TestParamInfo<FilterKind>& info) {
-      return std::string(FilterKindName(info.param));
+    ::testing::Values(
+        MergeCase{"exact", FilterKind::kExact, 2.0},
+        MergeCase{"blocked", FilterKind::kBlockedBloom, 2.0},
+        MergeCase{"blockedDesignLoad", FilterKind::kBlockedBloom,
+                  FilterConfig{}.bloom_bits_per_key}),
+    [](const ::testing::TestParamInfo<MergeCase>& info) {
+      return std::string(info.param.name);
     });
 
 }  // namespace

@@ -187,8 +187,7 @@ TEST_P(FuzzTest, FilterImplementationsNeverChangeResults) {
 
   uint64_t checksum = 0;
   bool first = true;
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     ExecutionOptions exec;
     exec.filter_config.kind = kind;
     exec.filter_config.bloom_bits_per_key = 6.0;  // deliberately leaky

@@ -368,12 +368,12 @@ TEST(Observability, ExplainAnalyzeReportsEstimatesActualsAndFilterFpr) {
   for (const FilterExplainRow& f : report.filters) {
     if (!f.created) continue;
     any_created = true;
-    EXPECT_EQ(f.kind, "bloom") << "default FilterConfig kind";
+    EXPECT_EQ(f.kind, "blocked") << "default FilterConfig kind";
     EXPECT_GT(f.est_lambda, 0.0);
     EXPECT_LE(f.est_lambda, 1.0);
     EXPECT_GE(f.observed_lambda, 0.0);
     EXPECT_LE(f.observed_lambda, 1.0);
-    // Classical Bloom at 10 bits/key models ~1% FPR.
+    // The Bloom model at 10 bits/key is ~1.3% FPR.
     EXPECT_GT(f.modeled_fpr, 0.0);
     EXPECT_LT(f.modeled_fpr, 0.05);
     EXPECT_GT(f.inserted, 0);
@@ -403,8 +403,7 @@ TEST(Observability, ExplainReportsTheConfiguredKindForEveryFilter) {
   GlobalPoolGuard guard;
   WorkerPool::ResetGlobal(2);
   auto db = MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 1177, /*zipf=*/0.5);
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     QueryServiceOptions options = StarServiceOptions();
     options.execution.filter_config.kind = kind;
     QueryService service(&db->catalog, options);

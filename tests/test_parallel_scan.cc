@@ -109,8 +109,7 @@ class ParallelScanTest : public ::testing::Test {
 };
 
 TEST_F(ParallelScanTest, ThreadedScanMatchesSingleThreadAllKinds) {
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     const ManualScanResult base =
         RunManualScan(fact_, MakeHalfDomainFilter(kind), "d0_fk", 1);
     ASSERT_GT(base.groups, 0) << FilterKindName(kind);
@@ -124,8 +123,7 @@ TEST_F(ParallelScanTest, ThreadedScanMatchesSingleThreadAllKinds) {
       EXPECT_EQ(par.groups, base.groups)
           << FilterKindName(kind) << " threads=" << threads;
       // Merged stats must equal the single-threaded counts exactly (the
-      // probe/pass sets are partition-invariant; only probe_batches may
-      // differ with morsel boundaries).
+      // probe/pass sets are partition-invariant).
       EXPECT_EQ(par.filter_stats.probed, base.filter_stats.probed);
       EXPECT_EQ(par.filter_stats.passed, base.filter_stats.passed);
       EXPECT_EQ(par.rows_prefilter, base.rows_prefilter);
@@ -134,46 +132,43 @@ TEST_F(ParallelScanTest, ThreadedScanMatchesSingleThreadAllKinds) {
   }
 }
 
-/// A Bloom filter of either kind driven to saturation (a single block,
-/// every bit set) admits every probe; the threaded drain must still count
-/// each probe exactly once and fold every row.
+/// A Bloom filter driven to saturation (a single block, every bit set)
+/// admits every probe; the threaded drain must still count each probe
+/// exactly once and fold every row.
 TEST_F(ParallelScanTest, SaturatedBloomPassesEverythingUnderThreads) {
-  for (FilterKind kind : {FilterKind::kBloom, FilterKind::kBlockedBloom}) {
-    auto make_saturated = [kind] {
-      FilterConfig config;
-      config.kind = kind;
-      auto filter = CreateFilter(config, 1);
-      Rng rng(17);
-      for (int i = 0; i < 5000; ++i) filter->Insert(rng.Next());
-      return filter;
-    };
-    {
-      auto probe = make_saturated();
-      Rng rng(18);
-      for (int i = 0; i < 1000; ++i) {
-        ASSERT_TRUE(probe->MayContain(rng.Next())) << FilterKindName(kind);
-      }
+  auto make_saturated = [] {
+    FilterConfig config;
+    config.kind = FilterKind::kBlockedBloom;
+    auto filter = CreateFilter(config, 1);
+    Rng rng(17);
+    for (int i = 0; i < 5000; ++i) filter->Insert(rng.Next());
+    return filter;
+  };
+  {
+    auto probe = make_saturated();
+    Rng rng(18);
+    for (int i = 0; i < 1000; ++i) {
+      ASSERT_TRUE(probe->MayContain(rng.Next()));
     }
-    const ManualScanResult base =
-        RunManualScan(fact_, make_saturated(), "d0_fk", 1);
-    EXPECT_EQ(base.rows_out, fact_->num_rows()) << FilterKindName(kind);
-    EXPECT_EQ(base.filter_stats.probed, fact_->num_rows());
-    EXPECT_EQ(base.filter_stats.passed, base.filter_stats.probed);
-    const ManualScanResult par =
-        RunManualScan(fact_, make_saturated(), "d0_fk", 4);
-    EXPECT_EQ(par.checksum, base.checksum) << FilterKindName(kind);
-    EXPECT_EQ(par.groups, base.groups) << FilterKindName(kind);
-    EXPECT_EQ(par.filter_stats.probed, base.filter_stats.probed);
-    EXPECT_EQ(par.filter_stats.passed, base.filter_stats.passed);
-    EXPECT_EQ(par.rows_out, base.rows_out);
   }
+  const ManualScanResult base =
+      RunManualScan(fact_, make_saturated(), "d0_fk", 1);
+  EXPECT_EQ(base.rows_out, fact_->num_rows());
+  EXPECT_EQ(base.filter_stats.probed, fact_->num_rows());
+  EXPECT_EQ(base.filter_stats.passed, base.filter_stats.probed);
+  const ManualScanResult par =
+      RunManualScan(fact_, make_saturated(), "d0_fk", 4);
+  EXPECT_EQ(par.checksum, base.checksum);
+  EXPECT_EQ(par.groups, base.groups);
+  EXPECT_EQ(par.filter_stats.probed, base.filter_stats.probed);
+  EXPECT_EQ(par.filter_stats.passed, base.filter_stats.passed);
+  EXPECT_EQ(par.rows_out, base.rows_out);
 }
 
 /// The opposite edge: a filter with nothing inserted rejects every probe,
 /// so no worker folds a row, yet every probe is still counted.
 TEST_F(ParallelScanTest, EmptyFilterRejectsEverythingUnderThreads) {
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     FilterConfig config;
     config.kind = kind;
     for (int threads : {1, 4}) {
@@ -190,7 +185,7 @@ TEST_F(ParallelScanTest, EmptyFilterRejectsEverythingUnderThreads) {
 
 /// End-to-end: ExecutePlan with exec.threads in {1, 4} must agree on result
 /// rows, the order-independent checksum, and every filter's merged counters,
-/// for all three filter kinds.
+/// for both filter kinds.
 TEST(ParallelExecTest, PlanResultsAndFilterStatsMatchSingleThread) {
   auto db = MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 77, /*zipf=*/0.6);
   auto graph = db->Graph();
@@ -198,8 +193,7 @@ TEST(ParallelExecTest, PlanResultsAndFilterStatsMatchSingleThread) {
   Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2, 3});
   PushDownBitvectors(&plan);
 
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     ExecutionOptions single;
     single.filter_config.kind = kind;
     single.agg.kind = AggKind::kSum;

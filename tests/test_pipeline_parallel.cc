@@ -6,7 +6,7 @@
 //  * threads == 1 compiles the exact single-threaded plan (no exchange);
 //    threads > 1 compiles exactly one exchange, directly below the
 //    aggregate, and every hash-join build runs on N workers.
-//  * For all three filter kinds over star and snowflake shapes, a {1,2,4}
+//  * For both filter kinds over star and snowflake shapes, a {1,2,4}
 //    thread sweep leaves result rows/checksums, per-type tuple counts, and
 //    merged probed/passed/inserted byte-equal.
 //  * FillFilterParallel reproduces the sequential filter (membership and
@@ -61,7 +61,7 @@ void ExpectRunsEqual(const QueryMetrics& base, const QueryMetrics& m,
 
 /// Full multi-join star workload: grouped SUM (a multiset-sensitive
 /// aggregate) over a 3-dimension PKFK star, swept over {1,2,4} workers and
-/// all three filter kinds.
+/// both filter kinds.
 TEST(PipelineParallel, StarSweepAllKindsMatchesSingleThread) {
   auto db = MakeStarDb(3, 30000, 400, {0.3, 0.6, 0.15}, 77, /*zipf=*/0.6);
   auto graph = db->Graph();
@@ -69,8 +69,7 @@ TEST(PipelineParallel, StarSweepAllKindsMatchesSingleThread) {
   Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2, 3});
   PushDownBitvectors(&plan);
 
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     ExecutionOptions options;
     options.filter_config.kind = kind;
     options.agg.kind = AggKind::kSum;
@@ -102,8 +101,7 @@ TEST(PipelineParallel, SnowflakeSweepMatchesSingleThread) {
   Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2, 3, 4});
   PushDownBitvectors(&plan);
 
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     ExecutionOptions options;
     options.filter_config.kind = kind;
     const QueryMetrics base = ExecutePlan(plan, options);
@@ -149,21 +147,17 @@ TEST(PipelineParallel, BushyBuildPipelinesMatchSingleThread) {
   ASSERT_TRUE(plan.Validate());
   PushDownBitvectors(&plan);
 
-  for (FilterKind kind : {FilterKind::kBloom, FilterKind::kBlockedBloom}) {
-    ExecutionOptions options;
-    options.filter_config.kind = kind;
-    const QueryMetrics base = ExecutePlan(plan, options);
-    ASSERT_GT(base.join_tuples, 0);
+  ExecutionOptions options;
+  options.filter_config.kind = FilterKind::kBlockedBloom;
+  const QueryMetrics base = ExecutePlan(plan, options);
+  ASSERT_GT(base.join_tuples, 0);
 
-    for (int threads : {2, 4}) {
-      ExecutionOptions parallel = options;
-      parallel.exec.threads = threads;
-      parallel.exec.morsel_rows = 1024;
-      const QueryMetrics m = ExecutePlan(plan, parallel);
-      ExpectRunsEqual(base, m,
-                      std::string("bushy ") + FilterKindName(kind) +
-                          " threads=" + std::to_string(threads));
-    }
+  for (int threads : {2, 4}) {
+    ExecutionOptions parallel = options;
+    parallel.exec.threads = threads;
+    parallel.exec.morsel_rows = 1024;
+    const QueryMetrics m = ExecutePlan(plan, parallel);
+    ExpectRunsEqual(base, m, "bushy threads=" + std::to_string(threads));
   }
 }
 
@@ -265,8 +259,7 @@ TEST(PipelineParallel, FillFilterParallelMatchesSequential) {
     }
   }
 
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     FilterConfig config;
     config.kind = kind;
     auto sequential = CreateFilter(config, kKeys);
@@ -356,8 +349,7 @@ TEST(PipelineParallelAgg, StarGroupedAndUngroupedParity) {
   Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2, 3});
   PushDownBitvectors(&plan);
 
-  for (FilterKind kind :
-       {FilterKind::kExact, FilterKind::kBloom, FilterKind::kBlockedBloom}) {
+  for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
     ExecutionOptions grouped = GroupedSumOptions(kind);
     {
       ExecutionOptions check = grouped;
@@ -482,7 +474,7 @@ TEST(PipelineParallelAgg, PreAggShapeAndCounters) {
   Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2});
   PushDownBitvectors(&plan);
 
-  ExecutionOptions options = GroupedSumOptions(FilterKind::kBloom);
+  ExecutionOptions options = GroupedSumOptions(FilterKind::kBlockedBloom);
   {
     FilterRuntime runtime;
     options.exec.threads = 4;
