@@ -85,8 +85,8 @@ DrainResult DrainOnce(const Table* table, FilterKind kind, int threads) {
   agg.has_group_by = true;
   agg.group_column = BoundColumn{0, "d_fk"};
   auto scan = std::make_unique<ScanOperator>(
-      table, nullptr, schema, std::vector<ResolvedFilter>{rf}, &runtime,
-      "scan t");
+      table, nullptr, nullptr, schema, std::vector<ResolvedFilter>{rf},
+      &runtime, "scan t");
   const ScanOperator* scan_raw = scan.get();
   std::unique_ptr<PhysicalOperator> child = std::move(scan);
   if (threads > 1) {

@@ -1,10 +1,11 @@
 // Execution-engine configuration: the knobs that select between the
 // single-threaded Volcano pipeline and morsel-parallel pipeline execution.
 //
-// Threading model: whole pipelines go wide (src/exec/pipeline.h). The
-// selection vector a scan computes at Open() is split into fixed-size
-// morsels claimed off an atomic cursor; each worker runs the full
-// hash -> MayContainBatch -> gather -> join-probe chain thread-locally.
+// Threading model: whole pipelines go wide (src/exec/pipeline.h). A scan's
+// table is split into fixed-size, word-aligned row ranges (morsels)
+// claimed off an atomic cursor; each worker decodes its morsel's selected
+// rows and runs the full hash -> MayContainBatch -> gather -> join-probe
+// chain thread-locally.
 // Hash-join builds drain their build pipeline with N workers reassembled
 // in canonical order, and the topmost probe chain's workers fold straight
 // into thread-local partial aggregates that the aggregate merges
@@ -48,9 +49,10 @@ struct ExecConfig {
   /// on the shared WorkerPool (src/server/worker_pool.h).
   int threads = 1;
 
-  /// Rows of a scan's selection vector claimed per atomic cursor bump.
-  /// Large enough to amortize the claim, small enough that workers finish
-  /// within a few morsels of each other at the tail.
+  /// Table rows a scan worker claims per atomic cursor bump, rounded up to
+  /// whole 64-row selection words. Large enough to amortize the claim,
+  /// small enough that workers finish within a few morsels of each other
+  /// at the tail.
   int morsel_rows = 16384;
 
   int ResolvedThreads() const {

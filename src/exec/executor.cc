@@ -72,7 +72,8 @@ std::unique_ptr<PhysicalOperator> CompileNode(
       filters.push_back(std::move(rf));
     }
     auto op = std::make_unique<ScanOperator>(
-        rel.table, rel.predicate, OutputSchema(std::move(required)),
+        rel.table, rel.predicate, rel.selection,
+        OutputSchema(std::move(required)),
         std::move(filters), runtime, "scan " + rel.alias);
     op->stats().plan_node_id = node.id;
     // Leaves compile bare at every thread count: parallelism is applied per

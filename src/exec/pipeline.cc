@@ -72,7 +72,7 @@ void ResetForMorsel(PipelineWorkerState* ws) {
 }
 
 /// The output rows one claimed morsel produced, keyed by the morsel's
-/// canonical position in the scan selection.
+/// canonical position: its first table row.
 struct MorselChunk {
   size_t begin = 0;
   std::vector<int64_t> rows;  ///< row-major
@@ -165,7 +165,7 @@ std::vector<int64_t> DrainPipelineParallel(const Pipeline& pipe,
   for (auto& ws : states) MergePipelineWorkerStats(pipe, &ws);
 
   // Reassemble in canonical order: morsel begins are unique cursor offsets,
-  // so sorting by them reproduces the selection (= single-threaded) order.
+  // so sorting by them reproduces the table (= single-threaded) order.
   std::vector<const MorselChunk*> order;
   size_t total = 0;
   for (const auto& chunks : worker_chunks) {

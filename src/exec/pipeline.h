@@ -28,7 +28,7 @@
 //  * Canonical (DrainPipelineParallel): workers claim one morsel at a time
 //    and the per-morsel output chunks are reassembled in morsel order, which
 //    equals the single-threaded row order exactly (scan rows stream in
-//    selection order and every probe stage is order-preserving). Hash-join
+//    table-row order and every probe stage is order-preserving). Hash-join
 //    builds use this, so the hash table is byte-identical at every thread
 //    count.
 //

@@ -12,13 +12,24 @@ namespace bqo {
 // lives in bloom_filter.h, shared with the hash join's residual winnow.
 
 ScanOperator::ScanOperator(const Table* table, ExprPtr predicate,
+                           std::shared_ptr<const SelectionBits> selection,
                            OutputSchema schema,
                            std::vector<ResolvedFilter> filters,
                            FilterRuntime* runtime, std::string label)
     : table_(table),
       predicate_(std::move(predicate)),
       filters_(std::move(filters)),
-      runtime_(runtime) {
+      runtime_(runtime),
+      selection_(std::move(selection)),
+      num_rows_(static_cast<size_t>(table->num_rows())) {
+  // The scan only reads a selection statistics attached
+  // (AttachRelationStatistics); it never evaluates its predicate.
+  BQO_CHECK_MSG(selection_ != nullptr || SelectsAllRows(predicate_),
+                "predicated scan compiled without its relation's selection "
+                "(attach statistics before compiling)");
+  BQO_CHECK_MSG(selection_ == nullptr ||
+                    selection_->num_rows() == table_->num_rows(),
+                "scan selection evaluated over a different table state");
   schema_ = std::move(schema);
   stats_.type = OperatorType::kScan;
   stats_.label = std::move(label);
@@ -34,12 +45,11 @@ ScanOperator::ScanOperator(const Table* table, ExprPtr predicate,
 
 void ScanOperator::Open() {
   TimerGuard timer(&stats_);
-  selection_ = EvaluatePredicate(*table_, predicate_);
   shared_cursor_.store(0, std::memory_order_relaxed);
-  // One morsel spanning the whole selection: the single-threaded Next()
-  // path then consumes strides exactly as before. ExchangeOperator
-  // overrides this with its configured morsel size before workers start.
-  morsel_rows_ = selection_.empty() ? 1 : selection_.size();
+  // One morsel spanning the whole table: the single-threaded Next() path.
+  // ExchangeOperator overrides this with its configured morsel size
+  // before workers start.
+  set_morsel_rows(num_rows_);
 
   // Resolve the filters pushed down to this scan. Every hash join above
   // has finished its build (and created its filter) before our Open runs.
@@ -66,6 +76,7 @@ void ScanOperator::Open() {
 }
 
 void ScanOperator::InitWorkerState(WorkerState* ws) const {
+  ws->rows.resize(kBatchSize);
   ws->sel.resize(kBatchSize);
   ws->hashes.resize(kBatchSize);
   ws->keys.resize(size_t{8} * kBatchSize);
@@ -138,11 +149,31 @@ void ScanOperator::ProcessStride(const uint32_t* rows, int n, uint16_t* sel,
 }
 
 void ScanOperator::ConsumeStride(Batch* out, WorkerState* ws) const {
-  const int n = static_cast<int>(std::min<size_t>(
-      static_cast<size_t>(kBatchSize - out->num_rows),
-      ws->morsel_end - ws->morsel_pos));
-  const uint32_t* rows = selection_.data() + ws->morsel_pos;
-  ws->morsel_pos += static_cast<size_t>(n);
+  const int cap = kBatchSize - out->num_rows;
+  uint32_t* rows = ws->rows.data();
+  size_t pos = ws->morsel_pos;
+  int n = 0;
+  if (selection_ == nullptr) {
+    n = static_cast<int>(
+        std::min<size_t>(static_cast<size_t>(cap), ws->morsel_end - pos));
+    for (int i = 0; i < n; ++i) rows[i] = static_cast<uint32_t>(pos + i);
+    pos += static_cast<size_t>(n);
+  } else {
+    // Decode set bits word by word. A morsel ends on a word boundary or at
+    // the table's end, past which the bits are zero, so no end mask is
+    // needed; a word cut short by the stride cap resumes mid-word.
+    const uint64_t* words = selection_->words();
+    while (pos < ws->morsel_end && n < cap) {
+      const size_t w = pos >> 6;
+      uint64_t bits = words[w] & (~uint64_t{0} << (pos & 63));
+      for (; bits != 0 && n < cap; bits &= bits - 1) {
+        rows[n++] = static_cast<uint32_t>((w << 6) + __builtin_ctzll(bits));
+      }
+      pos = bits == 0 ? (w + 1) << 6 : (w << 6) + __builtin_ctzll(bits);
+    }
+    pos = std::min(pos, ws->morsel_end);
+  }
+  ws->morsel_pos = pos;
   ws->rows_prefilter += n;
   ProcessStride(rows, n, ws->sel.data(), ws->hashes.data(), ws->keys.data(),
                 ws->filter_stats.data(), out);
@@ -175,7 +206,7 @@ bool ScanOperator::ClaimMorsel(WorkerState* ws, size_t* begin) {
   // claiming and the drain above unwinds as if the scan ran dry.
   if (CtxShouldStop(query_context())) return false;
   // fetch_add is the only cross-worker synchronization on the hot path.
-  const size_t total = selection_.size();
+  const size_t total = num_rows_;
   const size_t b =
       shared_cursor_.fetch_add(morsel_rows_, std::memory_order_relaxed);
   if (b >= total) return false;
@@ -224,8 +255,6 @@ void ScanOperator::MergeWorkerStats(WorkerState* ws) {
 
 void ScanOperator::Close() {
   MergeWorkerStats(&local_);
-  selection_.clear();
-  selection_.shrink_to_fit();
   active_filters_.clear();
   filter_stat_slots_.clear();
 }

@@ -1,22 +1,29 @@
-// Table scan: local predicate evaluation plus pushed-down bitvector probes.
+// Table scan: local predicate selection plus pushed-down bitvector probes.
 //
-// The predicate is evaluated once at Open() into a selection vector (this is
-// the columnar "leaf" work the paper's Figure 9 counts); batches are produced
-// one stride of candidate rows at a time: the stride's filter keys are hashed
-// into a scratch array, each pushed-down filter winnows a per-stride selection
-// vector (batched, prefetched probes — see batch.h), and the survivors are
-// gathered into the output batch in one pass at the end.
+// The scan reads its relation's selection — the packed bits the statistics
+// layer evaluated the predicate into once per query
+// (RelationRef::selection, src/expr/expr.h) — and does no predicate work
+// of its own: a predicated scan must be given that selection (the
+// constructor checks), and a scan whose predicate selects every row walks
+// plain row ranges. This selection is the columnar "leaf" work the paper's
+// Figure 9 counts. Batches are produced one stride of candidate rows at a
+// time: the stride's selected rows are decoded from the selection words
+// (or taken from the row range) into a stride-local row array, the
+// stride's filter keys are hashed into a scratch array, each pushed-down
+// filter winnows a per-stride selection vector (batched, prefetched probes
+// — see batch.h), and the survivors are gathered into the output batch in
+// one pass at the end.
 //
 // == Morsel parallelism ==
 //
-// The selection vector is immutable after Open(), and so are the bitvector
-// filters (built before the probe side opens), so the stride pipeline can run
-// from many threads at once: strides are claimed off an atomic cursor in
-// morsel-sized chunks, and each worker keeps its own scratch buffers and
-// stats accumulators in a WorkerState. The single-threaded Next() path is the
-// degenerate case — one WorkerState, one morsel spanning the whole selection —
-// so both paths execute the same code. The scan is the *source* of every
-// parallel pipeline (pipeline.h): ExchangeOperator workers drain it
+// The selection is immutable, and so are the bitvector filters (built
+// before the probe side opens), so the stride pipeline can run from many
+// threads at once: morsels are word-aligned ranges of table rows claimed
+// off an atomic cursor, and each worker keeps its own scratch buffers and
+// stats accumulators in a WorkerState. The single-threaded Next() path is
+// the degenerate case — one WorkerState, one morsel spanning the whole
+// table — so both paths execute the same code. The scan is the *source* of
+// every parallel pipeline (pipeline.h): ExchangeOperator workers drain it
 // free-running through ParallelNext, and hash-join build drains claim one
 // morsel at a time (ClaimMorsel/MorselNext) so their outputs reassemble in
 // canonical order. Whoever owns the workers merges every WorkerState's
@@ -24,7 +31,9 @@
 // after the workers are joined.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <vector>
 
 #include "src/exec/operator.h"
@@ -34,11 +43,16 @@ namespace bqo {
 
 class ScanOperator final : public PhysicalOperator {
  public:
+  /// \param selection the rows `predicate` selects over `table`, already
+  ///                  evaluated (RelationRef::selection). Null only when
+  ///                  `predicate` selects every row; a predicated scan
+  ///                  without one is a fatal check failure.
   /// \param filters   filters applied at this leaf; key_positions are
   ///                  base-table column indices of the probe columns.
-  ScanOperator(const Table* table, ExprPtr predicate, OutputSchema schema,
-               std::vector<ResolvedFilter> filters, FilterRuntime* runtime,
-               std::string label);
+  ScanOperator(const Table* table, ExprPtr predicate,
+               std::shared_ptr<const SelectionBits> selection,
+               OutputSchema schema, std::vector<ResolvedFilter> filters,
+               FilterRuntime* runtime, std::string label);
 
   void Open() override;
   bool Next(Batch* out) override;
@@ -49,6 +63,7 @@ class ScanOperator final : public PhysicalOperator {
   /// MergeWorkerStats folds these in once the worker is done, so the merged
   /// probed/passed totals are exactly the single-threaded counts.
   struct WorkerState {
+    std::vector<uint32_t> rows;          ///< the stride's candidate rows
     std::vector<uint16_t> sel;           ///< live positions within the stride
     std::vector<uint64_t> hashes;        ///< hash of position i's key
     std::vector<int64_t> keys;           ///< gathered key columns (8 strides)
@@ -56,7 +71,8 @@ class ScanOperator final : public PhysicalOperator {
     int64_t rows_prefilter = 0;
     int64_t rows_out = 0;
     int64_t busy_ns = 0;                 ///< pipeline time (exchange workers)
-    // Current claimed morsel: [morsel_pos, morsel_end) over selection_.
+    // Current claimed morsel: table rows [morsel_pos, morsel_end), of
+    // which the rows before morsel_pos are consumed.
     size_t morsel_pos = 0;
     size_t morsel_end = 0;
   };
@@ -65,7 +81,7 @@ class ScanOperator final : public PhysicalOperator {
   void InitWorkerState(WorkerState* ws) const;
 
   /// \brief Fill `out` by claiming strides off the shared morsel cursor;
-  /// false when the selection is exhausted and `out` came up empty. Safe to
+  /// false when the table is exhausted and `out` came up empty. Safe to
   /// call from multiple threads after Open(), each with its own WorkerState;
   /// all counters accumulate into `ws`. Batches may span morsels (the
   /// free-running path used above probe pipelines, where order is
@@ -73,9 +89,9 @@ class ScanOperator final : public PhysicalOperator {
   bool ParallelNext(Batch* out, WorkerState* ws);
 
   /// \brief Claim the next unprocessed morsel off the shared cursor into
-  /// `ws`. `*begin` is its starting offset in the selection — a canonical
-  /// position: chunks sorted by it reassemble the single-threaded row
-  /// order. False when the selection is exhausted. Thread-safe.
+  /// `ws`. `*begin` is its first table row — a canonical position: chunks
+  /// sorted by it reassemble the single-threaded row order. False when the
+  /// table is exhausted. Thread-safe.
   bool ClaimMorsel(WorkerState* ws, size_t* begin);
 
   /// \brief Like ParallelNext but confined to the morsel last claimed via
@@ -89,9 +105,12 @@ class ScanOperator final : public PhysicalOperator {
   /// the worker quiesced (joined), before Close(); not thread-safe.
   void MergeWorkerStats(WorkerState* ws);
 
-  /// \brief Selection rows claimed per atomic cursor bump (exchange.h sets
+  /// \brief Table rows claimed per atomic cursor bump, rounded up to whole
+  /// selection words so every morsel starts on a word (exchange.h sets
   /// this between Open() and the first ParallelNext).
-  void set_morsel_rows(size_t rows) { morsel_rows_ = rows < 1 ? 1 : rows; }
+  void set_morsel_rows(size_t rows) {
+    morsel_rows_ = std::max<size_t>(64, (rows + 63) / 64 * 64);
+  }
 
   /// \brief The query's cancellation context (FilterRuntime::context), or
   /// null. The scan is the source of every pipeline, so drain owners
@@ -131,8 +150,9 @@ class ScanOperator final : public PhysicalOperator {
                      uint64_t* hashes, int64_t* keys, FilterStats* fstats,
                      Batch* out) const;
 
-  /// Run one stride off `ws`'s claimed morsel (capped at the batch's
-  /// remaining capacity) through the filter pipeline into `out`.
+  /// Run one stride off `ws`'s claimed morsel through the filter pipeline
+  /// into `out`: the morsel's next selected rows, at most the batch's
+  /// remaining capacity of them.
   void ConsumeStride(Batch* out, WorkerState* ws) const;
 
   const Table* table_;
@@ -147,8 +167,10 @@ class ScanOperator final : public PhysicalOperator {
   /// FilterRuntime stats slots aligned with active_filters_ (merge targets).
   std::vector<FilterStats*> filter_stat_slots_;
 
-  std::vector<uint32_t> selection_;
-  /// Next unclaimed selection index; workers advance it by morsel_rows_.
+  /// Null when every row is selected.
+  std::shared_ptr<const SelectionBits> selection_;
+  size_t num_rows_ = 0;
+  /// Next unclaimed table row; workers advance it by morsel_rows_.
   std::atomic<size_t> shared_cursor_{0};
   size_t morsel_rows_ = 0;
 

@@ -1,9 +1,10 @@
 #include "src/expr/expr.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <limits>
 
 #include "src/common/string_util.h"
+#include "src/expr/predicate_kernels.h"
 
 namespace bqo {
 
@@ -146,182 +147,323 @@ ExprPtr Not(ExprPtr child) {
   return e;
 }
 
+
+int64_t SelectionBits::CountOnes() const {
+  int64_t count = 0;
+  for (uint64_t w : words_) count += __builtin_popcountll(w);
+  return count;
+}
+
 namespace {
 
-const Column& RequireColumn(const Table& table, const std::string& name) {
-  const int idx = table.ColumnIndex(name);
-  BQO_CHECK_MSG(idx >= 0, ("predicate column missing: " + name).c_str());
-  return table.column(idx);
+/// A predicate node bound to a table: a leaf's column resolved once and its
+/// literal lowered to what its kernel takes. Integer comparisons, BETWEEN
+/// and string =/<> (on dictionary codes) all become inclusive ranges.
+struct BoundNode {
+  enum class Op : uint8_t {
+    kAll,
+    kIntRange,       ///< lo <= x <= hi, xor negate
+    kDoubleCompare,  ///< expr->op against expr->literal
+    kIntIn,          ///< x in expr->in_values
+    kCodeLike,       ///< dictionary string contains expr->needle
+    kModLess,        ///< x % expr->mod_divisor < expr->mod_bound
+    kAnd,
+    kOr,
+    kNot,
+  };
+  Op op = Op::kAll;
+  const Expr* expr = nullptr;
+  const Column* column = nullptr;
+  int64_t lo = 0;
+  int64_t hi = 0;
+  bool negate = false;
+  std::vector<BoundNode> children;
+};
+
+Status Invalid(const Expr& expr, const std::string& why) {
+  return Status::InvalidArgument("predicate '" + expr.ToString() +
+                                 "': " + why);
 }
 
-void EvalInto(const Table& table, const Expr& expr,
-              std::vector<uint8_t>* out) {
-  const int64_t n = table.num_rows();
-  out->assign(static_cast<size_t>(n), 0);
-  switch (expr.kind) {
-    case ExprKind::kTrue: {
-      std::fill(out->begin(), out->end(), 1);
-      return;
-    }
-    case ExprKind::kCompare: {
-      const Column& col = RequireColumn(table, expr.column);
-      if (col.type() == DataType::kString) {
-        BQO_CHECK_MSG(expr.literal.type() == DataType::kString,
-                      "string column compared to non-string literal");
-        // Equality on strings resolves to one dictionary code; other
-        // comparisons are not meaningful on dictionary order.
-        BQO_CHECK_MSG(expr.op == CompareOp::kEq || expr.op == CompareOp::kNe,
-                      "only =/<> supported on string columns");
-        const int32_t code = col.dict().Lookup(expr.literal.AsString());
-        const int64_t* data = col.int_data();
-        const bool want_eq = expr.op == CompareOp::kEq;
-        for (int64_t i = 0; i < n; ++i) {
-          const bool eq = data[i] == code;
-          (*out)[static_cast<size_t>(i)] = (eq == want_eq) ? 1 : 0;
-        }
-        return;
+/// Integer comparison `x op v` as the inclusive range [*lo, *hi] (empty
+/// when lo > hi), negated for `<>`.
+void CompareToRange(CompareOp op, int64_t v, int64_t* lo, int64_t* hi,
+                    bool* negate) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  *lo = v;
+  *hi = v;
+  *negate = false;
+  switch (op) {
+    case CompareOp::kEq:
+      break;
+    case CompareOp::kNe:
+      *negate = true;
+      break;
+    case CompareOp::kLt:
+      if (v == kMin) {
+        *lo = 1;  // empty
+        *hi = 0;
+      } else {
+        *lo = kMin;
+        *hi = v - 1;
       }
-      if (col.type() == DataType::kDouble) {
-        const double v = expr.literal.type() == DataType::kDouble
-                             ? expr.literal.AsDouble()
-                             : static_cast<double>(expr.literal.AsInt64());
-        const double* data = col.double_data();
-        for (int64_t i = 0; i < n; ++i) {
-          const double x = data[i];
-          bool r = false;
-          switch (expr.op) {
-            case CompareOp::kEq: r = x == v; break;
-            case CompareOp::kNe: r = x != v; break;
-            case CompareOp::kLt: r = x < v; break;
-            case CompareOp::kLe: r = x <= v; break;
-            case CompareOp::kGt: r = x > v; break;
-            case CompareOp::kGe: r = x >= v; break;
-          }
-          (*out)[static_cast<size_t>(i)] = r ? 1 : 0;
-        }
-        return;
+      break;
+    case CompareOp::kLe:
+      *lo = kMin;
+      break;
+    case CompareOp::kGt:
+      if (v == kMax) {
+        *lo = 1;  // empty
+        *hi = 0;
+      } else {
+        *lo = v + 1;
+        *hi = kMax;
       }
-      const int64_t v = expr.literal.AsInt64();
-      const int64_t* data = col.int_data();
-      for (int64_t i = 0; i < n; ++i) {
-        const int64_t x = data[i];
-        bool r = false;
-        switch (expr.op) {
-          case CompareOp::kEq: r = x == v; break;
-          case CompareOp::kNe: r = x != v; break;
-          case CompareOp::kLt: r = x < v; break;
-          case CompareOp::kLe: r = x <= v; break;
-          case CompareOp::kGt: r = x > v; break;
-          case CompareOp::kGe: r = x >= v; break;
-        }
-        (*out)[static_cast<size_t>(i)] = r ? 1 : 0;
-      }
-      return;
-    }
-    case ExprKind::kBetween: {
-      const Column& col = RequireColumn(table, expr.column);
-      BQO_CHECK(col.type() == DataType::kInt64);
-      const int64_t* data = col.int_data();
-      for (int64_t i = 0; i < n; ++i) {
-        (*out)[static_cast<size_t>(i)] =
-            (data[i] >= expr.lo && data[i] <= expr.hi) ? 1 : 0;
-      }
-      return;
-    }
-    case ExprKind::kInList: {
-      const Column& col = RequireColumn(table, expr.column);
-      BQO_CHECK(col.type() == DataType::kInt64);
-      std::unordered_set<int64_t> set(expr.in_values.begin(),
-                                      expr.in_values.end());
-      const int64_t* data = col.int_data();
-      for (int64_t i = 0; i < n; ++i) {
-        (*out)[static_cast<size_t>(i)] = set.count(data[i]) ? 1 : 0;
-      }
-      return;
-    }
-    case ExprKind::kStringContains: {
-      const Column& col = RequireColumn(table, expr.column);
-      BQO_CHECK(col.type() == DataType::kString);
-      // Scan the dictionary once, then test codes: O(dict + rows).
-      std::vector<uint8_t> code_match(
-          static_cast<size_t>(col.dict().size()), 0);
-      for (int32_t code : col.dict().CodesContaining(expr.needle)) {
-        code_match[static_cast<size_t>(code)] = 1;
-      }
-      const int64_t* data = col.int_data();
-      for (int64_t i = 0; i < n; ++i) {
-        (*out)[static_cast<size_t>(i)] =
-            code_match[static_cast<size_t>(data[i])];
-      }
-      return;
-    }
-    case ExprKind::kModLess: {
-      const Column& col = RequireColumn(table, expr.column);
-      BQO_CHECK(col.type() == DataType::kInt64);
-      const int64_t* data = col.int_data();
-      for (int64_t i = 0; i < n; ++i) {
-        (*out)[static_cast<size_t>(i)] =
-            (data[i] % expr.mod_divisor) < expr.mod_bound ? 1 : 0;
-      }
-      return;
-    }
-    case ExprKind::kAnd:
-    case ExprKind::kOr: {
-      BQO_CHECK(!expr.children.empty());
-      EvalInto(table, *expr.children[0], out);
-      std::vector<uint8_t> tmp;
-      for (size_t c = 1; c < expr.children.size(); ++c) {
-        EvalInto(table, *expr.children[c], &tmp);
-        if (expr.kind == ExprKind::kAnd) {
-          for (int64_t i = 0; i < n; ++i) {
-            (*out)[static_cast<size_t>(i)] &= tmp[static_cast<size_t>(i)];
-          }
-        } else {
-          for (int64_t i = 0; i < n; ++i) {
-            (*out)[static_cast<size_t>(i)] |= tmp[static_cast<size_t>(i)];
-          }
-        }
-      }
-      return;
-    }
-    case ExprKind::kNot: {
-      BQO_CHECK_EQ(expr.children.size(), size_t{1});
-      EvalInto(table, *expr.children[0], out);
-      for (int64_t i = 0; i < n; ++i) {
-        (*out)[static_cast<size_t>(i)] ^= 1;
-      }
-      return;
-    }
+      break;
+    case CompareOp::kGe:
+      *hi = kMax;
+      break;
   }
 }
+
+/// Bind `expr` against `table` into `out`, checking the rules
+/// ValidatePredicate documents. A null `out` only checks: no tree is built
+/// and nothing is allocated.
+Status Bind(const Table& table, const Expr& expr, BoundNode* out) {
+  BoundNode leaf;  // a leaf's lowering when only checking; never allocates
+  if (out == nullptr) out = &leaf;
+  const bool build = out != &leaf;
+  out->expr = &expr;
+  switch (expr.kind) {
+    case ExprKind::kTrue:
+      out->op = BoundNode::Op::kAll;
+      return Status::OK();
+    case ExprKind::kAnd:
+    case ExprKind::kOr:
+    case ExprKind::kNot: {
+      if (expr.kind == ExprKind::kNot ? expr.children.size() != 1
+                                      : expr.children.empty()) {
+        return Invalid(expr, "wrong number of operands");
+      }
+      out->op = expr.kind == ExprKind::kAnd  ? BoundNode::Op::kAnd
+                : expr.kind == ExprKind::kOr ? BoundNode::Op::kOr
+                                             : BoundNode::Op::kNot;
+      if (build) out->children.resize(expr.children.size());
+      for (size_t c = 0; c < expr.children.size(); ++c) {
+        if (expr.children[c] == nullptr) return Invalid(expr, "null operand");
+        BQO_RETURN_NOT_OK(Bind(table, *expr.children[c],
+                               build ? &out->children[c] : nullptr));
+      }
+      return Status::OK();
+    }
+    default:
+      break;
+  }
+
+  const int idx = table.ColumnIndex(expr.column);
+  if (idx < 0) {
+    return Invalid(expr, "no column '" + expr.column + "' in table '" +
+                             table.name() + "'");
+  }
+  const Column& col = table.column(idx);
+  out->column = &col;
+  const DataType type = col.type();
+  const auto require = [&](DataType want) {
+    return type == want ? Status::OK()
+                        : Invalid(expr, std::string("applies only to ") +
+                                            DataTypeName(want) + " columns");
+  };
+  switch (expr.kind) {
+    case ExprKind::kCompare: {
+      const DataType lit = expr.literal.type();
+      if (type == DataType::kString) {
+        if (lit != DataType::kString) {
+          return Invalid(expr, "string column compared to a non-string "
+                               "literal");
+        }
+        if (expr.op != CompareOp::kEq && expr.op != CompareOp::kNe) {
+          return Invalid(expr, "only = and <> apply to string columns");
+        }
+        // One dictionary code; an absent string's -1 matches no row.
+        const int64_t code = col.dict().Lookup(expr.literal.AsString());
+        out->op = BoundNode::Op::kIntRange;
+        CompareToRange(expr.op, code, &out->lo, &out->hi, &out->negate);
+        return Status::OK();
+      }
+      if (lit != type) {
+        return Invalid(expr, std::string(DataTypeName(type)) +
+                                 " column compared to a " +
+                                 DataTypeName(lit) + " literal");
+      }
+      if (type == DataType::kDouble) {
+        out->op = BoundNode::Op::kDoubleCompare;
+        return Status::OK();
+      }
+      out->op = BoundNode::Op::kIntRange;
+      CompareToRange(expr.op, expr.literal.AsInt64(), &out->lo, &out->hi,
+                     &out->negate);
+      return Status::OK();
+    }
+    case ExprKind::kBetween:
+      out->op = BoundNode::Op::kIntRange;
+      out->lo = expr.lo;
+      out->hi = expr.hi;
+      return require(DataType::kInt64);
+    case ExprKind::kInList:
+      out->op = BoundNode::Op::kIntIn;
+      return require(DataType::kInt64);
+    case ExprKind::kStringContains:
+      out->op = BoundNode::Op::kCodeLike;
+      return require(DataType::kString);
+    case ExprKind::kModLess:
+      if (expr.mod_divisor <= 0) return Invalid(expr, "non-positive divisor");
+      out->op = BoundNode::Op::kModLess;
+      return require(DataType::kInt64);
+    default:
+      return Invalid(expr, "unknown predicate kind");
+  }
+}
+
+/// Evaluates a bound tree over all `num_rows` rows into packed words.
+/// Each AND/OR level owns one scratch buffer its later operands evaluate
+/// into before being folded into the level's output in place.
+class Evaluator {
+ public:
+  explicit Evaluator(int64_t num_rows)
+      : n_(num_rows), num_words_(SelectionBits::WordCount(num_rows)) {}
+
+  void Eval(const BoundNode& node, size_t depth, uint64_t* out) {
+    switch (node.op) {
+      case BoundNode::Op::kAll:
+        std::fill(out, out + num_words_, 0);
+        NegateSelectionWords(n_, out);
+        return;
+      case BoundNode::Op::kIntRange:
+        RangeInt64Kernel(node.column->int_data(), n_, node.lo, node.hi,
+                         node.negate, out);
+        return;
+      case BoundNode::Op::kDoubleCompare:
+        EvalDoubleCompare(node.column->double_data(), node.expr->op,
+                          node.expr->literal.AsDouble(), out);
+        return;
+      case BoundNode::Op::kModLess: {
+        const int64_t* data = node.column->int_data();
+        const int64_t divisor = node.expr->mod_divisor;
+        const int64_t bound = node.expr->mod_bound;
+        PackSelectionWords(
+            n_, 0, [&](int64_t i) { return data[i] % divisor < bound; }, out);
+        return;
+      }
+      case BoundNode::Op::kIntIn: {
+        std::vector<int64_t> values = node.expr->in_values;
+        std::sort(values.begin(), values.end());
+        values.erase(std::unique(values.begin(), values.end()), values.end());
+        if (values.empty()) {
+          std::fill(out, out + num_words_, 0);
+          return;
+        }
+        const int64_t lo = values.front();
+        const int64_t hi = values.back();
+        const int64_t* data = node.column->int_data();
+        PackSelectionWords(
+            n_, 0,
+            [&](int64_t i) {
+              const int64_t x = data[i];
+              return x >= lo && x <= hi &&
+                     std::binary_search(values.begin(), values.end(), x);
+            },
+            out);
+        return;
+      }
+      case BoundNode::Op::kCodeLike: {
+        // Scan the dictionary once, then test codes: O(dict + rows).
+        const StringDictionary& dict = node.column->dict();
+        std::vector<uint8_t> code_match(static_cast<size_t>(dict.size()), 0);
+        for (int32_t code : dict.CodesContaining(node.expr->needle)) {
+          code_match[static_cast<size_t>(code)] = 1;
+        }
+        const int64_t* data = node.column->int_data();
+        PackSelectionWords(
+            n_, 0,
+            [&](int64_t i) {
+              return code_match[static_cast<size_t>(data[i])] != 0;
+            },
+            out);
+        return;
+      }
+      case BoundNode::Op::kAnd:
+      case BoundNode::Op::kOr: {
+        Eval(node.children[0], depth + 1, out);
+        uint64_t* operand = Scratch(depth);
+        const bool is_and = node.op == BoundNode::Op::kAnd;
+        for (size_t c = 1; c < node.children.size(); ++c) {
+          Eval(node.children[c], depth + 1, operand);
+          if (is_and) {
+            for (size_t w = 0; w < num_words_; ++w) out[w] &= operand[w];
+          } else {
+            for (size_t w = 0; w < num_words_; ++w) out[w] |= operand[w];
+          }
+        }
+        return;
+      }
+      case BoundNode::Op::kNot:
+        Eval(node.children[0], depth + 1, out);
+        NegateSelectionWords(n_, out);
+        return;
+    }
+  }
+
+ private:
+  /// x op v with C++ semantics (a NaN compares unequal to everything, and
+  /// only `<>` holds for it); the switch sits outside the row loop.
+  void EvalDoubleCompare(const double* data, CompareOp op, double v,
+                         uint64_t* out) const {
+    const auto pack = [&](auto test) {
+      PackSelectionWords(n_, 0, [&](int64_t i) { return test(data[i]); },
+                         out);
+    };
+    switch (op) {
+      case CompareOp::kEq: return pack([v](double x) { return x == v; });
+      case CompareOp::kNe: return pack([v](double x) { return x != v; });
+      case CompareOp::kLt: return pack([v](double x) { return x < v; });
+      case CompareOp::kLe: return pack([v](double x) { return x <= v; });
+      case CompareOp::kGt: return pack([v](double x) { return x > v; });
+      case CompareOp::kGe: return pack([v](double x) { return x >= v; });
+    }
+  }
+
+  /// The scratch buffer of tree depth `depth`. Growing the outer vector
+  /// moves the inner ones, which keeps their buffers (and so pointers
+  /// handed out at shallower depths) in place.
+  uint64_t* Scratch(size_t depth) {
+    if (scratch_.size() <= depth) scratch_.resize(depth + 1);
+    std::vector<uint64_t>& buffer = scratch_[depth];
+    buffer.resize(num_words_);
+    return buffer.data();
+  }
+
+  const int64_t n_;
+  const size_t num_words_;
+  std::vector<std::vector<uint64_t>> scratch_;
+};
 
 }  // namespace
 
-std::vector<uint8_t> EvaluateBitmap(const Table& table, const ExprPtr& expr) {
-  std::vector<uint8_t> bitmap;
-  if (expr == nullptr) {
-    bitmap.assign(static_cast<size_t>(table.num_rows()), 1);
-    return bitmap;
-  }
-  EvalInto(table, *expr, &bitmap);
-  return bitmap;
+Status ValidatePredicate(const Table& table, const ExprPtr& expr) {
+  if (expr == nullptr) return Status::OK();
+  return Bind(table, *expr, nullptr);
 }
 
-std::vector<uint32_t> EvaluatePredicate(const Table& table,
-                                        const ExprPtr& expr) {
-  std::vector<uint32_t> rows;
-  if (expr == nullptr || expr->kind == ExprKind::kTrue) {
-    rows.resize(static_cast<size_t>(table.num_rows()));
-    for (size_t i = 0; i < rows.size(); ++i) {
-      rows[i] = static_cast<uint32_t>(i);
-    }
-    return rows;
+SelectionBits EvaluateSelection(const Table& table, const ExprPtr& expr) {
+  SelectionBits out(table.num_rows());
+  BoundNode root;  // kAll for a null predicate
+  if (expr != nullptr) {
+    const Status status = Bind(table, *expr, &root);
+    BQO_CHECK_MSG(status.ok(), status.ToString().c_str());
   }
-  const std::vector<uint8_t> bitmap = EvaluateBitmap(table, expr);
-  for (size_t i = 0; i < bitmap.size(); ++i) {
-    if (bitmap[i]) rows.push_back(static_cast<uint32_t>(i));
-  }
-  return rows;
+  Evaluator(table.num_rows()).Eval(root, 0, out.mutable_words());
+  return out;
 }
 
 }  // namespace bqo

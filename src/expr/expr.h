@@ -7,6 +7,26 @@
 // BETWEEN, IN, LIKE '%x%' (string containment), modulo selection (used by
 // the paper's Figure 7 micro-benchmark `c_customer_sk % 1000 < @P`), and
 // boolean combinators.
+//
+// == Evaluation ==
+//
+// A predicate evaluates over a whole table into a SelectionBits: one bit
+// per row packed into 64-bit words (row i is bit i % 64 of word i / 64),
+// bits past the last row always zero, so CountOnes() is the exact filtered
+// cardinality. The evaluator first binds the tree against the table —
+// every leaf's column is looked up once and its literal lowered to the
+// form its kernel takes (comparisons on integers and dictionary codes
+// become inclusive ranges) — then runs each leaf over the column into
+// words: those ranges on the dispatched scalar/AVX2 range kernel of
+// predicate_kernels.h, double comparisons and MOD as a scalar per-row
+// test, IN as a probe of the sorted, deduplicated list, LIKE as a
+// per-code lookup after one dictionary scan.
+// AND, OR and NOT combine words in place, with one scratch buffer per
+// tree depth.
+//
+// The engine evaluates each relation's predicate at most once per query:
+// the statistics layer keeps the selection it counts on the relation
+// (RelationRef::selection), and the scan walks that selection's set bits.
 #pragma once
 
 #include <cstdint>
@@ -14,6 +34,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/status.h"
 #include "src/storage/table.h"
 
 namespace bqo {
@@ -73,12 +94,55 @@ ExprPtr And(std::vector<ExprPtr> children);
 ExprPtr Or(std::vector<ExprPtr> children);
 ExprPtr Not(ExprPtr child);
 
-/// \brief Evaluate `expr` over all rows of `table`; returns the selected
-/// row indices in ascending order. kTrue (or null) selects every row.
-std::vector<uint32_t> EvaluatePredicate(const Table& table,
-                                        const ExprPtr& expr);
+/// \brief True when `expr` selects every row (null or kTrue): such a
+/// predicate is never evaluated.
+inline bool SelectsAllRows(const ExprPtr& expr) {
+  return expr == nullptr || expr->kind == ExprKind::kTrue;
+}
 
-/// \brief Evaluate `expr` into a per-row byte bitmap (1 = selected).
-std::vector<uint8_t> EvaluateBitmap(const Table& table, const ExprPtr& expr);
+/// \brief A row selection over a table, packed one bit per row into 64-bit
+/// words. Bits at positions >= num_rows() are always zero.
+class SelectionBits {
+ public:
+  SelectionBits() = default;
+  /// All-zero selection of `num_rows` rows.
+  explicit SelectionBits(int64_t num_rows)
+      : num_rows_(num_rows), words_(WordCount(num_rows), 0) {}
+
+  /// Words needed to hold `num_rows` bits.
+  static size_t WordCount(int64_t num_rows) {
+    return static_cast<size_t>((num_rows + 63) / 64);
+  }
+
+  int64_t num_rows() const { return num_rows_; }
+  size_t num_words() const { return words_.size(); }
+  const uint64_t* words() const { return words_.data(); }
+  uint64_t* mutable_words() { return words_.data(); }
+
+  bool Test(int64_t row) const {
+    return (words_[static_cast<size_t>(row >> 6)] >> (row & 63)) & 1;
+  }
+  /// Number of selected rows.
+  int64_t CountOnes() const;
+
+  bool operator==(const SelectionBits& other) const = default;
+
+ private:
+  int64_t num_rows_ = 0;
+  std::vector<uint64_t> words_;
+};
+
+/// \brief InvalidArgument unless `expr` is well-formed over `table`: every
+/// leaf's column exists; a string column gets only `=`/`<>` against a
+/// string literal; a non-string literal has its column's numeric type
+/// (int64 for int64 columns, double for double columns); BETWEEN, IN and
+/// MOD apply only to int64 columns and LIKE only to string columns;
+/// AND/OR have children and NOT exactly one. Null is valid (selects all).
+Status ValidatePredicate(const Table& table, const ExprPtr& expr);
+
+/// \brief Evaluate `expr` over every row of `table` (see the module
+/// comment). Null or kTrue selects every row. `expr` must pass
+/// ValidatePredicate; a malformed predicate is a fatal check failure.
+SelectionBits EvaluateSelection(const Table& table, const ExprPtr& expr);
 
 }  // namespace bqo

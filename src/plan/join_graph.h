@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,13 @@ struct RelationRef {
   // Filled by the statistics layer (AttachStatistics):
   double base_rows = 0;      ///< |table|
   double filtered_rows = 0;  ///< |sigma_predicate(table)|
+  /// The rows `predicate` selects, evaluated once by AttachStatistics and
+  /// handed to the relation's scan (filtered_rows is its CountOnes()).
+  /// Null when the predicate selects every row (the scan then walks all
+  /// rows) or statistics were never attached (such a graph cannot be
+  /// compiled unless every predicate selects all rows). Shared, immutable: graph copies (plan-cache entries and
+  /// their rebound instances) share it until a rebind re-evaluates.
+  std::shared_ptr<const SelectionBits> selection;
 };
 
 /// \brief An equi-join edge between two relations. `left_cols[i]` joins

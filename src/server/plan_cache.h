@@ -23,10 +23,13 @@
 //
 // Lookup matches on shape, then compares the query's constant slot table
 // against the entry's. Identical constants: the entry itself is served
-// (zero-copy, the degenerate exact hit). Moved constants: the entry's
-// graph is copied, the query's predicates installed, and **only the moved
-// relations'** selectivities re-estimated (AttachRelationStatistics —
-// exact single-table cardinalities). Then one OrderJoins + PruneFilters
+// (zero-copy, the degenerate exact hit), and its scans read the
+// selections the entry's statistics evaluated at optimize time
+// (RelationRef::selection): no predicate is evaluated at all. Moved
+// constants: the entry's graph is copied, the query's predicates
+// installed, and **only the moved relations'** predicates re-evaluated
+// (AttachRelationStatistics — exact single-table cardinalities and the
+// selections their scans read). Then one OrderJoins + PruneFilters
 // runs on the rebound graph (`verifications`) and its PlanChoiceKey is
 // compared with the entry's: a match serves a private executable instance
 // with the cached join order (`rebinds`); a mismatch escalates

@@ -274,30 +274,34 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
 
   // ShouldStop rather than IsCancelled: a deadline that expired during the
   // admission wait must stop the query here, before planning.
-  // `entry` outlives the block: the EXPLAIN ANALYZE report below re-costs
-  // the executed plan after the outcome is final.
+  // `entry` outlives the block: execution runs outside the optimize lock,
+  // and the EXPLAIN ANALYZE report below re-costs the executed plan after
+  // the outcome is final. It stays null when planning never ran or the
+  // spec failed to bind.
   std::shared_ptr<const CachedPlan> entry;
+  int64_t planned_version = 0;
   if (!ctx->ShouldStop()) {
-    int64_t planned_version = 0;
-    {
-      // Shared lock: many queries optimize concurrently; InvalidateCache
-      // takes it exclusive so stats references never die under an
-      // optimizer.
-      std::shared_lock<std::shared_mutex> lock(optimize_mu_);
-      // One version snapshot spans plan-cache lookup, optimization,
-      // insert, *and* execution: the build cache keys shared build sides
-      // under the version this plan was bound to, so a concurrent catalog
-      // bump can never pair a new-version build with an old-version plan
-      // (or vice versa).
-      planned_version = catalog_->version();
-      // Statistics are deferred: a shape hit re-estimates only the
-      // relations whose constants moved (inside Lookup); the miss and
-      // escalation paths attach the full statistics below, before
-      // optimizing.
-      auto graph_result =
-          BuildJoinGraph(*catalog_, spec, /*attach_statistics=*/false);
-      BQO_CHECK_MSG(graph_result.ok(),
-                    ("query failed to bind: " + spec.name).c_str());
+    // Shared lock: many queries optimize concurrently; InvalidateCache
+    // takes it exclusive so stats references never die under an
+    // optimizer.
+    std::shared_lock<std::shared_mutex> lock(optimize_mu_);
+    // One version snapshot spans plan-cache lookup, optimization,
+    // insert, *and* execution: the build cache keys shared build sides
+    // under the version this plan was bound to, so a concurrent catalog
+    // bump can never pair a new-version build with an old-version plan
+    // (or vice versa).
+    planned_version = catalog_->version();
+    // Statistics are deferred: a shape hit re-estimates only the
+    // relations whose constants moved (inside Lookup); the miss and
+    // escalation paths attach the full statistics below, before
+    // optimizing.
+    auto graph_result =
+        BuildJoinGraph(*catalog_, spec, /*attach_statistics=*/false);
+    if (!graph_result.ok()) {
+      // A spec that does not bind (unknown table or alias, malformed
+      // predicate) fails its own query, never the service.
+      ctx->Cancel(graph_result.status());
+    } else {
       JoinGraph& graph = graph_result.value();
       const std::string signature =
           PlanCache::ShapeSignature(graph, options_.optimizer);
@@ -328,6 +332,8 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
                               std::move(optimized));
       }
     }
+  }
+  if (entry != nullptr) {
     result.estimated_cost = entry->estimated_cost;
     result.pruned_filters = entry->pruned_filters;
 

@@ -25,8 +25,15 @@ void AttachRelationStatistics(JoinGraph* graph, int rel) {
   BQO_CHECK_MSG(ref.table != nullptr,
                 "AttachStatistics requires bound tables");
   ref.base_rows = static_cast<double>(ref.table->num_rows());
-  ref.filtered_rows = static_cast<double>(
-      EvaluatePredicate(*ref.table, ref.predicate).size());
+  if (SelectsAllRows(ref.predicate)) {
+    ref.selection = nullptr;
+    ref.filtered_rows = ref.base_rows;
+    return;
+  }
+  auto selection = std::make_shared<const SelectionBits>(
+      EvaluateSelection(*ref.table, ref.predicate));
+  ref.filtered_rows = static_cast<double>(selection->CountOnes());
+  ref.selection = std::move(selection);
 }
 
 double EstimatedCoutModel::BaseDistinct(const RelationRef& rel,

@@ -49,7 +49,9 @@ namespace bqo {
 
 /// \brief Compute filtered_rows for every relation of `graph` by evaluating
 /// local predicates against the base tables (exact single-table
-/// cardinalities; see the module comment in table_stats.h).
+/// cardinalities; see the module comment in table_stats.h). Each
+/// evaluation's selection stays on the relation (RelationRef::selection)
+/// for its scan, so a query evaluates each predicate once.
 void AttachStatistics(JoinGraph* graph);
 
 /// \brief AttachStatistics for a single relation — what a plan-shape cache

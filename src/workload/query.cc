@@ -14,6 +14,7 @@ Result<JoinGraph> BuildJoinGraph(const Catalog& catalog,
   for (const QueryRelation& qr : spec.relations) {
     auto table = catalog.GetTable(qr.table);
     BQO_RETURN_NOT_OK(table.status());
+    BQO_RETURN_NOT_OK(ValidatePredicate(*table.value(), qr.predicate));
     graph.AddRelation(qr.alias, qr.table, table.value(), qr.predicate);
   }
 

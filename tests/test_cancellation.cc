@@ -324,8 +324,8 @@ class PinnedPoolExchangeTest : public ::testing::Test {
     OutputSchema schema(
         {BoundColumn{0, "d0_fk"}, BoundColumn{0, "measure"}});
     auto scan = std::make_unique<ScanOperator>(
-        fact_, nullptr, schema, std::vector<ResolvedFilter>{}, &runtime_,
-        "scan f");
+        fact_, nullptr, nullptr, schema, std::vector<ResolvedFilter>{},
+        &runtime_, "scan f");
     scan_ = scan.get();
     AggSpec agg;
     agg.kind = AggKind::kSum;

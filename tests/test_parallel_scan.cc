@@ -58,8 +58,8 @@ ManualScanResult RunManualScan(const Table* table,
   agg.group_column = BoundColumn{0, key_column};
 
   auto scan = std::make_unique<ScanOperator>(
-      table, nullptr, schema, std::vector<ResolvedFilter>{rf}, &runtime,
-      "scan t");
+      table, nullptr, nullptr, schema, std::vector<ResolvedFilter>{rf},
+      &runtime, "scan t");
   ScanOperator* scan_raw = scan.get();
   std::unique_ptr<PhysicalOperator> child = std::move(scan);
   if (threads > 1) {

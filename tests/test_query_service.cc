@@ -21,6 +21,8 @@
 //    and the per-query worker share clamps execution width.
 //  * A real lite workload served from two clients answers exactly as the
 //    sequential RunWorkload does.
+//  * A spec with a malformed predicate fails its own query with
+//    InvalidArgument and leaves the service serving.
 //
 // Run under -DBQO_SANITIZE=thread in CI: the concurrent-clients tests are
 // the TSan coverage for the whole serving stack.
@@ -358,6 +360,33 @@ TEST(QueryService, PlanCacheHitExecutesIdentically) {
   EXPECT_EQ(stats.hits, 1);
   EXPECT_EQ(stats.misses, 1);
   EXPECT_EQ(stats.entries, 1);
+}
+
+/// A spec whose predicate does not bind — a double literal against an
+/// int64 column, or a column the table lacks — fails that query alone with
+/// InvalidArgument; the service keeps serving, with unchanged answers.
+TEST(QueryService, MalformedPredicateFailsOnlyItsQuery) {
+  auto db = MakeStarDb(2, 10000, 200, {0.4, 0.5}, 55);
+  QueryService service(&db->catalog, QueryServiceOptions{});
+  const QuerySpec good = db->spec;
+  const QueryResult before = service.Execute(good);
+  ASSERT_TRUE(before.status.ok());
+
+  for (const ExprPtr& bad_predicate :
+       {Compare("attr0", CompareOp::kLt, Value(2.5)), Eq("no_such", 1)}) {
+    QuerySpec bad = good;
+    bad.relations[1].predicate = bad_predicate;
+    const QueryResult r = service.Execute(bad);
+    EXPECT_TRUE(r.status.IsInvalidArgument()) << r.status.ToString();
+  }
+
+  const QueryResult after = service.Execute(good);
+  ASSERT_TRUE(after.status.ok());
+  EXPECT_EQ(after.metrics.result_checksum, before.metrics.result_checksum);
+  ExpectMetricsEqual(before.metrics, after.metrics, "after bad specs");
+  const ServingStats stats = service.serving_stats();
+  EXPECT_EQ(stats.failed, 2);
+  EXPECT_EQ(stats.served, 2);
 }
 
 /// A predicated miss pays one optimization, and optimize_ns (QueryResult

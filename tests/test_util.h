@@ -26,6 +26,82 @@ struct TestDb {
   Result<JoinGraph> Graph() const { return BuildJoinGraph(catalog, spec); }
 };
 
+/// \brief Row-at-a-time reference semantics of `expr` on row `row` of
+/// `table`, independent of the engine's evaluator: it reads values through
+/// Column's accessors (strings as strings, not dictionary codes), probes IN
+/// lists linearly and LIKE with std::string::find. Null and kTrue pass
+/// every row. `expr` must be well-formed (ValidatePredicate).
+inline bool NaiveRowPasses(const Table& table, const Expr* expr, int64_t row) {
+  if (expr == nullptr) return true;
+  const auto column = [&]() -> const Column& {
+    return *table.GetColumn(expr->column).value();
+  };
+  switch (expr->kind) {
+    case ExprKind::kTrue:
+      return true;
+    case ExprKind::kCompare: {
+      const Column& col = column();
+      if (col.type() == DataType::kString) {
+        const bool eq = col.GetStringAt(row) == expr->literal.AsString();
+        return expr->op == CompareOp::kEq ? eq : !eq;
+      }
+      const auto compare = [&](auto x, auto v) {
+        switch (expr->op) {
+          case CompareOp::kEq: return x == v;
+          case CompareOp::kNe: return x != v;
+          case CompareOp::kLt: return x < v;
+          case CompareOp::kLe: return x <= v;
+          case CompareOp::kGt: return x > v;
+          case CompareOp::kGe: return x >= v;
+        }
+        return false;
+      };
+      return col.type() == DataType::kDouble
+                 ? compare(col.GetDouble(row), expr->literal.AsDouble())
+                 : compare(col.GetInt64(row), expr->literal.AsInt64());
+    }
+    case ExprKind::kBetween: {
+      const int64_t x = column().GetInt64(row);
+      return expr->lo <= x && x <= expr->hi;
+    }
+    case ExprKind::kInList: {
+      const int64_t x = column().GetInt64(row);
+      for (int64_t v : expr->in_values) {
+        if (v == x) return true;
+      }
+      return false;
+    }
+    case ExprKind::kStringContains:
+      return column().GetStringAt(row).find(expr->needle) !=
+             std::string::npos;
+    case ExprKind::kModLess:
+      return column().GetInt64(row) % expr->mod_divisor < expr->mod_bound;
+    case ExprKind::kAnd:
+      for (const ExprPtr& c : expr->children) {
+        if (!NaiveRowPasses(table, c.get(), row)) return false;
+      }
+      return true;
+    case ExprKind::kOr:
+      for (const ExprPtr& c : expr->children) {
+        if (NaiveRowPasses(table, c.get(), row)) return true;
+      }
+      return false;
+    case ExprKind::kNot:
+      return !NaiveRowPasses(table, expr->children[0].get(), row);
+  }
+  return false;
+}
+
+/// \brief NaiveRowPasses over every row: one byte per row, 1 = selected.
+inline std::vector<uint8_t> NaiveSelection(const Table& table,
+                                           const ExprPtr& expr) {
+  std::vector<uint8_t> out(static_cast<size_t>(table.num_rows()));
+  for (int64_t row = 0; row < table.num_rows(); ++row) {
+    out[static_cast<size_t>(row)] = NaiveRowPasses(table, expr.get(), row);
+  }
+  return out;
+}
+
 /// \brief COUNT(*) and SUM(measure of relation 0) of a query's join.
 struct ReferenceResult {
   int64_t count = 0;
@@ -34,7 +110,7 @@ struct ReferenceResult {
 
 /// \brief Brute-force answer of `db.spec`, independent of the engine: no
 /// operator, filter, optimizer or SIMD code. Relations join in spec order
-/// over row-id tuples. Each relation's passing rows (EvaluateBitmap of its
+/// over row-id tuples. Each relation's passing rows (NaiveSelection of its
 /// predicate) go into one std::unordered_multimap keyed on the column of
 /// its first join condition with the relations already joined; further
 /// conditions between them are checked by value. Every relation after the
@@ -57,7 +133,7 @@ inline ReferenceResult ReferenceJoin(const TestDb& db) {
   // Row-major tuples of row ids, one column per relation joined so far.
   std::vector<int64_t> tuples;
   const std::vector<uint8_t> first =
-      EvaluateBitmap(*tables[0], rels[0].predicate);
+      NaiveSelection(*tables[0], rels[0].predicate);
   for (size_t row = 0; row < first.size(); ++row) {
     if (first[row]) tuples.push_back(static_cast<int64_t>(row));
   }
@@ -84,7 +160,7 @@ inline ReferenceResult ReferenceJoin(const TestDb& db) {
 
     std::unordered_multimap<int64_t, int64_t> index;  // key -> row of `next`
     const std::vector<uint8_t> pass =
-        EvaluateBitmap(*tables[next], rels[next].predicate);
+        NaiveSelection(*tables[next], rels[next].predicate);
     for (size_t row = 0; row < pass.size(); ++row) {
       if (!pass[row]) continue;
       const auto r = static_cast<int64_t>(row);
