@@ -20,18 +20,25 @@
 //
 // == Scratch-buffer ownership ==
 //
-// All per-stride scratch (selection vectors, hash arrays, key gather
-// buffers) is owned by the operator that uses it, allocated once at Open()
-// and reused for every Next() call. A Batch itself owns one flat int64
-// allocation of num_cols * kBatchSize values that is reused across Next()
-// calls — Reset() only re-points the column layout, it never clears or
-// reallocates unless the column count grows. Values at positions >=
-// num_rows are stale garbage by design; consumers must only read rows
-// [0, num_rows).
+// All per-stride scratch (candidate rows, selection vectors, hash arrays,
+// key gather buffers) is owned by the operator that uses it, allocated once
+// at Open() and reused for every Next() call. It is sized to what the
+// operator's filters need — a scan without filters allocates no hash or
+// key scratch, and key scratch holds only as many columns as the widest
+// filter has keys — and it is never zero-filled: ScratchVector
+// default-initializes, so a page is touched only when a row is written to
+// it. A Batch itself owns one flat int64 ScratchVector of num_cols *
+// kBatchSize values that is reused across Next() calls — Reset() only
+// re-points the column layout, it never clears or reallocates unless the
+// column count grows. Values at positions >= num_rows (and scratch
+// positions a stride has not written) are stale garbage by design;
+// consumers must only read rows [0, num_rows).
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/macros.h"
@@ -40,6 +47,33 @@
 namespace bqo {
 
 inline constexpr int kBatchSize = 1024;
+
+/// \brief std::allocator whose value-less construct() default-initializes:
+/// resize() of a trivial element type then leaves new elements unwritten
+/// instead of zero-filling them. Copyable, so containers using it are too.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
+
+/// Operator scratch and batch storage: a vector that resize() does not
+/// zero-fill (see "Scratch-buffer ownership" above).
+template <typename T>
+using ScratchVector = std::vector<T, DefaultInitAllocator<T>>;
 
 /// \brief A block of up to kBatchSize tuples in columnar layout, backed by
 /// one flat allocation (column c occupies [c*kBatchSize, (c+1)*kBatchSize)).
@@ -75,9 +109,24 @@ struct Batch {
   bool Full() const { return num_rows >= kBatchSize; }
 
  private:
-  std::vector<int64_t> data_;  ///< num_cols_ * kBatchSize, reused across Next
+  ScratchVector<int64_t> data_;  ///< num_cols_ * kBatchSize, reused across Next
   int num_cols_ = 0;
 };
+
+/// \brief Append `batch`'s rows to `rows` as row-major tuples of
+/// num_cols() values: one resize per batch, then one strided pass per
+/// column.
+inline void AppendRowMajor(const Batch& batch, std::vector<int64_t>* rows) {
+  const size_t width = static_cast<size_t>(batch.num_cols());
+  const size_t n = static_cast<size_t>(batch.num_rows);
+  const size_t base = rows->size();
+  rows->resize(base + n * width);
+  int64_t* dst = rows->data() + base;
+  for (size_t c = 0; c < width; ++c) {
+    const int64_t* src = batch.col(static_cast<int>(c));
+    for (size_t r = 0; r < n; ++r) dst[r * width + c] = src[r];
+  }
+}
 
 /// \brief Deterministic ordering for output schemas.
 inline bool BoundColumnLess(const BoundColumn& a, const BoundColumn& b) {

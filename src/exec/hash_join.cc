@@ -60,14 +60,7 @@ void HashJoinOperator::DrainBuild(JoinBuildSide* side) {
     return;
   }
   Batch batch;
-  while (build_->Next(&batch)) {
-    const int n = batch.num_rows;
-    for (int r = 0; r < n; ++r) {
-      for (int c = 0; c < build_width_; ++c) {
-        side->rows.push_back(batch.col(c)[r]);
-      }
-    }
-  }
+  while (build_->Next(&batch)) AppendRowMajor(batch, &side->rows);
 }
 
 void HashJoinOperator::HashBuildRows(const JoinBuildSide& side,
@@ -77,7 +70,7 @@ void HashJoinOperator::HashBuildRows(const JoinBuildSide& side,
   const int64_t num_rows =
       width == 0 ? 0 : static_cast<int64_t>(side.rows.size() / width);
   hashes->resize(static_cast<size_t>(num_rows));
-  std::vector<int64_t> keybuf(nkeys * kBatchSize);
+  ScratchVector<int64_t> keybuf(nkeys * kBatchSize);
   const int64_t* cols[8];
   for (int64_t base = 0; base < num_rows; base += kBatchSize) {
     const int n = static_cast<int>(
@@ -114,11 +107,11 @@ std::shared_ptr<const JoinBuildSide> HashJoinOperator::ConstructBuildSide() {
 
   std::vector<uint64_t> hashes;
   HashBuildRows(*side, &hashes);
-  side->entries.reserve(hashes.size());
+  side->entries.resize(hashes.size());
   for (size_t r = 0; r < hashes.size(); ++r) {
-    side->entries.push_back(JoinBuildSide::Entry{
+    side->entries[r] = JoinBuildSide::Entry{
         hashes[r], -1,
-        static_cast<int32_t>(r * static_cast<size_t>(build_width_))});
+        static_cast<int32_t>(r * static_cast<size_t>(build_width_))};
   }
 
   // Create this join's bitvector filter, sized exactly to the build side.
@@ -239,13 +232,22 @@ void HashJoinOperator::Open() {
 }
 
 void HashJoinOperator::InitProbeState(ProbeState* ps) const {
+  // Residual scratch only for the filters that hash their own keys.
+  bool own_hashes = false;
+  size_t max_keys = 0;
+  for (size_t f = 0; f < config_.residual_filters.size(); ++f) {
+    if (residual_uses_probe_hash_[f]) continue;
+    own_hashes = true;
+    max_keys =
+        std::max(max_keys, config_.residual_filters[f].key_positions.size());
+  }
   ps->hashes.resize(kBatchSize);
   ps->cand_build.resize(kBatchSize);
   ps->cand_probe.resize(kBatchSize);
   ps->cand_hash.resize(kBatchSize);
   ps->sel.resize(kBatchSize);
-  ps->rhashes.resize(kBatchSize);
-  ps->rkeys.resize(size_t{8} * kBatchSize);
+  ps->rhashes.resize(own_hashes ? kBatchSize : 0);
+  ps->rkeys.resize(max_keys * kBatchSize);
   ps->residual_stats.assign(config_.residual_filters.size(), FilterStats{});
   ps->cursor = 0;
   ps->pending_entry = -1;

@@ -68,22 +68,26 @@ class HashJoinOperator final : public PhysicalOperator {
   /// workers each own one; the single-threaded Next() path owns one too.
   /// MergeProbeStats folds the accumulators into the shared counters once
   /// the owner is quiesced, so merged probed/passed totals are exactly the
-  /// single-threaded counts.
+  /// single-threaded counts. The scratch is never zero-filled (batch.h), and
+  /// the residual scratch is sized to the residual filters that hash their
+  /// own keys: empty when every residual reuses the probe hash.
   struct ProbeState {
     Batch in;                    ///< current input batch from downstream
     int cursor = 0;              ///< next unconsumed row of `in`
     int32_t pending_entry = -1;  ///< in-progress duplicate chain, -1 = none
     uint64_t pending_hash = 0;   ///< probe hash of the chain's probe row
     bool input_done = false;     ///< upstream exhausted
-    std::vector<uint64_t> hashes;  ///< composite key hash per row of `in`
+    ScratchVector<uint64_t> hashes;  ///< composite key hash per row of `in`
     // Candidate stride: matched (build row, probe row, probe hash) triples
     // buffered ahead of the batched residual winnow.
-    std::vector<int32_t> cand_build;   ///< build-side row offsets
-    std::vector<int32_t> cand_probe;   ///< row indices into `in`
-    std::vector<uint64_t> cand_hash;   ///< join-key probe hash per candidate
-    std::vector<uint16_t> sel;         ///< surviving candidate positions
-    std::vector<uint64_t> rhashes;     ///< residual hash scratch
-    std::vector<int64_t> rkeys;        ///< residual key gather scratch
+    ScratchVector<int32_t> cand_build;  ///< build-side row offsets
+    ScratchVector<int32_t> cand_probe;  ///< row indices into `in`
+    ScratchVector<uint64_t> cand_hash;  ///< join-key probe hash per candidate
+    ScratchVector<uint16_t> sel;        ///< surviving candidate positions
+    ScratchVector<uint64_t> rhashes;    ///< residual hash scratch
+    /// Residual key gather scratch: one kBatchSize stride per key of the
+    /// widest residual filter that does not reuse the probe hash.
+    ScratchVector<int64_t> rkeys;
     // Private accumulators, merged once by MergeProbeStats.
     std::vector<FilterStats> residual_stats;  ///< aligned w/ residual_filters
     int64_t rows_prefilter = 0;

@@ -149,12 +149,7 @@ std::vector<int64_t> DrainPipelineParallel(const Pipeline& pipe,
         chunk.begin = begin;
         while (StageNext(pipe, pipe.probes.size(), /*morsel_confined=*/true,
                          &batch, &ws)) {
-          const int ncols = batch.num_cols();
-          for (int r = 0; r < batch.num_rows; ++r) {
-            for (int c = 0; c < ncols; ++c) {
-              chunk.rows.push_back(batch.col(c)[r]);
-            }
-          }
+          AppendRowMajor(batch, &chunk.rows);
         }
         chunks.push_back(std::move(chunk));
       }

@@ -76,10 +76,14 @@ void ScanOperator::Open() {
 }
 
 void ScanOperator::InitWorkerState(WorkerState* ws) const {
+  size_t max_keys = 0;
+  for (const ActiveFilter& af : active_filters_) {
+    max_keys = std::max(max_keys, af.num_keys);
+  }
   ws->rows.resize(kBatchSize);
   ws->sel.resize(kBatchSize);
-  ws->hashes.resize(kBatchSize);
-  ws->keys.resize(size_t{8} * kBatchSize);
+  ws->hashes.resize(active_filters_.empty() ? 0 : kBatchSize);
+  ws->keys.resize(max_keys * kBatchSize);
   ws->filter_stats.assign(active_filters_.size(), FilterStats{});
   ws->morsel_pos = 0;
   ws->morsel_end = 0;

@@ -61,12 +61,16 @@ class ScanOperator final : public PhysicalOperator {
   /// Per-worker execution state: the stride scratch plus private stats
   /// accumulators. Workers never touch the shared FilterRuntime counters;
   /// MergeWorkerStats folds these in once the worker is done, so the merged
-  /// probed/passed totals are exactly the single-threaded counts.
+  /// probed/passed totals are exactly the single-threaded counts. The
+  /// scratch is sized to the active filters and never zero-filled (batch.h):
+  /// a scan without filters has empty `hashes` and `keys`.
   struct WorkerState {
-    std::vector<uint32_t> rows;          ///< the stride's candidate rows
-    std::vector<uint16_t> sel;           ///< live positions within the stride
-    std::vector<uint64_t> hashes;        ///< hash of position i's key
-    std::vector<int64_t> keys;           ///< gathered key columns (8 strides)
+    ScratchVector<uint32_t> rows;        ///< the stride's candidate rows
+    ScratchVector<uint16_t> sel;         ///< live positions within the stride
+    ScratchVector<uint64_t> hashes;      ///< hash of position i's key
+    /// Gathered key columns: one kBatchSize stride per key of the widest
+    /// active filter.
+    ScratchVector<int64_t> keys;
     std::vector<FilterStats> filter_stats;  ///< aligned with active_filters_
     int64_t rows_prefilter = 0;
     int64_t rows_out = 0;

@@ -39,9 +39,10 @@ struct QuerySpec {
 
 /// \brief Lower `spec` to a JoinGraph bound against `catalog`; derives edge
 /// uniqueness from declared keys and computes exact filtered cardinalities.
-/// An unknown table or alias, or a predicate that fails ValidatePredicate
-/// against its table (src/expr/expr.h), is an error status — the serving
-/// layer fails that query alone.
+/// An unknown table or alias, a duplicate alias, a join condition naming a
+/// column its table lacks (or a double column), or a predicate that fails
+/// ValidatePredicate against its table (src/expr/expr.h), is an error
+/// status — the serving layer fails that query alone.
 /// `attach_statistics = false` skips the cardinality pass (predicate
 /// evaluation over every base table) — the serving layer binds graphs
 /// without it, because a plan-shape cache hit re-estimates only the

@@ -1,8 +1,21 @@
 // Execution engine edge cases: empty inputs, fully filtered scans,
 // duplicate chains crossing batch boundaries, wide composite keys, and
 // group-by paths.
+//
+// RightSizedScratch covers the composite (two-key) filter paths of the
+// operator scratch, which is sized to the filters an operator applies
+// (src/exec/batch.h): a scan probing a two-key pushed-down filter next to
+// a one-key one, and a hash join whose two-key residual filter hashes its
+// own keys instead of reusing the probe hash. Each runs at threads {1, 4}
+// under both SIMD tiers; totals must equal testing::ReferenceJoin and
+// every FilterStats field the single-threaded scalar run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "src/common/simd.h"
 #include "src/exec/executor.h"
 #include "src/plan/pushdown.h"
 #include "src/stats/estimated_cost.h"
@@ -167,6 +180,175 @@ TEST(ExecEdge, SingleRelationPlanExecutes) {
   const QueryMetrics m = ExecutePlan(plan);
   EXPECT_EQ(m.result_rows, 1);
   EXPECT_GT(m.leaf_tuples, 0);
+}
+
+// ---- Right-sized scratch: composite filter paths ----
+
+Table* AddTable(testing::TestDb* db, const std::string& name,
+                const std::vector<std::string>& columns) {
+  std::vector<FieldDef> fields;
+  for (const std::string& c : columns) {
+    fields.push_back({c, DataType::kInt64});
+  }
+  return db->catalog.CreateTable(name, fields).ValueOrDie();
+}
+
+void AddRow(Table* table, const std::vector<int64_t>& values) {
+  std::vector<Value> row;
+  for (int64_t v : values) row.push_back(Value(v));
+  ASSERT_TRUE(table->AppendRow(row).ok());
+}
+
+/// a(x, y, z, measure) joins b on the pair (x, y) and c on z. With `a`
+/// deepest in the right-deep plan, b's two-key filter on (a.x, a.y) and
+/// c's one-key filter on a.z both land on a's scan.
+std::unique_ptr<testing::TestDb> MakeCompositeScanDb() {
+  auto db = std::make_unique<testing::TestDb>();
+  Table* a = AddTable(db.get(), "a", {"x", "y", "z", "measure"});
+  for (int64_t i = 0; i < 6000; ++i) {
+    AddRow(a, {i % 37, (i * 7) % 23, i % 50, i % 101});
+  }
+  Table* b = AddTable(db.get(), "b", {"x", "y", "attr0"});
+  for (int64_t x = 0; x < 37; ++x) {
+    for (int64_t y = 0; y < 23; ++y) {
+      if ((x + y) % 3 != 0) AddRow(b, {x, y, (x * y) % 10});
+    }
+  }
+  Table* c = AddTable(db.get(), "c", {"id", "attr0"});
+  for (int64_t id = 0; id < 50; ++id) AddRow(c, {id, id % 10});
+  db->spec.relations = {{"a", "a", nullptr},
+                        {"b", "b", Lt("attr0", 6)},
+                        {"c", "c", Lt("attr0", 5)}};
+  db->spec.joins = {
+      {"a", "x", "b", "x"}, {"a", "y", "b", "y"}, {"a", "z", "c", "id"}};
+  return db;
+}
+
+/// Figure 1's cycle with data: A joins B, B joins C, and D joins both A
+/// and C. In the plan T(A, B, C, D), D's filter is keyed on (A.d_fk1,
+/// C.d_fk2), columns split across the join HJ2 = (C, HJ3(B, A)), so it is
+/// applied there as a two-key residual — and HJ2 joins on the single key
+/// c_fk = c_id, so the residual cannot reuse the probe hash.
+std::unique_ptr<testing::TestDb> MakeCompositeResidualDb() {
+  auto db = std::make_unique<testing::TestDb>();
+  Table* a = AddTable(db.get(), "A", {"b_fk", "d_fk1", "measure"});
+  for (int64_t i = 0; i < 5000; ++i) AddRow(a, {i % 40, i % 30, i % 97});
+  Table* b = AddTable(db.get(), "B", {"b_id", "c_fk"});
+  for (int64_t j = 0; j < 40; ++j) AddRow(b, {j, j % 15});
+  Table* c = AddTable(db.get(), "C", {"c_id", "d_fk2"});
+  for (int64_t k = 0; k < 15; ++k) AddRow(c, {k, k % 6});
+  Table* d = AddTable(db.get(), "D", {"a_ref", "c_ref", "attr0"});
+  for (int64_t ar = 0; ar < 30; ++ar) {
+    for (int64_t cr = 0; cr < 6; ++cr) {
+      if ((ar + cr) % 4 != 0) AddRow(d, {ar, cr, (ar * cr) % 10});
+    }
+  }
+  db->spec.relations = {{"A", "A", nullptr},
+                        {"B", "B", nullptr},
+                        {"C", "C", nullptr},
+                        {"D", "D", Lt("attr0", 7)}};
+  db->spec.joins = {{"A", "b_fk", "B", "b_id"},
+                    {"B", "c_fk", "C", "c_id"},
+                    {"A", "d_fk1", "D", "a_ref"},
+                    {"C", "d_fk2", "D", "c_ref"}};
+  return db;
+}
+
+struct ScratchRun {
+  int64_t total = 0;
+  std::vector<FilterStats> filters;
+};
+
+ScratchRun RunScratchPlan(const Plan& plan, int threads, AggKind agg) {
+  ExecutionOptions options;
+  options.exec.threads = threads;
+  options.exec.morsel_rows = 512;  // several morsels per scan
+  options.agg.kind = agg;
+  options.agg.sum_column = BoundColumn{0, "measure"};
+  FilterRuntime runtime;
+  auto root = CompilePlan(plan, options, &runtime);
+  root->Open();
+  Batch batch;
+  while (root->Next(&batch)) {
+  }
+  root->Close();
+  return ScratchRun{root->TotalValue(), runtime.stats};
+}
+
+/// Execute `db`'s right-deep plan in relation order at threads {1, 4}
+/// under both tiers: COUNT(*) and SUM(measure) equal the reference join,
+/// and FilterStats equal the threads=1 scalar run.
+void ExpectMatchesReference(const testing::TestDb& db, const Plan& plan) {
+  const testing::ReferenceResult ref = testing::ReferenceJoin(db);
+  ASSERT_GT(ref.count, 0);  // non-degenerate fixture
+  for (AggKind agg : {AggKind::kCountStar, AggKind::kSum}) {
+    ScratchRun base;
+    {
+      ScopedSimdTier scalar(SimdTier::kScalar);
+      base = RunScratchPlan(plan, 1, agg);
+    }
+    EXPECT_EQ(base.total, agg == AggKind::kSum ? ref.sum : ref.count);
+    for (SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+      ScopedSimdTier scoped(tier);
+      for (int threads : {1, 4}) {
+        const std::string what = std::string(SimdTierName(tier)) +
+                                 " threads=" + std::to_string(threads);
+        const ScratchRun run = RunScratchPlan(plan, threads, agg);
+        EXPECT_EQ(run.total, base.total) << what;
+        ASSERT_EQ(run.filters.size(), base.filters.size()) << what;
+        for (size_t f = 0; f < run.filters.size(); ++f) {
+          EXPECT_TRUE(run.filters[f].created) << what << " f" << f;
+          EXPECT_EQ(run.filters[f].inserted, base.filters[f].inserted)
+              << what << " f" << f;
+          EXPECT_EQ(run.filters[f].probed, base.filters[f].probed)
+              << what << " f" << f;
+          EXPECT_EQ(run.filters[f].passed, base.filters[f].passed)
+              << what << " f" << f;
+          EXPECT_EQ(run.filters[f].size_bytes, base.filters[f].size_bytes)
+              << what << " f" << f;
+        }
+      }
+    }
+  }
+}
+
+TEST(RightSizedScratch, CompositeScanFilterMatchesReference) {
+  auto db = MakeCompositeScanDb();
+  auto graph = db->Graph();
+  ASSERT_TRUE(graph.ok());
+  Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2});
+  PushDownBitvectors(&plan);
+  // Both filters land on a's scan, one of them over two keys.
+  size_t widest = 0;
+  int on_a = 0;
+  for (const PlanFilter& f : plan.filters) {
+    const PlanNode* site = plan.nodes[static_cast<size_t>(f.applied_at)];
+    if (site->IsLeaf() && site->relation == 0) {
+      ++on_a;
+      widest = std::max(widest, f.probe_col_ids.size());
+    }
+  }
+  ASSERT_EQ(on_a, 2);
+  ASSERT_EQ(widest, 2u);
+  ExpectMatchesReference(*db, plan);
+}
+
+TEST(RightSizedScratch, CompositeResidualFilterMatchesReference) {
+  auto db = MakeCompositeResidualDb();
+  auto graph = db->Graph();
+  ASSERT_TRUE(graph.ok());
+  Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2, 3});
+  PushDownBitvectors(&plan);
+  // D's filter (created at the root join) stays at a join as a two-key
+  // residual; that join's own equi-join key is one column.
+  const PlanNode* root = plan.nodes[0];
+  ASSERT_GE(root->created_filter, 0);
+  const PlanFilter& f_d =
+      plan.filters[static_cast<size_t>(root->created_filter)];
+  ASSERT_EQ(f_d.probe_col_ids.size(), 2u);
+  const PlanNode* site = plan.nodes[static_cast<size_t>(f_d.applied_at)];
+  ASSERT_EQ(site->kind, PlanNode::Kind::kJoin);
+  ExpectMatchesReference(*db, plan);
 }
 
 }  // namespace

@@ -21,7 +21,8 @@
 //    and the per-query worker share clamps execution width.
 //  * A real lite workload served from two clients answers exactly as the
 //    sequential RunWorkload does.
-//  * A spec with a malformed predicate fails its own query with
+//  * A spec with a malformed predicate or join graph (duplicate alias,
+//    unknown join column, self-join) fails its own query with
 //    InvalidArgument and leaves the service serving.
 //
 // Run under -DBQO_SANITIZE=thread in CI: the concurrent-clients tests are
@@ -387,6 +388,48 @@ TEST(QueryService, MalformedPredicateFailsOnlyItsQuery) {
   const ServingStats stats = service.serving_stats();
   EXPECT_EQ(stats.failed, 2);
   EXPECT_EQ(stats.served, 2);
+}
+
+/// A spec that does not lower to a join graph — a duplicate relation
+/// alias, a join condition naming a column its table lacks or a double
+/// column, one joining an alias to itself, or more than 64 relations —
+/// fails that query alone with InvalidArgument instead of a fatal check;
+/// the next good spec serves the same checksum and FilterStats.
+TEST(QueryService, MalformedJoinGraphFailsOnlyItsQuery) {
+  auto db = MakeStarDb(2, 10000, 200, {0.4, 0.5}, 55);
+  ASSERT_TRUE(db->catalog.CreateTable("dbl", {{"v", DataType::kDouble}}).ok());
+  QueryService service(&db->catalog, QueryServiceOptions{});
+  const QuerySpec good = db->spec;
+  const QueryResult before = service.Execute(good);
+  ASSERT_TRUE(before.status.ok());
+
+  QuerySpec duplicate_alias = good;
+  duplicate_alias.relations[2].alias = duplicate_alias.relations[1].alias;
+  QuerySpec missing_column = good;
+  missing_column.joins[0].right_column = "no_such";
+  QuerySpec double_column = good;
+  double_column.relations.push_back({"x", "dbl", nullptr});
+  double_column.joins.push_back({"f", "d0_fk", "x", "v"});
+  QuerySpec self_join = good;
+  self_join.joins[0].right_alias = self_join.joins[0].left_alias;
+  QuerySpec too_many = good;
+  for (int i = 0; i < 62; ++i) {
+    too_many.relations.push_back({"r" + std::to_string(i), "d0", nullptr});
+  }
+  ASSERT_EQ(too_many.relations.size(), 65u);
+  for (const QuerySpec& bad : {duplicate_alias, missing_column, double_column,
+                               self_join, too_many}) {
+    const QueryResult r = service.Execute(bad);
+    EXPECT_TRUE(r.status.IsInvalidArgument()) << r.status.ToString();
+    const QueryResult after = service.Execute(good);
+    ASSERT_TRUE(after.status.ok());
+    EXPECT_EQ(after.metrics.result_checksum, before.metrics.result_checksum);
+    ExpectMetricsEqual(before.metrics, after.metrics,
+                       "after " + r.status.ToString());
+  }
+  const ServingStats stats = service.serving_stats();
+  EXPECT_EQ(stats.failed, 5);
+  EXPECT_EQ(stats.served, 6);
 }
 
 /// A predicated miss pays one optimization, and optimize_ns (QueryResult

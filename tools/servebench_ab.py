@@ -20,14 +20,18 @@ runs, one per tree, and alternates which tree runs first. After the last
 pair it prints one `servebench_ab` JSON line: for each end-to-end metric
 that BENCHMARK.json declares, the parent's and the change's median and
 interquartile range, and `change_wins`, the number of pairs in which the
-change was strictly better in that metric's direction. Every run's own
-JSON result is appended to DIR/runs.jsonl. Build output and servebench's
-text report go to stderr. Exits non-zero if a build or a run fails, or if
-any run reports `correct: false`.
+change was strictly better in that metric's direction. It also gives each
+side's median user CPU seconds, system CPU seconds and minor page faults
+per run (`rusage`), taken as the getrusage(RUSAGE_CHILDREN) delta around
+the run, so a change in memory behaviour shows next to the metrics. Every
+run's own JSON result and rusage are appended to DIR/runs.jsonl. Build
+output and servebench's text report go to stderr. Exits non-zero if a
+build or a run fails, or if any run reports `correct: false`.
 """
 import argparse
 import json
 import os
+import resource
 import shutil
 import statistics
 import subprocess
@@ -35,6 +39,8 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIDES = ("parent", "change")
+RUSAGE_FIELDS = (("user_s", "ru_utime"), ("sys_s", "ru_stime"),
+                 ("minor_faults", "ru_minflt"))
 
 
 def export_tree(ref, dest):
@@ -70,16 +76,21 @@ def build_servebench(tree):
 
 
 def run_once(binary, workload, seed, seconds):
-    """One servebench run; returns its JSON result (the last stdout line)."""
+    """One servebench run; returns its JSON result (the last stdout line)
+    and the run's rusage: user/sys CPU seconds and minor faults."""
     cmd = [binary, "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, stderr=sys.stderr,
                           text=True)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
     sys.stderr.write(proc.stdout)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         sys.exit("servebench_ab: run failed: " + " ".join(cmd))
-    return json.loads(lines[-1])
+    usage = {name: round(getattr(after, field) - getattr(before, field), 4)
+             for name, field in RUSAGE_FIELDS}
+    return json.loads(lines[-1]), usage
 
 
 def quartiles(values):
@@ -143,17 +154,19 @@ def main():
         for seed in seeds:
             for workload in workloads:
                 results = {side: [] for side in SIDES}
+                usages = {side: [] for side in SIDES}
                 for pair in range(args.pairs):
                     order = SIDES if pair % 2 == 0 else SIDES[::-1]
                     for side in order:
-                        r = run_once(binaries[side], workload, seed,
-                                     args.seconds)
+                        r, usage = run_once(binaries[side], workload, seed,
+                                            args.seconds)
                         all_correct = all_correct and r["correct"]
                         results[side].append(r)
+                        usages[side].append(usage)
                         log.write(json.dumps({"side": side, "pair": pair,
                                               "workload": workload,
-                                              "seed": seed, "result": r}) +
-                                  "\n")
+                                              "seed": seed, "result": r,
+                                              "rusage": usage}) + "\n")
                         log.flush()
                 line = {"bench": "servebench_ab", "set": args.set,
                         "parent": commits["parent"][:12],
@@ -165,6 +178,11 @@ def main():
                 for metric in end_to_end:
                     line[metric["name"]] = summarize(
                         metric["name"], metric["better"], results)
+                line["rusage"] = {
+                    name: {side + "_median": round(statistics.median(
+                        u[name] for u in usages[side]), 4)
+                           for side in SIDES}
+                    for name, _ in RUSAGE_FIELDS}
                 line["failed_requests"] = sum(
                     r["failed"] for side in SIDES for r in results[side])
                 line["all_correct"] = all(
