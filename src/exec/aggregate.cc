@@ -35,14 +35,24 @@ AggFold AggFold::Resolve(const AggSpec& spec,
 }
 
 void AggFold::Fold(const Batch& batch, PartialAggState* state) const {
-  const int64_t* sums = sum_pos >= 0 ? batch.col(sum_pos) : nullptr;
-  const int64_t* keys = group_pos >= 0 ? batch.col(group_pos) : nullptr;
-  for (int r = 0; r < batch.num_rows; ++r) {
-    const int64_t v = kind == AggKind::kSum ? sums[r] : 1;
-    if (keys != nullptr) state->groups[keys[r]] += v;
-    state->total += v;
+  // The kind and grouping branches sit outside the row loops, and each
+  // loop sums into a local: ungrouped COUNT(*) is one add per batch.
+  const int n = batch.num_rows;
+  int64_t total = n;  // COUNT(*)
+  if (kind == AggKind::kSum) {
+    const int64_t* sums = batch.col(sum_pos);
+    total = 0;
+    for (int r = 0; r < n; ++r) total += sums[r];
+    if (has_group_by) {
+      const int64_t* keys = batch.col(group_pos);
+      for (int r = 0; r < n; ++r) state->groups[keys[r]] += sums[r];
+    }
+  } else if (has_group_by) {
+    const int64_t* keys = batch.col(group_pos);
+    for (int r = 0; r < n; ++r) ++state->groups[keys[r]];
   }
-  state->rows_folded += batch.num_rows;
+  state->total += total;
+  state->rows_folded += n;
 }
 
 AggregateOperator::AggregateOperator(

@@ -1,5 +1,13 @@
 // JoinBuildSide: the immutable result of a hash join's build phase — the
-// bucket-chained hash table plus the bitvector filter created from it.
+// bucket-grouped hash table plus the bitvector filter created from it.
+//
+// The table is bucket-grouped, not bucket-chained: `entries` is sorted by
+// bucket (a counting sort at construction), and bucket b's entries are the
+// contiguous range [buckets[b], buckets[b + 1]). A probe row walks its
+// bucket's duplicates and collisions as one sequential read, with no link
+// to chase. Within a bucket the entries run in descending build order
+// (last-built first), which fixes the order each probe row's matches are
+// emitted in.
 //
 // Extracted from HashJoinOperator so the whole build result can be shared
 // across queries through the server's BuildCache (src/server/build_cache.h):
@@ -26,16 +34,17 @@
 namespace bqo {
 
 struct JoinBuildSide {
-  /// Hash-table entry: chain link for collisions/duplicates plus the
-  /// row-major offset of the entry's tuple in `rows`.
+  /// Hash-table entry: the build row's composite key hash plus the
+  /// row-major offset of its tuple in `rows`.
   struct Entry {
     uint64_t hash;
-    int32_t next;       ///< chain for collisions/duplicates, -1 = end
     int32_t row_start;  ///< offset into rows (row-major)
   };
 
-  std::vector<int32_t> buckets;  ///< -1 = empty; size is a power of two
-  std::vector<Entry> entries;
+  /// Bucket b's entries are entries[buckets[b] .. buckets[b + 1]); the
+  /// bucket count (size - 1) is a power of two.
+  std::vector<int32_t> buckets;
+  std::vector<Entry> entries;    ///< grouped by bucket (see above)
   std::vector<int64_t> rows;     ///< row-major build tuples
   int width = 0;                 ///< columns per tuple in `rows`
   uint64_t bucket_mask = 0;
@@ -63,13 +72,14 @@ struct JoinBuildSide {
 };
 
 /// \brief A valid empty build side (16 empty buckets, the minimum the
-/// probe path indexes into). Installed when a cached/shared build could not
-/// be obtained — a cancelled flight — so Close() and straggling probe
-/// calls stay well-defined while the query unwinds; results are void.
+/// probe path indexes into: 17 zero offsets). Installed when a
+/// cached/shared build could not be obtained — a cancelled flight — so
+/// Close() and straggling probe calls stay well-defined while the query
+/// unwinds; results are void.
 inline std::shared_ptr<const JoinBuildSide> EmptyJoinBuildSide(int width) {
   auto side = std::make_shared<JoinBuildSide>();
   side->width = width;
-  side->buckets.assign(16, -1);
+  side->buckets.assign(17, 0);
   side->bucket_mask = 15;
   return side;
 }

@@ -13,7 +13,7 @@
 // HashJoinOperator, so every pipeline bottoms out in a scan:
 //
 //  * Each hash join's Open() drains its build-side pipeline with N workers
-//    into canonical-order partitions reassembled into the bucket-chained
+//    into canonical-order partitions reassembled into the bucket-grouped
 //    table, and creates its bitvector filter from per-worker partials
 //    combined through BitvectorFilter::MergeFrom (FillFilterParallel).
 //  * The topmost probe chain (scan -> probe -> ... -> probe) runs wide

@@ -107,12 +107,6 @@ std::shared_ptr<const JoinBuildSide> HashJoinOperator::ConstructBuildSide() {
 
   std::vector<uint64_t> hashes;
   HashBuildRows(*side, &hashes);
-  side->entries.resize(hashes.size());
-  for (size_t r = 0; r < hashes.size(); ++r) {
-    side->entries[r] = JoinBuildSide::Entry{
-        hashes[r], -1,
-        static_cast<int32_t>(r * static_cast<size_t>(build_width_))};
-  }
 
   // Create this join's bitvector filter, sized exactly to the build side.
   // The hashes are in canonical (single-threaded) order, so the sequential
@@ -131,15 +125,29 @@ std::shared_ptr<const JoinBuildSide> HashJoinOperator::ConstructBuildSide() {
     side->filter_size_bytes = side->filter->SizeBytes();
   }
 
-  // Bucketize.
-  const uint64_t num_buckets =
-      NextPow2(side->entries.size() < 8 ? 16 : side->entries.size() * 2);
-  side->buckets.assign(num_buckets, -1);
-  side->bucket_mask = num_buckets - 1;
-  for (size_t i = 0; i < side->entries.size(); ++i) {
-    const uint64_t b = side->entries[i].hash & side->bucket_mask;
-    side->entries[i].next = side->buckets[b];
-    side->buckets[b] = static_cast<int32_t>(i);
+  // Bucketize: counting-sort the build rows by bucket. Each bucket's count
+  // lands in buckets[b]; the inclusive prefix sum turns it into the
+  // bucket's end; placing rows in ascending build order at --buckets[b]
+  // then leaves every bucket in descending build order and buckets[b] at
+  // its start (buckets[num_buckets] stays the entry count).
+  const size_t num_rows = hashes.size();
+  const uint64_t num_buckets = NextPow2(num_rows < 8 ? 16 : num_rows * 2);
+  const uint64_t mask = num_buckets - 1;
+  side->bucket_mask = mask;
+  side->buckets.assign(num_buckets + 1, 0);
+  int32_t* buckets = side->buckets.data();
+  for (const uint64_t h : hashes) ++buckets[h & mask];
+  int32_t end = 0;
+  for (uint64_t b = 0; b <= num_buckets; ++b) {
+    end += buckets[b];
+    buckets[b] = end;
+  }
+  side->entries.resize(num_rows);
+  for (size_t r = 0; r < num_rows; ++r) {
+    side->entries[static_cast<size_t>(--buckets[hashes[r] & mask])] =
+        JoinBuildSide::Entry{
+            hashes[r],
+            static_cast<int32_t>(r * static_cast<size_t>(build_width_))};
   }
 
   // As-if-built snapshot of the build scan's counters, replayed into a
@@ -250,7 +258,8 @@ void HashJoinOperator::InitProbeState(ProbeState* ps) const {
   ps->rkeys.resize(max_keys * kBatchSize);
   ps->residual_stats.assign(config_.residual_filters.size(), FilterStats{});
   ps->cursor = 0;
-  ps->pending_entry = -1;
+  ps->pending_entry = 0;
+  ps->pending_end = 0;
   ps->input_done = false;
   ps->rows_in = 0;
   ps->rows_matched = 0;
@@ -367,6 +376,10 @@ int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand) {
 bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
                                  const NextInputFn& next_input) {
   out->Reset(schema_.size());
+  const JoinBuildSide::Entry* entries = side_->entries.data();
+  const int32_t* buckets = side_->buckets.data();
+  const uint64_t bucket_mask = side_->bucket_mask;
+  const bool single_key = config_.build_key_positions.size() == 1;
 
   while (!out->Full()) {
     // ---- Collect candidate matches (hash + key equality, pre-residual) --
@@ -376,76 +389,95 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
     uint64_t* cand_hash = ps->cand_hash.data();
     int ncand = 0;
     while (ncand < capacity) {
-      // Resume an in-progress duplicate chain.
-      if (ps->pending_entry >= 0) {
-        const int probe_row = ps->cursor - 1;
-        while (ps->pending_entry >= 0 && ncand < capacity) {
-          const JoinBuildSide::Entry& e =
-              side_->entries[static_cast<size_t>(ps->pending_entry)];
-          ps->pending_entry = e.next;
-          if (ps->pending_entry >= 0) {
-            __builtin_prefetch(
-                &side_->entries[static_cast<size_t>(ps->pending_entry)]);
+      // One segment of a probe row's bucket run [i, end): resumed where the
+      // previous stride cut it, or started at the next probe row. The walk
+      // runs in locals and writes its position back once per segment.
+      int32_t i = ps->pending_entry;
+      int32_t end = ps->pending_end;
+      int probe_row;
+      uint64_t h;
+      bool matched;
+      if (i < end) {
+        probe_row = ps->cursor - 1;
+        h = ps->pending_hash;
+        matched = ps->pending_matched;
+      } else {
+        if (ps->cursor >= ps->in.num_rows) {
+          // Flush buffered candidates before replacing the input batch: they
+          // reference rows of the current one.
+          if (ncand > 0) break;
+          if (ps->input_done || !next_input(&ps->in)) {
+            ps->input_done = true;
+            break;
           }
-          // Compare the precomputed hashes before touching key columns: a
-          // chain mixes genuine duplicates with bucket collisions, and the
-          // hash test rejects collisions with one resident comparison.
-          if (e.hash == ps->pending_hash &&
-              KeysEqual(e, ps->in, probe_row)) {
-            if (!ps->pending_matched) {
-              ps->pending_matched = true;
-              ++ps->rows_matched;
-            }
-            cand_build[ncand] = e.row_start;
-            cand_probe[ncand] = probe_row;
-            cand_hash[ncand] = ps->pending_hash;
-            ++ncand;
-          }
+          ps->cursor = 0;
+          HashProbeBatch(ps);
+          continue;
         }
-        if (ps->pending_entry >= 0) break;  // candidate stride full mid-chain
-        continue;
+        probe_row = ps->cursor++;
+        ++ps->rows_in;
+        h = ps->hashes[static_cast<size_t>(probe_row)];
+        const uint64_t b = h & bucket_mask;
+        i = buckets[b];
+        end = buckets[b + 1];
+        if (i == end) continue;  // empty bucket: no segment to walk
+        matched = false;
       }
 
-      if (ps->cursor >= ps->in.num_rows) {
-        // Flush buffered candidates before replacing the input batch: they
-        // reference rows of the current one.
-        if (ncand > 0) break;
-        if (ps->input_done || !next_input(&ps->in)) {
-          ps->input_done = true;
-          break;
+      // The run mixes genuine duplicates with bucket collisions; the
+      // precomputed hash rejects collisions without touching key columns.
+      // With one key, equal hashes prove equal keys: the single-column hash
+      // HashCombine(CompositeSeed(0), v) is a bijection of v (see
+      // HashBijection.SingleKeyHashInvertsToItsKey in
+      // tests/test_simd_kernels.cc), so only multi-key joins compare keys.
+      const int first = ncand;
+      for (; i < end && ncand < capacity; ++i) {
+        if (entries[i].hash != h ||
+            (!single_key && !KeysEqual(entries[i], ps->in, probe_row))) {
+          continue;
         }
-        ps->cursor = 0;
-        HashProbeBatch(ps);
-        continue;
+        cand_build[ncand] = entries[i].row_start;
+        cand_probe[ncand] = probe_row;
+        cand_hash[ncand] = h;
+        ++ncand;
       }
-
-      const int probe_row = ps->cursor++;
-      ++ps->rows_in;
-      ps->pending_matched = false;
-      ps->pending_hash = ps->hashes[static_cast<size_t>(probe_row)];
-      ps->pending_entry =
-          side_->buckets[ps->pending_hash & side_->bucket_mask];
+      if (ncand > first && !matched) {
+        matched = true;
+        ++ps->rows_matched;
+      }
+      ps->pending_entry = i;
+      ps->pending_end = end;
+      ps->pending_hash = h;
+      ps->pending_matched = matched;
     }
     if (ncand == 0) break;  // input exhausted with nothing buffered
     ps->rows_prefilter += ncand;
 
-    const int m = WinnowResiduals(ps, ncand);
+    // A join with residual filters compacts its candidates to the
+    // survivors (the selection ascends, so in place), then every join
+    // materializes the first m candidates the same way.
+    int m = ncand;
+    if (!config_.residual_filters.empty()) {
+      m = WinnowResiduals(ps, ncand);
+      if (m < ncand) {
+        const uint16_t* sel = ps->sel.data();
+        for (int j = 0; j < m; ++j) {
+          cand_build[j] = cand_build[sel[j]];
+          cand_probe[j] = cand_probe[sel[j]];
+        }
+      }
+    }
 
     // ---- Materialize the survivors, appending to `out` ----
-    const uint16_t* sel = ps->sel.data();
     for (size_t c = 0; c < config_.output_sources.size(); ++c) {
       const auto& src = config_.output_sources[c];
       int64_t* dst = out->col(static_cast<int>(c)) + out->num_rows;
       if (src.first) {
-        for (int j = 0; j < m; ++j) {
-          dst[j] = side_->rows[static_cast<size_t>(cand_build[sel[j]]) +
-                               static_cast<size_t>(src.second)];
-        }
+        const int64_t* rows = side_->rows.data() + src.second;
+        for (int j = 0; j < m; ++j) dst[j] = rows[cand_build[j]];
       } else {
         const int64_t* col = ps->in.col(src.second);
-        for (int j = 0; j < m; ++j) {
-          dst[j] = col[cand_probe[sel[j]]];
-        }
+        for (int j = 0; j < m; ++j) dst[j] = col[cand_probe[j]];
       }
     }
     out->num_rows += m;

@@ -1,7 +1,8 @@
 // Hash join with bitvector-filter creation (Algorithm 1, lines 8-10).
 //
 // Open() is the pipeline breaker: it drains the build child — wide when
-// exec.threads > 1 (pipeline.h) — into a bucket-chained hash table, creates
+// exec.threads > 1 (pipeline.h) — into a bucket-grouped hash table (each
+// bucket one contiguous run of entries, build_side.h), creates
 // this join's bitvector filter (unless pruned/disabled), and only then
 // opens the probe child. That order realizes Algorithm 1's
 // filter-dependency order: every pushed-down filter's contents exist before
@@ -16,7 +17,7 @@
 // queries needing the same build pay for it once.
 //
 // The probe side is re-entrant: all per-consumer iteration state (current
-// input batch, in-progress duplicate chain, residual-filter stats) lives in
+// input batch, in-progress bucket run, residual-filter stats) lives in
 // a ProbeState, so after Open() many exchange workers can stream batches
 // through ProbeNext() concurrently against the read-only table. The
 // single-threaded Next() is the degenerate case — one local ProbeState —
@@ -24,10 +25,13 @@
 // shared stats exactly once (MergeProbeStats), keeping probed/passed and
 // ObservedLambda equal to the single-threaded counts at any thread count.
 //
-// Residual filters (probe columns ≠ this join's equi-join keys) are probed
-// batched: matched rows buffer into a candidate stride, each residual
-// winnows a selection vector via MayContainBatch (hashing the stride's keys
-// in one pass), and only the survivors are materialized.
+// A probe row's candidates are the entries of its bucket's run whose hash
+// equals the row's hash (and, for multi-key joins, whose keys compare
+// equal); they buffer into a candidate stride. Residual filters (probe
+// columns ≠ this join's equi-join keys) are probed batched over it: each
+// residual winnows a selection vector via MayContainBatch (hashing the
+// stride's keys in one pass), the stride compacts to the survivors, and one
+// copy loop materializes every join's output.
 #pragma once
 
 #include <functional>
@@ -63,7 +67,7 @@ class HashJoinOperator final : public PhysicalOperator {
   };
 
   /// Per-consumer probe state: the input batch being drained, the
-  /// in-progress duplicate chain, candidate/selection scratch for the
+  /// in-progress bucket run, candidate/selection scratch for the
   /// batched residual probes, and private stats accumulators. Exchange
   /// workers each own one; the single-threaded Next() path owns one too.
   /// MergeProbeStats folds the accumulators into the shared counters once
@@ -74,8 +78,11 @@ class HashJoinOperator final : public PhysicalOperator {
   struct ProbeState {
     Batch in;                    ///< current input batch from downstream
     int cursor = 0;              ///< next unconsumed row of `in`
-    int32_t pending_entry = -1;  ///< in-progress duplicate chain, -1 = none
-    uint64_t pending_hash = 0;   ///< probe hash of the chain's probe row
+    /// In-progress bucket run of probe row cursor - 1: the entries
+    /// [pending_entry, pending_end) are still to walk; none when empty.
+    int32_t pending_entry = 0;
+    int32_t pending_end = 0;
+    uint64_t pending_hash = 0;   ///< probe hash of the run's probe row
     bool input_done = false;     ///< upstream exhausted
     ScratchVector<uint64_t> hashes;  ///< composite key hash per row of `in`
     // Candidate stride: matched (build row, probe row, probe hash) triples
@@ -94,9 +101,9 @@ class HashJoinOperator final : public PhysicalOperator {
     int64_t rows_out = 0;
     // Probe-side match accounting (OperatorStats::probe_rows_in/_matched):
     // rows_in counts consumed probe rows; rows_matched counts those whose
-    // duplicate chain produced >= 1 hash+key match. pending_matched carries
-    // the per-row "already counted" bit across a chain that resumes in a
-    // later ProbeNext call.
+    // bucket run produced >= 1 hash+key match. pending_matched carries the
+    // per-row "already counted" bit across a run that resumes in a later
+    // ProbeNext call.
     int64_t rows_in = 0;
     int64_t rows_matched = 0;
     bool pending_matched = false;
@@ -153,6 +160,8 @@ class HashJoinOperator final : public PhysicalOperator {
   /// \brief Hash every row of ps->in into ps->hashes and prefetch the
   /// bucket heads the stride is about to touch.
   void HashProbeBatch(ProbeState* ps) const;
+  /// \brief Key equality of a build entry and a probe row; multi-key joins
+  /// only (a single-key join's hash equality already implies it).
   bool KeysEqual(const JoinBuildSide::Entry& entry, const Batch& batch,
                  int row) const;
   /// \brief Batched residual-filter pass over `ncand` buffered candidates:

@@ -67,7 +67,8 @@ void ResetForMorsel(PipelineWorkerState* ws) {
     ps.input_done = false;
     ps.cursor = 0;
     ps.in.num_rows = 0;
-    ps.pending_entry = -1;
+    ps.pending_entry = 0;
+    ps.pending_end = 0;
   }
 }
 

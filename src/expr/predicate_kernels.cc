@@ -73,7 +73,9 @@ __attribute__((target("avx2"))) void RangeAvx2(const int64_t* data,
 void RangeInt64Kernel(const int64_t* data, int64_t n, int64_t lo, int64_t hi,
                       bool negate, uint64_t* words) {
   if (lo > hi) {
-    std::memset(words, 0, SelectionBits::WordCount(n) * sizeof(uint64_t));
+    // An empty table has no words (and may pass a null `words`).
+    const size_t num_words = SelectionBits::WordCount(n);
+    if (num_words > 0) std::memset(words, 0, num_words * sizeof(uint64_t));
   } else {
     const auto ulo = static_cast<uint64_t>(lo);
     const uint64_t span = static_cast<uint64_t>(hi) - ulo;

@@ -1,5 +1,5 @@
 // Execution engine edge cases: empty inputs, fully filtered scans,
-// duplicate chains crossing batch boundaries, wide composite keys, and
+// duplicate runs crossing batch boundaries, wide composite keys, and
 // group-by paths.
 //
 // RightSizedScratch covers the composite (two-key) filter paths of the
@@ -7,14 +7,23 @@
 // (src/exec/batch.h): a scan probing a two-key pushed-down filter next to
 // a one-key one, and a hash join whose two-key residual filter hashes its
 // own keys instead of reusing the probe hash. Each runs at threads {1, 4}
-// under both SIMD tiers; totals must equal testing::ReferenceJoin and
-// every FilterStats field the single-threaded scalar run.
+// under both SIMD tiers; totals must equal testing::ReferenceJoin, and the
+// checksum, every FilterStats field and every join's row counters the
+// single-threaded scalar run.
+//
+// ProbePath runs the same differential over the hash join's probe loop:
+// a bucket run longer than the candidate stride, distinct keys sharing a
+// bucket, a two-key join, a join with and without a residual filter, and
+// an empty build side. AggFold pins the per-batch aggregate fold to a
+// naive row loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/simd.h"
 #include "src/exec/executor.h"
 #include "src/plan/pushdown.h"
@@ -256,11 +265,20 @@ std::unique_ptr<testing::TestDb> MakeCompositeResidualDb() {
 
 struct ScratchRun {
   int64_t total = 0;
+  uint64_t checksum = 0;
   std::vector<FilterStats> filters;
+  std::vector<OperatorStats> joins;  ///< hash joins, depth-first from the root
 };
 
-ScratchRun RunScratchPlan(const Plan& plan, int threads, AggKind agg) {
+void CollectJoinStats(PhysicalOperator* op, std::vector<OperatorStats>* out) {
+  if (op->stats().type == OperatorType::kHashJoin) out->push_back(op->stats());
+  for (PhysicalOperator* child : op->children()) CollectJoinStats(child, out);
+}
+
+ScratchRun RunScratchPlan(const Plan& plan, int threads, AggKind agg,
+                          bool use_bitvectors) {
   ExecutionOptions options;
+  options.use_bitvectors = use_bitvectors;
   options.exec.threads = threads;
   options.exec.morsel_rows = 512;  // several morsels per scan
   options.agg.kind = agg;
@@ -272,32 +290,52 @@ ScratchRun RunScratchPlan(const Plan& plan, int threads, AggKind agg) {
   while (root->Next(&batch)) {
   }
   root->Close();
-  return ScratchRun{root->TotalValue(), runtime.stats};
+  ScratchRun run{root->TotalValue(), root->ResultChecksum(), runtime.stats,
+                 {}};
+  CollectJoinStats(root.get(), &run.joins);
+  return run;
 }
 
+struct ReferenceCheck {
+  bool use_bitvectors = true;
+  bool expect_empty = false;  ///< the join is empty (else non-degenerate)
+};
+
 /// Execute `db`'s right-deep plan in relation order at threads {1, 4}
-/// under both tiers: COUNT(*) and SUM(measure) equal the reference join,
-/// and FilterStats equal the threads=1 scalar run.
-void ExpectMatchesReference(const testing::TestDb& db, const Plan& plan) {
+/// under both tiers: COUNT(*) and SUM(measure), and the root join's
+/// rows_out, equal the reference join; the checksum, every FilterStats
+/// field and every hash join's row and probe counters equal the threads=1
+/// scalar run.
+void ExpectMatchesReference(const testing::TestDb& db, const Plan& plan,
+                            const ReferenceCheck& check = {}) {
   const testing::ReferenceResult ref = testing::ReferenceJoin(db);
-  ASSERT_GT(ref.count, 0);  // non-degenerate fixture
+  if (check.expect_empty) {
+    ASSERT_EQ(ref.count, 0);
+  } else {
+    ASSERT_GT(ref.count, 0);  // non-degenerate fixture
+  }
   for (AggKind agg : {AggKind::kCountStar, AggKind::kSum}) {
     ScratchRun base;
     {
       ScopedSimdTier scalar(SimdTier::kScalar);
-      base = RunScratchPlan(plan, 1, agg);
+      base = RunScratchPlan(plan, 1, agg, check.use_bitvectors);
     }
     EXPECT_EQ(base.total, agg == AggKind::kSum ? ref.sum : ref.count);
+    ASSERT_FALSE(base.joins.empty());
+    EXPECT_EQ(base.joins[0].rows_out, ref.count);
     for (SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
       ScopedSimdTier scoped(tier);
       for (int threads : {1, 4}) {
         const std::string what = std::string(SimdTierName(tier)) +
                                  " threads=" + std::to_string(threads);
-        const ScratchRun run = RunScratchPlan(plan, threads, agg);
+        const ScratchRun run =
+            RunScratchPlan(plan, threads, agg, check.use_bitvectors);
         EXPECT_EQ(run.total, base.total) << what;
+        EXPECT_EQ(run.checksum, base.checksum) << what;
         ASSERT_EQ(run.filters.size(), base.filters.size()) << what;
         for (size_t f = 0; f < run.filters.size(); ++f) {
-          EXPECT_TRUE(run.filters[f].created) << what << " f" << f;
+          EXPECT_EQ(run.filters[f].created, check.use_bitvectors)
+              << what << " f" << f;
           EXPECT_EQ(run.filters[f].inserted, base.filters[f].inserted)
               << what << " f" << f;
           EXPECT_EQ(run.filters[f].probed, base.filters[f].probed)
@@ -306,6 +344,18 @@ void ExpectMatchesReference(const testing::TestDb& db, const Plan& plan) {
               << what << " f" << f;
           EXPECT_EQ(run.filters[f].size_bytes, base.filters[f].size_bytes)
               << what << " f" << f;
+        }
+        ASSERT_EQ(run.joins.size(), base.joins.size()) << what;
+        for (size_t j = 0; j < run.joins.size(); ++j) {
+          EXPECT_EQ(run.joins[j].rows_out, base.joins[j].rows_out)
+              << what << " join " << j;
+          EXPECT_EQ(run.joins[j].rows_prefilter, base.joins[j].rows_prefilter)
+              << what << " join " << j;
+          EXPECT_EQ(run.joins[j].probe_rows_in, base.joins[j].probe_rows_in)
+              << what << " join " << j;
+          EXPECT_EQ(run.joins[j].probe_rows_matched,
+                    base.joins[j].probe_rows_matched)
+              << what << " join " << j;
         }
       }
     }
@@ -349,6 +399,194 @@ TEST(RightSizedScratch, CompositeResidualFilterMatchesReference) {
   const PlanNode* site = plan.nodes[static_cast<size_t>(f_d.applied_at)];
   ASSERT_EQ(site->kind, PlanNode::Kind::kJoin);
   ExpectMatchesReference(*db, plan);
+}
+
+// ---- Probe path: bucket runs against the reference join ----
+//
+// Each fixture joins relation 0 (the probe side, with `measure`) to build
+// sides shaped to reach one corner of the probe loop: a bucket run longer
+// than the candidate stride, distinct keys sharing a bucket, a two-key
+// join, residual filters on and off, and an empty build side.
+
+/// The right-deep plan in relation order; it points into `graph`.
+Plan RightDeepInRelationOrder(const JoinGraph& graph) {
+  std::vector<int> order(static_cast<size_t>(graph.num_relations()));
+  for (size_t i = 0; i < order.size(); ++i) order[i] = static_cast<int>(i);
+  Plan plan = BuildRightDeepPlan(graph, order);
+  PushDownBitvectors(&plan);
+  return plan;
+}
+
+TEST(ProbePath, DuplicateRunLongerThanTheStrideResumes) {
+  // Key 7 has 3000 build rows: every probe row of key 7 fills the
+  // candidate stride at least twice, so its run is cut and resumed, and
+  // runs of other keys follow it within the same output batch.
+  testing::TestDb db;
+  Table* p = AddTable(&db, "p", {"k", "measure"});
+  for (int64_t i = 0; i < 2000; ++i) AddRow(p, {i % 60, i % 13});
+  Table* d = AddTable(&db, "d", {"k", "v"});
+  for (int64_t i = 0; i < 3000; ++i) AddRow(d, {7, i});
+  for (int64_t k = 0; k < 50; ++k) {
+    for (int64_t j = 0; j <= k % 5; ++j) AddRow(d, {k, j});
+  }
+  db.spec.relations = {{"p", "p", nullptr}, {"d", "d", nullptr}};
+  db.spec.joins = {{"p", "k", "d", "k"}};
+  auto graph = db.Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = RightDeepInRelationOrder(graph.value());
+  ExpectMatchesReference(db, plan);
+  ExpectMatchesReference(db, plan, {.use_bitvectors = false});
+
+  // Unfiltered, the join sees every probe row, and a probe row whose run
+  // is cut and resumed still counts as one matched row: keys 0-49 match.
+  int64_t matching = 0;
+  for (int64_t i = 0; i < 2000; ++i) matching += i % 60 < 50 ? 1 : 0;
+  for (int threads : {1, 4}) {
+    const ScratchRun run =
+        RunScratchPlan(plan, threads, AggKind::kCountStar, false);
+    ASSERT_EQ(run.joins.size(), 1u);
+    EXPECT_EQ(run.joins[0].probe_rows_in, 2000) << threads;
+    EXPECT_EQ(run.joins[0].probe_rows_matched, matching) << threads;
+  }
+}
+
+TEST(ProbePath, DistinctKeysSharingOneBucket) {
+  // Ten distinct keys whose single-key hashes agree in the low 16 bits
+  // land in one bucket of any table of at most 32768 build rows (its mask
+  // is at most 0xFFFF): each probe walks a run of other keys' entries that
+  // only the hash comparison rejects. The last four keys have no build
+  // row, so their probes walk the shared run and match nothing.
+  std::vector<int64_t> colliding;
+  const auto low_bits = [](int64_t k) { return HashComposite(&k, 1) & 0xFFFF; };
+  const uint64_t target = low_bits(1);
+  for (int64_t k = 1; colliding.size() < 10; ++k) {
+    if (low_bits(k) == target) colliding.push_back(k);
+  }
+  testing::TestDb db;
+  Table* d = AddTable(&db, "d", {"k", "v"});
+  for (size_t c = 0; c < 6; ++c) {
+    for (size_t j = 0; j <= c % 3; ++j) {
+      AddRow(d, {colliding[c], static_cast<int64_t>(j)});
+    }
+  }
+  for (int64_t k = -200; k < 0; ++k) AddRow(d, {k, 0});  // fillers
+  ASSERT_LE(d->num_rows(), 32768);
+  Table* p = AddTable(&db, "p", {"k", "measure"});
+  for (int64_t i = 0; i < 3000; ++i) {
+    AddRow(p, {i % 2 == 0 ? colliding[static_cast<size_t>(i / 2) % 10]
+                          : -(i % 250),
+               i % 17});
+  }
+  db.spec.relations = {{"p", "p", nullptr}, {"d", "d", nullptr}};
+  db.spec.joins = {{"p", "k", "d", "k"}};
+  auto graph = db.Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = RightDeepInRelationOrder(graph.value());
+  ExpectMatchesReference(db, plan);
+  ExpectMatchesReference(db, plan, {.use_bitvectors = false});
+}
+
+TEST(ProbePath, TwoKeyJoinComparesEveryKey) {
+  // Pairs matching on one key only must not join; pair (3, 4) has 1500
+  // build rows, so two-key runs are cut by the stride too.
+  testing::TestDb db;
+  Table* p = AddTable(&db, "p", {"x", "y", "measure"});
+  for (int64_t i = 0; i < 3000; ++i) AddRow(p, {i % 23, (i * 7) % 11, i % 31});
+  Table* d = AddTable(&db, "d", {"x", "y"});
+  for (int64_t x = 0; x < 20; ++x) {
+    for (int64_t y = 0; y < 10; ++y) {
+      if ((x + y) % 3 == 0) continue;
+      for (int64_t j = 0; j <= (x * y) % 4; ++j) AddRow(d, {x, y});
+    }
+  }
+  for (int64_t j = 0; j < 1500; ++j) AddRow(d, {3, 4});
+  db.spec.relations = {{"p", "p", nullptr}, {"d", "d", nullptr}};
+  db.spec.joins = {{"p", "x", "d", "x"}, {"p", "y", "d", "y"}};
+  auto graph = db.Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = RightDeepInRelationOrder(graph.value());
+  ExpectMatchesReference(db, plan);
+  ExpectMatchesReference(db, plan, {.use_bitvectors = false});
+}
+
+TEST(ProbePath, JoinWithAndWithoutResidualFilter) {
+  // With bitvectors on, D's two-key filter is a residual at a join (see
+  // MakeCompositeResidualDb): its candidates compact to the survivors
+  // before materializing. With them off, the same join has no residual.
+  auto db = MakeCompositeResidualDb();
+  auto graph = db->Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = RightDeepInRelationOrder(graph.value());
+  ExpectMatchesReference(*db, plan);
+  ExpectMatchesReference(*db, plan, {.use_bitvectors = false});
+}
+
+TEST(ProbePath, EmptyBuildSide) {
+  testing::TestDb db;
+  Table* p = AddTable(&db, "p", {"k", "measure"});
+  for (int64_t i = 0; i < 2000; ++i) AddRow(p, {i % 40, i % 7});
+  Table* d = AddTable(&db, "d", {"k", "attr0"});
+  for (int64_t k = 0; k < 40; ++k) AddRow(d, {k, k % 10});
+  db.spec.relations = {{"p", "p", nullptr}, {"d", "d", Lt("attr0", -1)}};
+  db.spec.joins = {{"p", "k", "d", "k"}};
+  auto graph = db.Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = RightDeepInRelationOrder(graph.value());
+  ExpectMatchesReference(db, plan, {.expect_empty = true});
+  ExpectMatchesReference(db, plan,
+                         {.use_bitvectors = false, .expect_empty = true});
+}
+
+// ---- AggFold: the per-batch fold against a naive row loop ----
+
+TEST(AggFold, FoldsBatchesLikeARowLoop) {
+  // Columns: 0 = group key, 1 = SUM input. Batch sizes include an empty
+  // batch and a full one.
+  const OutputSchema schema({BoundColumn{0, "g"}, BoundColumn{0, "v"}});
+  std::vector<Batch> batches;
+  std::mt19937_64 rng(0xa66f01d);
+  for (int n : {5, 0, kBatchSize, 1, 0, 300}) {
+    Batch b;
+    b.Reset(2);
+    for (int r = 0; r < n; ++r) {
+      b.col(0)[r] = static_cast<int64_t>(rng() % 17) - 8;
+      b.col(1)[r] = static_cast<int64_t>(rng() % 2001) - 1000;
+    }
+    b.num_rows = n;
+    batches.push_back(std::move(b));
+  }
+
+  struct Case {
+    const char* name;
+    AggKind kind;
+    bool grouped;
+  };
+  for (const Case& c : {Case{"COUNT(*)", AggKind::kCountStar, false},
+                        Case{"SUM", AggKind::kSum, false},
+                        Case{"grouped COUNT(*)", AggKind::kCountStar, true},
+                        Case{"grouped SUM", AggKind::kSum, true}}) {
+    AggSpec spec;
+    spec.kind = c.kind;
+    spec.sum_column = BoundColumn{0, "v"};
+    spec.has_group_by = c.grouped;
+    spec.group_column = BoundColumn{0, "g"};
+    const AggFold fold = AggFold::Resolve(spec, schema);
+    PartialAggState state;
+    PartialAggState naive;
+    for (const Batch& b : batches) {
+      fold.Fold(b, &state);
+      for (int r = 0; r < b.num_rows; ++r) {
+        const int64_t v = c.kind == AggKind::kSum ? b.col(1)[r] : 1;
+        if (c.grouped) naive.groups[b.col(0)[r]] += v;
+        naive.total += v;
+        ++naive.rows_folded;
+      }
+    }
+    EXPECT_EQ(state.total, naive.total) << c.name;
+    EXPECT_EQ(state.rows_folded, naive.rows_folded) << c.name;
+    EXPECT_EQ(state.groups, naive.groups) << c.name;
+    EXPECT_EQ(state.groups.empty(), !c.grouped) << c.name;
+  }
 }
 
 }  // namespace

@@ -7,6 +7,10 @@
 //
 //  * Hash batch kernels equal the scalar reference on adversarial lengths
 //    (0, 1, lane-1, lane, lane+1, 1M) for single-column and composite keys.
+//  * The single-column join hash is a bijection of its key (HashBijection):
+//    Mix64 and the single-key hash invert back to their inputs under both
+//    tiers. The hash join's single-key probe relies on this to treat equal
+//    hashes as equal keys (src/exec/hash_join.cc).
 //  * BloomFilter (the blocked kind) built under one tier is
 //    bit-compatible with probes under the other (both directions), agrees
 //    with the scalar reference probe, and MergeFrom over tracked partials
@@ -22,6 +26,7 @@
 // and the cross-checks against the references still run everywhere.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <set>
@@ -124,6 +129,71 @@ std::vector<uint16_t> PassSet(const BitvectorFilter& filter,
                                          static_cast<int>(sel.size()));
   sel.resize(static_cast<size_t>(out));
   return sel;
+}
+
+/// Inverse of x * c mod 2^64 for odd c, by Newton's iteration (each step
+/// doubles the number of correct low bits: 3 -> 6 -> ... -> 96).
+uint64_t ModularInverse(uint64_t c) {
+  uint64_t inv = c;  // correct to 3 bits for odd c
+  for (int i = 0; i < 5; ++i) inv *= 2 - c * inv;
+  return inv;
+}
+
+/// Inverse of Mix64: x ^= x >> 33 is its own inverse (a second application
+/// cancels, since x >> 66 is 0), and each multiply by an odd constant
+/// inverts by multiplying with its modular inverse.
+uint64_t InverseMix64(uint64_t x) {
+  const uint64_t inv1 = ModularInverse(0xff51afd7ed558ccdULL);
+  const uint64_t inv2 = ModularInverse(0xc4ceb9fe1a85ec53ULL);
+  x ^= x >> 33;
+  x *= inv2;
+  x ^= x >> 33;
+  x *= inv1;
+  x ^= x >> 33;
+  return x;
+}
+
+std::vector<int64_t> BijectionInputs() {
+  std::vector<int64_t> values = RandomValues(100000, 0xb17ec7);
+  for (int64_t v : {INT64_MIN, INT64_MAX, int64_t{0}, int64_t{-1},
+                    int64_t{1}}) {
+    values.push_back(v);
+  }
+  return values;
+}
+
+TEST(HashBijection, Mix64RoundTrips) {
+  for (uint64_t c : {0xff51afd7ed558ccdULL, 0xc4ceb9fe1a85ec53ULL}) {
+    ASSERT_EQ(c * ModularInverse(c), 1u) << std::hex << c;
+  }
+  for (int64_t v : BijectionInputs()) {
+    const auto x = static_cast<uint64_t>(v);
+    ASSERT_EQ(InverseMix64(Mix64(x)), x) << v;
+  }
+}
+
+/// HashColumn(v) = HashCombine(h0, v) = h0 ^ (Mix64(v) + K + (h0 << 12) +
+/// (h0 >> 4)) with h0 = CompositeSeed(0): xor with a constant, an add of a
+/// constant and Mix64 are each invertible, so the single-key hash is a
+/// bijection of the key, and a hash match is a key match.
+TEST(HashBijection, SingleKeyHashInvertsToItsKey) {
+  const std::vector<int64_t> values = BijectionInputs();
+  const int n = static_cast<int>(values.size());
+  const uint64_t h0 = CompositeSeed(0);
+  const uint64_t k = 0x9e3779b97f4a7c15ULL + (h0 << 12) + (h0 >> 4);
+  for (SimdTier tier : {SimdTier::kScalar, SimdTier::kAvx2}) {
+    if (tier == SimdTier::kAvx2 && !CpuSupportsAvx2()) continue;
+    ScopedSimdTier force(tier);
+    std::vector<uint64_t> hashes(values.size());
+    HashColumnKernel(values.data(), n, hashes.data());
+    for (int i = 0; i < n; ++i) {
+      const uint64_t h = hashes[static_cast<size_t>(i)];
+      const int64_t v = values[static_cast<size_t>(i)];
+      ASSERT_EQ(h, HashComposite(&v, 1));
+      ASSERT_EQ(static_cast<int64_t>(InverseMix64((h ^ h0) - k)), v)
+          << "tier=" << SimdTierName(tier) << " i=" << i;
+    }
+  }
 }
 
 TEST(BlockedBloom, TierParityInsertProbeAndCrossTier) {
