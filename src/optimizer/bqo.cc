@@ -1,7 +1,6 @@
 #include "src/optimizer/bqo.h"
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 
 #include "src/plan/pushdown.h"
@@ -14,6 +13,7 @@ namespace {
 struct Group {
   std::vector<int> unit_idxs;     ///< members (indexes into units)
   std::vector<int> fact_adjacent; ///< members directly joined to the fact
+  std::vector<int> outward;       ///< members in FactOutwardOrder
   double priority = 0;            ///< paper's P0..P3 (higher joins earlier)
   double retention = 1.0;         ///< est. fraction of fact rows kept
 };
@@ -57,8 +57,34 @@ std::vector<int> DepthsFromFact(const JoinGraph& graph,
   return depth;
 }
 
-/// Away-first DFS order of `group` starting at `start`: visit deeper
-/// (farther-from-fact) neighbors before shallower ones. For a chain branch
+/// Away-first DFS from `u` over the unvisited units of `group`: visit
+/// deeper (farther-from-fact) neighbors before shallower ones, appending
+/// to `order`.
+void AwayFirstVisit(const JoinGraph& graph, const std::vector<PlanUnit>& units,
+                    const std::vector<int>& group,
+                    const std::vector<int>& depth, int u,
+                    std::vector<bool>* visited, std::vector<int>* order) {
+  (*visited)[static_cast<size_t>(u)] = true;
+  order->push_back(u);
+  std::vector<int> neighbors;
+  for (int v : group) {
+    if ((*visited)[static_cast<size_t>(v)]) continue;
+    if (graph.Adjacent(units[static_cast<size_t>(u)].rels,
+                       units[static_cast<size_t>(v)].rels)) {
+      neighbors.push_back(v);
+    }
+  }
+  std::sort(neighbors.begin(), neighbors.end(), [&](int a, int b) {
+    return depth[static_cast<size_t>(a)] > depth[static_cast<size_t>(b)];
+  });
+  for (int v : neighbors) {
+    if (!(*visited)[static_cast<size_t>(v)]) {
+      AwayFirstVisit(graph, units, group, depth, v, visited, order);
+    }
+  }
+}
+
+/// Away-first DFS order of `group` starting at `start`. For a chain branch
 /// starting at R_k this yields exactly the Theorem 5.3 candidate order
 /// (R_k, R_{k+1}, ..., R_n, R_{k-1}, ..., R_1).
 std::vector<int> AwayFirstOrder(const JoinGraph& graph,
@@ -67,26 +93,7 @@ std::vector<int> AwayFirstOrder(const JoinGraph& graph,
                                 const std::vector<int>& depth) {
   std::vector<int> order;
   std::vector<bool> visited(units.size(), false);
-  // Recursive DFS with neighbor ordering by descending depth.
-  std::function<void(int)> visit = [&](int u) {
-    visited[static_cast<size_t>(u)] = true;
-    order.push_back(u);
-    std::vector<int> neighbors;
-    for (int v : group) {
-      if (visited[static_cast<size_t>(v)]) continue;
-      if (graph.Adjacent(units[static_cast<size_t>(u)].rels,
-                         units[static_cast<size_t>(v)].rels)) {
-        neighbors.push_back(v);
-      }
-    }
-    std::sort(neighbors.begin(), neighbors.end(), [&](int a, int b) {
-      return depth[static_cast<size_t>(a)] > depth[static_cast<size_t>(b)];
-    });
-    for (int v : neighbors) {
-      if (!visited[static_cast<size_t>(v)]) visit(v);
-    }
-  };
-  visit(start);
+  AwayFirstVisit(graph, units, group, depth, start, &visited, &order);
   return order;
 }
 
@@ -110,65 +117,117 @@ std::vector<int> FactOutwardOrder(const Group& group,
 /// to the probe side (the P3 rule, lines 12-13).
 void JoinGroups(const std::vector<PlanUnit>& units,
                 const std::vector<Group>& groups, size_t skip,
-                const std::vector<int>& depth, double fact_card,
-                std::vector<Step>* steps) {
+                double fact_card, std::vector<Step>* steps) {
   for (size_t gi = 0; gi < groups.size(); ++gi) {
     if (gi == skip) continue;
-    for (int u : FactOutwardOrder(groups[gi], depth)) {
+    for (int u : groups[gi].outward) {
       steps->push_back(
           Step{u, !(units[static_cast<size_t>(u)].est_card > fact_card)});
     }
   }
 }
 
-/// Build, renumber and push down the candidate `steps` describes.
-Plan BuildCandidate(const JoinGraph& graph, const std::vector<PlanUnit>& units,
-                    const std::vector<Step>& steps) {
-  std::unique_ptr<PlanNode> chain =
-      ClonePlanNode(*units[static_cast<size_t>(steps[0].unit)].fragment);
-  for (size_t i = 1; i < steps.size(); ++i) {
-    auto unit =
-        ClonePlanNode(*units[static_cast<size_t>(steps[i].unit)].fragment);
-    chain = steps[i].unit_builds
-                ? MakeJoin(graph, std::move(unit), std::move(chain))
-                : MakeJoin(graph, std::move(chain), std::move(unit));
-    BQO_CHECK_MSG(chain != nullptr, "candidate step is a cross product");
+/// The candidates of one OptimizeSnowflakeUnits call, assembled without
+/// copying a plan tree: every step's unit lends its fragment to one reused
+/// Plan, whose join nodes are reused too, and gets it back afterwards.
+class CandidateChain {
+ public:
+  CandidateChain(const JoinGraph& graph, std::vector<PlanUnit>* units)
+      : graph_(graph), units_(*units) {
+    plan_.graph = &graph;
   }
-  Plan plan;
-  plan.graph = &graph;
-  plan.root = std::move(chain);
-  plan.Renumber();
-  PushDownBitvectors(&plan);
-  return plan;
-}
+
+  /// Cost the candidate `steps` describes, after Algorithm 1 push-down.
+  CoutBreakdown Cost(const std::vector<Step>& steps, CoutModel* model) {
+    Assemble(steps);
+    PushDownBitvectors(&plan_);
+    CoutBreakdown cost = model->Compute(plan_);
+    GiveBack(steps);
+    return cost;
+  }
+
+  /// A copy of the candidate `steps` describes: renumbered, with no filter
+  /// annotations.
+  std::unique_ptr<PlanNode> Copy(const std::vector<Step>& steps) {
+    Assemble(steps);
+    Plan copy;
+    copy.graph = &graph_;
+    copy.root = ClonePlanNode(*plan_.root);
+    GiveBack(steps);
+    copy.Renumber();
+    ClearBitvectors(&copy);
+    return std::move(copy.root);
+  }
+
+ private:
+  /// Build plan_ bottom up from the steps' lent fragments.
+  void Assemble(const std::vector<Step>& steps) {
+    if (joins_.size() + 1 < steps.size()) joins_.resize(steps.size() - 1);
+    std::unique_ptr<PlanNode> chain = Lend(steps[0].unit);
+    for (size_t i = 1; i < steps.size(); ++i) {
+      std::unique_ptr<PlanNode> join = std::move(joins_[i - 1]);
+      if (join == nullptr) {
+        join = std::make_unique<PlanNode>();
+        join->kind = PlanNode::Kind::kJoin;
+      }
+      std::unique_ptr<PlanNode> unit = Lend(steps[i].unit);
+      join->rel_set = unit->rel_set | chain->rel_set;
+      graph_.EdgesBetweenSets(unit->rel_set, chain->rel_set, &join->edge_ids);
+      BQO_CHECK_MSG(!join->edge_ids.empty(),
+                    "candidate step is a cross product");
+      (steps[i].unit_builds ? join->build : join->probe) = std::move(unit);
+      (steps[i].unit_builds ? join->probe : join->build) = std::move(chain);
+      chain = std::move(join);
+    }
+    plan_.root = std::move(chain);
+  }
+
+  /// Take plan_ apart top down: each join gives its unit's fragment back
+  /// and hands its chain side on.
+  void GiveBack(const std::vector<Step>& steps) {
+    std::unique_ptr<PlanNode> chain = std::move(plan_.root);
+    for (size_t i = steps.size() - 1; i > 0; --i) {
+      std::unique_ptr<PlanNode> join = std::move(chain);
+      Return(steps[i].unit,
+             std::move(steps[i].unit_builds ? join->build : join->probe));
+      chain = std::move(steps[i].unit_builds ? join->probe : join->build);
+      joins_[i - 1] = std::move(join);
+    }
+    Return(steps[0].unit, std::move(chain));
+  }
+
+  std::unique_ptr<PlanNode> Lend(int unit) {
+    return std::move(units_[static_cast<size_t>(unit)].fragment);
+  }
+  void Return(int unit, std::unique_ptr<PlanNode> fragment) {
+    units_[static_cast<size_t>(unit)].fragment = std::move(fragment);
+  }
+
+  const JoinGraph& graph_;
+  std::vector<PlanUnit>& units_;
+  Plan plan_;
+  std::vector<std::unique_ptr<PlanNode>> joins_;  ///< spare join nodes
+};
 
 }  // namespace
 
 SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
-                                       const std::vector<PlanUnit>& units,
+                                       std::vector<PlanUnit>* units_in,
                                        const std::vector<int>& members,
                                        int fact, CoutModel* model) {
   BQO_CHECK(!members.empty());
+  std::vector<PlanUnit>& units = *units_in;
   const PlanUnit& fact_unit = units[static_cast<size_t>(fact)];
-
-  if (members.size() == 1) {
-    Plan plan;
-    plan.graph = &graph;
-    plan.root = ClonePlanNode(*fact_unit.fragment);
-    plan.Renumber();
-    SnowflakeChoice choice;
-    choice.root_card = model->Compute(plan).node_output[0];
-    choice.fragment = std::move(plan.root);
-    return choice;
-  }
 
   const std::vector<int> depth = DepthsFromFact(graph, units, members, fact);
 
   // ---- SortBranches (Algorithm 2 lines 17-34) ----
   std::vector<Group> groups;
+  std::vector<int> edges;
   for (auto& idxs : GroupBranches(graph, units, members, fact)) {
     Group g;
     g.unit_idxs = std::move(idxs);
+    g.outward = FactOutwardOrder(g, depth);
     for (int u : g.unit_idxs) {
       if (graph.Adjacent(units[static_cast<size_t>(u)].rels,
                          fact_unit.rels)) {
@@ -191,8 +250,8 @@ SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
       const int adj = g.fact_adjacent[0];
       const PlanUnit& adj_unit = units[static_cast<size_t>(adj)];
       bool pkfk = false;
-      for (int eid :
-           graph.EdgesBetweenSets(adj_unit.rels, fact_unit.rels)) {
+      graph.EdgesBetweenSets(adj_unit.rels, fact_unit.rels, &edges);
+      for (int eid : edges) {
         if (UnitSideUnique(graph, adj_unit, eid)) pkfk = true;
       }
       if (!pkfk) {
@@ -211,25 +270,26 @@ SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
     return a.unit_idxs < b.unit_idxs;
   });
 
-  // Every candidate is described by its steps, built from them, costed,
-  // and kept only while it is the cheapest so far.
+  // Every candidate is described by its steps and costed on lent
+  // fragments; only the cheapest one's steps are kept, and that candidate
+  // is built once at the end.
+  CandidateChain candidates(graph, &units);
   std::vector<Step> steps;
-  Plan best_plan;
+  std::vector<Step> best_steps;
   double best = std::numeric_limits<double>::infinity();
   double best_card = 0;
   auto consider = [&]() {
-    Plan plan = BuildCandidate(graph, units, steps);
-    const CoutBreakdown b = model->Compute(plan);
+    const CoutBreakdown b = candidates.Cost(steps, model);
     if (b.total < best) {
       best = b.total;
       best_card = b.node_output[0];
-      best_plan = std::move(plan);
+      best_steps = steps;
     }
   };
 
   // ---- Candidate 0: fact right-most (lines 1-2) ----
   steps.push_back(Step{fact, true});
-  JoinGroups(units, groups, groups.size(), depth, fact_unit.est_card, &steps);
+  JoinGroups(units, groups, groups.size(), fact_unit.est_card, &steps);
   consider();
 
   // ---- Branch-first candidates (lines 3-7): for every group and every
@@ -253,13 +313,13 @@ SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
       // T(Rk, R0, ...) shape), then the remaining groups.
       if (!valid || !graph.Adjacent(fact_unit.rels, chain)) continue;
       steps.push_back(Step{fact, true});
-      JoinGroups(units, groups, gi, depth, fact_unit.est_card, &steps);
+      JoinGroups(units, groups, gi, fact_unit.est_card, &steps);
       consider();
     }
   }
 
   SnowflakeChoice choice;
-  choice.fragment = std::move(best_plan.root);
+  choice.fragment = candidates.Copy(best_steps);
   choice.root_card = best_card;
   return choice;
 }
@@ -316,7 +376,7 @@ Plan OptimizeBqo(const JoinGraph& graph, CoutModel* model) {
     }
 
     SnowflakeChoice sub =
-        OptimizeSnowflakeUnits(graph, units, members, fact, model);
+        OptimizeSnowflakeUnits(graph, &units, members, fact, model);
 
     // Collapse the members into one optimized composite unit.
     PlanUnit composite;

@@ -27,10 +27,17 @@ struct SnowflakeChoice {
 };
 
 /// \brief Algorithm 2. `members` indexes `units` (fact included). The
-/// returned fragment covers exactly the member units' relations. `model` must be
-/// bitvector-aware (candidates are costed after Algorithm 1 push-down).
+/// returned fragment covers exactly the member units' relations and has no
+/// filter annotations. `model` must be bitvector-aware (candidates are
+/// costed after Algorithm 1 push-down).
+///
+/// Candidates are costed on the units' own fragments, lent to one reused
+/// plan and given back after each candidate, so `units` is mutable: when
+/// the call returns, every fragment is back in its unit with the same
+/// structure (Signature, rel_set); only its node ids and filter
+/// annotations were rewritten. Only the winner is copied, once.
 SnowflakeChoice OptimizeSnowflakeUnits(const JoinGraph& graph,
-                                       const std::vector<PlanUnit>& units,
+                                       std::vector<PlanUnit>* units,
                                        const std::vector<int>& members,
                                        int fact, CoutModel* model);
 

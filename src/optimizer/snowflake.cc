@@ -30,6 +30,7 @@ std::vector<int> FindFactUnits(const JoinGraph& graph,
                                const std::vector<PlanUnit>& units,
                                const std::vector<int>& active) {
   std::vector<int> facts;
+  std::vector<int> edges;
   for (int u : active) {
     const PlanUnit& unit = units[static_cast<size_t>(u)];
     if (unit.optimized) continue;
@@ -37,7 +38,8 @@ std::vector<int> FindFactUnits(const JoinGraph& graph,
     for (int v : active) {
       const RelSet other = units[static_cast<size_t>(v)].rels;
       if (v == u || !graph.Adjacent(unit.rels, other)) continue;
-      for (int eid : graph.EdgesBetweenSets(unit.rels, other)) {
+      graph.EdgesBetweenSets(unit.rels, other, &edges);
+      for (int eid : edges) {
         if (UnitSideUnique(graph, unit, eid)) {
           referenced = true;
           break;
@@ -56,6 +58,7 @@ std::vector<int> ExpandSnowflake(const JoinGraph& graph,
   std::vector<int> members = {fact};
   std::vector<bool> in_set(units.size(), false);
   in_set[static_cast<size_t>(fact)] = true;
+  std::vector<int> edges;
   bool grew = true;
   while (grew) {
     grew = false;
@@ -67,7 +70,8 @@ std::vector<int> ExpandSnowflake(const JoinGraph& graph,
       for (int m : members) {
         const RelSet member = units[static_cast<size_t>(m)].rels;
         if (!graph.Adjacent(member, cand.rels)) continue;
-        for (int eid : graph.EdgesBetweenSets(member, cand.rels)) {
+        graph.EdgesBetweenSets(member, cand.rels, &edges);
+        for (int eid : edges) {
           if (UnitSideUnique(graph, cand, eid)) {
             reachable = true;
             break;

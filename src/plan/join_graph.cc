@@ -92,27 +92,27 @@ void JoinGraph::DeriveUniqueness(const Catalog& catalog) {
   }
 }
 
-std::vector<int> JoinGraph::EdgesBetweenSets(RelSet a, RelSet b) const {
+void JoinGraph::EdgesBetweenSets(RelSet a, RelSet b,
+                                 std::vector<int>* out) const {
   a &= AllRels();
   b &= AllRels();
   // Every such edge has an endpoint on the smaller side, so scanning its
   // incident edges suffices: joining a dimension to a composite touches
   // one or two edges, not all of them.
   const RelSet small = RelSetCount(a) <= RelSetCount(b) ? a : b;
-  std::vector<int> out;
+  out->clear();
   ForEachRel(small, [&](int r) {
     for (int eid : incident_[static_cast<size_t>(r)]) {
       const JoinEdge& e = edges_[static_cast<size_t>(eid)];
       if ((RelSetContains(a, e.left) && RelSetContains(b, e.right)) ||
           (RelSetContains(a, e.right) && RelSetContains(b, e.left))) {
-        out.push_back(eid);
+        out->push_back(eid);
       }
     }
   });
   // Ascending and once each (an edge inside `small` is seen twice).
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
+  std::sort(out->begin(), out->end());
+  out->erase(std::unique(out->begin(), out->end()), out->end());
 }
 
 bool JoinGraph::IsConnected(RelSet set) const {

@@ -124,12 +124,13 @@ class JoinGraph {
     return incident_[static_cast<size_t>(rel)];
   }
 
-  /// \brief Edge ids with one endpoint in `a` and the other in `b`,
-  /// ascending.
-  std::vector<int> EdgesBetweenSets(RelSet a, RelSet b) const;
+  /// \brief Replace `*out` with the edge ids that have one endpoint in `a`
+  /// and the other in `b`, ascending. Callers that build many joins pass
+  /// the same vector, so its storage is reused.
+  void EdgesBetweenSets(RelSet a, RelSet b, std::vector<int>* out) const;
 
   /// \brief True iff some edge has one endpoint in `a` and the other in
-  /// `b` (== !EdgesBetweenSets(a, b).empty(), without building the list).
+  /// `b` (EdgesBetweenSets would be non-empty), without building the list.
   bool Adjacent(RelSet a, RelSet b) const { return (Reach(a) & b) != 0; }
 
   /// \brief Relations adjacent to any member of `set`, excluding `set`.

@@ -192,7 +192,7 @@ std::unique_ptr<PlanNode> MakeJoin(const JoinGraph& graph,
   auto node = std::make_unique<PlanNode>();
   node->kind = PlanNode::Kind::kJoin;
   node->rel_set = build->rel_set | probe->rel_set;
-  node->edge_ids = graph.EdgesBetweenSets(build->rel_set, probe->rel_set);
+  graph.EdgesBetweenSets(build->rel_set, probe->rel_set, &node->edge_ids);
   node->build = std::move(build);
   node->probe = std::move(probe);
   return node;

@@ -15,8 +15,10 @@ namespace bqo {
 
 /// \brief Annotate `plan` with bitvector filters per Algorithm 1.
 ///
-/// Clears any previous annotation. After the call, plan->filters describes
-/// every filter (source join, key columns, application site) and each node's
+/// Replaces any previous annotation: existing plan->filters entries are
+/// overwritten in place (every field reset) and the vector is resized to
+/// one filter per join. After the call, plan->filters describes every
+/// filter (source join, key columns, application site) and each node's
 /// applied_filters/created_filter fields are consistent with it.
 void PushDownBitvectors(Plan* plan);
 

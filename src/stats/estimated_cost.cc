@@ -108,38 +108,48 @@ void EstimatedCoutModel::ApplyFilters(const Plan& plan, const PlanNode& node,
   }
 }
 
-double EstimatedCoutModel::EvalNode(const Plan& plan, const PlanNode& node,
-                                    CoutBreakdown* out) {
+void EstimatedCoutModel::SeedLeaf(const JoinGraph& graph, int rel_idx,
+                                  double* row) {
+  const RelationRef& rel = graph.relation(rel_idx);
+  const std::vector<int>& cols = graph.RelationColumns(rel_idx);
+  std::pair<double, double>& key = seed_key_[static_cast<size_t>(rel_idx)];
+  if (key.first != rel.base_rows || key.second != rel.filtered_rows) {
+    key = {rel.base_rows, rel.filtered_rows};
+    for (int cid : cols) {
+      seed_[static_cast<size_t>(cid)] =
+          Cap(BaseDistinct(rel, cid), rel.filtered_rows);
+    }
+  }
+  for (int cid : cols) row[cid] = seed_[static_cast<size_t>(cid)];
+}
+
+EstimatedCoutModel::SubtreeEstimate EstimatedCoutModel::EvalNode(
+    const Plan& plan, const PlanNode& node, CoutBreakdown* out) {
   const JoinGraph& graph = *plan.graph;
-  double* row = Row(node.id);
+  double* row;
   double card;
   if (node.kind == PlanNode::Kind::kLeaf) {
-    const RelationRef& rel = graph.relation(node.relation);
-    card = rel.filtered_rows;
-    // Seed distinct counts for every join column of this relation.
-    for (int cid : graph.RelationColumns(node.relation)) {
-      row[cid] = Cap(BaseDistinct(rel, cid), card);
-    }
+    row = Row(node.id);
+    card = graph.relation(node.relation).filtered_rows;
+    SeedLeaf(graph, node.relation, row);
   } else {
     // Execution order: build first, then register the created filter's
     // source estimate, then the probe subtree (which may apply that
     // filter).
     const PlanNode& build = *node.build;
     const PlanNode& probe = *node.probe;
-    const double b_card = EvalNode(plan, build, out);
-    const double* b_row = Row(build.id);
+    const SubtreeEstimate b = EvalNode(plan, build, out);
     if (node.created_filter >= 0) {
       const PlanFilter& f =
           plan.filters[static_cast<size_t>(node.created_filter)];
       filter_key_distinct_[static_cast<size_t>(node.created_filter)] =
-          CompositeDistinct(graph, b_row, b_card, build.rel_set,
+          CompositeDistinct(graph, b.row, b.card, build.rel_set,
                             f.build_col_ids);
     }
-    const double p_card = EvalNode(plan, probe, out);
-    const double* p_row = Row(probe.id);
+    const SubtreeEstimate p = EvalNode(plan, probe, out);
 
     // Classic containment formula per applied edge.
-    card = b_card * p_card;
+    card = b.card * p.card;
     for (int eid : node.edge_ids) {
       const JoinEdge& e = graph.edge(eid);
       const bool left_in_build = RelSetContains(build.rel_set, e.left);
@@ -148,19 +158,18 @@ double EstimatedCoutModel::EvalNode(const Plan& plan, const PlanNode& node,
       const std::vector<int>& p_ids =
           left_in_build ? e.right_col_ids : e.left_col_ids;
       const double d_b =
-          CompositeDistinct(graph, b_row, b_card, build.rel_set, b_ids);
+          CompositeDistinct(graph, b.row, b.card, build.rel_set, b_ids);
       const double d_p =
-          CompositeDistinct(graph, p_row, p_card, probe.rel_set, p_ids);
+          CompositeDistinct(graph, p.row, p.card, probe.rel_set, p_ids);
       card /= std::max(d_b, d_p);
     }
 
-    // Merge the children's distincts (their relation sets are disjoint);
-    // join columns take the min of the two sides.
+    // Merge the children's distincts (their relation sets are disjoint)
+    // into the probe child's row; join columns take the min of the two
+    // sides.
+    row = p.row;
     ForEachRel(build.rel_set, [&](int r) {
-      for (int cid : graph.RelationColumns(r)) row[cid] = b_row[cid];
-    });
-    ForEachRel(probe.rel_set, [&](int r) {
-      for (int cid : graph.RelationColumns(r)) row[cid] = p_row[cid];
+      for (int cid : graph.RelationColumns(r)) row[cid] = b.row[cid];
     });
     for (int eid : node.edge_ids) {
       const JoinEdge& e = graph.edge(eid);
@@ -183,7 +192,7 @@ double EstimatedCoutModel::EvalNode(const Plan& plan, const PlanNode& node,
   ApplyFilters(plan, node, &card, row, out);
   out->node_output[static_cast<size_t>(node.id)] = card;
   out->total += card;
-  return card;
+  return SubtreeEstimate{card, row};
 }
 
 CoutBreakdown EstimatedCoutModel::Compute(const Plan& plan) {
@@ -191,12 +200,20 @@ CoutBreakdown EstimatedCoutModel::Compute(const Plan& plan) {
   const JoinGraph& graph = *plan.graph;
   if (graph.structure_id() != memo_structure_) {
     memo_structure_ = graph.structure_id();
-    raw_distinct_.clear();
-    for (int cid = 0; cid < graph.num_columns(); ++cid) {
-      const BoundColumn& col = graph.column(cid);
-      raw_distinct_.push_back(stats_->Distinct(
-          graph.relation(col.rel).table_name, col.column));
+    raw_distinct_.assign(static_cast<size_t>(graph.num_columns()), 0.0);
+    for (int r = 0; r < graph.num_relations(); ++r) {
+      const std::vector<int>& cols = graph.RelationColumns(r);
+      if (cols.empty()) continue;
+      const TableStatsData& table = stats_->Get(graph.relation(r).table_name);
+      for (int cid : cols) {
+        raw_distinct_[static_cast<size_t>(cid)] =
+            table.Distinct(graph.column(cid).column);
+      }
     }
+    seed_.assign(static_cast<size_t>(graph.num_columns()), 0.0);
+    // NaN keys match no relation, so every seed is computed on first use.
+    seed_key_.assign(static_cast<size_t>(graph.num_relations()),
+                     {std::nan(""), std::nan("")});
   }
   num_cols_ = static_cast<size_t>(graph.num_columns());
   if (dist_.size() < plan.nodes.size() * num_cols_) {

@@ -12,25 +12,31 @@
 //    (so a join after a fully reducing filter is not double-counted),
 //  * optional false-positive leakage: retention' = rho + (1 - rho) * fp.
 //
-// Layout. The optimizers cost thousands of candidate plans per query, so
-// the per-node state is flat: one row of a (plan nodes x K) matrix of
+// Layout. The optimizers cost hundreds of candidate plans per query, so
+// the per-subtree state is flat: one row of a (plan nodes x K) matrix of
 // doubles, K = the graph's join-column count (JoinGraph::column ids), kept
-// by the model and reused across Compute calls. Edges and filters carry
-// column ids, so the per-node path touches no string, map, lock, or
-// allocation once the matrix has grown to the largest plan seen.
+// by the model and reused across Compute calls. Each leaf seeds the row of
+// its own node id; a join takes over its probe child's row and copies in
+// only the build side's columns (nothing reads the probe row after the
+// merge), so no row is copied whole. Edges and filters carry column ids,
+// so the per-node path touches no string, map, lock, or allocation once
+// the matrix has grown to the largest plan seen.
 //
-// Presence rule. A node's row holds a distinct count for column c iff c's
-// relation is in the node's rel_set; other entries are stale and never
-// read. (A leaf seeds every join column of its relation; a join inherits
-// its children's columns.) A lookup of an absent column falls back to the
-// node cardinality.
+// Presence rule. A subtree's row holds a distinct count for column c iff
+// c's relation is in the subtree's rel_set; other entries are stale and
+// never read. (A leaf seeds every join column of its relation; a join
+// inherits its children's columns.) A lookup of an absent column falls
+// back to the node cardinality.
 //
-// Base distinct counts. The raw per-column count (StatsCatalog::Distinct)
-// is resolved once per graph structure (JoinGraph::structure_id) and
-// memoized for the model's lifetime, so the catalog's mutex is not taken
-// per candidate. The Yao reduction under the local predicate depends on
-// filtered_rows, which probe re-optimizations vary, so it is recomputed at
-// every leaf of every Compute.
+// Base distinct counts. The raw per-column count is resolved once per
+// graph structure (JoinGraph::structure_id), one StatsCatalog::Get per
+// relation, and memoized for the model's lifetime, so the catalog's lock
+// is not taken per candidate. A leaf's seed — the raw count Yao-reduced
+// under the local predicate and capped by the leaf's cardinality — depends
+// only on that count and the relation's (base_rows, filtered_rows), so it
+// is memoized per relation under that key: the candidates of one query
+// share it, and a graph copy whose selectivities moved (a plan-cache
+// verification's rebound graph) recomputes it.
 //
 // Bit parity. Every estimate is bit-identical to the original map-based
 // evaluation: the same operations run in the same order (per-edge column
@@ -40,6 +46,7 @@
 #pragma once
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/plan/cout.h"
@@ -75,9 +82,19 @@ class EstimatedCoutModel : public CoutModel {
   StatsCatalog* stats() const { return stats_; }
 
  private:
-  /// Evaluates `node`'s subtree into its matrix row; returns its output
-  /// cardinality.
-  double EvalNode(const Plan& plan, const PlanNode& node, CoutBreakdown* out);
+  /// A subtree's estimate: its output cardinality and the matrix row that
+  /// holds its distinct counts.
+  struct SubtreeEstimate {
+    double card;
+    double* row;
+  };
+
+  /// Evaluates `node`'s subtree (see the layout note above).
+  SubtreeEstimate EvalNode(const Plan& plan, const PlanNode& node,
+                           CoutBreakdown* out);
+
+  /// Seed a leaf's row from the per-relation memo.
+  void SeedLeaf(const JoinGraph& graph, int rel, double* row);
 
   /// Apply `node`'s filters to its cardinality and row.
   void ApplyFilters(const Plan& plan, const PlanNode& node, double* card,
@@ -97,6 +114,10 @@ class EstimatedCoutModel : public CoutModel {
   // Raw distinct counts of the graph structure `memo_structure_`.
   uint64_t memo_structure_ = 0;
   std::vector<double> raw_distinct_;  ///< by column id; <= 0 = unknown
+  /// Leaf seeds by column id, valid for relation r while its
+  /// (base_rows, filtered_rows) equal seed_key_[r].
+  std::vector<double> seed_;
+  std::vector<std::pair<double, double>> seed_key_;  ///< by relation
 
   // Per-Compute scratch, reused across calls.
   size_t num_cols_ = 0;

@@ -1,15 +1,27 @@
 #include "src/stats/table_stats.h"
 
 #include <algorithm>
+#include <mutex>
 
 namespace bqo {
 
+double TableStatsData::Distinct(const std::string& column) const {
+  auto it = columns.find(column);
+  return it == columns.end() ? 0.0 : static_cast<double>(it->second.distinct);
+}
+
 const TableStatsData& StatsCatalog::Get(const std::string& table) {
-  // One lock spans lookup and computation: concurrent optimizers asking
-  // for the same large table must not compute its distinct counts twice
-  // (and unordered_map mutation is unsynchronized). Entries are
-  // node-based, so the returned reference survives later inserts.
-  std::lock_guard<std::mutex> lock(mu_);
+  {
+    std::shared_lock<std::shared_mutex> lock(mu_);
+    auto it = cache_.find(table);
+    if (it != cache_.end()) return it->second;
+  }
+  // A miss computes under the writer lock, after re-checking: concurrent
+  // optimizers asking for the same large table must not compute its
+  // distinct counts twice (and unordered_map mutation is unsynchronized).
+  // Entries are node-based, so the returned reference survives later
+  // inserts.
+  std::unique_lock<std::shared_mutex> lock(mu_);
   auto it = cache_.find(table);
   if (it != cache_.end()) return it->second;
 
@@ -33,16 +45,8 @@ const TableStatsData& StatsCatalog::Get(const std::string& table) {
   return cache_.emplace(table, std::move(stats)).first->second;
 }
 
-double StatsCatalog::Distinct(const std::string& table,
-                              const std::string& column) {
-  const TableStatsData& stats = Get(table);
-  auto it = stats.columns.find(column);
-  return it == stats.columns.end() ? 0.0
-                                   : static_cast<double>(it->second.distinct);
-}
-
 void StatsCatalog::Invalidate() {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::shared_mutex> lock(mu_);
   cache_.clear();
 }
 

@@ -6,7 +6,7 @@
 // modeling estimation *error* is out of scope for reproducing its claims.
 #pragma once
 
-#include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <unordered_map>
 
@@ -23,16 +23,20 @@ struct ColumnStatsData {
 struct TableStatsData {
   int64_t rows = 0;
   std::unordered_map<std::string, ColumnStatsData> columns;
+
+  /// \brief Distinct count of `column` (0 if unknown).
+  double Distinct(const std::string& column) const;
 };
 
 /// \brief Lazily computed, cached statistics for every table in a catalog.
 ///
-/// Thread-safe for concurrent Get/Distinct (the QueryService optimizes
-/// queries from many client threads against one shared StatsCatalog);
-/// returned references stay valid across concurrent inserts because the
-/// cache is node-based. Invalidate() must not race with readers — the
-/// serving layer serializes it against in-flight optimizations
-/// (QueryService::InvalidateCache).
+/// Thread-safe for concurrent Get (the QueryService optimizes
+/// queries from many client threads against one shared StatsCatalog):
+/// cache hits share a reader lock, and a miss computes under the writer
+/// lock after re-checking. Returned references stay valid across
+/// concurrent inserts because the cache is node-based. Invalidate() must
+/// not race with readers — the serving layer serializes it against
+/// in-flight optimizations (QueryService::InvalidateCache).
 class StatsCatalog {
  public:
   explicit StatsCatalog(const Catalog* catalog) : catalog_(catalog) {}
@@ -40,16 +44,13 @@ class StatsCatalog {
   /// \brief Statistics for `table`; computed on first request.
   const TableStatsData& Get(const std::string& table);
 
-  /// \brief Distinct count of `column` in `table` (0 if unknown).
-  double Distinct(const std::string& table, const std::string& column);
-
   /// \brief Drop every cached entry (table data or schema changed). See
   /// the class comment for the required quiescence.
   void Invalidate();
 
  private:
   const Catalog* catalog_;
-  std::mutex mu_;
+  std::shared_mutex mu_;
   std::unordered_map<std::string, TableStatsData> cache_;
 };
 

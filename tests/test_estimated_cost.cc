@@ -7,9 +7,10 @@
 // is kept below as MapCoutOracle and compared, as raw bits, on every
 // right-deep order of small graphs (multi-column and shared join columns
 // included), on the BQO and baseline plans of the three lite workloads, at
-// fp 0 and 0.01, with filters pruned and unpruned, and on partial plans
-// over a subset of the relations (how OptimizeSnowflakeUnits costs
-// composite units).
+// fp 0 and 0.01, with filters pruned and unpruned, on partial plans over a
+// subset of the relations (how OptimizeSnowflakeUnits costs composite
+// units), and on every candidate Algorithm 3 costs, with one model reused
+// across all of them.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -21,6 +22,9 @@
 
 #include "src/common/rng.h"
 #include "src/exec/exact_cost.h"
+#include "src/optimizer/bqo.h"
+#include "src/optimizer/cost_model.h"
+#include "src/optimizer/dp_optimizer.h"
 #include "src/optimizer/optimizer.h"
 #include "src/plan/enumerate.h"
 #include "src/plan/pushdown.h"
@@ -68,7 +72,7 @@ class MapCoutOracle : public CoutModel {
 
   double BaseDistinct(const Plan& plan, const BoundColumn& col) const {
     const RelationRef& rel = plan.graph->relation(col.rel);
-    double d = stats_->Distinct(rel.table_name, col.column);
+    double d = stats_->Get(rel.table_name).Distinct(col.column);
     if (d <= 0) d = rel.base_rows;
     if (d <= 0) return 1.0;
     const double base = std::max(rel.base_rows, 1.0);
@@ -593,6 +597,67 @@ TEST(EstimatorParity, ModelReusedAcrossGraphs) {
         ExpectSameBits(MapCoutOracle(&stats, 0.01).Compute(plan),
                        model.Compute(plan), "round " + std::to_string(round));
       }
+    }
+  }
+}
+
+/// A long-lived EstimatedCoutModel whose every result is checked, bit for
+/// bit, against a MapCoutOracle on the same plan.
+class OracleCheckedModel : public CoutModel {
+ public:
+  OracleCheckedModel(StatsCatalog* stats, double fp_rate)
+      : model_(stats, fp_rate), oracle_(stats, fp_rate) {}
+
+  CoutBreakdown Compute(const Plan& plan) override {
+    CoutBreakdown got = model_.Compute(plan);
+    ExpectSameBits(oracle_.Compute(plan), got, label + " " + plan.Signature());
+    ++calls;
+    return got;
+  }
+
+  std::string label;
+  size_t calls = 0;
+
+ private:
+  EstimatedCoutModel model_;
+  MapCoutOracle oracle_;
+};
+
+/// One model costs plans of changing shapes one after another: every
+/// candidate Algorithm 3 builds (star, snowflake and composite-unit
+/// fragments, lent from the units and reassembled per candidate), the
+/// chosen plan and its pruning passes, the baseline plan, and a copy of
+/// each graph whose selectivities moved — query after query, so the
+/// model's rows, leaf seeds and memos carry over from one shape to the
+/// next.
+TEST(EstimatorParity, OneModelCostsChangingShapesInTurn) {
+  for (int which = 0; which < 3; ++which) {
+    const Workload w = which == 0   ? MakeJobLite(0.04)
+                       : which == 1 ? MakeTpcdsLite(0.04)
+                                    : MakeCustomerLite(0.04);
+    StatsCatalog stats(w.catalog.get());
+    for (double fp : {0.0, 0.01}) {
+      OracleCheckedModel model(&stats, fp);
+      for (size_t qi = 0; qi < w.queries.size(); qi += which == 2 ? 5 : 3) {
+        const QuerySpec& spec = w.queries[qi];
+        auto graph = BuildJoinGraph(*w.catalog, spec);
+        ASSERT_TRUE(graph.ok()) << spec.name;
+        JoinGraph moved = graph.value();
+        for (int r = 0; r < moved.num_relations(); r += 2) {
+          moved.relation(r).filtered_rows =
+              std::floor(moved.relation(r).filtered_rows * 0.6) + 1;
+        }
+        for (const JoinGraph* g : {&graph.value(), &moved}) {
+          model.label = w.name + " " + spec.name;
+          Plan plan = OptimizeBqo(*g, &model);
+          PushDownBitvectors(&plan);
+          PruneIneffectiveFilters(&plan, &model, 0.05);
+          Plan baseline = OptimizeDpBaseline(*g, &model);
+          PushDownBitvectors(&baseline);
+          model.Compute(baseline);
+        }
+      }
+      EXPECT_GT(model.calls, w.queries.size()) << w.name;
     }
   }
 }

@@ -2,6 +2,9 @@
 // Algorithms 2 & 3 (BQO), cost-based filter pruning, integration modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+
 #include "src/exec/exact_cost.h"
 #include "src/exec/executor.h"
 #include "src/optimizer/bqo.h"
@@ -249,6 +252,139 @@ TEST(Bqo, MultiFactQueryCoversAllRelations) {
   const QueryMetrics m1 = ExecutePlan(plan);
   const QueryMetrics m2 = ExecutePlan(baseline);
   EXPECT_EQ(m1.result_checksum, m2.result_checksum);
+}
+
+// ---------- Algorithm 2 lends fragments and gets them back ----------
+
+std::string FragmentSignature(const JoinGraph& graph, const PlanNode& node) {
+  Plan plan;
+  plan.graph = &graph;
+  plan.root = ClonePlanNode(node);
+  plan.Renumber();
+  return plan.Signature();
+}
+
+/// Costs with a real model and checks what each candidate is built from:
+/// every member unit has lent its fragment (the unit holds none while the
+/// candidate is costed) and the candidate covers exactly the members.
+class LendCheckingModel : public CoutModel {
+ public:
+  LendCheckingModel(StatsCatalog* stats, const std::vector<PlanUnit>* units,
+                    std::vector<int> members, RelSet member_rels)
+      : model_(stats), units_(units), members_(std::move(members)),
+        member_rels_(member_rels) {}
+
+  CoutBreakdown Compute(const Plan& plan) override {
+    for (int m : members_) {
+      EXPECT_EQ((*units_)[static_cast<size_t>(m)].fragment, nullptr)
+          << "unit " << m << " kept its fragment while it was costed";
+    }
+    EXPECT_TRUE(plan.Validate());
+    EXPECT_EQ(plan.root->rel_set, member_rels_);
+    signatures.push_back(plan.Signature());
+    root_build_rels.push_back(plan.root->build->rel_set);
+    return model_.Compute(plan);
+  }
+
+  std::vector<std::string> signatures;
+  std::vector<RelSet> root_build_rels;
+
+ private:
+  EstimatedCoutModel model_;
+  const std::vector<PlanUnit>* units_;
+  std::vector<int> members_;
+  RelSet member_rels_;
+};
+
+TEST(SnowflakeLend, FragmentsComeBackAndRepeatCallsAgree) {
+  // Fact f with branches b0 (b0_1 - b0_2), b1 (b1_1) and b2 (b2_1 - b2_2).
+  // b2's two relations are one composite unit, as an earlier Algorithm 3
+  // round leaves them; the fact's estimate is cut below every dimension's,
+  // so each dimension joined above the fact flips to the probe side (P3).
+  auto db = MakeSnowflakeDb({2, 1, 2}, 3000, 90, 0.8, {0.5, -1.0, 0.4}, 61);
+  auto graph_result = db->Graph();
+  ASSERT_TRUE(graph_result.ok());
+  const JoinGraph& graph = graph_result.value();
+  const int f = graph.FindRelation("f");
+  const int b2_1 = graph.FindRelation("b2_1");
+  const int b2_2 = graph.FindRelation("b2_2");
+  ASSERT_GE(f, 0);
+  ASSERT_GE(b2_1, 0);
+  ASSERT_GE(b2_2, 0);
+
+  std::vector<PlanUnit> units = MakeLeafUnits(graph);
+  units[static_cast<size_t>(f)].est_card = 5;
+  {
+    Plan branch;
+    branch.graph = &graph;
+    branch.root = MakeJoin(graph, MakeLeaf(graph, b2_2), MakeLeaf(graph, b2_1));
+    ASSERT_NE(branch.root, nullptr);
+    PushDownBitvectors(&branch);  // a composite carries old annotations
+    PlanUnit composite;
+    composite.rels = branch.root->rel_set;
+    composite.optimized = true;
+    composite.est_card = 30;
+    composite.fragment = std::move(branch.root);
+    units.push_back(std::move(composite));
+  }
+  std::vector<int> members;
+  for (int u = 0; u < static_cast<int>(units.size()); ++u) {
+    if (u != b2_1 && u != b2_2) members.push_back(u);
+  }
+
+  std::vector<std::string> before;
+  std::vector<RelSet> rels_before;
+  for (const PlanUnit& unit : units) {
+    before.push_back(FragmentSignature(graph, *unit.fragment));
+    rels_before.push_back(unit.fragment->rel_set);
+  }
+  auto expect_units_intact = [&](const std::string& when) {
+    for (size_t u = 0; u < units.size(); ++u) {
+      ASSERT_NE(units[u].fragment, nullptr) << when << ": unit " << u;
+      EXPECT_EQ(FragmentSignature(graph, *units[u].fragment), before[u])
+          << when << ": unit " << u;
+      EXPECT_EQ(units[u].fragment->rel_set, rels_before[u])
+          << when << ": unit " << u;
+    }
+  };
+
+  StatsCatalog stats(&db->catalog);
+  LendCheckingModel model(&stats, &units, members, graph.AllRels());
+  const SnowflakeChoice first =
+      OptimizeSnowflakeUnits(graph, &units, members, f, &model);
+  expect_units_intact("after the first call");
+  // Candidate 0 is fact-right-most; its topmost dimension flipped, so the
+  // chain (and the fact in it) is the root's build side.
+  ASSERT_GT(model.signatures.size(), 3u);
+  EXPECT_TRUE(RelSetContains(model.root_build_rels[0], f))
+      << model.signatures[0];
+
+  const std::vector<std::string> first_candidates = model.signatures;
+  model.signatures.clear();
+  const SnowflakeChoice second =
+      OptimizeSnowflakeUnits(graph, &units, members, f, &model);
+  expect_units_intact("after the second call");
+  EXPECT_EQ(model.signatures, first_candidates);
+
+  ASSERT_NE(first.fragment, nullptr);
+  ASSERT_NE(second.fragment, nullptr);
+  EXPECT_EQ(FragmentSignature(graph, *first.fragment),
+            FragmentSignature(graph, *second.fragment));
+  EXPECT_EQ(first.fragment->rel_set, graph.AllRels());
+  EXPECT_EQ(std::bit_cast<uint64_t>(first.root_card),
+            std::bit_cast<uint64_t>(second.root_card));
+  // The winner is one of the candidates, returned without annotations.
+  EXPECT_NE(std::find(first_candidates.begin(), first_candidates.end(),
+                      FragmentSignature(graph, *first.fragment)),
+            first_candidates.end());
+  Plan winner;
+  winner.graph = &graph;
+  winner.root = ClonePlanNode(*first.fragment);
+  winner.Renumber();
+  for (const PlanNode* n : winner.nodes) {
+    EXPECT_TRUE(n->applied_filters.empty());
+    EXPECT_EQ(n->created_filter, -1);
+  }
 }
 
 // ---------- Cost-based filter pruning (Section 6.3) ----------

@@ -62,10 +62,14 @@ TEST(JoinGraph, ConnectivityAndNeighbors) {
 
 TEST(JoinGraph, EdgesBetween) {
   JoinGraph g = StarGraph(3);
-  EXPECT_EQ(g.EdgesBetweenSets(RelBit(0), RelBit(2)).size(), 1u);
-  EXPECT_TRUE(g.EdgesBetweenSets(RelBit(1), RelBit(2)).empty());  // dims
+  std::vector<int> edges = {7, 7, 7, 7, 7};  // replaced, not appended to
+  g.EdgesBetweenSets(RelBit(0), RelBit(2), &edges);
+  EXPECT_EQ(edges.size(), 1u);
+  g.EdgesBetweenSets(RelBit(1), RelBit(2), &edges);
+  EXPECT_TRUE(edges.empty());  // dims
   EXPECT_FALSE(g.Adjacent(RelBit(1), RelBit(2)));  // not adjacent
-  EXPECT_EQ(g.EdgesBetweenSets(0b0001, 0b1110).size(), 3u);
+  g.EdgesBetweenSets(0b0001, 0b1110, &edges);
+  EXPECT_EQ(edges.size(), 3u);
 }
 
 // ---- Join-column numbering and adjacency ----
@@ -150,7 +154,9 @@ void ExpectAdjacency(const JoinGraph& g, Rng* rng) {
       if (RelSetContains(a, e.left)) neighbors |= RelBit(e.right);
       if (RelSetContains(a, e.right)) neighbors |= RelBit(e.left);
     }
-    EXPECT_EQ(g.EdgesBetweenSets(a, b), want);
+    std::vector<int> got;
+    g.EdgesBetweenSets(a, b, &got);
+    EXPECT_EQ(got, want);
     EXPECT_EQ(g.Adjacent(a, b), !want.empty());
     EXPECT_EQ(g.Adjacent(b, a), !want.empty());
     EXPECT_EQ(g.Neighbors(a), neighbors & ~a);

@@ -206,5 +206,90 @@ TEST(PushDown, EveryFilterIsAppliedSomewhere) {
   }
 }
 
+/// True if `plan`'s annotation is exactly what a push-down of a fresh copy
+/// of its tree produces: same filters field by field, same per-node
+/// annotations.
+void ExpectSameAsFreshPushDown(const Plan& plan) {
+  Plan fresh;
+  fresh.graph = plan.graph;
+  fresh.root = ClonePlanNode(*plan.root);
+  ClearBitvectors(&fresh);
+  PushDownBitvectors(&fresh);
+  ASSERT_EQ(plan.filters.size(), fresh.filters.size());
+  for (size_t i = 0; i < plan.filters.size(); ++i) {
+    const PlanFilter& a = plan.filters[i];
+    const PlanFilter& b = fresh.filters[i];
+    EXPECT_EQ(a.id, b.id);
+    EXPECT_EQ(a.source_join, b.source_join);
+    EXPECT_EQ(a.build_col_ids, b.build_col_ids);
+    EXPECT_EQ(a.probe_col_ids, b.probe_col_ids);
+    EXPECT_EQ(a.applied_at, b.applied_at);
+    EXPECT_EQ(a.estimated_lambda, b.estimated_lambda);
+    EXPECT_EQ(a.pruned, b.pruned);
+  }
+  ASSERT_EQ(plan.nodes.size(), fresh.nodes.size());
+  for (size_t i = 0; i < plan.nodes.size(); ++i) {
+    EXPECT_EQ(plan.nodes[i]->applied_filters, fresh.nodes[i]->applied_filters);
+    EXPECT_EQ(plan.nodes[i]->created_filter, fresh.nodes[i]->created_filter);
+  }
+  EXPECT_EQ(plan.ToString(), fresh.ToString());
+}
+
+TEST(PushDown, RepushAfterPruningResetsPrunedAndLambda) {
+  JoinGraph g = StarGraph(4);
+  Plan plan = BuildRightDeepPlan(g, {0, 1, 2, 3, 4});
+  PushDownBitvectors(&plan);
+  for (PlanFilter& f : plan.filters) {
+    f.pruned = f.id % 2 == 0;
+    f.estimated_lambda = 0.25 * f.id + 0.1;
+    f.applied_at = 99;
+  }
+  PushDownBitvectors(&plan);
+  for (const PlanFilter& f : plan.filters) {
+    EXPECT_FALSE(f.pruned) << f.id;
+    EXPECT_EQ(f.estimated_lambda, 0.0) << f.id;
+  }
+  ExpectSameAsFreshPushDown(plan);
+}
+
+TEST(PushDown, RepushAfterSwappingTreesKeepsOneFilterPerJoin) {
+  // Figure 1's plan has a two-column filter; a smaller tree pushed into the
+  // same Plan reuses its entries (fewer of them, with fewer columns), and
+  // a larger one grows them again.
+  JoinGraph g = Figure1Graph();
+  Plan plan = BuildRightDeepPlan(g, {0, 1, 2, 3});
+  PushDownBitvectors(&plan);
+  ASSERT_EQ(plan.filters.size(), 3u);
+  ASSERT_EQ(plan.filters[0].probe_col_ids.size(), 2u);
+  for (PlanFilter& f : plan.filters) f.pruned = true;
+
+  for (const std::vector<int>& order :
+       {std::vector<int>{3, 2}, std::vector<int>{1, 0, 2},
+        std::vector<int>{0, 1, 2, 3}, std::vector<int>{0, 1}}) {
+    plan.root = BuildRightDeepPlan(g, order).root;
+    PushDownBitvectors(&plan);
+    ASSERT_EQ(static_cast<int>(plan.filters.size()), plan.num_joins());
+    int created = 0;
+    for (const PlanNode* n : plan.nodes) {
+      if (n->IsLeaf()) {
+        EXPECT_EQ(n->created_filter, -1);
+        continue;
+      }
+      ASSERT_GE(n->created_filter, 0);
+      EXPECT_EQ(plan.filters[static_cast<size_t>(n->created_filter)]
+                    .source_join,
+                n->id);
+      ++created;
+    }
+    EXPECT_EQ(created, plan.num_joins());
+    for (size_t i = 0; i < plan.filters.size(); ++i) {
+      EXPECT_EQ(plan.filters[i].id, static_cast<int>(i));
+      EXPECT_FALSE(plan.filters[i].pruned);
+      EXPECT_GE(plan.filters[i].applied_at, 0);
+    }
+    ExpectSameAsFreshPushDown(plan);
+  }
+}
+
 }  // namespace
 }  // namespace bqo
