@@ -9,16 +9,20 @@
 // the constant slot table), and a verification (what every rebind with
 // moved constants runs: one OrderJoins + PruneFilters, here at a point
 // where every predicated relation's filtered_rows moved by a seeded factor
-// in [0.8, 1.25]):
+// in [0.8, 1.25]). original_dp_queries / original_greedy_queries name the
+// Original's orderer: the DP up to kMaxDpRelations relations, greedy past
+// it (src/optimizer/dp_optimizer.h):
 //   {"bench":"optimizer_time","workload":...,"scale":...,"queries":...,
-//    "relations_avg":...,"optimize_us_p50":...,"parameterize_us_p50":...,
-//    "verify_us_p50":...}
+//    "relations_avg":...,"original_dp_queries":...,
+//    "original_greedy_queries":...,"optimize_us_p50":...,
+//    "parameterize_us_p50":...,"verify_us_p50":...}
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 
 #include "bench_util.h"
 #include "src/common/rng.h"
+#include "src/optimizer/dp_optimizer.h"
 #include "src/optimizer/parameterized.h"
 
 namespace {
@@ -76,11 +80,13 @@ int main() {
     const OptimizerOptions defaults;
     std::vector<int64_t> optimize_ns, parameterize_ns, verify_ns;
     int64_t relations = 0;
+    int dp_queries = 0;
     Rng rng(which + 1);
     for (const QuerySpec& spec : w.queries) {
       auto graph = BuildJoinGraph(*w.catalog, spec);
       BQO_CHECK(graph.ok());
       relations += graph.value().num_relations();
+      if (graph.value().num_relations() <= kMaxDpRelations) ++dp_queries;
       auto start = std::chrono::steady_clock::now();
       OptimizeQuery(graph.value(), &stats, defaults);
       optimize_ns.push_back(Since(start));
@@ -104,10 +110,12 @@ int main() {
     const double queries = static_cast<double>(w.queries.size());
     json.push_back(StringFormat(
         "{\"bench\":\"optimizer_time\",\"workload\":\"%s\",\"scale\":%g,"
-        "\"queries\":%zu,\"relations_avg\":%.1f,\"optimize_us_p50\":%.1f,"
+        "\"queries\":%zu,\"relations_avg\":%.1f,\"original_dp_queries\":%d,"
+        "\"original_greedy_queries\":%d,\"optimize_us_p50\":%.1f,"
         "\"parameterize_us_p50\":%.1f,\"verify_us_p50\":%.1f}",
         w.name.c_str(), scale * 0.2, w.queries.size(),
-        static_cast<double>(relations) / queries, P50Us(optimize_ns),
+        static_cast<double>(relations) / queries, dp_queries,
+        static_cast<int>(w.queries.size()) - dp_queries, P50Us(optimize_ns),
         P50Us(parameterize_ns), P50Us(verify_ns)));
   }
   std::printf(

@@ -1,34 +1,35 @@
-// Baseline join-order optimization: dynamic programming that is blind to
-// bitvector filters — the behavior of "the original Microsoft SQL Server"
-// the paper compares against, where filters are added to the winning plan
-// only as a post-processing step (Algorithm 1).
+// The Original's join orderer: the paper's "original Microsoft SQL Server"
+// baseline, blind to bitvector filters, which are added to the winning
+// plan only as a post-processing step (Algorithm 1).
 //
-// Two enumeration modes:
-//  * right-deep (the space the paper analyzes; default for comparisons),
-//  * bushy DPsub over connected subgraphs (ablation).
-// Queries beyond `max_dp_relations` fall back to a greedy min-expansion
-// heuristic, mirroring how industrial optimizers cap exhaustive search.
+// Queries of at most kMaxDpRelations relations are ordered by exhaustive
+// right-deep dynamic programming; wider ones fall back to a greedy
+// min-expansion heuristic, mirroring how industrial optimizers cap
+// exhaustive search. Both cost a relation set with an order-independent
+// cardinality (the product of filtered cardinalities times one containment
+// factor per edge), reading each edge side's distinct count from the same
+// EstimatedCoutModel BQO costs with, so the Original and BQO share one
+// estimator and differ only in bitvector awareness. (The exhaustive
+// bitvector-aware search is ExhaustiveBitvectorAware in optimizer.cc.)
 #pragma once
 
 #include "src/plan/cout.h"
+#include "src/stats/estimated_cost.h"
 
 namespace bqo {
 
-struct DpOptions {
-  bool bushy = false;
-  int max_dp_relations = 14;
-};
+/// Widest query the DP orders; wider ones are ordered greedily.
+constexpr int kMaxDpRelations = 14;
 
-/// \brief Return the estimated-minimum-Cout join order, costing plans
-/// WITHOUT bitvector filter effects (`model` is consulted on plans whose
-/// filter annotations are cleared). The returned plan carries no filter
-/// annotation; callers post-process with PushDownBitvectors.
-Plan OptimizeDpBaseline(const JoinGraph& graph, CoutModel* model,
-                        const DpOptions& options = {});
+/// \brief Return the estimated-minimum filter-blind Cout join order over
+/// right-deep trees (greedy past kMaxDpRelations). The returned plan
+/// carries no filter annotation; callers post-process with
+/// PushDownBitvectors.
+Plan OptimizeDpBaseline(const JoinGraph& graph, EstimatedCoutModel* model);
 
 /// \brief Greedy right-deep order: start at the smallest filtered relation,
 /// repeatedly append the neighbor minimizing the estimated next
-/// intermediate size. Used directly for very large queries.
-Plan OptimizeGreedy(const JoinGraph& graph, CoutModel* model);
+/// intermediate size.
+Plan OptimizeGreedy(const JoinGraph& graph, EstimatedCoutModel* model);
 
 }  // namespace bqo

@@ -53,21 +53,12 @@ Plan ExhaustiveBitvectorAware(const JoinGraph& graph, CoutModel* model,
 
 Plan OrderJoins(const JoinGraph& graph, const OptimizerOptions& options,
                 EstimatedCoutModel* model) {
-  DpOptions dp;
-  dp.max_dp_relations = options.max_dp_relations;
-  // Filter-blind costing for the baseline orders (fp_rate is moot: no
-  // filters are placed while they are enumerated).
-  auto baseline = [&] {
-    EstimatedCoutModel blind(model->stats(), /*fp_rate=*/0.0);
-    return OptimizeDpBaseline(graph, &blind, dp);
-  };
-
   Plan plan;
   switch (options.mode) {
     case OptimizerMode::kBaselinePostProcess:
     case OptimizerMode::kNoBitvectors: {
       // Join order chosen blind to filters; Algorithm 1 as post-processing.
-      plan = baseline();
+      plan = OptimizeDpBaseline(graph, model);
       break;
     }
     case OptimizerMode::kBqoShallow: {
@@ -75,7 +66,7 @@ Plan OrderJoins(const JoinGraph& graph, const OptimizerOptions& options,
       break;
     }
     case OptimizerMode::kAlternativePlan: {
-      Plan blind_plan = baseline();
+      Plan blind_plan = OptimizeDpBaseline(graph, model);
       PushDownBitvectors(&blind_plan);
       const double baseline_cost = model->Cout(blind_plan);
       Plan bqo = OptimizeBqo(graph, model);

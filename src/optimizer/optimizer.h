@@ -41,8 +41,6 @@ struct OptimizerOptions {
   double lambda_thresh = 0.05;
   /// Assumed filter false-positive rate inside the cost model.
   double filter_fp_rate = 0.0;
-  /// DP width cap; larger queries fall back to greedy (baseline modes).
-  int max_dp_relations = 14;
   /// Plan-count cap for kExhaustive.
   size_t exhaustive_limit = 50000;
 };
@@ -66,8 +64,8 @@ OptimizedQuery OptimizeQuery(const JoinGraph& graph, StatsCatalog* stats,
 
 /// \brief The join order options.mode picks, with Algorithm 1's filters
 /// pushed down (cleared under kNoBitvectors) and none pruned yet. `model`
-/// is the bitvector-aware model (its StatsCatalog also backs the blind
-/// model the baseline modes order with).
+/// is the bitvector-aware model; the baseline modes' filter-blind orderer
+/// reads its leaf distinct counts too (dp_optimizer.h).
 Plan OrderJoins(const JoinGraph& graph, const OptimizerOptions& options,
                 EstimatedCoutModel* model);
 

@@ -31,10 +31,9 @@ std::string PlanCache::ShapeSignature(const JoinGraph& graph,
   // Optimizer knobs first — they change the produced plan, so they are
   // part of the identity of the cached artifact.
   std::string sig = StringFormat(
-      "mode=%s;lambda=%.9g;fp=%.9g;dp=%d;exh=%zu;",
+      "mode=%s;lambda=%.9g;fp=%.9g;exh=%zu;",
       OptimizerModeName(options.mode), options.lambda_thresh,
-      options.filter_fp_rate, options.max_dp_relations,
-      options.exhaustive_limit);
+      options.filter_fp_rate, options.exhaustive_limit);
   sig += graph.ShapeSignature();
   return sig;
 }

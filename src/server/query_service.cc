@@ -281,9 +281,10 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
   std::shared_ptr<const CachedPlan> entry;
   int64_t planned_version = 0;
   if (!ctx->ShouldStop()) {
-    // Shared lock: many queries optimize concurrently; InvalidateCache
-    // takes it exclusive so stats references never die under an
-    // optimizer.
+    // Shared lock: many queries plan concurrently; InvalidateCache takes
+    // it exclusive, so a flush never lands between a query's lookup and
+    // its insert (which would re-insert a plan of the old data after the
+    // flush).
     std::shared_lock<std::shared_mutex> lock(optimize_mu_);
     // One version snapshot spans plan-cache lookup, optimization,
     // insert, *and* execution: the build cache keys shared build sides
@@ -359,12 +360,10 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
   FinishQuery(&result, ctx, query_span, started);
 
   // EXPLAIN ANALYZE: recover the optimizer's per-node cardinality
-  // estimates for the executed plan (under the shared optimize lock — the
-  // cost model reads the StatsCatalog) and join them with the executed
+  // estimates for the executed plan and join them with the executed
   // metrics and the sealed trace. OK queries only: a cancelled query's
   // counters are void by contract.
   if (options_.explain_analyze && result.status.ok() && entry != nullptr) {
-    std::shared_lock<std::shared_mutex> lock(optimize_mu_);
     CoutBreakdown estimates =
         EstimatedCoutModel(&stats_, options_.optimizer.filter_fp_rate)
             .Compute(entry->plan);
@@ -439,7 +438,6 @@ std::string QueryService::DumpMetrics(MetricsFormat format) const {
 void QueryService::InvalidateCache() {
   std::unique_lock<std::shared_mutex> lock(optimize_mu_);
   cache_.Invalidate();
-  stats_.Invalidate();
   // Cached build sides embed the tables' contents, so a data mutation
   // invalidates them too; executing queries keep their shared_ptrs.
   if (build_cache_ != nullptr) build_cache_->Invalidate();

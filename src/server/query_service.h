@@ -53,10 +53,12 @@
 // holds bit-for-bit.
 //
 // Invalidation: InvalidateCache() (or any Catalog::version() bump observed
-// at lookup) flushes cached plans and cached build sides; InvalidateCache
-// also refreshes the StatsCatalog, and excludes itself from in-flight
-// optimizations via a shared mutex, so it is safe to call between/during
-// requests.
+// at lookup) flushes cached plans and cached build sides. Statistics need
+// no flush: distinct counts are memoized by the columns, and every append
+// resets its column's memo (src/stats/table_stats.h). A data load must
+// still not race with requests; call InvalidateCache after it. The flush
+// excludes itself from in-flight planning via a shared mutex, so it is
+// safe to call between/during requests.
 #pragma once
 
 #include <chrono>
@@ -278,8 +280,10 @@ class QueryService {
   /// false. Handed to every execution together with the catalog version
   /// its plan was bound under.
   std::unique_ptr<BuildCache> build_cache_;
-  /// Readers = in-flight optimizations, writer = InvalidateCache (the
-  /// StatsCatalog's cached references must not be cleared under a reader).
+  /// Readers = in-flight planning (plan-cache lookup, optimization and
+  /// insert under one catalog-version snapshot), writer = InvalidateCache:
+  /// a flush between a query's lookup and its insert would leave a plan of
+  /// the old data cached after the flush.
   std::shared_mutex optimize_mu_;
 
   mutable std::mutex admit_mu_;

@@ -108,19 +108,42 @@ void EstimatedCoutModel::ApplyFilters(const Plan& plan, const PlanNode& node,
   }
 }
 
-void EstimatedCoutModel::SeedLeaf(const JoinGraph& graph, int rel_idx,
-                                  double* row) {
+void EstimatedCoutModel::ResolveStructure(const JoinGraph& graph) {
+  if (graph.structure_id() == memo_structure_) return;
+  memo_structure_ = graph.structure_id();
+  raw_distinct_.assign(static_cast<size_t>(graph.num_columns()), 0.0);
+  for (int r = 0; r < graph.num_relations(); ++r) {
+    for (int cid : graph.RelationColumns(r)) {
+      raw_distinct_[static_cast<size_t>(cid)] = stats_->Distinct(
+          graph.relation(r).table_name, graph.column(cid).column);
+    }
+  }
+  seed_.assign(static_cast<size_t>(graph.num_columns()), 0.0);
+  // NaN keys match no relation, so every seed is computed on first use.
+  seed_key_.assign(static_cast<size_t>(graph.num_relations()),
+                   {std::nan(""), std::nan("")});
+}
+
+const double* EstimatedCoutModel::LeafSeeds(const JoinGraph& graph,
+                                            int rel_idx) {
   const RelationRef& rel = graph.relation(rel_idx);
-  const std::vector<int>& cols = graph.RelationColumns(rel_idx);
   std::pair<double, double>& key = seed_key_[static_cast<size_t>(rel_idx)];
   if (key.first != rel.base_rows || key.second != rel.filtered_rows) {
     key = {rel.base_rows, rel.filtered_rows};
-    for (int cid : cols) {
+    for (int cid : graph.RelationColumns(rel_idx)) {
       seed_[static_cast<size_t>(cid)] =
           Cap(BaseDistinct(rel, cid), rel.filtered_rows);
     }
   }
-  for (int cid : cols) row[cid] = seed_[static_cast<size_t>(cid)];
+  return seed_.data();
+}
+
+double EstimatedCoutModel::LeafKeyDistinct(const JoinGraph& graph, int rel,
+                                           const std::vector<int>& col_ids) {
+  ResolveStructure(graph);
+  return CompositeDistinct(graph, LeafSeeds(graph, rel),
+                           graph.relation(rel).filtered_rows, RelBit(rel),
+                           col_ids);
 }
 
 EstimatedCoutModel::SubtreeEstimate EstimatedCoutModel::EvalNode(
@@ -131,7 +154,8 @@ EstimatedCoutModel::SubtreeEstimate EstimatedCoutModel::EvalNode(
   if (node.kind == PlanNode::Kind::kLeaf) {
     row = Row(node.id);
     card = graph.relation(node.relation).filtered_rows;
-    SeedLeaf(graph, node.relation, row);
+    const double* seed = LeafSeeds(graph, node.relation);
+    for (int cid : graph.RelationColumns(node.relation)) row[cid] = seed[cid];
   } else {
     // Execution order: build first, then register the created filter's
     // source estimate, then the probe subtree (which may apply that
@@ -198,23 +222,7 @@ EstimatedCoutModel::SubtreeEstimate EstimatedCoutModel::EvalNode(
 CoutBreakdown EstimatedCoutModel::Compute(const Plan& plan) {
   BQO_CHECK(plan.root != nullptr && !plan.nodes.empty());
   const JoinGraph& graph = *plan.graph;
-  if (graph.structure_id() != memo_structure_) {
-    memo_structure_ = graph.structure_id();
-    raw_distinct_.assign(static_cast<size_t>(graph.num_columns()), 0.0);
-    for (int r = 0; r < graph.num_relations(); ++r) {
-      const std::vector<int>& cols = graph.RelationColumns(r);
-      if (cols.empty()) continue;
-      const TableStatsData& table = stats_->Get(graph.relation(r).table_name);
-      for (int cid : cols) {
-        raw_distinct_[static_cast<size_t>(cid)] =
-            table.Distinct(graph.column(cid).column);
-      }
-    }
-    seed_.assign(static_cast<size_t>(graph.num_columns()), 0.0);
-    // NaN keys match no relation, so every seed is computed on first use.
-    seed_key_.assign(static_cast<size_t>(graph.num_relations()),
-                     {std::nan(""), std::nan("")});
-  }
+  ResolveStructure(graph);
   num_cols_ = static_cast<size_t>(graph.num_columns());
   if (dist_.size() < plan.nodes.size() * num_cols_) {
     dist_.resize(plan.nodes.size() * num_cols_);

@@ -28,15 +28,17 @@
 // inherits its children's columns.) A lookup of an absent column falls
 // back to the node cardinality.
 //
-// Base distinct counts. The raw per-column count is resolved once per
-// graph structure (JoinGraph::structure_id), one StatsCatalog::Get per
-// relation, and memoized for the model's lifetime, so the catalog's lock
-// is not taken per candidate. A leaf's seed — the raw count Yao-reduced
-// under the local predicate and capped by the leaf's cardinality — depends
-// only on that count and the relation's (base_rows, filtered_rows), so it
-// is memoized per relation under that key: the candidates of one query
-// share it, and a graph copy whose selectivities moved (a plan-cache
-// verification's rebound graph) recomputes it.
+// Base distinct counts. The raw per-column count is read once per graph
+// structure (JoinGraph::structure_id) through the StatsCatalog, which reads
+// through to Column::CountDistinct's memo, and is kept by column id for the
+// model's lifetime. A leaf's seed — the raw count Yao-reduced under the
+// local predicate and capped by the leaf's cardinality — depends only on
+// that count and the relation's (base_rows, filtered_rows), so it is
+// memoized per relation under that key: the candidates of one query share
+// it, and a graph copy whose selectivities moved (a plan-cache
+// verification's rebound graph) recomputes it. The filter-blind DP
+// (src/optimizer/dp_optimizer.h) reads the same seeds through
+// LeafKeyDistinct, so both optimizers plan with one estimator.
 //
 // Bit parity. Every estimate is bit-identical to the original map-based
 // evaluation: the same operations run in the same order (per-edge column
@@ -79,7 +81,12 @@ class EstimatedCoutModel : public CoutModel {
 
   CoutBreakdown Compute(const Plan& plan) override;
 
-  StatsCatalog* stats() const { return stats_; }
+  /// \brief Distinct count of the key `col_ids` (join column ids of
+  /// relation `rel`) at `rel`'s leaf: the product of the leaf's seeds,
+  /// capped by its filtered cardinality — what Compute uses for an edge
+  /// side that is a leaf.
+  double LeafKeyDistinct(const JoinGraph& graph, int rel,
+                         const std::vector<int>& col_ids);
 
  private:
   /// A subtree's estimate: its output cardinality and the matrix row that
@@ -93,8 +100,13 @@ class EstimatedCoutModel : public CoutModel {
   SubtreeEstimate EvalNode(const Plan& plan, const PlanNode& node,
                            CoutBreakdown* out);
 
-  /// Seed a leaf's row from the per-relation memo.
-  void SeedLeaf(const JoinGraph& graph, int rel, double* row);
+  /// Resolve the raw distinct counts of `graph`'s structure (a no-op
+  /// while it matches the memoized one).
+  void ResolveStructure(const JoinGraph& graph);
+
+  /// The leaf seeds by column id, current for relation `rel` (computed on
+  /// first use under its (base_rows, filtered_rows)).
+  const double* LeafSeeds(const JoinGraph& graph, int rel);
 
   /// Apply `node`'s filters to its cardinality and row.
   void ApplyFilters(const Plan& plan, const PlanNode& node, double* card,
@@ -108,7 +120,7 @@ class EstimatedCoutModel : public CoutModel {
     return dist_.data() + static_cast<size_t>(node_id) * num_cols_;
   }
 
-  StatsCatalog* stats_;
+  const StatsCatalog* stats_;
   double fp_rate_;
 
   // Raw distinct counts of the graph structure `memo_structure_`.

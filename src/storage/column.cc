@@ -44,12 +44,11 @@ Value Column::GetValue(int64_t row) const {
 }
 
 int64_t Column::CountDistinct() const {
-  if (cached_distinct_ >= 0) return cached_distinct_;
+  int64_t distinct = cached_distinct_.load(std::memory_order_relaxed);
+  if (distinct >= 0) return distinct;
   if (type_ == DataType::kString) {
-    cached_distinct_ = dict_.size();
-    return cached_distinct_;
-  }
-  if (type_ == DataType::kDouble) {
+    distinct = dict_.size();
+  } else if (type_ == DataType::kDouble) {
     std::unordered_set<int64_t> seen;
     for (double d : doubles_) {
       int64_t bits;
@@ -57,12 +56,13 @@ int64_t Column::CountDistinct() const {
       __builtin_memcpy(&bits, &d, sizeof(bits));
       seen.insert(bits);
     }
-    cached_distinct_ = static_cast<int64_t>(seen.size());
-    return cached_distinct_;
+    distinct = static_cast<int64_t>(seen.size());
+  } else {
+    std::unordered_set<int64_t> seen(ints_.begin(), ints_.end());
+    distinct = static_cast<int64_t>(seen.size());
   }
-  std::unordered_set<int64_t> seen(ints_.begin(), ints_.end());
-  cached_distinct_ = static_cast<int64_t>(seen.size());
-  return cached_distinct_;
+  cached_distinct_.store(distinct, std::memory_order_relaxed);
+  return distinct;
 }
 
 int64_t Column::MemoryBytes() const {

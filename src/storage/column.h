@@ -7,6 +7,7 @@
 // design the paper's TPC-DS/JOB configurations rely on).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -64,14 +65,17 @@ class Column {
   void AppendInt64(int64_t v) {
     BQO_DCHECK(type_ == DataType::kInt64);
     ints_.push_back(v);
+    ForgetDistinct();
   }
   void AppendDouble(double v) {
     BQO_DCHECK(type_ == DataType::kDouble);
     doubles_.push_back(v);
+    ForgetDistinct();
   }
   void AppendString(std::string_view v) {
     BQO_DCHECK(type_ == DataType::kString);
     ints_.push_back(dict_.GetOrInsert(v));
+    ForgetDistinct();
   }
 
   /// \brief Raw int64 data (values for INT64, dictionary codes for STRING).
@@ -95,19 +99,29 @@ class Column {
   StringDictionary& dict() { return dict_; }
   const StringDictionary& dict() const { return dict_; }
 
-  /// \brief Number of distinct values actually present (exact; computed on
-  /// demand and cached — the statistics layer consumes this).
+  /// \brief Number of distinct values actually present (exact). Computed on
+  /// first request and memoized until the next Append*; this memo is the
+  /// only one of raw distinct counts, which both optimizers read through
+  /// StatsCatalog. Safe to call from concurrent readers: racing first
+  /// requests compute the same count and store it atomically. Appends
+  /// must not race with readers (loaders quiesce, then invalidate the
+  /// serving caches).
   int64_t CountDistinct() const;
 
   int64_t MemoryBytes() const;
 
  private:
+  void ForgetDistinct() {
+    cached_distinct_.store(-1, std::memory_order_relaxed);
+  }
+
   std::string name_;
   DataType type_;
   std::vector<int64_t> ints_;
   std::vector<double> doubles_;
   StringDictionary dict_;
-  mutable int64_t cached_distinct_ = -1;
+  /// -1 = not computed since the last append.
+  mutable std::atomic<int64_t> cached_distinct_{-1};
 };
 
 }  // namespace bqo

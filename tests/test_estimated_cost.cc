@@ -72,7 +72,7 @@ class MapCoutOracle : public CoutModel {
 
   double BaseDistinct(const Plan& plan, const BoundColumn& col) const {
     const RelationRef& rel = plan.graph->relation(col.rel);
-    double d = stats_->Get(rel.table_name).Distinct(col.column);
+    double d = stats_->Distinct(rel.table_name, col.column);
     if (d <= 0) d = rel.base_rows;
     if (d <= 0) return 1.0;
     const double base = std::max(rel.base_rows, 1.0);
@@ -603,13 +603,13 @@ TEST(EstimatorParity, ModelReusedAcrossGraphs) {
 
 /// A long-lived EstimatedCoutModel whose every result is checked, bit for
 /// bit, against a MapCoutOracle on the same plan.
-class OracleCheckedModel : public CoutModel {
+class OracleCheckedModel : public EstimatedCoutModel {
  public:
   OracleCheckedModel(StatsCatalog* stats, double fp_rate)
-      : model_(stats, fp_rate), oracle_(stats, fp_rate) {}
+      : EstimatedCoutModel(stats, fp_rate), oracle_(stats, fp_rate) {}
 
   CoutBreakdown Compute(const Plan& plan) override {
-    CoutBreakdown got = model_.Compute(plan);
+    CoutBreakdown got = EstimatedCoutModel::Compute(plan);
     ExpectSameBits(oracle_.Compute(plan), got, label + " " + plan.Signature());
     ++calls;
     return got;
@@ -619,7 +619,6 @@ class OracleCheckedModel : public CoutModel {
   size_t calls = 0;
 
  private:
-  EstimatedCoutModel model_;
   MapCoutOracle oracle_;
 };
 

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <bit>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "src/exec/exact_cost.h"
 #include "src/exec/executor.h"
@@ -14,12 +17,12 @@
 #include "src/plan/enumerate.h"
 #include "src/plan/pushdown.h"
 #include "src/stats/estimated_cost.h"
+#include "src/workload/workload.h"
 #include "test_util.h"
 
 namespace bqo {
 namespace {
 
-using ::bqo::testing::MakeChainDb;
 using ::bqo::testing::MakeSnowflakeDb;
 using ::bqo::testing::MakeStarDb;
 
@@ -56,29 +59,39 @@ TEST(DpBaseline, GreedyHandlesWideQueries) {
   const JoinGraph& graph = graph_result.value();
   StatsCatalog stats(&db->catalog);
   EstimatedCoutModel model(&stats);
-  DpOptions options;
-  options.max_dp_relations = 10;  // force greedy path
-  Plan plan = OptimizeDpBaseline(graph, &model, options);
+  Plan plan = OptimizeGreedy(graph, &model);
   EXPECT_TRUE(plan.Validate());
   EXPECT_TRUE(plan.IsRightDeep());
   EXPECT_EQ(RelSetCount(plan.root->rel_set), 19);
 }
 
-TEST(DpBaseline, BushyModeProducesValidPlanAtMostRightDeepCost) {
-  auto db = MakeChainDb(5, 3000, 0.5, {-1, -1, -1, -1, 0.1}, 17);
-  auto graph_result = db->Graph();
-  ASSERT_TRUE(graph_result.ok());
-  const JoinGraph& graph = graph_result.value();
-  StatsCatalog stats(&db->catalog);
-  EstimatedCoutModel model(&stats);
-  DpOptions bushy;
-  bushy.bushy = true;
-  Plan bushy_plan = OptimizeDpBaseline(graph, &model, bushy);
-  ASSERT_TRUE(bushy_plan.Validate());
-  Plan rd_plan = OptimizeDpBaseline(graph, &model);
-  ClearBitvectors(&bushy_plan);
-  ClearBitvectors(&rd_plan);
-  EXPECT_LE(model.Cout(bushy_plan), model.Cout(rd_plan) * 1.01);
+// Two optimizers plan the baseline on one freshly generated workload, so
+// both compute the columns' distinct counts cold, concurrently; TSan
+// builds check the memo is race-free. Each must match a sequential run.
+TEST(DpBaseline, ConcurrentColdCatalogIsRaceFree) {
+  const Workload w = MakeTpcdsLite(0.02);
+  StatsCatalog stats(w.catalog.get());
+  OptimizerOptions options;
+  options.mode = OptimizerMode::kBaselinePostProcess;
+  auto plan_all = [&] {
+    std::vector<std::string> plans;
+    for (const QuerySpec& spec : w.queries) {
+      auto graph = BuildJoinGraph(*w.catalog, spec);
+      BQO_CHECK(graph.ok());
+      const OptimizedQuery q = OptimizeQuery(graph.value(), &stats, options);
+      plans.push_back(q.plan.Signature() +
+                      StringFormat(" %a", q.estimated_cost));
+    }
+    return plans;
+  };
+  std::vector<std::string> first, second;
+  std::thread t1([&] { first = plan_all(); });
+  std::thread t2([&] { second = plan_all(); });
+  t1.join();
+  t2.join();
+  const std::vector<std::string> sequential = plan_all();
+  EXPECT_EQ(first, sequential);
+  EXPECT_EQ(second, sequential);
 }
 
 // ---------- Snowflake detection ----------

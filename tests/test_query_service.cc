@@ -527,6 +527,43 @@ TEST(QueryService, PlanCacheInvalidatesOnCatalogChange) {
   EXPECT_EQ(service.cache_stats().invalidations, 2);
 }
 
+// A data load resets the loaded columns' distinct counts, so the first
+// optimization after InvalidateCache costs the new rows exactly as a
+// service that never saw the old data does.
+TEST(QueryService, OptimizationAfterLoadSeesNewDistinctCounts) {
+  // Appends 100 rows to d0 with new keys, copying the other columns.
+  auto load = [](TestDb* db) {
+    Table* d0 = db->catalog.GetTable("d0").value();
+    const int id_col = d0->ColumnIndex("d0_id");
+    const int64_t rows = d0->num_rows();
+    for (int64_t r = 0; r < 100; ++r) {
+      std::vector<Value> values;
+      for (int c = 0; c < d0->num_columns(); ++c) {
+        values.push_back(c == id_col ? Value(rows + r)
+                                     : d0->column(c).GetValue(r));
+      }
+      ASSERT_TRUE(d0->AppendRow(values).ok());
+    }
+  };
+  auto db = MakeStarDb(2, 8000, 200, {0.4, 0.5}, 99);
+  QueryService service(&db->catalog, QueryServiceOptions{});
+  const QueryResult before = service.Execute(db->spec);
+  ASSERT_TRUE(before.status.ok());
+  load(db.get());
+  service.InvalidateCache();
+  const QueryResult after = service.Execute(db->spec);
+  ASSERT_TRUE(after.status.ok());
+
+  auto twin = MakeStarDb(2, 8000, 200, {0.4, 0.5}, 99);
+  load(twin.get());
+  QueryService fresh(&twin->catalog, QueryServiceOptions{});
+  const QueryResult expected = fresh.Execute(twin->spec);
+  ASSERT_TRUE(expected.status.ok());
+  EXPECT_NE(after.estimated_cost, before.estimated_cost);
+  EXPECT_EQ(after.estimated_cost, expected.estimated_cost);
+  ExpectMetricsEqual(expected.metrics, after.metrics, "after load");
+}
+
 TEST(PlanCache, ShapeSignatureCanonicalization) {
   auto db = MakeStarDb(2, 5000, 100, {0.4, 0.5}, 21);
   OptimizerOptions opt;

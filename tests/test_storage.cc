@@ -35,6 +35,9 @@ TEST(Column, Int64Basics) {
   EXPECT_EQ(col.size(), 3);
   EXPECT_EQ(col.GetInt64(2), 7);
   EXPECT_EQ(col.CountDistinct(), 2);
+  // An append after a count must not leave the memoized count stale.
+  col.AppendInt64(9);
+  EXPECT_EQ(col.CountDistinct(), 3);
 }
 
 TEST(Column, StringStoredAsCodes) {
@@ -45,6 +48,8 @@ TEST(Column, StringStoredAsCodes) {
   EXPECT_EQ(col.GetInt64(0), col.GetInt64(2));  // same dict code
   EXPECT_EQ(col.GetStringAt(1), "bb");
   EXPECT_EQ(col.CountDistinct(), 2);
+  col.AppendString("cc");
+  EXPECT_EQ(col.CountDistinct(), 3);
 }
 
 TEST(Column, DoubleDistinct) {
@@ -53,6 +58,8 @@ TEST(Column, DoubleDistinct) {
   col.AppendDouble(1.5);
   col.AppendDouble(2.5);
   EXPECT_EQ(col.CountDistinct(), 2);
+  col.AppendDouble(3.5);
+  EXPECT_EQ(col.CountDistinct(), 3);
 }
 
 TEST(Table, AppendRowAndLookup) {
