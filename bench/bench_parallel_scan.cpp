@@ -75,15 +75,17 @@ DrainResult DrainOnce(const Table* table, FilterKind kind, int threads) {
 
   ResolvedFilter rf;
   rf.filter_id = 0;
-  rf.key_positions.push_back(table->ColumnIndex("d_fk"));
-  OutputSchema schema({BoundColumn{0, "d_fk"}, BoundColumn{0, "measure"}});
+  const int key = table->ColumnIndex("d_fk");
+  const int measure = table->ColumnIndex("measure");
+  rf.key_positions.push_back(key);
+  OutputSchema schema({ColumnRef{0, key}, ColumnRef{0, measure}});
   // SUM(measure) GROUP BY d_fk: the fold runs inside the exchange workers
   // when threads > 1, and its checksum is merge-order independent.
   AggSpec agg;
   agg.kind = AggKind::kSum;
-  agg.sum_column = BoundColumn{0, "measure"};
+  agg.sum_column = BoundColumn{0, "measure", measure};
   agg.has_group_by = true;
-  agg.group_column = BoundColumn{0, "d_fk"};
+  agg.group_column = BoundColumn{0, "d_fk", key};
   auto scan = std::make_unique<ScanOperator>(
       table, nullptr, nullptr, schema, std::vector<ResolvedFilter>{rf},
       &runtime, "scan t");

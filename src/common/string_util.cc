@@ -20,6 +20,12 @@ std::string JoinStrings(const std::vector<std::string>& parts,
   return out;
 }
 
+void AppendInt(int64_t v, std::string* out) {
+  char buf[24];
+  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, result.ptr);
+}
+
 std::string StringFormat(const char* fmt, ...) {
   va_list args;
   va_start(args, fmt);

@@ -4,12 +4,28 @@
 
 #include <cstdarg>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 namespace bqo {
+
+/// \brief Transparent string hash: a StringMap is probed with a
+/// std::string_view (or a C string) without building a std::string key.
+struct StringHash {
+  using is_transparent = void;
+  size_t operator()(std::string_view s) const {
+    return std::hash<std::string_view>{}(s);
+  }
+};
+
+/// \brief A std::string-keyed hash map with heterogeneous lookup.
+template <typename V>
+using StringMap =
+    std::unordered_map<std::string, V, StringHash, std::equal_to<>>;
 
 /// \brief True if `haystack` contains `needle` (SQL `LIKE '%needle%'`).
 bool Contains(std::string_view haystack, std::string_view needle);
@@ -17,6 +33,9 @@ bool Contains(std::string_view haystack, std::string_view needle);
 /// \brief Join the elements of `parts` with `sep`.
 std::string JoinStrings(const std::vector<std::string>& parts,
                         std::string_view sep);
+
+/// \brief Append `v` in base 10 (what std::to_string(v) returns) to `*out`.
+void AppendInt(int64_t v, std::string* out);
 
 /// \brief printf-style formatting into a std::string.
 std::string StringFormat(const char* fmt, ...)

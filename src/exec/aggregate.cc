@@ -24,11 +24,11 @@ AggFold AggFold::Resolve(const AggSpec& spec,
   fold.kind = spec.kind;
   fold.has_group_by = spec.has_group_by;
   if (spec.kind == AggKind::kSum) {
-    fold.sum_pos = child_schema.PositionOf(spec.sum_column);
+    fold.sum_pos = child_schema.PositionOf(spec.sum_column.ref());
     BQO_CHECK_MSG(fold.sum_pos >= 0, "SUM column missing from child schema");
   }
   if (spec.has_group_by) {
-    fold.group_pos = child_schema.PositionOf(spec.group_column);
+    fold.group_pos = child_schema.PositionOf(spec.group_column.ref());
     BQO_CHECK_MSG(fold.group_pos >= 0, "GROUP BY column missing from child");
   }
   return fold;
@@ -62,8 +62,8 @@ AggregateOperator::AggregateOperator(
   stats_.label = "aggregate";
   fold_ = AggFold::Resolve(spec_, child_->output_schema());
   // Output schema: (group key,) aggregate value — synthetic bound columns.
-  std::vector<BoundColumn> out_cols;
-  if (spec_.has_group_by) out_cols.push_back(spec_.group_column);
+  std::vector<ColumnRef> out_cols;
+  if (spec_.has_group_by) out_cols.push_back(spec_.group_column.ref());
   schema_ = OutputSchema(std::move(out_cols));
 }
 

@@ -46,6 +46,9 @@ namespace bqo {
 
 enum class AggKind : uint8_t { kCountStar, kSum };
 
+/// The aggregate of a query. The operators match its columns on their
+/// resolved table index (BoundColumn::index): CompilePlan resolves a
+/// query's spec, and code that builds operators by hand sets it.
 struct AggSpec {
   AggKind kind = AggKind::kCountStar;
   BoundColumn sum_column;    ///< kSum only

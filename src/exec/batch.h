@@ -21,16 +21,20 @@
 // == Scratch-buffer ownership ==
 //
 // All per-stride scratch (candidate rows, selection vectors, hash arrays,
-// key gather buffers) is owned by the operator that uses it, allocated once
-// at Open() and reused for every Next() call. It is sized to what the
-// operator's filters need — a scan without filters allocates no hash or
-// key scratch, and key scratch holds only as many columns as the widest
-// filter has keys — and it is never zero-filled: ScratchVector
-// default-initializes, so a page is touched only when a row is written to
-// it. A Batch itself owns one flat int64 ScratchVector of num_cols *
-// kBatchSize values that is reused across Next() calls — Reset() only
-// re-points the column layout, it never clears or reallocates unless the
-// column count grows. Values at positions >= num_rows (and scratch
+// key gather buffers) is owned by the operator that uses it and reused for
+// every Next() call. It is sized to what the operator's filters need — a
+// scan without filters allocates no hash or key scratch, and key scratch
+// holds only as many columns as the widest filter has keys — and it is
+// never zero-filled: ScratchVector default-initializes, so a page is
+// touched only when a row is written to it. A scan allocates its stride
+// scratch at Open(). A hash join allocates its probe scratch as one block
+// when the first probe row arrives (HashJoinOperator::ProbeState), so a
+// join that no probe row reaches allocates none. A Batch owns one flat
+// int64 ScratchVector of num_cols * kBatchSize values that is allocated at
+// its first write (the non-const col()) and reused across Next() calls:
+// Reset() only re-points the column layout, it never clears or allocates,
+// and storage grows only when a write follows a Reset() to more columns
+// than any earlier write had. Values at positions >= num_rows (and scratch
 // positions a stride has not written) are stale garbage by design;
 // consumers must only read rows [0, num_rows).
 #pragma once
@@ -84,32 +88,36 @@ using ScratchVector = std::vector<T, DefaultInitAllocator<T>>;
 struct Batch {
   int num_rows = 0;
 
-  /// \brief Prepare for refill with `num_columns` columns. O(1) amortized:
-  /// grows the flat storage only when the column count exceeds any
-  /// previously seen, and never clears old values.
+  /// \brief Prepare for refill with `num_columns` columns. O(1): storage
+  /// is allocated (or grown) by the first write after it, never here, and
+  /// old values are never cleared.
   void Reset(int num_columns) {
-    if (static_cast<size_t>(num_columns) * kBatchSize > data_.size()) {
-      data_.resize(static_cast<size_t>(num_columns) * kBatchSize);
-    }
     num_cols_ = num_columns;
     num_rows = 0;
   }
 
   int num_cols() const { return num_cols_; }
 
+  /// \brief Column `c` for writing (or reading): the first call after a
+  /// Reset() to more columns than the storage holds allocates it.
   int64_t* col(int c) {
     BQO_DCHECK_LT(c, num_cols_);
+    const size_t needed = static_cast<size_t>(num_cols_) * kBatchSize;
+    if (data_.size() < needed) data_.resize(needed);
     return data_.data() + static_cast<size_t>(c) * kBatchSize;
   }
+  /// \brief Column `c` for reading; null while the batch has never been
+  /// written with that many columns (it then has no rows to read).
   const int64_t* col(int c) const {
     BQO_DCHECK_LT(c, num_cols_);
-    return data_.data() + static_cast<size_t>(c) * kBatchSize;
+    const size_t begin = static_cast<size_t>(c) * kBatchSize;
+    return begin < data_.size() ? data_.data() + begin : nullptr;
   }
 
   bool Full() const { return num_rows >= kBatchSize; }
 
  private:
-  ScratchVector<int64_t> data_;  ///< num_cols_ * kBatchSize, reused across Next
+  ScratchVector<int64_t> data_;  ///< num_cols_ * kBatchSize once written
   int num_cols_ = 0;
 };
 
@@ -128,27 +136,22 @@ inline void AppendRowMajor(const Batch& batch, std::vector<int64_t>* rows) {
   }
 }
 
-/// \brief Deterministic ordering for output schemas.
-inline bool BoundColumnLess(const BoundColumn& a, const BoundColumn& b) {
-  if (a.rel != b.rel) return a.rel < b.rel;
-  return a.column < b.column;
-}
-
-/// \brief An ordered, duplicate-free output schema of bound columns.
+/// \brief An ordered, duplicate-free output schema of resolved columns,
+/// sorted by (relation, table column index).
 class OutputSchema {
  public:
   OutputSchema() = default;
-  explicit OutputSchema(std::vector<BoundColumn> cols) : cols_(std::move(cols)) {
-    std::sort(cols_.begin(), cols_.end(), BoundColumnLess);
+  explicit OutputSchema(std::vector<ColumnRef> cols) : cols_(std::move(cols)) {
+    std::sort(cols_.begin(), cols_.end());
     cols_.erase(std::unique(cols_.begin(), cols_.end()), cols_.end());
   }
 
   int size() const { return static_cast<int>(cols_.size()); }
-  const BoundColumn& col(int i) const { return cols_[static_cast<size_t>(i)]; }
-  const std::vector<BoundColumn>& cols() const { return cols_; }
+  const ColumnRef& col(int i) const { return cols_[static_cast<size_t>(i)]; }
+  const std::vector<ColumnRef>& cols() const { return cols_; }
 
   /// \brief Position of `c` in this schema, or -1.
-  int PositionOf(const BoundColumn& c) const {
+  int PositionOf(const ColumnRef& c) const {
     for (size_t i = 0; i < cols_.size(); ++i) {
       if (cols_[i] == c) return static_cast<int>(i);
     }
@@ -156,7 +159,7 @@ class OutputSchema {
   }
 
  private:
-  std::vector<BoundColumn> cols_;
+  std::vector<ColumnRef> cols_;
 };
 
 }  // namespace bqo

@@ -36,7 +36,7 @@ void ExchangeOperator::Open() {
   stats_.parallel_workers = num_workers;
   abort_ = false;
   partials_.assign(static_cast<size_t>(num_workers), PartialAggState{});
-  workers_.assign(static_cast<size_t>(num_workers), PipelineWorkerState{});
+  workers_ = std::vector<PipelineWorkerState>(static_cast<size_t>(num_workers));
   for (auto& ws : workers_) InitPipelineWorker(pipe_, &ws);
 
   tasks_ = std::make_unique<WorkerPool::TaskGroup>(&WorkerPool::Global());

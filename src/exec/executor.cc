@@ -18,9 +18,16 @@ namespace {
 /// declared-column) order also used by MakeFilterFor in pushdown.cc. The
 /// build and probe sequences are pairwise aligned so composite hashes match.
 struct KeyColumns {
-  std::vector<BoundColumn> build;
-  std::vector<BoundColumn> probe;
+  std::vector<ColumnRef> build;
+  std::vector<ColumnRef> probe;
 };
+
+/// `graph`'s join column `cid`, resolved at bind (JoinGraph::AddEdge).
+ColumnRef JoinColumn(const JoinGraph& graph, int cid) {
+  const ColumnRef ref = graph.column(cid).ref();
+  BQO_CHECK_MSG(ref.col >= 0, "join column missing from its table");
+  return ref;
+}
 
 KeyColumns JoinKeyColumns(const Plan& plan, const PlanNode& join) {
   const JoinGraph& graph = *plan.graph;
@@ -30,9 +37,9 @@ KeyColumns JoinKeyColumns(const Plan& plan, const PlanNode& join) {
   for (int eid : edge_ids) {
     const JoinEdge& e = graph.edge(eid);
     const bool left_in_build = RelSetContains(join.build->rel_set, e.left);
-    for (size_t i = 0; i < e.left_cols.size(); ++i) {
-      BoundColumn l{e.left, e.left_cols[i]};
-      BoundColumn r{e.right, e.right_cols[i]};
+    for (size_t i = 0; i < e.left_col_ids.size(); ++i) {
+      const ColumnRef l = JoinColumn(graph, e.left_col_ids[i]);
+      const ColumnRef r = JoinColumn(graph, e.right_col_ids[i]);
       keys.build.push_back(left_in_build ? l : r);
       keys.probe.push_back(left_in_build ? r : l);
     }
@@ -48,7 +55,7 @@ bool FilterActive(const Plan& plan, int filter_id,
 
 std::unique_ptr<PhysicalOperator> CompileNode(
     const Plan& plan, const PlanNode& node,
-    std::vector<BoundColumn> required, FilterRuntime* runtime,
+    const std::vector<ColumnRef>& required, FilterRuntime* runtime,
     const ExecutionOptions& options) {
   const JoinGraph& graph = *plan.graph;
 
@@ -63,17 +70,14 @@ std::unique_ptr<PhysicalOperator> CompileNode(
       rf.filter_id = fid;
       BQO_CHECK_LE(f.probe_col_ids.size(), size_t{8});
       for (int cid : f.probe_col_ids) {
-        const BoundColumn& c = graph.column(cid);
+        const ColumnRef c = JoinColumn(graph, cid);
         BQO_CHECK_EQ(c.rel, node.relation);
-        const int idx = rel.table->ColumnIndex(c.column);
-        BQO_CHECK_MSG(idx >= 0, "filter probe column missing from table");
-        rf.key_positions.push_back(idx);
+        rf.key_positions.push_back(c.col);
       }
       filters.push_back(std::move(rf));
     }
     auto op = std::make_unique<ScanOperator>(
-        rel.table, rel.predicate, rel.selection,
-        OutputSchema(std::move(required)),
+        rel.table, rel.predicate, rel.selection, OutputSchema(required),
         std::move(filters), runtime, "scan " + rel.alias);
     op->stats().plan_node_id = node.id;
     // Leaves compile bare at every thread count: parallelism is applied per
@@ -87,49 +91,50 @@ std::unique_ptr<PhysicalOperator> CompileNode(
   const KeyColumns keys = JoinKeyColumns(plan, node);
 
   // Residual filter probe columns must appear in this join's output.
-  std::vector<BoundColumn> self_required = std::move(required);
+  std::vector<ColumnRef> self_required = required;
   std::vector<int> active_residuals;
   for (int fid : node.applied_filters) {
     if (!FilterActive(plan, fid, options)) continue;
     active_residuals.push_back(fid);
     const PlanFilter& f = plan.filters[static_cast<size_t>(fid)];
-    for (int cid : f.probe_col_ids) self_required.push_back(graph.column(cid));
+    for (int cid : f.probe_col_ids) {
+      self_required.push_back(JoinColumn(graph, cid));
+    }
   }
-  OutputSchema out_schema(self_required);
+  OutputSchema out_schema(std::move(self_required));
 
   // Children must additionally produce the join key columns.
-  std::vector<BoundColumn> build_req, probe_req;
-  for (const BoundColumn& c : out_schema.cols()) {
+  std::vector<ColumnRef> build_req = keys.build;
+  std::vector<ColumnRef> probe_req = keys.probe;
+  for (const ColumnRef& c : out_schema.cols()) {
     if (RelSetContains(node.build->rel_set, c.rel)) {
       build_req.push_back(c);
     } else {
       probe_req.push_back(c);
     }
   }
-  for (const BoundColumn& c : keys.build) build_req.push_back(c);
-  for (const BoundColumn& c : keys.probe) probe_req.push_back(c);
 
-  auto build_op =
-      CompileNode(plan, *node.build, std::move(build_req), runtime, options);
-  auto probe_op =
-      CompileNode(plan, *node.probe, std::move(probe_req), runtime, options);
+  auto build_op = CompileNode(plan, *node.build, build_req, runtime, options);
+  auto probe_op = CompileNode(plan, *node.probe, probe_req, runtime, options);
+  const OutputSchema& build_schema = build_op->output_schema();
+  const OutputSchema& probe_schema = probe_op->output_schema();
 
   HashJoinOperator::Config config;
   config.filter_config = options.filter_config;
   config.exec = options.exec;
   for (size_t i = 0; i < keys.build.size(); ++i) {
-    const int bpos = build_op->output_schema().PositionOf(keys.build[i]);
-    const int ppos = probe_op->output_schema().PositionOf(keys.probe[i]);
+    const int bpos = build_schema.PositionOf(keys.build[i]);
+    const int ppos = probe_schema.PositionOf(keys.probe[i]);
     BQO_CHECK(bpos >= 0 && ppos >= 0);
     config.build_key_positions.push_back(bpos);
     config.probe_key_positions.push_back(ppos);
   }
-  for (const BoundColumn& c : out_schema.cols()) {
-    const int bpos = build_op->output_schema().PositionOf(c);
+  for (const ColumnRef& c : out_schema.cols()) {
+    const int bpos = build_schema.PositionOf(c);
     if (bpos >= 0) {
       config.output_sources.emplace_back(true, bpos);
     } else {
-      const int ppos = probe_op->output_schema().PositionOf(c);
+      const int ppos = probe_schema.PositionOf(c);
       BQO_CHECK(ppos >= 0);
       config.output_sources.emplace_back(false, ppos);
     }
@@ -144,18 +149,32 @@ std::unique_ptr<PhysicalOperator> CompileNode(
     rf.filter_id = fid;
     BQO_CHECK_LE(f.probe_col_ids.size(), size_t{8});
     for (int cid : f.probe_col_ids) {
-      const int pos = out_schema.PositionOf(graph.column(cid));
+      const int pos = out_schema.PositionOf(JoinColumn(graph, cid));
       BQO_CHECK(pos >= 0);
       rf.key_positions.push_back(pos);
     }
     config.residual_filters.push_back(std::move(rf));
   }
 
+  std::string label = "HJ#";
+  AppendInt(node.id, &label);
   auto op = std::make_unique<HashJoinOperator>(
       std::move(build_op), std::move(probe_op), std::move(out_schema),
-      std::move(config), runtime, StringFormat("HJ#%d", node.id));
+      std::move(config), runtime, std::move(label));
   op->stats().plan_node_id = node.id;
   return op;
+}
+
+/// `column` of an aggregate spec with its table index resolved against the
+/// relation it names.
+BoundColumn ResolveAggColumn(const JoinGraph& graph, BoundColumn column,
+                             const char* what) {
+  BQO_CHECK_MSG(column.rel >= 0 && column.rel < graph.num_relations(), what);
+  const Table* table = graph.relation(column.rel).table;
+  BQO_CHECK_MSG(table != nullptr, "execution requires bound tables");
+  column.index = table->ColumnIndex(column.column);
+  BQO_CHECK_MSG(column.index >= 0, what);
+  return column;
 }
 
 void CollectStats(PhysicalOperator* op, QueryMetrics* metrics) {
@@ -212,15 +231,21 @@ std::unique_ptr<AggregateOperator> CompilePlan(
     runtime->stats[i].filter_id = static_cast<int>(i);
   }
 
-  std::vector<BoundColumn> required;
-  if (options.agg.kind == AggKind::kSum) {
-    required.push_back(options.agg.sum_column);
+  // The aggregate's columns are the only names left to resolve: join and
+  // filter columns carry their table indices from bind.
+  AggSpec agg = options.agg;
+  std::vector<ColumnRef> required;
+  if (agg.kind == AggKind::kSum) {
+    agg.sum_column = ResolveAggColumn(*plan.graph, agg.sum_column,
+                                      "SUM column missing from its table");
+    required.push_back(agg.sum_column.ref());
   }
-  if (options.agg.has_group_by) {
-    required.push_back(options.agg.group_column);
+  if (agg.has_group_by) {
+    agg.group_column = ResolveAggColumn(
+        *plan.graph, agg.group_column, "GROUP BY column missing from its table");
+    required.push_back(agg.group_column.ref());
   }
-  auto root =
-      CompileNode(plan, *plan.root, std::move(required), runtime, options);
+  auto root = CompileNode(plan, *plan.root, required, runtime, options);
   // Pipeline-parallel execution: one exchange directly below the aggregate
   // drains the topmost probe pipeline (scan -> probe -> ... -> probe) with
   // N workers; hash-join builds below parallelize inside their own Open().
@@ -231,11 +256,11 @@ std::unique_ptr<AggregateOperator> CompilePlan(
   // single-threaded plan, bit-for-bit.
   if (options.exec.ResolvedThreads() > 1) {
     auto exchange = std::make_unique<ExchangeOperator>(
-        std::move(root), options.exec, options.agg, "xchg pipeline");
+        std::move(root), options.exec, agg, "xchg pipeline");
     exchange->stats().plan_node_id = plan.root->id;
     root = std::move(exchange);
   }
-  return std::make_unique<AggregateOperator>(std::move(root), options.agg);
+  return std::make_unique<AggregateOperator>(std::move(root), agg);
 }
 
 QueryMetrics ExecutePlan(const Plan& plan, const ExecutionOptions& options) {

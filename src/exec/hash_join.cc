@@ -1,6 +1,7 @@
 #include "src/exec/hash_join.h"
 
 #include <algorithm>
+#include <new>
 #include <string>
 #include <utility>
 
@@ -14,6 +15,20 @@
 #include "src/server/build_cache.h"
 
 namespace bqo {
+
+namespace {
+
+/// Begin the lifetime of `count` unwritten Ts at `*next` (placement array
+/// new of a trivial type performs no initialization) and advance `*next`
+/// past them.
+template <typename T>
+T* CarveArray(std::byte** next, size_t count) {
+  T* array = new (*next) T[count];
+  *next += count * sizeof(T);
+  return array;
+}
+
+}  // namespace
 
 HashJoinOperator::HashJoinOperator(std::unique_ptr<PhysicalOperator> build,
                                    std::unique_ptr<PhysicalOperator> probe,
@@ -48,6 +63,10 @@ HashJoinOperator::HashJoinOperator(std::unique_ptr<PhysicalOperator> build,
       reuses = src.second == want;
     }
     residual_uses_probe_hash_.push_back(reuses ? 1 : 0);
+    if (!reuses) {
+      residual_hash_keys_ =
+          std::max(residual_hash_keys_, rf.key_positions.size());
+    }
   }
 }
 
@@ -236,34 +255,28 @@ void HashJoinOperator::Open() {
   // ---- Probe side opens only after the filter exists ----
   probe_->Open();
   local_probe_ = ProbeState{};
-  InitProbeState(&local_probe_);
 }
 
-void HashJoinOperator::InitProbeState(ProbeState* ps) const {
-  // Residual scratch only for the filters that hash their own keys.
-  bool own_hashes = false;
-  size_t max_keys = 0;
-  for (size_t f = 0; f < config_.residual_filters.size(); ++f) {
-    if (residual_uses_probe_hash_[f]) continue;
-    own_hashes = true;
-    max_keys =
-        std::max(max_keys, config_.residual_filters[f].key_positions.size());
+void HashJoinOperator::AllocateProbeScratch(ProbeState* ps) const {
+  // One block, widest elements first so every array stays aligned.
+  constexpr size_t kHashBytes = kBatchSize * sizeof(uint64_t);
+  constexpr size_t kRowBytes = kBatchSize * sizeof(int32_t);
+  constexpr size_t kSelBytes = kBatchSize * sizeof(uint16_t);
+  const size_t residual_bytes =
+      residual_hash_keys_ == 0 ? 0 : (1 + residual_hash_keys_) * kHashBytes;
+  ps->scratch = std::make_unique_for_overwrite<std::byte[]>(
+      2 * kHashBytes + residual_bytes + 2 * kRowBytes + kSelBytes);
+  std::byte* next = ps->scratch.get();
+  ps->hashes = CarveArray<uint64_t>(&next, kBatchSize);
+  ps->cand_hash = CarveArray<uint64_t>(&next, kBatchSize);
+  if (residual_hash_keys_ > 0) {
+    ps->rhashes = CarveArray<uint64_t>(&next, kBatchSize);
+    ps->rkeys = CarveArray<int64_t>(&next, residual_hash_keys_ * kBatchSize);
   }
-  ps->hashes.resize(kBatchSize);
-  ps->cand_build.resize(kBatchSize);
-  ps->cand_probe.resize(kBatchSize);
-  ps->cand_hash.resize(kBatchSize);
-  ps->sel.resize(kBatchSize);
-  ps->rhashes.resize(own_hashes ? kBatchSize : 0);
-  ps->rkeys.resize(max_keys * kBatchSize);
+  ps->cand_build = CarveArray<int32_t>(&next, kBatchSize);
+  ps->cand_probe = CarveArray<int32_t>(&next, kBatchSize);
+  ps->sel = CarveArray<uint16_t>(&next, kBatchSize);
   ps->residual_stats.assign(config_.residual_filters.size(), FilterStats{});
-  ps->cursor = 0;
-  ps->pending_entry = 0;
-  ps->pending_end = 0;
-  ps->input_done = false;
-  ps->rows_in = 0;
-  ps->rows_matched = 0;
-  ps->pending_matched = false;
 }
 
 void HashJoinOperator::HashProbeBatch(ProbeState* ps) const {
@@ -273,7 +286,7 @@ void HashJoinOperator::HashProbeBatch(ProbeState* ps) const {
   for (size_t k = 0; k < nkeys; ++k) {
     key_cols[k] = ps->in.col(config_.probe_key_positions[k]);
   }
-  uint64_t* hashes = ps->hashes.data();
+  uint64_t* hashes = ps->hashes;
   if (nkeys == 1) {
     HashColumnKernel(key_cols[0], n, hashes);
   } else {
@@ -301,7 +314,7 @@ bool HashJoinOperator::KeysEqual(const JoinBuildSide::Entry& entry,
 }
 
 int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand) {
-  uint16_t* sel = ps->sel.data();
+  uint16_t* sel = ps->sel;
   for (int i = 0; i < ncand; ++i) sel[i] = static_cast<uint16_t>(i);
   int m = ncand;
 
@@ -319,16 +332,16 @@ int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand) {
     if (residual_uses_probe_hash_[f]) {
       // The join-key probe hash doubles as this filter's composite hash and
       // is already position-aligned with the candidates.
-      hashes = ps->cand_hash.data();
+      hashes = ps->cand_hash;
     } else {
       const size_t nkeys = rf.key_positions.size();
-      uint64_t* rhashes = ps->rhashes.data();
+      uint64_t* rhashes = ps->rhashes;
       if (m == ncand) {
         // Dense fast path (first winnowing filter): gather the key columns
         // candidate-contiguous and hash the whole stride batched.
         const int64_t* cols[8];
         for (size_t k = 0; k < nkeys; ++k) {
-          int64_t* dst = ps->rkeys.data() + k * kBatchSize;
+          int64_t* dst = ps->rkeys + k * kBatchSize;
           const auto& src = config_.output_sources[static_cast<size_t>(
               rf.key_positions[k])];
           if (src.first) {
@@ -376,17 +389,28 @@ int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand) {
 bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
                                  const NextInputFn& next_input) {
   out->Reset(schema_.size());
+  if (ps->scratch == nullptr) {
+    // No probe row has arrived yet: the scratch is allocated only once the
+    // first one does, so a join whose probe input is empty allocates none.
+    if (ps->input_done || !next_input(&ps->in)) {
+      ps->input_done = true;
+      return false;
+    }
+    AllocateProbeScratch(ps);
+    ps->cursor = 0;
+    HashProbeBatch(ps);
+  }
   const JoinBuildSide::Entry* entries = side_->entries.data();
   const int32_t* buckets = side_->buckets.data();
   const uint64_t bucket_mask = side_->bucket_mask;
   const bool single_key = config_.build_key_positions.size() == 1;
+  int32_t* cand_build = ps->cand_build;
+  int32_t* cand_probe = ps->cand_probe;
+  uint64_t* cand_hash = ps->cand_hash;
 
   while (!out->Full()) {
     // ---- Collect candidate matches (hash + key equality, pre-residual) --
     const int capacity = kBatchSize - out->num_rows;
-    int32_t* cand_build = ps->cand_build.data();
-    int32_t* cand_probe = ps->cand_probe.data();
-    uint64_t* cand_hash = ps->cand_hash.data();
     int ncand = 0;
     while (ncand < capacity) {
       // One segment of a probe row's bucket run [i, end): resumed where the
@@ -416,7 +440,7 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
         }
         probe_row = ps->cursor++;
         ++ps->rows_in;
-        h = ps->hashes[static_cast<size_t>(probe_row)];
+        h = ps->hashes[probe_row];
         const uint64_t b = h & bucket_mask;
         i = buckets[b];
         end = buckets[b + 1];
@@ -459,8 +483,9 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
     int m = ncand;
     if (!config_.residual_filters.empty()) {
       m = WinnowResiduals(ps, ncand);
+      if (m == 0) continue;  // nothing to materialize
       if (m < ncand) {
-        const uint16_t* sel = ps->sel.data();
+        const uint16_t* sel = ps->sel;
         for (int j = 0; j < m; ++j) {
           cand_build[j] = cand_build[sel[j]];
           cand_probe[j] = cand_probe[sel[j]];

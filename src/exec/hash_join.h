@@ -34,6 +34,7 @@
 // copy loop materializes every join's output.
 #pragma once
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -70,11 +71,14 @@ class HashJoinOperator final : public PhysicalOperator {
   /// in-progress bucket run, candidate/selection scratch for the
   /// batched residual probes, and private stats accumulators. Exchange
   /// workers each own one; the single-threaded Next() path owns one too.
-  /// MergeProbeStats folds the accumulators into the shared counters once
-  /// the owner is quiesced, so merged probed/passed totals are exactly the
-  /// single-threaded counts. The scratch is never zero-filled (batch.h), and
-  /// the residual scratch is sized to the residual filters that hash their
-  /// own keys: empty when every residual reuses the probe hash.
+  /// A default-constructed state is ready to probe. MergeProbeStats folds
+  /// the accumulators into the shared counters once the owner is quiesced,
+  /// so merged probed/passed totals are exactly the single-threaded counts.
+  /// The stride scratch is one block, allocated by ProbeNext when the
+  /// first probe row arrives, so a join no probe row reaches allocates
+  /// none. It is never zero-filled (batch.h), and the residual part is
+  /// sized to the residual filters that hash their own keys: empty when
+  /// every residual reuses the probe hash.
   struct ProbeState {
     Batch in;                    ///< current input batch from downstream
     int cursor = 0;              ///< next unconsumed row of `in`
@@ -84,19 +88,23 @@ class HashJoinOperator final : public PhysicalOperator {
     int32_t pending_end = 0;
     uint64_t pending_hash = 0;   ///< probe hash of the run's probe row
     bool input_done = false;     ///< upstream exhausted
-    ScratchVector<uint64_t> hashes;  ///< composite key hash per row of `in`
+    /// Backing block of the scratch arrays below; null until the first
+    /// probe row.
+    std::unique_ptr<std::byte[]> scratch;
+    uint64_t* hashes = nullptr;  ///< composite key hash per row of `in`
     // Candidate stride: matched (build row, probe row, probe hash) triples
     // buffered ahead of the batched residual winnow.
-    ScratchVector<int32_t> cand_build;  ///< build-side row offsets
-    ScratchVector<int32_t> cand_probe;  ///< row indices into `in`
-    ScratchVector<uint64_t> cand_hash;  ///< join-key probe hash per candidate
-    ScratchVector<uint16_t> sel;        ///< surviving candidate positions
-    ScratchVector<uint64_t> rhashes;    ///< residual hash scratch
+    int32_t* cand_build = nullptr;  ///< build-side row offsets
+    int32_t* cand_probe = nullptr;  ///< row indices into `in`
+    uint64_t* cand_hash = nullptr;  ///< join-key probe hash per candidate
+    uint16_t* sel = nullptr;        ///< surviving candidate positions
+    uint64_t* rhashes = nullptr;    ///< residual hash scratch
     /// Residual key gather scratch: one kBatchSize stride per key of the
     /// widest residual filter that does not reuse the probe hash.
-    ScratchVector<int64_t> rkeys;
+    int64_t* rkeys = nullptr;
     // Private accumulators, merged once by MergeProbeStats.
-    std::vector<FilterStats> residual_stats;  ///< aligned w/ residual_filters
+    /// Aligned with residual_filters once the scratch exists.
+    std::vector<FilterStats> residual_stats;
     int64_t rows_prefilter = 0;
     int64_t rows_out = 0;
     // Probe-side match accounting (OperatorStats::probe_rows_in/_matched):
@@ -129,9 +137,6 @@ class HashJoinOperator final : public PhysicalOperator {
   /// (the build child hangs below this operator's breaker).
   PhysicalOperator* probe_child() { return probe_.get(); }
 
-  /// \brief Size `ps`'s scratch for this join. Call after Open().
-  void InitProbeState(ProbeState* ps) const;
-
   /// \brief Fill `out` with join results, pulling input batches through
   /// `next_input` as needed; false when `out` came up empty with the input
   /// exhausted. Safe to call from multiple threads after Open(), each with
@@ -157,6 +162,8 @@ class HashJoinOperator final : public PhysicalOperator {
   /// \brief Composite-key hash of every build row, batched.
   void HashBuildRows(const JoinBuildSide& side,
                      std::vector<uint64_t>* hashes) const;
+  /// \brief Allocate `ps`'s scratch block and point its arrays into it.
+  void AllocateProbeScratch(ProbeState* ps) const;
   /// \brief Hash every row of ps->in into ps->hashes and prefetch the
   /// bucket heads the stride is about to touch.
   void HashProbeBatch(ProbeState* ps) const;
@@ -188,6 +195,10 @@ class HashJoinOperator final : public PhysicalOperator {
   /// (position by position) with this join's equi-join keys, so the cached
   /// probe hash doubles as its composite hash for every matched row.
   std::vector<uint8_t> residual_uses_probe_hash_;
+  /// Keys of the widest residual filter that hashes its own keys (0 when
+  /// every residual reuses the probe hash): sizes ProbeState::rhashes and
+  /// ProbeState::rkeys.
+  size_t residual_hash_keys_ = 0;
 };
 
 }  // namespace bqo

@@ -98,10 +98,9 @@ Pipeline BuildProbePipeline(PhysicalOperator* op) {
 
 void InitPipelineWorker(const Pipeline& pipe, PipelineWorkerState* ws) {
   pipe.source->InitWorkerState(&ws->scan);
+  // Fresh probe states: each join allocates its scratch in ProbeNext, when
+  // this worker's first probe row reaches it.
   ws->probes.resize(pipe.probes.size());
-  for (size_t i = 0; i < pipe.probes.size(); ++i) {
-    pipe.probes[i]->InitProbeState(&ws->probes[i]);
-  }
 }
 
 bool PipelineParallelNext(const Pipeline& pipe, Batch* out,

@@ -68,7 +68,9 @@ struct PipelineWorkerState {
 };
 
 /// \brief Size `ws` for `pipe`. Call after the pipeline's operators are
-/// Open (the scan's filter set and each join's residual set are fixed then).
+/// Open (the scan's filter set is fixed then). The probe states start
+/// empty: each join allocates its scratch when the first probe row
+/// reaches it.
 void InitPipelineWorker(const Pipeline& pipe, PipelineWorkerState* ws);
 
 /// \brief Produce the pipeline's next output batch, claiming scan morsels

@@ -35,8 +35,9 @@ ScanOperator::ScanOperator(const Table* table, ExprPtr predicate,
   stats_.label = std::move(label);
   gather_cols_.reserve(static_cast<size_t>(schema_.size()));
   for (int i = 0; i < schema_.size(); ++i) {
-    const int idx = table_->ColumnIndex(schema_.col(i).column);
-    BQO_CHECK_MSG(idx >= 0, "scan output column missing from base table");
+    const int idx = schema_.col(i).col;
+    BQO_CHECK_MSG(idx >= 0 && idx < table_->num_columns(),
+                  "scan output column missing from base table");
     BQO_CHECK_MSG(table_->column(idx).type() != DataType::kDouble,
                   "execution batches are int64-only (see batch.h)");
     gather_cols_.push_back(&table_->column(idx));

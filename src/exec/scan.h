@@ -47,6 +47,8 @@ class ScanOperator final : public PhysicalOperator {
   ///                  evaluated (RelationRef::selection). Null only when
   ///                  `predicate` selects every row; a predicated scan
   ///                  without one is a fatal check failure.
+  /// \param schema    the output columns; each ColumnRef::col is a
+  ///                  base-table column index.
   /// \param filters   filters applied at this leaf; key_positions are
   ///                  base-table column indices of the probe columns.
   ScanOperator(const Table* table, ExprPtr predicate,

@@ -1,5 +1,8 @@
 #include "src/optimizer/build_signature.h"
 
+#include <charconv>
+
+#include "src/common/string_util.h"
 #include "src/exec/scan.h"
 #include "src/plan/predicate_shape.h"
 
@@ -18,20 +21,17 @@ std::string BuildSideSignature(const PhysicalOperator& build_child,
   sig += "tbl=";
   sig += scan->table()->name();
   sig += "|cols=";
-  for (const BoundColumn& c : scan->output_schema().cols()) {
-    sig += c.column;
+  for (const ColumnRef& c : scan->output_schema().cols()) {
+    AppendInt(c.col, &sig);
     sig += ',';
   }
   sig += "|pred=";
-  sig += PredicateShape(scan->predicate());
+  AppendPredicateShape(scan->predicate(), &sig);
   sig += "|consts=";
-  for (const Value& v : CollectPredicateConstants(scan->predicate())) {
-    sig += v.ToString();
-    sig += ';';
-  }
+  AppendPredicateConstants(scan->predicate(), &sig);
   sig += "|keys=";
   for (int k : build_key_positions) {
-    sig += std::to_string(k);
+    AppendInt(k, &sig);
     sig += ',';
   }
   if (creates_filter) {
@@ -41,7 +41,10 @@ std::string BuildSideSignature(const PhysicalOperator& build_child,
     sig += "|filter=";
     sig += FilterKindName(filter_config.kind);
     sig += ':';
-    sig += std::to_string(filter_config.bloom_bits_per_key);
+    char bits[32];
+    const auto end = std::to_chars(bits, bits + sizeof(bits),
+                                   filter_config.bloom_bits_per_key);
+    sig.append(bits, end.ptr);
   } else {
     sig += "|filter=none";
   }

@@ -20,7 +20,8 @@
 //
 //   * table name (content changes are covered by the catalog version the
 //     BuildCache keys flights and entries on, not by the signature),
-//   * the scan's output schema columns in order (the row-major layout),
+//   * the scan's output schema columns in order, as table column indices
+//     (the row-major layout),
 //   * predicate shape + bound constants (which rows survive),
 //   * the join's build key positions (which columns are hashed),
 //   * the filter configuration and whether a filter is created at all

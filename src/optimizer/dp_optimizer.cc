@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
+#include <vector>
 
 namespace bqo {
 
@@ -27,15 +27,11 @@ class SetCardEstimator {
     }
   }
 
-  double Card(RelSet set) {
-    auto it = memo_.find(set);
-    if (it != memo_.end()) return it->second;
+  double Card(RelSet set) const {
     double card = 1.0;
-    for (int r = 0; r < graph_.num_relations(); ++r) {
-      if (RelSetContains(set, r)) {
-        card *= std::max(graph_.relation(r).filtered_rows, 1.0);
-      }
-    }
+    ForEachRel(set, [&](int r) {
+      card *= std::max(graph_.relation(r).filtered_rows, 1.0);
+    });
     for (int e = 0; e < graph_.num_edges(); ++e) {
       const JoinEdge& edge = graph_.edge(e);
       if (RelSetContains(set, edge.left) &&
@@ -43,59 +39,65 @@ class SetCardEstimator {
         card *= edge_sel_[static_cast<size_t>(e)];
       }
     }
-    card = std::max(card, 1.0);
-    memo_.emplace(set, card);
-    return card;
+    return std::max(card, 1.0);
   }
 
  private:
   const JoinGraph& graph_;
   std::vector<double> edge_sel_;
-  std::unordered_map<RelSet, double> memo_;
 };
 
-struct DpEntry {
-  double cost = std::numeric_limits<double>::infinity();
-  std::vector<int> order;
-};
-
-Plan RightDeepDp(const JoinGraph& graph, SetCardEstimator* est) {
+/// Exhaustive right-deep DP over connected relation sets, expanded by
+/// popcount. Each set keeps only its best cost and the relation that
+/// extended its best prefix, in flat tables indexed by the set itself
+/// (n <= kMaxDpRelations, so 2^n entries): the best order is read back
+/// from the full set by peeling last relations off. A set's entry is
+/// final before any larger set reads it (every improvement to a set of
+/// size k happens while expanding size k - 1), so the order read back is
+/// the one the strict-< first-wins expansion picked.
+Plan RightDeepDp(const JoinGraph& graph, const SetCardEstimator& est) {
   const int n = graph.num_relations();
-  std::unordered_map<RelSet, DpEntry> table;
-  // Seed singletons: Cout of a leaf is its filtered cardinality.
-  for (int r = 0; r < n; ++r) {
-    DpEntry e;
-    e.cost = std::max(graph.relation(r).filtered_rows, 1.0);
-    e.order = {r};
-    table.emplace(RelBit(r), std::move(e));
-  }
-  // Expand by popcount (every state processed once per size).
+  const size_t num_sets = size_t{1} << n;
+  std::vector<double> cost(num_sets, std::numeric_limits<double>::infinity());
+  std::vector<int8_t> last(num_sets, -1);
+  // Each set's join cardinality is computed once, the first time an
+  // expansion reaches it (0 = not yet; a cardinality is at least 1).
+  std::vector<double> card(num_sets, 0.0);
+  // Expand by popcount (every state processed once per size), in the
+  // order states are first reached.
   std::vector<std::vector<RelSet>> by_size(static_cast<size_t>(n + 1));
-  for (int r = 0; r < n; ++r) by_size[1].push_back(RelBit(r));
+  for (int r = 0; r < n; ++r) {
+    // Seed singletons: Cout of a leaf is its filtered cardinality.
+    cost[RelBit(r)] = std::max(graph.relation(r).filtered_rows, 1.0);
+    last[RelBit(r)] = static_cast<int8_t>(r);
+    by_size[1].push_back(RelBit(r));
+  }
   for (int size = 1; size < n; ++size) {
     for (RelSet set : by_size[static_cast<size_t>(size)]) {
-      const DpEntry& cur = table.at(set);
-      const RelSet neighbors = graph.Neighbors(set);
-      for (int r = 0; r < n; ++r) {
-        if (!RelSetContains(neighbors, r)) continue;
+      const double cur = cost[set];
+      ForEachRel(graph.Neighbors(set), [&](int r) {
         const RelSet next = set | RelBit(r);
-        const double add =
-            std::max(graph.relation(r).filtered_rows, 1.0) +
-            est->Card(next);
-        const double cost = cur.cost + add;
-        auto [it, inserted] = table.try_emplace(next);
-        if (inserted) by_size[static_cast<size_t>(size + 1)].push_back(next);
-        if (cost < it->second.cost) {
-          it->second.cost = cost;
-          it->second.order = cur.order;
-          it->second.order.push_back(r);
+        if (card[next] == 0.0) {
+          card[next] = est.Card(next);
+          by_size[static_cast<size_t>(size + 1)].push_back(next);
         }
-      }
+        const double c =
+            cur + (std::max(graph.relation(r).filtered_rows, 1.0) + card[next]);
+        if (c < cost[next]) {
+          cost[next] = c;
+          last[next] = static_cast<int8_t>(r);
+        }
+      });
     }
   }
-  const RelSet all = graph.AllRels();
-  BQO_CHECK_MSG(table.count(all) > 0, "join graph is disconnected");
-  return BuildRightDeepPlan(graph, table.at(all).order);
+  RelSet set = graph.AllRels();
+  BQO_CHECK_MSG(last[set] >= 0, "join graph is disconnected");
+  std::vector<int> order(static_cast<size_t>(n));
+  for (int i = n - 1; i >= 0; --i) {
+    order[static_cast<size_t>(i)] = last[set];
+    set &= ~RelBit(last[set]);
+  }
+  return BuildRightDeepPlan(graph, order);
 }
 
 }  // namespace
@@ -142,8 +144,7 @@ Plan OptimizeDpBaseline(const JoinGraph& graph, EstimatedCoutModel* model) {
   if (graph.num_relations() > kMaxDpRelations) {
     return OptimizeGreedy(graph, model);
   }
-  SetCardEstimator est(graph, model);
-  return RightDeepDp(graph, &est);
+  return RightDeepDp(graph, SetCardEstimator(graph, model));
 }
 
 }  // namespace bqo

@@ -56,7 +56,9 @@ int JoinGraph::AddEdge(JoinEdge edge) {
       int cid = ColumnId(rel, name);
       if (cid < 0) {
         cid = num_columns();
-        columns_.push_back(BoundColumn{rel, name});
+        const Table* table = relations_[static_cast<size_t>(rel)].table;
+        columns_.push_back(BoundColumn{
+            rel, name, table != nullptr ? table->ColumnIndex(name) : -1});
         rel_columns_[static_cast<size_t>(rel)].push_back(cid);
       }
       ids.push_back(cid);
@@ -131,24 +133,42 @@ bool JoinGraph::IsConnected(RelSet set) const {
 
 std::string JoinGraph::ShapeSignature() const {
   std::string sig;
+  sig.reserve(64 * relations_.size() + 32 * edges_.size());
   // Relations in index order: base table + predicate shape (aliases are
   // naming, not semantics — excluded so alias-renamed queries collide).
   for (int r = 0; r < num_relations(); ++r) {
     const RelationRef& rel = relation(r);
-    sig += StringFormat(";R%d=%s|", r, rel.table_name.c_str());
-    sig += PredicateShape(rel.predicate);
+    sig += ";R";
+    AppendInt(r, &sig);
+    sig += '=';
+    sig += rel.table_name;
+    sig += '|';
+    AppendPredicateShape(rel.predicate, &sig);
   }
   // Edges: endpoints, column lists, and the uniqueness flags Definition 1
   // keys on. BuildJoinGraph emits edges in a deterministic order for a
   // given spec, so equal queries produce equal signatures.
+  auto columns = [&sig](const std::vector<std::string>& names) {
+    for (size_t i = 0; i < names.size(); ++i) {
+      if (i > 0) sig += ',';
+      sig += names[i];
+    }
+  };
   for (int e = 0; e < num_edges(); ++e) {
     const JoinEdge& edge = this->edge(e);
-    sig += StringFormat(";E%d=%d<%d:", e, edge.left, edge.right);
-    sig += JoinStrings(edge.left_cols, ",");
-    sig += "=";
-    sig += JoinStrings(edge.right_cols, ",");
-    sig += StringFormat(":%d%d", edge.left_unique ? 1 : 0,
-                        edge.right_unique ? 1 : 0);
+    sig += ";E";
+    AppendInt(e, &sig);
+    sig += '=';
+    AppendInt(edge.left, &sig);
+    sig += '<';
+    AppendInt(edge.right, &sig);
+    sig += ':';
+    columns(edge.left_cols);
+    sig += '=';
+    columns(edge.right_cols);
+    sig += ':';
+    sig += edge.left_unique ? '1' : '0';
+    sig += edge.right_unique ? '1' : '0';
   }
   return sig;
 }

@@ -16,7 +16,9 @@
 // numbering is structural: it depends only on the AddEdge sequence, so
 // graph copies and shape-equal graphs (same ShapeSignature) number their
 // columns identically. The cost model indexes flat per-node arrays by it
-// (src/stats/estimated_cost.h).
+// (src/stats/estimated_cost.h). AddEdge also resolves each join column's
+// index in its relation's table, once, so execution compiles against
+// integers (BoundColumn::index) instead of looking names up per join.
 #pragma once
 
 #include <cstdint>
@@ -81,10 +83,32 @@ struct JoinEdge {
   bool Touches(int rel) const { return left == rel || right == rel; }
 };
 
+/// \brief A base-table column of one relation occurrence, as integers:
+/// the relation index and the column's index in that relation's table.
+/// Execution schemas sort and match on these (src/exec/batch.h).
+struct ColumnRef {
+  int rel = -1;
+  int col = -1;
+
+  bool operator==(const ColumnRef& o) const {
+    return rel == o.rel && col == o.col;
+  }
+  bool operator<(const ColumnRef& o) const {
+    return rel != o.rel ? rel < o.rel : col < o.col;
+  }
+};
+
 /// \brief A column bound to a specific relation occurrence of the query.
 struct BoundColumn {
   int rel = -1;
   std::string column;
+  /// Index of `column` in the relation's table, resolved at bind
+  /// (JoinGraph::AddEdge for join columns); -1 when unresolved or the
+  /// relation has no table.
+  int index = -1;
+
+  /// The integer form execution compiles against; needs a resolved index.
+  ColumnRef ref() const { return ColumnRef{rel, index}; }
 
   bool operator==(const BoundColumn& o) const {
     return rel == o.rel && column == o.column;

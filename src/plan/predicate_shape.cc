@@ -38,28 +38,34 @@ const char* SlotMarker(DataType type) {
   return "?";
 }
 
-/// One walk serves both views: `shape` and/or `constants` may be null.
-void WalkShape(const Expr& expr, std::string* shape,
-               std::vector<Value>* constants) {
+/// One walk serves every view: the shape text is appended to `shape`
+/// (when non-null), and each slot's constant is handed to `on_slot`.
+template <typename OnSlot>
+void WalkShape(const Expr& expr, std::string* shape, OnSlot&& on_slot) {
   auto emit = [&](const char* text) {
     if (shape != nullptr) *shape += text;
   };
-  auto slot = [&](Value v) {
+  auto column = [&](const char* suffix) {
+    if (shape == nullptr) return;
+    *shape += expr.column;
+    *shape += suffix;
+  };
+  auto slot = [&](const Value& v) {
     emit(SlotMarker(v.type()));
-    if (constants != nullptr) constants->push_back(std::move(v));
+    on_slot(v);
   };
   switch (expr.kind) {
     case ExprKind::kTrue:
       emit("TRUE");
       return;
     case ExprKind::kCompare:
-      if (shape != nullptr) {
-        *shape += expr.column + " " + ShapeOpName(expr.op) + " ";
-      }
+      column(" ");
+      emit(ShapeOpName(expr.op));
+      emit(" ");
       slot(expr.literal);
       return;
     case ExprKind::kBetween:
-      if (shape != nullptr) *shape += expr.column + " BETWEEN ";
+      column(" BETWEEN ");
       slot(Value(expr.lo));
       emit(" AND ");
       slot(Value(expr.hi));
@@ -67,7 +73,7 @@ void WalkShape(const Expr& expr, std::string* shape,
     case ExprKind::kInList:
       // List length is structure (it changes the evaluated set size and
       // the signature of the rebind), each element is a slot.
-      if (shape != nullptr) *shape += expr.column + " IN(";
+      column(" IN(");
       for (size_t i = 0; i < expr.in_values.size(); ++i) {
         if (i > 0) emit(",");
         slot(Value(expr.in_values[i]));
@@ -75,7 +81,7 @@ void WalkShape(const Expr& expr, std::string* shape,
       emit(")");
       return;
     case ExprKind::kStringContains:
-      if (shape != nullptr) *shape += expr.column + " LIKE %";
+      column(" LIKE %");
       slot(Value(expr.needle));
       emit("%");
       return;
@@ -84,8 +90,9 @@ void WalkShape(const Expr& expr, std::string* shape,
       // structure. The bound sweeps selectivity — a slot (the paper's
       // `c_customer_sk % 1000 < @P` template, Figure 7).
       if (shape != nullptr) {
-        *shape += StringFormat("%s %% %lld < ", expr.column.c_str(),
-                               static_cast<long long>(expr.mod_divisor));
+        column(" % ");
+        AppendInt(expr.mod_divisor, shape);
+        emit(" < ");
       }
       slot(Value(expr.mod_bound));
       return;
@@ -94,13 +101,13 @@ void WalkShape(const Expr& expr, std::string* shape,
       for (size_t c = 0; c < expr.children.size(); ++c) {
         if (c > 0) emit(expr.kind == ExprKind::kAnd ? " AND " : " OR ");
         emit("(");
-        WalkShape(*expr.children[c], shape, constants);
+        WalkShape(*expr.children[c], shape, on_slot);
         emit(")");
       }
       return;
     case ExprKind::kNot:
       emit("NOT (");
-      WalkShape(*expr.children[0], shape, constants);
+      WalkShape(*expr.children[0], shape, on_slot);
       emit(")");
       return;
   }
@@ -157,16 +164,38 @@ ExprPtr RebindRec(const Expr& structure, const std::vector<Value>& constants,
 }  // namespace
 
 std::string PredicateShape(const ExprPtr& expr) {
-  if (expr == nullptr) return "TRUE";
   std::string shape;
-  WalkShape(*expr, &shape, nullptr);
+  AppendPredicateShape(expr, &shape);
   return shape;
+}
+
+void AppendPredicateShape(const ExprPtr& expr, std::string* out) {
+  if (expr == nullptr) {
+    *out += "TRUE";
+    return;
+  }
+  WalkShape(*expr, out, [](const Value&) {});
 }
 
 std::vector<Value> CollectPredicateConstants(const ExprPtr& expr) {
   std::vector<Value> constants;
-  if (expr != nullptr) WalkShape(*expr, nullptr, &constants);
+  if (expr != nullptr) {
+    WalkShape(*expr, nullptr,
+              [&](const Value& v) { constants.push_back(v); });
+  }
   return constants;
+}
+
+void AppendPredicateConstants(const ExprPtr& expr, std::string* out) {
+  if (expr == nullptr) return;
+  WalkShape(*expr, nullptr, [out](const Value& v) {
+    if (v.type() == DataType::kInt64) {
+      AppendInt(v.AsInt64(), out);
+    } else {
+      *out += v.ToString();
+    }
+    *out += ';';
+  });
 }
 
 ExprPtr RebindPredicateConstants(const ExprPtr& structure,

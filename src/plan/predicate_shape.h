@@ -32,9 +32,16 @@ namespace bqo {
 /// Null predicates render as "TRUE" — the zero-slot degenerate case.
 std::string PredicateShape(const ExprPtr& expr);
 
+/// \brief Append PredicateShape(expr) to `*out`.
+void AppendPredicateShape(const ExprPtr& expr, std::string* out);
+
 /// \brief The bound constants of `expr` in shape walk order (empty for
 /// null/kTrue — exact-match caching falls out as this degenerate case).
 std::vector<Value> CollectPredicateConstants(const ExprPtr& expr);
+
+/// \brief Append each bound constant of `expr` as `Value::ToString()`
+/// followed by ';', in shape walk order.
+void AppendPredicateConstants(const ExprPtr& expr, std::string* out);
 
 /// \brief Rebuild `structure`'s predicate with `constants` bound into its
 /// slots (same walk order as CollectPredicateConstants). Dies if the

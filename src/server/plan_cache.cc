@@ -131,11 +131,11 @@ PlanCache::LookupOutcome PlanCache::Lookup(const std::string& shape_signature,
 
 std::shared_ptr<const CachedPlan> PlanCache::Insert(
     const std::string& shape_signature, int64_t catalog_version,
-    const JoinGraph& graph, ParameterizedPlan optimized) {
+    JoinGraph graph, ParameterizedPlan optimized) {
   auto entry = std::make_shared<CachedPlan>();
-  entry->graph = graph;  // owned copy: the caller's graph is stack-local
+  entry->graph = std::move(graph);
   entry->plan = std::move(optimized.optimized.plan);
-  entry->plan.graph = &entry->graph;  // re-bind to the stable copy
+  entry->plan.graph = &entry->graph;  // re-bind to the entry's graph
   entry->estimated_cost = optimized.optimized.estimated_cost;
   entry->pruned_filters = optimized.optimized.pruned_filters;
   entry->optimize_ns = optimized.optimized.optimize_ns;

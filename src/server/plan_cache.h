@@ -91,10 +91,10 @@
 namespace bqo {
 
 /// \brief One cached (or privately rebound) plan: the optimized plan, the
-/// owned graph copy it is bound to, the annotations reuse keys on, and the
+/// graph it owns and is bound to, the annotations reuse keys on, and the
 /// optimize-time measurements a hit amortizes. Immutable once built.
 struct CachedPlan {
-  JoinGraph graph;  ///< owned copy; plan.graph points at this member
+  JoinGraph graph;  ///< owned; plan.graph points at this member
   Plan plan;
   /// Estimated bitvector-aware Cout of the cached plan — re-reported on
   /// hits so serving metrics stay comparable with the miss path.
@@ -146,14 +146,15 @@ class PlanCache {
                        QueryTrace* trace = nullptr);
 
   /// \brief Insert the result of optimizing `graph` under
-  /// `shape_signature` (OptimizeParameterized), copying the graph so the entry outlives the
-  /// caller's; returns the entry (also handed to concurrent clients on
-  /// later hits). Replaces an existing entry under the same signature —
-  /// the re-optimization escalation path — and evicts the
-  /// least-recently-used entry at capacity.
+  /// `shape_signature` (OptimizeParameterized). The entry owns `graph`
+  /// (callers done with theirs move it in) and re-points the plan at it;
+  /// returns the entry (also handed to concurrent clients on later hits).
+  /// Replaces an existing entry under the same signature — the
+  /// re-optimization escalation path — and evicts the least-recently-used
+  /// entry at capacity.
   std::shared_ptr<const CachedPlan> Insert(const std::string& shape_signature,
                                            int64_t catalog_version,
-                                           const JoinGraph& graph,
+                                           JoinGraph graph,
                                            ParameterizedPlan optimized);
 
   /// \brief Drop every entry (counted as an invalidation).

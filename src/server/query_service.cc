@@ -329,7 +329,7 @@ QueryResult QueryService::Execute(const QuerySpec& spec,
             OptimizeParameterized(graph, &stats_, options_.optimizer);
         optimize_span.End();
         result.optimize_ns = optimized.optimized.optimize_ns;
-        entry = cache_.Insert(signature, planned_version, graph,
+        entry = cache_.Insert(signature, planned_version, std::move(graph),
                               std::move(optimized));
       }
     }

@@ -21,7 +21,7 @@ Result<Table*> Catalog::CreateTable(std::string name,
 }
 
 Result<Table*> Catalog::GetTable(std::string_view name) {
-  auto it = tables_.find(std::string(name));
+  auto it = tables_.find(name);
   if (it == tables_.end()) {
     return Status::NotFound(
         StringFormat("table '%s' not found", std::string(name).c_str()));
@@ -30,7 +30,7 @@ Result<Table*> Catalog::GetTable(std::string_view name) {
 }
 
 Result<const Table*> Catalog::GetTable(std::string_view name) const {
-  auto it = tables_.find(std::string(name));
+  auto it = tables_.find(name);
   if (it == tables_.end()) {
     return Status::NotFound(
         StringFormat("table '%s' not found", std::string(name).c_str()));
@@ -65,8 +65,8 @@ Status Catalog::DeclareForeignKey(const ForeignKeyDef& fk) {
   return Status::OK();
 }
 
-bool Catalog::IsUniqueKey(const std::string& table,
-                          const std::string& column) const {
+bool Catalog::IsUniqueKey(std::string_view table,
+                          std::string_view column) const {
   auto it = unique_keys_.find(table);
   if (it == unique_keys_.end()) return false;
   return std::find(it->second.begin(), it->second.end(), column) !=

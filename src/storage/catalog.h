@@ -9,10 +9,10 @@
 #include <atomic>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/string_util.h"
 #include "src/storage/table.h"
 
 namespace bqo {
@@ -40,7 +40,7 @@ class Catalog {
   /// \brief Declare a foreign key; both endpoints must exist.
   Status DeclareForeignKey(const ForeignKeyDef& fk);
 
-  bool IsUniqueKey(const std::string& table, const std::string& column) const;
+  bool IsUniqueKey(std::string_view table, std::string_view column) const;
 
   const std::vector<ForeignKeyDef>& foreign_keys() const {
     return foreign_keys_;
@@ -66,10 +66,10 @@ class Catalog {
   void BumpVersion() { version_.fetch_add(1, std::memory_order_relaxed); }
 
  private:
-  std::unordered_map<std::string, std::unique_ptr<Table>> tables_;
+  StringMap<std::unique_ptr<Table>> tables_;
   std::vector<std::string> table_order_;  // creation order, for stable output
   // (table, column) pairs declared unique.
-  std::unordered_map<std::string, std::vector<std::string>> unique_keys_;
+  StringMap<std::vector<std::string>> unique_keys_;
   std::vector<ForeignKeyDef> foreign_keys_;
   std::atomic<int64_t> version_{0};
 };

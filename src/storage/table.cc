@@ -14,7 +14,7 @@ Table::Table(std::string name, std::vector<FieldDef> fields)
 }
 
 int Table::ColumnIndex(std::string_view name) const {
-  auto it = column_index_.find(std::string(name));
+  auto it = column_index_.find(name);
   return it == column_index_.end() ? -1 : it->second;
 }
 

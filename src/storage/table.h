@@ -3,10 +3,10 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/common/string_util.h"
 #include "src/storage/column.h"
 
 namespace bqo {
@@ -53,7 +53,7 @@ class Table {
  private:
   std::string name_;
   std::vector<std::unique_ptr<Column>> columns_;
-  std::unordered_map<std::string, int> column_index_;
+  StringMap<int> column_index_;
   int64_t num_rows_ = 0;
 };
 

@@ -321,17 +321,18 @@ class PinnedPoolExchangeTest : public ::testing::Test {
     fact_ = db_->catalog.GetTable("f").value();
     runtime_.context = &ctx_;
 
-    OutputSchema schema(
-        {BoundColumn{0, "d0_fk"}, BoundColumn{0, "measure"}});
+    const int fk = fact_->ColumnIndex("d0_fk");
+    const int measure = fact_->ColumnIndex("measure");
+    OutputSchema schema({ColumnRef{0, fk}, ColumnRef{0, measure}});
     auto scan = std::make_unique<ScanOperator>(
         fact_, nullptr, nullptr, schema, std::vector<ResolvedFilter>{},
         &runtime_, "scan f");
     scan_ = scan.get();
     AggSpec agg;
     agg.kind = AggKind::kSum;
-    agg.sum_column = BoundColumn{0, "measure"};
+    agg.sum_column = BoundColumn{0, "measure", measure};
     agg.has_group_by = true;
-    agg.group_column = BoundColumn{0, "d0_fk"};
+    agg.group_column = BoundColumn{0, "d0_fk", fk};
     ExecConfig config;
     config.threads = 2;
     config.morsel_rows = 1024;

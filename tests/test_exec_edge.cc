@@ -14,8 +14,10 @@
 // ProbePath runs the same differential over the hash join's probe loop:
 // a bucket run longer than the candidate stride, distinct keys sharing a
 // bucket, a two-key join, a join with and without a residual filter, and
-// an empty build side. AggFold pins the per-batch aggregate fold to a
-// naive row loop.
+// an empty build side. DeferredProbeScratch runs it, cold and on a
+// BuildCache hit, over joins that no probe row (or only a late one)
+// reaches, and pins a Batch's storage across Resets. AggFold pins the
+// per-batch aggregate fold to a naive row loop.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -27,6 +29,7 @@
 #include "src/common/simd.h"
 #include "src/exec/executor.h"
 #include "src/plan/pushdown.h"
+#include "src/server/build_cache.h"
 #include "src/stats/estimated_cost.h"
 #include "test_util.h"
 
@@ -275,8 +278,10 @@ void CollectJoinStats(PhysicalOperator* op, std::vector<OperatorStats>* out) {
   for (PhysicalOperator* child : op->children()) CollectJoinStats(child, out);
 }
 
+/// Execute `plan` through CompilePlan. With `cache`, hash joins share
+/// their build sides through it as served queries do (catalog version 0).
 ScratchRun RunScratchPlan(const Plan& plan, int threads, AggKind agg,
-                          bool use_bitvectors) {
+                          bool use_bitvectors, BuildCache* cache = nullptr) {
   ExecutionOptions options;
   options.use_bitvectors = use_bitvectors;
   options.exec.threads = threads;
@@ -284,6 +289,7 @@ ScratchRun RunScratchPlan(const Plan& plan, int threads, AggKind agg,
   options.agg.kind = agg;
   options.agg.sum_column = BoundColumn{0, "measure"};
   FilterRuntime runtime;
+  runtime.build_cache = cache;
   auto root = CompilePlan(plan, options, &runtime);
   root->Open();
   Batch batch;
@@ -537,12 +543,202 @@ TEST(ProbePath, EmptyBuildSide) {
                          {.use_bitvectors = false, .expect_empty = true});
 }
 
+// ---- Deferred probe scratch: joins that no probe row reaches ----
+//
+// A hash join allocates its probe scratch when its first probe row
+// arrives, and a Batch its storage at its first write. Each fixture keeps
+// rows away from some joins: every probe row eliminated at the scan, rows
+// that reach only the deepest join, and a probe table whose first strides
+// are all eliminated. Runs at threads {1, 4}, each cold and again on a
+// BuildCache hit, must equal testing::ReferenceJoin and the cold
+// single-threaded run in checksum, every FilterStats field and every
+// join's counters.
+
+/// p(k0, k1, measure) joins d0 on k0 and d1 on k1. The first
+/// `unmatched_rows` rows of p have a k0 that no row of d0 holds; the rest
+/// match d0 and d1.
+std::unique_ptr<testing::TestDb> MakeGappedProbeDb(int64_t unmatched_rows,
+                                                   int64_t matched_rows) {
+  auto db = std::make_unique<testing::TestDb>();
+  Table* p = AddTable(db.get(), "p", {"k0", "k1", "measure"});
+  for (int64_t i = 0; i < unmatched_rows; ++i) {
+    AddRow(p, {1000 + i % 50, i % 20, i % 11});
+  }
+  for (int64_t i = 0; i < matched_rows; ++i) {
+    AddRow(p, {i % 50, i % 20, i % 13});
+  }
+  Table* d0 = AddTable(db.get(), "d0", {"id", "attr0"});
+  for (int64_t id = 0; id < 50; ++id) AddRow(d0, {id, id % 10});
+  Table* d1 = AddTable(db.get(), "d1", {"id", "attr0"});
+  for (int64_t id = 0; id < 20; ++id) AddRow(d1, {id, id % 10});
+  db->spec.relations = {{"p", "p", nullptr},
+                        {"d0", "d0", nullptr},
+                        {"d1", "d1", Lt("attr0", 8)}};
+  db->spec.joins = {{"p", "k0", "d0", "id"}, {"p", "k1", "d1", "id"}};
+  return db;
+}
+
+/// The cold threads=1 run of `plan`, after checking it against the
+/// reference join; then every (threads, cold/hit) run against it.
+ScratchRun ExpectDeferredScratchParity(const testing::TestDb& db,
+                                       const Plan& plan, AggKind agg,
+                                       bool use_bitvectors) {
+  const testing::ReferenceResult ref = testing::ReferenceJoin(db);
+  const ScratchRun base = RunScratchPlan(plan, 1, agg, use_bitvectors);
+  EXPECT_EQ(base.total, agg == AggKind::kSum ? ref.sum : ref.count);
+  EXPECT_FALSE(base.joins.empty());
+  if (base.joins.empty()) return base;
+  EXPECT_EQ(base.joins[0].rows_out, ref.count);
+  for (int threads : {1, 4}) {
+    BuildCache cache(BuildCacheOptions{});
+    for (const char* pass : {"cold", "hit"}) {
+      const std::string what =
+          std::string(pass) + " threads=" + std::to_string(threads);
+      const ScratchRun run =
+          RunScratchPlan(plan, threads, agg, use_bitvectors, &cache);
+      EXPECT_EQ(run.total, base.total) << what;
+      EXPECT_EQ(run.checksum, base.checksum) << what;
+      EXPECT_EQ(run.filters.size(), base.filters.size()) << what;
+      for (size_t f = 0; f < std::min(run.filters.size(), base.filters.size());
+           ++f) {
+        const FilterStats& a = run.filters[f];
+        const FilterStats& b = base.filters[f];
+        EXPECT_EQ(a.created, b.created) << what << " f" << f;
+        EXPECT_EQ(a.inserted, b.inserted) << what << " f" << f;
+        EXPECT_EQ(a.probed, b.probed) << what << " f" << f;
+        EXPECT_EQ(a.passed, b.passed) << what << " f" << f;
+        EXPECT_EQ(a.size_bytes, b.size_bytes) << what << " f" << f;
+      }
+      EXPECT_EQ(run.joins.size(), base.joins.size()) << what;
+      for (size_t j = 0; j < std::min(run.joins.size(), base.joins.size());
+           ++j) {
+        const OperatorStats& a = run.joins[j];
+        const OperatorStats& b = base.joins[j];
+        EXPECT_EQ(a.rows_out, b.rows_out) << what << " join " << j;
+        EXPECT_EQ(a.rows_prefilter, b.rows_prefilter) << what << " join " << j;
+        EXPECT_EQ(a.probe_rows_in, b.probe_rows_in) << what << " join " << j;
+        EXPECT_EQ(a.probe_rows_matched, b.probe_rows_matched)
+            << what << " join " << j;
+      }
+    }
+    // Both build sides are bare dimension scans: the second pass shares
+    // each one the first pass built.
+    const BuildCacheStats stats = cache.stats();
+    EXPECT_EQ(stats.misses, 2) << "threads=" << threads;
+    EXPECT_EQ(stats.hits, 2) << "threads=" << threads;
+  }
+  return base;
+}
+
+TEST(DeferredProbeScratch, EveryProbeRowEliminated) {
+  // d0's filter removes every row of p at the scan: no join sees a probe
+  // row, so none allocates probe scratch or writes an output batch.
+  auto db = MakeGappedProbeDb(3000, 0);
+  auto graph = db->Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = RightDeepInRelationOrder(graph.value());
+  for (AggKind agg : {AggKind::kCountStar, AggKind::kSum}) {
+    const ScratchRun base = ExpectDeferredScratchParity(*db, plan, agg, true);
+    ASSERT_EQ(base.joins.size(), 2u);
+    for (const OperatorStats& join : base.joins) {
+      EXPECT_EQ(join.probe_rows_in, 0) << join.label;
+      EXPECT_EQ(join.rows_out, 0) << join.label;
+    }
+  }
+}
+
+TEST(DeferredProbeScratch, OnlyTheDeepestJoinSeesRows) {
+  // Without filters every row of p reaches the deepest join, which matches
+  // none of them, so the join above it never sees a probe row.
+  auto db = MakeGappedProbeDb(3000, 0);
+  auto graph = db->Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = RightDeepInRelationOrder(graph.value());
+  for (AggKind agg : {AggKind::kCountStar, AggKind::kSum}) {
+    const ScratchRun base =
+        ExpectDeferredScratchParity(*db, plan, agg, false);
+    ASSERT_EQ(base.joins.size(), 2u);
+    // Depth-first from the root: joins[1] is the deepest.
+    EXPECT_EQ(base.joins[1].probe_rows_in, 3000);
+    EXPECT_EQ(base.joins[1].rows_out, 0);
+    EXPECT_EQ(base.joins[0].probe_rows_in, 0);
+  }
+}
+
+TEST(DeferredProbeScratch, FirstProbeRowsFollowEmptyStrides) {
+  // The first 5000 rows of p (several strides, and every 512-row morsel of
+  // them) are eliminated, so each join's first probe row arrives after
+  // strides that produced nothing; the last 1500 rows match.
+  auto db = MakeGappedProbeDb(5000, 1500);
+  auto graph = db->Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = RightDeepInRelationOrder(graph.value());
+  for (bool use_bitvectors : {true, false}) {
+    for (AggKind agg : {AggKind::kCountStar, AggKind::kSum}) {
+      const ScratchRun base =
+          ExpectDeferredScratchParity(*db, plan, agg, use_bitvectors);
+      ASSERT_EQ(base.joins.size(), 2u);
+      EXPECT_GT(base.joins[0].rows_out, 0);
+      // Unfiltered, the deepest join sees every row; filtered, only the
+      // 1200 rows that match both dimensions (and any Bloom false
+      // positives) reach it.
+      if (use_bitvectors) {
+        EXPECT_GE(base.joins[1].probe_rows_in, 1200);
+        EXPECT_LT(base.joins[1].probe_rows_in, 6500);
+      } else {
+        EXPECT_EQ(base.joins[1].probe_rows_in, 6500);
+      }
+    }
+  }
+}
+
+TEST(DeferredProbeScratch, BatchResetToFewerThenMoreColumns) {
+  auto value = [](int round, int c, int r) {
+    return int64_t{round} * 1000003 + c * 4099 + r;
+  };
+  auto write = [&](Batch* b, int round, int rows) {
+    for (int c = 0; c < b->num_cols(); ++c) {
+      int64_t* dst = b->col(c);
+      for (int r = 0; r < rows; ++r) dst[r] = value(round, c, r);
+    }
+    b->num_rows = rows;
+  };
+  auto expect_read_back = [&](const Batch& b, int round) {
+    for (int c = 0; c < b.num_cols(); ++c) {
+      const int64_t* src = b.col(c);
+      ASSERT_NE(src, nullptr) << "round " << round << " col " << c;
+      for (int r = 0; r < b.num_rows; ++r) {
+        ASSERT_EQ(src[r], value(round, c, r))
+            << "round " << round << " col " << c << " row " << r;
+      }
+    }
+  };
+
+  Batch batch;
+  batch.Reset(3);
+  const Batch& unwritten = batch;
+  EXPECT_EQ(unwritten.col(0), nullptr);  // Reset allocates nothing
+  write(&batch, 0, 100);
+  expect_read_back(batch, 0);
+
+  batch.Reset(1);  // fewer columns: the storage is reused
+  EXPECT_EQ(batch.num_rows, 0);
+  write(&batch, 1, 7);
+  expect_read_back(batch, 1);
+
+  batch.Reset(5);  // more columns than any write so far: grows on write
+  EXPECT_EQ(unwritten.col(4), nullptr);
+  write(&batch, 2, kBatchSize);
+  expect_read_back(batch, 2);
+  EXPECT_TRUE(batch.Full());
+}
+
 // ---- AggFold: the per-batch fold against a naive row loop ----
 
 TEST(AggFold, FoldsBatchesLikeARowLoop) {
   // Columns: 0 = group key, 1 = SUM input. Batch sizes include an empty
   // batch and a full one.
-  const OutputSchema schema({BoundColumn{0, "g"}, BoundColumn{0, "v"}});
+  const OutputSchema schema({ColumnRef{0, 0}, ColumnRef{0, 1}});
   std::vector<Batch> batches;
   std::mt19937_64 rng(0xa66f01d);
   for (int n : {5, 0, kBatchSize, 1, 0, 300}) {
@@ -567,9 +763,9 @@ TEST(AggFold, FoldsBatchesLikeARowLoop) {
                         Case{"grouped SUM", AggKind::kSum, true}}) {
     AggSpec spec;
     spec.kind = c.kind;
-    spec.sum_column = BoundColumn{0, "v"};
+    spec.sum_column = BoundColumn{0, "v", 1};
     spec.has_group_by = c.grouped;
-    spec.group_column = BoundColumn{0, "g"};
+    spec.group_column = BoundColumn{0, "g", 0};
     const AggFold fold = AggFold::Resolve(spec, schema);
     PartialAggState state;
     PartialAggState naive;

@@ -48,14 +48,16 @@ ManualScanResult RunManualScan(const Table* table,
 
   ResolvedFilter rf;
   rf.filter_id = 0;
-  rf.key_positions.push_back(table->ColumnIndex(key_column));
-  OutputSchema schema({BoundColumn{0, key_column}, BoundColumn{0, "measure"}});
+  const int key = table->ColumnIndex(key_column);
+  const int measure = table->ColumnIndex("measure");
+  rf.key_positions.push_back(key);
+  OutputSchema schema({ColumnRef{0, key}, ColumnRef{0, measure}});
 
   AggSpec agg;
   agg.kind = AggKind::kSum;
-  agg.sum_column = BoundColumn{0, "measure"};
+  agg.sum_column = BoundColumn{0, "measure", measure};
   agg.has_group_by = true;
-  agg.group_column = BoundColumn{0, key_column};
+  agg.group_column = BoundColumn{0, key_column, key};
 
   auto scan = std::make_unique<ScanOperator>(
       table, nullptr, nullptr, schema, std::vector<ResolvedFilter>{rf},
