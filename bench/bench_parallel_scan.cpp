@@ -1,8 +1,7 @@
 // Morsel-parallel scan-stage throughput: the wall time to drain one
 // filter-probing scan (hash -> MayContainBatch -> gather) into a grouped
 // aggregate at 1..N worker threads, through the same
-// ScanOperator/ExchangeOperator/AggregateOperator shapes ExecutePlan
-// compiles. Prints one machine-readable JSON line per (filter kind, thread
+// ScanOperator/AggregateOperator shape ExecutePlan compiles. Prints one machine-readable JSON line per (filter kind, thread
 // count) for the BENCH_*.json trajectory, and verifies on every run that the
 // result checksum, group count, and merged filter and scan stats are
 // identical across thread counts — the speedup must be free of semantic
@@ -21,7 +20,6 @@
 #include "src/common/rng.h"
 #include "src/common/simd.h"
 #include "src/exec/aggregate.h"
-#include "src/exec/exchange.h"
 #include "src/exec/scan.h"
 #include "src/workload/datagen.h"
 
@@ -79,8 +77,8 @@ DrainResult DrainOnce(const Table* table, FilterKind kind, int threads) {
   const int measure = table->ColumnIndex("measure");
   rf.key_positions.push_back(key);
   OutputSchema schema({ColumnRef{0, key}, ColumnRef{0, measure}});
-  // SUM(measure) GROUP BY d_fk: the fold runs inside the exchange workers
-  // when threads > 1, and its checksum is merge-order independent.
+  // SUM(measure) GROUP BY d_fk: every pipeline worker folds its own
+  // partial, and the checksum is merge-order independent.
   AggSpec agg;
   agg.kind = AggKind::kSum;
   agg.sum_column = BoundColumn{0, "measure", measure};
@@ -90,21 +88,13 @@ DrainResult DrainOnce(const Table* table, FilterKind kind, int threads) {
       table, nullptr, nullptr, schema, std::vector<ResolvedFilter>{rf},
       &runtime, "scan t");
   const ScanOperator* scan_raw = scan.get();
-  std::unique_ptr<PhysicalOperator> child = std::move(scan);
-  if (threads > 1) {
-    ExecConfig exec;
-    exec.threads = threads;
-    child = std::make_unique<ExchangeOperator>(std::move(child), exec, agg,
-                                               "xchg t");
-  }
-  AggregateOperator root(std::move(child), agg);
+  ExecConfig exec;
+  exec.threads = threads;
+  AggregateOperator root(std::move(scan), agg, exec);
 
   DrainResult result;
   const auto start = std::chrono::steady_clock::now();
   root.Open();
-  Batch batch;
-  while (root.Next(&batch)) {
-  }
   root.Close();
   result.wall_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
                        std::chrono::steady_clock::now() - start)

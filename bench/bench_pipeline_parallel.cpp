@@ -1,10 +1,10 @@
 // Whole-plan pipeline-parallel throughput: wall time for ExecutePlan over a
 // multi-join star query at 1..N workers — parallel hash-join builds,
-// per-worker bitvector-filter partials merged via MergeFrom, the
-// scan -> probe -> probe chain drained wide behind the top exchange, and
-// the final aggregate folded into that exchange as per-worker partials
-// merged by the sink (the shapes CompilePlan emits; see
-// src/exec/pipeline.h, src/exec/exchange.h). Both aggregate shapes run:
+// per-worker bitvector-filter partials merged via MergeFrom, and the
+// scan -> probe -> probe chain drained wide by the aggregate, each worker
+// folding into its own partial that the aggregate merges (one pipeline
+// driver at every thread count; see src/exec/pipeline.h). Both aggregate
+// shapes run:
 // ungrouped SUM (scalar partials) and grouped SUM (hash-map partials, the
 // merge-heavy case). Verifies on every run that the result rows, the
 // checksum, and the merged filter stats are identical across thread

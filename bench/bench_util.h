@@ -31,17 +31,17 @@ inline Workload MakeWorkloadByIndex(int which, double scale) {
 }
 
 /// \brief Run Original vs BQO over the three workloads (JOB, TPC-DS,
-/// CUSTOMER — the paper's ordering in Figures 8-10). Scans go
-/// morsel-parallel when BQO_THREADS > 1 (see exec_config.h); the default
-/// keeps the single-threaded executor so figures stay comparable across
-/// machines.
+/// CUSTOMER — the paper's ordering in Figures 8-10). Every pipeline —
+/// hash-join builds and the top probe chain alike — runs on BQO_THREADS
+/// workers (see exec_config.h); the default of one worker, inline on the
+/// calling thread, keeps figures comparable across machines.
 inline std::vector<Comparison> RunAllComparisons(double scale,
                                                  size_t limit = 0,
                                                  int repeats = 2) {
   std::vector<Comparison> out;
   const ExecConfig exec = ExecConfigFromEnv();
   if (exec.ResolvedThreads() > 1) {
-    std::fprintf(stderr, "[bench] morsel-parallel scans: %d workers\n",
+    std::fprintf(stderr, "[bench] pipeline workers: %d\n",
                  exec.ResolvedThreads());
   }
   for (int which = 0; which < 3; ++which) {

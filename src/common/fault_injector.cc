@@ -36,8 +36,8 @@ const char* FaultInjector::SiteName(Site site) {
   switch (site) {
     case Site::kWorkerTask:
       return "worker_task";
-    case Site::kExchangePush:
-      return "exchange_push";
+    case Site::kAggregateFold:
+      return "aggregate_fold";
     case Site::kFilterFill:
       return "filter_fill";
     case Site::kPlanCacheLookup:

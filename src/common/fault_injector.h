@@ -7,12 +7,12 @@
 // injector lets tests (and the CI fault-smoke job) force that question at
 // the engine's four structurally distinct failure surfaces:
 //
-//   kWorkerTask       — entry of a pool worker task (exchange drains,
-//                       canonical build drains); the generic "a worker
-//                       died" case.
-//   kExchangePush     — an exchange worker about to fold a produced batch
-//                       into its partial aggregate; fails with sibling
-//                       workers live.
+//   kWorkerTask       — entry of a pipeline worker's pool task (threads
+//                       > 1 only: one worker runs inline, as no task);
+//                       the generic "a worker died" case.
+//   kAggregateFold    — a pipeline worker about to fold a produced batch
+//                       into its partial aggregate, at every thread count;
+//                       at threads > 1 it fails with sibling workers live.
 //   kFilterFill       — inside FillFilterParallel, mid bitvector build;
 //                       fails between a join's table drain and its filter
 //                       publication.
@@ -33,7 +33,7 @@
 // deterministic in the total number of checks, not in thread interleaving.
 // Tests call Arm()/DisarmAll() directly; binaries opt in via env knobs:
 //
-//   BQO_FAULT_SITES=worker_task,exchange_push,filter_fill,plan_cache
+//   BQO_FAULT_SITES=worker_task,aggregate_fold,filter_fill,plan_cache
 //   BQO_FAULT_EVERY=N        (default 1 when sites are set)
 //
 // (ConfigureFromEnv is called by bench_concurrent_queries; the library
@@ -52,7 +52,7 @@ class FaultInjector {
  public:
   enum class Site : int {
     kWorkerTask = 0,
-    kExchangePush,
+    kAggregateFold,
     kFilterFill,
     kPlanCacheLookup,
   };

@@ -1,6 +1,7 @@
 #include "src/common/string_util.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -58,6 +59,16 @@ std::optional<int64_t> ParseInt64(std::string_view text) {
   const char* end = text.data() + text.size();
   const auto [ptr, ec] = std::from_chars(text.data(), end, value);
   if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+std::optional<double> ParseDouble(std::string_view text) {
+  double value = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end || !std::isfinite(value)) {
+    return std::nullopt;
+  }
   return value;
 }
 

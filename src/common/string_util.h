@@ -49,6 +49,12 @@ std::string FormatCount(int64_t n);
 /// is nullopt — never a silent 0.
 std::optional<int64_t> ParseInt64(std::string_view text);
 
+/// \brief `text` as a finite decimal number when all of it is one (digits
+/// with an optional '-', fraction and exponent). Anything else ("",
+/// "0.1x", " 2", "inf", "nan", "1e999") is nullopt — never a silent
+/// prefix parse or an infinity.
+std::optional<double> ParseDouble(std::string_view text);
+
 /// \brief ParseInt64 of environment variable `name`; nullopt when it is
 /// unset or does not parse, so the caller keeps its default.
 std::optional<int64_t> EnvInt64(const char* name);

@@ -1,10 +1,9 @@
 #include "src/exec/aggregate.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/common/hash.h"
-#include "src/exec/exchange.h"
+#include "src/exec/pipeline.h"
 
 namespace bqo {
 
@@ -55,9 +54,9 @@ void AggFold::Fold(const Batch& batch, PartialAggState* state) const {
   state->rows_folded += n;
 }
 
-AggregateOperator::AggregateOperator(
-    std::unique_ptr<PhysicalOperator> child, AggSpec spec)
-    : child_(std::move(child)), spec_(spec) {
+AggregateOperator::AggregateOperator(std::unique_ptr<PhysicalOperator> child,
+                                     AggSpec spec, ExecConfig exec)
+    : child_(std::move(child)), spec_(spec), exec_(exec) {
   stats_.type = OperatorType::kAggregate;
   stats_.label = "aggregate";
   fold_ = AggFold::Resolve(spec_, child_->output_schema());
@@ -68,66 +67,35 @@ AggregateOperator::AggregateOperator(
 }
 
 void AggregateOperator::Open() {
-  TimerGuard timer(&stats_);
+  TimerGuard timer(&stats_.ns_inclusive);
   child_->Open();
   state_ = PartialAggState{};
   checksum_ = 0;
-  emitted_ = false;
 
-  if (auto* exchange = dynamic_cast<ExchangeOperator*>(child_.get())) {
-    // Pipeline-parallel sink: the exchange workers already folded their
-    // probe-chain output thread-locally; merge the partials. MergeFrom is
-    // exact for any partition and merge order (aggregate.h), so the merged
-    // state equals the single-threaded fold bit-for-bit.
-    for (PartialAggState& partial : exchange->DrainPartials()) {
-      state_.MergeFrom(std::move(partial));
-    }
-  } else {
-    // threads == 1: the single-threaded fold.
-    Batch batch;
-    while (child_->Next(&batch)) fold_.Fold(batch, &state_);
+  // Fold the top pipeline on every worker, then merge the partials.
+  // MergeFrom is exact for any partition and merge order (see the header),
+  // so the merged state equals the one-worker fold bit-for-bit.
+  for (PartialAggState& partial : FoldPipeline(
+           BuildProbePipeline(child_.get()), exec_, fold_, &stats_)) {
+    // Per-worker counters, merged exactly once (metrics.h).
+    stats_.agg_partial_groups += static_cast<int64_t>(partial.groups.size());
+    state_.MergeFrom(std::move(partial));
   }
   stats_.agg_rows_folded = state_.rows_folded;
   stats_.rows_prefilter = state_.rows_folded;
+  stats_.rows_out =
+      spec_.has_group_by ? static_cast<int64_t>(state_.groups.size()) : 1;
 
   // Order-independent checksum: sum of hashed (group, value) pairs —
   // independent of map iteration order, hence of the merge history.
-  // Group keys are also snapshotted so Next() can emit them in
-  // batch-capacity chunks (Batch storage is fixed at kBatchSize rows).
-  group_keys_.clear();
-  emit_cursor_ = 0;
   if (spec_.has_group_by) {
-    group_keys_.reserve(state_.groups.size());
     for (const auto& [g, v] : state_.groups) {
-      group_keys_.push_back(g);
       checksum_ += Mix64(HashCombine(HashValue(static_cast<uint64_t>(g)),
                                      static_cast<uint64_t>(v)));
     }
   } else {
     checksum_ = HashValue(static_cast<uint64_t>(state_.total));
   }
-}
-
-bool AggregateOperator::Next(Batch* out) {
-  TimerGuard timer(&stats_);
-  out->Reset(schema_.size());
-  if (spec_.has_group_by) {
-    if (emit_cursor_ >= group_keys_.size()) return false;
-    const int n = static_cast<int>(std::min<size_t>(
-        kBatchSize, group_keys_.size() - emit_cursor_));
-    int64_t* dst = out->col(0);
-    for (int i = 0; i < n; ++i) {
-      dst[i] = group_keys_[emit_cursor_ + static_cast<size_t>(i)];
-    }
-    emit_cursor_ += static_cast<size_t>(n);
-    out->num_rows = n;
-  } else {
-    if (emitted_) return false;
-    emitted_ = true;
-    out->num_rows = 1;
-  }
-  stats_.rows_out += out->num_rows;
-  return out->num_rows > 0;
 }
 
 void AggregateOperator::Close() { child_->Close(); }

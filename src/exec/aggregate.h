@@ -1,5 +1,6 @@
 // Aggregation: COUNT(*) / SUM(col), optionally grouped by one column —
-// executed as fold + merge so the final aggregate can run pipeline-parallel.
+// executed as fold + merge so the final aggregate runs on every pipeline
+// worker.
 //
 // == The partial-aggregation model ==
 //
@@ -16,12 +17,12 @@
 //    commutative + associative folds: any partition of the input rows
 //    into partials, merged in any order, yields the same group map and
 //    total as the single-threaded left-to-right fold.
-//  * AggregateOperator — the sink. At threads == 1 it folds its child's
-//    batches into one PartialAggState itself. At threads > 1 the executor
-//    compiles the fold *into* the ExchangeOperator below it (exchange.h):
-//    each exchange worker folds its probe-chain output thread-locally, and
-//    the sink merges the per-worker partials — no serial consume loop and
-//    no raw batches crossing threads above the top probe chain.
+//  * AggregateOperator — the plan's final breaker. Its Open() opens the
+//    child (running every hash-join build below) and drives the plan's
+//    top pipeline through the pipeline driver (FoldPipeline, pipeline.h):
+//    each worker folds its probe-chain output into its own partial, and
+//    Open() merges the per-worker partials — no raw batches cross threads
+//    above the top probe chain. With one worker there is one partial.
 //
 // == Checksum merge-order independence ==
 //
@@ -40,6 +41,7 @@
 #include <memory>
 #include <unordered_map>
 
+#include "src/exec/exec_config.h"
 #include "src/exec/operator.h"
 
 namespace bqo {
@@ -70,9 +72,9 @@ struct PartialAggState {
 };
 
 /// \brief An AggSpec resolved against a concrete child schema: the fold
-/// kernel shared by the single-threaded sink and the pre-aggregating
-/// exchange workers. Read-only after Resolve, so concurrent folds into
-/// distinct PartialAggStates need no synchronization.
+/// kernel every pipeline worker runs. Read-only after Resolve, so
+/// concurrent folds into distinct PartialAggStates need no
+/// synchronization.
 struct AggFold {
   AggKind kind = AggKind::kCountStar;
   bool has_group_by = false;
@@ -89,13 +91,17 @@ struct AggFold {
 
 class AggregateOperator final : public PhysicalOperator {
  public:
-  AggregateOperator(std::unique_ptr<PhysicalOperator> child, AggSpec spec);
+  /// `child` must decompose into a probe pipeline (BuildProbePipeline
+  /// CHECKs that): a bare scan, or a scan -> probe -> ... -> probe chain.
+  /// `exec` sets the top pipeline's workers and morsel size.
+  AggregateOperator(std::unique_ptr<PhysicalOperator> child, AggSpec spec,
+                    ExecConfig exec);
 
-  /// Open() consumes the whole input: at threads == 1 by folding the
-  /// child's batches itself; otherwise the child is an ExchangeOperator
-  /// and Open() merges the per-worker partials it drained in parallel.
+  /// Open() consumes the whole input: it opens the child, folds the top
+  /// pipeline on exec.threads workers, and merges their partials. The
+  /// result is then read through the accessors below; rows_out is the
+  /// result's row count (the group count, or 1 when ungrouped).
   void Open() override;
-  bool Next(Batch* out) override;
   void Close() override;
 
   std::vector<PhysicalOperator*> children() override {
@@ -115,13 +121,11 @@ class AggregateOperator final : public PhysicalOperator {
  private:
   std::unique_ptr<PhysicalOperator> child_;
   AggSpec spec_;
+  ExecConfig exec_;
   AggFold fold_;
 
-  PartialAggState state_;            ///< fully merged at the end of Open()
-  std::vector<int64_t> group_keys_;  ///< snapshot for chunked emission
-  size_t emit_cursor_ = 0;
+  PartialAggState state_;  ///< fully merged at the end of Open()
   uint64_t checksum_ = 0;
-  bool emitted_ = false;
 };
 
 }  // namespace bqo

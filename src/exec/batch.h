@@ -21,17 +21,18 @@
 // == Scratch-buffer ownership ==
 //
 // All per-stride scratch (candidate rows, selection vectors, hash arrays,
-// key gather buffers) is owned by the operator that uses it and reused for
-// every Next() call. It is sized to what the operator's filters need — a
-// scan without filters allocates no hash or key scratch, and key scratch
-// holds only as many columns as the widest filter has keys — and it is
-// never zero-filled: ScratchVector default-initializes, so a page is
-// touched only when a row is written to it. A scan allocates its stride
-// scratch at Open(). A hash join allocates its probe scratch as one block
-// when the first probe row arrives (HashJoinOperator::ProbeState), so a
-// join that no probe row reaches allocates none. A Batch owns one flat
+// key gather buffers) lives in the pipeline worker state that uses it and
+// is reused for every batch. It is sized to what the operator's filters
+// need — a scan without filters allocates no hash or key scratch, and key
+// scratch holds only as many columns as the widest filter has keys — and
+// it is never zero-filled: ScratchVector default-initializes, so a page is
+// touched only when a row is written to it. A scan's stride scratch is
+// allocated when a pipeline worker starts. A hash join allocates its probe
+// scratch as one block when the first probe row arrives
+// (HashJoinOperator::ProbeState), so a join that no probe row reaches
+// allocates none. A Batch owns one flat
 // int64 ScratchVector of num_cols * kBatchSize values that is allocated at
-// its first write (the non-const col()) and reused across Next() calls:
+// its first write (the non-const col()) and reused across batches:
 // Reset() only re-points the column layout, it never clears or allocates,
 // and storage grows only when a write follows a Reset() to more columns
 // than any earlier write had. Values at positions >= num_rows (and scratch

@@ -16,12 +16,7 @@ CoutBreakdown ExactCoutModel::Compute(const Plan& plan) {
   out.node_prefilter.assign(plan.nodes.size(), 0.0);
   out.filter_lambda.assign(plan.filters.size(), 0.0);
   for (const OperatorStats& op : metrics.operators) {
-    // Exchanges are pass-through and share their scan's plan_node_id; the
-    // scan's own stats (merged at Close) are the authoritative leaf counts.
-    if (op.type == OperatorType::kAggregate ||
-        op.type == OperatorType::kExchange) {
-      continue;
-    }
+    if (op.type == OperatorType::kAggregate) continue;
     BQO_CHECK(op.plan_node_id >= 0 &&
               static_cast<size_t>(op.plan_node_id) < plan.nodes.size());
     out.node_output[static_cast<size_t>(op.plan_node_id)] =

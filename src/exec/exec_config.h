@@ -1,26 +1,24 @@
-// Execution-engine configuration: the knobs that select between the
-// single-threaded Volcano pipeline and morsel-parallel pipeline execution.
+// Execution-engine configuration: the knobs of the pipeline driver
+// (src/exec/pipeline.h), which runs every plan at every thread count.
 //
-// Threading model: whole pipelines go wide (src/exec/pipeline.h). A scan's
-// table is split into fixed-size, word-aligned row ranges (morsels)
-// claimed off an atomic cursor; each worker decodes its morsel's selected
-// rows and runs the full hash -> MayContainBatch -> gather -> join-probe
-// chain thread-locally.
+// Threading model: whole pipelines go wide. A scan's table is split into
+// fixed-size, word-aligned row ranges (morsels) claimed off an atomic
+// cursor; each worker decodes its morsel's selected rows and runs the full
+// hash -> MayContainBatch -> gather -> join-probe chain thread-locally.
 // Hash-join builds drain their build pipeline with N workers reassembled
-// in canonical order, and the topmost probe chain's workers fold straight
-// into thread-local partial aggregates that the aggregate merges
-// (src/exec/exchange.h). Bitvector filters and join tables are read-only
-// once built, so probing needs no locks; the mutable counters
-// (FilterStats, OperatorStats) are accumulated per worker and merged once
-// so observed-selectivity numbers stay exact (metrics.h).
+// in canonical order, and the top pipeline's workers fold straight into
+// per-worker partial aggregates that the aggregate merges. One worker is
+// the same loop run inline, over one whole-table morsel. Bitvector filters
+// and join tables are read-only once built, so probing needs no locks; the
+// mutable counters (FilterStats, OperatorStats) are accumulated per worker
+// and merged once so observed-selectivity numbers stay exact (metrics.h).
 //
 // Two distinct quantities control parallelism (see src/server/worker_pool.h
 // and docs/ARCHITECTURE.md "Serving layer"):
 //
 //  * `threads` — per-query logical workers: how many worker *states* a
 //    query's drains are decomposed into. Results and merged stats are
-//    invariant in it (threads == 1 compiles the exact single-threaded
-//    plan).
+//    invariant in it (one plan at every thread count).
 //  * the WorkerPool size — process-wide OS threads that actually run those
 //    workers' tasks, sized once at first use from BQO_POOL_THREADS
 //    (PoolThreadsFromEnv, worker_pool.h). Results are invariant in it too;
@@ -42,11 +40,11 @@ namespace bqo {
 inline constexpr int kMaxEnvThreads = 256;
 
 struct ExecConfig {
-  /// Pipeline worker threads. 1 = the single-threaded operator pipeline,
-  /// bit-for-bit (no exchange operator is compiled in). 0 = one worker per
-  /// hardware thread. >1 = that many workers per pipeline (build drains and
-  /// the top exchange alike). These are *logical* workers — their tasks run
-  /// on the shared WorkerPool (src/server/worker_pool.h).
+  /// Pipeline workers. 1 = one worker, run inline on the calling thread
+  /// over a whole-table morsel (no pool task). 0 = one worker per hardware
+  /// thread. >1 = that many workers per pipeline (build drains and the
+  /// aggregate's top pipeline alike). These are *logical* workers — their
+  /// tasks run on the shared WorkerPool (src/server/worker_pool.h).
   int threads = 1;
 
   /// Table rows a scan worker claims per atomic cursor bump, rounded up to

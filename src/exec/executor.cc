@@ -5,10 +5,9 @@
 
 #include "src/common/string_util.h"
 #include "src/common/thread_clock.h"
-#include "src/exec/exchange.h"
 #include "src/exec/hash_join.h"
-#include "src/exec/pipeline.h"
 #include "src/exec/scan.h"
+#include "src/server/worker_pool.h"
 
 namespace bqo {
 
@@ -80,10 +79,9 @@ std::unique_ptr<PhysicalOperator> CompileNode(
         rel.table, rel.predicate, rel.selection, OutputSchema(required),
         std::move(filters), runtime, "scan " + rel.alias);
     op->stats().plan_node_id = node.id;
-    // Leaves compile bare at every thread count: parallelism is applied per
-    // *pipeline*, not per leaf — a build-side scan is drained wide by the
-    // hash join above it, and the topmost probe chain by the single
-    // exchange CompilePlan inserts below the aggregate.
+    // Leaves compile bare: parallelism is applied per *pipeline*, not per
+    // leaf — a build-side scan is drained by the hash join above it, and
+    // the topmost probe chain by the aggregate.
     return op;
   }
 
@@ -195,10 +193,6 @@ void CollectStats(PhysicalOperator* op, QueryMetrics* metrics) {
     case OperatorType::kAggregate:
       metrics->other_tuples += stats.rows_out;
       break;
-    case OperatorType::kExchange:
-      // Pass-through; the pipeline below it already contributed its rows
-      // to the per-type counts.
-      break;
   }
   metrics->operators.push_back(std::move(stats));
 }
@@ -246,21 +240,11 @@ std::unique_ptr<AggregateOperator> CompilePlan(
     required.push_back(agg.group_column.ref());
   }
   auto root = CompileNode(plan, *plan.root, required, runtime, options);
-  // Pipeline-parallel execution: one exchange directly below the aggregate
-  // drains the topmost probe pipeline (scan -> probe -> ... -> probe) with
-  // N workers; hash-join builds below parallelize inside their own Open().
-  // The aggregate is compiled *into* the exchange: each worker folds its
-  // probe-chain output into a thread-local partial and the aggregate sink
-  // merges the partials, so no serial stage or cross-thread batch traffic
-  // remains above the top probe chain. threads == 1 compiles the exact
-  // single-threaded plan, bit-for-bit.
-  if (options.exec.ResolvedThreads() > 1) {
-    auto exchange = std::make_unique<ExchangeOperator>(
-        std::move(root), options.exec, agg, "xchg pipeline");
-    exchange->stats().plan_node_id = plan.root->id;
-    root = std::move(exchange);
-  }
-  return std::make_unique<AggregateOperator>(std::move(root), agg);
+  // One plan at every thread count: the aggregate drives the topmost probe
+  // pipeline (scan -> probe -> ... -> probe) and every hash join its build
+  // pipeline, each on options.exec's workers (pipeline.h).
+  return std::make_unique<AggregateOperator>(std::move(root), agg,
+                                             options.exec);
 }
 
 QueryMetrics ExecutePlan(const Plan& plan, const ExecutionOptions& options) {
@@ -283,9 +267,6 @@ QueryMetrics ExecutePlan(const Plan& plan, const ExecutionOptions& options) {
   const int64_t cpu_start = ThreadCpuNanos();
   const int64_t inline_start = WorkerPool::InlineTaskCpuNanos();
   agg->Open();
-  Batch batch;
-  while (agg->Next(&batch)) {
-  }
   agg->Close();
   const auto end = std::chrono::steady_clock::now();
   exec_span.End();
@@ -300,13 +281,12 @@ QueryMetrics ExecutePlan(const Plan& plan, const ExecutionOptions& options) {
   metrics.total_ns =
       std::chrono::duration_cast<std::chrono::nanoseconds>(end - start)
           .count();
-  metrics.result_rows =
-      agg->NumGroups() > 0 ? agg->NumGroups() : agg->stats().rows_out;
+  metrics.result_rows = agg->stats().rows_out;
   metrics.result_checksum = agg->ResultChecksum();
   CollectStats(agg.get(), &metrics);
   metrics.filters = runtime.stats;
   // The query's own task time: driver CPU plus every pool task's CPU
-  // (merged into the source scans' worker_cpu_ns). Parallel filter fills
+  // (merged into the breakers' worker_cpu_ns). Parallel filter fills
   // (FillFilterParallel partials) carry no per-worker stats and are not
   // included; their work is bounded by the build-side inserts.
   metrics.cpu_ns = driver_cpu_ns;

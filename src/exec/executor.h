@@ -5,33 +5,30 @@
 // through a FilterRuntime so a filter created at one hash join is probed at
 // the operator Algorithm 1 pushed it to.
 //
-// == Pipeline-parallel execution ==
+// == Pipeline execution ==
 //
-// With exec.threads > 1 the compiled tree executes as a schedule of
-// morsel-parallel pipelines (pipeline.h) separated by its breakers (hash-
-// join builds and the aggregate). Every join compiles to a
-// HashJoinOperator, so every pipeline bottoms out in a scan:
+// The compiled tree executes as a schedule of pipelines (pipeline.h)
+// separated by its breakers (hash-join builds and the aggregate), all run
+// by one pipeline driver at every thread count — one plan at every thread
+// count. Every join compiles to a HashJoinOperator, so every pipeline
+// bottoms out in a scan:
 //
-//  * Each hash join's Open() drains its build-side pipeline with N workers
-//    into canonical-order partitions reassembled into the bucket-grouped
-//    table, and creates its bitvector filter from per-worker partials
-//    combined through BitvectorFilter::MergeFrom (FillFilterParallel).
-//  * The topmost probe chain (scan -> probe -> ... -> probe) runs wide
-//    behind a single ExchangeOperator compiled directly below the
-//    aggregate — parallelism stops at the final breaker, not at the leaves.
-//  * The final aggregate is compiled *into* that exchange (exchange.h):
-//    each worker folds its probe-chain output into a thread-local
-//    PartialAggState and the AggregateOperator sink merges the per-worker
-//    partials — no serial consume loop and no raw batches crossing threads
-//    above the top probe chain.
+//  * Each hash join's Open() drains its build-side pipeline into the
+//    bucket-grouped table (canonical-order reassembly when wide), and
+//    creates its bitvector filter — from per-worker partials combined
+//    through BitvectorFilter::MergeFrom at threads > 1
+//    (FillFilterParallel).
+//  * The aggregate's Open() drives the topmost probe chain (scan -> probe
+//    -> ... -> probe): each worker folds its output into its own
+//    PartialAggState and the aggregate merges the partials — no raw
+//    batches cross threads above the top probe chain.
 //
-// The recursive Open() order still realizes Algorithm 1's filter-dependency
+// The recursive Open() order realizes Algorithm 1's filter-dependency
 // order: every build pipeline (and the filter it creates) completes before
-// the probe pipeline that consumes the filter starts. threads == 1 compiles
-// the exact single-threaded plan; at any thread count the merged
-// probed/passed/ObservedLambda counters — and the aggregate's
-// ResultChecksum()/NumGroups()/TotalValue() — equal the single-threaded
-// values (per-worker accumulate, merge-once — see metrics.h, aggregate.h).
+// the probe pipeline that consumes the filter starts. At any thread count
+// the merged probed/passed/ObservedLambda counters — and the aggregate's
+// ResultChecksum()/NumGroups()/TotalValue() — equal the one-worker values
+// (per-worker accumulate, merge-once — see metrics.h, aggregate.h).
 #pragma once
 
 #include <memory>
@@ -46,10 +43,8 @@ namespace bqo {
 struct ExecutionOptions {
   /// Filter implementation used for created bitvector filters.
   FilterConfig filter_config;
-  /// Threading knobs. exec.threads > 1 executes the plan pipeline-parallel:
-  /// hash-join builds drain wide, and the topmost probe chain runs behind a
-  /// single ExchangeOperator below the aggregate (exchange.h, pipeline.h);
-  /// threads == 1 compiles exactly the single-threaded plan.
+  /// Threading knobs: how many workers run each pipeline (pipeline.h).
+  /// exec.threads == 1 runs each pipeline inline on the calling thread.
   ExecConfig exec;
   /// When false, no bitvector filters are created or probed (the paper's
   /// Appendix A / Table 4 comparison: same plan, filters ignored).

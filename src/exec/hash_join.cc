@@ -70,18 +70,6 @@ HashJoinOperator::HashJoinOperator(std::unique_ptr<PhysicalOperator> build,
   }
 }
 
-void HashJoinOperator::DrainBuild(JoinBuildSide* side) {
-  const int workers = config_.exec.ResolvedThreads();
-  if (workers > 1) {
-    side->rows =
-        DrainPipelineParallel(BuildProbePipeline(build_.get()), config_.exec);
-    stats_.parallel_workers = workers;
-    return;
-  }
-  Batch batch;
-  while (build_->Next(&batch)) AppendRowMajor(batch, &side->rows);
-}
-
 void HashJoinOperator::HashBuildRows(const JoinBuildSide& side,
                                      std::vector<uint64_t>* hashes) const {
   const size_t nkeys = config_.build_key_positions.size();
@@ -121,7 +109,8 @@ std::shared_ptr<const JoinBuildSide> HashJoinOperator::ConstructBuildSide() {
 
   // ---- Drain (wide when possible), hash, filter, bucketize ----
   build_->Open();
-  DrainBuild(side.get());
+  side->rows =
+      DrainPipeline(BuildProbePipeline(build_.get()), config_.exec, &stats_);
   build_->Close();
 
   std::vector<uint64_t> hashes;
@@ -179,7 +168,7 @@ std::shared_ptr<const JoinBuildSide> HashJoinOperator::ConstructBuildSide() {
 }
 
 void HashJoinOperator::Open() {
-  TimerGuard timer(&stats_);
+  TimerGuard timer(&stats_.ns_inclusive);
 
   // ---- Build phase: obtain the build side, shared through the server's
   // BuildCache when one is wired up and this build is shareable, privately
@@ -254,7 +243,6 @@ void HashJoinOperator::Open() {
 
   // ---- Probe side opens only after the filter exists ----
   probe_->Open();
-  local_probe_ = ProbeState{};
 }
 
 void HashJoinOperator::AllocateProbeScratch(ProbeState* ps) const {
@@ -387,7 +375,7 @@ int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand) {
 }
 
 bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
-                                 const NextInputFn& next_input) {
+                                 NextInputFn next_input) {
   out->Reset(schema_.size());
   if (ps->scratch == nullptr) {
     // No probe row has arrived yet: the scratch is allocated only once the
@@ -512,32 +500,20 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
   return out->num_rows > 0;
 }
 
-bool HashJoinOperator::Next(Batch* out) {
-  TimerGuard timer(&stats_);
-  return ProbeNext(out, &local_probe_,
-                   [this](Batch* in) { return probe_->Next(in); });
-}
-
-void HashJoinOperator::MergeProbeStats(ProbeState* ps) {
-  for (size_t f = 0; f < ps->residual_stats.size(); ++f) {
+void HashJoinOperator::MergeProbeStats(const ProbeState& ps) {
+  for (size_t f = 0; f < ps.residual_stats.size(); ++f) {
     FilterStats* dst = &runtime_->stats[static_cast<size_t>(
         config_.residual_filters[f].filter_id)];
-    dst->probed += ps->residual_stats[f].probed;
-    dst->passed += ps->residual_stats[f].passed;
+    dst->probed += ps.residual_stats[f].probed;
+    dst->passed += ps.residual_stats[f].passed;
   }
-  ps->residual_stats.clear();  // merged; a repeated Close() merges nothing
-  stats_.rows_prefilter += ps->rows_prefilter;
-  stats_.rows_out += ps->rows_out;
-  stats_.probe_rows_in += ps->rows_in;
-  stats_.probe_rows_matched += ps->rows_matched;
-  ps->rows_prefilter = 0;
-  ps->rows_out = 0;
-  ps->rows_in = 0;
-  ps->rows_matched = 0;
+  stats_.rows_prefilter += ps.rows_prefilter;
+  stats_.rows_out += ps.rows_out;
+  stats_.probe_rows_in += ps.rows_in;
+  stats_.probe_rows_matched += ps.rows_matched;
 }
 
 void HashJoinOperator::Close() {
-  MergeProbeStats(&local_probe_);
   probe_->Close();
   // Drop this query's reference; a cache- or peer-shared side stays alive
   // for its other owners.

@@ -1,12 +1,13 @@
 // Hash join with bitvector-filter creation (Algorithm 1, lines 8-10).
 //
-// Open() is the pipeline breaker: it drains the build child — wide when
-// exec.threads > 1 (pipeline.h) — into a bucket-grouped hash table (each
-// bucket one contiguous run of entries, build_side.h), creates
-// this join's bitvector filter (unless pruned/disabled), and only then
-// opens the probe child. That order realizes Algorithm 1's
-// filter-dependency order: every pushed-down filter's contents exist before
-// the subtree it filters starts producing tuples.
+// Open() is the pipeline breaker: it drains the build pipeline through the
+// pipeline driver (pipeline.h) — wide when exec.threads > 1 — into a
+// bucket-grouped hash table (each bucket one contiguous run of entries,
+// build_side.h), creates this join's bitvector filter (unless
+// pruned/disabled), and only then opens the probe child. That order
+// realizes Algorithm 1's filter-dependency order: every pushed-down
+// filter's contents exist before the subtree it filters starts producing
+// tuples.
 //
 // The build result lives in an immutable JoinBuildSide (build_side.h). When
 // the runtime carries a BuildCache (src/server/build_cache.h) and this
@@ -18,12 +19,12 @@
 //
 // The probe side is re-entrant: all per-consumer iteration state (current
 // input batch, in-progress bucket run, residual-filter stats) lives in
-// a ProbeState, so after Open() many exchange workers can stream batches
-// through ProbeNext() concurrently against the read-only table. The
-// single-threaded Next() is the degenerate case — one local ProbeState —
-// so both paths execute the same code. Per-state counters merge into the
-// shared stats exactly once (MergeProbeStats), keeping probed/passed and
-// ObservedLambda equal to the single-threaded counts at any thread count.
+// a ProbeState, so after Open() every pipeline worker streams batches
+// through ProbeNext() with its own state against the read-only table; one
+// worker is the degenerate case of the same code. Per-state counters merge
+// into the shared stats exactly once (MergeProbeStats), keeping
+// probed/passed and ObservedLambda equal to the one-worker counts at any
+// thread count.
 //
 // A probe row's candidates are the entries of its bucket's run whose hash
 // equals the row's hash (and, for multi-key joins, whose keys compare
@@ -35,8 +36,8 @@
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/exec/build_side.h"
@@ -60,17 +61,17 @@ class HashJoinOperator final : public PhysicalOperator {
     /// the join's output schema.
     std::vector<ResolvedFilter> residual_filters;
     FilterConfig filter_config;
-    /// Threading knobs for the build phase: threads > 1 drains the build
-    /// child's pipeline with that many workers (canonical-order
-    /// reassembly, see pipeline.h) and creates the bitvector filter from
-    /// per-worker partials merged through BitvectorFilter::MergeFrom.
+    /// Threading knobs for the build phase: the build pipeline drains on
+    /// that many workers (canonical-order reassembly, see pipeline.h) and,
+    /// at threads > 1, the bitvector filter is created from per-worker
+    /// partials merged through BitvectorFilter::MergeFrom.
     ExecConfig exec;
   };
 
   /// Per-consumer probe state: the input batch being drained, the
   /// in-progress bucket run, candidate/selection scratch for the
-  /// batched residual probes, and private stats accumulators. Exchange
-  /// workers each own one; the single-threaded Next() path owns one too.
+  /// batched residual probes, and private stats accumulators. Each
+  /// pipeline worker owns one per join on its chain.
   /// A default-constructed state is ready to probe. MergeProbeStats folds
   /// the accumulators into the shared counters once the owner is quiesced,
   /// so merged probed/passed totals are exactly the single-threaded counts.
@@ -117,8 +118,24 @@ class HashJoinOperator final : public PhysicalOperator {
     bool pending_matched = false;
   };
 
-  /// Pulls the next input batch into *in; false when upstream is exhausted.
-  using NextInputFn = std::function<bool(Batch*)>;
+  /// Pulls the next input batch into *in; false when upstream is
+  /// exhausted. Non-owning — a pointer to the caller's callable plus a
+  /// trampoline — so passing one per ProbeNext call never allocates; the
+  /// callable must outlive the call.
+  class NextInputFn {
+   public:
+    template <typename F>
+      requires(!std::is_same_v<std::remove_cvref_t<F>, NextInputFn>)
+    NextInputFn(const F& fn)  // NOLINT implicit
+        : fn_(&fn), call_([](const void* f, Batch* in) {
+            return (*static_cast<const F*>(f))(in);
+          }) {}
+    bool operator()(Batch* in) const { return call_(fn_, in); }
+
+   private:
+    const void* fn_;
+    bool (*call_)(const void*, Batch*);
+  };
 
   HashJoinOperator(std::unique_ptr<PhysicalOperator> build,
                    std::unique_ptr<PhysicalOperator> probe,
@@ -126,7 +143,6 @@ class HashJoinOperator final : public PhysicalOperator {
                    std::string label);
 
   void Open() override;
-  bool Next(Batch* out) override;
   void Close() override;
 
   std::vector<PhysicalOperator*> children() override {
@@ -142,23 +158,19 @@ class HashJoinOperator final : public PhysicalOperator {
   /// exhausted. Safe to call from multiple threads after Open(), each with
   /// its own ProbeState (and an input source private to that caller, e.g. a
   /// scan morsel cursor); the table and filters are read-only by then.
-  bool ProbeNext(Batch* out, ProbeState* ps, const NextInputFn& next_input);
+  bool ProbeNext(Batch* out, ProbeState* ps, NextInputFn next_input);
 
-  /// \brief Fold a probe state's accumulators into the shared stats. Call
-  /// with the owning worker quiesced (joined); not thread-safe.
-  void MergeProbeStats(ProbeState* ps);
+  /// \brief Fold a probe state's accumulators into the shared stats, once
+  /// per worker. Call with the owning worker quiesced (joined); not
+  /// thread-safe.
+  void MergeProbeStats(const ProbeState& ps);
 
  private:
-  /// \brief Construct this join's build side from scratch: open/drain/close
-  /// the build child (wide when threads > 1, canonical order either
-  /// way), hash, create+fill the filter, bucketize, and snapshot the
+  /// \brief Construct this join's build side from scratch: open the build
+  /// child, drain its pipeline in canonical order (wide when threads > 1),
+  /// close it, hash, create+fill the filter, bucketize, and snapshot the
   /// as-if-built stats. Doubles as the BuildCache builder closure body.
   std::shared_ptr<const JoinBuildSide> ConstructBuildSide();
-  /// \brief Drain the (already opened) build child into side->rows
-  /// (row-major), wide when threads > 1, in canonical order either way
-  /// (the parallel drain reassembles morsel chunks, so the table is
-  /// byte-identical to the single-threaded build at any thread count).
-  void DrainBuild(JoinBuildSide* side);
   /// \brief Composite-key hash of every build row, batched.
   void HashBuildRows(const JoinBuildSide& side,
                      std::vector<uint64_t>* hashes) const;
@@ -187,9 +199,6 @@ class HashJoinOperator final : public PhysicalOperator {
   std::shared_ptr<const JoinBuildSide> build_side_;
   const JoinBuildSide* side_ = nullptr;
   int build_width_ = 0;
-
-  /// Probe state of the single-threaded Next() path (merged at Close()).
-  ProbeState local_probe_;
 
   /// residual_uses_probe_hash_[i]: residual filter i's key columns coincide
   /// (position by position) with this join's equi-join keys, so the cached

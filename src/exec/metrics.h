@@ -11,7 +11,7 @@
 
 namespace bqo {
 
-enum class OperatorType : uint8_t { kScan, kHashJoin, kAggregate, kExchange };
+enum class OperatorType : uint8_t { kScan, kHashJoin, kAggregate };
 
 struct OperatorStats {
   OperatorType type = OperatorType::kScan;
@@ -40,41 +40,39 @@ struct OperatorStats {
   /// Probe rows that matched >= 1 build row (hash + key equality, before
   /// residual filters).
   int64_t probe_rows_matched = 0;
-  /// Wall ns inside Open+Next (children incl.). Exception: the source scan
-  /// of a parallel pipeline reports the summed worker pipeline time here —
-  /// CPU ns for the whole scan->probe chain, which can exceed the stage's
-  /// wall time; the owning exchange's (or the building join's) own
-  /// ns_inclusive is the stage wall time the plan above observed.
+  /// Wall ns inside Open() and the operator's pipeline stage calls
+  /// (children included), each measured by a steady-clock TimerGuard; a
+  /// stage's calls are summed over the pipeline workers that made them, so
+  /// at more than one worker this can exceed the wall time the plan above
+  /// observed.
   int64_t ns_inclusive = 0;
-  /// ns_inclusive minus children; can go negative for an operator whose
-  /// child reports summed CPU time (see ns_inclusive).
+  /// ns_inclusive minus children; can go negative at more than one worker,
+  /// where a child's stage time is summed over workers (see ns_inclusive).
   int64_t ns_self = 0;
-  /// Worker threads that executed this operator's parallel phase: an
-  /// exchange's probe-pipeline draining, or a hash-join build drain.
-  /// 0 = the phase ran single-threaded.
+  /// Workers that ran the pipeline this breaker drives: the aggregate's
+  /// top pipeline, or a hash join's build drain. 0 = it ran on one worker.
   int parallel_workers = 0;
-  /// Summed per-task thread-CPU ns of the pool tasks that drained this
-  /// operator's pipeline (source scans only; 0 on the single-threaded
-  /// path, whose time is the driver's). Unlike ns_inclusive this is a pure
-  /// CPU-clock quantity, so QueryMetrics::cpu_ns — driver CPU plus these —
-  /// is immune to co-running queries on the shared WorkerPool.
+  /// Summed thread-CPU ns of the pool tasks that ran this breaker's
+  /// pipeline, one CPU-clock reading pair per task (0 on one worker, whose
+  /// time is the driver's). Unlike ns_inclusive this is a pure CPU-clock
+  /// quantity, so QueryMetrics::cpu_ns — driver CPU plus these — is immune
+  /// to co-running queries on the shared WorkerPool.
   int64_t worker_cpu_ns = 0;
 
-  // == Aggregation counters (kAggregate and kExchange) ==
+  // == Aggregation counters (kAggregate only) ==
   //
   // Per-worker accumulation, merged once (same discipline as FilterStats
-  // below): each exchange worker counts the rows it folds
-  // into its thread-local PartialAggState; DrainPartials() sums them into
-  // the exchange's counters after joining the workers, and the aggregate
-  // sink records the merged totals. agg_rows_folded is therefore exactly
-  // the single-threaded aggregate's input row count at every thread count.
+  // below): each pipeline worker counts the rows it folds into its own
+  // PartialAggState, and the aggregate sums them after joining the
+  // workers. agg_rows_folded is therefore exactly the one-worker
+  // aggregate's input row count at every thread count.
 
   /// Input rows folded into (partial) aggregate state at this operator.
   int64_t agg_rows_folded = 0;
-  /// Exchange only: sum of per-worker partial group-map
-  /// sizes before the sink merge. >= the final NumGroups() whenever a group
-  /// key was seen by more than one worker; the gap measures how much
-  /// duplicate-group merge work the sink did.
+  /// Sum of per-worker partial group-map sizes before the merge (the
+  /// group count itself on one worker). >= the final NumGroups() whenever
+  /// a group key was seen by more than one worker; the gap measures how
+  /// much duplicate-group merge work the merge did.
   int64_t agg_partial_groups = 0;
 };
 

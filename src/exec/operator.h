@@ -1,5 +1,11 @@
-// Physical operator interface (Volcano-style pull with vectorized batches)
-// and the shared runtime state for bitvector filters.
+// Physical operator interface and the shared runtime state for bitvector
+// filters.
+//
+// An operator has no batch-pulling Next(): every plan runs through one
+// pipeline driver (pipeline.h). Open() is where work happens — a hash join
+// drains its build pipeline there and the aggregate drains the plan's top
+// pipeline — and the streaming operators (scans, hash-join probe sides)
+// expose re-entrant per-worker entry points that the driver chains.
 #pragma once
 
 #include <chrono>
@@ -52,16 +58,32 @@ struct ResolvedFilter {
   std::vector<int> key_positions;
 };
 
+/// \brief RAII guard accumulating steady-clock wall time into `*ns`: an
+/// operator's Open() and each pipeline stage call (pipeline.cc) measure
+/// themselves with it.
+class TimerGuard {
+ public:
+  explicit TimerGuard(int64_t* ns)
+      : ns_(ns), start_(std::chrono::steady_clock::now()) {}
+  ~TimerGuard() {
+    *ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - start_)
+                .count();
+  }
+
+ private:
+  int64_t* ns_;
+  std::chrono::steady_clock::time_point start_;
+};
+
 class PhysicalOperator {
  public:
   virtual ~PhysicalOperator() = default;
 
-  /// \brief Prepare for iteration. Hash joins drain their build child here,
-  /// so Open order realizes the filter-dependency order of Algorithm 1.
+  /// \brief Run this operator's breaker work. Hash joins drain their build
+  /// pipeline here before opening their probe child, so Open order
+  /// realizes the filter-dependency order of Algorithm 1.
   virtual void Open() = 0;
-
-  /// \brief Produce the next batch; false when exhausted.
-  virtual bool Next(Batch* out) = 0;
 
   virtual void Close() = 0;
 
@@ -72,23 +94,6 @@ class PhysicalOperator {
   virtual std::vector<PhysicalOperator*> children() { return {}; }
 
  protected:
-  /// \brief RAII guard accumulating wall time into the operator's counter.
-  class TimerGuard {
-   public:
-    explicit TimerGuard(OperatorStats* stats)
-        : stats_(stats), start_(std::chrono::steady_clock::now()) {}
-    ~TimerGuard() {
-      stats_->ns_inclusive +=
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - start_)
-              .count();
-    }
-
-   private:
-    OperatorStats* stats_;
-    std::chrono::steady_clock::time_point start_;
-  };
-
   OutputSchema schema_;
   OperatorStats stats_;
 };

@@ -1,45 +1,55 @@
-// Pipeline decomposition and morsel-parallel pipeline execution.
+// Pipeline decomposition and the one pipeline driver every plan runs on.
 //
 // A *pipeline* is the maximal streaming chain between pipeline breakers in
-// the compiled operator tree: it starts at a morsel-parallel source (a
-// ScanOperator) and runs upward through hash-join *probe* sides until an
-// operator that must materialize its input — a hash-join build or the final
-// aggregate. Every join is a hash join, so every pipeline bottoms out in a
-// scan and every pipeline can run wide. BuildProbePipeline() performs that
-// decomposition; walking the whole tree this way yields an ordered pipeline
-// schedule that realizes Algorithm 1's filter-dependency order by
-// construction: a join's build-side pipeline (which creates the join's
-// bitvector filter at the barrier) always completes, via the recursive
-// Open() order, before the probe-side pipeline that consumes the filter
-// starts.
+// the compiled operator tree: it starts at a ScanOperator source and runs
+// upward through hash-join *probe* sides until an operator that must
+// materialize its input — a hash-join build or the final aggregate. Every
+// join is a hash join, so every pipeline bottoms out in a scan.
+// BuildProbePipeline() performs that decomposition; the breakers drive
+// their pipelines from Open(), so the recursive Open() order is the
+// pipeline schedule and realizes Algorithm 1's filter-dependency order by
+// construction: a join's build pipeline (which creates the join's
+// bitvector filter at the barrier) always completes before the probe
+// pipeline that consumes the filter starts.
 //
-// Execution: N workers each own a PipelineWorkerState (scan scratch + one
-// re-entrant ProbeState per join on the chain) and pull scan morsels off the
-// shared cursor, running hash -> MayContainBatch -> gather -> probe -> probe
-// entirely thread-locally; the bitvector filters and join tables are
-// read-only by the time any pipeline runs. Two draining modes:
+// == The driver ==
 //
-//  * Free-running (PipelineParallelNext): batches may span morsels; used by
-//    ExchangeOperator above the topmost probe chain, whose workers fold
-//    their output batches into thread-local PartialAggStates (aggregate.h)
-//    that the aggregate sink merges. This is how the executor runs the
-//    plan's final aggregate wide — the fold commutes, so the merged group
-//    map, total, and checksum equal the single-threaded fold exactly.
-//  * Canonical (DrainPipelineParallel): workers claim one morsel at a time
-//    and the per-morsel output chunks are reassembled in morsel order, which
-//    equals the single-threaded row order exactly (scan rows stream in
-//    table-row order and every probe stage is order-preserving). Hash-join
-//    builds use this, so the hash table is byte-identical at every thread
-//    count.
+// One worker loop runs every pipeline at every thread count: a worker
+// claims a scan morsel, streams it through the scan -> probe -> ... ->
+// probe chain (each stage pulls its input from the stage below through a
+// non-owning callback), and hands each output batch to the breaker's sink.
+// Two sinks exist:
 //
-// Stats discipline (engine-wide): workers accumulate
-// FilterStats/OperatorStats deltas in their private states; the drain owner
-// merges them exactly once after joining the workers, so merged
-// probed/passed (and ObservedLambda) equal the single-threaded counts.
+//  * DrainPipeline — a hash-join build. Rows are appended row-major; with
+//    more than one worker each morsel's rows form a chunk and the chunks
+//    are reassembled by morsel position, which equals the one-worker row
+//    order exactly (scan rows stream in table-row order and every probe
+//    stage is order-preserving). The hash table is therefore
+//    byte-identical at every thread count.
+//  * FoldPipeline — the final aggregate. Each worker folds its batches
+//    into its own PartialAggState (aggregate.h); the fold commutes, so the
+//    merged group map, total and checksum equal the one-worker fold.
+//
+// With exec.threads == 1 the single worker runs inline on the caller: the
+// scan's morsel is the whole table, no pool task is spawned and no chunk
+// is copied. With N > 1 workers the loop runs as N tasks on the shared
+// WorkerPool (src/server/worker_pool.h) over exec.morsel_rows morsels; the
+// bitvector filters and join tables are read-only by then, so workers
+// share them without locks.
+//
+// Stats discipline (engine-wide): each worker accumulates FilterStats,
+// row counters and per-stage wall time (a TimerGuard around every stage
+// call, children included) in its private state; the driver merges them
+// into the operators exactly once, after the workers are joined, so merged
+// probed/passed (and ObservedLambda) and every row count equal the
+// one-worker counts. Pool tasks also read their thread's CPU clock once at
+// entry and once at exit; the sum reaches the breaker's worker_cpu_ns
+// (metrics.h).
 #pragma once
 
 #include <vector>
 
+#include "src/exec/aggregate.h"
 #include "src/exec/exec_config.h"
 #include "src/exec/hash_join.h"
 #include "src/exec/scan.h"
@@ -50,7 +60,7 @@ namespace bqo {
 /// whose probe sides lie on it, bottom-up (probes[0] consumes source
 /// batches, probes[i+1] consumes probes[i]'s output).
 struct Pipeline {
-  /// Morsel-parallel source; BuildProbePipeline always sets it.
+  /// Morsel source; BuildProbePipeline always sets it.
   ScanOperator* source = nullptr;
   std::vector<HashJoinOperator*> probes;
 };
@@ -61,38 +71,24 @@ struct Pipeline {
 /// aggregate).
 Pipeline BuildProbePipeline(PhysicalOperator* op);
 
-/// \brief Per-worker execution state for one pipeline.
-struct PipelineWorkerState {
-  ScanOperator::WorkerState scan;
-  std::vector<HashJoinOperator::ProbeState> probes;  ///< aligned w/ Pipeline
-};
+/// \brief Drain `pipe` with exec.threads workers and return every produced
+/// row, row-major over the pipeline's output schema, in canonical (one-
+/// worker) order. The caller must have Open()ed the pipeline's operators
+/// (a hash-join build does this via its recursive child Open). `owner`
+/// (the building join) receives parallel_workers and worker_cpu_ns when
+/// more than one worker ran.
+std::vector<int64_t> DrainPipeline(const Pipeline& pipe,
+                                   const ExecConfig& exec,
+                                   OperatorStats* owner);
 
-/// \brief Size `ws` for `pipe`. Call after the pipeline's operators are
-/// Open (the scan's filter set is fixed then). The probe states start
-/// empty: each join allocates its scratch when the first probe row
-/// reaches it.
-void InitPipelineWorker(const Pipeline& pipe, PipelineWorkerState* ws);
-
-/// \brief Produce the pipeline's next output batch, claiming scan morsels
-/// freely. Thread-safe across workers once the operators are Open, each
-/// with its own state. False when the scan cursor is exhausted and the
-/// batch came up empty.
-bool PipelineParallelNext(const Pipeline& pipe, Batch* out,
-                          PipelineWorkerState* ws);
-
-/// \brief Fold `ws`'s accumulators into the pipeline's operators. Call
-/// exactly once per worker, after it is joined; not thread-safe.
-void MergePipelineWorkerStats(const Pipeline& pipe, PipelineWorkerState* ws);
-
-/// \brief Drain the whole pipeline with exec.threads workers and return
-/// every produced row, row-major over the pipeline's output schema, in
-/// canonical (single-threaded) order: workers claim one scan morsel at a
-/// time and the per-morsel chunks are reassembled by morsel position. All
-/// per-worker stats are merged before returning. The caller must have
-/// Open()ed the pipeline's operators (a hash-join build does this via its
-/// recursive child Open).
-std::vector<int64_t> DrainPipelineParallel(const Pipeline& pipe,
-                                           const ExecConfig& exec);
+/// \brief Fold every row `pipe` produces through `fold`, one partial per
+/// worker. Same preconditions and `owner` reporting as DrainPipeline. The
+/// kAggregateFold fault site fires per folded batch and cancels the
+/// query (first-error-wins).
+std::vector<PartialAggState> FoldPipeline(const Pipeline& pipe,
+                                          const ExecConfig& exec,
+                                          const AggFold& fold,
+                                          OperatorStats* owner);
 
 /// \brief Insert `n` canonical-order key hashes into `filter` (freshly
 /// created via CreateFilter(config, n)), wide when profitable: workers

@@ -5,7 +5,7 @@
 // one per request; ExecutePlan makes a private one when the caller passed
 // none). It is threaded through the compiled operator tree via
 // FilterRuntime::context (operator.h), so every drain loop in the engine —
-// scan morsel claims, exchange worker iterations, build drains, filter
+// scan morsel claims and strides, pipeline workers, build drains, filter
 // fills — can poll it at stride boundaries:
 //
 //   if (CtxShouldStop(ctx)) break;   // unwind; results are void
@@ -35,7 +35,7 @@
 // == Cancel listeners ==
 //
 // Cooperative polling cannot wake a thread parked in a condition-variable
-// wait (an exchange consumer in Next(), a client waiting for admission).
+// wait (a client waiting for admission).
 // Such waiters register a cancel listener — typically "lock my mutex,
 // notify my CV" — which Cancel() invokes under the context mutex, so
 // RemoveCancelListener() (same mutex) cannot return while a callback is

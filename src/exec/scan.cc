@@ -45,12 +45,8 @@ ScanOperator::ScanOperator(const Table* table, ExprPtr predicate,
 }
 
 void ScanOperator::Open() {
-  TimerGuard timer(&stats_);
+  TimerGuard timer(&stats_.ns_inclusive);
   shared_cursor_.store(0, std::memory_order_relaxed);
-  // One morsel spanning the whole table: the single-threaded Next() path.
-  // ExchangeOperator overrides this with its configured morsel size
-  // before workers start.
-  set_morsel_rows(num_rows_);
 
   // Resolve the filters pushed down to this scan. Every hash join above
   // has finished its build (and created its filter) before our Open runs.
@@ -71,9 +67,6 @@ void ScanOperator::Open() {
     filter_stat_slots_.push_back(
         &runtime_->stats[static_cast<size_t>(rf.filter_id)]);
   }
-
-  local_ = WorkerState{};
-  InitWorkerState(&local_);
 }
 
 void ScanOperator::InitWorkerState(WorkerState* ws) const {
@@ -184,28 +177,6 @@ void ScanOperator::ConsumeStride(Batch* out, WorkerState* ws) const {
                 ws->filter_stats.data(), out);
 }
 
-bool ScanOperator::ParallelNext(Batch* out, WorkerState* ws) {
-  out->Reset(schema_.size());
-
-  // Keep consuming strides until the output batch fills (or the claimed
-  // work runs out): under a highly selective filter each stride contributes
-  // only a few survivors, and returning them one stride at a time would
-  // multiply the per-batch overhead of every operator above us. Capping the
-  // stride at the batch's remaining capacity keeps strides near-full.
-  while (!out->Full()) {
-    // Stride-boundary cancellation point: one atomic load per ~kBatchSize
-    // rows (plus a clock read when a deadline is armed).
-    if (CtxShouldStop(query_context())) break;
-    if (ws->morsel_pos >= ws->morsel_end) {
-      size_t begin;
-      if (!ClaimMorsel(ws, &begin)) break;
-    }
-    ConsumeStride(out, ws);
-  }
-  ws->rows_out += out->num_rows;
-  return out->num_rows > 0;
-}
-
 bool ScanOperator::ClaimMorsel(WorkerState* ws, size_t* begin) {
   // Morsel-boundary cancellation point: a cancelled query's workers stop
   // claiming and the drain above unwinds as if the scan ran dry.
@@ -223,7 +194,14 @@ bool ScanOperator::ClaimMorsel(WorkerState* ws, size_t* begin) {
 
 bool ScanOperator::MorselNext(Batch* out, WorkerState* ws) {
   out->Reset(schema_.size());
+  // Keep consuming strides until the output batch fills (or the morsel
+  // runs out): under a highly selective filter each stride contributes
+  // only a few survivors, and returning them one stride at a time would
+  // multiply the per-batch overhead of every operator above us. Capping
+  // the stride at the batch's remaining capacity keeps strides near-full.
   while (!out->Full() && ws->morsel_pos < ws->morsel_end) {
+    // Stride-boundary cancellation point: one atomic load per ~kBatchSize
+    // rows (plus a clock read when a deadline is armed).
     if (CtxShouldStop(query_context())) break;
     ConsumeStride(out, ws);
   }
@@ -231,35 +209,18 @@ bool ScanOperator::MorselNext(Batch* out, WorkerState* ws) {
   return out->num_rows > 0;
 }
 
-bool ScanOperator::Next(Batch* out) {
-  TimerGuard timer(&stats_);
-  return ParallelNext(out, &local_);
-}
-
-void ScanOperator::MergeWorkerStats(WorkerState* ws) {
-  BQO_CHECK_EQ(ws->filter_stats.size(), filter_stat_slots_.size());
+void ScanOperator::MergeWorkerStats(const WorkerState& ws) {
+  BQO_CHECK_EQ(ws.filter_stats.size(), filter_stat_slots_.size());
   for (size_t f = 0; f < filter_stat_slots_.size(); ++f) {
     FilterStats* dst = filter_stat_slots_[f];
-    dst->probed += ws->filter_stats[f].probed;
-    dst->passed += ws->filter_stats[f].passed;
+    dst->probed += ws.filter_stats[f].probed;
+    dst->passed += ws.filter_stats[f].passed;
   }
-  ws->filter_stats.clear();  // merged; a repeated Close() merges nothing
-  stats_.rows_prefilter += ws->rows_prefilter;
-  stats_.rows_out += ws->rows_out;
-  // Summed worker pipeline time (per-thread CPU clock); under morsel
-  // parallelism the scan's ns_inclusive is CPU time, not wall time, and
-  // worker_cpu_ns carries the same total for QueryMetrics::cpu_ns — the
-  // single-threaded path leaves both at 0 here since its time is the
-  // driver's (see metrics.h).
-  stats_.ns_inclusive += ws->busy_ns;
-  stats_.worker_cpu_ns += ws->busy_ns;
-  ws->rows_prefilter = 0;
-  ws->rows_out = 0;
-  ws->busy_ns = 0;
+  stats_.rows_prefilter += ws.rows_prefilter;
+  stats_.rows_out += ws.rows_out;
 }
 
 void ScanOperator::Close() {
-  MergeWorkerStats(&local_);
   active_filters_.clear();
   filter_stat_slots_.clear();
 }

@@ -14,21 +14,18 @@
 // — see batch.h), and the survivors are gathered into the output batch in
 // one pass at the end.
 //
-// == Morsel parallelism ==
+// == Morsels ==
 //
 // The selection is immutable, and so are the bitvector filters (built
-// before the probe side opens), so the stride pipeline can run from many
-// threads at once: morsels are word-aligned ranges of table rows claimed
-// off an atomic cursor, and each worker keeps its own scratch buffers and
-// stats accumulators in a WorkerState. The single-threaded Next() path is
-// the degenerate case — one WorkerState, one morsel spanning the whole
-// table — so both paths execute the same code. The scan is the *source* of
-// every parallel pipeline (pipeline.h): ExchangeOperator workers drain it
-// free-running through ParallelNext, and hash-join build drains claim one
-// morsel at a time (ClaimMorsel/MorselNext) so their outputs reassemble in
-// canonical order. Whoever owns the workers merges every WorkerState's
-// counters back into the shared OperatorStats/FilterStats exactly once,
-// after the workers are joined.
+// before the probe side opens), so the stride loop can run from many
+// workers at once: morsels are word-aligned ranges of table rows claimed
+// off an atomic cursor (ClaimMorsel), and each worker keeps its own
+// scratch buffers and stats accumulators in a WorkerState and drains its
+// morsel with MorselNext. The scan is the source of every pipeline
+// (pipeline.h); with one worker the driver sets the morsel to the whole
+// table. The driver merges every WorkerState's counters back into the
+// shared OperatorStats/FilterStats exactly once, after the workers are
+// joined.
 #pragma once
 
 #include <algorithm>
@@ -57,7 +54,6 @@ class ScanOperator final : public PhysicalOperator {
                FilterRuntime* runtime, std::string label);
 
   void Open() override;
-  bool Next(Batch* out) override;
   void Close() override;
 
   /// Per-worker execution state: the stride scratch plus private stats
@@ -76,7 +72,6 @@ class ScanOperator final : public PhysicalOperator {
     std::vector<FilterStats> filter_stats;  ///< aligned with active_filters_
     int64_t rows_prefilter = 0;
     int64_t rows_out = 0;
-    int64_t busy_ns = 0;                 ///< pipeline time (exchange workers)
     // Current claimed morsel: table rows [morsel_pos, morsel_end), of
     // which the rows before morsel_pos are consumed.
     size_t morsel_pos = 0;
@@ -86,41 +81,36 @@ class ScanOperator final : public PhysicalOperator {
   /// \brief Size `ws`'s scratch for this scan. Call after Open().
   void InitWorkerState(WorkerState* ws) const;
 
-  /// \brief Fill `out` by claiming strides off the shared morsel cursor;
-  /// false when the table is exhausted and `out` came up empty. Safe to
-  /// call from multiple threads after Open(), each with its own WorkerState;
-  /// all counters accumulate into `ws`. Batches may span morsels (the
-  /// free-running path used above probe pipelines, where order is
-  /// irrelevant).
-  bool ParallelNext(Batch* out, WorkerState* ws);
-
   /// \brief Claim the next unprocessed morsel off the shared cursor into
   /// `ws`. `*begin` is its first table row — a canonical position: chunks
   /// sorted by it reassemble the single-threaded row order. False when the
   /// table is exhausted. Thread-safe.
   bool ClaimMorsel(WorkerState* ws, size_t* begin);
 
-  /// \brief Like ParallelNext but confined to the morsel last claimed via
-  /// ClaimMorsel: fills `out` from that morsel's remaining rows only and
-  /// returns false once it is drained. Build-side drains use this so each
-  /// output chunk maps to exactly one morsel (pipeline.h reassembles them
-  /// in canonical order).
+  /// \brief Fill `out` from the morsel last claimed via ClaimMorsel,
+  /// consuming strides until the batch fills or the morsel is drained;
+  /// false once the morsel is drained and `out` came up empty. Each output
+  /// batch therefore maps to exactly one morsel (pipeline.h reassembles
+  /// build rows in canonical order by it). Safe to call from multiple
+  /// threads after Open(), each with its own WorkerState; all counters
+  /// accumulate into `ws`.
   bool MorselNext(Batch* out, WorkerState* ws);
 
-  /// \brief Fold a worker's accumulators into the shared stats. Call with
-  /// the worker quiesced (joined), before Close(); not thread-safe.
-  void MergeWorkerStats(WorkerState* ws);
+  /// \brief Fold a worker's accumulators into the shared stats, once per
+  /// worker. Call with the worker quiesced (joined), before Close(); not
+  /// thread-safe.
+  void MergeWorkerStats(const WorkerState& ws);
 
   /// \brief Table rows claimed per atomic cursor bump, rounded up to whole
-  /// selection words so every morsel starts on a word (exchange.h sets
-  /// this between Open() and the first ParallelNext).
+  /// selection words so every morsel starts on a word (the pipeline driver
+  /// sets this between Open() and the first ClaimMorsel).
   void set_morsel_rows(size_t rows) {
     morsel_rows_ = std::max<size_t>(64, (rows + 63) / 64 * 64);
   }
 
   /// \brief The query's cancellation context (FilterRuntime::context), or
-  /// null. The scan is the source of every pipeline, so drain owners
-  /// (exchange, build drains) reach the context through it. Every stride
+  /// null. The scan is the source of every pipeline, so the pipeline
+  /// driver reaches the context through it. Every stride
   /// loop in this operator polls it: a cancelled or deadline-expired query
   /// stops claiming morsels and reports exhaustion, unwinding the plan
   /// above cooperatively (query_context.h).
@@ -179,9 +169,6 @@ class ScanOperator final : public PhysicalOperator {
   /// Next unclaimed table row; workers advance it by morsel_rows_.
   std::atomic<size_t> shared_cursor_{0};
   size_t morsel_rows_ = 0;
-
-  /// State for the single-threaded Next() path (merged at Close()).
-  WorkerState local_;
 };
 
 }  // namespace bqo

@@ -10,10 +10,8 @@ namespace bqo {
 
 namespace {
 
-/// Executed stats for plan node `id`, matched by id + operator type (the
-/// exchange shares the root join's node id; skip it here — its drain time
-/// shows up in the trace spans). Null when the node never executed (e.g.
-/// the query unwound first).
+/// Executed stats for plan node `id`, matched by id + operator type. Null
+/// when the node never executed (e.g. the query unwound first).
 const OperatorStats* FindNodeStats(const QueryMetrics& metrics, int id,
                                    bool is_leaf) {
   const OperatorType want =

@@ -3,7 +3,7 @@
 //
 // Before this layer existed, every parallel drain spawned and joined fresh
 // std::threads per query — per hash-join build, per filter fill, per
-// exchange. Under one query at a time that only costs spawn latency; under
+// top-of-plan drain. Under one query at a time that only costs spawn latency; under
 // concurrent serving it oversubscribes the machine (Q queries x N workers
 // threads) and gives the OS scheduler, not the engine, control over who
 // runs. The WorkerPool replaces all of those spawn sites: a fixed set of
@@ -15,12 +15,11 @@
 // == Tasks and TaskGroups ==
 //
 // Work is submitted through a TaskGroup: Spawn() enqueues a task, Wait()
-// blocks until every task of the group has finished. The drain sites
-// (DrainPipelineParallel, FillFilterParallel, ExchangeOperator) spawn the
-// same per-worker closures they used to run on dedicated threads — one
-// closure per logical worker, each owning its private worker state — so the
-// per-worker-accumulate / merge-once stats discipline and the canonical
-// morsel-order reassembly are untouched. Because every closure claims work
+// blocks until every task of the group has finished. The drain sites (the
+// pipeline driver's multi-worker runs and FillFilterParallel, both in
+// src/exec/pipeline.cc) spawn one closure per logical worker, each owning
+// its private worker state, so the per-worker-accumulate / merge-once
+// stats discipline and the canonical morsel-order reassembly hold. Because every closure claims work
 // off a shared cursor (or owns a fixed partition), any subset of them
 // completes the drain: the pool size changes only *which* OS threads run
 // the closures and how many run at once, never the result. That is the
@@ -34,7 +33,7 @@
 //  * No deadlock and no priority inversion for group-awaited drains: a
 //    query whose tasks are stuck behind other queries' tasks in the queue
 //    executes them on its own client thread — so for every drain (build
-//    drains, filter fills, exchanges: each ends in Wait()) an admitted
+//    drains, filter fills, top pipelines: each ends in Wait()) an admitted
 //    query always has at least one thread (its own) making progress.
 //  * A pool of size 1 still runs every multi-worker drain correctly (the
 //    driver helps), which is what single-hardware-thread CI containers do.

@@ -1,6 +1,9 @@
 #include "src/workload/workload.h"
 
 #include <cstdlib>
+#include <optional>
+
+#include "src/common/string_util.h"
 
 namespace bqo {
 
@@ -20,10 +23,12 @@ int Workload::MaxJoins() const {
 }
 
 double ScaleFromEnv() {
+  // A value that is not one whole finite number ("0.1x", "inf", "1e999")
+  // keeps the default: the generators multiply row counts by it.
   const char* s = std::getenv("BQO_SCALE");
   if (s == nullptr) return 1.0;
-  const double v = std::atof(s);
-  return v > 0 ? v : 1.0;
+  const std::optional<double> v = ParseDouble(s);
+  return v && *v > 0 ? *v : 1.0;
 }
 
 }  // namespace bqo

@@ -7,16 +7,17 @@
 //  * FaultInjector determinism: every-Nth-check firing, per-site counters,
 //    DisarmAll.
 //  * Mid-drain cancellation: injected faults at each engine site (worker
-//    task entry, filter fill, exchange hand-off) cancel star / snowflake /
+//    task entry, filter fill, aggregate fold) cancel star / snowflake /
 //    bushy queries mid-execution at pool sizes {1,2,4}
 //    without crashing, and the very next clean run on the same pool
 //    reproduces the threads==1 baseline exactly — a failed query never
-//    poisons the WorkerPool or its neighbors.
-//  * Pre-aggregating exchange on a pinned pool: with the pool's only
-//    worker busy, DrainPartials runs the queued worker tasks inline and
-//    folds every row; a cancel or an expired deadline stops the drain
-//    before any morsel is claimed; Close without a drain aborts the
-//    queued workers without failing the query.
+//    poisons the WorkerPool or its neighbors. At threads == 1 the fold
+//    site fires too, while the worker-task site never does: one worker
+//    runs inline, as no pool task.
+//  * The aggregate's top pipeline on a pinned pool: with the pool's only
+//    worker busy, Open() runs the queued worker tasks inline and folds
+//    every row; a cancel or an expired deadline stops the run before any
+//    morsel is claimed.
 //  * Serving-layer overload: bounded admission queue sheds with
 //    kResourceExhausted, admission waits are bounded by the service
 //    timeout and by the query deadline, a cancelled waiter wakes promptly,
@@ -38,9 +39,9 @@
 #include <vector>
 
 #include "src/common/fault_injector.h"
+#include "src/common/hash.h"
 #include "src/exec/aggregate.h"
 #include "src/exec/exec_config.h"
-#include "src/exec/exchange.h"
 #include "src/exec/executor.h"
 #include "src/exec/query_context.h"
 #include "src/exec/scan.h"
@@ -257,7 +258,7 @@ TEST(MidDrainCancellation, InjectedFaultsUnwindAndPoolStaysServiceable) {
       WorkerPool::ResetGlobal(pool);
       for (FaultInjector::Site site : {FaultInjector::Site::kWorkerTask,
                                        FaultInjector::Site::kFilterFill,
-                                       FaultInjector::Site::kExchangePush}) {
+                                       FaultInjector::Site::kAggregateFold}) {
         const std::string what = std::string(shape.name) + " pool=" +
                                  std::to_string(pool) + " site=" +
                                  FaultInjector::SiteName(site);
@@ -305,15 +306,70 @@ TEST(MidDrainCancellation, ExpiredDeadlineStopsExecution) {
   EXPECT_TRUE(ctx.status().IsDeadlineExceeded());
 }
 
-// ---- Pre-aggregating exchange: drains on a pinned pool ----
+/// One worker runs inline on the caller and spawns no pool task, so an
+/// armed worker-task fault never fires at threads == 1: every shape
+/// completes OK and bit-exact.
+TEST(MidDrainCancellation, SingleWorkerSpawnsNoPoolTask) {
+  FaultGuard fault_guard;
+  std::vector<std::unique_ptr<PlanUnderTest>> shapes;
+  shapes.push_back(MakeStarPlan());
+  shapes.push_back(MakeSnowflakePlan());
+  shapes.push_back(MakeBushyPlan());
+  for (const auto& t : shapes) {
+    ExecutionOptions single = t->options;
+    single.exec.threads = 1;
+    const QueryMetrics base = ExecutePlan(t->plan, single);
 
-/// Harness: an exchange folding SUM(measure) GROUP BY d0_fk over a bare
-/// scan of the fact table, on a pool of 1 whose only worker is pinned by a
-/// blocker task. The worker tasks Open() queues can then only run inline,
-/// on the thread that waits for them (TaskGroup::Wait helps). Nothing
-/// parks on the exchange: DrainPartials and Close are its only waiters,
-/// and each must finish without the pool.
-class PinnedPoolExchangeTest : public ::testing::Test {
+    QueryContext ctx;
+    single.context = &ctx;
+    FaultInjector::Global().Arm(FaultInjector::Site::kWorkerTask, 1);
+    const QueryMetrics m = ExecutePlan(t->plan, single);
+    EXPECT_EQ(FaultInjector::Global().injected(), 0);
+    FaultInjector::Global().DisarmAll();
+    EXPECT_TRUE(ctx.status().ok()) << ctx.status().message();
+    ExpectMetricsEqual(base, m, "worker_task armed at threads=1");
+  }
+}
+
+/// The fold site fires at threads == 1 as well: it cancels the query with
+/// the injected error, and the next clean run is bit-exact.
+TEST(MidDrainCancellation, FoldFaultCancelsASingleWorkerQuery) {
+  FaultGuard fault_guard;
+  std::vector<std::unique_ptr<PlanUnderTest>> shapes;
+  shapes.push_back(MakeStarPlan());
+  shapes.push_back(MakeSnowflakePlan());
+  shapes.push_back(MakeBushyPlan());
+  for (const auto& t : shapes) {
+    ExecutionOptions single = t->options;
+    single.exec.threads = 1;
+    const QueryMetrics base = ExecutePlan(t->plan, single);
+
+    QueryContext ctx;
+    single.context = &ctx;
+    FaultInjector::Global().Arm(FaultInjector::Site::kAggregateFold, 1);
+    (void)ExecutePlan(t->plan, single);
+    EXPECT_GT(FaultInjector::Global().injected(), 0);
+    FaultInjector::Global().DisarmAll();
+    EXPECT_TRUE(ctx.IsCancelled());
+    EXPECT_TRUE(ctx.status().IsInternal());
+    EXPECT_NE(ctx.status().message().find("aggregate_fold"),
+              std::string::npos);
+
+    single.context = nullptr;
+    const QueryMetrics clean = ExecutePlan(t->plan, single);
+    ExpectMetricsEqual(base, clean, "after a fold fault at threads=1");
+  }
+}
+
+// ---- The aggregate's top pipeline on a pinned pool ----
+
+/// Harness: an aggregate folding SUM(measure) GROUP BY d0_fk over a bare
+/// scan of the fact table at threads 2, on a pool of 1 whose only worker
+/// is pinned by a blocker task. The worker tasks Open() queues can then
+/// only run inline, on the thread that waits for them (TaskGroup::Wait
+/// helps): Open() must finish without the pool. After Open() returns no
+/// worker is left queued.
+class PinnedPoolAggregateTest : public ::testing::Test {
  protected:
   void SetUp() override {
     WorkerPool::ResetGlobal(1);
@@ -336,8 +392,7 @@ class PinnedPoolExchangeTest : public ::testing::Test {
     ExecConfig config;
     config.threads = 2;
     config.morsel_rows = 1024;
-    exchange_ = std::make_unique<ExchangeOperator>(std::move(scan), config,
-                                                   agg, "xchg f");
+    agg_ = std::make_unique<AggregateOperator>(std::move(scan), agg, config);
 
     // Pin the pool's single worker BEFORE Open queues the worker tasks.
     blocker_ = std::make_unique<WorkerPool::TaskGroup>(&WorkerPool::Global());
@@ -353,95 +408,73 @@ class PinnedPoolExchangeTest : public ::testing::Test {
 
   void TearDown() override {
     released_->set_value();
-    // Destruction order matters: the TaskGroup and the exchange must die
-    // before ResetGlobal destroys the pool they point into (~TaskGroup
-    // Waits on the pool's mutex).
+    // Destruction order matters: the TaskGroup must die before ResetGlobal
+    // destroys the pool it points into (~TaskGroup Waits on the pool's
+    // mutex).
     blocker_.reset();
-    if (!closed_) exchange_->Close();
-    exchange_.reset();
+    agg_->Close();
+    agg_.reset();
     WorkerPool::ResetGlobal(0);
-  }
-
-  void CloseExchange() {
-    exchange_->Close();
-    closed_ = true;
-  }
-
-  static int64_t RowsFolded(const std::vector<PartialAggState>& partials) {
-    int64_t rows = 0;
-    for (const PartialAggState& p : partials) rows += p.rows_folded;
-    return rows;
   }
 
   std::unique_ptr<TestDb> db_;
   const Table* fact_ = nullptr;
   QueryContext ctx_;
   FilterRuntime runtime_;
-  ScanOperator* scan_ = nullptr;  ///< owned by exchange_
-  std::unique_ptr<ExchangeOperator> exchange_;
+  ScanOperator* scan_ = nullptr;  ///< owned by agg_
+  std::unique_ptr<AggregateOperator> agg_;
   std::unique_ptr<WorkerPool::TaskGroup> blocker_;
   std::shared_ptr<std::promise<void>> released_;
-  bool closed_ = false;
 };
 
-TEST_F(PinnedPoolExchangeTest, DrainFoldsEveryRowWithoutThePool) {
-  exchange_->Open();
-  std::vector<PartialAggState> partials = exchange_->DrainPartials();
-  ASSERT_EQ(partials.size(), 2u);
-  EXPECT_EQ(RowsFolded(partials), fact_->num_rows());
+TEST_F(PinnedPoolAggregateTest, OpenFoldsEveryRowWithoutThePool) {
+  agg_->Open();
+  EXPECT_EQ(agg_->stats().agg_rows_folded, fact_->num_rows());
+  EXPECT_EQ(agg_->stats().parallel_workers, 2);
+  EXPECT_EQ(scan_->stats().rows_prefilter, fact_->num_rows());
 
-  // The merged partials are the grouped sum over the whole table.
+  // The merged result is the grouped sum over the whole table: group
+  // count, total, and the order-independent checksum of (group, sum).
   const Column& key = fact_->column(fact_->ColumnIndex("d0_fk"));
   const Column& measure = fact_->column(fact_->ColumnIndex("measure"));
   std::unordered_map<int64_t, int64_t> expected;
+  int64_t total = 0;
   for (int64_t r = 0; r < fact_->num_rows(); ++r) {
     expected[key.GetInt64(r)] += measure.GetInt64(r);
+    total += measure.GetInt64(r);
   }
-  PartialAggState merged = std::move(partials[0]);
-  merged.MergeFrom(std::move(partials[1]));
-  EXPECT_EQ(merged.groups, expected);
-
-  EXPECT_EQ(exchange_->stats().agg_rows_folded, fact_->num_rows());
-  EXPECT_EQ(scan_->stats().rows_prefilter, fact_->num_rows());
+  uint64_t checksum = 0;
+  for (const auto& [g, v] : expected) {
+    checksum += Mix64(HashCombine(HashValue(static_cast<uint64_t>(g)),
+                                  static_cast<uint64_t>(v)));
+  }
+  EXPECT_EQ(agg_->NumGroups(), static_cast<int64_t>(expected.size()));
+  EXPECT_EQ(agg_->TotalValue(), total);
+  EXPECT_EQ(agg_->ResultChecksum(), checksum);
   EXPECT_TRUE(ctx_.status().ok());
 }
 
-TEST_F(PinnedPoolExchangeTest, CancelBeforeDrainFoldsNothing) {
-  exchange_->Open();
+TEST_F(PinnedPoolAggregateTest, CancelBeforeOpenFoldsNothing) {
   ctx_.Cancel(Status::Cancelled("client went away"));
-  const std::vector<PartialAggState> partials = exchange_->DrainPartials();
+  agg_->Open();
   // Every worker sees the cancel at its first stop point, before claiming
-  // a morsel: the drain returns without scanning.
-  EXPECT_EQ(RowsFolded(partials), 0);
-  for (const PartialAggState& p : partials) EXPECT_TRUE(p.groups.empty());
-  EXPECT_EQ(exchange_->stats().agg_rows_folded, 0);
+  // a morsel: the run returns without scanning.
+  EXPECT_EQ(agg_->NumGroups(), 0);
+  EXPECT_EQ(agg_->stats().agg_rows_folded, 0);
   EXPECT_EQ(scan_->stats().rows_prefilter, 0);
   EXPECT_TRUE(ctx_.status().IsCancelled());
 }
 
-TEST_F(PinnedPoolExchangeTest, ExpiredDeadlineSelfCancelsTheDrain) {
+TEST_F(PinnedPoolAggregateTest, ExpiredDeadlineSelfCancelsTheRun) {
   ctx_.SetDeadline(std::chrono::steady_clock::now() -
                    std::chrono::milliseconds(1));
-  exchange_->Open();
   // Nobody cancels explicitly: the first worker to poll the context
   // notices the deadline and cancels the query.
-  const std::vector<PartialAggState> partials = exchange_->DrainPartials();
-  EXPECT_EQ(RowsFolded(partials), 0);
+  agg_->Open();
+  EXPECT_EQ(agg_->stats().agg_rows_folded, 0);
   EXPECT_EQ(scan_->stats().rows_prefilter, 0);
   EXPECT_TRUE(ctx_.IsCancelled());
   EXPECT_TRUE(ctx_.status().IsDeadlineExceeded());
-}
-
-TEST_F(PinnedPoolExchangeTest, CloseWithoutDrainAbortsQueuedWorkers) {
-  exchange_->Open();
-  // An early teardown: Close runs the still-queued workers inline, each
-  // sees the abort flag first and exits without scanning.
-  CloseExchange();
-  EXPECT_EQ(scan_->stats().rows_prefilter, 0);
-  EXPECT_EQ(exchange_->stats().agg_rows_folded, 0);
-  // Aborting the exchange is not a query failure.
-  EXPECT_FALSE(ctx_.IsCancelled());
-  EXPECT_TRUE(ctx_.status().ok());
 }
 
 // ---- QueryService: deadlines, shedding, bounded waits, fault recovery ----
@@ -661,7 +694,7 @@ TEST(QueryServiceResilience, InjectedFaultsDoNotPoisonTheService) {
   for (FaultInjector::Site site :
        {FaultInjector::Site::kPlanCacheLookup,
         FaultInjector::Site::kWorkerTask, FaultInjector::Site::kFilterFill,
-        FaultInjector::Site::kExchangePush}) {
+        FaultInjector::Site::kAggregateFold}) {
     FaultInjector::Global().Arm(site, 1);
     const QueryResult faulted = service.Execute(db->spec);
     FaultInjector::Global().DisarmAll();

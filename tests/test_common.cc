@@ -169,5 +169,20 @@ TEST(StringUtil, ParseInt64AcceptsOnlyWholeIntegers) {
   }
 }
 
+TEST(StringUtil, ParseDoubleAcceptsOnlyWholeFiniteNumbers) {
+  EXPECT_EQ(ParseDouble("0"), 0.0);
+  EXPECT_EQ(ParseDouble("0.1"), 0.1);
+  EXPECT_EQ(ParseDouble("-2.5"), -2.5);
+  EXPECT_EQ(ParseDouble("1e3"), 1000.0);
+  EXPECT_EQ(ParseDouble("1.5E-2"), 0.015);
+  // Trailing junk is not silently dropped (std::atof's answer), and an
+  // infinity or an overflow is not a number of rows to scale by.
+  for (const char* bad : {"", "0.1x", "x0.1", " 2", "2 ", "+2", "off",
+                          "inf", "-inf", "nan", "1e999", "-1e999", "0x10",
+                          ".", "-"}) {
+    EXPECT_EQ(ParseDouble(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 }  // namespace
 }  // namespace bqo

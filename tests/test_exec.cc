@@ -345,9 +345,6 @@ TEST_P(ReferenceJoinTest, HashJoinTotalsMatchReference) {
       FilterRuntime runtime;
       auto root = CompilePlan(plan, options, &runtime);
       root->Open();
-      Batch batch;
-      while (root->Next(&batch)) {
-      }
       root->Close();
       EXPECT_EQ(root->TotalValue(), agg == AggKind::kSum ? ref.sum : ref.count)
           << c.name << " filters=" << f.name << " threads=" << threads

@@ -168,9 +168,6 @@ TEST(ExecEdge, SumAggregateMatchesManualSum) {
   FilterRuntime runtime;
   auto agg = CompilePlan(plan, options, &runtime);
   agg->Open();
-  Batch batch;
-  while (agg->Next(&batch)) {
-  }
   EXPECT_EQ(agg->TotalValue(), expected);
   agg->Close();
 }
@@ -292,9 +289,6 @@ ScratchRun RunScratchPlan(const Plan& plan, int threads, AggKind agg,
   runtime.build_cache = cache;
   auto root = CompilePlan(plan, options, &runtime);
   root->Open();
-  Batch batch;
-  while (root->Next(&batch)) {
-  }
   root->Close();
   ScratchRun run{root->TotalValue(), root->ResultChecksum(), runtime.stats,
                  {}};

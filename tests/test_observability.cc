@@ -205,7 +205,7 @@ OperatorActuals(const QueryMetrics& m) {
 
 QueryServiceOptions StarServiceOptions() {
   QueryServiceOptions options;
-  // threads == 1 would compile a different (exchange-free) plan, so the
+  // threads == 1 runs each pipeline inline and spawns no pool task, so the
   // invariance sweep fixes the worker share at 2 and varies only the pool:
   // pool size changes which OS threads run tasks, never the plan or the
   // merged counters.

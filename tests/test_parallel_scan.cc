@@ -1,6 +1,6 @@
 // Morsel-parallel scan correctness: for every filter kind, and at the
-// saturated and empty edges, a scan drained by N exchange workers (each
-// folding into a thread-local partial aggregate) must produce the same
+// saturated and empty edges, a scan drained by N pipeline workers (each
+// folding into its own partial aggregate) must produce the same
 // grouped aggregate and the same merged FilterStats/OperatorStats as the
 // single-threaded scan — parallelism is pure performance (and the
 // per-worker accumulate + merge-once discipline keeps the counters exact;
@@ -14,7 +14,6 @@
 #include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/exec/aggregate.h"
-#include "src/exec/exchange.h"
 #include "src/exec/executor.h"
 #include "src/exec/scan.h"
 #include "src/plan/pushdown.h"
@@ -34,9 +33,8 @@ struct ManualScanResult {
 };
 
 /// Drain `table` through a ScanOperator probing `filter` on `key_column`
-/// into SUM(measure) GROUP BY `key_column`, with the scan behind an
-/// exchange when threads > 1 — the compile shape ExecutePlan uses for a
-/// single-relation plan.
+/// into SUM(measure) GROUP BY `key_column` on `threads` workers — the
+/// compile shape ExecutePlan uses for a single-relation plan.
 ManualScanResult RunManualScan(const Table* table,
                                std::unique_ptr<BitvectorFilter> filter,
                                const std::string& key_column, int threads) {
@@ -63,20 +61,12 @@ ManualScanResult RunManualScan(const Table* table,
       table, nullptr, nullptr, schema, std::vector<ResolvedFilter>{rf},
       &runtime, "scan t");
   ScanOperator* scan_raw = scan.get();
-  std::unique_ptr<PhysicalOperator> child = std::move(scan);
-  if (threads > 1) {
-    ExecConfig config;
-    config.threads = threads;
-    config.morsel_rows = 4096;  // several morsels per worker at test sizes
-    child = std::make_unique<ExchangeOperator>(std::move(child), config, agg,
-                                               "xchg t");
-  }
-  AggregateOperator root(std::move(child), agg);
+  ExecConfig config;
+  config.threads = threads;
+  config.morsel_rows = 4096;  // several morsels per worker at test sizes
+  AggregateOperator root(std::move(scan), agg, config);
 
   root.Open();
-  Batch batch;
-  while (root.Next(&batch)) {
-  }
   root.Close();
   ManualScanResult result;
   result.checksum = root.ResultChecksum();
@@ -223,7 +213,7 @@ TEST(ParallelExecTest, PlanResultsAndFilterStatsMatchSingleThread) {
   }
 }
 
-/// The exchange must also behave under tiny inputs: more workers than
+/// The pipeline driver must also behave under tiny inputs: more workers than
 /// morsels, and a single morsel spanning the whole selection.
 TEST(ParallelExecTest, DegenerateShapes) {
   auto db = MakeStarDb(1, 300, 50, {0.5}, 99);

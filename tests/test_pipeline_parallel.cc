@@ -3,17 +3,18 @@
 // threads=1 — parallel hash-join builds, parallel filter creation, and wide
 // probe pipelines are pure performance. Pins:
 //
-//  * threads == 1 compiles the exact single-threaded plan (no exchange);
-//    threads > 1 compiles exactly one exchange, directly below the
-//    aggregate, and every hash-join build runs on N workers.
+//  * One plan at every thread count: the compiled operator tree has the
+//    same shape at threads 1 and 4, the executed operator list is equal
+//    field by field at threads {1,2,4}, and with threads = N the aggregate
+//    and every hash-join build run on N workers.
 //  * For both filter kinds over star and snowflake shapes, a {1,2,4}
 //    thread sweep leaves result rows/checksums, per-type tuple counts, and
 //    merged probed/passed/inserted byte-equal.
 //  * FillFilterParallel reproduces the sequential filter (membership and
 //    NumInserted) from per-worker partials merged via MergeFrom.
 //  * The aggregate parity invariant: with threads > 1 the final aggregate
-//    runs as per-worker partial folds inside the pre-aggregating exchange,
-//    and the merged ResultChecksum()/NumGroups()/TotalValue() equal the
+//    runs as per-worker partial folds on the top pipeline's workers, and
+//    the merged ResultChecksum()/NumGroups()/TotalValue() equal the
 //    threads == 1 values exactly — for grouped (kSum + GROUP BY) and
 //    ungrouped aggregates, over star, snowflake, and bushy plans,
 //    including empty-result and single-group edge cases.
@@ -27,7 +28,6 @@
 
 #include "src/common/hash.h"
 #include "src/common/rng.h"
-#include "src/exec/exchange.h"
 #include "src/exec/executor.h"
 #include "src/exec/pipeline.h"
 #include "src/plan/pushdown.h"
@@ -161,9 +161,15 @@ TEST(PipelineParallel, BushyBuildPipelinesMatchSingleThread) {
   }
 }
 
-/// Plan shape: threads=1 must compile the exact single-threaded tree (no
-/// exchange anywhere); threads>1 exactly one exchange, directly below the
-/// aggregate, with bare scans at the leaves.
+/// The operator types of `op`'s subtree, preorder.
+void CollectTypes(PhysicalOperator* op, std::vector<OperatorType>* out) {
+  out->push_back(op->stats().type);
+  for (PhysicalOperator* child : op->children()) CollectTypes(child, out);
+}
+
+/// Plan shape: one operator tree at every thread count — the aggregate at
+/// the root over the plan's joins and bare scans, with nothing inserted
+/// for parallelism.
 TEST(PipelineParallel, CompiledPlanShape) {
   auto db = MakeStarDb(2, 5000, 100, {0.5, 0.5}, 11);
   auto graph = db->Graph();
@@ -171,41 +177,27 @@ TEST(PipelineParallel, CompiledPlanShape) {
   Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2});
   PushDownBitvectors(&plan);
 
+  std::vector<std::vector<OperatorType>> shapes;
   for (int threads : {1, 4}) {
     ExecutionOptions options;
     options.exec.threads = threads;
     FilterRuntime runtime;
     auto agg = CompilePlan(plan, options, &runtime);
-
-    // Walk the tree counting exchanges and recording the aggregate child.
-    int exchanges = 0;
-    bool agg_child_is_exchange = false;
-    std::vector<PhysicalOperator*> stack = {agg.get()};
-    while (!stack.empty()) {
-      PhysicalOperator* op = stack.back();
-      stack.pop_back();
-      for (PhysicalOperator* child : op->children()) {
-        const bool is_exchange =
-            child->stats().type == OperatorType::kExchange;
-        if (is_exchange) {
-          ++exchanges;
-          if (op == agg.get()) agg_child_is_exchange = true;
-        }
-        stack.push_back(child);
-      }
-    }
-    if (threads == 1) {
-      EXPECT_EQ(exchanges, 0);
-    } else {
-      EXPECT_EQ(exchanges, 1);
-      EXPECT_TRUE(agg_child_is_exchange);
-    }
+    std::vector<OperatorType> types;
+    CollectTypes(agg.get(), &types);
+    shapes.push_back(std::move(types));
   }
+  const std::vector<OperatorType> expected = {
+      OperatorType::kAggregate, OperatorType::kHashJoin, OperatorType::kScan,
+      OperatorType::kHashJoin,  OperatorType::kScan,     OperatorType::kScan};
+  EXPECT_EQ(shapes[0], expected);
+  EXPECT_EQ(shapes[1], expected);
 }
 
-/// Worker pinning: with threads=N the exchange and every hash-join build
-/// must report N parallel workers in their merged OperatorStats.
-TEST(PipelineParallel, BuildsAndExchangeRunOnNWorkers) {
+/// Worker pinning: with threads=N the aggregate's top pipeline and every
+/// hash-join build must report N parallel workers in their merged
+/// OperatorStats, and their pool tasks' CPU in worker_cpu_ns.
+TEST(PipelineParallel, BuildsAndTopPipelineRunOnNWorkers) {
   auto db = MakeStarDb(3, 20000, 300, {0.3, 0.6, 0.15}, 77, /*zipf=*/0.6);
   auto graph = db->Graph();
   ASSERT_TRUE(graph.ok());
@@ -218,25 +210,100 @@ TEST(PipelineParallel, BuildsAndExchangeRunOnNWorkers) {
   options.exec.morsel_rows = 2048;
   const QueryMetrics m = ExecutePlan(plan, options);
 
-  int exchanges = 0, joins = 0;
+  int aggregates = 0, joins = 0;
   for (const OperatorStats& op : m.operators) {
-    if (op.type == OperatorType::kExchange) {
-      ++exchanges;
+    if (op.type == OperatorType::kAggregate) {
+      ++aggregates;
       EXPECT_EQ(op.parallel_workers, kThreads) << op.label;
+      EXPECT_GT(op.worker_cpu_ns, 0) << op.label;
     }
     if (op.type == OperatorType::kHashJoin) {
       ++joins;
       EXPECT_EQ(op.parallel_workers, kThreads) << op.label;
     }
+    if (op.type == OperatorType::kScan) {
+      EXPECT_EQ(op.worker_cpu_ns, 0) << op.label;
+    }
   }
-  EXPECT_EQ(exchanges, 1);
+  EXPECT_EQ(aggregates, 1);
   EXPECT_EQ(joins, 3);
 
-  // And threads=1 reports everything single-threaded.
+  // And threads=1 reports everything on one worker, with no pool CPU.
   ExecutionOptions single;
   const QueryMetrics s = ExecutePlan(plan, single);
   for (const OperatorStats& op : s.operators) {
     EXPECT_EQ(op.parallel_workers, 0) << op.label;
+    EXPECT_EQ(op.worker_cpu_ns, 0) << op.label;
+  }
+}
+
+/// Star, snowflake and bushy plans over two filter kinds: the executed
+/// operator list — every operator's type, label, plan node, row and probe
+/// counters and folded rows — is equal field by field at threads {1,2,4}.
+TEST(PipelineParallel, OperatorListEqualAcrossThreadCounts) {
+  auto star_db = MakeStarDb(3, 30000, 400, {0.3, 0.6, 0.15}, 377,
+                            /*zipf=*/0.6);
+  auto star_graph = star_db->Graph();
+  ASSERT_TRUE(star_graph.ok());
+  auto snow_db = MakeSnowflakeDb({2, 2}, 20000, 500, 0.5, {0.4, 0.5}, 1234,
+                                 /*zipf=*/0.4);
+  auto snow_graph = snow_db->Graph();
+  ASSERT_TRUE(snow_graph.ok());
+  const JoinGraph& g = snow_graph.value();
+
+  struct Case {
+    const char* name;
+    Plan plan;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"star", BuildRightDeepPlan(star_graph.value(),
+                                              {0, 1, 2, 3})});
+  cases.push_back({"snowflake", BuildRightDeepPlan(g, {0, 1, 2, 3, 4})});
+  Plan bushy;
+  bushy.graph = &g;
+  auto branch0 = MakeJoin(g, MakeLeaf(g, 2), MakeLeaf(g, 1));
+  auto branch1 = MakeJoin(g, MakeLeaf(g, 4), MakeLeaf(g, 3));
+  auto inner = MakeJoin(g, std::move(branch1), MakeLeaf(g, 0));
+  bushy.root = MakeJoin(g, std::move(branch0), std::move(inner));
+  ASSERT_NE(bushy.root, nullptr);
+  bushy.Renumber();
+  ASSERT_TRUE(bushy.Validate());
+  cases.push_back({"bushy", std::move(bushy)});
+
+  for (Case& c : cases) {
+    PushDownBitvectors(&c.plan);
+    for (FilterKind kind : {FilterKind::kExact, FilterKind::kBlockedBloom}) {
+      ExecutionOptions options;
+      options.filter_config.kind = kind;
+      options.agg.kind = AggKind::kSum;
+      options.agg.sum_column = BoundColumn{0, "measure"};
+      const QueryMetrics base = ExecutePlan(c.plan, options);
+      ASSERT_GT(base.join_tuples, 0) << c.name;
+      for (int threads : {2, 4}) {
+        ExecutionOptions parallel = options;
+        parallel.exec.threads = threads;
+        parallel.exec.morsel_rows = 1024;
+        const QueryMetrics m = ExecutePlan(c.plan, parallel);
+        const std::string what = std::string(c.name) + " " +
+                                 FilterKindName(kind) +
+                                 " threads=" + std::to_string(threads);
+        ExpectRunsEqual(base, m, what);
+        ASSERT_EQ(m.operators.size(), base.operators.size()) << what;
+        for (size_t i = 0; i < m.operators.size(); ++i) {
+          const OperatorStats& a = base.operators[i];
+          const OperatorStats& b = m.operators[i];
+          const std::string at = what + " operator " + std::to_string(i);
+          EXPECT_EQ(b.type, a.type) << at;
+          EXPECT_EQ(b.label, a.label) << at;
+          EXPECT_EQ(b.plan_node_id, a.plan_node_id) << at;
+          EXPECT_EQ(b.rows_out, a.rows_out) << at;
+          EXPECT_EQ(b.rows_prefilter, a.rows_prefilter) << at;
+          EXPECT_EQ(b.probe_rows_in, a.probe_rows_in) << at;
+          EXPECT_EQ(b.probe_rows_matched, a.probe_rows_matched) << at;
+          EXPECT_EQ(b.agg_rows_folded, a.agg_rows_folded) << at;
+        }
+      }
+    }
   }
 }
 
@@ -284,14 +351,14 @@ TEST(PipelineParallel, FillFilterParallelMatchesSequential) {
   }
 }
 
-// ---- Aggregate parity: the pre-aggregating exchange ----
+// ---- Aggregate parity: per-worker partial folds ----
 
 /// The aggregate's own accessors after a full run of the compiled plan.
 struct AggRun {
   uint64_t checksum = 0;
   int64_t num_groups = 0;
   int64_t total = 0;
-  int64_t rows_emitted = 0;
+  int64_t rows_out = 0;     ///< result rows (the aggregate's rows_out)
   int64_t rows_folded = 0;  ///< aggregate input rows (agg_rows_folded)
 };
 
@@ -299,10 +366,9 @@ AggRun RunAggregate(const Plan& plan, const ExecutionOptions& options) {
   FilterRuntime runtime;
   auto agg = CompilePlan(plan, options, &runtime);
   agg->Open();
-  Batch batch;
-  AggRun r;
-  while (agg->Next(&batch)) r.rows_emitted += batch.num_rows;
   agg->Close();
+  AggRun r;
+  r.rows_out = agg->stats().rows_out;
   r.checksum = agg->ResultChecksum();
   r.num_groups = agg->NumGroups();
   r.total = agg->TotalValue();
@@ -311,7 +377,7 @@ AggRun RunAggregate(const Plan& plan, const ExecutionOptions& options) {
 }
 
 /// Sweep `options.agg` over {1,2,4} workers and pin every aggregate
-/// accessor — checksum, group count, total, emitted rows, and the merged
+/// accessor — checksum, group count, total, result rows, and the merged
 /// per-worker input-row counter — to the threads == 1 values.
 void ExpectAggParity(const Plan& plan, ExecutionOptions options,
                      const std::string& what) {
@@ -325,7 +391,7 @@ void ExpectAggParity(const Plan& plan, ExecutionOptions options,
     EXPECT_EQ(r.checksum, base.checksum) << label;
     EXPECT_EQ(r.num_groups, base.num_groups) << label;
     EXPECT_EQ(r.total, base.total) << label;
-    EXPECT_EQ(r.rows_emitted, base.rows_emitted) << label;
+    EXPECT_EQ(r.rows_out, base.rows_out) << label;
     EXPECT_EQ(r.rows_folded, base.rows_folded) << label;
   }
 }
@@ -392,8 +458,8 @@ TEST(PipelineParallelAgg, SnowflakeGroupedParity) {
   ExpectAggParity(plan, options, "snowflake grouped");
 }
 
-/// Bushy plan: the probe chain above the exchange carries two joins and the
-/// root build is itself a join; the pre-aggregated fold must still match.
+/// Bushy plan: the top probe chain carries two joins and the root build is
+/// itself a join; the per-worker folds must still match.
 TEST(PipelineParallelAgg, BushyGroupedParity) {
   auto db = MakeSnowflakeDb({2, 2}, 20000, 500, 0.5, {0.4, 0.5}, 5321,
                             /*zipf=*/0.4);
@@ -424,7 +490,7 @@ TEST(PipelineParallelAgg, BushyGroupedParity) {
 }
 
 /// Empty result: a predicate nothing passes. Zero groups, zero total, zero
-/// rows emitted — at every thread count.
+/// result rows — at every thread count.
 TEST(PipelineParallelAgg, EmptyResultGroupedParity) {
   auto db = MakeStarDb(1, 1000, 50, {0.0}, 907);
   auto graph = db->Graph();
@@ -438,7 +504,7 @@ TEST(PipelineParallelAgg, EmptyResultGroupedParity) {
     const AggRun base = RunAggregate(plan, check);
     ASSERT_EQ(base.num_groups, 0);
     ASSERT_EQ(base.total, 0);
-    ASSERT_EQ(base.rows_emitted, 0);
+    ASSERT_EQ(base.rows_out, 0);
   }
   ExpectAggParity(plan, options, "empty grouped");
 }
@@ -463,10 +529,11 @@ TEST(PipelineParallelAgg, SingleGroupParity) {
   ExpectAggParity(plan, options, "single group");
 }
 
-/// Compiled shape and merged counters of the pre-aggregating drain: with
-/// threads > 1 the aggregate's child is a pre-aggregating exchange, the
-/// merged agg_rows_folded on both operators equals the single-threaded
-/// aggregate input, and the partial group count is at least the final one.
+/// Compiled shape and merged counters of the per-worker folds: with
+/// threads > 1 the aggregate's child is still the plan's root join, the
+/// merged agg_rows_folded equals the one-worker aggregate input, and the
+/// partial group count is at least the final one (and equals it on one
+/// worker).
 TEST(PipelineParallelAgg, PreAggShapeAndCounters) {
   auto db = MakeStarDb(2, 20000, 300, {0.4, 0.5}, 88, /*zipf=*/0.5);
   auto graph = db->Graph();
@@ -479,15 +546,18 @@ TEST(PipelineParallelAgg, PreAggShapeAndCounters) {
     FilterRuntime runtime;
     options.exec.threads = 4;
     auto agg = CompilePlan(plan, options, &runtime);
-    auto* exchange = dynamic_cast<ExchangeOperator*>(agg->children()[0]);
-    ASSERT_NE(exchange, nullptr);
+    ASSERT_EQ(agg->children().size(), 1u);
+    EXPECT_EQ(agg->children()[0]->stats().type, OperatorType::kHashJoin);
   }
 
   options.exec.threads = 1;
   const QueryMetrics base = ExecutePlan(plan, options);
   int64_t base_folded = 0;
   for (const OperatorStats& op : base.operators) {
-    if (op.type == OperatorType::kAggregate) base_folded = op.agg_rows_folded;
+    if (op.type == OperatorType::kAggregate) {
+      base_folded = op.agg_rows_folded;
+      EXPECT_EQ(op.agg_partial_groups, base.result_rows);
+    }
   }
   ASSERT_GT(base_folded, 0);
 
@@ -498,10 +568,7 @@ TEST(PipelineParallelAgg, PreAggShapeAndCounters) {
   for (const OperatorStats& op : m.operators) {
     if (op.type == OperatorType::kAggregate) {
       EXPECT_EQ(op.agg_rows_folded, base_folded);
-    }
-    if (op.type == OperatorType::kExchange) {
-      EXPECT_EQ(op.agg_rows_folded, base_folded) << op.label;
-      EXPECT_GE(op.agg_partial_groups, final_groups) << op.label;
+      EXPECT_GE(op.agg_partial_groups, final_groups);
     }
   }
   EXPECT_EQ(m.result_checksum, base.result_checksum);

@@ -202,7 +202,7 @@ TEST(WorkerPoolInvariance, PoolSizeNeverChangesResults) {
                                " threads=" + std::to_string(threads));
         // Logical workers are reported regardless of pool size.
         for (const OperatorStats& op : m.operators) {
-          if (op.type == OperatorType::kExchange) {
+          if (op.type == OperatorType::kAggregate) {
             EXPECT_EQ(op.parallel_workers, threads);
           }
         }
@@ -621,9 +621,9 @@ TEST(QueryService, AdmissionBoundsConcurrencyAndClampsWorkers) {
     clients.emplace_back([&] {
       for (int i = 0; i < 3; ++i) {
         const QueryResult r = service.Execute(spec);
-        // The exchange ran with the clamped worker count, not 8.
+        // The top pipeline ran with the clamped worker count, not 8.
         for (const OperatorStats& op : r.metrics.operators) {
-          if (op.type == OperatorType::kExchange) {
+          if (op.type == OperatorType::kAggregate) {
             EXPECT_EQ(op.parallel_workers, 2);
           }
         }

@@ -3,6 +3,10 @@
 // baseline and BQO plans compute identical results on real workload queries.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <optional>
+#include <string>
+
 #include "src/workload/runner.h"
 
 namespace bqo {
@@ -132,6 +136,25 @@ TEST(Runner, BitvectorUsageIsNearUniversal) {
     if (r.used_bitvectors) ++with_filters;
   }
   EXPECT_GE(with_filters, static_cast<int>(runs.size()) - 2);
+}
+
+/// BQO_SCALE multiplies every generated row count: a value that is not
+/// one whole finite positive number keeps scale 1.
+TEST(Workloads, ScaleFromEnvKeepsTheDefaultOnABadValue) {
+  const char* old = std::getenv("BQO_SCALE");
+  const std::optional<std::string> saved =
+      old != nullptr ? std::optional<std::string>(old) : std::nullopt;
+  ::setenv("BQO_SCALE", "0.25", 1);
+  EXPECT_EQ(ScaleFromEnv(), 0.25);
+  for (const char* bad : {"0.1x", "inf", "1e999", "nan", "0", "-1", ""}) {
+    ::setenv("BQO_SCALE", bad, 1);
+    EXPECT_EQ(ScaleFromEnv(), 1.0) << "'" << bad << "'";
+  }
+  if (saved) {
+    ::setenv("BQO_SCALE", saved->c_str(), 1);
+  } else {
+    ::unsetenv("BQO_SCALE");
+  }
 }
 
 }  // namespace
