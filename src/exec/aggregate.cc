@@ -7,13 +7,67 @@
 
 namespace bqo {
 
+namespace {
+
+/// `*acc += v` modulo 2^64: aggregate values fold and merge in unsigned
+/// arithmetic, so overflow wraps instead of being undefined.
+void AddWrapping(int64_t* acc, uint64_t v) {
+  *acc = static_cast<int64_t>(static_cast<uint64_t>(*acc) + v);
+}
+
+/// One batch's fold, with the kind and grouping branches outside the row
+/// loops and each loop summing into a local. kWeighted: the batch carries
+/// row multiplicities, and row r stands for mult[r] identical tuples.
+template <bool kWeighted>
+void FoldRows(const AggFold& fold, const Batch& batch,
+              PartialAggState* state) {
+  const int n = batch.num_rows;
+  const int64_t* mult = batch.multiplicity();
+  const auto weight = [mult](int r) -> uint64_t {
+    if constexpr (kWeighted) {
+      return static_cast<uint64_t>(mult[r]);
+    } else {
+      return 1;
+    }
+  };
+  uint64_t rows = static_cast<uint64_t>(n);
+  if constexpr (kWeighted) {
+    rows = 0;
+    for (int r = 0; r < n; ++r) rows += weight(r);
+  }
+  uint64_t total = rows;  // COUNT(*): ungrouped and unweighted, one add
+  if (fold.kind == AggKind::kSum) {
+    const int64_t* sums = batch.col(fold.sum_pos);
+    total = 0;
+    for (int r = 0; r < n; ++r) {
+      total += static_cast<uint64_t>(sums[r]) * weight(r);
+    }
+    if (fold.has_group_by) {
+      const int64_t* keys = batch.col(fold.group_pos);
+      for (int r = 0; r < n; ++r) {
+        AddWrapping(&state->groups[keys[r]],
+                    static_cast<uint64_t>(sums[r]) * weight(r));
+      }
+    }
+  } else if (fold.has_group_by) {
+    const int64_t* keys = batch.col(fold.group_pos);
+    for (int r = 0; r < n; ++r) AddWrapping(&state->groups[keys[r]], weight(r));
+  }
+  AddWrapping(&state->total, total);
+  state->rows_folded += static_cast<int64_t>(rows);
+}
+
+}  // namespace
+
 void PartialAggState::MergeFrom(PartialAggState&& other) {
   if (groups.empty()) {
     groups = std::move(other.groups);
   } else {
-    for (const auto& [g, v] : other.groups) groups[g] += v;
+    for (const auto& [g, v] : other.groups) {
+      AddWrapping(&groups[g], static_cast<uint64_t>(v));
+    }
   }
-  total += other.total;
+  AddWrapping(&total, static_cast<uint64_t>(other.total));
   rows_folded += other.rows_folded;
 }
 
@@ -34,24 +88,11 @@ AggFold AggFold::Resolve(const AggSpec& spec,
 }
 
 void AggFold::Fold(const Batch& batch, PartialAggState* state) const {
-  // The kind and grouping branches sit outside the row loops, and each
-  // loop sums into a local: ungrouped COUNT(*) is one add per batch.
-  const int n = batch.num_rows;
-  int64_t total = n;  // COUNT(*)
-  if (kind == AggKind::kSum) {
-    const int64_t* sums = batch.col(sum_pos);
-    total = 0;
-    for (int r = 0; r < n; ++r) total += sums[r];
-    if (has_group_by) {
-      const int64_t* keys = batch.col(group_pos);
-      for (int r = 0; r < n; ++r) state->groups[keys[r]] += sums[r];
-    }
-  } else if (has_group_by) {
-    const int64_t* keys = batch.col(group_pos);
-    for (int r = 0; r < n; ++r) ++state->groups[keys[r]];
+  if (batch.multiplicity() == nullptr) {
+    FoldRows<false>(*this, batch, state);
+  } else {
+    FoldRows<true>(*this, batch, state);
   }
-  state->total += total;
-  state->rows_folded += n;
 }
 
 AggregateOperator::AggregateOperator(std::unique_ptr<PhysicalOperator> child,

@@ -8,7 +8,11 @@
 //
 //  * AggFold — an AggSpec resolved against a child schema (column positions
 //    for the SUM input and the group key). Folding is stateless w.r.t. the
-//    operator: any thread may fold batches through the same AggFold.
+//    operator: any thread may fold batches through the same AggFold. A
+//    batch row with multiplicity w (batch.h) folds as w identical rows:
+//    COUNT adds w, SUM adds v·w, per group alike. Values add and multiply
+//    in uint64_t, modulo 2^64, so v·w equals w repeated additions bit for
+//    bit and overflow wraps instead of being undefined.
 //  * PartialAggState — the mutable accumulator one thread folds into: a
 //    group -> value hash map for GROUP BY, a scalar total otherwise, plus
 //    the per-worker input-row counter that metrics.h's merge-once
@@ -63,7 +67,7 @@ struct AggSpec {
 struct PartialAggState {
   std::unordered_map<int64_t, int64_t> groups;  ///< GROUP BY only
   int64_t total = 0;      ///< SUM over all rows; row count for COUNT(*)
-  int64_t rows_folded = 0;  ///< input rows this partial consumed
+  int64_t rows_folded = 0;  ///< input tuples this partial consumed
 
   /// \brief Key-wise addition of `other` into this partial. Exact: COUNT
   /// and SUM are commutative + associative, so merged partials reproduce
@@ -85,7 +89,8 @@ struct AggFold {
   /// they are present).
   static AggFold Resolve(const AggSpec& spec, const OutputSchema& child_schema);
 
-  /// \brief Fold one batch into `state`.
+  /// \brief Fold one batch into `state`, each row weighted by its
+  /// multiplicity.
   void Fold(const Batch& batch, PartialAggState* state) const;
 };
 

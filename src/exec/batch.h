@@ -38,6 +38,21 @@
 // than any earlier write had. Values at positions >= num_rows (and scratch
 // positions a stride has not written) are stale garbage by design;
 // consumers must only read rows [0, num_rows).
+//
+// == Row multiplicities ==
+//
+// A batch row may stand for several identical logical tuples. On the
+// aggregate's top pipeline a hash join whose output takes no build-side
+// column emits each matched probe row once, with its number of matches as
+// the row's multiplicity (HashJoinOperator, hash_join.h), instead of
+// repeating the row per match. The multiplicity column exists only when
+// some row's multiplicity is not 1: scans, build pipelines and 1:1 joins
+// over such batches emit batches without one, in which every row counts
+// once.
+// Consumers weight each row by it: joins above carry it through, and the
+// aggregate folds COUNT as the sum of multiplicities and SUM as the sum of
+// value times multiplicity (aggregate.h). Every row counter (rows_out,
+// filter probed/passed, agg_rows_folded) counts logical tuples.
 #pragma once
 
 #include <algorithm>
@@ -89,12 +104,13 @@ using ScratchVector = std::vector<T, DefaultInitAllocator<T>>;
 struct Batch {
   int num_rows = 0;
 
-  /// \brief Prepare for refill with `num_columns` columns. O(1): storage
-  /// is allocated (or grown) by the first write after it, never here, and
-  /// old values are never cleared.
+  /// \brief Prepare for refill with `num_columns` columns and no
+  /// multiplicity column. O(1): storage is allocated (or grown) by the
+  /// first write after it, never here, and old values are never cleared.
   void Reset(int num_columns) {
     num_cols_ = num_columns;
     num_rows = 0;
+    has_multiplicity_ = false;
   }
 
   int num_cols() const { return num_cols_; }
@@ -117,14 +133,34 @@ struct Batch {
 
   bool Full() const { return num_rows >= kBatchSize; }
 
+  /// \brief Row multiplicities (see "Row multiplicities" above), or null
+  /// when the batch has no multiplicity column and every row counts once.
+  const int64_t* multiplicity() const {
+    return has_multiplicity_ ? multiplicity_.data() : nullptr;
+  }
+  /// \brief The multiplicity column for writing. The first call after a
+  /// Reset() adds the column, giving the rows [0, num_rows) already
+  /// written multiplicity 1.
+  int64_t* mutable_multiplicity() {
+    if (!has_multiplicity_) {
+      if (multiplicity_.empty()) multiplicity_.resize(kBatchSize);
+      std::fill_n(multiplicity_.data(), num_rows, int64_t{1});
+      has_multiplicity_ = true;
+    }
+    return multiplicity_.data();
+  }
+
  private:
   ScratchVector<int64_t> data_;  ///< num_cols_ * kBatchSize once written
+  ScratchVector<int64_t> multiplicity_;  ///< kBatchSize once first used
   int num_cols_ = 0;
+  bool has_multiplicity_ = false;
 };
 
 /// \brief Append `batch`'s rows to `rows` as row-major tuples of
 /// num_cols() values: one resize per batch, then one strided pass per
-/// column.
+/// column. Row multiplicities are not expanded: callers pass batches
+/// without them.
 inline void AppendRowMajor(const Batch& batch, std::vector<int64_t>* rows) {
   const size_t width = static_cast<size_t>(batch.num_cols());
   const size_t n = static_cast<size_t>(batch.num_rows);

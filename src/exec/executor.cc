@@ -52,10 +52,13 @@ bool FilterActive(const Plan& plan, int filter_id,
          !plan.filters[static_cast<size_t>(filter_id)].pruned;
 }
 
+/// Compile `node`'s subtree producing `required`. `top_spine`: the node
+/// lies on the aggregate's top probe pipeline (the root and, below it,
+/// probe children only), where joins may count their matches.
 std::unique_ptr<PhysicalOperator> CompileNode(
     const Plan& plan, const PlanNode& node,
     const std::vector<ColumnRef>& required, FilterRuntime* runtime,
-    const ExecutionOptions& options) {
+    const ExecutionOptions& options, bool top_spine) {
   const JoinGraph& graph = *plan.graph;
 
   if (node.kind == PlanNode::Kind::kLeaf) {
@@ -112,8 +115,10 @@ std::unique_ptr<PhysicalOperator> CompileNode(
     }
   }
 
-  auto build_op = CompileNode(plan, *node.build, build_req, runtime, options);
-  auto probe_op = CompileNode(plan, *node.probe, probe_req, runtime, options);
+  auto build_op = CompileNode(plan, *node.build, build_req, runtime, options,
+                              /*top_spine=*/false);
+  auto probe_op =
+      CompileNode(plan, *node.probe, probe_req, runtime, options, top_spine);
   const OutputSchema& build_schema = build_op->output_schema();
   const OutputSchema& probe_schema = probe_op->output_schema();
 
@@ -137,6 +142,13 @@ std::unique_ptr<PhysicalOperator> CompileNode(
       config.output_sources.emplace_back(false, ppos);
     }
   }
+  // A top-pipeline join whose output takes nothing from its build side
+  // would only repeat each probe row once per match for the aggregate to
+  // add up: it emits the row once with its match count instead.
+  config.counts_matches =
+      top_spine && std::none_of(config.output_sources.begin(),
+                                config.output_sources.end(),
+                                [](const auto& src) { return src.first; });
   if (node.created_filter >= 0 &&
       FilterActive(plan, node.created_filter, options)) {
     config.creates_filter_id = node.created_filter;
@@ -239,7 +251,8 @@ std::unique_ptr<AggregateOperator> CompilePlan(
         *plan.graph, agg.group_column, "GROUP BY column missing from its table");
     required.push_back(agg.group_column.ref());
   }
-  auto root = CompileNode(plan, *plan.root, required, runtime, options);
+  auto root = CompileNode(plan, *plan.root, required, runtime, options,
+                          /*top_spine=*/true);
   // One plan at every thread count: the aggregate drives the topmost probe
   // pipeline (scan -> probe -> ... -> probe) and every hash join its build
   // pipeline, each on options.exec's workers (pipeline.h).

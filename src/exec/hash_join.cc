@@ -5,7 +5,6 @@
 #include <string>
 #include <utility>
 
-#include "src/common/bit_util.h"
 #include "src/common/hash.h"
 #include "src/exec/pipeline.h"
 #include "src/exec/scan.h"
@@ -28,6 +27,24 @@ T* CarveArray(std::byte** next, size_t count) {
   return array;
 }
 
+/// Logical tuples behind `n` rows of multiplicities `mult` (null: each
+/// row counts once).
+int64_t TotalMultiplicity(const int64_t* mult, int n) {
+  if (mult == nullptr) return n;
+  int64_t total = 0;
+  for (int i = 0; i < n; ++i) total += mult[i];
+  return total;
+}
+
+/// Logical tuples behind the `m` selected candidates `sel`.
+int64_t SelectedMultiplicity(const int64_t* mult, const uint16_t* sel,
+                             int m) {
+  if (mult == nullptr) return m;
+  int64_t total = 0;
+  for (int j = 0; j < m; ++j) total += mult[sel[j]];
+  return total;
+}
+
 }  // namespace
 
 HashJoinOperator::HashJoinOperator(std::unique_ptr<PhysicalOperator> build,
@@ -46,6 +63,11 @@ HashJoinOperator::HashJoinOperator(std::unique_ptr<PhysicalOperator> build,
                config_.probe_key_positions.size());
   BQO_CHECK_LE(config_.build_key_positions.size(), size_t{8});
   build_width_ = build_->output_schema().size();
+  if (config_.counts_matches) {
+    for (const auto& src : config_.output_sources) {
+      BQO_CHECK_MSG(!src.first, "a counting join outputs no build column");
+    }
+  }
 
   // A residual filter whose key columns are exactly this join's equi-join
   // keys (in order, sourced from either side — the sides agree on every
@@ -133,30 +155,7 @@ std::shared_ptr<const JoinBuildSide> HashJoinOperator::ConstructBuildSide() {
     side->filter_size_bytes = side->filter->SizeBytes();
   }
 
-  // Bucketize: counting-sort the build rows by bucket. Each bucket's count
-  // lands in buckets[b]; the inclusive prefix sum turns it into the
-  // bucket's end; placing rows in ascending build order at --buckets[b]
-  // then leaves every bucket in descending build order and buckets[b] at
-  // its start (buckets[num_buckets] stays the entry count).
-  const size_t num_rows = hashes.size();
-  const uint64_t num_buckets = NextPow2(num_rows < 8 ? 16 : num_rows * 2);
-  const uint64_t mask = num_buckets - 1;
-  side->bucket_mask = mask;
-  side->buckets.assign(num_buckets + 1, 0);
-  int32_t* buckets = side->buckets.data();
-  for (const uint64_t h : hashes) ++buckets[h & mask];
-  int32_t end = 0;
-  for (uint64_t b = 0; b <= num_buckets; ++b) {
-    end += buckets[b];
-    buckets[b] = end;
-  }
-  side->entries.resize(num_rows);
-  for (size_t r = 0; r < num_rows; ++r) {
-    side->entries[static_cast<size_t>(--buckets[hashes[r] & mask])] =
-        JoinBuildSide::Entry{
-            hashes[r],
-            static_cast<int32_t>(r * static_cast<size_t>(build_width_))};
-  }
+  side->Bucketize(hashes);
 
   // As-if-built snapshot of the build scan's counters, replayed into a
   // hitting query's scan stats so leaf_tuples stays identical to a cold run.
@@ -253,10 +252,11 @@ void HashJoinOperator::AllocateProbeScratch(ProbeState* ps) const {
   const size_t residual_bytes =
       residual_hash_keys_ == 0 ? 0 : (1 + residual_hash_keys_) * kHashBytes;
   ps->scratch = std::make_unique_for_overwrite<std::byte[]>(
-      2 * kHashBytes + residual_bytes + 2 * kRowBytes + kSelBytes);
+      3 * kHashBytes + residual_bytes + 2 * kRowBytes + kSelBytes);
   std::byte* next = ps->scratch.get();
   ps->hashes = CarveArray<uint64_t>(&next, kBatchSize);
   ps->cand_hash = CarveArray<uint64_t>(&next, kBatchSize);
+  ps->cand_mult = CarveArray<int64_t>(&next, kBatchSize);
   if (residual_hash_keys_ > 0) {
     ps->rhashes = CarveArray<uint64_t>(&next, kBatchSize);
     ps->rkeys = CarveArray<int64_t>(&next, residual_hash_keys_ * kBatchSize);
@@ -267,8 +267,10 @@ void HashJoinOperator::AllocateProbeScratch(ProbeState* ps) const {
   ps->residual_stats.assign(config_.residual_filters.size(), FilterStats{});
 }
 
-void HashJoinOperator::HashProbeBatch(ProbeState* ps) const {
+void HashJoinOperator::StartProbeBatch(ProbeState* ps) const {
   const int n = ps->in.num_rows;
+  ps->cursor = 0;
+  ps->rows_in += TotalMultiplicity(ps->in.multiplicity(), n);
   const size_t nkeys = config_.probe_key_positions.size();
   const int64_t* key_cols[8];
   for (size_t k = 0; k < nkeys; ++k) {
@@ -301,7 +303,8 @@ bool HashJoinOperator::KeysEqual(const JoinBuildSide::Entry& entry,
   return true;
 }
 
-int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand) {
+int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand,
+                                      const int64_t* mult) {
   uint16_t* sel = ps->sel;
   for (int i = 0; i < ncand; ++i) sel[i] = static_cast<uint16_t>(i);
   int m = ncand;
@@ -367,9 +370,9 @@ int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand) {
       hashes = rhashes;
     }
     FilterStats& fs = ps->residual_stats[f];
-    fs.probed += m;
+    fs.probed += SelectedMultiplicity(mult, sel, m);
     m = FilterMayContainBatch(filter, hashes, sel, m);
-    fs.passed += m;
+    fs.passed += SelectedMultiplicity(mult, sel, m);
   }
   return m;
 }
@@ -385,16 +388,19 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
       return false;
     }
     AllocateProbeScratch(ps);
-    ps->cursor = 0;
-    HashProbeBatch(ps);
+    StartProbeBatch(ps);
   }
   const JoinBuildSide::Entry* entries = side_->entries.data();
   const int32_t* buckets = side_->buckets.data();
   const uint64_t bucket_mask = side_->bucket_mask;
   const bool single_key = config_.build_key_positions.size() == 1;
+  const bool counting = config_.counts_matches;
   int32_t* cand_build = ps->cand_build;
   int32_t* cand_probe = ps->cand_probe;
   uint64_t* cand_hash = ps->cand_hash;
+  int64_t* cand_mult = ps->cand_mult;
+  // The input's multiplicities; re-read whenever `in` is refilled.
+  const int64_t* in_mult = ps->in.multiplicity();
 
   while (!out->Full()) {
     // ---- Collect candidate matches (hash + key equality, pre-residual) --
@@ -422,12 +428,11 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
             ps->input_done = true;
             break;
           }
-          ps->cursor = 0;
-          HashProbeBatch(ps);
+          StartProbeBatch(ps);
+          in_mult = ps->in.multiplicity();
           continue;
         }
         probe_row = ps->cursor++;
-        ++ps->rows_in;
         h = ps->hashes[probe_row];
         const uint64_t b = h & bucket_mask;
         i = buckets[b];
@@ -443,19 +448,42 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
       // HashBijection.SingleKeyHashInvertsToItsKey in
       // tests/test_simd_kernels.cc), so only multi-key joins compare keys.
       const int first = ncand;
-      for (; i < end && ncand < capacity; ++i) {
-        if (entries[i].hash != h ||
-            (!single_key && !KeysEqual(entries[i], ps->in, probe_row))) {
-          continue;
+      if (counting) {
+        // One candidate per matched probe row, with its match count. A
+        // counting row takes one candidate slot, so its run is walked
+        // whole and never left pending; a pure bucket's single-key count
+        // is the run length.
+        int64_t count = 0;
+        if (single_key && entries[i].pure_bucket != 0) {
+          count = entries[i].hash == h ? end - i : 0;
+        } else {
+          for (; i < end; ++i) {
+            count += entries[i].hash == h &&
+                     (single_key || KeysEqual(entries[i], ps->in, probe_row));
+          }
         }
-        cand_build[ncand] = entries[i].row_start;
-        cand_probe[ncand] = probe_row;
-        cand_hash[ncand] = h;
-        ++ncand;
+        i = end;
+        if (count > 0) {
+          cand_probe[ncand] = probe_row;
+          cand_hash[ncand] = h;
+          cand_mult[ncand] = count;
+          ++ncand;
+        }
+      } else {
+        for (; i < end && ncand < capacity; ++i) {
+          if (entries[i].hash != h ||
+              (!single_key && !KeysEqual(entries[i], ps->in, probe_row))) {
+            continue;
+          }
+          cand_build[ncand] = entries[i].row_start;
+          cand_probe[ncand] = probe_row;
+          cand_hash[ncand] = h;
+          ++ncand;
+        }
       }
       if (ncand > first && !matched) {
         matched = true;
-        ++ps->rows_matched;
+        ps->rows_matched += in_mult == nullptr ? 1 : in_mult[probe_row];
       }
       ps->pending_entry = i;
       ps->pending_end = end;
@@ -463,20 +491,40 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
       ps->pending_matched = matched;
     }
     if (ncand == 0) break;  // input exhausted with nothing buffered
-    ps->rows_prefilter += ncand;
+
+    // A candidate's multiplicity is its match count times its probe row's
+    // multiplicity. A stride of single matches over input without
+    // multiplicities carries none (mult stays null: each counts once).
+    const int64_t* mult = nullptr;
+    if (counting || in_mult != nullptr) {
+      if (in_mult != nullptr) {
+        for (int j = 0; j < ncand; ++j) {
+          const int64_t w = in_mult[cand_probe[j]];
+          // Unsigned, so a product past INT64_MAX wraps instead of being
+          // undefined.
+          cand_mult[j] = counting ? static_cast<int64_t>(
+                                        static_cast<uint64_t>(cand_mult[j]) *
+                                        static_cast<uint64_t>(w))
+                                  : w;
+        }
+      }
+      mult = cand_mult;
+    }
+    ps->rows_prefilter += TotalMultiplicity(mult, ncand);
 
     // A join with residual filters compacts its candidates to the
     // survivors (the selection ascends, so in place), then every join
     // materializes the first m candidates the same way.
     int m = ncand;
     if (!config_.residual_filters.empty()) {
-      m = WinnowResiduals(ps, ncand);
+      m = WinnowResiduals(ps, ncand, mult);
       if (m == 0) continue;  // nothing to materialize
       if (m < ncand) {
         const uint16_t* sel = ps->sel;
         for (int j = 0; j < m; ++j) {
-          cand_build[j] = cand_build[sel[j]];
+          if (!counting) cand_build[j] = cand_build[sel[j]];
           cand_probe[j] = cand_probe[sel[j]];
+          if (mult != nullptr) cand_mult[j] = cand_mult[sel[j]];
         }
       }
     }
@@ -493,10 +541,17 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
         for (int j = 0; j < m; ++j) dst[j] = col[cand_probe[j]];
       }
     }
+    // The output gets a multiplicity column once some row's is not 1.
+    if (mult != nullptr &&
+        (out->multiplicity() != nullptr ||
+         std::any_of(mult, mult + m, [](int64_t w) { return w != 1; }))) {
+      std::copy_n(mult, m, out->mutable_multiplicity() + out->num_rows);
+    }
     out->num_rows += m;
+    ps->rows_out += TotalMultiplicity(mult, m);
   }
 
-  ps->rows_out += out->num_rows;
+  ps->rows_emitted += out->num_rows;
   return out->num_rows > 0;
 }
 
@@ -509,6 +564,7 @@ void HashJoinOperator::MergeProbeStats(const ProbeState& ps) {
   }
   stats_.rows_prefilter += ps.rows_prefilter;
   stats_.rows_out += ps.rows_out;
+  stats_.rows_emitted += ps.rows_emitted;
   stats_.probe_rows_in += ps.rows_in;
   stats_.probe_rows_matched += ps.rows_matched;
 }

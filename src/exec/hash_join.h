@@ -26,13 +26,33 @@
 // probed/passed and ObservedLambda equal to the one-worker counts at any
 // thread count.
 //
-// A probe row's candidates are the entries of its bucket's run whose hash
+// A probe row's matches are the entries of its bucket's run whose hash
 // equals the row's hash (and, for multi-key joins, whose keys compare
-// equal); they buffer into a candidate stride. Residual filters (probe
-// columns ≠ this join's equi-join keys) are probed batched over it: each
-// residual winnows a selection vector via MayContainBatch (hashing the
-// stride's keys in one pass), the stride compacts to the survivors, and one
-// copy loop materializes every join's output.
+// equal). Candidate collection buffers them into a candidate stride, in one
+// of two ways:
+//
+//  * one candidate per match, the join's output row per (build, probe)
+//    pair — every join that materializes a build-side column;
+//  * one candidate per *matched probe row*, carrying its number of matches
+//    as a row multiplicity (batch.h) — a *counting* join. CompileNode
+//    makes every join on the aggregate's top probe spine whose output
+//    takes no build-side column a counting one (Config::counts_matches):
+//    its output rows would only repeat the probe row once per match for
+//    the aggregate to add up. A pure bucket (build_side.h) gives a
+//    single-key join the count without walking the run.
+//
+// Either way a candidate's multiplicity is its match count (1 per match)
+// times the probe row's own multiplicity, so a join above a counting join
+// carries the multiplicity through, and a join that materializes build
+// columns gives each output row its probe row's multiplicity. Residual
+// filters (probe columns ≠ this join's equi-join keys) are probed batched
+// over the stride: each residual winnows a selection vector via
+// MayContainBatch (hashing the stride's keys in one pass), the stride
+// compacts to the survivors, and one copy loop materializes every join's
+// output. Row counters count logical tuples: rows_prefilter, rows_out,
+// probe_rows_in/_matched and residual probed/passed sum multiplicities,
+// so they equal the counts of a join that repeats rows; rows_emitted
+// counts the physical rows written.
 #pragma once
 
 #include <cstddef>
@@ -61,6 +81,11 @@ class HashJoinOperator final : public PhysicalOperator {
     /// the join's output schema.
     std::vector<ResolvedFilter> residual_filters;
     FilterConfig filter_config;
+    /// Emit each matched probe row once with its match count as the row
+    /// multiplicity instead of once per match. Only for joins whose output
+    /// takes no build-side column (the constructor CHECKs it), on the
+    /// aggregate's top pipeline: build pipelines take no multiplicities.
+    bool counts_matches = false;
     /// Threading knobs for the build phase: the build pipeline drains on
     /// that many workers (canonical-order reassembly, see pipeline.h) and,
     /// at threads > 1, the bitvector filter is created from per-worker
@@ -69,8 +94,9 @@ class HashJoinOperator final : public PhysicalOperator {
   };
 
   /// Per-consumer probe state: the input batch being drained, the
-  /// in-progress bucket run, candidate/selection scratch for the
-  /// batched residual probes, and private stats accumulators. Each
+  /// in-progress bucket run (never left pending by a counting join, which
+  /// walks a probe row's run in one go), candidate/selection scratch for
+  /// the batched residual probes, and private stats accumulators. Each
   /// pipeline worker owns one per join on its chain.
   /// A default-constructed state is ready to probe. MergeProbeStats folds
   /// the accumulators into the shared counters once the owner is quiesced,
@@ -93,23 +119,29 @@ class HashJoinOperator final : public PhysicalOperator {
     /// probe row.
     std::unique_ptr<std::byte[]> scratch;
     uint64_t* hashes = nullptr;  ///< composite key hash per row of `in`
-    // Candidate stride: matched (build row, probe row, probe hash) triples
-    // buffered ahead of the batched residual winnow.
-    int32_t* cand_build = nullptr;  ///< build-side row offsets
+    // Candidate stride: matched (build row, probe row, probe hash,
+    // multiplicity) tuples buffered ahead of the batched residual winnow.
+    int32_t* cand_build = nullptr;  ///< build-side row offsets (not counting)
     int32_t* cand_probe = nullptr;  ///< row indices into `in`
     uint64_t* cand_hash = nullptr;  ///< join-key probe hash per candidate
+    /// Multiplicity per candidate; written only for strides that carry
+    /// one (a counting join, or input with a multiplicity column).
+    int64_t* cand_mult = nullptr;
     uint16_t* sel = nullptr;        ///< surviving candidate positions
     uint64_t* rhashes = nullptr;    ///< residual hash scratch
     /// Residual key gather scratch: one kBatchSize stride per key of the
     /// widest residual filter that does not reuse the probe hash.
     int64_t* rkeys = nullptr;
-    // Private accumulators, merged once by MergeProbeStats.
+    // Private accumulators, merged once by MergeProbeStats. All but
+    // rows_emitted count logical tuples (multiplicities summed).
     /// Aligned with residual_filters once the scratch exists.
     std::vector<FilterStats> residual_stats;
     int64_t rows_prefilter = 0;
     int64_t rows_out = 0;
+    int64_t rows_emitted = 0;  ///< physical rows written to output batches
     // Probe-side match accounting (OperatorStats::probe_rows_in/_matched):
-    // rows_in counts consumed probe rows; rows_matched counts those whose
+    // rows_in counts consumed probe rows (every input batch is consumed
+    // whole, so it counts when loaded); rows_matched counts those whose
     // bucket run produced >= 1 hash+key match. pending_matched carries the
     // per-row "already counted" bit across a run that resumes in a later
     // ProbeNext call.
@@ -176,16 +208,19 @@ class HashJoinOperator final : public PhysicalOperator {
                      std::vector<uint64_t>* hashes) const;
   /// \brief Allocate `ps`'s scratch block and point its arrays into it.
   void AllocateProbeScratch(ProbeState* ps) const;
-  /// \brief Hash every row of ps->in into ps->hashes and prefetch the
-  /// bucket heads the stride is about to touch.
-  void HashProbeBatch(ProbeState* ps) const;
+  /// \brief Start on a freshly loaded ps->in: rewind the cursor, count
+  /// its rows into rows_in, hash every row into ps->hashes and prefetch
+  /// the bucket heads the stride is about to touch.
+  void StartProbeBatch(ProbeState* ps) const;
   /// \brief Key equality of a build entry and a probe row; multi-key joins
   /// only (a single-key join's hash equality already implies it).
   bool KeysEqual(const JoinBuildSide::Entry& entry, const Batch& batch,
                  int row) const;
   /// \brief Batched residual-filter pass over `ncand` buffered candidates:
-  /// winnows ps->sel in place and returns the surviving count.
-  int WinnowResiduals(ProbeState* ps, int ncand);
+  /// winnows ps->sel in place and returns the surviving count. `mult` is
+  /// the candidates' multiplicities (null: each counts once), which the
+  /// filters' probed/passed counters sum.
+  int WinnowResiduals(ProbeState* ps, int ncand, const int64_t* mult);
 
   std::unique_ptr<PhysicalOperator> build_;
   std::unique_ptr<PhysicalOperator> probe_;

@@ -17,8 +17,16 @@ struct OperatorStats {
   OperatorType type = OperatorType::kScan;
   std::string label;
   int plan_node_id = -1;
+  // Row counters count logical tuples: a batch row with multiplicity w
+  // (src/exec/batch.h) counts w times, so a join that counts its matches
+  // instead of repeating probe rows reports what a repeating join would.
   int64_t rows_out = 0;         ///< after residual bitvector filters
   int64_t rows_prefilter = 0;   ///< before bitvector filters at this op
+  /// Physical rows a hash join wrote to its output batches (kHashJoin
+  /// only), merged once per worker like the counters above. Below
+  /// rows_out exactly when the join emitted matched probe rows with their
+  /// match counts instead of one row per match.
+  int64_t rows_emitted = 0;
 
   // == Probe-side match accounting (kHashJoin only) ==
   //
@@ -67,7 +75,8 @@ struct OperatorStats {
   // workers. agg_rows_folded is therefore exactly the one-worker
   // aggregate's input row count at every thread count.
 
-  /// Input rows folded into (partial) aggregate state at this operator.
+  /// Input rows folded into (partial) aggregate state at this operator,
+  /// each weighted by its multiplicity (logical tuples).
   int64_t agg_rows_folded = 0;
   /// Sum of per-worker partial group-map sizes before the merge (the
   /// group count itself on one worker). >= the final NumGroups() whenever

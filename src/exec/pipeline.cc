@@ -184,6 +184,10 @@ class RowsSink final : public PipelineSink {
   }
 
   void Consume(int worker, const Batch& batch) override {
+    // Only joins on the aggregate's top pipeline count matches, so a build
+    // pipeline's batches carry no multiplicities to expand.
+    BQO_CHECK_MSG(batch.multiplicity() == nullptr,
+                  "a build pipeline produced row multiplicities");
     AppendRowMajor(batch,
                    worker_chunks_.empty()
                        ? rows_

@@ -30,6 +30,11 @@
 //    into its own PartialAggState (aggregate.h); the fold commutes, so the
 //    merged group map, total and checksum equal the one-worker fold.
 //
+// Only the top pipeline's batches may carry row multiplicities (batch.h):
+// its joins that output no build column count their matches instead of
+// repeating probe rows. A build pipeline's joins never count, and
+// DrainPipeline CHECKs that its batches carry none.
+//
 // With exec.threads == 1 the single worker runs inline on the caller: the
 // scan's morsel is the whole table, no pool task is spawned and no chunk
 // is copied. With N > 1 workers the loop runs as N tasks on the shared

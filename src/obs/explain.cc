@@ -42,6 +42,7 @@ void WalkNode(const Plan& plan, const PlanNode& node, int depth,
     row.label = op->label;
     row.actual_rows = op->rows_out;
     row.actual_prefilter = op->rows_prefilter;
+    row.actual_emitted = op->rows_emitted;
     row.ns_inclusive = op->ns_inclusive;
     row.ns_self = op->ns_self;
     row.worker_cpu_ns = op->worker_cpu_ns;
@@ -147,6 +148,10 @@ std::string RenderExplainAnalyze(const ExplainReport& report) {
         op.est_prefilter, static_cast<long long>(op.actual_prefilter),
         static_cast<double>(std::max<int64_t>(0, op.ns_self)) / 1e6,
         op.time_share * 100.0);
+    if (!op.is_leaf && op.actual_emitted != op.actual_rows) {
+      out += StringFormat(" [emitted %lld rows]",
+                          static_cast<long long>(op.actual_emitted));
+    }
     if (op.parallel_workers > 0) {
       out += StringFormat(" [%d workers, worker cpu %.3f ms]",
                           op.parallel_workers,

@@ -55,6 +55,10 @@ struct OperatorExplainRow {
   double est_prefilter = 0;   ///< before filters applied at this node
   int64_t actual_rows = 0;
   int64_t actual_prefilter = 0;
+  /// Physical rows a join wrote (OperatorStats::rows_emitted); below
+  /// actual_rows when the join counted its matches instead of repeating
+  /// probe rows. 0 for scans.
+  int64_t actual_emitted = 0;
   int64_t ns_inclusive = 0;
   int64_t ns_self = 0;
   int64_t worker_cpu_ns = 0;

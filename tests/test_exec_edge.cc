@@ -17,7 +17,8 @@
 // an empty build side. DeferredProbeScratch runs it, cold and on a
 // BuildCache hit, over joins that no probe row (or only a late one)
 // reaches, and pins a Batch's storage across Resets. AggFold pins the
-// per-batch aggregate fold to a naive row loop.
+// per-batch aggregate fold to a naive row loop, and a weighted batch's
+// fold to that of its expanded copy near INT64_MAX.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -36,6 +37,8 @@
 namespace bqo {
 namespace {
 
+using ::bqo::testing::AddRow;
+using ::bqo::testing::AddTable;
 using ::bqo::testing::MakeStarDb;
 
 TEST(ExecEdge, PredicateSelectingNothingYieldsEmptyJoin) {
@@ -192,21 +195,6 @@ TEST(ExecEdge, SingleRelationPlanExecutes) {
 }
 
 // ---- Right-sized scratch: composite filter paths ----
-
-Table* AddTable(testing::TestDb* db, const std::string& name,
-                const std::vector<std::string>& columns) {
-  std::vector<FieldDef> fields;
-  for (const std::string& c : columns) {
-    fields.push_back({c, DataType::kInt64});
-  }
-  return db->catalog.CreateTable(name, fields).ValueOrDie();
-}
-
-void AddRow(Table* table, const std::vector<int64_t>& values) {
-  std::vector<Value> row;
-  for (int64_t v : values) row.push_back(Value(v));
-  ASSERT_TRUE(table->AppendRow(row).ok());
-}
 
 /// a(x, y, z, measure) joins b on the pair (x, y) and c on z. With `a`
 /// deepest in the right-deep plan, b's two-key filter on (a.x, a.y) and
@@ -776,6 +764,62 @@ TEST(AggFold, FoldsBatchesLikeARowLoop) {
     EXPECT_EQ(state.rows_folded, naive.rows_folded) << c.name;
     EXPECT_EQ(state.groups, naive.groups) << c.name;
     EXPECT_EQ(state.groups.empty(), !c.grouped) << c.name;
+  }
+}
+
+TEST(AggFold, WeightedRowsFoldLikeTheirExpandedCopyNearInt64Max) {
+  // Values within 2^20 of INT64_MAX and INT64_MIN, so every SUM wraps: a
+  // row of multiplicity w must fold exactly as w copies of it, and no add
+  // or multiply may be signed overflow (UBSan builds make that fatal).
+  const OutputSchema schema({ColumnRef{0, 0}, ColumnRef{0, 1}});
+  std::mt19937_64 rng(0x5eed0f01d);
+  constexpr int kRows = 700;
+  Batch weighted;
+  weighted.Reset(2);
+  weighted.num_rows = kRows;
+  int64_t* mult = weighted.mutable_multiplicity();
+  std::vector<Batch> expanded(1);
+  expanded.back().Reset(2);
+  for (int r = 0; r < kRows; ++r) {
+    const int64_t offset = static_cast<int64_t>(rng() % (1 << 20));
+    const int64_t g = static_cast<int64_t>(rng() % 5);
+    const int64_t v = r % 2 == 0 ? INT64_MAX - offset : INT64_MIN + offset;
+    const int64_t w = 1 + static_cast<int64_t>(rng() % 4);
+    weighted.col(0)[r] = g;
+    weighted.col(1)[r] = v;
+    mult[r] = w;
+    for (int64_t copy = 0; copy < w; ++copy) {
+      if (expanded.back().Full()) {
+        expanded.emplace_back();
+        expanded.back().Reset(2);
+      }
+      Batch& b = expanded.back();
+      b.col(0)[b.num_rows] = g;
+      b.col(1)[b.num_rows] = v;
+      ++b.num_rows;
+    }
+  }
+  ASSERT_GT(expanded.size(), 1u);
+
+  for (const bool grouped : {false, true}) {
+    for (const AggKind kind : {AggKind::kCountStar, AggKind::kSum}) {
+      AggSpec spec;
+      spec.kind = kind;
+      spec.sum_column = BoundColumn{0, "v", 1};
+      spec.has_group_by = grouped;
+      spec.group_column = BoundColumn{0, "g", 0};
+      const AggFold fold = AggFold::Resolve(spec, schema);
+      PartialAggState once;
+      fold.Fold(weighted, &once);
+      PartialAggState copies;
+      for (const Batch& b : expanded) fold.Fold(b, &copies);
+      const std::string what = std::string(grouped ? "grouped " : "") +
+                               (kind == AggKind::kSum ? "SUM" : "COUNT(*)");
+      EXPECT_EQ(once.total, copies.total) << what;
+      EXPECT_EQ(once.groups, copies.groups) << what;
+      EXPECT_EQ(once.rows_folded, copies.rows_folded) << what;
+      EXPECT_GT(once.rows_folded, kRows) << what;
+    }
   }
 }
 

@@ -1,16 +1,19 @@
 // Shared fixtures: tiny synthetic star / chain / snowflake databases whose
 // exact cardinalities the theorem-validation tests can afford to enumerate,
-// and ReferenceJoin, the engine-independent answer the executor tests pin
-// hash-join results to.
+// hand-filled int64 tables (AddTable / AddRow), and ReferenceJoin, the
+// engine-independent answer (COUNT, SUM and GROUP BY, with the result
+// checksum) the executor tests pin hash-join results to.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "src/common/hash.h"
 #include "src/common/rng.h"
 #include "src/common/string_util.h"
 #include "src/expr/expr.h"
@@ -25,6 +28,23 @@ struct TestDb {
 
   Result<JoinGraph> Graph() const { return BuildJoinGraph(catalog, spec); }
 };
+
+/// \brief Add an all-int64 table named `name` to `db`'s catalog.
+inline Table* AddTable(TestDb* db, const std::string& name,
+                       const std::vector<std::string>& columns) {
+  std::vector<FieldDef> fields;
+  for (const std::string& c : columns) {
+    fields.push_back({c, DataType::kInt64});
+  }
+  return db->catalog.CreateTable(name, fields).ValueOrDie();
+}
+
+/// \brief Append one row of int64 values to `table`.
+inline void AddRow(Table* table, const std::vector<int64_t>& values) {
+  std::vector<Value> row;
+  for (int64_t v : values) row.push_back(Value(v));
+  BQO_CHECK(table->AppendRow(row).ok());
+}
 
 /// \brief Row-at-a-time reference semantics of `expr` on row `row` of
 /// `table`, independent of the engine's evaluator: it reads values through
@@ -102,22 +122,34 @@ inline std::vector<uint8_t> NaiveSelection(const Table& table,
   return out;
 }
 
-/// \brief COUNT(*) and SUM(measure of relation 0) of a query's join.
+/// \brief A query's join, aggregated. `count` and `sum` are COUNT(*) and
+/// SUM(measure of relation 0); the rest is the query's own aggregate
+/// (QuerySpec::agg).
 struct ReferenceResult {
   int64_t count = 0;
   int64_t sum = 0;
+  /// The spec's total: COUNT(*) or SUM of its column, over all groups.
+  int64_t total = 0;
+  /// Value per group key; empty without GROUP BY.
+  std::map<int64_t, int64_t> groups;
+  /// The result checksum as AggregateOperator::ResultChecksum defines it:
+  /// the sum over groups of Mix64(HashCombine(HashValue(key), value)), or
+  /// HashValue(total) without GROUP BY.
+  uint64_t checksum = 0;
 };
 
-/// \brief Brute-force answer of `db.spec`, independent of the engine: no
-/// operator, filter, optimizer or SIMD code. Relations join in spec order
-/// over row-id tuples. Each relation's passing rows (NaiveSelection of its
-/// predicate) go into one std::unordered_multimap keyed on the column of
-/// its first join condition with the relations already joined; further
-/// conditions between them are checked by value. Every relation after the
-/// first must join an earlier one (no cross products), and relation 0 must
-/// have a `measure` column.
+/// \brief Brute-force answer of `db.spec`, independent of the engine: no operator, filter, optimizer or SIMD code. Relations join in
+/// spec order over row-id tuples. Each relation's passing rows
+/// (NaiveSelection of its predicate) go into one std::unordered_multimap
+/// keyed on the column of its first join condition with the relations
+/// already joined; further conditions between them are checked by value.
+/// Every relation after the first must join an earlier one (no cross
+/// products), and relation 0 must have a `measure` column. The columns of
+/// the spec's AggSpec name spec relations by index (BoundColumn::rel);
+/// values add in uint64_t, wrapping modulo 2^64 as the engine's fold does.
 inline ReferenceResult ReferenceJoin(const TestDb& db) {
   const std::vector<QueryRelation>& rels = db.spec.relations;
+  const AggSpec& agg = db.spec.agg;
   BQO_CHECK(!rels.empty());
   std::vector<const Table*> tables;
   for (const QueryRelation& rel : rels) {
@@ -185,12 +217,43 @@ inline ReferenceResult ReferenceJoin(const TestDb& db) {
     tuples = std::move(joined);
   }
 
+  // The spec's SUM input and group key: a column of one spec relation.
+  struct AggInput {
+    size_t rel = 0;
+    const Column* col = nullptr;
+    int64_t Of(const int64_t* tuple) const {
+      return col->GetInt64(tuple[rel]);
+    }
+  };
+  const auto resolve = [&](const BoundColumn& c) {
+    BQO_CHECK(c.rel >= 0 && static_cast<size_t>(c.rel) < rels.size());
+    const auto rel = static_cast<size_t>(c.rel);
+    return AggInput{rel, tables[rel]->GetColumn(c.column).value()};
+  };
+  const bool is_sum = agg.kind == AggKind::kSum;
+  const AggInput sum_in = is_sum ? resolve(agg.sum_column) : AggInput{};
+  const AggInput group_in =
+      agg.has_group_by ? resolve(agg.group_column) : AggInput{};
+
   ReferenceResult result;
   const Column* measure = tables[0]->GetColumn("measure").value();
+  uint64_t total = 0;
+  std::map<int64_t, uint64_t> groups;
   for (size_t t = 0; t < tuples.size(); t += rels.size()) {
+    const int64_t* tuple = tuples.data() + t;
     ++result.count;
-    result.sum += measure->GetInt64(tuples[t]);
+    result.sum += measure->GetInt64(tuple[0]);
+    const uint64_t v = is_sum ? static_cast<uint64_t>(sum_in.Of(tuple)) : 1;
+    total += v;
+    if (agg.has_group_by) groups[group_in.Of(tuple)] += v;
   }
+  result.total = static_cast<int64_t>(total);
+  for (const auto& [key, value] : groups) {
+    result.groups[key] = static_cast<int64_t>(value);
+    result.checksum +=
+        Mix64(HashCombine(HashValue(static_cast<uint64_t>(key)), value));
+  }
+  if (!agg.has_group_by) result.checksum = HashValue(total);
   return result;
 }
 
