@@ -2,18 +2,13 @@
 
 #include <utility>
 
+#include "src/common/bit_util.h"
 #include "src/common/hash.h"
 #include "src/exec/pipeline.h"
 
 namespace bqo {
 
 namespace {
-
-/// `*acc += v` modulo 2^64: aggregate values fold and merge in unsigned
-/// arithmetic, so overflow wraps instead of being undefined.
-void AddWrapping(int64_t* acc, uint64_t v) {
-  *acc = static_cast<int64_t>(static_cast<uint64_t>(*acc) + v);
-}
 
 /// One batch's fold, with the kind and grouping branches outside the row
 /// loops and each loop summing into a local. kWeighted: the batch carries
@@ -54,7 +49,7 @@ void FoldRows(const AggFold& fold, const Batch& batch,
     for (int r = 0; r < n; ++r) AddWrapping(&state->groups[keys[r]], weight(r));
   }
   AddWrapping(&state->total, total);
-  state->rows_folded += static_cast<int64_t>(rows);
+  AddWrapping(&state->rows_folded, rows);
 }
 
 }  // namespace
@@ -68,7 +63,7 @@ void PartialAggState::MergeFrom(PartialAggState&& other) {
     }
   }
   AddWrapping(&total, static_cast<uint64_t>(other.total));
-  rows_folded += other.rows_folded;
+  AddWrapping(&rows_folded, static_cast<uint64_t>(other.rows_folded));
 }
 
 AggFold AggFold::Resolve(const AggSpec& spec,

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 
+#include "src/common/bit_util.h"
 #include "src/common/string_util.h"
 #include "src/common/thread_clock.h"
 #include "src/exec/hash_join.h"
@@ -200,7 +201,10 @@ void CollectStats(PhysicalOperator* op, QueryMetrics* metrics) {
       metrics->leaf_tuples += stats.rows_out;
       break;
     case OperatorType::kHashJoin:
-      metrics->join_tuples += stats.rows_out;
+      // Logical tuples, which counting joins can multiply past INT64_MAX:
+      // they add modulo 2^64 (metrics.h).
+      AddWrapping(&metrics->join_tuples,
+                  static_cast<uint64_t>(stats.rows_out));
       break;
     case OperatorType::kAggregate:
       metrics->other_tuples += stats.rows_out;

@@ -5,6 +5,7 @@
 #include <string>
 #include <utility>
 
+#include "src/common/bit_util.h"
 #include "src/common/hash.h"
 #include "src/exec/pipeline.h"
 #include "src/exec/scan.h"
@@ -28,20 +29,20 @@ T* CarveArray(std::byte** next, size_t count) {
 }
 
 /// Logical tuples behind `n` rows of multiplicities `mult` (null: each
-/// row counts once).
-int64_t TotalMultiplicity(const int64_t* mult, int n) {
-  if (mult == nullptr) return n;
-  int64_t total = 0;
-  for (int i = 0; i < n; ++i) total += mult[i];
+/// row counts once), modulo 2^64 like every logical counter they feed.
+uint64_t TotalMultiplicity(const int64_t* mult, int n) {
+  if (mult == nullptr) return static_cast<uint64_t>(n);
+  uint64_t total = 0;
+  for (int i = 0; i < n; ++i) total += static_cast<uint64_t>(mult[i]);
   return total;
 }
 
 /// Logical tuples behind the `m` selected candidates `sel`.
-int64_t SelectedMultiplicity(const int64_t* mult, const uint16_t* sel,
-                             int m) {
-  if (mult == nullptr) return m;
-  int64_t total = 0;
-  for (int j = 0; j < m; ++j) total += mult[sel[j]];
+uint64_t SelectedMultiplicity(const int64_t* mult, const uint16_t* sel,
+                              int m) {
+  if (mult == nullptr) return static_cast<uint64_t>(m);
+  uint64_t total = 0;
+  for (int j = 0; j < m; ++j) total += static_cast<uint64_t>(mult[sel[j]]);
   return total;
 }
 
@@ -72,7 +73,7 @@ HashJoinOperator::HashJoinOperator(std::unique_ptr<PhysicalOperator> build,
   // A residual filter whose key columns are exactly this join's equi-join
   // keys (in order, sourced from either side — the sides agree on every
   // matched row) hashes to the probe-row hash already computed by
-  // HashProbeBatch; flag those so WinnowResiduals can skip the recompute.
+  // StartProbeBatch; flag those so WinnowResiduals can skip the recompute.
   residual_uses_probe_hash_.reserve(config_.residual_filters.size());
   const size_t nkeys = config_.build_key_positions.size();
   for (const ResolvedFilter& rf : config_.residual_filters) {
@@ -270,7 +271,7 @@ void HashJoinOperator::AllocateProbeScratch(ProbeState* ps) const {
 void HashJoinOperator::StartProbeBatch(ProbeState* ps) const {
   const int n = ps->in.num_rows;
   ps->cursor = 0;
-  ps->rows_in += TotalMultiplicity(ps->in.multiplicity(), n);
+  AddWrapping(&ps->rows_in, TotalMultiplicity(ps->in.multiplicity(), n));
   const size_t nkeys = config_.probe_key_positions.size();
   const int64_t* key_cols[8];
   for (size_t k = 0; k < nkeys; ++k) {
@@ -370,9 +371,9 @@ int HashJoinOperator::WinnowResiduals(ProbeState* ps, int ncand,
       hashes = rhashes;
     }
     FilterStats& fs = ps->residual_stats[f];
-    fs.probed += SelectedMultiplicity(mult, sel, m);
+    AddWrapping(&fs.probed, SelectedMultiplicity(mult, sel, m));
     m = FilterMayContainBatch(filter, hashes, sel, m);
-    fs.passed += SelectedMultiplicity(mult, sel, m);
+    AddWrapping(&fs.passed, SelectedMultiplicity(mult, sel, m));
   }
   return m;
 }
@@ -483,7 +484,10 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
       }
       if (ncand > first && !matched) {
         matched = true;
-        ps->rows_matched += in_mult == nullptr ? 1 : in_mult[probe_row];
+        AddWrapping(&ps->rows_matched,
+                    in_mult == nullptr
+                        ? 1
+                        : static_cast<uint64_t>(in_mult[probe_row]));
       }
       ps->pending_entry = i;
       ps->pending_end = end;
@@ -510,7 +514,7 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
       }
       mult = cand_mult;
     }
-    ps->rows_prefilter += TotalMultiplicity(mult, ncand);
+    AddWrapping(&ps->rows_prefilter, TotalMultiplicity(mult, ncand));
 
     // A join with residual filters compacts its candidates to the
     // survivors (the selection ascends, so in place), then every join
@@ -541,14 +545,22 @@ bool HashJoinOperator::ProbeNext(Batch* out, ProbeState* ps,
         for (int j = 0; j < m; ++j) dst[j] = col[cand_probe[j]];
       }
     }
-    // The output gets a multiplicity column once some row's is not 1.
-    if (mult != nullptr &&
-        (out->multiplicity() != nullptr ||
+    // The output gets a multiplicity column once some row's is not 1; once
+    // it has one, every later stride writes it too, as ones when the
+    // stride carries none (`out` may be filled from several input batches,
+    // not all of which have a multiplicity column).
+    if (out->multiplicity() != nullptr ||
+        (mult != nullptr &&
          std::any_of(mult, mult + m, [](int64_t w) { return w != 1; }))) {
-      std::copy_n(mult, m, out->mutable_multiplicity() + out->num_rows);
+      int64_t* dst = out->mutable_multiplicity() + out->num_rows;
+      if (mult != nullptr) {
+        std::copy_n(mult, m, dst);
+      } else {
+        std::fill_n(dst, m, int64_t{1});
+      }
     }
     out->num_rows += m;
-    ps->rows_out += TotalMultiplicity(mult, m);
+    AddWrapping(&ps->rows_out, TotalMultiplicity(mult, m));
   }
 
   ps->rows_emitted += out->num_rows;
@@ -559,14 +571,17 @@ void HashJoinOperator::MergeProbeStats(const ProbeState& ps) {
   for (size_t f = 0; f < ps.residual_stats.size(); ++f) {
     FilterStats* dst = &runtime_->stats[static_cast<size_t>(
         config_.residual_filters[f].filter_id)];
-    dst->probed += ps.residual_stats[f].probed;
-    dst->passed += ps.residual_stats[f].passed;
+    AddWrapping(&dst->probed,
+                static_cast<uint64_t>(ps.residual_stats[f].probed));
+    AddWrapping(&dst->passed,
+                static_cast<uint64_t>(ps.residual_stats[f].passed));
   }
-  stats_.rows_prefilter += ps.rows_prefilter;
-  stats_.rows_out += ps.rows_out;
+  AddWrapping(&stats_.rows_prefilter, static_cast<uint64_t>(ps.rows_prefilter));
+  AddWrapping(&stats_.rows_out, static_cast<uint64_t>(ps.rows_out));
   stats_.rows_emitted += ps.rows_emitted;
-  stats_.probe_rows_in += ps.rows_in;
-  stats_.probe_rows_matched += ps.rows_matched;
+  AddWrapping(&stats_.probe_rows_in, static_cast<uint64_t>(ps.rows_in));
+  AddWrapping(&stats_.probe_rows_matched,
+              static_cast<uint64_t>(ps.rows_matched));
 }
 
 void HashJoinOperator::Close() {

@@ -44,15 +44,18 @@
 // Either way a candidate's multiplicity is its match count (1 per match)
 // times the probe row's own multiplicity, so a join above a counting join
 // carries the multiplicity through, and a join that materializes build
-// columns gives each output row its probe row's multiplicity. Residual
+// columns gives each output row its probe row's multiplicity. An output
+// batch is filled from as many input batches as it takes, so once it has a
+// multiplicity column every row written after gets an entry (1 for rows of
+// an input batch without one). Residual
 // filters (probe columns ≠ this join's equi-join keys) are probed batched
 // over the stride: each residual winnows a selection vector via
 // MayContainBatch (hashing the stride's keys in one pass), the stride
 // compacts to the survivors, and one copy loop materializes every join's
 // output. Row counters count logical tuples: rows_prefilter, rows_out,
 // probe_rows_in/_matched and residual probed/passed sum multiplicities,
-// so they equal the counts of a join that repeats rows; rows_emitted
-// counts the physical rows written.
+// so they equal the counts of a join that repeats rows (modulo 2^64, see
+// metrics.h); rows_emitted counts the physical rows written.
 #pragma once
 
 #include <cstddef>

@@ -20,6 +20,9 @@ struct OperatorStats {
   // Row counters count logical tuples: a batch row with multiplicity w
   // (src/exec/batch.h) counts w times, so a join that counts its matches
   // instead of repeating probe rows reports what a repeating join would.
+  // Logical counters add modulo 2^64 (AddWrapping, src/common/bit_util.h):
+  // stacked counting joins can reach counts past INT64_MAX that no
+  // repeating join would have finished producing.
   int64_t rows_out = 0;         ///< after residual bitvector filters
   int64_t rows_prefilter = 0;   ///< before bitvector filters at this op
   /// Physical rows a hash join wrote to its output batches (kHashJoin
@@ -142,9 +145,11 @@ struct QueryMetrics {
   std::vector<OperatorStats> operators;
   std::vector<FilterStats> filters;
 
-  /// \brief Sum of post-filter operator outputs (the executed-plan Cout).
+  /// \brief Sum of post-filter operator outputs (the executed-plan Cout),
+  /// modulo 2^64 like join_tuples.
   int64_t TotalIntermediateTuples() const {
-    return leaf_tuples + join_tuples;
+    return static_cast<int64_t>(static_cast<uint64_t>(leaf_tuples) +
+                                static_cast<uint64_t>(join_tuples));
   }
 };
 

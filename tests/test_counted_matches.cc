@@ -7,13 +7,15 @@
 // many, so a join's output is many times its probe input: one key and two
 // keys, pure and mixed buckets (src/exec/build_side.h), a residual filter
 // on a counting join, counting joins stacked on the spine, and a counting
-// join below a join that materializes build columns. Each query runs under
-// COUNT(*), SUM or GROUP BY at threads {1, 4}, cold and again on a
-// BuildCache hit. Its result must equal testing::ReferenceJoin (total,
-// group count and checksum), and every join's and filter's counters the
-// cold single-threaded run, while the fan-out join writes fewer rows
-// (rows_emitted) than the logical tuples it reports (rows_out); EXPLAIN
-// ANALYZE prints the physical count next to the logical one.
+// join below a join that materializes build columns (also one that fills
+// an output batch from input batches with and without multiplicities).
+// Each query runs under COUNT(*), SUM or GROUP BY at threads {1, 4}, cold
+// and again on a BuildCache hit. Its result must equal
+// testing::ReferenceJoin (total, group count and checksum), and every
+// join's and filter's counters the cold single-threaded run, while the
+// fan-out join writes fewer rows (rows_emitted) than the logical tuples it
+// reports (rows_out); EXPLAIN ANALYZE prints the physical count next to
+// the logical one.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -380,6 +382,89 @@ TEST(CountedMatches, MaterializingJoinAboveACountingJoin) {
     EXPECT_EQ(base.joins[1].rows_emitted, base.joins[1].probe_rows_matched);
     EXPECT_LT(base.joins[1].rows_emitted, base.joins[1].rows_out);
     EXPECT_LT(base.joins[0].rows_emitted, base.joins[0].rows_out);
+  }
+}
+
+TEST(CountedMatches, MaterializingJoinFillsOneBatchFromWeightedAndUnweighted) {
+  // The d0 join counts: its output batches over p's first rows (keys with
+  // 2 to 6 d0 rows each) carry multiplicities, and those over the 3400
+  // rows after them (keys with exactly one d0 row) carry none. The root
+  // materializes d1.v and keeps about 40% of its probe rows (no filter is
+  // pushed down to p), so it fills one output batch from several input
+  // batches of either kind; rows from an unweighted one must count once.
+  testing::TestDb db;
+  Table* p = AddTable(&db, "p", {"k0", "k1", "g", "measure"});
+  for (int64_t i = 0; i < 4000; ++i) {
+    const int64_t k0 = i < 600 ? i % 20 : 100 + i % 50;
+    AddRow(p, {k0, (i * 7) % 31, i % 5, i % 13});
+  }
+  Table* d0 = AddTable(&db, "d0", {"k", "v"});
+  for (int64_t k = 0; k < 20; ++k) {
+    for (int64_t j = 0; j < k % 5 + 2; ++j) AddRow(d0, {k, j});
+  }
+  for (int64_t k = 100; k < 150; ++k) AddRow(d0, {k, 0});
+  Table* d1 = AddTable(&db, "d1", {"id", "attr0", "v"});
+  for (int64_t id = 0; id < 30; ++id) AddRow(d1, {id, id % 10, id % 4});
+  db.spec.relations = {{"p", "p", nullptr},
+                       {"d0", "d0", nullptr},
+                       {"d1", "d1", Lt("attr0", 4)}};
+  db.spec.joins = {{"p", "k0", "d0", "k"}, {"p", "k1", "d1", "id"}};
+  auto graph = db.Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = BuildRightDeepPlan(graph.value(), {0, 1, 2});
+  for (const AggSpec& agg :
+       {GroupedBy(Count(), 2, "v"), GroupedBy(Sum(0, "measure"), 2, "v")}) {
+    db.spec.agg = agg;
+    const CountedRun base = ExpectCountedParity(db, plan);
+    ASSERT_EQ(base.joins.size(), 2u);
+    EXPECT_LT(base.joins[1].rows_emitted, base.joins[1].rows_out);
+    EXPECT_LT(base.joins[0].rows_out, base.joins[1].rows_out);  // selective
+  }
+}
+
+TEST(CountedMatches, StackedCountsPastInt64MaxWrapLikeTheFold) {
+  // Five counting joins of 10^4 matches each: every probe row stands for
+  // 10^20 tuples, past 2^64. Multiplicities, the aggregate and every
+  // logical counter wrap modulo 2^64 (no signed overflow, which UBSan
+  // builds abort on), so they equal uint64_t arithmetic on the true
+  // counts.
+  testing::TestDb db;
+  Table* p = AddTable(&db, "p", {"k1", "k2", "k3", "k4", "k5", "measure"});
+  const std::vector<int64_t> measures = {3, -7, 11};
+  for (int64_t m : measures) AddRow(p, {0, 0, 0, 0, 0, m});
+  db.spec.relations = {{"p", "p", nullptr}};
+  for (int i = 1; i <= 5; ++i) {
+    const std::string name = "d" + std::to_string(i);
+    Table* d = AddTable(&db, name, {"k"});
+    for (int j = 0; j < 10000; ++j) AddRow(d, {0});
+    db.spec.relations.push_back({name, name, nullptr});
+    db.spec.joins.push_back({"p", "k" + std::to_string(i), name, "k"});
+  }
+  auto graph = db.Graph();
+  ASSERT_TRUE(graph.ok());
+  const Plan plan = RightDeepInRelationOrder(graph.value());
+  uint64_t per_row[6] = {1};  // per probe row, after j joins
+  for (int j = 1; j <= 5; ++j) per_row[j] = per_row[j - 1] * 10000;
+  uint64_t sum = 0;
+  for (int64_t m : measures) sum += static_cast<uint64_t>(m) * per_row[5];
+  const uint64_t rows = per_row[5] * measures.size();
+  for (int threads : {1, 4}) {
+    const CountedRun count = RunCounted(plan, Count(), threads,
+                                        FilterKind::kBlockedBloom, nullptr);
+    EXPECT_EQ(count.total, static_cast<int64_t>(rows));
+    EXPECT_EQ(count.rows_folded, static_cast<int64_t>(rows));
+    ASSERT_EQ(count.joins.size(), 5u);
+    for (int j = 1; j <= 5; ++j) {
+      // joins[0] is the root, the fifth join above p's scan.
+      const OperatorStats& join = count.joins[static_cast<size_t>(5 - j)];
+      EXPECT_EQ(join.rows_out,
+                static_cast<int64_t>(per_row[j] * measures.size()))
+          << "join " << j;
+      EXPECT_EQ(join.rows_emitted, static_cast<int64_t>(measures.size()));
+    }
+    const CountedRun summed = RunCounted(plan, Sum(0, "measure"), threads,
+                                         FilterKind::kBlockedBloom, nullptr);
+    EXPECT_EQ(summed.total, static_cast<int64_t>(sum));
   }
 }
 

@@ -138,15 +138,16 @@ struct ReferenceResult {
   uint64_t checksum = 0;
 };
 
-/// \brief Brute-force answer of `db.spec`, independent of the engine: no operator, filter, optimizer or SIMD code. Relations join in
-/// spec order over row-id tuples. Each relation's passing rows
-/// (NaiveSelection of its predicate) go into one std::unordered_multimap
-/// keyed on the column of its first join condition with the relations
-/// already joined; further conditions between them are checked by value.
-/// Every relation after the first must join an earlier one (no cross
-/// products), and relation 0 must have a `measure` column. The columns of
-/// the spec's AggSpec name spec relations by index (BoundColumn::rel);
-/// values add in uint64_t, wrapping modulo 2^64 as the engine's fold does.
+/// \brief Brute-force answer of `db.spec`, independent of the engine: no
+/// operator, filter, optimizer or SIMD code. Relations join in spec order
+/// over row-id tuples. Each relation's passing rows (NaiveSelection of its
+/// predicate) go into one std::unordered_multimap keyed on the column of
+/// its first join condition with the relations already joined; further
+/// conditions between them are checked by value. Every relation after the
+/// first must join an earlier one (no cross products), and relation 0 must
+/// have a `measure` column. The columns of the spec's AggSpec name spec
+/// relations by index (BoundColumn::rel); values add in uint64_t, wrapping
+/// modulo 2^64 as the engine's fold does.
 inline ReferenceResult ReferenceJoin(const TestDb& db) {
   const std::vector<QueryRelation>& rels = db.spec.relations;
   const AggSpec& agg = db.spec.agg;
